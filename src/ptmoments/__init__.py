@@ -1,6 +1,10 @@
 """Detection of two-mode bosonic entanglement from moments of the partially
 transposed state, with multicopy linear-optics readout simulation."""
 
+# The one version literal: pyproject.toml and reporting's provenance read it.
+# Defined before the imports so that submodules can import it.
+__version__ = "0.1.0"
+
 from .criteria import (
     CriterionReport,
     PtMomentVector,
@@ -41,5 +45,3 @@ from .gaussian import (
     tmsv_thermal,
     tmsv_thermal_pt_pair,
 )
-
-__version__ = "0.1.0"

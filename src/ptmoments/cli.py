@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from . import circuits, criteria, estimation, gaussian, noon_tables, states
-from .errors import DomainError
+from .errors import DomainError, PtmomentsError
 from .fock import DEFAULT_TOL, ModeCutoff
 from .reporting import Table, format_value, write_table
 
@@ -510,9 +510,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError) as exc:
-        parser.error(str(exc))
-        return 2
+    except (PtmomentsError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

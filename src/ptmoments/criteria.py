@@ -47,6 +47,8 @@ class PtMomentVector:
         ms = self.values
         if ms.size < 1:
             raise OrderError("need at least p_1")
+        if not np.isfinite(ms).all():
+            raise DomainError(f"moments must be finite, got {self.moments}")
         if abs(ms[0] - 1.0) > 1e-9:
             raise ValueError(f"p_1 = {ms[0]} must be 1")
         if ms.size >= 2:
@@ -87,6 +89,13 @@ class CriterionReport:
                      gaussian_only: bool = False) -> "CriterionReport":
         return cls(criterion_id, float(witness), float(threshold),
                    detected=bool(witness < 0), gaussian_only=gaussian_only)
+
+
+def _require_finite(**values: float) -> None:
+    # NaN fails every comparison, so an unchecked NaN witness reads as a verdict
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
 
 
 def _require_odd_order(p: PtMomentVector, n: int) -> None:
@@ -133,11 +142,13 @@ def descartes_test(p: PtMomentVector, n: int) -> CriterionReport:
 
 
 def p3_linear(p2: float, p3: float) -> CriterionReport:
+    _require_finite(p2=p2, p3=p3)
     return CriterionReport.from_witness("linear3", p3 - (3.0 * p2 - 1.0) / 2.0,
                                         threshold=(3.0 * p2 - 1.0) / 2.0)
 
 
 def p3_quadratic(p2: float, p3: float) -> CriterionReport:
+    _require_finite(p2=p2, p3=p3)
     return CriterionReport.from_witness("quadratic3", p3 - p2 ** 2, threshold=p2 ** 2)
 
 
@@ -158,6 +169,7 @@ def optimal_threshold(p2: float) -> float:
 
 
 def p3_optimal(p2: float, p3: float) -> CriterionReport:
+    _require_finite(p3=p3)
     thr = optimal_threshold(p2)
     return CriterionReport.from_witness("optimal3", p3 - thr, threshold=thr)
 
@@ -168,6 +180,7 @@ def simon_gaussian3(p2: float, p3: float) -> CriterionReport:
     Necessary and sufficient for Gaussian states only; the report is marked
     gaussian_only accordingly.
     """
+    _require_finite(p3=p3)
     if not 0.0 < p2 <= 1.0:
         raise DomainError(f"p2 must lie in (0, 1], got {p2}")
     thr = 4.0 * p2 ** 2 / (3.0 + p2 ** 2)

@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class ToleranceError(Exception):
+class PtmomentsError(Exception):
+    """Base class of the package's exception types."""
+
+
+class ToleranceError(PtmomentsError):
     """A numerical residue exceeded its configured tolerance."""
 
 
@@ -14,10 +18,11 @@ class SymmetryError(ToleranceError):
 
 
 class StateValidationError(ToleranceError):
-    """Density operator violates trace normalization or positivity."""
+    """Density operator has non-finite entries or violates trace normalization
+    or positivity."""
 
 
-class CutoffError(Exception):
+class CutoffError(PtmomentsError):
     """A Fock-space truncation would discard non-negligible amplitude."""
 
 
@@ -25,9 +30,9 @@ class CutoffTooSmallError(CutoffError):
     """Requested cutoff leaves more tail mass than the truncation tolerance."""
 
 
-class OrderError(ValueError):
+class OrderError(PtmomentsError, ValueError):
     """Moment vector too short or of the wrong parity for the requested test."""
 
 
-class DomainError(ValueError):
+class DomainError(PtmomentsError, ValueError):
     """Parameter outside the domain on which a formula is defined."""

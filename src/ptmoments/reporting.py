@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Table", "write_table", "read_table", "format_value"]
+from . import __version__
 
-_VERSION = "0.1.0"
+__all__ = ["Table", "write_table", "read_table", "format_value"]
 
 
 def _normalize(v):
@@ -53,7 +53,7 @@ class Table:
     rows: list
 
     def __post_init__(self):
-        base = {"tool": "ptmoments", "version": _VERSION}
+        base = {"tool": "ptmoments", "version": __version__}
         base.update(self.provenance)
         self.provenance = base
 

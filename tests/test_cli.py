@@ -4,6 +4,8 @@ import math
 import pytest
 
 from ptmoments import cli
+from ptmoments.errors import (CutoffError, DomainError, OrderError, PtmomentsError,
+                              ToleranceError)
 from ptmoments.reporting import Table, read_table, write_table
 
 
@@ -35,6 +37,28 @@ class TestCriteriaCommand:
 
     def test_detection_is_not_an_error(self, capsys):
         assert run(["criteria", "--p2", "1", "--p3", "0.1"]) == 0
+
+
+class TestPackageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["criteria", "--moments", "1,0.5,nan"],
+        ["criteria", "--p2", "0.5", "--p3", "inf"],
+        ["sample", "--family", "cat", "--alpha", "3", "--cutoff", "4"],
+    ])
+    def test_exit_two_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ptmoments: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("cls", [ToleranceError, CutoffError, DomainError, OrderError])
+    def test_common_base(self, cls):
+        assert issubclass(cls, PtmomentsError)
+        assert issubclass(cls, ValueError) == (cls in (DomainError, OrderError))
 
 
 class TestSampleCommand:

@@ -41,6 +41,14 @@ class TestMomentVector:
         with pytest.raises(ValueError):
             PtMomentVector.of(1.0, 0.5, 0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_non_finite(self, bad, position):
+        ms = [1.0, 0.5, 0.25]
+        ms[position] = bad
+        with pytest.raises(DomainError):
+            PtMomentVector.of(*ms)
+
     def test_accessor_is_one_based(self):
         p = PtMomentVector.of(1.0, 0.5, 0.25)
         assert p.p(1) == 1.0 and p.p(2) == 0.5 and p.p(3) == 0.25
@@ -161,6 +169,16 @@ class TestThirdOrder:
             p3_optimal(0.0, 0.5)
         with pytest.raises(DomainError):
             p3_optimal(1.2, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DomainError):
+            optimal_threshold(bad)
+        for test in (p3_linear, p3_quadratic, p3_optimal, simon_gaussian3):
+            with pytest.raises(DomainError):
+                test(bad, 0.25)
+            with pytest.raises(DomainError):
+                test(0.5, bad)
 
     def test_boundary_purity_nudge(self):
         # threshold continuous across p2 = 1/m boundaries

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ptmoments.errors import CutoffError, HermiticityError, StateValidationError
 from ptmoments.fock import (
+    DEFAULT_TOL,
     BipartiteDensityOperator,
     ModeCutoff,
     coherent_cutoff,
@@ -19,7 +20,7 @@ from ptmoments.fock import (
     schmidt_probabilities,
     spectrum,
 )
-from ptmoments.states import NOONParams, noon_density
+from ptmoments.states import CatParams, NOONParams, cat_density, noon_density, tmsv_density
 
 from conftest import random_density, random_pure_bipartite
 
@@ -47,6 +48,16 @@ class TestValidation:
         mat = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(StateValidationError):
             embed(mat, ModeCutoff(2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_rejects_non_finite(self, bad, where):
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[where] = bad
+        with pytest.raises(StateValidationError):
+            embed(mat, ModeCutoff(2, 2))
+        with pytest.raises(StateValidationError):
+            spectrum(mat)
 
     def test_matrix_is_read_only(self):
         rho = bell_density()
@@ -155,6 +166,68 @@ class TestSpectrum:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def psd_accepted(cutoff, mat) -> bool:
+    try:
+        BipartiteDensityOperator(cutoff, mat)
+    except StateValidationError:
+        return False
+    return True
+
+
+class TestBlockSpectrum:
+    """The block-by-block spectrum against one dense eigvalsh of the whole matrix."""
+
+    @staticmethod
+    def assert_matches_dense(cutoff, mat, atol=1e-12):
+        dense = np.linalg.eigvalsh(mat)[::-1]
+        np.testing.assert_allclose(spectrum(mat).values, dense, rtol=0, atol=atol)
+        dense_min = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+        assert psd_accepted(cutoff, mat) == (dense_min >= -DEFAULT_TOL.psd)
+
+    @pytest.mark.parametrize("case", ["tmsv_d30", "odd_cat", "random_full_rank"])
+    def test_families_match_dense(self, case, rng):
+        if case == "tmsv_d30":
+            rho = tmsv_density(0.5, 30)
+        elif case == "odd_cat":
+            rho = cat_density(CatParams(2.0, 2.0, 0.5, "odd"))
+        else:
+            rho = embed(random_density(rng, 36), ModeCutoff(6, 6))
+        for op in (rho, partial_transpose(rho)):
+            self.assert_matches_dense(rho.cutoff, op.matrix)
+        # the partial transposes of the two entangled families are not PSD
+        assert case == "random_full_rank" or not psd_accepted(
+            rho.cutoff, partial_transpose(rho).matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.integers(0, 4),
+           st.sampled_from([0.0, 1e-3]), st.integers(0, 2 ** 32 - 1))
+    def test_hidden_blocks_match_dense(self, sizes, n_zero, dent, seed):
+        rng = np.random.default_rng(seed)
+        dim = sum(sizes) + n_zero
+        mat = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for size in sizes:
+            rank = int(rng.integers(1, size + 1))
+            block = slice(start, start + size)
+            mat[block, block] = rng.uniform(0.1, 1.0) * random_density(rng, size, rank)
+            start += size
+        # a dent on a diagonal entry of a rank-deficient block makes the
+        # matrix indefinite
+        mat[0, 0] -= dent
+        mat /= np.trace(mat).real
+        perm = rng.permutation(dim)
+        self.assert_matches_dense(ModeCutoff(dim, 1), mat[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("entry", [(2, 0), (0, 2)])
+    def test_one_sided_entry_joins_its_block(self, entry):
+        # passes the hermiticity tolerance; eigvalsh reads only the lower
+        # triangle, so the lower-side entry splits the degenerate pair 0, 2
+        # by 2e-12, which the block split must keep
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[entry] = 1e-12
+        self.assert_matches_dense(ModeCutoff(2, 2), mat, atol=1e-14)
 
 
 class TestModeMoment:
