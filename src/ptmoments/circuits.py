@@ -26,12 +26,11 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import CutoffError, DomainError, ToleranceError
-from .fock import DEFAULT_TOL, BipartiteDensityOperator, ModeCutoff, ToleranceProfile
+from .fock import DEFAULT_TOL, BipartiteDensityOperator, ToleranceProfile
 
 __all__ = [
     "PassiveUnitary",
     "CircuitElement",
-    "MulticopyLayout",
     "OutcomeDistribution",
     "dft",
     "beam_splitter_matrix",
@@ -100,18 +99,6 @@ class CircuitElement:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "modes": list(self.modes), "parameter": self.parameter}
-
-
-@dataclass(frozen=True)
-class MulticopyLayout:
-    """Copy count and per-copy cutoff of a readout experiment."""
-
-    n_copies: int
-    copy_cutoff: ModeCutoff
-
-    def __post_init__(self):
-        if self.n_copies < 2:
-            raise ValueError(f"need at least two copies, got {self.n_copies}")
 
 
 def dft(n: int) -> PassiveUnitary:
@@ -331,33 +318,52 @@ def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str,
 # Outcome distribution of the n-copy readout
 # ---------------------------------------------------------------------------
 
+# Outcome probabilities must sum to one, and none may be below zero, within
+# _NORM_TOL; entries at or below _OUTCOME_FLOOR are float noise and dropped.
+_NORM_TOL = 1e-10
+_OUTCOME_FLOOR = 1e-30
+# Eigen-weight floor per pure component and per product of components.
+_WEIGHT_FLOOR = 1e-13
+
+
 class OutcomeDistribution:
     """Joint photon-number distribution on the measured output modes.
 
-    Keys are tuples (N_2^A, .., N_n^A, N_2^B, .., N_n^B); the two mode-1
+    ``probs`` is a dense array of shape (d_out_a,)*(n-1) + (d_out_b,)*(n-1):
+    the axes count N_2^A, .., N_n^A, N_2^B, .., N_n^B.  The two mode-1
     outputs are marginalized out since the readout weights them with zero.
+    Outcomes, as tuples of those counts, are listed in C order of the array.
     """
 
-    def __init__(self, n_copies: int, probs: dict, norm_tol: float = 1e-10,
-                 layout: MulticopyLayout | None = None):
-        total = sum(probs.values())
-        if abs(total - 1.0) > norm_tol:
+    def __init__(self, probs):
+        probs = np.array(probs, dtype=float)
+        if probs.ndim < 2 or probs.ndim % 2:
+            raise ValueError(f"expected an even number (>= 2) of axes, got shape {probs.shape}")
+        total = probs.sum()
+        if abs(total - 1.0) > _NORM_TOL:
             raise ToleranceError(f"outcome probabilities sum to {total}, not 1")
-        if probs and min(probs.values()) < -norm_tol:
+        if probs.min() < -_NORM_TOL:
             raise ToleranceError("negative outcome probability")
-        self.n_copies = n_copies
-        self.layout = layout
-        self.probs = {k: max(float(p), 0.0) for k, p in probs.items()}
+        probs[probs <= _OUTCOME_FLOOR] = 0.0
+        probs.setflags(write=False)
+        self.n_copies = probs.ndim // 2 + 1
+        self.probs = probs
+        self._support = np.flatnonzero(probs)
+        cells = np.unravel_index(self._support, probs.shape)
+        self._outcomes = list(zip(*(axis.tolist() for axis in cells)))
 
     def probability(self, outcome) -> float:
-        return self.probs.get(tuple(outcome), 0.0)
+        outcome = tuple(outcome)
+        if len(outcome) != self.probs.ndim or not all(
+                0 <= i < d for i, d in zip(outcome, self.probs.shape)):
+            return 0.0
+        return float(self.probs[outcome])
 
     def outcomes(self) -> list:
-        return sorted(self.probs)
+        return list(self._outcomes)
 
     def as_arrays(self):
-        keys = self.outcomes()
-        return keys, np.array([self.probs[k] for k in keys])
+        return self.outcomes(), self.probs.reshape(-1)[self._support]
 
     def sample(self, k: int, rng: np.random.Generator) -> list:
         """Draw k outcomes i.i.d.; returns a list of outcome tuples."""
@@ -366,26 +372,28 @@ class OutcomeDistribution:
         return [keys[i] for i in idx]
 
 
+def _readout_values(shape) -> np.ndarray:
+    """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B)) of
+    every cell of an outcome array of the given shape."""
+    m = len(shape) // 2
+    grid = np.indices(shape, sparse=True)
+    expo = sum((j + 1) * (grid[j] - grid[m + j]) for j in range(m))
+    return np.exp(-2j * np.pi / (m + 1)) ** expo
+
+
 def outcome_weights(dist: OutcomeDistribution) -> tuple[list, np.ndarray]:
     """Root-of-unity readout value per outcome:
     omega_n^(sum_j (j-1) (N_j^A - N_j^B))."""
-    n = dist.n_copies
-    w = np.exp(-2j * np.pi / n)
-    keys = dist.outcomes()
-    vals = np.empty(len(keys), dtype=complex)
-    for i, key in enumerate(keys):
-        a, b = key[:n - 1], key[n - 1:]
-        expo = sum((j + 1) * (a[j] - b[j]) for j in range(n - 1))
-        vals[i] = w ** expo
-    return keys, vals
+    return dist.outcomes(), _readout_values(dist.probs.shape).reshape(-1)[dist._support]
 
 
 def multicopy_expectation(dist: OutcomeDistribution, tol_imag: float = DEFAULT_TOL.imag) -> float:
     """Expectation of the root-of-unity readout value; equals the n-th
     PT-moment when the copies are identical.  The imaginary residue must stay
     below tol_imag and is discarded."""
-    keys, vals = outcome_weights(dist)
-    total = complex(sum(dist.probs[k] * v for k, v in zip(keys, vals)))
+    _, probs = dist.as_arrays()
+    _, vals = outcome_weights(dist)
+    total = complex(sum(probs * vals))
     if abs(total.imag) > tol_imag:
         raise ToleranceError(f"imaginary residue {total.imag:.3e} exceeds {tol_imag:.1e}")
     return float(total.real)
@@ -412,8 +420,7 @@ def _evolved_product(tensors: list, unitary: PassiveUnitary, d_out: int) -> np.n
     return apply_passive(psi, unitary).reshape(-1)
 
 
-def outcome_distribution(copies, n: int | None = None,
-                         weight_floor: float = 1e-13) -> OutcomeDistribution:
+def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     """Exact photon-number outcome distribution of the n-copy readout.
 
     Each party's n modes pass through the same n-mode DFT; the joint
@@ -437,7 +444,7 @@ def outcome_distribution(copies, n: int | None = None,
         w, vecs = np.linalg.eigh(c.matrix)
         comp = []
         for i in range(w.size):
-            if w[i] > weight_floor:
+            if w[i] > _WEIGHT_FLOOR:
                 comp.append((float(w[i]),
                              _schmidt_branches(vecs[:, i].reshape(c.d_a, c.d_b))))
         comps.append(comp)
@@ -447,7 +454,7 @@ def outcome_distribution(copies, n: int | None = None,
     p_rest = np.zeros((r_a, r_b))
     for choice in product(*comps):
         weight = float(np.prod([w for w, _ in choice]))
-        if weight < weight_floor:
+        if weight < _WEIGHT_FLOOR:
             continue
         branch_lists = [branches for _, branches in choice]
         combos = list(product(*branch_lists))
@@ -460,16 +467,4 @@ def outcome_distribution(copies, n: int | None = None,
         g_b = np.einsum("bms,cms->bcs", amps_b, amps_b.conj())
         p_rest += weight * np.einsum("b,c,bcr,bcs->rs", gammas, gammas.conj(), g_a, g_b).real
 
-    probs = {}
-    shape_a = (d_out_a,) * (n - 1)
-    shape_b = (d_out_b,) * (n - 1)
-    for ia in range(r_a):
-        ka = tuple(int(x) for x in np.unravel_index(ia, shape_a))
-        for ib in range(r_b):
-            p = p_rest[ia, ib]
-            if p > 1e-30:
-                kb = tuple(int(x) for x in np.unravel_index(ib, shape_b))
-                probs[ka + kb] = float(p)
-    layout = MulticopyLayout(n, ModeCutoff(max(c.d_a for c in copies),
-                                           max(c.d_b for c in copies)))
-    return OutcomeDistribution(n, probs, layout=layout)
+    return OutcomeDistribution(p_rest.reshape((d_out_a,) * (n - 1) + (d_out_b,) * (n - 1)))

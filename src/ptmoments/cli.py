@@ -362,11 +362,11 @@ def _fig6(args):
         rho = states.lossy_noon_density(states.LossyNOONParams.balanced(1, tau))
         d2 = circuits.outcome_distribution([rho] * 2, 2)
         for outcome in d2.outcomes():
-            rows.append(("f2", tau, outcome[0], 0, outcome[1], 0, d2.probs[outcome]))
+            rows.append(("f2", tau, outcome[0], 0, outcome[1], 0, d2.probability(outcome)))
         d3 = circuits.outcome_distribution([rho] * 3, 3)
         for outcome in d3.outcomes():
             rows.append(("f3", tau, outcome[0], outcome[1], outcome[2], outcome[3],
-                         d3.probs[outcome]))
+                         d3.probability(outcome)))
     _emit(args, "fig6", ["circuit", "tau", "n2a", "n3a", "n2b", "n3b", "probability"],
           rows, note="f2 rows have no third mode; their n3 columns read 0")
 
@@ -382,12 +382,8 @@ def _fig7(args):
         d3 = circuits.outcome_distribution([rho] * 3, 3)
         for k_idx, k in enumerate(k_grid):
             rng = estimation.rng_stream(args.seed, tau_idx, k_idx)
-            _, q2 = d2.as_arrays()
-            _, v2 = circuits.outcome_weights(d2)
-            _, q3 = d3.as_arrays()
-            _, v3 = circuits.outcome_weights(d3)
-            e2 = v2[rng.choice(q2.size, size=(reps, k), p=q2 / q2.sum())].mean(axis=1)
-            e3 = v3[rng.choice(q3.size, size=(reps, k), p=q3 / q3.sum())].mean(axis=1)
+            e2 = estimation._sampled_estimates(d2, 2, k, reps, rng)
+            e3 = estimation._sampled_estimates(d3, 3, k, reps, rng)
             var_l, var_q = estimation.witness_variances(p2, p3, k)
             w_l, w_q = estimation.witness_estimators(e2, e3, k)
             w_opt = estimation._optimal_witness_from_estimates(e2.real, e3)

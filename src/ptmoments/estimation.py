@@ -20,6 +20,7 @@ import numpy as np
 from . import circuits
 from .criteria import optimal_threshold
 from .errors import DomainError
+from .fock import BipartiteDensityOperator, ModeCutoff
 from .states import LossyNOONParams, NOONParams
 
 __all__ = [
@@ -125,29 +126,32 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
 # Sampling a fixed outcome distribution
 # ---------------------------------------------------------------------------
 
+def _sampled_estimates(dist: circuits.OutcomeDistribution, n: int, k: int,
+                       repetitions: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-repetition means of k i.i.d. root-of-unity readout values drawn
+    from ``dist``; complex array of length ``repetitions``."""
+    if n != dist.n_copies:
+        raise ValueError(f"distribution is for n={dist.n_copies}, asked n={n}")
+    _, probs = dist.as_arrays()
+    _, vals = circuits.outcome_weights(dist)
+    idx = rng.choice(probs.size, size=(repetitions, k), p=probs / probs.sum())
+    return vals[idx].mean(axis=1)
+
+
 def sample_pn(dist: circuits.OutcomeDistribution, n: int, k: int,
               rng: np.random.Generator) -> complex:
     """Average of k i.i.d. root-of-unity readout values drawn from ``dist``.
 
     The expectation of the returned (complex) estimate is p_n.
     """
-    if n != dist.n_copies:
-        raise ValueError(f"distribution is for n={dist.n_copies}, asked n={n}")
-    _, probs = dist.as_arrays()
-    _, vals = circuits.outcome_weights(dist)
-    idx = rng.choice(probs.size, size=k, p=probs / probs.sum())
-    return complex(vals[idx].mean())
+    return complex(_sampled_estimates(dist, n, k, 1, rng)[0])
 
 
 def estimate_pn(dist: circuits.OutcomeDistribution, n: int, k: int, repetitions: int,
                 rng: np.random.Generator) -> EstimatorResult:
     """Repeat sample_pn and summarize; variance is the complex sample variance
     of the repetition estimates."""
-    _, probs = dist.as_arrays()
-    _, vals = circuits.outcome_weights(dist)
-    idx = rng.choice(probs.size, size=(repetitions, k), p=probs / probs.sum())
-    est = vals[idx].mean(axis=1)
-    return _summarize(est, k)
+    return _summarize(_sampled_estimates(dist, n, k, repetitions, rng), k)
 
 
 def _summarize(estimates: np.ndarray, k: int) -> EstimatorResult:
@@ -249,96 +253,61 @@ def noisy_copy_draw(base: LossyNOONParams, spec: NoiseSpec, rng: np.random.Gener
 
 
 # ---------------------------------------------------------------------------
-# Fast exact N=1 readout with per-run copy parameters
+# Exact N=1 readout with per-run copy parameters
 #
-# Each lossy N=1 copy is (1 - tau)|00><00| + tau |psi><psi| with
-# psi = alpha|10> + beta|01>, so every pure component feeds Fock basis states
-# into the interferometers.  The evolution of those basis inputs is
-# precomputed once with the generic circuit engine; per-run work reduces to a
-# coefficient contraction, batched over runs.
+# The readout distribution is linear in each copy's density matrix.  A lossy
+# N=1 copy with real alpha, beta and shared transmissivity tau is
+#   (1 - tau)|00><00| + tau (alpha^2 - alpha beta)|10><10|
+#     + tau (beta^2 - alpha beta)|01><01| + 2 tau alpha beta |+><+|,
+# with |+> = (|10> + |01>)/sqrt(2).  So each run's distribution is a linear
+# combination of the engine's distributions for the 4^n products of these
+# four basis states, with the Kronecker product of the per-copy coefficients
+# as weights.  The table of those 4^n distributions is built once with
+# circuits.outcome_distribution at a two-level cutoff (d_out = n + 1).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
 def _noon1_tables(n: int):
-    d_out = n + 1
-    rest = d_out ** (n - 1)
-    f = circuits.dft(n)
-    basis = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-    patterns = list(product((0, 1), repeat=n))
-    evolved = {}
-    for pat in patterns:
-        vecs = [basis[b] for b in pat]
-        evolved[pat] = circuits._evolved_product(vecs, f, d_out).reshape(d_out, rest)
-    # g[p, q][r] = sum_m1 E_p(m1, r) conj(E_q(m1, r)): mode-1 marginal overlap
-    g = {(p, q): np.einsum("mr,mr->r", evolved[p], evolved[q].conj())
-         for p in patterns for q in patterns}
-
-    terms = []  # (mask, bra A-photons, ket A-photons)
-    rows = []
-    for mask in patterns:
-        occupied = [c for c in range(n) if mask[c]]
-        for bits in product(*([(0, 1)] * len(occupied))):
-            for bits2 in product(*([(0, 1)] * len(occupied))):
-                pa = [0] * n
-                pb = [0] * n
-                pa2 = [0] * n
-                pb2 = [0] * n
-                for c, b1 in zip(occupied, bits):
-                    pa[c], pb[c] = (1, 0) if b1 else (0, 1)
-                for c, b2 in zip(occupied, bits2):
-                    pa2[c], pb2[c] = (1, 0) if b2 else (0, 1)
-                go = np.multiply.outer(g[(tuple(pa), tuple(pa2))],
-                                       g[(tuple(pb), tuple(pb2))]).reshape(-1)
-                terms.append((mask, dict(zip(occupied, bits)), dict(zip(occupied, bits2))))
-                rows.append(go.real)  # coefficients are real for real alpha
-    go_matrix = np.array(rows)
-
-    # Root-of-unity readout value per joint rest-outcome.
-    w = np.exp(-2j * np.pi / n)
-    levels = np.stack(np.unravel_index(np.arange(rest), (d_out,) * (n - 1)))
-    mode_weights = np.arange(1, n)
-    expo = mode_weights @ levels
-    values = (w ** np.subtract.outer(expo, expo)).reshape(-1)
-    return terms, go_matrix, values
-
-
-def _noon1_coefficients(n: int, alphas: np.ndarray, betas: np.ndarray,
-                        taus: np.ndarray) -> np.ndarray:
-    """Coefficient matrix (runs, terms) for the precomputed term list."""
-    terms, _, _ = _noon1_tables(n)
-    coefs = np.empty((alphas.shape[0], len(terms)))
-    for t_idx, (mask, bits, bits2) in enumerate(terms):
-        c = np.ones(alphas.shape[0])
-        for copy in range(n):
-            if mask[copy]:
-                c = c * taus[:, copy]
-                c = c * (alphas[:, copy] if bits[copy] else betas[:, copy])
-                c = c * (alphas[:, copy] if bits2[copy] else betas[:, copy])
-            else:
-                c = c * (1.0 - taus[:, copy])
-        coefs[:, t_idx] = c
-    return coefs
+    """(4^n, outcomes) table of basis-product distributions, and the
+    readout value of every outcome."""
+    cutoff = ModeCutoff(2, 2)
+    h = 1.0 / math.sqrt(2.0)
+    # |00>, |10>, |01>, |+> at basis index i * d_b + j of |i>_A |j>_B
+    basis = [BipartiteDensityOperator.from_state_vector(v, cutoff)
+             for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, h, h, 0])]
+    rows = [circuits.outcome_distribution(copies, n).probs.reshape(-1)
+            for copies in product(basis, repeat=n)]
+    table = np.array(rows)
+    values = circuits._readout_values((n + 1,) * (2 * (n - 1))).reshape(-1)
+    table.setflags(write=False)
+    values.setflags(write=False)
+    return table, values
 
 
 def _noon1_distributions(n: int, alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Exact outcome probabilities, one row per run. alphas/taus: (runs, n)."""
     alphas = np.asarray(alphas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
     betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
-    _, go_matrix, _ = _noon1_tables(n)
-    return _noon1_coefficients(n, alphas, betas, np.asarray(taus, dtype=float)) @ go_matrix
+    ab = alphas * betas
+    per_copy = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
+                         2.0 * taus * ab], axis=-1)
+    coefs = per_copy[:, 0]
+    for c in range(1, n):
+        coefs = (coefs[:, :, None] * per_copy[:, c, None, :]).reshape(coefs.shape[0], -1)
+    return coefs @ _noon1_tables(n)[0]
 
 
 def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     """Exact p_n of the readout for runs of n possibly different lossy N=1
     copies; alphas/taus have shape (runs, n).  Complex array of length runs."""
-    _, _, values = _noon1_tables(n)
-    return _noon1_distributions(n, alphas, taus) @ values
+    return _noon1_distributions(n, alphas, taus) @ _noon1_tables(n)[1]
 
 
 def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
                    uniforms: np.ndarray) -> np.ndarray:
     """One readout value per run, drawn from each run's own distribution."""
-    _, _, values = _noon1_tables(n)
+    values = _noon1_tables(n)[1]
     probs = _noon1_distributions(n, alphas, taus)
     cum = np.cumsum(probs, axis=1)
     targets = uniforms * cum[:, -1]

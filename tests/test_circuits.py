@@ -241,7 +241,7 @@ class TestOutcomeDistribution:
     def test_table_of_two_copy_outputs(self, tau):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, tau))
         dist = outcome_distribution([rho] * 2, 2)
-        assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         for outcome in noon_tables.f2_outcomes():
             assert dist.probability(outcome) == pytest.approx(
                 noon_tables.f2_formula(outcome, BAL, tau), abs=1e-12)
@@ -259,14 +259,14 @@ class TestOutcomeDistribution:
     def test_lossless_two_copy_has_even_totals_only(self):
         rho = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
         dist = outcome_distribution([rho] * 2, 2)
-        for (n2a, n2b), p in dist.probs.items():
+        for (n2a, n2b), p in zip(*dist.as_arrays()):
             if p > 1e-12:
                 assert (n2a + n2b) % 2 == 0
 
     def test_no_outcomes_beyond_input_support(self):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.8))
         dist = outcome_distribution([rho] * 3, 3)
-        for outcome, p in dist.probs.items():
+        for outcome, p in zip(*dist.as_arrays()):
             if p > 1e-12:
                 assert sum(outcome) <= 3
 
@@ -341,10 +341,45 @@ class TestMulticopyExpectation:
 class TestDistributionValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ToleranceError):
-            OutcomeDistribution(2, {(0, 0): 0.7})
+            OutcomeDistribution([[0.7]])
 
     def test_sampling_shape(self, rng):
-        dist = OutcomeDistribution(2, {(0, 0): 0.5, (1, 1): 0.5})
+        dist = OutcomeDistribution([[0.5, 0.0], [0.0, 0.5]])
         outcomes = dist.sample(64, rng)
         assert len(outcomes) == 64
         assert set(outcomes) <= {(0, 0), (1, 1)}
+
+    def test_rejects_negative_entry_before_flooring(self):
+        # outcome_distribution hands over its raw array; flooring tiny entries
+        # must not hide a negative one from this check
+        with pytest.raises(ToleranceError):
+            OutcomeDistribution([[0.6, 0.5], [0.0, -0.1]])
+
+    def test_floors_noise_out_of_the_support(self):
+        dist = OutcomeDistribution([[0.5, 1e-31], [-1e-17, 0.5]])
+        assert dist.outcomes() == [(0, 0), (1, 1)]
+        assert dist.probability((1, 0)) == 0.0
+
+    def test_probability_off_the_grid_is_zero(self):
+        dist = OutcomeDistribution([[0.25, 0.25], [0.0, 0.5]])
+        assert dist.probability((1, 1)) == 0.5
+        for outcome in [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 2), (0,), (0, 0, 0)]:
+            assert dist.probability(outcome) == 0.0
+
+    def test_copy_count_and_order_follow_the_array(self):
+        probs = np.zeros((3, 3, 3, 3))
+        probs[2, 0, 1, 1] = probs[0, 1, 0, 0] = probs[0, 0, 2, 0] = 1.0 / 3.0
+        dist = OutcomeDistribution(probs)
+        assert dist.n_copies == 3
+        keys, values = dist.as_arrays()
+        assert keys == sorted(keys) == [(0, 0, 2, 0), (0, 1, 0, 0), (2, 0, 1, 1)]
+        assert all(type(x) is int for key in keys for x in key)
+        np.testing.assert_array_equal(values, [1.0 / 3.0] * 3)
+
+    def test_readout_values_per_outcome(self):
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))
+        dist = outcome_distribution([rho] * 3, 3)
+        keys, vals = circuits.outcome_weights(dist)
+        w = np.exp(-2j * np.pi / 3)
+        for (n2a, n3a, n2b, n3b), v in zip(keys, vals):
+            assert v == w ** (n2a + 2 * n3a - n2b - 2 * n3b)

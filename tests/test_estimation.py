@@ -8,6 +8,7 @@ from ptmoments.errors import DomainError
 from ptmoments.estimation import (
     NoiseSpec,
     SamplingPlan,
+    _noon1_distributions,
     full_simulation,
     min_samples,
     noisy_copy_draw,
@@ -17,6 +18,7 @@ from ptmoments.estimation import (
     witness_estimators,
     witness_variances,
 )
+from ptmoments.fock import ModeCutoff
 from ptmoments.states import (
     LossyNOONParams,
     NOONParams,
@@ -34,7 +36,7 @@ def dist_for(tau, n):
 
 class TestSamplePn:
     def test_concentrated_distribution(self, rng):
-        dist = circuits.OutcomeDistribution(2, {(0, 0): 1.0})
+        dist = circuits.OutcomeDistribution([[1.0]])
         for k in (1, 5, 50):
             assert sample_pn(dist, 2, k, rng) == pytest.approx(1.0)
 
@@ -63,6 +65,11 @@ class TestSamplePn:
     def test_copy_count_checked(self, rng):
         with pytest.raises(ValueError):
             sample_pn(dist_for(0.9, 2), 3, 10, rng)
+
+    def test_estimate_checks_copy_count(self, rng):
+        from ptmoments.estimation import estimate_pn
+        with pytest.raises(ValueError):
+            estimate_pn(dist_for(0.9, 2), 3, 10, 2, rng)
 
     def test_single_repetition_has_undefined_spread(self, rng):
         from ptmoments.estimation import estimate_pn
@@ -224,6 +231,26 @@ class TestFastNoon1Path:
             p3 = noon1_moments(3, np.full((1, 3), BAL),
                                np.array([[tau1, tau2, tau3]]))[0].real
             assert p3 - thr < 0
+
+
+    @pytest.mark.parametrize("params", [
+        [(0.3, 0.8), (0.9, 0.6)],
+        [(0.0, 0.75), (1.0, 0.9)],
+        [(0.6, 0.0), (0.8, 1.0)],
+        [(BAL, 0.9), (0.2, 0.55), (0.95, 0.7)],
+        [(0.0, 1.0), (1.0, 0.0), (0.6, 0.7)],
+        [(1.0, 1.0), (0.0, 0.0), (0.4, 1.0)],
+    ])
+    def test_distributions_match_engine_array(self, params):
+        # alpha and tau at their clamped edges 0 and 1 included
+        n = len(params)
+        copies = [lossy_noon_density(
+            LossyNOONParams(NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t), ModeCutoff(2, 2))
+            for a, t in params]
+        engine = circuits.outcome_distribution(copies, n).probs.reshape(-1)
+        rows = _noon1_distributions(n, np.array([[a for a, _ in params]]),
+                                    np.array([[t for _, t in params]]))
+        np.testing.assert_allclose(rows[0], engine, rtol=0, atol=1e-12)
 
 
 class TestFullSimulation:
