@@ -25,7 +25,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import CutoffError, DomainError, ToleranceError
+from .errors import CutoffError, DomainError, StateValidationError, ToleranceError
 from .fock import DEFAULT_TOL, BipartiteDensityOperator, ToleranceProfile
 
 __all__ = [
@@ -49,21 +49,25 @@ __all__ = [
     "outcome_weights",
 ]
 
+# Largest entry of U^dagger U - 1 accepted as unitary, and the relative norm
+# change a two-mode coupling may show before it is taken as cutoff overflow.
+_UNITARITY_TOL = 1e-10
+_COUPLING_NORM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PassiveUnitary:
     """n x n unitary acting on the mode annihilation operators."""
 
     matrix: np.ndarray
-    unitarity_tol: float = 1e-10
 
     def __post_init__(self):
         u = np.array(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {u.shape}")
         residue = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-        if residue > self.unitarity_tol:
-            raise ToleranceError(f"unitarity residue {residue:.3e} > {self.unitarity_tol:.1e}")
+        if residue > _UNITARITY_TOL:
+            raise ToleranceError(f"unitarity residue {residue:.3e} > {_UNITARITY_TOL:.1e}")
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
 
@@ -194,8 +198,7 @@ def _coupling_tensor(key, d: int) -> np.ndarray:
     return t
 
 
-def apply_two_mode(psi: np.ndarray, mode_i: int, mode_j: int, v: np.ndarray,
-                   norm_tol: float = 1e-9) -> np.ndarray:
+def apply_two_mode(psi: np.ndarray, mode_i: int, mode_j: int, v: np.ndarray) -> np.ndarray:
     """Apply a 2x2 mode unitary to axes ``mode_i`` and ``mode_j`` (0-based) of
     a pure amplitude tensor.  Raises CutoffError when photons would pile past
     the axis dimension (detected as norm loss)."""
@@ -208,7 +211,7 @@ def apply_two_mode(psi: np.ndarray, mode_i: int, mode_j: int, v: np.ndarray,
     out = np.einsum("abcd,cd...->ab...", t, moved)
     before = np.linalg.norm(moved)
     after = np.linalg.norm(out)
-    if abs(after - before) > norm_tol * max(before, 1e-300):
+    if abs(after - before) > _COUPLING_NORM_TOL * max(before, 1e-300):
         raise CutoffError(f"two-mode coupling lost norm {before - after:.3e}; "
                           "raise the per-mode cutoff")
     return np.moveaxis(out, (0, 1), (mode_i, mode_j))
@@ -259,7 +262,7 @@ def _givens_sequence(u: np.ndarray):
     return recorded, phases
 
 
-def apply_passive(psi: np.ndarray, unitary, modes=None, norm_tol: float = 1e-9) -> np.ndarray:
+def apply_passive(psi: np.ndarray, unitary, modes=None) -> np.ndarray:
     """Evolve a pure amplitude tensor through an n-mode passive unitary acting
     on the given tensor axes (0-based, defaults to all axes in order).
 
@@ -279,7 +282,7 @@ def apply_passive(psi: np.ndarray, unitary, modes=None, norm_tol: float = 1e-9) 
         out = apply_phase(out, axis, float(-np.angle(ph)))
     # G_M .. G_1 u = D, hence u = G_1+ .. G_M+ D: undo rotations in reverse.
     for (i, j), g in reversed(rotations):
-        out = apply_two_mode(out, modes[i], modes[j], g.conj().T, norm_tol=norm_tol)
+        out = apply_two_mode(out, modes[i], modes[j], g.conj().T)
     return out
 
 
@@ -387,15 +390,15 @@ def outcome_weights(dist: OutcomeDistribution) -> tuple[list, np.ndarray]:
     return dist.outcomes(), _readout_values(dist.probs.shape).reshape(-1)[dist._support]
 
 
-def multicopy_expectation(dist: OutcomeDistribution, tol_imag: float = DEFAULT_TOL.imag) -> float:
+def multicopy_expectation(dist: OutcomeDistribution) -> float:
     """Expectation of the root-of-unity readout value; equals the n-th
     PT-moment when the copies are identical.  The imaginary residue must stay
-    below tol_imag and is discarded."""
+    below DEFAULT_TOL.imag and is discarded."""
     _, probs = dist.as_arrays()
     _, vals = outcome_weights(dist)
     total = complex(sum(probs * vals))
-    if abs(total.imag) > tol_imag:
-        raise ToleranceError(f"imaginary residue {total.imag:.3e} exceeds {tol_imag:.1e}")
+    if abs(total.imag) > DEFAULT_TOL.imag:
+        raise ToleranceError(f"imaginary residue {total.imag:.3e} exceeds {DEFAULT_TOL.imag:.1e}")
     return float(total.real)
 
 
@@ -426,7 +429,8 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     Each party's n modes pass through the same n-mode DFT; the joint
     distribution of output modes 2..n on both sides is returned with mode 1
     marginalized.  Copies may differ (noisy replicas); each must be a
-    BipartiteDensityOperator.
+    BipartiteDensityOperator, and one with an eigenvalue below -tol.psd (as
+    only ``check_psd=False`` lets through) raises StateValidationError.
     """
     copies = list(copies)
     if n is None:
@@ -440,8 +444,11 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     # Eigendecompose each copy into pure components, each split into Schmidt
     # branches whose A and B factors evolve independently.
     comps = []
-    for c in copies:
+    for index, c in enumerate(copies):
         w, vecs = np.linalg.eigh(c.matrix)
+        if w[0] < -c.tol.psd:
+            raise StateValidationError(f"copy {index} has eigenvalue {w[0]:.3e} "
+                                       f"< -{c.tol.psd:.1e}; it is not a physical state")
         comp = []
         for i in range(w.size):
             if w[i] > _WEIGHT_FLOOR:

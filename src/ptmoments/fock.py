@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse, special
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CutoffError, HermiticityError, StateValidationError
@@ -308,6 +308,6 @@ def coherent_cutoff(alphas, tol: float = DEFAULT_TOL.trunc, guard: int = 1) -> i
     displacement in ``alphas``, plus ``guard`` empty levels on top."""
     mean = max((abs(a) ** 2 for a in np.atleast_1d(alphas)), default=0.0)
     d = 1
-    while stats.poisson.sf(d - 1, mean) >= tol:
+    while special.pdtrc(d - 1, mean) >= tol:
         d += 1
     return d + guard

@@ -22,7 +22,7 @@ from ptmoments.circuits import (
     multicopy_expectation,
     outcome_distribution,
 )
-from ptmoments.errors import CutoffError, DomainError, ToleranceError
+from ptmoments.errors import CutoffError, DomainError, StateValidationError, ToleranceError
 from ptmoments.fock import BipartiteDensityOperator, ModeCutoff, partial_transpose, pt_moment
 from ptmoments.states import (
     CatParams,
@@ -274,6 +274,17 @@ class TestOutcomeDistribution:
         rho = noon_density(NOONParams.balanced(1))
         with pytest.raises(ValueError):
             outcome_distribution([rho] * 2, 3)
+
+    @pytest.mark.parametrize("negative", [-2e-3, -1e-7])
+    def test_rejects_copy_with_negative_eigenvalue(self, negative):
+        # below -tol.psd the copy is unphysical, and dropping that component
+        # would only surface later as a misleading normalization error
+        good = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
+        bad = BipartiteDensityOperator(ModeCutoff(2, 2),
+                                       np.diag([0.6, 0.4 - negative, 0.0, negative]),
+                                       check_psd=False)
+        with pytest.raises(StateValidationError, match=r"copy 1 has eigenvalue -"):
+            outcome_distribution([good, bad], 2)
 
 
 class TestMulticopyExpectation:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ptmoments
 from ptmoments import cli
 from ptmoments.errors import (CutoffError, DomainError, OrderError, PtmomentsError,
                               ToleranceError)
@@ -169,3 +174,15 @@ class TestRoundTrip:
         assert again.rows[0][1] == math.inf
         write_table(again, path)
         assert read_table(path).rows == again.rows
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the package's import time
+    src = str(Path(ptmoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, ptmoments.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
