@@ -23,7 +23,6 @@ from .fock import (
     DEFAULT_TOL,
     BipartiteDensityOperator,
     ModeCutoff,
-    Spectrum,
     ToleranceProfile,
     coherent_cutoff,
     mode_moment,

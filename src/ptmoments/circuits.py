@@ -26,7 +26,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import CutoffError, DomainError, StateValidationError, ToleranceError
-from .fock import DEFAULT_TOL, BipartiteDensityOperator, ToleranceProfile
+from .fock import DEFAULT_TOL, BipartiteDensityOperator
 
 __all__ = [
     "PassiveUnitary",
@@ -297,14 +297,12 @@ def loss_kraus(d: int, tau: float) -> list[np.ndarray]:
     return [np.ascontiguousarray(t[:, e, :, 0]) for e in range(d)]
 
 
-def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str,
-                  tol: ToleranceProfile | None = None) -> BipartiteDensityOperator:
+def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str) -> BipartiteDensityOperator:
     """Pure-loss channel of transmissivity tau on mode "a" or "b"."""
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    tol = tol or rho.tol
     d = rho.d_a if mode == "a" else rho.d_b
     tens = rho.as_tensor()
     out = np.zeros_like(tens)
@@ -313,8 +311,7 @@ def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str,
             out += np.einsum("ai,ijkl,ck->ajcl", k, tens, k.conj())
         else:
             out += np.einsum("bj,ijkl,dl->ibkd", k, tens, k.conj())
-    return BipartiteDensityOperator(rho.cutoff, out.reshape(rho.cutoff.dim, rho.cutoff.dim),
-                                    tol=tol)
+    return BipartiteDensityOperator(rho.cutoff, out.reshape(rho.cutoff.dim, rho.cutoff.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +426,7 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     Each party's n modes pass through the same n-mode DFT; the joint
     distribution of output modes 2..n on both sides is returned with mode 1
     marginalized.  Copies may differ (noisy replicas); each must be a
-    BipartiteDensityOperator, and one with an eigenvalue below -tol.psd (as
+    BipartiteDensityOperator, and one with an eigenvalue below -DEFAULT_TOL.psd (as
     only ``check_psd=False`` lets through) raises StateValidationError.
     """
     copies = list(copies)
@@ -446,9 +443,9 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     comps = []
     for index, c in enumerate(copies):
         w, vecs = np.linalg.eigh(c.matrix)
-        if w[0] < -c.tol.psd:
+        if w[0] < -DEFAULT_TOL.psd:
             raise StateValidationError(f"copy {index} has eigenvalue {w[0]:.3e} "
-                                       f"< -{c.tol.psd:.1e}; it is not a physical state")
+                                       f"< -{DEFAULT_TOL.psd:.1e}; it is not a physical state")
         comp = []
         for i in range(w.size):
             if w[i] > _WEIGHT_FLOOR:

@@ -64,7 +64,7 @@ def _family_moments(args) -> tuple[float, float, list]:
         alpha = BALANCED if args.alpha is None else args.alpha
         beta = math.sqrt(max(1.0 - alpha ** 2, 0.0)) if args.beta is None else args.beta
         noon = states.NOONParams(args.N, alpha, beta)
-        if args.tau is not None and args.tau < 1.0:
+        if args.tau is not None and args.tau != 1.0:
             p = states.LossyNOONParams(noon, args.tau, args.tau)
             p2, p3 = states.lossy_noon_pt_moments(p)
         else:
@@ -153,7 +153,7 @@ def _copies_for_sampling(args) -> list:
         rho = states.cat_density(states.CatParams(
             args.alpha if args.alpha is not None else 1.0,
             args.beta if args.beta is not None else 1.0, args.z, args.parity), cutoff)
-        if args.tau is not None and args.tau < 1.0:
+        if args.tau is not None and args.tau != 1.0:
             rho = circuits.lossy_channel(rho, args.tau, "a")
             rho = circuits.lossy_channel(rho, args.tau, "b")
     else:
@@ -314,7 +314,7 @@ def _fig3c(args):
 
 
 def _fig4(args):
-    plan_reps = args.repetitions or 200
+    plan_reps = 200 if args.repetitions is None else args.repetitions
     rows = []
     for tau in (0.9, 0.75, 0.6):
         params = states.LossyNOONParams.balanced(1, tau)
@@ -372,7 +372,7 @@ def _fig6(args):
 
 
 def _fig7(args):
-    reps = args.repetitions or 500
+    reps = 500 if args.repetitions is None else args.repetitions
     k_grid = (10, 32, 100, 316, 1000)
     rows = []
     for tau_idx, tau in enumerate((1.0, 0.9, 0.75, 0.6)):

@@ -21,7 +21,7 @@ from . import circuits
 from .criteria import optimal_threshold
 from .errors import DomainError
 from .fock import BipartiteDensityOperator, ModeCutoff
-from .states import LossyNOONParams, NOONParams, lossy_noon_pt_moments
+from .states import LossyNOONParams, lossy_noon_pt_moments
 
 __all__ = [
     "NoiseEntry",
@@ -35,7 +35,6 @@ __all__ = [
     "witness_estimators",
     "witness_variances",
     "min_samples",
-    "noisy_copy_draw",
     "noon1_moments",
     "full_simulation",
     "DEFAULT_K_GRID",
@@ -132,6 +131,9 @@ def _sampled_estimates(dist: circuits.OutcomeDistribution, n: int, k: int,
     from ``dist``; complex array of length ``repetitions``."""
     if n != dist.n_copies:
         raise ValueError(f"distribution is for n={dist.n_copies}, asked n={n}")
+    if k < 1 or repetitions < 1:
+        raise DomainError(f"need k >= 1 and repetitions >= 1, got k={k}, "
+                          f"repetitions={repetitions}")
     _, probs = dist.as_arrays()
     _, vals = circuits.outcome_weights(dist)
     idx = rng.choice(probs.size, size=(repetitions, k), p=probs / probs.sum())
@@ -234,22 +236,6 @@ def _draw_clamped(rng: np.random.Generator, entry: NoiseEntry, shape) -> tuple[n
         else np.full(shape, entry.mean)
     clipped = np.clip(raw, entry.lo, entry.hi)
     return clipped, int(np.count_nonzero(clipped != raw))
-
-
-def noisy_copy_draw(base: LossyNOONParams, spec: NoiseSpec, rng: np.random.Generator,
-                    n_copies: int) -> list[LossyNOONParams]:
-    """Independent per-copy parameter draws for one experimental run.
-
-    alpha is drawn, clamped to [0, 1] and renormalized against beta; tau is
-    drawn and clamped to [0, 1], shared by both modes of a copy.
-    """
-    alphas, _ = _draw_clamped(rng, spec.alpha, n_copies)
-    taus, _ = _draw_clamped(rng, spec.tau, n_copies)
-    out = []
-    for a, t in zip(alphas, taus):
-        beta = math.sqrt(max(1.0 - a ** 2, 0.0))
-        out.append(LossyNOONParams(NOONParams(base.noon.N, a, beta), t, t))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ partial transpose, and normally ordered mode-operator moments.  Everything
 else in the package (closed-form state families, Gaussian formulas, circuit
 simulations) is cross-checked against these dense computations.
 
+Every validation check reads the one tolerance set ``DEFAULT_TOL``; no
+function takes a tolerance argument except the cutoff rule
+``coherent_cutoff``, whose tail bound defaults to ``DEFAULT_TOL.trunc``.
+
 Spectra (the positivity check on construction and ``spectrum``, which backs
 ``pt_moments``) are computed block by block over the connected components of
 the matrix's exact nonzero pattern.  No entry is dropped, so this is exact.
@@ -32,7 +36,6 @@ __all__ = [
     "DEFAULT_TOL",
     "ModeCutoff",
     "BipartiteDensityOperator",
-    "Spectrum",
     "partial_transpose",
     "spectrum",
     "pt_moment",
@@ -52,6 +55,8 @@ class ToleranceProfile:
     ``herm``/``trace``/``imag`` bound hermiticity, normalization and imaginary
     residues, ``psd`` bounds how negative an eigenvalue of a physical state may
     be, and ``trunc`` bounds the probability mass a Fock truncation may drop.
+    The package uses one instance, ``DEFAULT_TOL``: the checks read it
+    directly, and every provenance header records it.
     """
 
     herm: float = 1e-9
@@ -89,31 +94,30 @@ class BipartiteDensityOperator:
     spectrum is allowed to be negative.
     """
 
-    def __init__(self, cutoff: ModeCutoff, matrix, tol: ToleranceProfile = DEFAULT_TOL,
-                 check_psd: bool = True):
+    def __init__(self, cutoff: ModeCutoff, matrix, check_psd: bool = True):
         mat = np.array(matrix, dtype=complex)
         dim = cutoff.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {dim}")
         _require_finite(mat)
         herm_residue = np.abs(mat - mat.conj().T).max()
-        if herm_residue > tol.herm:
-            raise HermiticityError(f"hermiticity residue {herm_residue:.3e} > {tol.herm:.1e}")
+        if herm_residue > DEFAULT_TOL.herm:
+            raise HermiticityError(f"hermiticity residue {herm_residue:.3e} "
+                                   f"> {DEFAULT_TOL.herm:.1e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > tol.trace:
-            raise StateValidationError(f"trace {tr} deviates from 1 beyond {tol.trace:.1e}")
+        if abs(tr - 1.0) > DEFAULT_TOL.trace:
+            raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
         if check_psd:
             lam_min = _block_eigvalsh(0.5 * (mat + mat.conj().T))[0]
-            if lam_min < -tol.psd:
-                raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} < -{tol.psd:.1e}")
+            if lam_min < -DEFAULT_TOL.psd:
+                raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} "
+                                           f"< -{DEFAULT_TOL.psd:.1e}")
         mat.setflags(write=False)
         self.cutoff = cutoff
         self.matrix = mat
-        self.tol = tol
 
     @classmethod
-    def from_state_vector(cls, vec, cutoff: ModeCutoff,
-                          tol: ToleranceProfile = DEFAULT_TOL) -> "BipartiteDensityOperator":
+    def from_state_vector(cls, vec, cutoff: ModeCutoff) -> "BipartiteDensityOperator":
         """Projector onto a pure state given as a flat vector or (d_a, d_b) array."""
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.size != cutoff.dim:
@@ -123,7 +127,7 @@ class BipartiteDensityOperator:
             raise ValueError("zero vector")
         v = v / norm
         # a projector is positive by construction; skip the eigenvalue check
-        return cls(cutoff, np.outer(v, v.conj()), tol=tol, check_psd=False)
+        return cls(cutoff, np.outer(v, v.conj()), check_psd=False)
 
     @property
     def d_a(self) -> int:
@@ -145,20 +149,6 @@ class BipartiteDensityOperator:
         if side == "b":
             return np.einsum("ijij->j", t).real
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues in descending order."""
-
-    eigenvalues: tuple
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.eigenvalues)
-
-    def moment(self, n: int) -> float:
-        return float(np.sum(self.values ** n))
 
 
 def _require_finite(mat: np.ndarray) -> None:
@@ -207,21 +197,21 @@ def partial_transpose(rho: BipartiteDensityOperator) -> BipartiteDensityOperator
     """Transpose the second mode only: <i,j|out|k,l> = <i,l|rho|k,j>."""
     t = rho.as_tensor()
     out = t.transpose(0, 3, 2, 1).reshape(rho.cutoff.dim, rho.cutoff.dim)
-    return BipartiteDensityOperator(rho.cutoff, out, tol=rho.tol, check_psd=False)
+    return BipartiteDensityOperator(rho.cutoff, out, check_psd=False)
 
 
-def spectrum(op, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues of a hermitian operator, sorted descending.
+def spectrum(op) -> np.ndarray:
+    """Eigenvalues of a hermitian operator as a contiguous float array,
+    sorted descending.
 
     Accepts a BipartiteDensityOperator or a plain square array.
     """
     mat = op.matrix if isinstance(op, BipartiteDensityOperator) else np.asarray(op, dtype=complex)
     _require_finite(mat)
     residue = np.abs(mat - mat.conj().T).max()
-    if residue > tol.herm:
-        raise HermiticityError(f"hermiticity residue {residue:.3e} > {tol.herm:.1e}")
-    vals = _block_eigvalsh(mat)[::-1]
-    return Spectrum(tuple(float(v) for v in vals))
+    if residue > DEFAULT_TOL.herm:
+        raise HermiticityError(f"hermiticity residue {residue:.3e} > {DEFAULT_TOL.herm:.1e}")
+    return np.ascontiguousarray(_block_eigvalsh(mat)[::-1])
 
 
 def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
@@ -233,7 +223,7 @@ def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w = spectrum(partial_transpose(rho), tol=rho.tol).values
+    w = spectrum(partial_transpose(rho))
     return np.array([np.sum(w ** n) for n in range(1, n_max + 1)])
 
 
@@ -267,10 +257,9 @@ def mode_moment(rho: BipartiteDensityOperator, i: int, j: int, k: int, l: int) -
     for idx in (i, j, k, l):
         if idx < 0:
             raise ValueError("ladder exponents must be non-negative")
-    trunc = rho.tol.trunc
-    if i > j and rho.level_populations("a")[-1] > trunc:
+    if i > j and rho.level_populations("a")[-1] > DEFAULT_TOL.trunc:
         raise CutoffError("net raising on mode A with occupied top level; increase d_a")
-    if k > l and rho.level_populations("b")[-1] > trunc:
+    if k > l and rho.level_populations("b")[-1] > DEFAULT_TOL.trunc:
         raise CutoffError("net raising on mode B with occupied top level; increase d_b")
     a = _ladder(rho.d_a)
     b = _ladder(rho.d_b)
@@ -279,8 +268,9 @@ def mode_moment(rho: BipartiteDensityOperator, i: int, j: int, k: int, l: int) -
     return complex(np.einsum("ijkl,ki,lj->", rho.as_tensor(), op_a, op_b))
 
 
-def schmidt_probabilities(vec, cutoff: ModeCutoff, floor: float = 1e-15) -> np.ndarray:
-    """Schmidt probabilities of a pure bipartite state, descending.
+def schmidt_probabilities(vec, cutoff: ModeCutoff) -> np.ndarray:
+    """Schmidt probabilities of a pure bipartite state, descending, without
+    those at or below 1e-15 (float noise of the SVD).
 
     ``vec`` may be flat of length d_a*d_b or already shaped (d_a, d_b).
     """
@@ -288,7 +278,7 @@ def schmidt_probabilities(vec, cutoff: ModeCutoff, floor: float = 1e-15) -> np.n
     s = np.linalg.svd(m, compute_uv=False)
     lam = s ** 2
     lam = lam / lam.sum()
-    return lam[lam > floor]
+    return lam[lam > 1e-15]
 
 
 def pure_state_pt_moment(schmidt_probs, n: int) -> float:

@@ -36,6 +36,11 @@ OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
+# Bound on the symmetry residue of a covariance matrix, the relative pairing
+# mismatch of the eigenvalues of i Omega gamma, and how negative an eigenvalue
+# of gamma + i Omega may be for a physical state.
+_COV_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -47,22 +52,21 @@ class CovarianceMatrix:
     """
 
     gamma: np.ndarray
-    sym_tol: float = 1e-9
 
     def __post_init__(self):
         g = np.array(self.gamma, dtype=float)
         if g.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {g.shape}")
         residue = np.abs(g - g.T).max()
-        if residue > self.sym_tol:
-            raise SymmetryError(f"symmetry residue {residue:.3e} > {self.sym_tol:.1e}")
+        if residue > _COV_TOL:
+            raise SymmetryError(f"symmetry residue {residue:.3e} > {_COV_TOL:.1e}")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
+    def is_physical(self) -> bool:
         """Whether gamma + i Omega >= 0 within tolerance."""
         vals = np.linalg.eigvalsh(self.gamma.astype(complex) + 1j * OMEGA)
-        return bool(vals.min() >= -tol)
+        return bool(vals.min() >= -_COV_TOL)
 
 
 @dataclass(frozen=True)
@@ -86,19 +90,19 @@ class SymplecticPair:
 
 def pt_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
     """Partial transpose in phase space: P2 -> -P2."""
-    return CovarianceMatrix(_PT_FLIP @ cov.gamma @ _PT_FLIP, sym_tol=cov.sym_tol)
+    return CovarianceMatrix(_PT_FLIP @ cov.gamma @ _PT_FLIP)
 
 
-def symplectic_eigenvalues(cov: CovarianceMatrix, pair_tol: float = 1e-9) -> SymplecticPair:
+def symplectic_eigenvalues(cov: CovarianceMatrix) -> SymplecticPair:
     """Williamson eigenvalues: moduli of the eigenvalues of i Omega gamma.
 
     The four eigenvalues come in +/- pairs; the two distinct moduli are
-    returned ascending.  Mismatched pairing beyond ``pair_tol`` (relative)
+    returned ascending.  Mismatched pairing beyond ``_COV_TOL`` (relative)
     indicates a non-symmetric input and raises.
     """
     vals = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ cov.gamma)))
     scale = max(vals[-1], 1.0)
-    if abs(vals[0] - vals[1]) > pair_tol * scale or abs(vals[2] - vals[3]) > pair_tol * scale:
+    if abs(vals[0] - vals[1]) > _COV_TOL * scale or abs(vals[2] - vals[3]) > _COV_TOL * scale:
         raise SymmetryError(f"eigenvalues of i*Omega*gamma do not pair up: {vals}")
     return SymplecticPair(float(vals[0]), float(vals[2]))
 

@@ -20,7 +20,6 @@ from .fock import (
     DEFAULT_TOL,
     BipartiteDensityOperator,
     ModeCutoff,
-    ToleranceProfile,
     coherent_cutoff,
     pure_state_pt_moment,
     schmidt_probabilities,
@@ -85,22 +84,21 @@ class CatParams:
         return 1.0 if self.parity == "even" else -1.0
 
 
-def cat_density(p: CatParams, cutoff: ModeCutoff | None = None,
-                tol: ToleranceProfile = DEFAULT_TOL) -> BipartiteDensityOperator:
+def cat_density(p: CatParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
     """Four-term coherent mixture, truncated and renormalized to unit trace."""
     if cutoff is None:
-        cutoff = ModeCutoff(coherent_cutoff([p.alpha], tol.trunc),
-                            coherent_cutoff([p.beta], tol.trunc))
+        cutoff = ModeCutoff(coherent_cutoff([p.alpha]), coherent_cutoff([p.beta]))
     for amp, d, side in ((p.alpha, cutoff.d_a, "A"), (p.beta, cutoff.d_b, "B")):
         tail = 1.0 - np.sum(np.abs(coherent_vector(amp, d)) ** 2)
-        if tail > tol.trunc:
-            raise CutoffTooSmallError(f"coherent tail {tail:.2e} on {side} exceeds {tol.trunc:.1e}")
+        if tail > DEFAULT_TOL.trunc:
+            raise CutoffTooSmallError(f"coherent tail {tail:.2e} on {side} "
+                                      f"exceeds {DEFAULT_TOL.trunc:.1e}")
     plus = np.kron(coherent_vector(p.alpha, cutoff.d_a), coherent_vector(p.beta, cutoff.d_b))
     minus = np.kron(coherent_vector(-p.alpha, cutoff.d_a), coherent_vector(-p.beta, cutoff.d_b))
     mat = (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj())
            + p.sign * (1.0 - p.z) * (np.outer(plus, minus.conj()) + np.outer(minus, plus.conj())))
     mat /= np.trace(mat).real
-    return BipartiteDensityOperator(cutoff, mat, tol=tol)
+    return BipartiteDensityOperator(cutoff, mat)
 
 
 def cat_pt_moments(p: CatParams) -> tuple[float, float]:
@@ -177,16 +175,15 @@ def _hhg_scalars(p: HHGParams) -> tuple[float, float, float, float]:
     return float(np.sqrt(chi2)), float(t), float(s), float(1.0 - s)
 
 
-def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None,
-                        tol: ToleranceProfile = DEFAULT_TOL) -> BipartiteDensityOperator:
+def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
     """Reduced state of the driving mode and one harmonic mode, truncated and
     renormalized."""
     if p.delta_alpha == 0:
         raise DomainError("delta_alpha = 0 leaves an undefined (zero-norm) state")
     chi, t, s, c_norm = _hhg_scalars(p)
     if cutoff is None:
-        cutoff = ModeCutoff(coherent_cutoff([p.alpha, p.alpha - p.delta_alpha], tol.trunc),
-                            coherent_cutoff([chi], tol.trunc))
+        cutoff = ModeCutoff(coherent_cutoff([p.alpha, p.alpha - p.delta_alpha]),
+                            coherent_cutoff([chi]))
     v = np.kron(coherent_vector(p.alpha - p.delta_alpha, cutoff.d_a),
                 coherent_vector(chi, cutoff.d_b))
     w = np.kron(coherent_vector(p.alpha, cutoff.d_a),
@@ -194,7 +191,7 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None,
     mat = (np.outer(v, v.conj()) - t * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
            + s * np.outer(w, w.conj()))
     mat /= np.trace(mat).real
-    return BipartiteDensityOperator(cutoff, mat, tol=tol)
+    return BipartiteDensityOperator(cutoff, mat)
 
 
 def hhg_pt_moments(p: HHGParams) -> tuple[float, float]:
@@ -251,11 +248,10 @@ def noon_state(p: NOONParams, cutoff: ModeCutoff | None = None) -> np.ndarray:
     return vec
 
 
-def noon_density(p: NOONParams, cutoff: ModeCutoff | None = None,
-                 tol: ToleranceProfile = DEFAULT_TOL) -> BipartiteDensityOperator:
+def noon_density(p: NOONParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
     if cutoff is None:
         cutoff = ModeCutoff(p.N + 2, p.N + 2)
-    return BipartiteDensityOperator.from_state_vector(noon_state(p, cutoff), cutoff, tol=tol)
+    return BipartiteDensityOperator.from_state_vector(noon_state(p, cutoff), cutoff)
 
 
 def noon_pt_moment(p: NOONParams, n: int) -> float:
@@ -285,8 +281,8 @@ class LossyNOONParams:
         return cls(NOONParams.balanced(N), tau, tau)
 
 
-def lossy_noon_density(p: LossyNOONParams, cutoff: ModeCutoff | None = None,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> BipartiteDensityOperator:
+def lossy_noon_density(p: LossyNOONParams,
+                       cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
     """Binomial photon-loss mixture plus the damped |N,0><0,N| coherence."""
     N = p.noon.N
     if cutoff is None:
@@ -306,7 +302,7 @@ def lossy_noon_density(p: LossyNOONParams, cutoff: ModeCutoff | None = None,
     damp = np.sqrt(p.tau_a * p.tau_b) ** N
     mat[idx(N, 0), idx(0, N)] += damp * p.noon.alpha * np.conj(p.noon.beta)
     mat[idx(0, N), idx(N, 0)] += damp * np.conj(p.noon.alpha) * p.noon.beta
-    return BipartiteDensityOperator(cutoff, mat, tol=tol)
+    return BipartiteDensityOperator(cutoff, mat)
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams) -> tuple[float, float]:
@@ -357,8 +353,8 @@ class FockSuperposition:
     def state_vector(self) -> np.ndarray:
         return self.coefficients.reshape(-1)
 
-    def density_operator(self, tol: ToleranceProfile = DEFAULT_TOL) -> BipartiteDensityOperator:
-        return BipartiteDensityOperator.from_state_vector(self.state_vector(), self.cutoff, tol=tol)
+    def density_operator(self) -> BipartiteDensityOperator:
+        return BipartiteDensityOperator.from_state_vector(self.state_vector(), self.cutoff)
 
     def schmidt_probabilities(self) -> np.ndarray:
         return schmidt_probabilities(self.coefficients, self.cutoff)
@@ -401,6 +397,5 @@ def tmsv_vector(r: float, d: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def tmsv_density(r: float, d: int, tol: ToleranceProfile = DEFAULT_TOL) -> BipartiteDensityOperator:
-    cutoff = ModeCutoff(d, d)
-    return BipartiteDensityOperator.from_state_vector(tmsv_vector(r, d), cutoff, tol=tol)
+def tmsv_density(r: float, d: int) -> BipartiteDensityOperator:
+    return BipartiteDensityOperator.from_state_vector(tmsv_vector(r, d), ModeCutoff(d, d))

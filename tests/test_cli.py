@@ -49,6 +49,13 @@ class TestPackageErrors:
         ["criteria", "--moments", "1,0.5,nan"],
         ["criteria", "--p2", "0.5", "--p3", "inf"],
         ["sample", "--family", "cat", "--alpha", "3", "--cutoff", "4"],
+        ["criteria", "--family", "noon", "--N", "1", "--tau", "nan"],
+        ["criteria", "--family", "noon", "--N", "1", "--tau", "1.5"],
+        ["sample", "--family", "cat", "--tau", "1.5"],
+        ["sample", "--family", "noon", "--k", "0"],
+        ["sample", "--family", "noon", "--repetitions", "0"],
+        ["reproduce", "fig4", "--repetitions", "0"],
+        ["reproduce", "fig7", "--repetitions", "0"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -125,6 +132,13 @@ class TestReproduce:
         run(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "fig4.csv").read_bytes() == \
             (tmp_path / "b" / "fig4.csv").read_bytes()
+
+    def test_header_records_the_one_tolerance_set(self, tmp_path):
+        assert run(["reproduce", "table1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "table1.csv").read_text().splitlines()
+        (line,) = [x for x in lines if x.startswith("# tolerances:")]
+        assert line == ('# tolerances: {"herm": 1e-09, "imag": 1e-09, "psd": 1e-08, '
+                        '"trace": 1e-09, "trunc": 1e-06}')
 
     def test_json_format(self, tmp_path):
         run(["reproduce", "table1", "--out", str(tmp_path), "--format", "json"])

@@ -96,7 +96,7 @@ class TestPartialTranspose:
         assert np.abs(pt.matrix - pt.matrix.conj().T).max() < 1e-14
 
     def test_bell_spectrum(self):
-        vals = spectrum(partial_transpose(bell_density())).values
+        vals = spectrum(partial_transpose(bell_density()))
         np.testing.assert_allclose(vals, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
@@ -123,7 +123,7 @@ class TestMoments:
 
     def test_moments_match_spectrum_power_sums(self, rng):
         rho = embed(random_density(rng, 16), ModeCutoff(4, 4))
-        w = spectrum(partial_transpose(rho)).values
+        w = spectrum(partial_transpose(rho))
         ms = pt_moments(rho, 6)
         for n in range(1, 7):
             assert ms[n - 1] == pytest.approx(np.sum(w ** n), abs=1e-10)
@@ -154,14 +154,14 @@ class TestSpectrum:
     def test_descending_and_trace(self):
         mat = np.diag([0.3, 0.7, 0.0, 0.0]).astype(complex)
         s = spectrum(embed(mat, ModeCutoff(2, 2)))
-        np.testing.assert_allclose(s.values, [0.7, 0.3, 0.0, 0.0], atol=1e-14)
-        assert s.values.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(s, [0.7, 0.3, 0.0, 0.0], atol=1e-14)
+        assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_projector(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = 1.0
         s = spectrum(embed(mat, ModeCutoff(2, 2)))
-        np.testing.assert_allclose(s.values, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(s, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
@@ -182,7 +182,7 @@ class TestBlockSpectrum:
     @staticmethod
     def assert_matches_dense(cutoff, mat, atol=1e-12):
         dense = np.linalg.eigvalsh(mat)[::-1]
-        np.testing.assert_allclose(spectrum(mat).values, dense, rtol=0, atol=atol)
+        np.testing.assert_allclose(spectrum(mat), dense, rtol=0, atol=atol)
         dense_min = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
         assert psd_accepted(cutoff, mat) == (dense_min >= -DEFAULT_TOL.psd)
 

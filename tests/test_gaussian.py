@@ -160,7 +160,7 @@ class TestTmsvThermalFamily:
     def test_physicality_of_family(self):
         for n_bar in (0.0, 0.2, 1.0):
             for r in (0.0, 0.3, 0.8):
-                assert tmsv_thermal(n_bar, r).is_physical(tol=1e-9)
+                assert tmsv_thermal(n_bar, r).is_physical()
 
     def test_hierarchy_orders_detect_earlier(self):
         # at half purity: squeezing 0.25 is seen by order five but not order

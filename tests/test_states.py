@@ -42,7 +42,7 @@ class TestCat:
 
     def test_fully_dephased_is_separable(self):
         rho = cat_density(CatParams(0.9, 0.7, 1.0, "odd"))
-        assert spectrum(partial_transpose(rho)).values.min() >= -1e-10
+        assert spectrum(partial_transpose(rho)).min() >= -1e-10
 
     def test_pure_cat_unit_purity(self):
         p = CatParams(1.0, 1.0, 0.0, "odd")
