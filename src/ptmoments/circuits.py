@@ -200,19 +200,20 @@ def _coupling_tensor(key, d: int) -> np.ndarray:
 
 def apply_two_mode(psi: np.ndarray, mode_i: int, mode_j: int, v: np.ndarray) -> np.ndarray:
     """Apply a 2x2 mode unitary to axes ``mode_i`` and ``mode_j`` (0-based) of
-    a pure amplitude tensor.  Raises CutoffError when photons would pile past
-    the axis dimension (detected as norm loss)."""
+    a pure amplitude tensor; every other axis, a trailing batch axis included,
+    is carried along.  Raises CutoffError when photons would pile past the
+    axis dimension, detected as norm loss in any fiber over the two axes."""
     d = psi.shape[mode_i]
     if psi.shape[mode_j] != d:
         raise ValueError("coupled modes must share their cutoff")
     key = tuple(complex(x) for x in np.asarray(v, dtype=complex).reshape(-1))
     t = _coupling_tensor(key, d)
     moved = np.moveaxis(psi, (mode_i, mode_j), (0, 1))
-    out = np.einsum("abcd,cd...->ab...", t, moved)
-    before = np.linalg.norm(moved)
-    after = np.linalg.norm(out)
-    if abs(after - before) > _COUPLING_NORM_TOL * max(before, 1e-300):
-        raise CutoffError(f"two-mode coupling lost norm {before - after:.3e}; "
+    out = np.tensordot(t, moved, axes=([2, 3], [0, 1]))
+    before = np.linalg.norm(moved, axis=(0, 1))
+    lost = before - np.linalg.norm(out, axis=(0, 1))
+    if np.any(np.abs(lost) > _COUPLING_NORM_TOL * np.maximum(before, 1e-300)):
+        raise CutoffError(f"two-mode coupling lost norm {np.max(lost):.3e}; "
                           "raise the per-mode cutoff")
     return np.moveaxis(out, (0, 1), (mode_i, mode_j))
 
@@ -319,9 +320,10 @@ def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str) -> Bipar
 # ---------------------------------------------------------------------------
 
 # Outcome probabilities must sum to one, and none may be below zero, within
-# _NORM_TOL; entries at or below _OUTCOME_FLOOR are float noise and dropped.
+# _NORM_TOL.  Entries at or below _OUTCOME_FLOOR times the largest one are
+# rounding noise and dropped, whatever the contraction order that made them.
 _NORM_TOL = 1e-10
-_OUTCOME_FLOOR = 1e-30
+_OUTCOME_FLOOR = 1e-14
 # Eigen-weight floor per pure component and per product of components.
 _WEIGHT_FLOOR = 1e-13
 
@@ -344,7 +346,7 @@ class OutcomeDistribution:
             raise ToleranceError(f"outcome probabilities sum to {total}, not 1")
         if probs.min() < -_NORM_TOL:
             raise ToleranceError("negative outcome probability")
-        probs[probs <= _OUTCOME_FLOOR] = 0.0
+        probs[probs <= _OUTCOME_FLOOR * probs.max()] = 0.0
         probs.setflags(write=False)
         self.n_copies = probs.ndim // 2 + 1
         self.probs = probs
@@ -399,25 +401,15 @@ def multicopy_expectation(dist: OutcomeDistribution) -> float:
     return float(total.real)
 
 
-def _schmidt_branches(vec: np.ndarray, floor: float = 1e-12):
-    """Schmidt terms (coef, u, v) of a pure bipartite amplitude matrix."""
-    uu, ss, vh = np.linalg.svd(vec, full_matrices=False)
-    keep = ss > floor
-    return [(float(s), uu[:, i], vh[i, :].conj()) for i, s in enumerate(ss) if keep[i]]
-
-
-def _evolved_product(tensors: list, unitary: PassiveUnitary, d_out: int) -> np.ndarray:
-    """Evolve a product of single-mode amplitude vectors through an n-mode
-    unitary; returns the flat (d_out^n,) amplitude array."""
-    padded = []
-    for t in tensors:
-        p = np.zeros(d_out, dtype=complex)
-        p[:t.size] = t
-        padded.append(p)
-    psi = padded[0]
-    for p in padded[1:]:
-        psi = np.multiply.outer(psi, p)
-    return apply_passive(psi, unitary).reshape(-1)
+def _batched_product(factors, d_out: int) -> np.ndarray:
+    """Product over copies of per-copy factor matrices (d_c, r_c), zero-padded
+    to d_out levels, as one tensor of shape (d_out,)*n + (prod r_c,); the
+    trailing axis runs over the column combinations in C order."""
+    psi = np.ones(1)
+    for fac in factors:
+        fac = np.pad(fac, ((0, d_out - fac.shape[0]), (0, 0)))
+        psi = np.einsum("...b,mc->...mbc", psi, fac).reshape(*psi.shape[:-1], d_out, -1)
+    return psi
 
 
 def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
@@ -428,6 +420,10 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     marginalized.  Copies may differ (noisy replicas); each must be a
     BipartiteDensityOperator, and one with an eigenvalue below -DEFAULT_TOL.psd (as
     only ``check_psd=False`` lets through) raises StateValidationError.
+
+    Each copy splits into pure components, and each component into Schmidt
+    branches.  For one choice of component per copy, all branch combinations
+    evolve as one batched tensor: one ``apply_passive`` call per party.
     """
     copies = list(copies)
     if n is None:
@@ -438,8 +434,6 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     d_out_b = sum(c.d_b - 1 for c in copies) + 1
     f = dft(n)
 
-    # Eigendecompose each copy into pure components, each split into Schmidt
-    # branches whose A and B factors evolve independently.
     comps = []
     for index, c in enumerate(copies):
         w, vecs = np.linalg.eigh(c.matrix)
@@ -447,28 +441,25 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
             raise StateValidationError(f"copy {index} has eigenvalue {w[0]:.3e} "
                                        f"< -{DEFAULT_TOL.psd:.1e}; it is not a physical state")
         comp = []
-        for i in range(w.size):
-            if w[i] > _WEIGHT_FLOOR:
-                comp.append((float(w[i]),
-                             _schmidt_branches(vecs[:, i].reshape(c.d_a, c.d_b))))
+        for i in np.flatnonzero(w > _WEIGHT_FLOOR):
+            # vec = sum_k s_k u_k v_k^T: v_k is row k of vh, not conjugated
+            uu, ss, vh = np.linalg.svd(vecs[:, i].reshape(c.d_a, c.d_b), full_matrices=False)
+            keep = ss > 1e-12
+            comp.append((float(w[i]), (uu[:, keep] * ss[keep], vh[keep].T)))
         comps.append(comp)
 
-    r_a = d_out_a ** (n - 1)
-    r_b = d_out_b ** (n - 1)
-    p_rest = np.zeros((r_a, r_b))
+    p_rest = np.zeros((d_out_a ** (n - 1), d_out_b ** (n - 1)))
     for choice in product(*comps):
         weight = float(np.prod([w for w, _ in choice]))
         if weight < _WEIGHT_FLOOR:
             continue
-        branch_lists = [branches for _, branches in choice]
-        combos = list(product(*branch_lists))
-        gammas = np.array([np.prod([b[0] for b in combo]) for combo in combos])
-        amps_a = np.array([_evolved_product([b[1] for b in combo], f, d_out_a)
-                           for combo in combos]).reshape(len(combos), d_out_a, r_a)
-        amps_b = np.array([_evolved_product([b[2] for b in combo], f, d_out_b)
-                           for combo in combos]).reshape(len(combos), d_out_b, r_b)
-        g_a = np.einsum("bmr,cmr->bcr", amps_a, amps_a.conj())
-        g_b = np.einsum("bms,cms->bcs", amps_b, amps_b.conj())
-        p_rest += weight * np.einsum("b,c,bcr,bcs->rs", gammas, gammas.conj(), g_a, g_b).real
+        # Gram[r, b, c] = sum over mode-1 counts m of amp_b(m, r) conj(amp_c(m, r))
+        grams = []
+        for side, d_out in enumerate((d_out_a, d_out_b)):
+            psi = apply_passive(_batched_product([fac[side] for _, fac in choice], d_out),
+                                f, tuple(range(n)))
+            amps = psi.reshape(d_out, -1, psi.shape[-1]).transpose(1, 2, 0)
+            grams.append((amps @ amps.conj().transpose(0, 2, 1)).reshape(amps.shape[0], -1))
+        p_rest += weight * (grams[0] @ grams[1].T).real
 
     return OutcomeDistribution(p_rest.reshape((d_out_a,) * (n - 1) + (d_out_b,) * (n - 1)))

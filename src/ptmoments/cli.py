@@ -60,6 +60,8 @@ def _family_moments(args) -> tuple[float, float, list]:
     """(p2, p3, extra_reports) of the requested family."""
     fam = args.family
     extra = []
+    if args.tau is not None and fam != "noon":
+        raise DomainError(f"family {fam!r} has no loss model; drop --tau")
     if fam == "noon":
         alpha = BALANCED if args.alpha is None else args.alpha
         beta = math.sqrt(max(1.0 - alpha ** 2, 0.0)) if args.beta is None else args.beta
@@ -148,6 +150,8 @@ def _copies_for_sampling(args) -> list:
         tau = 1.0 if args.tau is None else args.tau
         rho = states.lossy_noon_density(states.LossyNOONParams(noon, tau, tau), cutoff)
     elif fam == "qutrit":
+        if args.tau is not None:
+            raise DomainError("family 'qutrit' has no loss model; drop --tau")
         rho = states.qutrit_state().density_operator()
     elif fam == "cat":
         rho = states.cat_density(states.CatParams(
@@ -170,9 +174,8 @@ def cmd_sample(args) -> int:
     print(f"p_{args.copies} exact      = {exact:.12g}")
     print(f"p_{args.copies} estimated  = {result.mean:.12g}"
           f"  (k={result.k}, repetitions={result.repetitions})")
-    if result.repetitions > 1:
-        print(f"variance over repetitions = {result.variance:.6g}"
-              f"   std error = {result.std_error:.6g}")
+    print(f"variance over repetitions = {result.variance:.6g}"
+          f"   std error = {result.std_error:.6g}")
     if args.out:
         args.format = args.format or "csv"
         table = Table(
@@ -505,6 +508,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # sample, fig4 and fig7 report a spread over repetitions
+        if getattr(args, "repetitions", None) is not None and args.repetitions < 2:
+            raise DomainError(f"--repetitions must be >= 2, got {args.repetitions}")
         return args.func(args)
     except (PtmomentsError, ValueError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

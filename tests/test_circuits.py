@@ -120,6 +120,15 @@ class TestFockEvolution:
         with pytest.raises(CutoffError):
             apply_two_mode(psi, 0, 1, beam_splitter_matrix(0.5))
 
+    def test_overflow_in_one_fiber_of_a_batch_raises(self):
+        # fiber 0 holds one photon and fits; fiber 1 holds two and overflows.
+        # Its norm is so small that the summed norm changes by only 5e-11.
+        psi = np.zeros((2, 2, 2), dtype=complex)
+        psi[1, 0, 0] = 1.0
+        psi[1, 1, 1] = 1e-5
+        with pytest.raises(CutoffError):
+            apply_two_mode(psi, 0, 1, beam_splitter_matrix(0.5))
+
     def test_phase_counts_photons(self):
         psi = np.zeros((4,), dtype=complex)
         psi[3] = 1.0
@@ -226,6 +235,13 @@ class TestLossyChannel:
             lossy_channel(rho, 1.5, "a")
 
 
+def mixed_rank2_copies(rng, n):
+    """n unequal rank-2 mixed copies whose pure components have Schmidt
+    rank 3."""
+    return [BipartiteDensityOperator(ModeCutoff(3, 3), random_density(rng, 9, rank=2))
+            for _ in range(n)]
+
+
 def pt_product_trace(copies):
     """Independent oracle for unequal copies: the circuit value equals
     Tr(pt(rho1) pt(rho3) pt(rho2)) for three copies, Tr(pt(rho1) pt(rho2))
@@ -255,6 +271,25 @@ class TestOutcomeDistribution:
                 noon_tables.f3_formula(outcome, BAL, tau), abs=1e-12)
         for outcome in noon_tables.f3_zero_outcomes():
             assert dist.probability(outcome) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.9, 0.75, 0.6])
+    def test_three_copy_zero_outcomes_are_exactly_zero(self, tau):
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, tau))
+        dist = outcome_distribution([rho] * 3, 3)
+        for outcome in noon_tables.f3_zero_outcomes():
+            assert dist.probability(outcome) == 0.0
+
+    def test_one_evolution_per_party_and_component_choice(self, monkeypatch):
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))
+        components = int((np.linalg.eigvalsh(rho.matrix) > circuits._WEIGHT_FLOOR).sum())
+        calls = []
+        evolve = circuits.apply_passive
+        monkeypatch.setattr(circuits, "apply_passive",
+                            lambda *args, **kw: calls.append(1) or evolve(*args, **kw))
+        outcome_distribution([rho] * 3, 3)
+        # every product of these component weights clears the weight floor
+        assert components > 1
+        assert len(calls) == 2 * components ** 3
 
     def test_lossless_two_copy_has_even_totals_only(self):
         rho = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
@@ -320,22 +355,29 @@ class TestMulticopyExpectation:
         assert multicopy_expectation(dist) == pytest.approx(
             pt_moment(rho, n_copies), abs=1e-8)
 
-    @pytest.mark.parametrize("taus", [(0.9, 0.75), (0.6, 1.0)])
-    def test_two_unequal_copies(self, taus):
-        copies = [lossy_noon_density(LossyNOONParams.balanced(1, t)) for t in taus]
+    @pytest.mark.parametrize("taus", [(0.9, 0.75), (0.6, 1.0),
+                                      pytest.param(None, id="mixed_rank2")])
+    def test_two_unequal_copies(self, taus, rng):
+        if taus is None:
+            copies = mixed_rank2_copies(rng, 2)
+        else:
+            copies = [lossy_noon_density(LossyNOONParams.balanced(1, t)) for t in taus]
         dist = outcome_distribution(copies, 2)
         assert multicopy_expectation(dist) == pytest.approx(
             pt_product_trace(copies).real, abs=1e-10)
 
-    def test_three_unequal_copies(self):
+    def test_three_unequal_copies(self, rng):
         specs = [(0.9, 0.5), (0.75, 0.8), (0.6, BAL)]
-        copies = []
+        noon_copies = []
         for tau, alpha in specs:
             noon = NOONParams(1, alpha, math.sqrt(1 - alpha ** 2))
-            copies.append(lossy_noon_density(LossyNOONParams(noon, tau, tau)))
-        dist = outcome_distribution(copies, 3)
-        assert multicopy_expectation(dist) == pytest.approx(
-            pt_product_trace(copies).real, abs=1e-10)
+            noon_copies.append(lossy_noon_density(LossyNOONParams(noon, tau, tau)))
+        for copies in (noon_copies, mixed_rank2_copies(rng, 3)):
+            dist = outcome_distribution(copies, 3)
+            # the product trace of unequal complex copies is itself complex
+            _, probs = dist.as_arrays()
+            _, vals = circuits.outcome_weights(dist)
+            assert probs @ vals == pytest.approx(pt_product_trace(copies), abs=1e-10)
 
     def test_lossy_closed_forms(self):
         from ptmoments.states import lossy_noon_pt_moments
@@ -370,6 +412,11 @@ class TestDistributionValidation:
         dist = OutcomeDistribution([[0.5, 1e-31], [-1e-17, 0.5]])
         assert dist.outcomes() == [(0, 0), (1, 1)]
         assert dist.probability((1, 0)) == 0.0
+        # the floor is 1e-14 of the largest entry, not an absolute level
+        dist = OutcomeDistribution([[0.5, 4e-15], [0.0, 0.5]])
+        assert dist.outcomes() == [(0, 0), (1, 1)]
+        dist = OutcomeDistribution([[1.0, 2e-14]])
+        assert dist.outcomes() == [(0, 0), (0, 1)]
 
     def test_probability_off_the_grid_is_zero(self):
         dist = OutcomeDistribution([[0.25, 0.25], [0.0, 0.5]])

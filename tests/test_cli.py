@@ -56,6 +56,14 @@ class TestPackageErrors:
         ["sample", "--family", "noon", "--repetitions", "0"],
         ["reproduce", "fig4", "--repetitions", "0"],
         ["reproduce", "fig7", "--repetitions", "0"],
+        ["sample", "--family", "noon", "--repetitions", "1"],
+        ["reproduce", "fig4", "--repetitions", "1"],
+        ["reproduce", "fig7", "--repetitions", "1"],
+        ["criteria", "--family", "cat", "--tau", "0.3"],
+        ["criteria", "--family", "hhg", "--tau", "0.3"],
+        ["criteria", "--family", "qutrit", "--tau", "0.3"],
+        ["criteria", "--family", "tmsv", "--tau", "0.3"],
+        ["sample", "--family", "qutrit", "--tau", "0.3"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -149,9 +149,11 @@ class TestThirdOrder:
                 x0 = rng.random(m)
                 x0 /= x0.sum()
                 res = so.minimize(
-                    lambda l: np.sum(l ** 3), x0,
-                    constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1},
-                                 {"type": "eq", "fun": lambda l: np.sum(l ** 2) - p2}],
+                    lambda l: np.sum(l ** 3), x0, jac=lambda l: 3 * l ** 2,
+                    constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1,
+                                  "jac": lambda l: np.ones_like(l)},
+                                 {"type": "eq", "fun": lambda l: np.sum(l ** 2) - p2,
+                                  "jac": lambda l: 2 * l}],
                     bounds=[(0, 1)] * m, method="SLSQP",
                     options={"maxiter": 300, "ftol": 1e-15})
                 if res.success:
