@@ -99,24 +99,25 @@ def _family_moments(args) -> tuple[float, float, list]:
 
 
 def cmd_criteria(args) -> int:
-    if args.moments:
-        ms = [float(x) for x in args.moments.split(",")]
-        vec = criteria.PtMomentVector(tuple(ms))
-        p2, p3 = vec.p(2), vec.p(3)
-        reports = criteria.third_order_reports(p2, p3)
-        for n in range(3, vec.order + 1, 2):
-            reports.append(criteria.hankel_test(vec, n))
-            reports.append(criteria.descartes_test(vec, n))
-    elif args.family:
+    # one source of moments: --moments, --family, or --p2 with --p3
+    given = [name for name, value in (("--moments", args.moments), ("--family", args.family),
+                                      ("--p2", args.p2), ("--p3", args.p3)) if value is not None]
+    if len(given) > 1 and given[:2] != ["--p2", "--p3"]:
+        raise DomainError(f"{given[1]} is not read with {given[0]}")
+    if args.family:
         p2, p3, extra = _family_moments(args)
         reports = criteria.third_order_reports(p2, p3) + extra
     else:
-        if args.p2 is None or args.p3 is None:
+        if args.moments:
+            vec = criteria.PtMomentVector(tuple(float(x) for x in args.moments.split(",")))
+        elif args.p2 is None or args.p3 is None:
             raise DomainError("provide --p2 and --p3, or --moments, or --family")
-        p2, p3 = args.p2, args.p3
-        vec = criteria.PtMomentVector.of(1.0, p2, p3)
-        reports = criteria.third_order_reports(p2, p3) + [
-            criteria.hankel_test(vec, 3), criteria.descartes_test(vec, 3)]
+        else:
+            vec = criteria.PtMomentVector.of(1.0, args.p2, args.p3)
+        p2, p3 = vec.p(2), vec.p(3)
+        reports = criteria.third_order_reports(p2, p3)
+        for n in range(3, vec.order + 1, 2):
+            reports += [criteria.hankel_test(vec, n), criteria.descartes_test(vec, n)]
     print(f"p2 = {format_value(p2)}   p3 = {format_value(p3)}")
     rows = []
     for r in reports:
@@ -161,7 +162,8 @@ def _copies_for_sampling(args) -> list:
             rho = circuits.lossy_channel(rho, args.tau, "a")
             rho = circuits.lossy_channel(rho, args.tau, "b")
     else:
-        raise DomainError(f"family {fam!r} not supported for sampling")
+        raise DomainError(f"family {fam!r} not supported for sampling" if fam
+                          else "sample needs --family")
     return [rho] * args.copies
 
 
@@ -442,6 +444,12 @@ _TARGET_FUNCS = {
 
 
 def cmd_reproduce(args) -> int:
+    # the settings each target reads beyond --seed, --out and --format
+    reads = {"fig4": ("repetitions",), "fig7": ("repetitions",),
+             "table1": ("tau", "alpha"), "table2": ("tau", "alpha")}.get(args.target, ())
+    for opt in ("tau", "alpha", "repetitions"):
+        if getattr(args, opt) is not None and opt not in reads:
+            raise DomainError(f"reproduce {args.target} does not read --{opt}")
     _TARGET_FUNCS[args.target](args)
     return 0
 

@@ -71,6 +71,8 @@ class PtMomentVector:
 
     def p(self, k: int) -> float:
         """k-th moment, 1-based."""
+        if not 1 <= k <= self.order:
+            raise OrderError(f"no moment p_{k} among p_1 .. p_{self.order}")
         return self.moments[k - 1]
 
 

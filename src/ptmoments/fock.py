@@ -6,11 +6,12 @@ partial transpose, and normally ordered mode-operator moments.  Everything
 else in the package (closed-form state families, Gaussian formulas, circuit
 simulations) is cross-checked against these dense computations.
 
-Every validation check reads the one tolerance set ``DEFAULT_TOL``; no
-function takes a tolerance argument except the cutoff rule
-``coherent_cutoff``, whose tail bound defaults to ``DEFAULT_TOL.trunc``.
+A matrix is validated once, when its ``BipartiteDensityOperator`` is built,
+against the one tolerance set ``DEFAULT_TOL``; ``spectrum`` and ``pt_moments``
+take an operator and trust that check.  Only ``coherent_cutoff`` takes a
+tolerance argument, its tail bound, which defaults to ``DEFAULT_TOL.trunc``.
 
-Spectra (the positivity check on construction and ``spectrum``, which backs
+Spectra (the positivity check on construction, ``spectrum`` and
 ``pt_moments``) are computed block by block over the connected components of
 the matrix's exact nonzero pattern.  No entry is dropped, so this is exact.
 The partial transposes of the paper's families split this way: the two-mode
@@ -89,9 +90,9 @@ class BipartiteDensityOperator:
     """Dense density operator of a two-mode state on a truncated Fock basis.
 
     Validates finiteness, hermiticity, unit trace and (optionally) positivity
-    on construction; the stored matrix is made read-only so instances can be
-    shared freely.  Partial transposes carry ``check_psd=False`` since their
-    spectrum is allowed to be negative.
+    on construction, the module's only check of a matrix; the stored matrix is
+    read-only so instances can be shared freely.  Partial transposes carry
+    ``check_psd=False`` since their spectrum is allowed to be negative.
     """
 
     def __init__(self, cutoff: ModeCutoff, matrix, check_psd: bool = True):
@@ -99,8 +100,12 @@ class BipartiteDensityOperator:
         dim = cutoff.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {dim}")
-        _require_finite(mat)
-        herm_residue = np.abs(mat - mat.conj().T).max()
+        # NaN compares false against every tolerance, so it would pass the
+        # hermiticity and trace checks and surface as a NaN moment.
+        if not np.isfinite(mat).all():
+            raise StateValidationError("matrix has non-finite entries")
+        adj = mat.conj().T
+        herm_residue = np.abs(mat - adj).max()
         if herm_residue > DEFAULT_TOL.herm:
             raise HermiticityError(f"hermiticity residue {herm_residue:.3e} "
                                    f"> {DEFAULT_TOL.herm:.1e}")
@@ -108,7 +113,7 @@ class BipartiteDensityOperator:
         if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
         if check_psd:
-            lam_min = _block_eigvalsh(0.5 * (mat + mat.conj().T))[0]
+            lam_min = _block_eigvalsh(0.5 * (mat + adj))[0]
             if lam_min < -DEFAULT_TOL.psd:
                 raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} "
                                            f"< -{DEFAULT_TOL.psd:.1e}")
@@ -151,13 +156,6 @@ class BipartiteDensityOperator:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def _require_finite(mat: np.ndarray) -> None:
-    # NaN compares false against every tolerance, so it would pass the
-    # hermiticity and trace checks and surface as a NaN moment.
-    if not np.isfinite(mat).all():
-        raise StateValidationError("matrix has non-finite entries")
-
-
 def _block_eigvalsh(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a hermitian matrix, ascending, computed per block.
 
@@ -193,44 +191,35 @@ def _block_eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(vals))
 
 
+def _pt_matrix(rho: BipartiteDensityOperator) -> np.ndarray:
+    return rho.as_tensor().transpose(0, 3, 2, 1).reshape(rho.matrix.shape)
+
+
 def partial_transpose(rho: BipartiteDensityOperator) -> BipartiteDensityOperator:
     """Transpose the second mode only: <i,j|out|k,l> = <i,l|rho|k,j>."""
-    t = rho.as_tensor()
-    out = t.transpose(0, 3, 2, 1).reshape(rho.cutoff.dim, rho.cutoff.dim)
-    return BipartiteDensityOperator(rho.cutoff, out, check_psd=False)
+    return BipartiteDensityOperator(rho.cutoff, _pt_matrix(rho), check_psd=False)
 
 
-def spectrum(op) -> np.ndarray:
-    """Eigenvalues of a hermitian operator as a contiguous float array,
-    sorted descending.
-
-    Accepts a BipartiteDensityOperator or a plain square array.
-    """
-    mat = op.matrix if isinstance(op, BipartiteDensityOperator) else np.asarray(op, dtype=complex)
-    _require_finite(mat)
-    residue = np.abs(mat - mat.conj().T).max()
-    if residue > DEFAULT_TOL.herm:
-        raise HermiticityError(f"hermiticity residue {residue:.3e} > {DEFAULT_TOL.herm:.1e}")
-    return np.ascontiguousarray(_block_eigvalsh(mat)[::-1])
+def spectrum(op: BipartiteDensityOperator) -> np.ndarray:
+    """Eigenvalues of a validated operator as a contiguous float array,
+    sorted descending."""
+    return np.ascontiguousarray(_block_eigvalsh(op.matrix)[::-1])
 
 
 def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
     """Trace moments of the partial transpose, orders 1 .. n_max.
 
-    Computed from the spectrum of the partially transposed operator, so every
-    returned moment is exactly real.  Non-hermitian input (the only
-    source of an imaginary trace residue) raises through ``spectrum``.
-    """
+    Power sums of the partially transposed matrix's spectrum, so every moment
+    is exactly real.  That matrix permutes the entries of the validated
+    ``rho``, keeping their finiteness, hermiticity residue and trace."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w = spectrum(partial_transpose(rho))
+    w = np.ascontiguousarray(_block_eigvalsh(_pt_matrix(rho))[::-1])
     return np.array([np.sum(w ** n) for n in range(1, n_max + 1)])
 
 
 def pt_moment(rho: BipartiteDensityOperator, n: int) -> float:
     """Trace of the n-th power of the partial transpose."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return float(pt_moments(rho, n)[n - 1])
 
 

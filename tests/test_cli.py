@@ -64,6 +64,15 @@ class TestPackageErrors:
         ["criteria", "--family", "qutrit", "--tau", "0.3"],
         ["criteria", "--family", "tmsv", "--tau", "0.3"],
         ["sample", "--family", "qutrit", "--tau", "0.3"],
+        ["criteria", "--moments", "1,0.5"],
+        ["criteria", "--moments", "1"],
+        ["reproduce", "fig2b", "--tau", "0.5"],
+        ["reproduce", "fig2b", "--alpha", "0.3"],
+        ["reproduce", "fig4", "--tau", "0.3"],
+        ["reproduce", "fig2b", "--repetitions", "5"],
+        ["criteria", "--p2", "0.5", "--p3", "0.3", "--moments", "1,0.9,0.8"],
+        ["criteria", "--family", "noon", "--p2", "0.5", "--p3", "0.01"],
+        ["sample"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -74,6 +83,20 @@ class TestPackageErrors:
         assert captured.err.startswith("ptmoments: error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["reproduce", "fig2b", "--tau", "0.5"], "--tau"),
+        (["reproduce", "fig2b", "--alpha", "0.3"], "--alpha"),
+        (["reproduce", "fig4", "--tau", "0.3"], "--tau"),
+        (["reproduce", "table1", "--repetitions", "5"], "--repetitions"),
+        (["criteria", "--p2", "0.5", "--p3", "0.3", "--moments", "1,0.9,0.8"], "--p2"),
+        (["criteria", "--family", "noon", "--p3", "0.01"], "--p3"),
+        (["sample"], "--family"),
+    ])
+    def test_error_names_the_option(self, argv, option, capsys):
+        with pytest.raises(SystemExit):
+            run(argv)
+        assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize("cls", [ToleranceError, CutoffError, DomainError, OrderError])
     def test_common_base(self, cls):

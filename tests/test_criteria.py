@@ -53,6 +53,11 @@ class TestMomentVector:
         p = PtMomentVector.of(1.0, 0.5, 0.25)
         assert p.p(1) == 1.0 and p.p(2) == 0.5 and p.p(3) == 0.25
 
+    @pytest.mark.parametrize("k", [-1, 0, 4])
+    def test_accessor_rejects_missing_order(self, k):
+        with pytest.raises(OrderError):
+            PtMomentVector.of(1.0, 0.5, 0.25).p(k)
+
 
 class TestHankel:
     def test_order_one(self):
