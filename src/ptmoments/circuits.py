@@ -367,12 +367,6 @@ class OutcomeDistribution:
     def as_arrays(self):
         return self.outcomes(), self.probs.reshape(-1)[self._support]
 
-    def sample(self, k: int, rng: np.random.Generator) -> list:
-        """Draw k outcomes i.i.d.; returns a list of outcome tuples."""
-        keys, p = self.as_arrays()
-        idx = rng.choice(len(keys), size=k, p=p / p.sum())
-        return [keys[i] for i in idx]
-
 
 def _readout_values(shape) -> np.ndarray:
     """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B)) of

@@ -34,10 +34,6 @@ REPRODUCE_TARGETS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3a", "fig3
                      "fig3c", "fig4", "fig5", "fig6", "fig7", "table1", "table2")
 
 
-def _output_dir(args) -> str:
-    return args.out or os.environ.get("PTMOMENTS_OUTDIR", "out")
-
-
 def _provenance(args, target: str, **extra) -> dict:
     prov = {"target": target, "seed": getattr(args, "seed", None),
             "tolerances": asdict(DEFAULT_TOL)}
@@ -47,9 +43,49 @@ def _provenance(args, target: str, **extra) -> dict:
 
 def _emit(args, target: str, columns, rows, **extra) -> None:
     table = Table(_provenance(args, target, **extra), list(columns), rows)
-    path = os.path.join(_output_dir(args), f"{target}.{args.format}")
+    outdir = args.out or os.environ.get("PTMOMENTS_OUTDIR", "out")
+    path = os.path.join(outdir, f"{target}.{args.format}")
     out = write_table(table, path, fmt=args.format)
     print(f"wrote {out} ({len(rows)} rows)")
+
+
+def _write_out(args, target: str, columns, rows, **extra) -> None:
+    """Write the result of criteria or sample to the file --out (CSV by default)."""
+    table = Table(_provenance(args, target, **extra), columns, rows)
+    print(f"wrote {write_table(table, args.out, fmt=args.format or 'csv')}")
+
+
+# ---------------------------------------------------------------------------
+# state families
+# ---------------------------------------------------------------------------
+
+def _noon_params(n: int, alpha: float | None, beta: float | None = None) -> states.NOONParams:
+    """NOON parameters; alpha defaults to balanced and beta to sqrt(1 - alpha^2)."""
+    alpha = BALANCED if alpha is None else alpha
+    beta = math.sqrt(max(1.0 - alpha ** 2, 0.0)) if beta is None else beta
+    return states.NOONParams(n, alpha, beta)
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+def _family_params(args):
+    """The parameters of ``args.family`` with that family's defaults filled in:
+    LossyNOONParams, CatParams, HHGParams, the qutrit state or the TMSV pair."""
+    fam = args.family
+    if fam == "noon":
+        tau = _or(args.tau, 1.0)
+        noon = _noon_params(_or(args.N, 1), args.alpha, args.beta)
+        return states.LossyNOONParams(noon, tau, tau)
+    if fam == "cat":
+        return states.CatParams(_or(args.alpha, 1.0), _or(args.beta, 1.0), _or(args.z, 0.5),
+                                _or(args.parity, "odd"))
+    if fam == "hhg":
+        return states.HHGParams(_or(args.alpha, 3.0), _or(args.delta_alpha, 0.5), _or(args.N, 1))
+    if fam == "qutrit":
+        return states.qutrit_state()
+    return gaussian.tmsv_thermal_pt_pair(_or(args.n_bar, 0.0), _or(args.r, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -58,52 +94,28 @@ def _emit(args, target: str, columns, rows, **extra) -> None:
 
 def _family_moments(args) -> tuple[float, float, list]:
     """(p2, p3, extra_reports) of the requested family."""
-    fam = args.family
-    extra = []
-    if args.tau is not None and fam != "noon":
-        raise DomainError(f"family {fam!r} has no loss model; drop --tau")
+    fam, p = args.family, _family_params(args)
     if fam == "noon":
-        alpha = BALANCED if args.alpha is None else args.alpha
-        beta = math.sqrt(max(1.0 - alpha ** 2, 0.0)) if args.beta is None else args.beta
-        noon = states.NOONParams(args.N, alpha, beta)
-        if args.tau is not None and args.tau != 1.0:
-            p = states.LossyNOONParams(noon, args.tau, args.tau)
+        if p.tau_a != 1.0:
             p2, p3 = states.lossy_noon_pt_moments(p)
         else:
-            p2, p3 = states.noon_pt_moment(noon, 2), states.noon_pt_moment(noon, 3)
+            p2, p3 = states.noon_pt_moment(p.noon, 2), states.noon_pt_moment(p.noon, 3)
     elif fam == "cat":
-        p = states.CatParams(args.alpha if args.alpha is not None else 1.0,
-                             args.beta if args.beta is not None else 1.0,
-                             args.z, args.parity)
         p2, p3 = states.cat_pt_moments(p)
     elif fam == "hhg":
-        p = states.HHGParams(args.alpha if args.alpha is not None else 3.0,
-                             args.delta_alpha, args.N)
         p2, p3 = states.hhg_pt_moments(p)
     elif fam == "qutrit":
-        q = states.qutrit_state()
-        p2, p3 = q.pt_moment(2), q.pt_moment(3)
-    elif fam == "tmsv":
-        pair = gaussian.tmsv_thermal_pt_pair(args.n_bar, args.r)
-        p2 = gaussian.gaussian_pt_moment(pair, 2)
-        p3 = gaussian.gaussian_pt_moment(pair, 3)
-        extra.append(gaussian.simon_test(pair))
-        extra.extend(gaussian.symplectic_p3_criteria(pair))
-        extra.append(criteria.simon_gaussian3(p2, p3))
-        moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(pair, 7)))
-        extra.append(criteria.hankel_test(moments, 5))
-        extra.append(criteria.hankel_test(moments, 7))
+        p2, p3 = p.pt_moment(2), p.pt_moment(3)
     else:
-        raise DomainError(f"unknown family {fam!r}")
-    return p2, p3, extra
+        p2, p3 = gaussian.gaussian_pt_moment(p, 2), gaussian.gaussian_pt_moment(p, 3)
+        moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(p, 7)))
+        return p2, p3, [gaussian.simon_test(p), *gaussian.symplectic_p3_criteria(p),
+                        criteria.simon_gaussian3(p2, p3), criteria.hankel_test(moments, 5),
+                        criteria.hankel_test(moments, 7)]
+    return p2, p3, []
 
 
 def cmd_criteria(args) -> int:
-    # one source of moments: --moments, --family, or --p2 with --p3
-    given = [name for name, value in (("--moments", args.moments), ("--family", args.family),
-                                      ("--p2", args.p2), ("--p3", args.p3)) if value is not None]
-    if len(given) > 1 and given[:2] != ["--p2", "--p3"]:
-        raise DomainError(f"{given[1]} is not read with {given[0]}")
     if args.family:
         p2, p3, extra = _family_moments(args)
         reports = criteria.third_order_reports(p2, p3) + extra
@@ -126,12 +138,8 @@ def cmd_criteria(args) -> int:
               f"{'ENTANGLED' if r.detected else 'not detected'}{flag}")
         rows.append((r.criterion_id, r.witness, r.threshold, r.detected, r.gaussian_only))
     if args.out:
-        args.format = args.format or "csv"
-        table = Table(_provenance(args, "criteria", p2=p2, p3=p3),
-                      ["criterion", "witness", "threshold", "detected", "gaussian_only"],
-                      rows)
-        out = write_table(table, args.out, fmt=args.format)
-        print(f"wrote {out}")
+        _write_out(args, "criteria", ["criterion", "witness", "threshold", "detected",
+                                      "gaussian_only"], rows, p2=p2, p3=p3)
     return 0
 
 
@@ -139,37 +147,19 @@ def cmd_criteria(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _copies_for_sampling(args) -> list:
-    fam = args.family
-    cutoff = None
-    if args.cutoff is not None:
-        cutoff = ModeCutoff(args.cutoff, args.cutoff)
-    if fam == "noon":
-        alpha = BALANCED if args.alpha is None else args.alpha
-        beta = math.sqrt(max(1.0 - alpha ** 2, 0.0)) if args.beta is None else args.beta
-        noon = states.NOONParams(args.N, alpha, beta)
-        tau = 1.0 if args.tau is None else args.tau
-        rho = states.lossy_noon_density(states.LossyNOONParams(noon, tau, tau), cutoff)
-    elif fam == "qutrit":
-        if args.tau is not None:
-            raise DomainError("family 'qutrit' has no loss model; drop --tau")
-        rho = states.qutrit_state().density_operator()
-    elif fam == "cat":
-        rho = states.cat_density(states.CatParams(
-            args.alpha if args.alpha is not None else 1.0,
-            args.beta if args.beta is not None else 1.0, args.z, args.parity), cutoff)
+def cmd_sample(args) -> int:
+    p = _family_params(args)
+    cutoff = None if args.cutoff is None else ModeCutoff(args.cutoff, args.cutoff)
+    if args.family == "noon":
+        rho = states.lossy_noon_density(p, cutoff)
+    elif args.family == "qutrit":
+        rho = p.density_operator()
+    else:
+        rho = states.cat_density(p, cutoff)
         if args.tau is not None and args.tau != 1.0:
             rho = circuits.lossy_channel(rho, args.tau, "a")
             rho = circuits.lossy_channel(rho, args.tau, "b")
-    else:
-        raise DomainError(f"family {fam!r} not supported for sampling" if fam
-                          else "sample needs --family")
-    return [rho] * args.copies
-
-
-def cmd_sample(args) -> int:
-    copies = _copies_for_sampling(args)
-    dist = circuits.outcome_distribution(copies, args.copies)
+    dist = circuits.outcome_distribution([rho] * args.copies, args.copies)
     exact = circuits.multicopy_expectation(dist)
     rng = estimation.rng_stream(args.seed, args.copies)
     result = estimation.estimate_pn(dist, args.copies, args.k, args.repetitions, rng)
@@ -179,13 +169,9 @@ def cmd_sample(args) -> int:
     print(f"variance over repetitions = {result.variance:.6g}"
           f"   std error = {result.std_error:.6g}")
     if args.out:
-        args.format = args.format or "csv"
-        table = Table(
-            _provenance(args, "sample", family=args.family, n=args.copies, exact=exact),
-            ["mean", "variance", "std_error", "k", "repetitions"],
-            [(result.mean, result.variance, result.std_error, result.k, result.repetitions)])
-        out = write_table(table, args.out, fmt=args.format)
-        print(f"wrote {out}")
+        _write_out(args, "sample", ["mean", "variance", "std_error", "k", "repetitions"],
+                   [(result.mean, result.variance, result.std_error, result.k,
+                     result.repetitions)], family=args.family, n=args.copies, exact=exact)
     return 0
 
 
@@ -253,8 +239,7 @@ def _fig2e(args):
     rows = []
     for n in range(1, 6):
         for a in np.round(np.arange(0.0, 1.0 + 1e-12, 0.005), 10):
-            beta = math.sqrt(max(1.0 - float(a) ** 2, 0.0))
-            p3 = states.noon_pt_moment(states.NOONParams(n, float(a), beta), 3)
+            p3 = states.noon_pt_moment(_noon_params(n, float(a)), 3)
             rows.append((n, float(a), p3, p3 - 1.0))
     _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], rows)
 
@@ -285,21 +270,14 @@ def _fig3b(args):
     rows = []
     for tau1 in (0.9, 0.75, 0.6):
         for panel in ("alpha", "tau"):
-            x2, x3 = np.meshgrid(grid, grid, indexing="ij")
-            x2 = x2.ravel()
-            x3 = x3.ravel()
-            if panel == "alpha":
-                a2 = np.column_stack([np.full_like(x2, BALANCED), x2])
-                t2 = np.full((x2.size, 2), tau1)
-                a3 = np.column_stack([np.full_like(x2, BALANCED), x2, x3])
-                t3 = np.full((x2.size, 3), tau1)
-            else:
-                a2 = np.full((x2.size, 2), BALANCED)
-                t2 = np.column_stack([np.full_like(x2, tau1), x2])
-                a3 = np.full((x2.size, 3), BALANCED)
-                t3 = np.column_stack([np.full_like(x2, tau1), x2, x3])
-            p2 = estimation.noon1_moments(2, a2, t2).real
-            p3 = estimation.noon1_moments(3, a3, t3).real
+            x2, x3 = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+            # copy 1 is balanced at tau1; the panel's parameter is x2, x3 on copies 2, 3
+            first, other = (BALANCED, tau1) if panel == "alpha" else (tau1, BALANCED)
+            varied = np.column_stack([np.full_like(x2, first), x2, x3])
+            fixed = np.full((x2.size, 3), other)
+            alphas, taus = (varied, fixed) if panel == "alpha" else (fixed, varied)
+            p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2]).real
+            p3 = estimation.noon1_moments(3, alphas, taus).real
             for i in range(x2.size):
                 p2i = min(max(float(p2[i]), 1e-9), 1.0)
                 w = float(p3[i]) - criteria.optimal_threshold(p2i)
@@ -333,32 +311,25 @@ def _fig4(args):
           repetitions=plan_reps, noise={"alpha_rel_std": 0.05, "tau_std": 0.05})
 
 
+def _fig5_row(n_bar: float, r: float) -> tuple:
+    pair = gaussian.tmsv_thermal_pt_pair(n_bar, r)
+    moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(pair, 7)))
+    return (r, pair.nu1, pair.nu2,
+            criteria.hankel_test(moments, 3).witness,
+            criteria.hankel_test(moments, 5).witness,
+            criteria.hankel_test(moments, 7).witness,
+            gaussian.simon_test(pair).witness)
+
+
 def _fig5(args):
     n_bar = (math.sqrt(2.0) - 1.0) / 2.0
-    rows = []
-    for r in np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10):
-        pair = gaussian.tmsv_thermal_pt_pair(n_bar, float(r))
-        moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(pair, 7)))
-        rows.append((float(r), pair.nu1, pair.nu2,
-                     criteria.hankel_test(moments, 3).witness,
-                     criteria.hankel_test(moments, 5).witness,
-                     criteria.hankel_test(moments, 7).witness,
-                     gaussian.simon_test(pair).witness))
-    for name, idx in (("hankel3", 3), ("hankel5", 4), ("hankel7", 5), ("simon", 6)):
-        f = lambda r: _fig5_witness(n_bar, r, idx)
+    rows = [_fig5_row(n_bar, float(r)) for r in np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)]
+    for col, name in enumerate(("hankel3", "hankel5", "hankel7", "simon"), start=3):
+        f = lambda r: _fig5_row(n_bar, r)[col]
         crossing = optimize.brentq(f, 1e-4, 0.6, xtol=1e-10)
         print(f"{name}: first detection at r = {crossing:.6f}")
     _emit(args, "fig5", ["r", "nu1", "nu2", "w_hankel3", "w_hankel5", "w_hankel7",
                          "w_simon"], rows, n_bar=n_bar)
-
-
-def _fig5_witness(n_bar, r, idx):
-    pair = gaussian.tmsv_thermal_pt_pair(n_bar, r)
-    if idx == 6:
-        return gaussian.simon_test(pair).witness
-    n = {3: 3, 4: 5, 5: 7}[idx]
-    moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(pair, n)))
-    return criteria.hankel_test(moments, n).witness
 
 
 def _fig6(args):
@@ -403,60 +374,85 @@ def _fig7(args):
           note="analytic_std of the optimal criterion uses the linear model bound")
 
 
-def _table1(args):
-    alpha = BALANCED if args.alpha is None else args.alpha
+def _outcome_table(args, n: int):
+    """table1 (n=2) or table2 (n=3): closed-form and circuit-simulated
+    probability of each readout outcome of n lossy N=1 NOON copies."""
+    noon = _noon_params(1, args.alpha)
     tau = 0.75 if args.tau is None else args.tau
-    noon = states.NOONParams(1, alpha, math.sqrt(max(1.0 - alpha ** 2, 0.0)))
     rho = states.lossy_noon_density(states.LossyNOONParams(noon, tau, tau))
-    dist = circuits.outcome_distribution([rho] * 2, 2)
+    dist = circuits.outcome_distribution([rho] * n, n)
+    outcomes, formula = ((noon_tables.f2_outcomes(), noon_tables.f2_formula) if n == 2
+                         else (noon_tables.f3_outcomes(), noon_tables.f3_formula))
+    m = n - 1
     rows = []
-    for outcome in noon_tables.f2_outcomes():
-        formula = noon_tables.f2_formula(outcome, alpha, tau)
+    for outcome in outcomes:
+        exact = formula(outcome, noon.alpha, tau)
         simulated = dist.probability(outcome)
-        rows.append((outcome[0], outcome[1], formula, simulated,
-                     abs(formula - simulated)))
-    _emit(args, "table1", ["n2a", "n2b", "probability_formula", "probability_circuit",
-                           "abs_diff"], rows, tau=tau, alpha=alpha)
-
-
-def _table2(args):
-    alpha = BALANCED if args.alpha is None else args.alpha
-    tau = 0.75 if args.tau is None else args.tau
-    noon = states.NOONParams(1, alpha, math.sqrt(max(1.0 - alpha ** 2, 0.0)))
-    rho = states.lossy_noon_density(states.LossyNOONParams(noon, tau, tau))
-    dist = circuits.outcome_distribution([rho] * 3, 3)
-    rows = []
-    for outcome in noon_tables.f3_outcomes():
-        formula = noon_tables.f3_formula(outcome, alpha, tau)
-        simulated = dist.probability(outcome)
-        rows.append((outcome[0], outcome[2], outcome[1], outcome[3], formula,
-                     simulated, abs(formula - simulated)))
-    _emit(args, "table2", ["n2a", "n2b", "n3a", "n3b", "probability_formula",
-                           "probability_circuit", "abs_diff"], rows, tau=tau, alpha=alpha)
+        # columns pair the two parties' counts mode by mode: n2a, n2b, n3a, n3b
+        counts = tuple(outcome[j + side] for j in range(m) for side in (0, m))
+        rows.append(counts + (exact, simulated, abs(exact - simulated)))
+    columns = [f"n{j}{side}" for j in range(2, n + 1) for side in "ab"]
+    _emit(args, f"table{m}", columns + ["probability_formula", "probability_circuit",
+                                        "abs_diff"], rows, tau=tau, alpha=noon.alpha)
 
 
 _TARGET_FUNCS = {
     "fig2a": _fig2a, "fig2b": _fig2b, "fig2c": _fig2c, "fig2d": _fig2d,
     "fig2e": _fig2e, "fig3a": _fig3a, "fig3b": _fig3b, "fig3c": _fig3c,
     "fig4": _fig4, "fig5": _fig5, "fig6": _fig6, "fig7": _fig7,
-    "table1": _table1, "table2": _table2,
+    "table1": lambda args: _outcome_table(args, 2),
+    "table2": lambda args: _outcome_table(args, 3),
 }
 
 
 def cmd_reproduce(args) -> int:
-    # the settings each target reads beyond --seed, --out and --format
-    reads = {"fig4": ("repetitions",), "fig7": ("repetitions",),
-             "table1": ("tau", "alpha"), "table2": ("tau", "alpha")}.get(args.target, ())
-    for opt in ("tau", "alpha", "repetitions"):
-        if getattr(args, opt) is not None and opt not in reads:
-            raise DomainError(f"reproduce {args.target} does not read --{opt}")
     _TARGET_FUNCS[args.target](args)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and the options each command reads
 # ---------------------------------------------------------------------------
+
+# The options each command reads, per family (criteria, sample), per moment
+# source (criteria without --family) and per target (reproduce), on top of the
+# command's _ALWAYS_READ; --format is read only together with --out.  An
+# option given outside its set is refused, never dropped.
+_READS = {
+    "criteria": {"--family noon": "N alpha beta tau", "--family cat": "alpha beta z parity",
+                 "--family hhg": "N alpha delta_alpha", "--family qutrit": "",
+                 "--family tmsv": "n_bar r", "--moments": "moments", "--p2/--p3": "p2 p3"},
+    "sample": {"--family noon": "N alpha beta tau cutoff",
+               "--family cat": "alpha beta z parity tau cutoff", "--family qutrit": ""},
+    "reproduce": {**dict.fromkeys(REPRODUCE_TARGETS, ""), "fig4": "repetitions",
+                  "fig7": "repetitions", "table1": "alpha tau", "table2": "alpha tau"},
+}
+_ALWAYS_READ = {"criteria": "family out format",
+                "sample": "family copies k repetitions seed out format",
+                "reproduce": "target seed out format"}
+
+
+def _refuse_unread(args) -> None:
+    """Raise DomainError naming every option given that the command does not read."""
+    cmd = args.command
+    if cmd == "reproduce":
+        key = args.target
+    elif args.family:
+        key = f"--family {args.family}"
+    elif cmd == "sample":
+        raise DomainError("sample needs --family")
+    else:
+        key = "--moments" if args.moments is not None else "--p2/--p3"
+    if key not in _READS[cmd]:
+        raise DomainError(f"family {args.family!r} not supported for sampling")
+    reads = set(_ALWAYS_READ[cmd].split() + _READS[cmd][key].split())
+    if cmd != "reproduce" and args.out is None:
+        reads.discard("format")
+    unread = ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
+              if value is not None and dest not in reads and dest not in ("command", "func")]
+    if unread:
+        raise DomainError(f"{cmd} {key} does not read {', '.join(unread)}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -466,15 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family_args(p):
         p.add_argument("--family", choices=("noon", "cat", "hhg", "qutrit", "tmsv"))
-        p.add_argument("--N", type=int, default=1)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--z", type=float, default=0.5)
-        p.add_argument("--parity", choices=("even", "odd"), default="odd")
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--n-bar", dest="n_bar", type=float, default=0.0)
-        p.add_argument("--r", type=float, default=0.3)
-        p.add_argument("--delta-alpha", dest="delta_alpha", type=float, default=0.5)
+        p.add_argument("--N", type=int)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--beta", type=float)
+        p.add_argument("--z", type=float)
+        p.add_argument("--parity", choices=("even", "odd"))
+        p.add_argument("--tau", type=float)
+        p.add_argument("--n-bar", dest="n_bar", type=float)
+        p.add_argument("--r", type=float)
+        p.add_argument("--delta-alpha", dest="delta_alpha", type=float)
 
     pc = sub.add_parser("criteria", help="evaluate separability tests")
     add_family_args(pc)
@@ -484,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated p_1,p_2,... enabling higher-order tests")
     pc.add_argument("--out", type=str, default=None)
     pc.add_argument("--format", choices=("csv", "json"), default=None)
-    pc.add_argument("--seed", type=int, default=0)
     pc.set_defaults(func=cmd_criteria)
 
     ps = sub.add_parser("sample", help="simulate the n-copy readout with finite statistics")
@@ -516,6 +511,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_unread(args)
         # sample, fig4 and fig7 report a spread over repetitions
         if getattr(args, "repetitions", None) is not None and args.repetitions < 2:
             raise DomainError(f"--repetitions must be >= 2, got {args.repetitions}")

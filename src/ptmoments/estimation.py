@@ -88,8 +88,8 @@ class SamplingPlan:
     def __post_init__(self):
         if self.k < 2:
             raise DomainError("k must be >= 2 (the quadratic estimator divides by k-1)")
-        if self.repetitions < 1:
-            raise DomainError("repetitions must be >= 1")
+        if self.repetitions < 2:
+            raise DomainError("repetitions must be >= 2 (the spread needs two)")
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,11 @@ def estimate_pn(dist: circuits.OutcomeDistribution, n: int, k: int, repetitions:
 
 def _summarize(estimates: np.ndarray, k: int) -> EstimatorResult:
     reps = estimates.size
+    if reps < 2:
+        raise DomainError(f"a spread needs repetitions >= 2, got {reps}")
     mean = complex(estimates.mean())
-    if reps > 1:
-        var = float(np.sum(np.abs(estimates - mean) ** 2) / (reps - 1))
-        std_err = math.sqrt(var / reps)
-    else:
-        var = float("nan")
-        std_err = float("nan")
+    var = float(np.sum(np.abs(estimates - mean) ** 2) / (reps - 1))
+    std_err = math.sqrt(var / reps)
     return EstimatorResult(mean=float(mean.real), variance=var, std_error=std_err,
                            k=k, repetitions=reps)
 

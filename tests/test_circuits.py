@@ -396,12 +396,6 @@ class TestDistributionValidation:
         with pytest.raises(ToleranceError):
             OutcomeDistribution([[0.7]])
 
-    def test_sampling_shape(self, rng):
-        dist = OutcomeDistribution([[0.5, 0.0], [0.0, 0.5]])
-        outcomes = dist.sample(64, rng)
-        assert len(outcomes) == 64
-        assert set(outcomes) <= {(0, 0), (1, 1)}
-
     def test_rejects_negative_entry_before_flooring(self):
         # outcome_distribution hands over its raw array; flooring tiny entries
         # must not hide a negative one from this check

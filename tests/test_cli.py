@@ -73,6 +73,13 @@ class TestPackageErrors:
         ["criteria", "--p2", "0.5", "--p3", "0.3", "--moments", "1,0.9,0.8"],
         ["criteria", "--family", "noon", "--p2", "0.5", "--p3", "0.01"],
         ["sample"],
+        ["criteria", "--moments", "1,0.5,0.25", "--N", "3", "--z", "0.9"],
+        ["sample", "--family", "noon", "--z", "0.9", "--parity", "even", "--k", "10",
+         "--repetitions", "2"],
+        ["criteria", "--family", "qutrit", "--alpha", "0.3", "--N", "4"],
+        ["criteria", "--family", "tmsv", "--N", "3"],
+        ["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
+        ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -92,6 +99,14 @@ class TestPackageErrors:
         (["criteria", "--p2", "0.5", "--p3", "0.3", "--moments", "1,0.9,0.8"], "--p2"),
         (["criteria", "--family", "noon", "--p3", "0.01"], "--p3"),
         (["sample"], "--family"),
+        (["criteria", "--moments", "1,0.5,0.25", "--N", "3", "--z", "0.9"], "--N, --z"),
+        (["sample", "--family", "noon", "--z", "0.9", "--parity", "even", "--k", "10",
+          "--repetitions", "2"], "--z, --parity"),
+        (["criteria", "--family", "qutrit", "--alpha", "0.3", "--N", "4"], "--N, --alpha"),
+        (["criteria", "--family", "tmsv", "--N", "3"], "--N"),
+        (["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
+         "--cutoff"),
+        (["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"], "--format"),
     ])
     def test_error_names_the_option(self, argv, option, capsys):
         with pytest.raises(SystemExit):
@@ -102,6 +117,84 @@ class TestPackageErrors:
     def test_common_base(self, cls):
         assert issubclass(cls, PtmomentsError)
         assert issubclass(cls, ValueError) == (cls in (DomainError, OrderError))
+
+
+# The family options each command reads, per family (README "Command line"),
+# and a value of each that every family accepts.
+FAMILY_READS = {
+    "criteria": {"noon": {"--N", "--alpha", "--beta", "--tau"},
+                 "cat": {"--alpha", "--beta", "--z", "--parity"},
+                 "hhg": {"--N", "--alpha", "--delta-alpha"},
+                 "qutrit": set(),
+                 "tmsv": {"--n-bar", "--r"}},
+    "sample": {"noon": {"--N", "--alpha", "--beta", "--tau", "--cutoff"},
+               "cat": {"--alpha", "--beta", "--z", "--parity", "--tau", "--cutoff"},
+               "qutrit": set()},
+}
+OPTION_VALUES = {"--N": "2", "--alpha": "0.6", "--beta": str(1 / math.sqrt(2)), "--z": "0.9",
+                 "--parity": "even", "--tau": "0.9", "--n-bar": "0.1", "--r": "0.2",
+                 "--delta-alpha": "0.4", "--cutoff": "12", "--p2": "0.5", "--p3": "0.2",
+                 "--moments": "1,0.5,0.2"}
+FAMILY_OPTIONS = ["--N", "--alpha", "--beta", "--z", "--parity", "--tau", "--n-bar", "--r",
+                  "--delta-alpha"]
+BASE_ARGV = {"criteria": ["criteria"], "sample": ["sample", "--k", "10", "--repetitions", "2"]}
+
+
+def _option_cases():
+    for command, families in FAMILY_READS.items():
+        extra = ["--p2", "--p3", "--moments"] if command == "criteria" else ["--cutoff"]
+        for family, reads in families.items():
+            for option in FAMILY_OPTIONS + extra:
+                yield pytest.param(BASE_ARGV[command] + ["--family", family], option,
+                                   option in reads, id=f"{command}-{family}{option}")
+    for source in (["--moments", "1,0.5,0.25"], ["--p2", "1", "--p3", "0.25"]):
+        for option in FAMILY_OPTIONS:
+            yield pytest.param(["criteria"] + source, option, False,
+                               id=f"criteria{source[0]}{option}")
+
+
+class TestOptionRule:
+    @pytest.mark.parametrize("argv, option, read", _option_cases())
+    def test_option_is_read_or_refused(self, argv, option, read, capsys):
+        argv = argv + [option, OPTION_VALUES[option]]
+        if read:
+            assert run(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(f"does not read {option}\n")
+
+    @pytest.mark.parametrize("argv", [["criteria", "--p2", "1", "--p3", "0.25"],
+                                      ["criteria", "--family", "noon", "--tau", "0.9"],
+                                      BASE_ARGV["sample"] + ["--family", "qutrit"]])
+    def test_format_is_read_only_with_out(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run(argv + ["--format", "json"])
+        assert capsys.readouterr().err.endswith("does not read --format\n")
+        assert run(argv + ["--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["provenance"]["seed"] is (None if argv[0] == "criteria" else 0)
+
+    @pytest.mark.parametrize("family", ["hhg", "tmsv"])
+    def test_sample_refuses_families_without_a_density(self, family, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--family", family])
+        assert exc.value.code == 2
+        assert "not supported for sampling" in capsys.readouterr().err
+
+    def test_criteria_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["criteria", "--p2", "1", "--p3", "0.25", "--seed", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("target", cli.REPRODUCE_TARGETS)
+    def test_every_target_reads_seed_out_and_format(self, target):
+        args = cli.build_parser().parse_args(["reproduce", target, "--seed", "7", "--out", "x",
+                                              "--format", "json"])
+        cli._refuse_unread(args)
 
 
 class TestSampleCommand:
