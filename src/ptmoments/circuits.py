@@ -312,7 +312,7 @@ def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str) -> Bipar
             out += np.einsum("ai,ijkl,ck->ajcl", k, tens, k.conj())
         else:
             out += np.einsum("bj,ijkl,dl->ibkd", k, tens, k.conj())
-    return BipartiteDensityOperator(rho.cutoff, out.reshape(rho.cutoff.dim, rho.cutoff.dim))
+    return BipartiteDensityOperator._adopt(rho.cutoff, out.reshape(rho.cutoff.dim, rho.cutoff.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,18 @@ The partial transposes of the paper's families split this way: the two-mode
 squeezed vacuum conserves N_A + N_B after the partial transpose, cat states
 conserve parity.
 
+Memory: an operator stores one copy of its matrix.  The constructor copies a
+caller's array once; the package's own builders hand over the matrix they
+have just made, without that copy.  The constructor's finiteness and
+hermiticity checks run over row chunks of a fixed byte budget
+(``_CHUNK_BYTES``), and its positivity check symmetrises each block instead
+of the whole matrix.  ``pt_moments`` never builds the partially transposed
+matrix: it permutes the boolean nonzero pattern and gathers each block
+straight from ``rho``'s entries.  Beyond the stored copy, the temporaries are
+the chunks, the boolean pattern (1/16 of the matrix), its component graph and
+the blocks; only an unstructured matrix, whose one block is the whole
+matrix, needs more than a fraction of its own size.
+
 Basis convention: the two-mode basis state |i>_A |j>_B is stored at row/column
 index ``i * d_b + j`` for level cutoffs ``d_a`` and ``d_b``.
 """
@@ -69,6 +81,10 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 
+# Byte budget of one row chunk of the constructor's checks, which hold a few
+# chunks at a time whatever the matrix size.
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ModeCutoff:
@@ -91,21 +107,36 @@ class BipartiteDensityOperator:
 
     Validates finiteness, hermiticity, unit trace and (optionally) positivity
     on construction, the module's only check of a matrix; the stored matrix is
-    read-only so instances can be shared freely.  Partial transposes carry
-    ``check_psd=False`` since their spectrum is allowed to be negative.
+    read-only so instances can be shared freely.  The constructor stores a
+    copy, so the caller's array stays writeable and unchanged.  Partial
+    transposes carry ``check_psd=False`` since their spectrum is allowed to be
+    negative.
     """
 
     def __init__(self, cutoff: ModeCutoff, matrix, check_psd: bool = True):
-        mat = np.array(matrix, dtype=complex)
+        self._init(cutoff, np.array(matrix, dtype=complex), check_psd)
+
+    @classmethod
+    def _adopt(cls, cutoff: ModeCutoff, mat: np.ndarray,
+               check_psd: bool = True) -> "BipartiteDensityOperator":
+        """Validate and keep a matrix that an in-package builder has just
+        made and holds no other reference to, without the constructor's copy."""
+        op = cls.__new__(cls)
+        op._init(cutoff, np.asarray(mat, dtype=complex), check_psd)
+        return op
+
+    def _init(self, cutoff: ModeCutoff, mat: np.ndarray, check_psd: bool):
         dim = cutoff.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {dim}")
+        chunks = _row_chunks(dim)
         # NaN compares false against every tolerance, so it would pass the
-        # hermiticity and trace checks and surface as a NaN moment.
-        if not np.isfinite(mat).all():
+        # hermiticity and trace checks and surface as a NaN moment.  Every
+        # chunk is checked first: a residue chunk reads columns of all rows.
+        if not all(np.isfinite(mat[rows]).all() for rows in chunks):
             raise StateValidationError("matrix has non-finite entries")
-        adj = mat.conj().T
-        herm_residue = np.abs(mat - adj).max()
+        # max |mat - mat^H| over row chunks: the same entries, the same float
+        herm_residue = max(np.abs(mat[rows] - mat[:, rows].conj().T).max() for rows in chunks)
         if herm_residue > DEFAULT_TOL.herm:
             raise HermiticityError(f"hermiticity residue {herm_residue:.3e} "
                                    f"> {DEFAULT_TOL.herm:.1e}")
@@ -113,7 +144,15 @@ class BipartiteDensityOperator:
         if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
         if check_psd:
-            lam_min = _block_eigvalsh(0.5 * (mat + adj))[0]
+            # the blocks are principal submatrices, so symmetrising each one
+            # gives the entries of 0.5 * (mat + mat^H) bit for bit
+            def hermitian_blocks(idx):
+                blocks = _principal(mat, idx)
+                blocks += blocks.conj().swapaxes(1, 2)
+                blocks *= 0.5
+                return blocks
+
+            lam_min = _block_eigvalsh(mat != 0, hermitian_blocks)[0]
             if lam_min < -DEFAULT_TOL.psd:
                 raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} "
                                            f"< -{DEFAULT_TOL.psd:.1e}")
@@ -132,7 +171,7 @@ class BipartiteDensityOperator:
             raise ValueError("zero vector")
         v = v / norm
         # a projector is positive by construction; skip the eigenvalue check
-        return cls(cutoff, np.outer(v, v.conj()), check_psd=False)
+        return cls._adopt(cutoff, np.outer(v, v.conj()), check_psd=False)
 
     @property
     def d_a(self) -> int:
@@ -156,27 +195,45 @@ class BipartiteDensityOperator:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def _block_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a hermitian matrix, ascending, computed per block.
+def _row_chunks(dim: int) -> list[slice]:
+    """Row slices of a dim x dim complex matrix, each within _CHUNK_BYTES."""
+    rows = max(1, _CHUNK_BYTES // (16 * dim))
+    return [slice(start, start + rows) for start in range(0, dim, rows)]
 
-    The blocks are the connected components of the exact nonzero pattern
-    taken as an undirected graph, so every entry the dense ``eigvalsh``
-    reads lies inside one block and the two spectra agree in exact
-    arithmetic.  Components of equal size are stacked and share one batched
-    ``eigvalsh`` call.
-    """
-    pattern = mat != 0
+
+def _principal(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Stacked principal submatrices of ``mat``, one per row of ``idx``."""
+    return mat[idx[:, :, None], idx[:, None, :]]
+
+
+def _component_labels(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of a fresh boolean pattern,
+    taken as an undirected graph (the pattern is symmetrised in place)."""
     pattern |= pattern.T
     # CSR built by hand, and strong components instead of directed=False:
     # scipy's dense-to-sparse conversion and the transposed copy that
     # directed=False makes would triple this step on an unstructured matrix.
     # On a symmetric pattern the strongly connected components are the
-    # undirected ones.
-    cols = np.flatnonzero(pattern) % len(mat)
-    indptr = np.zeros(len(mat) + 1, dtype=np.intp)
+    # undirected ones.  The graph dies on return, before any block is built.
+    cols = np.flatnonzero(pattern) % len(pattern)
+    indptr = np.zeros(len(pattern) + 1, dtype=np.intp)
     np.cumsum(np.count_nonzero(pattern, axis=1), out=indptr[1:])
     graph = sparse.csr_array((np.ones(cols.size), cols, indptr), shape=pattern.shape)
-    _, labels = connected_components(graph, connection="strong")
+    return connected_components(graph, connection="strong")[1]
+
+
+def _block_eigvalsh(pattern: np.ndarray, gather) -> np.ndarray:
+    """Eigenvalues of a hermitian matrix, ascending, computed per block.
+
+    ``pattern`` is the matrix's exact nonzero pattern, a fresh boolean array;
+    ``gather(idx)`` returns the matrix's principal submatrices over the rows
+    of the index array ``idx``, stacked.  The blocks are the connected
+    components of the pattern taken as an undirected graph, so every entry
+    the dense ``eigvalsh`` reads lies inside one block and the two spectra
+    agree in exact arithmetic.  Components of equal size are stacked and
+    share one batched ``eigvalsh`` call.
+    """
+    labels = _component_labels(pattern)
     sizes = np.bincount(labels)
     # nodes grouped by component size, then by component, ascending within
     order = np.lexsort((labels, sizes[labels]))
@@ -185,25 +242,23 @@ def _block_eigvalsh(mat: np.ndarray) -> np.ndarray:
     start = 0
     for size in np.flatnonzero(counts):
         stop = start + counts[size] * size
-        idx = order[start:stop].reshape(-1, size)
-        vals.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).ravel())
+        vals.append(np.linalg.eigvalsh(gather(order[start:stop].reshape(-1, size))).ravel())
         start = stop
     return np.sort(np.concatenate(vals))
 
 
-def _pt_matrix(rho: BipartiteDensityOperator) -> np.ndarray:
-    return rho.as_tensor().transpose(0, 3, 2, 1).reshape(rho.matrix.shape)
-
-
 def partial_transpose(rho: BipartiteDensityOperator) -> BipartiteDensityOperator:
     """Transpose the second mode only: <i,j|out|k,l> = <i,l|rho|k,j>."""
-    return BipartiteDensityOperator(rho.cutoff, _pt_matrix(rho), check_psd=False)
+    return BipartiteDensityOperator._adopt(
+        rho.cutoff, rho.as_tensor().transpose(0, 3, 2, 1).reshape(rho.matrix.shape),
+        check_psd=False)
 
 
 def spectrum(op: BipartiteDensityOperator) -> np.ndarray:
     """Eigenvalues of a validated operator as a contiguous float array,
     sorted descending."""
-    return np.ascontiguousarray(_block_eigvalsh(op.matrix)[::-1])
+    vals = _block_eigvalsh(op.matrix != 0, lambda idx: _principal(op.matrix, idx))
+    return np.ascontiguousarray(vals[::-1])
 
 
 def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
@@ -211,10 +266,20 @@ def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
 
     Power sums of the partially transposed matrix's spectrum, so every moment
     is exactly real.  That matrix permutes the entries of the validated
-    ``rho``, keeping their finiteness, hermiticity residue and trace."""
+    ``rho``, keeping their finiteness, hermiticity residue and trace; it is
+    never built: its pattern is the permuted boolean tensor, and each block
+    is gathered straight from ``rho``'s entries."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w = np.ascontiguousarray(_block_eigvalsh(_pt_matrix(rho))[::-1])
+    t = rho.as_tensor()
+    d_b = rho.d_b
+
+    def pt_blocks(idx):
+        r, c = idx[:, :, None], idx[:, None, :]
+        return t[r // d_b, c % d_b, c // d_b, r % d_b]
+
+    pattern = (t != 0).transpose(0, 3, 2, 1).reshape(rho.matrix.shape)
+    w = np.ascontiguousarray(_block_eigvalsh(pattern, pt_blocks)[::-1])
     return np.array([np.sum(w ** n) for n in range(1, n_max + 1)])
 
 

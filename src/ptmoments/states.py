@@ -98,7 +98,7 @@ def cat_density(p: CatParams, cutoff: ModeCutoff | None = None) -> BipartiteDens
     mat = (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj())
            + p.sign * (1.0 - p.z) * (np.outer(plus, minus.conj()) + np.outer(minus, plus.conj())))
     mat /= np.trace(mat).real
-    return BipartiteDensityOperator(cutoff, mat)
+    return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
 def cat_pt_moments(p: CatParams) -> tuple[float, float]:
@@ -191,7 +191,7 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> Bipar
     mat = (np.outer(v, v.conj()) - t * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
            + s * np.outer(w, w.conj()))
     mat /= np.trace(mat).real
-    return BipartiteDensityOperator(cutoff, mat)
+    return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
 def hhg_pt_moments(p: HHGParams) -> tuple[float, float]:
@@ -302,7 +302,7 @@ def lossy_noon_density(p: LossyNOONParams,
     damp = np.sqrt(p.tau_a * p.tau_b) ** N
     mat[idx(N, 0), idx(0, N)] += damp * p.noon.alpha * np.conj(p.noon.beta)
     mat[idx(0, N), idx(N, 0)] += damp * np.conj(p.noon.alpha) * p.noon.beta
-    return BipartiteDensityOperator(cutoff, mat)
+    return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams) -> tuple[float, float]:

@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +24,14 @@ from ptmoments.fock import (
     schmidt_probabilities,
     spectrum,
 )
-from ptmoments.states import CatParams, NOONParams, cat_density, noon_density, tmsv_density
+from ptmoments.states import (
+    CatParams,
+    NOONParams,
+    cat_density,
+    noon_density,
+    tmsv_density,
+    tmsv_vector,
+)
 
 from conftest import random_density, random_pure_bipartite
 
@@ -62,6 +72,28 @@ class TestValidation:
         rho = bell_density()
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    def test_caller_matrix_is_copied(self, rng):
+        mat = random_density(rng, 9)
+        before = mat.copy()
+        rho = embed(mat, ModeCutoff(3, 3))
+        assert mat.flags.writeable
+        np.testing.assert_array_equal(mat, before)
+        assert not np.shares_memory(rho.matrix, mat)
+
+    def test_hermiticity_defect_in_last_partial_chunk(self):
+        # the residue is taken one row chunk at a time; a defect whose two
+        # entries both lie in the last, shorter chunk must still be found,
+        # with the residue of the dense formula in the message
+        cutoff = ModeCutoff(20, 15)
+        dim = cutoff.dim
+        rows = fock._row_chunks(dim)[0].stop
+        assert rows < dim and dim % rows != 0
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[dim - 1, dim - 2] = 1.5e-9 + 0.7e-9j
+        residue = np.abs(mat - mat.conj().T).max()
+        with pytest.raises(HermiticityError, match=re.escape(f"residue {residue:.3e} ")):
+            embed(mat, cutoff)
 
 
 class TestPartialTranspose:
@@ -164,18 +196,42 @@ class TestMoments:
         # operator's moments run no finiteness, hermiticity or trace pass
         rho = embed(random_density(rng, 16), ModeCutoff(4, 4))
         built = []
-        init = BipartiteDensityOperator.__init__
+        init = BipartiteDensityOperator._init
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(BipartiteDensityOperator, "__init__", counting_init)
+        monkeypatch.setattr(BipartiteDensityOperator, "_init", counting_init)
         pt_moments(rho, 7)
         pt_moment(rho, 3)
         assert built == []
         partial_transpose(rho)
         assert len(built) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([ModeCutoff(3, 5), ModeCutoff(5, 3)]), st.integers(1, 15),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_rectangular_cutoffs_match_index_loop(self, cutoff, rank, sparse, seed):
+        # against a partial transpose built entry by entry and one dense
+        # eigvalsh; the sparse states give partial transposes with blocks
+        rng = np.random.default_rng(seed)
+        d_a, d_b, dim = cutoff.d_a, cutoff.d_b, cutoff.dim
+        if sparse:
+            vec = np.zeros(dim, dtype=complex)
+            vec[rng.choice(dim, size=rank, replace=False)] = rng.standard_normal((rank, 2)) @ [1, 1j]
+            mat = 0.5 * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+            mat += 0.5 * np.diag(rng.dirichlet(np.ones(dim)))
+        else:
+            mat = random_density(rng, dim, rank)
+        rho = embed(mat, cutoff)
+        t = rho.as_tensor()
+        pt = np.empty((dim, dim), dtype=complex)
+        for i, j, k, l in itertools.product(range(d_a), range(d_b), range(d_a), range(d_b)):
+            pt[i * d_b + j, k * d_b + l] = t[i, l, k, j]
+        w = np.linalg.eigvalsh(pt)
+        dense = [np.sum(w ** n) for n in range(1, 8)]
+        np.testing.assert_allclose(pt_moments(rho, 7), dense, rtol=0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 7),
@@ -227,7 +283,8 @@ class TestBlockSpectrum:
     @staticmethod
     def assert_matches_dense(cutoff, mat, atol=1e-12):
         dense = np.linalg.eigvalsh(mat)[::-1]
-        np.testing.assert_allclose(fock._block_eigvalsh(mat)[::-1], dense, rtol=0, atol=atol)
+        blocks = fock._block_eigvalsh(mat != 0, lambda idx: fock._principal(mat, idx))
+        np.testing.assert_allclose(blocks[::-1], dense, rtol=0, atol=atol)
         dense_min = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
         assert psd_accepted(cutoff, mat) == (dense_min >= -DEFAULT_TOL.psd)
 
@@ -265,6 +322,35 @@ class TestBlockSpectrum:
         perm = rng.permutation(dim)
         self.assert_matches_dense(ModeCutoff(dim, 1), mat[np.ix_(perm, perm)])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.booleans(),
+           st.sampled_from([0.0, 1e-3]), st.integers(0, 2 ** 32 - 1))
+    def test_psd_verdict_on_nearly_hermitian(self, sizes, cross, dent, seed):
+        # hermitian only within the tolerance: each block carries non-hermitian
+        # noise, and an optional anti-hermitian pair between the first and
+        # last block vanishes in 0.5 * (m + m^H) but not in the pattern of m
+        rng = np.random.default_rng(seed)
+        dim = sum(sizes)
+        scale = 0.3 * DEFAULT_TOL.herm / dim
+        mat = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            rank = int(rng.integers(1, size + 1))
+            noise = rng.uniform(-scale, scale, (size, size, 2)) @ [1, 1j]
+            mat[block, block] = random_density(rng, size, rank) + noise
+            start += size
+        if cross and len(sizes) > 1:
+            mat[0, dim - 1] = 0.2 * DEFAULT_TOL.herm * (1 + 1j)
+            mat[dim - 1, 0] = -np.conj(mat[0, dim - 1])
+        mat[0, 0] -= dent
+        mat /= np.trace(mat).real
+        perm = rng.permutation(dim)
+        mat = mat[np.ix_(perm, perm)]
+        assert np.abs(mat - mat.conj().T).max() <= DEFAULT_TOL.herm
+        dense_min = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+        assert psd_accepted(ModeCutoff(dim, 1), mat) == (dense_min >= -DEFAULT_TOL.psd)
+
     @pytest.mark.parametrize("entry", [(2, 0), (0, 2)])
     def test_one_sided_entry_joins_its_block(self, entry):
         # passes the hermiticity tolerance; eigvalsh reads only the lower
@@ -273,6 +359,39 @@ class TestBlockSpectrum:
         mat = np.eye(4, dtype=complex) / 4.0
         mat[entry] = 1e-12
         self.assert_matches_dense(ModeCutoff(2, 2), mat, atol=1e-14)
+
+
+class TestMemory:
+    """Peak traced allocation of the oracle on TMSV d=30, against the size of
+    its matrix: one stored copy, row-chunk temporaries, no transposed matrix."""
+
+    @staticmethod
+    def peak_ratio(build, nbytes):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = build()  # noqa: F841 -- the result counts: held while the peak is read
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / nbytes
+
+    def test_constructor_with_psd_check(self):
+        rho = tmsv_density(0.5, 30)
+        ratio = self.peak_ratio(lambda: BipartiteDensityOperator(rho.cutoff, rho.matrix),
+                                rho.matrix.nbytes)
+        assert ratio <= 1.5
+
+    def test_from_state_vector(self):
+        vec = tmsv_vector(0.5, 30)
+        cutoff = ModeCutoff(30, 30)
+        ratio = self.peak_ratio(lambda: BipartiteDensityOperator.from_state_vector(vec, cutoff),
+                                16 * cutoff.dim ** 2)
+        assert ratio <= 1.5
+
+    def test_pt_moments(self):
+        rho = tmsv_density(0.5, 30)
+        assert self.peak_ratio(lambda: pt_moments(rho, 7), rho.matrix.nbytes) <= 0.25
 
 
 class TestModeMoment:
