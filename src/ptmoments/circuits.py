@@ -1,11 +1,15 @@
 """Multicopy linear-optics readout of PT-moments.
 
 Passive interferometers act on amplitude tensors over a truncated multimode
-Fock basis; an n-mode unitary is executed as a sequence of exact two-mode
-couplings and single-mode phases.  Applying the n-mode discrete Fourier
-transform to the n copies held by each party and counting photons on output
-modes 2..n yields an outcome distribution whose root-of-unity expectation is
-the n-th PT-moment.
+Fock basis.  ``apply_passive`` executes an n-mode unitary as a Givens
+sequence of exact two-mode couplings and single-mode phases; it serves
+general unitaries and is the differential reference for the readout engine.
+Applying the n-mode discrete Fourier transform to the n copies held by each
+party and counting photons on output modes 2..n yields an outcome
+distribution whose root-of-unity expectation is the n-th PT-moment.
+``outcome_distribution`` evolves through that DFT one photon-number sector
+at a time, with the sector blocks of the DFT built once per (n, cutoff) and
+cached, and refuses a readout over a fixed cost budget with BudgetError.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -21,11 +25,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
-from .errors import CutoffError, DomainError, StateValidationError, ToleranceError
+from .errors import (BudgetError, CutoffError, DomainError, StateValidationError,
+                     ToleranceError)
 from .fock import DEFAULT_TOL, BipartiteDensityOperator
 
 __all__ = [
@@ -50,7 +55,8 @@ __all__ = [
 ]
 
 # Largest entry of U^dagger U - 1 accepted as unitary, and the relative norm
-# change a two-mode coupling may show before it is taken as cutoff overflow.
+# change a two-mode coupling, or the norm share the photon-number sectors
+# miss, may show before it is taken as cutoff overflow.
 _UNITARITY_TOL = 1e-10
 _COUPLING_NORM_TOL = 1e-9
 
@@ -326,6 +332,9 @@ _NORM_TOL = 1e-10
 _OUTCOME_FLOOR = 1e-14
 # Eigen-weight floor per pure component and per product of components.
 _WEIGHT_FLOOR = 1e-13
+# Largest readout outcome_distribution accepts, in array entries: the Gram
+# entries of all kept component choices plus the sector blocks.
+_READOUT_BUDGET = 1e8
 
 
 class OutcomeDistribution:
@@ -395,14 +404,76 @@ def multicopy_expectation(dist: OutcomeDistribution) -> float:
     return float(total.real)
 
 
-def _batched_product(factors, d_out: int) -> np.ndarray:
-    """Product over copies of per-copy factor matrices (d_c, r_c), zero-padded
-    to d_out levels, as one tensor of shape (d_out,)*n + (prod r_c,); the
-    trailing axis runs over the column combinations in C order."""
-    psi = np.ones(1)
+@lru_cache(maxsize=16)
+def _sector_unitaries(n: int, d_out: int) -> tuple:
+    """The n-mode DFT F on a (d_out,)*n grid, one photon-number sector at a
+    time: for each total N = 0..d_out-1, the pair (flat C-order indices of the
+    occupation tuples with total N, block Sym^N(F) on those tuples), column t
+    of the block holding F|t>.
+
+    Block N follows from block N-1 by the creation-operator recursion
+    F|t> = (sum_j F_ji a_j^+) F|t - e_i> / sqrt(t_i), i the first occupied
+    mode of t: exact, with no grid and no permanents.  A tuple with total
+    N < d_out never reaches the grid's edge, so no amplitude is cut off."""
+    f = dft(n).matrix
+    occ = np.indices((d_out,) * n).reshape(n, -1).T
+    totals = occ.sum(axis=1)
+    strides = d_out ** np.arange(n - 1, -1, -1)
+    position = np.zeros(d_out ** n, dtype=np.intp)  # row of a cell in its sector
+    sectors = []
+    for total in range(d_out):
+        idx = np.flatnonzero(totals == total)
+        position[idx] = np.arange(idx.size)
+        if total == 0:
+            block = np.ones((1, 1), dtype=complex)
+        else:
+            prev_idx, prev_block = sectors[-1]
+            first = np.argmax(occ[idx] > 0, axis=1)
+            # column t - e_i of block N-1, divided by sqrt(t_i)
+            lowered = (prev_block[:, position[idx - strides[first]]]
+                       / np.sqrt(occ[idx, first]))
+            block = np.zeros((idx.size, idx.size), dtype=complex)
+            for j in range(n):
+                # a_j^+ takes row s of block N-1 to row s + e_j, times sqrt(s_j + 1)
+                block[position[prev_idx + strides[j]]] += (
+                    np.sqrt(occ[prev_idx, j] + 1.0)[:, None] * lowered * f[j, first])
+        idx.setflags(write=False)
+        block.setflags(write=False)
+        sectors.append((idx, block))
+    return tuple(sectors)
+
+
+def _evolve_sectors(psi: np.ndarray, sectors) -> np.ndarray:
+    """Amplitudes psi of shape (d_out^n, batch) after the DFT whose sector
+    blocks are given: the sector cells are gathered once, each sector is one
+    block matmul, and the result is scattered back to the grid.  Raises
+    CutoffError when the sectors miss part of the norm of psi: some input
+    would hold more photons than the grid carries."""
+    cells = np.concatenate([idx for idx, _ in sectors])
+    part = psi[cells]
+    total = np.vdot(psi, psi).real
+    held = np.vdot(part, part).real
+    if total - held > _COUPLING_NORM_TOL * total:
+        raise CutoffError(f"photon-number sectors miss {total - held:.3e} of the norm "
+                          f"{total:.6g}; raise the output cutoff")
+    evolved = np.empty(part.shape, dtype=complex)
+    start = 0
+    for idx, block in sectors:
+        stop = start + idx.size
+        np.matmul(block, part[start:stop], out=evolved[start:stop])
+        start = stop
+    out = np.zeros(psi.shape, dtype=complex)
+    out[cells] = evolved
+    return out
+
+
+def _batched_product(factors) -> np.ndarray:
+    """Product over copies of per-copy factor matrices (d_out, r_c) as one
+    array of shape (d_out^n, prod r_c): rows run over the occupation grid and
+    columns over the factor-column combinations, both in C order."""
+    psi = np.ones((1, 1))
     for fac in factors:
-        fac = np.pad(fac, ((0, d_out - fac.shape[0]), (0, 0)))
-        psi = np.einsum("...b,mc->...mbc", psi, fac).reshape(*psi.shape[:-1], d_out, -1)
+        psi = np.einsum("ib,mc->imbc", psi, fac).reshape(psi.shape[0] * fac.shape[0], -1)
     return psi
 
 
@@ -417,7 +488,17 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
 
     Each copy splits into pure components, and each component into Schmidt
     branches.  For one choice of component per copy, all branch combinations
-    evolve as one batched tensor: one ``apply_passive`` call per party.
+    form one batched product, which the DFT evolves photon-number sector by
+    sector through cached blocks: one sector evolution per party.  The DFT
+    conserves photon number and each party's output cutoff d_out holds the
+    sum of its copies' photons, so the sectors carry the whole product.  The
+    Givens engine, ``apply_passive``, is not called here; the tests hold the
+    sector blocks to it.
+
+    Before any evolution the cost is counted: the Gram entries of all kept
+    choices, sum (prod r_c)^2 (d_out_a^(n-1) + d_out_b^(n-1)) over choices
+    of Schmidt ranks r_c, plus the entries of the sector blocks.  A readout
+    above _READOUT_BUDGET raises BudgetError.
     """
     copies = list(copies)
     if n is None:
@@ -426,7 +507,6 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
         raise ValueError(f"need n={n} copies, got {len(copies)}")
     d_out_a = sum(c.d_a - 1 for c in copies) + 1
     d_out_b = sum(c.d_b - 1 for c in copies) + 1
-    f = dft(n)
 
     comps = []
     for index, c in enumerate(copies):
@@ -439,19 +519,33 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
             # vec = sum_k s_k u_k v_k^T: v_k is row k of vh, not conjugated
             uu, ss, vh = np.linalg.svd(vecs[:, i].reshape(c.d_a, c.d_b), full_matrices=False)
             keep = ss > 1e-12
-            comp.append((float(w[i]), (uu[:, keep] * ss[keep], vh[keep].T)))
+            # factors padded to the output cutoffs, once per component
+            fac_a = np.pad(uu[:, keep] * ss[keep], ((0, d_out_a - c.d_a), (0, 0)))
+            fac_b = np.pad(vh[keep].T, ((0, d_out_b - c.d_b), (0, 0)))
+            comp.append((float(w[i]), (fac_a, fac_b)))
         comps.append(comp)
 
-    p_rest = np.zeros((d_out_a ** (n - 1), d_out_b ** (n - 1)))
+    kept = []
     for choice in product(*comps):
         weight = float(np.prod([w for w, _ in choice]))
-        if weight < _WEIGHT_FLOOR:
-            continue
+        if weight >= _WEIGHT_FLOOR:
+            kept.append((weight, [fac for _, fac in choice]))
+    gram = (sum(prod(a.shape[1] for a, _ in facs) ** 2 for _, facs in kept)
+            * (d_out_a ** (n - 1) + d_out_b ** (n - 1)))
+    blocks = sum(comb(total + n - 1, n - 1) ** 2
+                 for d_out in {d_out_a, d_out_b} for total in range(d_out))
+    if gram + blocks > _READOUT_BUDGET:
+        raise BudgetError(f"the {n}-copy readout needs {gram + blocks:.3g} Gram and "
+                          f"sector-block entries over {len(kept)} component choices, "
+                          f"above the budget of {_READOUT_BUDGET:.0e}")
+
+    sectors = (_sector_unitaries(n, d_out_a), _sector_unitaries(n, d_out_b))
+    p_rest = np.zeros((d_out_a ** (n - 1), d_out_b ** (n - 1)))
+    for weight, facs in kept:
         # Gram[r, b, c] = sum over mode-1 counts m of amp_b(m, r) conj(amp_c(m, r))
         grams = []
         for side, d_out in enumerate((d_out_a, d_out_b)):
-            psi = apply_passive(_batched_product([fac[side] for _, fac in choice], d_out),
-                                f, tuple(range(n)))
+            psi = _evolve_sectors(_batched_product([fac[side] for fac in facs]), sectors[side])
             amps = psi.reshape(d_out, -1, psi.shape[-1]).transpose(1, 2, 0)
             grams.append((amps @ amps.conj().transpose(0, 2, 1)).reshape(amps.shape[0], -1))
         p_rest += weight * (grams[0] @ grams[1].T).real

@@ -36,3 +36,7 @@ class OrderError(PtmomentsError, ValueError):
 
 class DomainError(PtmomentsError, ValueError):
     """Parameter outside the domain on which a formula is defined."""
+
+
+class BudgetError(PtmomentsError):
+    """An exact computation would exceed its fixed cost budget."""

@@ -254,8 +254,9 @@ def _draw_clamped(rng: np.random.Generator, entry: NoiseEntry, shape) -> tuple[n
 
 @lru_cache(maxsize=4)
 def _noon1_tables(n: int):
-    """(4^n, reachable outcomes) table of basis-product distributions, and
-    the readout value of every reachable outcome."""
+    """(4^n, reachable outcomes) table of basis-product distributions, its
+    cumulative sums along the outcomes, and the readout value of every
+    reachable outcome."""
     cutoff = ModeCutoff(2, 2)
     h = 1.0 / math.sqrt(2.0)
     # |00>, |10>, |01>, |+> at basis index i * d_b + j of |i>_A |j>_B
@@ -266,14 +267,16 @@ def _noon1_tables(n: int):
     table = np.array(rows)
     reachable = np.flatnonzero(table.any(axis=0))
     table = table[:, reachable]
+    cumtable = np.cumsum(table, axis=1)
     values = circuits._readout_values((n + 1,) * (2 * (n - 1))).reshape(-1)[reachable]
-    table.setflags(write=False)
-    values.setflags(write=False)
-    return table, values
+    for arr in (table, cumtable, values):
+        arr.setflags(write=False)
+    return table, cumtable, values
 
 
-def _noon1_distributions(n: int, alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Exact outcome probabilities, one row per run. alphas/taus: (runs, n)."""
+def _noon1_coefficients(alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Kronecker product of the per-copy basis coefficients, one row per run.
+    alphas/taus: (runs, n)."""
     alphas = np.asarray(alphas, dtype=float)
     taus = np.asarray(taus, dtype=float)
     betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
@@ -281,23 +284,28 @@ def _noon1_distributions(n: int, alphas: np.ndarray, taus: np.ndarray) -> np.nda
     per_copy = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
                          2.0 * taus * ab], axis=-1)
     coefs = per_copy[:, 0]
-    for c in range(1, n):
+    for c in range(1, per_copy.shape[1]):
         coefs = (coefs[:, :, None] * per_copy[:, c, None, :]).reshape(coefs.shape[0], -1)
-    return coefs @ _noon1_tables(n)[0]
+    return coefs
+
+
+def _noon1_distributions(n: int, alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Exact outcome probabilities, one row per run. alphas/taus: (runs, n)."""
+    return _noon1_coefficients(alphas, taus) @ _noon1_tables(n)[0]
 
 
 def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     """Exact p_n of the readout for runs of n possibly different lossy N=1
     copies; alphas/taus have shape (runs, n).  Complex array of length runs."""
-    return _noon1_distributions(n, alphas, taus) @ _noon1_tables(n)[1]
+    return _noon1_distributions(n, alphas, taus) @ _noon1_tables(n)[2]
 
 
 def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
                    uniforms: np.ndarray) -> np.ndarray:
-    """One readout value per run, drawn from each run's own distribution."""
-    values = _noon1_tables(n)[1]
-    probs = _noon1_distributions(n, alphas, taus)
-    cum = np.cumsum(probs, axis=1)
+    """One readout value per run, drawn from each run's own distribution: the
+    run's cumulative row is its coefficients times the cumulative table."""
+    _, cumtable, values = _noon1_tables(n)
+    cum = _noon1_coefficients(alphas, taus) @ cumtable
     targets = uniforms * cum[:, -1]
     idx = (cum < targets[:, None]).sum(axis=1)
     return values[np.minimum(idx, values.size - 1)]

@@ -10,6 +10,7 @@ file is the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,27 +21,15 @@ from . import __version__
 __all__ = ["Table", "write_table", "read_table", "format_value"]
 
 
-def _normalize(v):
-    """Collapse numpy scalars onto plain Python types."""
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
 def format_value(v) -> str:
-    v = _normalize(v)
-    if isinstance(v, bool):
+    """CSV cell of one value: true/false, repr of a float (nan, inf and -inf
+    included), or str."""
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, float):
-        if v != v:  # nan
-            return "nan"
-        if v in (float("inf"), float("-inf")):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
     return str(v)
 
 
@@ -78,9 +67,14 @@ def write_table(table: Table, path, fmt: str = "csv") -> Path:
 
 
 def _jsonable(v):
-    v = _normalize(v)
-    if isinstance(v, float) and (v != v or v in (float("inf"), float("-inf"))):
-        return format_value(v)
+    """Plain Python value of a cell; non-finite floats become their CSV text."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        return v if math.isfinite(v) else format_value(v)
     return v
 
 

@@ -22,7 +22,13 @@ from ptmoments.circuits import (
     multicopy_expectation,
     outcome_distribution,
 )
-from ptmoments.errors import CutoffError, DomainError, StateValidationError, ToleranceError
+from ptmoments.errors import (
+    BudgetError,
+    CutoffError,
+    DomainError,
+    StateValidationError,
+    ToleranceError,
+)
 from ptmoments.fock import BipartiteDensityOperator, ModeCutoff, partial_transpose, pt_moment
 from ptmoments.states import (
     CatParams,
@@ -235,6 +241,32 @@ class TestLossyChannel:
             lossy_channel(rho, 1.5, "a")
 
 
+class TestSectorUnitaries:
+    @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7)])
+    def test_blocks_equal_passive_evolution_of_every_sector_state(self, n, d):
+        sectors = circuits._sector_unitaries(n, d)
+        totals = np.indices((d,) * n).sum(axis=0).reshape(-1)
+        for total, (idx, block) in enumerate(sectors):
+            np.testing.assert_array_equal(idx, np.flatnonzero(totals == total))
+            assert np.abs(block.conj().T @ block - np.eye(idx.size)).max() < 1e-13
+            for col, cell in enumerate(idx):
+                psi = np.zeros(d ** n)
+                psi[cell] = 1.0
+                out = apply_passive(psi.reshape((d,) * n), dft(n)).reshape(-1)
+                expect = np.zeros(d ** n, dtype=complex)
+                expect[idx] = block[:, col]
+                assert np.abs(out - expect).max() < 1e-13
+
+    def test_mass_outside_the_sectors_raises(self):
+        sectors = circuits._sector_unitaries(2, 3)
+        psi = np.zeros((3, 3, 2))
+        psi[1, 0, 0] = 1.0
+        circuits._evolve_sectors(psi.reshape(9, 2), sectors)
+        psi[2, 2, 1] = 1e-3  # four photons on a grid whose sectors end at two
+        with pytest.raises(CutoffError):
+            circuits._evolve_sectors(psi.reshape(9, 2), sectors)
+
+
 def mixed_rank2_copies(rng, n):
     """n unequal rank-2 mixed copies whose pure components have Schmidt
     rank 3."""
@@ -283,13 +315,25 @@ class TestOutcomeDistribution:
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))
         components = int((np.linalg.eigvalsh(rho.matrix) > circuits._WEIGHT_FLOOR).sum())
         calls = []
-        evolve = circuits.apply_passive
-        monkeypatch.setattr(circuits, "apply_passive",
-                            lambda *args, **kw: calls.append(1) or evolve(*args, **kw))
+        evolve = circuits._evolve_sectors
+        monkeypatch.setattr(circuits, "_evolve_sectors",
+                            lambda *args: calls.append(1) or evolve(*args))
+        circuits._sector_unitaries.cache_clear()
         outcome_distribution([rho] * 3, 3)
         # every product of these component weights clears the weight floor
         assert components > 1
         assert len(calls) == 2 * components ** 3
+        # both parties read out on d_out = 4: one block build for (3, 4)
+        assert circuits._sector_unitaries.cache_info().misses == 1
+
+    def test_budget_error_before_any_evolution(self, monkeypatch):
+        cat = cat_density(CatParams(0.5, 0.5, 0.5, "odd"))
+        lossy = lossy_channel(lossy_channel(cat, 0.8, "a"), 0.8, "b")
+        calls = []
+        monkeypatch.setattr(circuits, "_evolve_sectors", lambda *args: calls.append(1))
+        with pytest.raises(BudgetError, match=r"needs 1\.45e\+09 .* budget of 1e\+08"):
+            outcome_distribution([lossy] * 3, 3)
+        assert calls == []
 
     def test_lossless_two_copy_has_even_totals_only(self):
         rho = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))

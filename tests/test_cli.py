@@ -80,6 +80,7 @@ class TestPackageErrors:
         ["criteria", "--family", "tmsv", "--N", "3"],
         ["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
         ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
+        ["sample", "--family", "cat", "--tau", "0.8", "--copies", "3"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

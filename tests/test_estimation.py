@@ -267,8 +267,9 @@ class TestFastNoon1Path:
 
     def test_tables_keep_only_reachable_outcomes(self):
         for n, kept in ((2, 6), (3, 31)):
-            table, values = _noon1_tables(n)
+            table, cumtable, values = _noon1_tables(n)
             assert table.shape == (4 ** n, kept) and values.shape == (kept,)
+            np.testing.assert_array_equal(cumtable, np.cumsum(table, axis=1))
             full = circuits._readout_values((n + 1,) * (2 * (n - 1))).reshape(-1)
             np.testing.assert_array_equal(values, full[reachable_cells(n)])
 
