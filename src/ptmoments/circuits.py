@@ -7,9 +7,15 @@ general unitaries and is the differential reference for the readout engine.
 Applying the n-mode discrete Fourier transform to the n copies held by each
 party and counting photons on output modes 2..n yields an outcome
 distribution whose root-of-unity expectation is the n-th PT-moment.
-``outcome_distribution`` evolves through that DFT one photon-number sector
-at a time, with the sector blocks of the DFT built once per (n, cutoff) and
-cached, and refuses a readout over a fixed cost budget with BudgetError.
+``outcome_distribution`` first trims each copy's trailing Fock levels that
+are exactly empty, then evolves each party's product of copies through that
+DFT one photon-number sector at a time, with the sector blocks of the DFT
+built once per (n, cutoff) and kept in a cache bounded by bytes.  It holds
+amplitudes, Grams and probabilities only on the photon-number simplex (the
+cells whose total is below the output cutoff, the only ones that can carry
+amplitude), returns the distribution stored on its support
+(``OutcomeDistribution``), and refuses a readout whose counted entries and
+multiply-adds exceed a fixed budget with BudgetError.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -22,9 +28,11 @@ weights; only the same-DFT variant is implemented.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, wraps
+from itertools import groupby, product
 from math import comb, prod, sqrt
 
 import numpy as np
@@ -332,64 +340,80 @@ _NORM_TOL = 1e-10
 _OUTCOME_FLOOR = 1e-14
 # Eigen-weight floor per pure component and per product of components.
 _WEIGHT_FLOOR = 1e-13
-# Largest readout outcome_distribution accepts, in array entries: the Gram
-# entries of all kept component choices plus the sector blocks.
+# Largest readout outcome_distribution accepts, in counted units: the Gram
+# entries of all kept component choices, the output cells, the sector-block
+# entries and the multiply-adds of the Gram products.
 _READOUT_BUDGET = 1e8
+# Array entries the Grams and amplitudes of one chunk of component choices may
+# hold; a larger single choice runs alone.
+_CHUNK_ENTRIES = 2 ** 18
+# Bytes the cached sector blocks and party plans may keep resident.
+_CACHE_BYTES = 32 * 2 ** 20
 
 
 class OutcomeDistribution:
-    """Joint photon-number distribution on the measured output modes.
+    """Joint photon-number distribution on the measured output modes, stored
+    on its support.
 
-    ``probs`` is a dense array of shape (d_out_a,)*(n-1) + (d_out_b,)*(n-1):
-    the axes count N_2^A, .., N_n^A, N_2^B, .., N_n^B.  The two mode-1
-    outputs are marginalized out since the readout weights them with zero.
-    Outcomes, as tuples of those counts, are listed in C order of the array.
+    Row i of ``cells`` is an outcome, the counts (N_2^A, .., N_n^A, N_2^B,
+    .., N_n^B), and ``probs[i]`` its probability; the two mode-1 outputs are
+    marginalized out since the readout weights them with zero.  The rows
+    must be distinct and in lexicographic order, which is C order of any
+    grid that holds them.  Listed entries at or below 1e-14 of the largest
+    are rounding noise and dropped; the rest are the support, which
+    ``outcomes`` lists as tuples in the same order.  An outcome off the
+    support has probability zero.
     """
 
-    def __init__(self, probs):
+    def __init__(self, cells, probs):
+        cells = np.array(cells, dtype=np.intp)
         probs = np.array(probs, dtype=float)
-        if probs.ndim < 2 or probs.ndim % 2:
-            raise ValueError(f"expected an even number (>= 2) of axes, got shape {probs.shape}")
+        if cells.ndim != 2 or cells.shape[1] < 2 or cells.shape[1] % 2 \
+                or probs.shape != cells.shape[:1]:
+            raise ValueError(f"expected cells of shape (k, 2m) and k probabilities, got "
+                             f"shapes {cells.shape} and {probs.shape}")
+        step = np.diff(cells, axis=0)
+        if np.any(step[np.arange(step.shape[0]), np.argmax(step != 0, axis=1)] <= 0):
+            raise ValueError("outcome cells must be distinct and in lexicographic order")
         total = probs.sum()
         if abs(total - 1.0) > _NORM_TOL:
             raise ToleranceError(f"outcome probabilities sum to {total}, not 1")
         if probs.min() < -_NORM_TOL:
             raise ToleranceError("negative outcome probability")
-        probs[probs <= _OUTCOME_FLOOR * probs.max()] = 0.0
-        probs.setflags(write=False)
-        self.n_copies = probs.ndim // 2 + 1
-        self.probs = probs
-        self._support = np.flatnonzero(probs)
-        cells = np.unravel_index(self._support, probs.shape)
-        self._outcomes = list(zip(*(axis.tolist() for axis in cells)))
+        keep = probs > _OUTCOME_FLOOR * probs.max()
+        self.n_copies = cells.shape[1] // 2 + 1
+        self._cells = cells[keep]
+        self._probs = probs[keep]
+        self._cells.setflags(write=False)
+        self._probs.setflags(write=False)
+        self._outcomes = list(map(tuple, self._cells.tolist()))
 
     def probability(self, outcome) -> float:
         outcome = tuple(outcome)
-        if len(outcome) != self.probs.ndim or not all(
-                0 <= i < d for i, d in zip(outcome, self.probs.shape)):
-            return 0.0
-        return float(self.probs[outcome])
+        i = bisect_left(self._outcomes, outcome)
+        if i < len(self._outcomes) and self._outcomes[i] == outcome:
+            return float(self._probs[i])
+        return 0.0
 
     def outcomes(self) -> list:
         return list(self._outcomes)
 
     def as_arrays(self):
-        return self.outcomes(), self.probs.reshape(-1)[self._support]
+        return self.outcomes(), self._probs
 
 
-def _readout_values(shape) -> np.ndarray:
+def _readout_values(cells) -> np.ndarray:
     """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B)) of
-    every cell of an outcome array of the given shape."""
-    m = len(shape) // 2
-    grid = np.indices(shape, sparse=True)
-    expo = sum((j + 1) * (grid[j] - grid[m + j]) for j in range(m))
-    return np.exp(-2j * np.pi / (m + 1)) ** expo
+    every outcome row of ``cells``."""
+    m = cells.shape[1] // 2
+    weights = np.arange(1, m + 1)
+    return np.exp(-2j * np.pi / (m + 1)) ** (cells[:, :m] @ weights - cells[:, m:] @ weights)
 
 
 def outcome_weights(dist: OutcomeDistribution) -> tuple[list, np.ndarray]:
     """Root-of-unity readout value per outcome:
     omega_n^(sum_j (j-1) (N_j^A - N_j^B))."""
-    return dist.outcomes(), _readout_values(dist.probs.shape).reshape(-1)[dist._support]
+    return dist.outcomes(), _readout_values(dist._cells)
 
 
 def multicopy_expectation(dist: OutcomeDistribution) -> float:
@@ -404,77 +428,192 @@ def multicopy_expectation(dist: OutcomeDistribution) -> float:
     return float(total.real)
 
 
-@lru_cache(maxsize=16)
+def _simplex(n: int, d: int) -> np.ndarray:
+    """Occupation tuples of n modes with total below d, one per row, in
+    lexicographic order."""
+    cells = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(n):
+        room = d - cells.sum(axis=1)
+        cells = np.concatenate([np.insert(cells[room > lead], 0, lead, axis=1)
+                                for lead in range(d)])
+    return cells
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays in a value built of tuples, lists and arrays."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return sum(map(_nbytes, value)) if isinstance(value, (tuple, list)) else 0
+
+
+# One least-recently-used store for the tables below: key -> (value, bytes).
+_cache: OrderedDict = OrderedDict()
+
+
+def _cached(build):
+    """Memoize ``build`` in the module's store, which drops its least recently
+    used values while they hold more than _CACHE_BYTES; a value larger than
+    that is returned but not kept."""
+    @wraps(build)
+    def cached(*args):
+        key = (build.__name__, *args)
+        entry = _cache.pop(key, None)
+        if entry is None:
+            value = build(*args)
+            entry = (value, _nbytes(value))
+        _cache[key] = entry
+        while _cached_bytes() > _CACHE_BYTES:
+            _cache.popitem(last=False)
+        return entry[0]
+    cached.cache_clear = _cache.clear
+    return cached
+
+
+def _cached_bytes() -> int:
+    return sum(size for _, size in _cache.values())
+
+
+@_cached
 def _sector_unitaries(n: int, d_out: int) -> tuple:
-    """The n-mode DFT F on a (d_out,)*n grid, one photon-number sector at a
-    time: for each total N = 0..d_out-1, the pair (flat C-order indices of the
-    occupation tuples with total N, block Sym^N(F) on those tuples), column t
-    of the block holding F|t>.
+    """The n-mode DFT F one photon-number sector at a time: for each total
+    N = 0..d_out-1, the pair (occupation tuples with total N in
+    lexicographic order, block Sym^N(F) on those tuples), column t of the
+    block holding F|t>.
 
     Block N follows from block N-1 by the creation-operator recursion
     F|t> = (sum_j F_ji a_j^+) F|t - e_i> / sqrt(t_i), i the first occupied
-    mode of t: exact, with no grid and no permanents.  A tuple with total
-    N < d_out never reaches the grid's edge, so no amplitude is cut off."""
+    mode of t: exact, with no grid and no permanents.  A tuple is found in
+    its sector by its digits in base d_out, which increase in lexicographic
+    order."""
     f = dft(n).matrix
-    occ = np.indices((d_out,) * n).reshape(n, -1).T
-    totals = occ.sum(axis=1)
     strides = d_out ** np.arange(n - 1, -1, -1)
-    position = np.zeros(d_out ** n, dtype=np.intp)  # row of a cell in its sector
+    cells = _simplex(n, d_out)
+    totals = cells.sum(axis=1)
     sectors = []
     for total in range(d_out):
-        idx = np.flatnonzero(totals == total)
-        position[idx] = np.arange(idx.size)
+        occ = cells[totals == total]
+        keys = occ @ strides
         if total == 0:
             block = np.ones((1, 1), dtype=complex)
         else:
-            prev_idx, prev_block = sectors[-1]
-            first = np.argmax(occ[idx] > 0, axis=1)
+            prev_occ, prev_block = sectors[-1]
+            prev_keys = prev_occ @ strides
+            first = np.argmax(occ > 0, axis=1)
             # column t - e_i of block N-1, divided by sqrt(t_i)
-            lowered = (prev_block[:, position[idx - strides[first]]]
-                       / np.sqrt(occ[idx, first]))
-            block = np.zeros((idx.size, idx.size), dtype=complex)
+            lowered = (prev_block[:, np.searchsorted(prev_keys, keys - strides[first])]
+                       / np.sqrt(occ[np.arange(occ.shape[0]), first]))
+            block = np.zeros((occ.shape[0], occ.shape[0]), dtype=complex)
             for j in range(n):
                 # a_j^+ takes row s of block N-1 to row s + e_j, times sqrt(s_j + 1)
-                block[position[prev_idx + strides[j]]] += (
-                    np.sqrt(occ[prev_idx, j] + 1.0)[:, None] * lowered * f[j, first])
-        idx.setflags(write=False)
+                block[np.searchsorted(keys, prev_keys + strides[j])] += (
+                    np.sqrt(prev_occ[:, j] + 1.0)[:, None] * lowered * f[j, first])
+        occ.setflags(write=False)
         block.setflags(write=False)
-        sectors.append((idx, block))
+        sectors.append((occ, block))
     return tuple(sectors)
 
 
-def _evolve_sectors(psi: np.ndarray, sectors) -> np.ndarray:
-    """Amplitudes psi of shape (d_out^n, batch) after the DFT whose sector
-    blocks are given: the sector cells are gathered once, each sector is one
-    block matmul, and the result is scattered back to the grid.  Raises
-    CutoffError when the sectors miss part of the norm of psi: some input
-    would hold more photons than the grid carries."""
-    cells = np.concatenate([idx for idx, _ in sectors])
-    part = psi[cells]
-    total = np.vdot(psi, psi).real
-    held = np.vdot(part, part).real
-    if total - held > _COUPLING_NORM_TOL * total:
-        raise CutoffError(f"photon-number sectors miss {total - held:.3e} of the norm "
-                          f"{total:.6g}; raise the output cutoff")
-    evolved = np.empty(part.shape, dtype=complex)
-    start = 0
-    for idx, block in sectors:
-        stop = start + idx.size
-        np.matmul(block, part[start:stop], out=evolved[start:stop])
-        start = stop
-    out = np.zeros(psi.shape, dtype=complex)
-    out[cells] = evolved
-    return out
+def _trimmed(rho: BipartiteDensityOperator) -> tuple[np.ndarray, int, int]:
+    """The density matrix of rho without its trailing Fock levels whose rows
+    and columns are exactly zero, on either mode, and the kept cutoffs."""
+    nonzero = rho.as_tensor() != 0
+    d_a = 1 + np.flatnonzero(nonzero.any(axis=(1, 2, 3)) | nonzero.any(axis=(0, 1, 3)))[-1]
+    d_b = 1 + np.flatnonzero(nonzero.any(axis=(0, 2, 3)) | nonzero.any(axis=(0, 1, 2)))[-1]
+    kept = rho.as_tensor()[:d_a, :d_b, :d_a, :d_b].reshape(d_a * d_b, d_a * d_b)
+    return kept, int(d_a), int(d_b)
+
+
+@_cached
+def _party_plan(dims) -> tuple:
+    """How one party's copies, of cutoffs ``dims``, pass through the DFT.
+
+    Returns (d_out, rest cells, sectors).  d_out = 1 + sum(dims - 1) bounds
+    the photons the copies carry.  The rest cells are the counts of modes
+    2..n with total below d_out, in lexicographic order.  Per photon-number
+    sector there is a triple: the rows of the copies' product box (C order
+    over dims) in that sector, the sector block restricted to the columns
+    those rows reach, and the row of the (rest cell, mode-1 count) buffer
+    that each block row fills."""
+    n = len(dims)
+    d_out = sum(dims) - n + 1
+    strides = d_out ** np.arange(n - 1, -1, -1)
+    box = np.indices(dims).reshape(n, -1).T
+    box_totals = box.sum(axis=1)
+    rest = _simplex(n - 1, d_out)
+    rest_keys = rest @ strides[1:]
+    sectors = []
+    for total, (occ, block) in enumerate(_sector_unitaries(n, d_out)):
+        rows = np.flatnonzero(box_totals == total)
+        keys = occ @ strides
+        cols = np.searchsorted(keys, box[rows] @ strides)
+        found = np.searchsorted(rest_keys, keys - occ[:, 0] * strides[0])
+        sectors.append((rows, block[:, cols], found * d_out + occ[:, 0]))
+    return d_out, rest, sectors
+
+
+def _evolve_sectors(psi: np.ndarray, plan) -> np.ndarray:
+    """Product-box amplitudes psi of shape (box cells, batch) after the DFT,
+    as an array (rest cells, mode-1 count, batch) of the party's plan that is
+    zero where the mode-1 count would bring the total to d_out or more.
+    Each sector is one matmul of the block columns the box reaches."""
+    d_out, rest, sectors = plan
+    out = np.zeros((rest.shape[0] * d_out, psi.shape[1]), dtype=complex)
+    for rows, block, targets in sectors:
+        out[targets] = block @ psi[rows]
+    return out.reshape(rest.shape[0], d_out, psi.shape[1])
+
+
+def _grams(amps: np.ndarray, width: int, conjugate: bool) -> np.ndarray:
+    """Gram[r, k, b, c] = sum over mode-1 counts m of amp_kb(r, m)
+    conj(amp_kc(r, m)) for the choices k of width ``width`` stacked in the
+    amplitudes (rest cells, mode-1 count, choices * width), as an array
+    (rest cells, choices * width^2); complex-conjugated if ``conjugate``."""
+    a = amps.reshape(amps.shape[0], amps.shape[1], -1, width).transpose(0, 2, 3, 1)
+    left, right = (a.conj(), a) if conjugate else (a, a.conj())
+    return (left @ right.swapaxes(-1, -2)).reshape(amps.shape[0], -1)
+
+
+def _readout_cost(n: int, d_out_a: int, d_out_b: int, widths) -> tuple[int, int]:
+    """Array entries and multiply-adds of a readout whose kept component
+    choices have batch widths ``widths``: the entries are the Grams of all
+    choices, sum B^2 (rest_a + rest_b), the rest_a rest_b output cells and
+    the sector blocks; the multiply-adds are those of the Gram products,
+    sum B^2 rest_a rest_b."""
+    rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
+    squares = sum(width ** 2 for width in widths)
+    blocks = sum(comb(total + n - 1, n - 1) ** 2
+                 for d_out in {d_out_a, d_out_b} for total in range(d_out))
+    return squares * (rest_a + rest_b) + rest_a * rest_b + blocks, squares * rest_a * rest_b
 
 
 def _batched_product(factors) -> np.ndarray:
-    """Product over copies of per-copy factor matrices (d_out, r_c) as one
-    array of shape (d_out^n, prod r_c): rows run over the occupation grid and
-    columns over the factor-column combinations, both in C order."""
-    psi = np.ones((1, 1))
-    for fac in factors:
-        psi = np.einsum("ib,mc->imbc", psi, fac).reshape(psi.shape[0] * fac.shape[0], -1)
+    """Product over copies of per-copy factor matrices (d_c, r_c) as one
+    array of shape (prod d_c, prod r_c): rows run over the box of occupation
+    tuples and columns over the factor-column combinations, both in C
+    order."""
+    psi = factors[0]
+    for fac in factors[1:]:
+        psi = (psi[:, None, :, None] * fac[None, :, None, :]).reshape(
+            psi.shape[0] * fac.shape[0], -1)
     return psi
+
+
+def _components(rho: BipartiteDensityOperator, index: int) -> tuple[list, int, int]:
+    """Pure components of copy ``index`` after trimming, as (eigen-weight,
+    (A factor, B factor)) with the Schmidt decomposition of the component
+    split into the factors, and the trimmed cutoffs."""
+    mat, d_a, d_b = _trimmed(rho)
+    w, vecs = np.linalg.eigh(mat)
+    if w[0] < -DEFAULT_TOL.psd:
+        raise StateValidationError(f"copy {index} has eigenvalue {w[0]:.3e} "
+                                   f"< -{DEFAULT_TOL.psd:.1e}; it is not a physical state")
+    comp = []
+    for i in np.flatnonzero(w > _WEIGHT_FLOOR):
+        # vec = sum_k s_k u_k v_k^T: v_k is row k of vh, not conjugated
+        uu, ss, vh = np.linalg.svd(vecs[:, i].reshape(d_a, d_b), full_matrices=False)
+        keep = ss > 1e-12
+        comp.append((float(w[i]), (uu[:, keep] * ss[keep], vh[keep].T)))
+    return comp, d_a, d_b
 
 
 def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
@@ -486,68 +625,77 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     BipartiteDensityOperator, and one with an eigenvalue below -DEFAULT_TOL.psd (as
     only ``check_psd=False`` lets through) raises StateValidationError.
 
-    Each copy splits into pure components, and each component into Schmidt
-    branches.  For one choice of component per copy, all branch combinations
-    form one batched product, which the DFT evolves photon-number sector by
-    sector through cached blocks: one sector evolution per party.  The DFT
-    conserves photon number and each party's output cutoff d_out holds the
-    sum of its copies' photons, so the sectors carry the whole product.  The
-    Givens engine, ``apply_passive``, is not called here; the tests hold the
-    sector blocks to it.
+    Each copy first loses its trailing Fock levels whose rows and columns
+    are exactly zero, per mode (the guard level of the NOON constructors,
+    say); this is exact.  A party's output cutoff d_out is one plus the sum
+    of its copies' trimmed cutoffs minus one each, which bounds the photons
+    it carries.  Each copy then splits into pure components, and each
+    component into Schmidt branches.  For one choice of component per copy,
+    all branch combinations form one batched product on the box of trimmed
+    input cells, which the DFT evolves photon-number sector by sector
+    through cached blocks, using only the block columns the box reaches;
+    the choices of one batch width are stacked and evolved together, in
+    chunks of at most _CHUNK_ENTRIES Gram and amplitude entries.  The
+    amplitudes, the Gram over mode-1 counts and the accumulated
+    probabilities live only on the cells with total below d_out, the only
+    ones that can carry amplitude.  The Givens engine, ``apply_passive``, is
+    not called here; the tests hold the sector blocks to it.
 
-    Before any evolution the cost is counted: the Gram entries of all kept
-    choices, sum (prod r_c)^2 (d_out_a^(n-1) + d_out_b^(n-1)) over choices
-    of Schmidt ranks r_c, plus the entries of the sector blocks.  A readout
-    above _READOUT_BUDGET raises BudgetError.
+    Before any evolution the cost is counted, with B = prod r_c the batch
+    width of a choice of Schmidt ranks r_c and rest_a, rest_b the numbers of
+    cells of modes 2..n with total below d_out: the Gram entries sum
+    B^2 (rest_a + rest_b) over kept choices, the rest_a rest_b output cells,
+    the entries of the sector blocks, and the Gram products' multiply-adds
+    sum B^2 rest_a rest_b.  A readout whose entries and multiply-adds sum to
+    more than _READOUT_BUDGET raises BudgetError.
     """
     copies = list(copies)
     if n is None:
         n = len(copies)
     if len(copies) != n or n < 2:
         raise ValueError(f"need n={n} copies, got {len(copies)}")
-    d_out_a = sum(c.d_a - 1 for c in copies) + 1
-    d_out_b = sum(c.d_b - 1 for c in copies) + 1
 
-    comps = []
+    # a copy passed more than once is decomposed once
+    decomposed = {}
     for index, c in enumerate(copies):
-        w, vecs = np.linalg.eigh(c.matrix)
-        if w[0] < -DEFAULT_TOL.psd:
-            raise StateValidationError(f"copy {index} has eigenvalue {w[0]:.3e} "
-                                       f"< -{DEFAULT_TOL.psd:.1e}; it is not a physical state")
-        comp = []
-        for i in np.flatnonzero(w > _WEIGHT_FLOOR):
-            # vec = sum_k s_k u_k v_k^T: v_k is row k of vh, not conjugated
-            uu, ss, vh = np.linalg.svd(vecs[:, i].reshape(c.d_a, c.d_b), full_matrices=False)
-            keep = ss > 1e-12
-            # factors padded to the output cutoffs, once per component
-            fac_a = np.pad(uu[:, keep] * ss[keep], ((0, d_out_a - c.d_a), (0, 0)))
-            fac_b = np.pad(vh[keep].T, ((0, d_out_b - c.d_b), (0, 0)))
-            comp.append((float(w[i]), (fac_a, fac_b)))
-        comps.append(comp)
+        if id(c) not in decomposed:
+            decomposed[id(c)] = _components(c, index)
+    comps, *dims = zip(*(decomposed[id(c)] for c in copies))
 
     kept = []
     for choice in product(*comps):
-        weight = float(np.prod([w for w, _ in choice]))
+        weight = prod(w for w, _ in choice)
         if weight >= _WEIGHT_FLOOR:
-            kept.append((weight, [fac for _, fac in choice]))
-    gram = (sum(prod(a.shape[1] for a, _ in facs) ** 2 for _, facs in kept)
-            * (d_out_a ** (n - 1) + d_out_b ** (n - 1)))
-    blocks = sum(comb(total + n - 1, n - 1) ** 2
-                 for d_out in {d_out_a, d_out_b} for total in range(d_out))
-    if gram + blocks > _READOUT_BUDGET:
-        raise BudgetError(f"the {n}-copy readout needs {gram + blocks:.3g} Gram and "
-                          f"sector-block entries over {len(kept)} component choices, "
-                          f"above the budget of {_READOUT_BUDGET:.0e}")
+            facs = [fac for _, fac in choice]
+            kept.append((weight, facs, prod(a.shape[1] for a, _ in facs)))
+    d_out_a, d_out_b = (sum(side) - n + 1 for side in dims)
+    rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
+    entries, madds = _readout_cost(n, d_out_a, d_out_b, [width for _, _, width in kept])
+    if entries + madds > _READOUT_BUDGET:
+        raise BudgetError(f"the {n}-copy readout needs {entries:.3g} Gram, output and "
+                          f"sector-block entries and {madds:.3g} Gram multiply-adds over "
+                          f"{len(kept)} component choices, above the budget of "
+                          f"{_READOUT_BUDGET:.0e} for their sum")
 
-    sectors = (_sector_unitaries(n, d_out_a), _sector_unitaries(n, d_out_b))
-    p_rest = np.zeros((d_out_a ** (n - 1), d_out_b ** (n - 1)))
-    for weight, facs in kept:
-        # Gram[r, b, c] = sum over mode-1 counts m of amp_b(m, r) conj(amp_c(m, r))
-        grams = []
-        for side, d_out in enumerate((d_out_a, d_out_b)):
-            psi = _evolve_sectors(_batched_product([fac[side] for fac in facs]), sectors[side])
-            amps = psi.reshape(d_out, -1, psi.shape[-1]).transpose(1, 2, 0)
-            grams.append((amps @ amps.conj().transpose(0, 2, 1)).reshape(amps.shape[0], -1))
-        p_rest += weight * (grams[0] @ grams[1].T).real
+    plans = [_party_plan(side) for side in dims]
+    p_rest = np.zeros((rest_a, rest_b))
+    for width, group in groupby(sorted(kept, key=lambda c: c[2]), key=lambda c: c[2]):
+        group = list(group)
+        step = max(1, _CHUNK_ENTRIES // (width * (width * (rest_a + rest_b)
+                                                 + rest_a * d_out_a + rest_b * d_out_b)))
+        for chunk in (group[i:i + step] for i in range(0, len(group), step)):
+            grams = []
+            for side, plan in enumerate(plans):
+                psi = np.concatenate([_batched_product([fac[side] for fac in facs])
+                                      for _, facs, _ in chunk], axis=1)
+                if side == 0:  # weight each choice through its A amplitudes
+                    psi *= np.repeat(np.sqrt([weight for weight, _, _ in chunk]), width)
+                # B's Gram conjugated: the real dot product of the (re, im)
+                # pairs of the two Grams is then Re sum_bc GA GB
+                grams.append(_grams(_evolve_sectors(psi, plan), width, side == 1))
+            p_rest += grams[0].view(float) @ grams[1].view(float).T
 
-    return OutcomeDistribution(p_rest.reshape((d_out_a,) * (n - 1) + (d_out_b,) * (n - 1)))
+    cells_a, cells_b = (plan[1] for plan in plans)
+    cells = np.concatenate((np.repeat(cells_a, rest_b, axis=0),
+                            np.tile(cells_b, (rest_a, 1))), axis=1)
+    return OutcomeDistribution(cells, p_rest.reshape(-1))

@@ -247,9 +247,10 @@ def _draw_clamped(rng: np.random.Generator, entry: NoiseEntry, shape) -> tuple[n
 # combination of the engine's distributions for the 4^n products of these
 # four basis states, with the Kronecker product of the per-copy coefficients
 # as weights.  The table of those 4^n distributions is built once with
-# circuits.outcome_distribution at a two-level cutoff (d_out = n + 1), and
-# keeps only the outcomes some basis product reaches: every other outcome has
-# probability zero in every run (6 of 9 are kept at n=2, 31 of 256 at n=3).
+# circuits.outcome_distribution, whose outcomes all fit the grid of n + 1
+# levels per count, and keeps only the outcomes some basis product reaches,
+# in C order of that grid: every other outcome has probability zero in every
+# run (6 of 9 are kept at n=2, 31 of 256 at n=3).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
@@ -262,13 +263,17 @@ def _noon1_tables(n: int):
     # |00>, |10>, |01>, |+> at basis index i * d_b + j of |i>_A |j>_B
     basis = [BipartiteDensityOperator.from_state_vector(v, cutoff)
              for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, h, h, 0])]
-    rows = [circuits.outcome_distribution(copies, n).probs.reshape(-1)
-            for copies in product(basis, repeat=n)]
-    table = np.array(rows)
-    reachable = np.flatnonzero(table.any(axis=0))
-    table = table[:, reachable]
+    grid = (n + 1,) * (2 * (n - 1))
+    rows = []
+    for copies in product(basis, repeat=n):
+        outcomes, probs = circuits.outcome_distribution(copies, n).as_arrays()
+        rows.append((np.ravel_multi_index(np.array(outcomes).T, grid), probs))
+    reachable = np.unique(np.concatenate([cells for cells, _ in rows]))
+    table = np.zeros((len(rows), reachable.size))
+    for row, (cells, probs) in zip(table, rows):
+        row[np.searchsorted(reachable, cells)] = probs
     cumtable = np.cumsum(table, axis=1)
-    values = circuits._readout_values((n + 1,) * (2 * (n - 1))).reshape(-1)[reachable]
+    values = circuits._readout_values(np.array(np.unravel_index(reachable, grid)).T)
     for arr in (table, cumtable, values):
         arr.setflags(write=False)
     return table, cumtable, values

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptmoments import circuits, noon_tables
 from ptmoments.circuits import (
@@ -29,7 +32,8 @@ from ptmoments.errors import (
     StateValidationError,
     ToleranceError,
 )
-from ptmoments.fock import BipartiteDensityOperator, ModeCutoff, partial_transpose, pt_moment
+from ptmoments.fock import (BipartiteDensityOperator, ModeCutoff, partial_transpose, pt_moment,
+                            pt_moments)
 from ptmoments.states import (
     CatParams,
     LossyNOONParams,
@@ -245,10 +249,12 @@ class TestSectorUnitaries:
     @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7)])
     def test_blocks_equal_passive_evolution_of_every_sector_state(self, n, d):
         sectors = circuits._sector_unitaries(n, d)
-        totals = np.indices((d,) * n).sum(axis=0).reshape(-1)
-        for total, (idx, block) in enumerate(sectors):
-            np.testing.assert_array_equal(idx, np.flatnonzero(totals == total))
-            assert np.abs(block.conj().T @ block - np.eye(idx.size)).max() < 1e-13
+        grid = np.indices((d,) * n).reshape(n, -1).T
+        for total, (occ, block) in enumerate(sectors):
+            # the tuples with this total, in C order of the grid
+            np.testing.assert_array_equal(occ, grid[grid.sum(axis=1) == total])
+            assert np.abs(block.conj().T @ block - np.eye(len(occ))).max() < 1e-13
+            idx = np.ravel_multi_index(occ.T, (d,) * n)
             for col, cell in enumerate(idx):
                 psi = np.zeros(d ** n)
                 psi[cell] = 1.0
@@ -257,14 +263,42 @@ class TestSectorUnitaries:
                 expect[idx] = block[:, col]
                 assert np.abs(out - expect).max() < 1e-13
 
-    def test_mass_outside_the_sectors_raises(self):
-        sectors = circuits._sector_unitaries(2, 3)
-        psi = np.zeros((3, 3, 2))
-        psi[1, 0, 0] = 1.0
-        circuits._evolve_sectors(psi.reshape(9, 2), sectors)
-        psi[2, 2, 1] = 1e-3  # four photons on a grid whose sectors end at two
-        with pytest.raises(CutoffError):
-            circuits._evolve_sectors(psi.reshape(9, 2), sectors)
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 1, 2), (2, 3, 2)])
+    def test_box_evolution_equals_passive_evolution(self, dims, rng):
+        # a batch of random products on the box of unequal cutoffs, evolved
+        # by the party plan, against the Givens engine on the full grid
+        n, d_out = len(dims), sum(dims) - len(dims) + 1
+        psi = rng.standard_normal((math.prod(dims), 3)) + 1j * rng.standard_normal(
+            (math.prod(dims), 3))
+        plan = circuits._party_plan(dims)
+        amps = circuits._evolve_sectors(psi, plan)
+        rest = plan[1]
+        for b in range(3):
+            grid = np.zeros((d_out,) * n, dtype=complex)
+            grid[tuple(slice(0, d) for d in dims)] = psi[:, b].reshape(dims)
+            out = apply_passive(grid, dft(n))
+            for r, cell in enumerate(rest):
+                m1 = np.arange(d_out - cell.sum())
+                np.testing.assert_allclose(amps[r, m1, b], out[(m1, *cell)], atol=1e-12)
+                # no amplitude past the simplex that the buffer leaves out
+                assert np.abs(out[(slice(d_out - cell.sum(), None), *cell)]).max(
+                    initial=0.0) < 1e-12
+
+    def test_cache_stays_under_its_byte_bound(self, monkeypatch):
+        bound = 2 ** 20
+        monkeypatch.setattr(circuits, "_CACHE_BYTES", bound)
+        circuits._sector_unitaries.cache_clear()
+        try:
+            for d in range(4, 24):
+                sectors = circuits._sector_unitaries(3, d)
+                size = sum(occ.nbytes + block.nbytes for occ, block in sectors)
+                assert circuits._cached_bytes() <= bound
+                # kept if it fits, and then it is the most recent entry
+                assert (("_sector_unitaries", 3, d) in circuits._cache) == (size <= bound)
+            # the blocks at (3, 23) alone exceed the bound, so they were not kept
+            assert size > bound
+        finally:
+            circuits._sector_unitaries.cache_clear()
 
 
 def mixed_rank2_copies(rng, n):
@@ -289,7 +323,7 @@ class TestOutcomeDistribution:
     def test_table_of_two_copy_outputs(self, tau):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, tau))
         dist = outcome_distribution([rho] * 2, 2)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.as_arrays()[1].sum() == pytest.approx(1.0, abs=1e-12)
         for outcome in noon_tables.f2_outcomes():
             assert dist.probability(outcome) == pytest.approx(
                 noon_tables.f2_formula(outcome, BAL, tau), abs=1e-12)
@@ -311,27 +345,30 @@ class TestOutcomeDistribution:
         for outcome in noon_tables.f3_zero_outcomes():
             assert dist.probability(outcome) == 0.0
 
-    def test_one_evolution_per_party_and_component_choice(self, monkeypatch):
+    def test_one_evolution_per_party_and_batch_width(self, monkeypatch):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))
-        components = int((np.linalg.eigvalsh(rho.matrix) > circuits._WEIGHT_FLOOR).sum())
         calls = []
         evolve = circuits._evolve_sectors
         monkeypatch.setattr(circuits, "_evolve_sectors",
-                            lambda *args: calls.append(1) or evolve(*args))
+                            lambda psi, plan: calls.append(psi.shape[1]) or evolve(psi, plan))
         circuits._sector_unitaries.cache_clear()
         outcome_distribution([rho] * 3, 3)
-        # every product of these component weights clears the weight floor
-        assert components > 1
-        assert len(calls) == 2 * components ** 3
-        # both parties read out on d_out = 4: one block build for (3, 4)
-        assert circuits._sector_unitaries.cache_info().misses == 1
+        # each copy is the vacuum (Schmidt rank 1) mixed with the Bell state
+        # (rank 2), so the 8 choices have widths 1, 2 (3 choices), 4 (3) and
+        # 8; all choices of one width are evolved together, once per party
+        assert sorted(calls) == [1, 1, 2 * 3, 2 * 3, 8, 8, 4 * 3, 4 * 3]
+        # both parties read out on d_out = 4 after the empty level is trimmed:
+        # one block build for (3, 4)
+        assert [key for key in circuits._cache if key[0] == "_sector_unitaries"] == [
+            ("_sector_unitaries", 3, 4)]
 
     def test_budget_error_before_any_evolution(self, monkeypatch):
         cat = cat_density(CatParams(0.5, 0.5, 0.5, "odd"))
         lossy = lossy_channel(lossy_channel(cat, 0.8, "a"), 0.8, "b")
         calls = []
         monkeypatch.setattr(circuits, "_evolve_sectors", lambda *args: calls.append(1))
-        with pytest.raises(BudgetError, match=r"needs 1\.45e\+09 .* budget of 1e\+08"):
+        with pytest.raises(BudgetError, match=r"needs 7\.65e\+08 .* and 7\.27e\+10 Gram "
+                                              r"multiply-adds .* budget of 1e\+08"):
             outcome_distribution([lossy] * 3, 3)
         assert calls == []
 
@@ -364,6 +401,143 @@ class TestOutcomeDistribution:
                                        check_psd=False)
         with pytest.raises(StateValidationError, match=r"copy 1 has eigenvalue -"):
             outcome_distribution([good, bad], 2)
+
+
+def padded(matrix, kept, cutoff):
+    """Density operator on ``cutoff`` whose levels past the ``kept`` cutoffs
+    (d_a, d_b) are exactly empty."""
+    d_a, d_b = kept
+    t = np.zeros((cutoff.d_a, cutoff.d_b, cutoff.d_a, cutoff.d_b), dtype=complex)
+    t[:d_a, :d_b, :d_a, :d_b] = np.asarray(matrix).reshape(d_a, d_b, d_a, d_b)
+    return BipartiteDensityOperator(cutoff, t.reshape(cutoff.dim, cutoff.dim))
+
+
+def low_rank_copy(rng, kept, cutoff, rank):
+    """Random rank-``rank`` copy with populated last levels at ``kept`` and
+    empty levels from there up to ``cutoff``."""
+    dim = kept[0] * kept[1]
+    return padded(random_density(rng, dim, rank=min(rank, dim)), kept, cutoff)
+
+
+def readout_value(copies):
+    """Expectation of the root-of-unity readout value, complex."""
+    dist = outcome_distribution(copies, len(copies))
+    return dist.as_arrays()[1] @ circuits.outcome_weights(dist)[1]
+
+
+def common_cutoff_trace(copies):
+    """pt_product_trace of the copies embedded in their largest cutoffs."""
+    cutoff = ModeCutoff(max(c.d_a for c in copies), max(c.d_b for c in copies))
+    return pt_product_trace([padded(c.matrix, (c.d_a, c.d_b), cutoff) for c in copies])
+
+
+class TestTrimming:
+    def test_drops_an_empty_trailing_level_on_one_side(self, rng):
+        rho = low_rank_copy(rng, (2, 3), ModeCutoff(3, 3), 2)
+        mat, d_a, d_b = circuits._trimmed(rho)
+        assert (d_a, d_b) == (2, 3)
+        np.testing.assert_array_equal(mat, rho.as_tensor()[:2, :3, :2, :3].reshape(6, 6))
+
+    def test_keeps_a_populated_last_level_and_inner_empty_levels(self):
+        # level 1 of A is empty, level 2 is not: nothing is trimmed
+        vec = np.zeros(9)
+        vec[0] = vec[2 * 3 + 2] = BAL
+        rho = BipartiteDensityOperator.from_state_vector(vec, ModeCutoff(3, 3))
+        assert circuits._trimmed(rho)[1:] == (3, 3)
+
+    def test_noon_guard_level_is_trimmed_for_the_readout_only(self):
+        rho = lossy_noon_density(LossyNOONParams.balanced(2, 0.8))
+        assert rho.cutoff == ModeCutoff(4, 4)
+        assert circuits._trimmed(rho)[1:] == (3, 3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("shapes", [
+        pytest.param([((2, 3), (3, 3))], id="empty_level_on_A_only"),
+        pytest.param([((3, 2), (3, 3))], id="empty_level_on_B_only"),
+        pytest.param([((3, 3), (3, 3))], id="populated_last_level"),
+        pytest.param([((2, 2), (2, 2)), ((3, 2), (4, 2)), ((2, 3), (2, 3))],
+                     id="unequal_cutoffs"),
+    ])
+    def test_readout_equals_oracle(self, n, shapes, rng):
+        copies = [low_rank_copy(rng, kept, ModeCutoff(*cutoff), 2)
+                  for kept, cutoff in (shapes * n)[:n]]
+        assert readout_value(copies) == pytest.approx(common_cutoff_trace(copies), abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_readout_equals_oracle_on_random_low_rank_copies(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        copies = []
+        for _ in range(n):
+            kept = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+            cutoff = ModeCutoff(kept[0] + data.draw(st.integers(0, 1)),
+                                kept[1] + data.draw(st.integers(0, 1)))
+            copies.append(low_rank_copy(rng, kept, cutoff, data.draw(st.integers(1, 3))))
+        assert readout_value(copies) == pytest.approx(common_cutoff_trace(copies), abs=1e-12)
+
+
+class TestMoreCopies:
+    @pytest.mark.parametrize("n_pop, n", [(1, 4), (1, 5), (2, 4)])
+    def test_lossy_noon_matches_oracle(self, n_pop, n):
+        rho = lossy_noon_density(LossyNOONParams.balanced(n_pop, 0.8))
+        dist = outcome_distribution([rho] * n, n)
+        assert multicopy_expectation(dist) == pytest.approx(pt_moments(rho, n)[n - 1],
+                                                            abs=1e-12)
+
+    def test_small_cat_at_four_copies(self):
+        rho = cat_density(CatParams(0.2, 0.2, 0.0, "odd"), ModeCutoff(4, 4))
+        dist = outcome_distribution([rho] * 4, 4)
+        assert multicopy_expectation(dist) == pytest.approx(pt_moments(rho, 4)[3], abs=1e-12)
+
+    def test_five_copies_at_the_default_cutoff(self, monkeypatch):
+        # the default cutoff (3, 3) carries an empty guard level per mode; the
+        # full grid would hold 11^8 outcome cells, the trimmed simplex 126^2
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.8))
+        assert rho.cutoff == ModeCutoff(3, 3)
+        seen = []
+        cost = circuits._readout_cost
+        monkeypatch.setattr(circuits, "_readout_cost",
+                            lambda *args: seen.append(args[:3]) or cost(*args))
+        dist = outcome_distribution([rho] * 5, 5)
+        assert seen == [(5, 6, 6)]
+        assert multicopy_expectation(dist) == pytest.approx(pt_moments(rho, 5)[4], abs=1e-12)
+
+
+def readout_benchmark_cases():
+    """The copies of the readout benchmark: lossy N=1 NOON at four
+    transmissivities and n = 2, 3, lossy N=3 NOON at n=3, the odd cat at n=3
+    and the odd cat after loss on both modes at n=2."""
+    cases = []
+    for tau in (1.0, 0.9, 0.75, 0.6):
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, tau))
+        cases += [pytest.param([rho] * n, id=f"noon1_tau{tau}_n{n}") for n in (2, 3)]
+    cases.append(pytest.param([lossy_noon_density(LossyNOONParams.balanced(3, 0.75))] * 3,
+                              id="noon3_n3"))
+    cat = cat_density(CatParams(0.5, 0.5, 0.5, "odd"))
+    cases.append(pytest.param([cat] * 3, id="cat_n3"))
+    lossy = lossy_channel(lossy_channel(cat, 0.8, "a"), 0.8, "b")
+    cases.append(pytest.param([lossy] * 2, id="lossycat_n2"))
+    return cases
+
+
+class TestReadoutMemory:
+    @pytest.mark.parametrize("copies", readout_benchmark_cases())
+    def test_peak_within_three_times_the_counted_entries(self, copies, monkeypatch):
+        # the counted entries are complex (16 bytes); 64 KiB covers the fixed
+        # cost of a call, which dominates the smallest cases
+        counted = []
+        cost = circuits._readout_cost
+        monkeypatch.setattr(circuits, "_readout_cost",
+                            lambda *args: counted.append(cost(*args)) or counted[-1])
+        circuits._sector_unitaries.cache_clear()
+        tracemalloc.start()
+        try:
+            outcome_distribution(copies, len(copies))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (entries, _), = counted
+        assert peak <= 3 * 16 * entries + 64 * 1024
 
 
 class TestMulticopyExpectation:
@@ -435,29 +609,36 @@ class TestMulticopyExpectation:
             assert multicopy_expectation(d3) == pytest.approx(p3, abs=1e-10)
 
 
+def on_grid(probs):
+    """OutcomeDistribution of a dense array, every cell listed in C order."""
+    probs = np.asarray(probs, dtype=float)
+    return OutcomeDistribution(np.indices(probs.shape).reshape(probs.ndim, -1).T,
+                               probs.reshape(-1))
+
+
 class TestDistributionValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ToleranceError):
-            OutcomeDistribution([[0.7]])
+            on_grid([[0.7]])
 
     def test_rejects_negative_entry_before_flooring(self):
-        # outcome_distribution hands over its raw array; flooring tiny entries
-        # must not hide a negative one from this check
+        # outcome_distribution hands over its raw probabilities; flooring tiny
+        # entries must not hide a negative one from this check
         with pytest.raises(ToleranceError):
-            OutcomeDistribution([[0.6, 0.5], [0.0, -0.1]])
+            on_grid([[0.6, 0.5], [0.0, -0.1]])
 
     def test_floors_noise_out_of_the_support(self):
-        dist = OutcomeDistribution([[0.5, 1e-31], [-1e-17, 0.5]])
+        dist = on_grid([[0.5, 1e-31], [-1e-17, 0.5]])
         assert dist.outcomes() == [(0, 0), (1, 1)]
         assert dist.probability((1, 0)) == 0.0
         # the floor is 1e-14 of the largest entry, not an absolute level
-        dist = OutcomeDistribution([[0.5, 4e-15], [0.0, 0.5]])
+        dist = on_grid([[0.5, 4e-15], [0.0, 0.5]])
         assert dist.outcomes() == [(0, 0), (1, 1)]
-        dist = OutcomeDistribution([[1.0, 2e-14]])
+        dist = on_grid([[1.0, 2e-14]])
         assert dist.outcomes() == [(0, 0), (0, 1)]
 
     def test_probability_off_the_grid_is_zero(self):
-        dist = OutcomeDistribution([[0.25, 0.25], [0.0, 0.5]])
+        dist = on_grid([[0.25, 0.25], [0.0, 0.5]])
         assert dist.probability((1, 1)) == 0.5
         for outcome in [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 2), (0,), (0, 0, 0)]:
             assert dist.probability(outcome) == 0.0
@@ -465,12 +646,32 @@ class TestDistributionValidation:
     def test_copy_count_and_order_follow_the_array(self):
         probs = np.zeros((3, 3, 3, 3))
         probs[2, 0, 1, 1] = probs[0, 1, 0, 0] = probs[0, 0, 2, 0] = 1.0 / 3.0
-        dist = OutcomeDistribution(probs)
+        dist = on_grid(probs)
         assert dist.n_copies == 3
         keys, values = dist.as_arrays()
         assert keys == sorted(keys) == [(0, 0, 2, 0), (0, 1, 0, 0), (2, 0, 1, 1)]
         assert all(type(x) is int for key in keys for x in key)
         np.testing.assert_array_equal(values, [1.0 / 3.0] * 3)
+
+    def test_stores_only_the_support(self):
+        dist = OutcomeDistribution([[0, 0, 0, 0], [0, 1, 0, 0], [2, 0, 1, 1]],
+                                   [0.5, 0.0, 0.5])
+        assert dist.n_copies == 3
+        assert dist.outcomes() == [(0, 0, 0, 0), (2, 0, 1, 1)]
+        assert dist.probability((2, 0, 1, 1)) == 0.5
+        assert dist.probability((0, 1, 0, 0)) == 0.0
+
+    @pytest.mark.parametrize("cells", [[[0, 1], [0, 0]], [[0, 1], [0, 1]],
+                                       [[1, 0], [0, 2]]])
+    def test_rejects_cells_out_of_order_or_repeated(self, cells):
+        with pytest.raises(ValueError, match="lexicographic"):
+            OutcomeDistribution(cells, [0.5, 0.5])
+
+    @pytest.mark.parametrize("cells, probs", [([[0, 0, 0]], [1.0]), ([0, 0], [1.0]),
+                                              ([[0, 0], [0, 1]], [1.0])])
+    def test_rejects_mismatched_shapes(self, cells, probs):
+        with pytest.raises(ValueError, match="expected cells"):
+            OutcomeDistribution(cells, probs)
 
     def test_readout_values_per_outcome(self):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))

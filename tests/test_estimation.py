@@ -39,6 +39,13 @@ def dist_for(tau, n):
     return circuits.outcome_distribution([rho] * n, n)
 
 
+def flat_cells(dist, n):
+    """Outcomes of ``dist`` as flat indices on the grid of n + 1 levels per
+    count, and their probabilities."""
+    outcomes, probs = dist.as_arrays()
+    return np.ravel_multi_index(np.array(outcomes).T, (n + 1,) * (2 * (n - 1))), probs
+
+
 @lru_cache(maxsize=None)
 def reachable_cells(n):
     """Flat outcome cells in the support of some product of the four lossy
@@ -46,14 +53,13 @@ def reachable_cells(n):
     basis = [lossy_noon_density(LossyNOONParams(NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t),
                                 ModeCutoff(2, 2))
              for a, t in ((BAL, 0.0), (1.0, 1.0), (0.0, 1.0), (BAL, 1.0))]
-    support = sum(circuits.outcome_distribution(copies, n).probs.reshape(-1) > 0
-                  for copies in product(basis, repeat=n))
-    return np.flatnonzero(support)
+    return np.unique(np.concatenate([flat_cells(circuits.outcome_distribution(copies, n), n)[0]
+                                     for copies in product(basis, repeat=n)]))
 
 
 class TestSamplePn:
     def test_concentrated_distribution(self, rng):
-        dist = circuits.OutcomeDistribution([[1.0]])
+        dist = circuits.OutcomeDistribution([[0, 0]], [1.0])
         for k in (1, 5, 50):
             assert sample_pn(dist, 2, k, rng) == pytest.approx(1.0)
 
@@ -258,7 +264,9 @@ class TestFastNoon1Path:
         copies = [lossy_noon_density(
             LossyNOONParams(NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t), ModeCutoff(2, 2))
             for a, t in params]
-        engine = circuits.outcome_distribution(copies, n).probs.reshape(-1)
+        engine = np.zeros((n + 1) ** (2 * (n - 1)))
+        cells, probs = flat_cells(circuits.outcome_distribution(copies, n), n)
+        engine[cells] = probs
         rows = _noon1_distributions(n, np.array([[a for a, _ in params]]),
                                     np.array([[t for _, t in params]]))
         cells = reachable_cells(n)
@@ -270,7 +278,8 @@ class TestFastNoon1Path:
             table, cumtable, values = _noon1_tables(n)
             assert table.shape == (4 ** n, kept) and values.shape == (kept,)
             np.testing.assert_array_equal(cumtable, np.cumsum(table, axis=1))
-            full = circuits._readout_values((n + 1,) * (2 * (n - 1))).reshape(-1)
+            grid = (n + 1,) * (2 * (n - 1))
+            full = circuits._readout_values(np.indices(grid).reshape(len(grid), -1).T)
             np.testing.assert_array_equal(values, full[reachable_cells(n)])
 
 
