@@ -21,7 +21,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-from scipy import optimize
 
 from . import circuits, criteria, estimation, gaussian, noon_tables, states
 from .errors import DomainError, PtmomentsError
@@ -250,6 +249,7 @@ def _lossy_noon_optimal_witness(n: int, tau: float) -> tuple[float, float, float
 
 
 def _fig3a(args):
+    from scipy import optimize  # the package's only scipy use, loaded here
     rows = []
     for n in range(1, 11):
         for tau in np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10):
@@ -278,11 +278,10 @@ def _fig3b(args):
             alphas, taus = (varied, fixed) if panel == "alpha" else (fixed, varied)
             p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2]).real
             p3 = estimation.noon1_moments(3, alphas, taus).real
+            w = p3 - criteria.optimal_threshold(np.clip(p2, 1e-9, 1.0))
             for i in range(x2.size):
-                p2i = min(max(float(p2[i]), 1e-9), 1.0)
-                w = float(p3[i]) - criteria.optimal_threshold(p2i)
                 rows.append((panel, tau1, float(x2[i]), float(x3[i]),
-                             float(p2[i]), float(p3[i]), w, w < 0))
+                             float(p2[i]), float(p3[i]), float(w[i]), bool(w[i] < 0)))
     _emit(args, "fig3b", ["panel", "tau1", "x2", "x3", "p2", "p3", "w_optimal",
                           "detected"], rows, note="x2/x3 vary the second and third copy")
 
@@ -322,6 +321,7 @@ def _fig5_row(n_bar: float, r: float) -> tuple:
 
 
 def _fig5(args):
+    from scipy import optimize  # the package's only scipy use, loaded here
     n_bar = (math.sqrt(2.0) - 1.0) / 2.0
     rows = [_fig5_row(n_bar, float(r)) for r in np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)]
     for col, name in enumerate(("hankel3", "hankel5", "hankel7", "simon"), start=3):

@@ -321,9 +321,7 @@ def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _optimal_witness_from_estimates(p2_k: np.ndarray, p3_k: np.ndarray) -> np.ndarray:
-    p2_clip = np.clip(p2_k.real, 1e-9, 1.0)
-    thr = np.array([optimal_threshold(v) for v in p2_clip])
-    return p3_k.real - thr
+    return p3_k.real - optimal_threshold(np.clip(p2_k.real, 1e-9, 1.0))
 
 
 def full_simulation(params: LossyNOONParams, plan: SamplingPlan,

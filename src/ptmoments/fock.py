@@ -16,19 +16,21 @@ Spectra (the positivity check on construction, ``spectrum`` and
 the matrix's exact nonzero pattern.  No entry is dropped, so this is exact.
 The partial transposes of the paper's families split this way: the two-mode
 squeezed vacuum conserves N_A + N_B after the partial transpose, cat states
-conserve parity.
+conserve parity.  The components are labelled in numpy: each node is hooked
+onto the smallest node of its row, then the entries that still join two
+trees hook root onto root until none does.
 
 Memory: an operator stores one copy of its matrix.  The constructor copies a
 caller's array once; the package's own builders hand over the matrix they
-have just made, without that copy.  The constructor's finiteness and
-hermiticity checks run over row chunks of a fixed byte budget
-(``_CHUNK_BYTES``), and its positivity check symmetrises each block instead
-of the whole matrix.  ``pt_moments`` never builds the partially transposed
-matrix: it permutes the boolean nonzero pattern and gathers each block
-straight from ``rho``'s entries.  Beyond the stored copy, the temporaries are
-the chunks, the boolean pattern (1/16 of the matrix), its component graph and
-the blocks; only an unstructured matrix, whose one block is the whole
-matrix, needs more than a fraction of its own size.
+have just made, without that copy.  The constructor's checks and the
+labelling read the matrix and its boolean pattern (1/16 of its size) in row
+chunks of a fixed byte budget (``_CHUNK_BYTES``); the labelling keeps only
+per-node pointers and the entries that join two trees.  The positivity check
+symmetrises each block instead of the whole matrix.  ``pt_moments`` never
+builds the partially transposed matrix: it permutes the boolean pattern and
+gathers each block straight from ``rho``'s entries.  Beyond the stored copy
+and the pattern, only the blocks can take more than a fraction of the
+matrix's size: an unstructured matrix is one block.
 
 Basis convention: the two-mode basis state |i>_A |j>_B is stored at row/column
 index ``i * d_b + j`` for level cutoffs ``d_a`` and ``d_b``.
@@ -36,13 +38,12 @@ index ``i * d_b + j`` for level cutoffs ``d_a`` and ``d_b``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, special
-from scipy.sparse.csgraph import connected_components
 
-from .errors import CutoffError, HermiticityError, StateValidationError
+from .errors import CutoffError, DomainError, HermiticityError, StateValidationError
 
 __all__ = [
     "ToleranceProfile",
@@ -206,26 +207,51 @@ def _principal(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mat[idx[:, :, None], idx[:, None, :]]
 
 
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Flatten a forest of parent pointers: each node points to its root."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
 def _component_labels(pattern: np.ndarray) -> np.ndarray:
-    """Connected-component label of each node of a fresh boolean pattern,
-    taken as an undirected graph (the pattern is symmetrised in place)."""
-    pattern |= pattern.T
-    # CSR built by hand, and strong components instead of directed=False:
-    # scipy's dense-to-sparse conversion and the transposed copy that
-    # directed=False makes would triple this step on an unstructured matrix.
-    # On a symmetric pattern the strongly connected components are the
-    # undirected ones.  The graph dies on return, before any block is built.
-    cols = np.flatnonzero(pattern) % len(pattern)
-    indptr = np.zeros(len(pattern) + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(pattern, axis=1), out=indptr[1:])
-    graph = sparse.csr_array((np.ones(cols.size), cols, indptr), shape=pattern.shape)
-    return connected_components(graph, connection="strong")[1]
+    """Connected-component label of each node of a square boolean pattern,
+    taken as an undirected graph and read only; components are numbered by
+    their smallest node, the root of their tree (every pointer runs from a
+    node to a smaller one)."""
+    n = len(pattern)
+    nodes = np.arange(n)
+    first = pattern.argmax(axis=1)
+    parent = _roots(np.where(pattern[nodes, first], np.minimum(first, nodes), nodes))
+    ra, rb = [], []
+    for rows in _row_chunks(n):
+        block = pattern[rows]
+        if np.count_nonzero(block) * 16 > block.size:
+            # dense rows: drop the entries inside one tree before indexing
+            block = block & (parent[rows, None] != parent)
+        flat = np.flatnonzero(block)
+        a, b = parent[flat // n + rows.start], parent[flat % n]
+        cross = a != b
+        ra.append(a[cross])
+        rb.append(b[cross])
+    ra, rb = np.concatenate(ra), np.concatenate(rb)
+    while ra.size:
+        # an edge joining two trees hooks the larger root onto the smaller
+        np.minimum.at(parent, ra, rb)
+        np.minimum.at(parent, rb, ra)
+        parent = _roots(parent)
+        ra, rb = parent[ra], parent[rb]
+        cross = ra != rb
+        ra, rb = ra[cross], rb[cross]
+    return (np.cumsum(parent == nodes) - 1)[parent]
 
 
 def _block_eigvalsh(pattern: np.ndarray, gather) -> np.ndarray:
     """Eigenvalues of a hermitian matrix, ascending, computed per block.
 
-    ``pattern`` is the matrix's exact nonzero pattern, a fresh boolean array;
+    ``pattern`` is the matrix's exact nonzero pattern as a boolean array;
     ``gather(idx)`` returns the matrix's principal submatrices over the rows
     of the index array ``idx``, stacked.  The blocks are the connected
     components of the pattern taken as an undirected graph, so every entry
@@ -347,11 +373,28 @@ def pure_state_pt_moment(schmidt_probs, n: int) -> float:
     return float(np.sum(lam ** (n // 2)) ** 2)
 
 
+def _poisson_tail(k: int, mean: float) -> float:
+    """P(X > k) for X ~ Poisson(mean), summed from the term j = k + 1 up."""
+    tail, j = 0.0, k + 1
+    term = math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) if mean else 0.0
+    # the terms rise up to the mode and fall past it: stop at the first one
+    # that no longer changes the sum
+    while tail + term != tail:
+        tail += term
+        j += 1
+        term *= mean / j
+    return tail
+
+
 def coherent_cutoff(alphas, tol: float = DEFAULT_TOL.trunc, guard: int = 1) -> int:
-    """Smallest Fock dimension whose Poisson tail is below ``tol`` for every
-    displacement in ``alphas``, plus ``guard`` empty levels on top."""
-    mean = max((abs(a) ** 2 for a in np.atleast_1d(alphas)), default=0.0)
+    """Smallest Fock dimension d whose Poisson tail P(n >= d), summed term by
+    term, is below ``tol`` for every displacement in ``alphas``, plus
+    ``guard`` empty levels on top."""
+    alphas = np.atleast_1d(alphas)
+    mean = max((abs(a) ** 2 for a in alphas), default=0.0)
+    if not (np.isfinite(alphas).all() and math.isfinite(mean)):
+        raise DomainError(f"displacements must be finite, got {alphas}")
     d = 1
-    while special.pdtrc(d - 1, mean) >= tol:
+    while _poisson_tail(d - 1, mean) >= tol:
         d += 1
     return d + guard

@@ -196,6 +196,28 @@ class TestThirdOrder:
             assert below == pytest.approx(above, abs=1e-7)
 
 
+class TestOptimalThresholdArrays:
+    def test_array_form_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        inv = 1.0 / np.arange(1, 400)
+        p2 = np.concatenate([rng.uniform(1e-9, 1.0, 20000), 10 ** rng.uniform(-9, 0, 5000),
+                             inv, np.nextafter(inv, 0.0), np.nextafter(inv[1:], 1.0),
+                             [1e-9, 1.0]])
+        scalar = np.array([optimal_threshold(v) for v in p2.tolist()])
+        assert optimal_threshold(p2).tobytes() == scalar.tobytes()
+        grid = p2[:12].reshape(3, 4)
+        assert optimal_threshold(grid).tobytes() == scalar[:12].reshape(3, 4).tobytes()
+
+    def test_scalar_gives_float(self):
+        for p2 in (0.4, np.float64(0.4), np.array(0.4)):
+            assert type(optimal_threshold(p2)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, math.nan, math.inf])
+    def test_array_outside_domain_rejected(self, bad):
+        with pytest.raises(DomainError):
+            optimal_threshold(np.array([0.5, bad, 0.25]))
+
+
 class TestGaussianThirdOrder:
     def test_boundary_values(self):
         r = simon_gaussian3(1.0, 1.0)

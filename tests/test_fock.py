@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmoments import fock
-from ptmoments.errors import CutoffError, HermiticityError, StateValidationError
+from ptmoments.errors import CutoffError, DomainError, HermiticityError, StateValidationError
 from ptmoments.fock import (
     DEFAULT_TOL,
     BipartiteDensityOperator,
@@ -361,6 +361,83 @@ class TestBlockSpectrum:
         self.assert_matches_dense(ModeCutoff(2, 2), mat, atol=1e-14)
 
 
+def scipy_labels(pattern):
+    """Reference labelling: scipy's undirected connected components, which
+    numbers the components by their smallest node."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(sparse.csr_array(pattern), directed=False)[1]
+
+
+def path_pattern(n, reverse=False):
+    p = np.zeros((n, n), dtype=bool)
+    i = np.arange(n - 1)
+    p[(i + 1, i) if reverse else (i, i + 1)] = True
+    return p
+
+
+def star_pattern(n, centre):
+    p = np.zeros((n, n), dtype=bool)
+    p[centre, :] = True
+    return p
+
+
+class TestComponentLabels:
+    """fock._component_labels against scipy's connected components: the same
+    partition, numbered by smallest node, on patterns read but not written."""
+
+    @staticmethod
+    def assert_matches_scipy(pattern, chunk_bytes=None):
+        before = pattern.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_bytes is not None:
+                mp.setattr(fock, "_CHUNK_BYTES", chunk_bytes)
+            labels = fock._component_labels(pattern)
+        np.testing.assert_array_equal(labels, scipy_labels(pattern))
+        np.testing.assert_array_equal(pattern, before)
+
+    @pytest.mark.parametrize("name, pattern", [
+        ("one node", np.ones((1, 1), dtype=bool)),
+        ("one empty node", np.zeros((1, 1), dtype=bool)),
+        ("isolated", np.zeros((50, 50), dtype=bool)),
+        ("diagonal", np.eye(50, dtype=bool)),
+        ("path", path_pattern(300)),
+        ("reversed path", path_pattern(300, reverse=True)),
+        ("star from 0", star_pattern(40, 0)),
+        ("star into 0", star_pattern(40, 0).T.copy()),
+        ("star from last", star_pattern(40, 39)),
+        ("full", np.ones((300, 300), dtype=bool)),
+    ])
+    @pytest.mark.parametrize("chunk_bytes", [None, 64])
+    def test_fixed_patterns(self, name, pattern, chunk_bytes):
+        self.assert_matches_scipy(pattern, chunk_bytes)
+
+    @pytest.mark.parametrize("case", ["tmsv_d30", "odd_cat"])
+    def test_partial_transpose_patterns(self, case):
+        rho = (tmsv_density(0.5, 30) if case == "tmsv_d30"
+               else cat_density(CatParams(2.0, 2.0, 0.5, "odd")))
+        for op in (rho, partial_transpose(rho)):
+            self.assert_matches_scipy(op.matrix != 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([0.01, 0.05, 0.2, 0.9]), st.booleans(),
+           st.integers(0, 5), st.sampled_from([None, 32, 512]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_random_asymmetric_patterns(self, n, density, zero_diagonal, n_empty,
+                                        chunk_bytes, seed):
+        # asymmetric entries, some nodes with an empty row and column, and
+        # small chunks so that edges cross chunk boundaries
+        rng = np.random.default_rng(seed)
+        pattern = rng.random((n, n)) < density
+        if zero_diagonal:
+            np.fill_diagonal(pattern, False)
+        empty = rng.choice(n, size=min(n_empty, n), replace=False)
+        pattern[empty, :] = False
+        pattern[:, empty] = False
+        perm = rng.permutation(n)
+        self.assert_matches_scipy(pattern[np.ix_(perm, perm)], chunk_bytes)
+
+
 class TestMemory:
     """Peak traced allocation of the oracle on TMSV d=30, against the size of
     its matrix: one stored copy, row-chunk temporaries, no transposed matrix."""
@@ -392,6 +469,13 @@ class TestMemory:
     def test_pt_moments(self):
         rho = tmsv_density(0.5, 30)
         assert self.peak_ratio(lambda: pt_moments(rho, 7), rho.matrix.nbytes) <= 0.25
+
+    def test_component_labels_on_unstructured_pattern(self, rng):
+        # a random d=30 state is one component with every entry nonzero; the
+        # scan holds row chunks, not index arrays over the whole pattern
+        mat = random_density(rng, 900)
+        pattern = mat != 0
+        assert self.peak_ratio(lambda: fock._component_labels(pattern), mat.nbytes) <= 0.5
 
 
 class TestModeMoment:
@@ -442,6 +526,8 @@ class TestThermalPurity:
 
 
 class TestCoherentCutoff:
+    ALPHAS = np.round(np.arange(0.0, 6.0 + 1e-12, 0.05), 10)
+
     def test_monotone_in_amplitude(self):
         assert coherent_cutoff([0.0]) <= coherent_cutoff([1.0]) <= coherent_cutoff([2.0])
 
@@ -451,3 +537,29 @@ class TestCoherentCutoff:
             d = coherent_cutoff([a], tol=1e-6, guard=0)
             assert stats.poisson.sf(d - 1, a ** 2) < 1e-6
             assert stats.poisson.sf(d - 2, a ** 2) >= 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("guard", [0, 1])
+    def test_matches_pdtrc_reference(self, tol, guard):
+        from scipy.special import pdtrc
+        for a in self.ALPHAS:
+            d = 1
+            while pdtrc(d - 1, a ** 2) >= tol:
+                d += 1
+            assert coherent_cutoff([a], tol=tol, guard=guard) == d + guard
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_non_finite_displacement_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            coherent_cutoff([1.0, alpha])
+
+    def test_tail_against_pdtrc(self):
+        from scipy.special import pdtrc
+        for a in self.ALPHAS:
+            mean = float(a ** 2)
+            for k in range(400):
+                tail, ref = fock._poisson_tail(k, mean), pdtrc(k, mean)
+                if mean == 0:
+                    assert tail == 0.0
+                elif ref > 1e-300:
+                    assert abs(tail - ref) <= 1e-12 * ref, (k, mean)
