@@ -243,23 +243,28 @@ def _fig2e(args):
     _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], rows)
 
 
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of ``f`` on [lo, hi], where it changes sign, to within xtol."""
+    positive = f(lo) > 0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (f(mid) > 0) == positive else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def _lossy_noon_optimal_witness(n: int, tau: float) -> tuple[float, float, float]:
     p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
     return p2, p3, p3 - criteria.optimal_threshold(p2)
 
 
 def _fig3a(args):
-    from scipy import optimize  # the package's only scipy use, loaded here
     rows = []
     for n in range(1, 11):
         for tau in np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10):
             p2, p3, w = _lossy_noon_optimal_witness(n, float(tau))
             rows.append((n, float(tau), p2, p3, w))
         f = lambda t: _lossy_noon_optimal_witness(n, t)[2]
-        if f(0.501) > 0:
-            crossing = optimize.brentq(f, 0.501, 0.9999, xtol=1e-9)
-        else:
-            crossing = 0.5
+        crossing = _bisect(f, 0.501, 0.9999, xtol=1e-9) if f(0.501) > 0 else 0.5
         print(f"N={n}: optimal witness crosses zero at tau = {crossing:.6f}")
     _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], rows)
 
@@ -321,12 +326,11 @@ def _fig5_row(n_bar: float, r: float) -> tuple:
 
 
 def _fig5(args):
-    from scipy import optimize  # the package's only scipy use, loaded here
     n_bar = (math.sqrt(2.0) - 1.0) / 2.0
     rows = [_fig5_row(n_bar, float(r)) for r in np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)]
     for col, name in enumerate(("hankel3", "hankel5", "hankel7", "simon"), start=3):
         f = lambda r: _fig5_row(n_bar, r)[col]
-        crossing = optimize.brentq(f, 1e-4, 0.6, xtol=1e-10)
+        crossing = _bisect(f, 1e-4, 0.6, xtol=1e-10)
         print(f"{name}: first detection at r = {crossing:.6f}")
     _emit(args, "fig5", ["r", "nu1", "nu2", "w_hankel3", "w_hankel5", "w_hankel7",
                          "w_simon"], rows, n_bar=n_bar)

@@ -11,26 +11,27 @@ against the one tolerance set ``DEFAULT_TOL``; ``spectrum`` and ``pt_moments``
 take an operator and trust that check.  Only ``coherent_cutoff`` takes a
 tolerance argument, its tail bound, which defaults to ``DEFAULT_TOL.trunc``.
 
-Spectra (the positivity check on construction, ``spectrum`` and
-``pt_moments``) are computed block by block over the connected components of
-the matrix's exact nonzero pattern.  No entry is dropped, so this is exact.
-The partial transposes of the paper's families split this way: the two-mode
-squeezed vacuum conserves N_A + N_B after the partial transpose, cat states
-conserve parity.  The components are labelled in numpy: each node is hooked
-onto the smallest node of its row, then the entries that still join two
-trees hook root onto root until none does.
+Spectra (``spectrum`` and ``pt_moments``) are computed block by block over
+the connected components of the matrix's exact nonzero pattern.  No entry is
+dropped, so this is exact.  The partial transposes of the paper's families
+split this way: the two-mode squeezed vacuum conserves N_A + N_B after the
+partial transpose, cat states conserve parity.  The components are labelled
+in numpy: each node is hooked onto the smallest node of its row, then the
+entries that still join two trees hook root onto root until none does.
+Positivity on construction is a Cholesky certificate of 0.5 * (rho + rho^H)
++ psd * I per block; ``eigvalsh`` runs only to name a rejection.
 
 Memory: an operator stores one copy of its matrix.  The constructor copies a
 caller's array once; the package's own builders hand over the matrix they
-have just made, without that copy.  The constructor's checks and the
-labelling read the matrix and its boolean pattern (1/16 of its size) in row
-chunks of a fixed byte budget (``_CHUNK_BYTES``); the labelling keeps only
-per-node pointers and the entries that join two trees.  The positivity check
-symmetrises each block instead of the whole matrix.  ``pt_moments`` never
-builds the partially transposed matrix: it permutes the boolean pattern and
-gathers each block straight from ``rho``'s entries.  Beyond the stored copy
-and the pattern, only the blocks can take more than a fraction of the
-matrix's size: an unstructured matrix is one block.
+have just made, without that copy.  The constructor reads the matrix once
+for finiteness and hermiticity, and the labelling its boolean pattern (1/16
+of its size), in row chunks of a fixed byte budget (``_CHUNK_BYTES``); the
+labelling keeps per-node pointers and the entries that join two trees.  The
+positivity check symmetrises and shifts each block in place.  ``pt_moments``
+permutes the boolean pattern and gathers each block of the partial transpose
+straight from ``rho``'s entries.  Beyond the stored copy and the pattern,
+only the blocks and their Cholesky factors can take more than a fraction of
+the matrix's size: an unstructured matrix is one block.
 
 Basis convention: the two-mode basis state |i>_A |j>_B is stored at row/column
 index ``i * d_b + j`` for level cutoffs ``d_a`` and ``d_b``.
@@ -130,23 +131,16 @@ class BipartiteDensityOperator:
         dim = cutoff.dim
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {dim}")
-        chunks = _row_chunks(dim)
-        # NaN compares false against every tolerance, so it would pass the
-        # hermiticity and trace checks and surface as a NaN moment.  Every
-        # chunk is checked first: a residue chunk reads columns of all rows.
-        if not all(np.isfinite(mat[rows]).all() for rows in chunks):
-            raise StateValidationError("matrix has non-finite entries")
-        # max |mat - mat^H| over row chunks: the same entries, the same float
-        herm_residue = max(np.abs(mat[rows] - mat[:, rows].conj().T).max() for rows in chunks)
+        herm_residue = _hermiticity_residue(mat)
         if herm_residue > DEFAULT_TOL.herm:
             raise HermiticityError(f"hermiticity residue {herm_residue:.3e} "
                                    f"> {DEFAULT_TOL.herm:.1e}")
         tr = np.trace(mat)
         if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
-        if check_psd:
-            # the blocks are principal submatrices, so symmetrising each one
-            # gives the entries of 0.5 * (mat + mat^H) bit for bit
+        if check_psd and not _psd_certified(mat):
+            # name the rejection: symmetrising each principal block gives the
+            # entries of 0.5 * (mat + mat^H) bit for bit
             def hermitian_blocks(idx):
                 blocks = _principal(mat, idx)
                 blocks += blocks.conj().swapaxes(1, 2)
@@ -196,10 +190,41 @@ class BipartiteDensityOperator:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 
-def _row_chunks(dim: int) -> list[slice]:
-    """Row slices of a dim x dim complex matrix, each within _CHUNK_BYTES."""
-    rows = max(1, _CHUNK_BYTES // (16 * dim))
+def _row_chunks(dim: int, width: int | None = None) -> list[slice]:
+    """Row slices of dim rows of ``width`` (default dim) complex entries, within _CHUNK_BYTES."""
+    rows = max(1, _CHUNK_BYTES // (16 * (width or dim)))
     return [slice(start, start + rows) for start in range(0, dim, rows)]
+
+
+def _hermiticity_residue(mat: np.ndarray) -> float:
+    """max |mat - mat^H| from one read, each row chunk against the column slab
+    below its first row; raises on NaN or inf, which pass every tolerance."""
+    chunks = _row_chunks(len(mat))
+    with np.errstate(invalid="ignore", over="ignore"):
+        # chunk maxima in an array: Python's max() would drop a NaN
+        res = np.array([np.abs(mat[r, r.start:] - mat[r.start:, r].conj().T).max() for r in chunks])
+    # a non-finite entry makes its residue non-finite; so does an overflow
+    if not (np.isfinite(res).all() or all(np.isfinite(mat[r]).all() for r in chunks)):
+        raise StateValidationError("matrix has non-finite entries")
+    return res.max()
+
+
+def _psd_certified(mat: np.ndarray) -> bool:
+    """Whether every block of 0.5 * (mat + mat^H) + psd * I has a Cholesky factor,
+    which proves lambda_min >= -psd up to ~n * eps * |mat| (Higham 1990)."""
+    for idx in _block_groups(mat != 0):
+        blocks = _principal(mat, idx)
+        count, size = idx.shape
+        for r in _row_chunks(size, count * size):
+            lower = blocks[:, r, :r.stop]  # holds the lower triangle, which cholesky reads
+            lower += blocks[:, :r.stop, r].conj().swapaxes(1, 2)
+            lower *= 0.5
+        blocks.reshape(count, -1)[:, ::size + 1] += DEFAULT_TOL.psd
+        try:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def _principal(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -248,6 +273,17 @@ def _component_labels(pattern: np.ndarray) -> np.ndarray:
     return (np.cumsum(parent == nodes) - 1)[parent]
 
 
+def _block_groups(pattern: np.ndarray):
+    """Yields, per component size ascending, the (count, size) index array of
+    the pattern's undirected connected components, nodes ascending per row."""
+    labels = _component_labels(pattern)
+    size_of = np.bincount(labels)[labels]
+    # nodes grouped by component size, then by component, ascending within
+    order = np.lexsort((labels, size_of))
+    for group in np.split(order, np.flatnonzero(np.diff(size_of[order])) + 1):
+        yield group.reshape(-1, size_of[group[0]])
+
+
 def _block_eigvalsh(pattern: np.ndarray, gather) -> np.ndarray:
     """Eigenvalues of a hermitian matrix, ascending, computed per block.
 
@@ -259,17 +295,7 @@ def _block_eigvalsh(pattern: np.ndarray, gather) -> np.ndarray:
     agree in exact arithmetic.  Components of equal size are stacked and
     share one batched ``eigvalsh`` call.
     """
-    labels = _component_labels(pattern)
-    sizes = np.bincount(labels)
-    # nodes grouped by component size, then by component, ascending within
-    order = np.lexsort((labels, sizes[labels]))
-    counts = np.bincount(sizes)
-    vals = []
-    start = 0
-    for size in np.flatnonzero(counts):
-        stop = start + counts[size] * size
-        vals.append(np.linalg.eigvalsh(gather(order[start:stop].reshape(-1, size))).ravel())
-        start = stop
+    vals = [np.linalg.eigvalsh(gather(idx)).ravel() for idx in _block_groups(pattern)]
     return np.sort(np.concatenate(vals))
 
 

@@ -319,6 +319,7 @@ class TestRoundTrip:
 
 HOT_PATHS = """
 import sys
+import tempfile
 import ptmoments.cli
 from ptmoments import circuits, estimation, fock, states
 
@@ -330,13 +331,16 @@ estimation.full_simulation(states.LossyNOONParams.balanced(1, 0.8),
                            estimation.SamplingPlan(k=10, repetitions=2, master_seed=0),
                            k_values=(10,))
 assert ptmoments.cli.main(["criteria", "--family", "noon", "--N", "2", "--alpha", "0.6"]) == 0
+with tempfile.TemporaryDirectory() as out:
+    for target in ("fig3a", "fig5"):
+        assert ptmoments.cli.main(["reproduce", target, "--out", out]) == 0
 print("LOADED", [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
 """
 
 
 def test_hot_paths_load_no_scipy():
-    # the package imports numpy only; scipy.optimize is loaded by the fig3a
-    # and fig5 targets alone
+    # the package imports numpy only, on every path: the fig3a and fig5
+    # targets find their crossings by bisection
     src = str(Path(ptmoments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -95,6 +95,51 @@ class TestValidation:
         with pytest.raises(HermiticityError, match=re.escape(f"residue {residue:.3e} ")):
             embed(mat, cutoff)
 
+    @staticmethod
+    def last_chunk_cutoff():
+        cutoff = ModeCutoff(20, 15)
+        rows = fock._row_chunks(cutoff.dim)[0].stop
+        assert rows < cutoff.dim and cutoff.dim % rows != 0
+        return cutoff
+
+    @pytest.mark.parametrize("case", ["nan_lower_last_chunk", "inf_diagonal",
+                                      "inf_real_pair", "inf_imag_pair"])
+    def test_non_finite_found_by_the_residue_pass(self, case):
+        cutoff = self.last_chunk_cutoff()
+        dim = cutoff.dim
+        mat = np.eye(dim, dtype=complex) / dim
+        if case == "nan_lower_last_chunk":
+            mat[dim - 1, dim - 2] = np.nan
+        elif case == "inf_diagonal":
+            mat[dim - 1, dim - 1] = np.inf
+        elif case == "inf_real_pair":
+            mat[3, dim - 1] = mat[dim - 1, 3] = np.inf
+        else:
+            mat[3, dim - 1] = complex(0.0, np.inf)
+            mat[dim - 1, 3] = complex(0.0, -np.inf)
+        with pytest.raises(StateValidationError, match="^matrix has non-finite entries$"):
+            embed(mat, cutoff)
+
+    def test_overflowing_finite_pair_is_a_hermiticity_defect(self):
+        # every entry is finite; only the residue overflows
+        cutoff = self.last_chunk_cutoff()
+        dim = cutoff.dim
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[3, dim - 1], mat[dim - 1, 3] = 1e308, -1e308
+        with pytest.raises(HermiticityError, match=re.escape("hermiticity residue inf > 1.0e-09")):
+            embed(mat, cutoff)
+
+    @pytest.mark.parametrize("dim, chunk_bytes", [(7, None), (300, None), (300, 4096),
+                                                  (61, 16 * 61 * 5)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residue_is_the_full_matrix_formula(self, dim, chunk_bytes, seed, monkeypatch):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(fock, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(seed)
+        mat = random_density(rng, dim)
+        mat += 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        assert fock._hermiticity_residue(mat) == np.abs(mat - mat.conj().T).max()
+
 
 class TestPartialTranspose:
     def test_elementwise_definition(self, rng):
@@ -361,6 +406,108 @@ class TestBlockSpectrum:
         self.assert_matches_dense(ModeCutoff(2, 2), mat, atol=1e-14)
 
 
+def symmetrised_blocks(mat):
+    """The constructor's eigenvalue gather: principal blocks of 0.5 * (m + m^H)."""
+    def gather(idx):
+        blocks = fock._principal(mat, idx)
+        blocks += blocks.conj().swapaxes(1, 2)
+        blocks *= 0.5
+        return blocks
+    return gather
+
+
+def with_spectrum(rng, eigvals):
+    """Hermitian matrix with the given eigenvalues in a random unitary basis."""
+    dim = len(eigvals)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q = np.linalg.qr(g)[0]
+    return (q * np.asarray(eigvals)) @ q.conj().T
+
+
+class TestPsdCertificate:
+    """The constructor accepts by a Cholesky certificate and names a rejection
+    by the global minimum eigenvalue of the dense check."""
+
+    @pytest.mark.parametrize("dim", [2, 9, 36])
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boundary_verdict_matches_dense(self, dim, side, seed):
+        rng = np.random.default_rng(seed)
+        lam_min = -DEFAULT_TOL.psd * (1 + side * 1e-4)
+        rest = rng.uniform(0.5, 1.0, dim - 1)
+        rest *= (1 - lam_min) / rest.sum()
+        mat = with_spectrum(rng, np.concatenate([[lam_min], rest]))
+        mat = 0.5 * (mat + mat.conj().T)
+        dense_min = np.linalg.eigvalsh(mat).min()
+        assert (dense_min >= -DEFAULT_TOL.psd) == (side < 0)
+        assert psd_accepted(ModeCutoff(dim, 1), mat) == (side < 0)
+        assert fock._psd_certified(mat) == (side < 0)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 16 * 60 * 8])
+    @pytest.mark.parametrize("lam_min, side", [(-0.5e-8, -1), (-1.5e-8, 1)])
+    def test_certificate_reads_the_symmetrised_matrix(self, lam_min, side, chunk_bytes,
+                                                      monkeypatch, rng):
+        # an anti-hermitian defect within the tolerance, s * (L - L^H) with L
+        # the strict lower triangle of v v^H, v the minimum eigenvector: it
+        # vanishes from 0.5 * (m + m^H), but the lower triangle of m alone
+        # would move the minimum eigenvalue by about s across -psd
+        if chunk_bytes is not None:
+            monkeypatch.setattr(fock, "_CHUNK_BYTES", chunk_bytes)
+        dim, s = 60, 2e-8
+        v = np.exp(2j * np.pi * rng.random(dim)) / np.sqrt(dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g[:, 0] = v
+        q = np.linalg.qr(g)[0]
+        rest = rng.uniform(0.5, 1.0, dim - 1)
+        rest *= (1 - lam_min) / rest.sum()
+        mat = (q * np.concatenate([[lam_min], rest])) @ q.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        lower = s * np.tril(np.outer(q[:, 0], q[:, 0].conj()), -1)
+        mat += side * (lower - lower.conj().T)
+        assert np.abs(mat - mat.conj().T).max() <= DEFAULT_TOL.herm
+        accepted = lam_min >= -DEFAULT_TOL.psd
+        assert fock._psd_certified(mat) == accepted
+        assert psd_accepted(ModeCutoff(dim, 1), mat) == accepted
+
+    @pytest.mark.parametrize("case", ["rank1_d30", "tmsv_d30", "odd_cat", "rank_deficient_blocks"])
+    def test_low_rank_states_are_certified(self, case, rng):
+        if case == "rank1_d30":
+            mat = random_density(rng, 900, 1)
+        elif case == "tmsv_d30":
+            mat = tmsv_density(0.5, 30).matrix
+        elif case == "odd_cat":
+            mat = cat_density(CatParams(2.0, 2.0, 0.5, "odd")).matrix
+        else:
+            sizes = [1, 4, 4, 7, 12]
+            mat = np.zeros((28, 28), dtype=complex)
+            start = 0
+            for size in sizes:
+                block = slice(start, start + size)
+                mat[block, block] = random_density(rng, size, max(1, size // 3))
+                start += size
+            perm = rng.permutation(28)
+            mat = mat[np.ix_(perm, perm)] / len(sizes)
+        assert fock._psd_certified(mat)
+        dim = len(mat)
+        BipartiteDensityOperator(ModeCutoff(dim, 1), mat)
+
+    def test_rejection_names_the_global_minimum(self, rng):
+        # two indefinite blocks of different sizes; the smaller minimum lies
+        # in the second block
+        mat = np.zeros((8, 8), dtype=complex)
+        mat[:3, :3] = with_spectrum(rng, [-2e-3, 0.2, 0.3])
+        mat[3:, 3:] = with_spectrum(rng, [-5e-3, 0.1, 0.1, 0.1, 0.207])
+        perm = rng.permutation(8)
+        mat = mat[np.ix_(perm, perm)]
+        mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
+        assert not fock._psd_certified(mat)
+        lam_min = fock._block_eigvalsh(mat != 0, symmetrised_blocks(mat))[0]
+        assert lam_min == pytest.approx(np.linalg.eigvalsh(mat).min(), abs=1e-15)
+        message = f"minimum eigenvalue {lam_min:.3e} < -{DEFAULT_TOL.psd:.1e}"
+        with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
+            BipartiteDensityOperator(ModeCutoff(4, 2), mat)
+
+
 def scipy_labels(pattern):
     """Reference labelling: scipy's undirected connected components, which
     numbers the components by their smallest node."""
@@ -458,6 +605,14 @@ class TestMemory:
         ratio = self.peak_ratio(lambda: BipartiteDensityOperator(rho.cutoff, rho.matrix),
                                 rho.matrix.nbytes)
         assert ratio <= 1.5
+
+    def test_constructor_with_psd_check_on_unstructured_state(self, rng):
+        # one 900 x 900 block: the stored copy, the gathered block and its
+        # Cholesky factor; the block is symmetrised and shifted in place
+        mat = random_density(rng, 900)
+        ratio = self.peak_ratio(lambda: BipartiteDensityOperator(ModeCutoff(30, 30), mat),
+                                mat.nbytes)
+        assert ratio <= 3.1
 
     def test_from_state_vector(self):
         vec = tmsv_vector(0.5, 30)
