@@ -1,21 +1,19 @@
 """Multicopy linear-optics readout of PT-moments.
 
-Passive interferometers act on amplitude tensors over a truncated multimode
-Fock basis.  ``apply_passive`` executes an n-mode unitary as a Givens
-sequence of exact two-mode couplings and single-mode phases; it serves
-general unitaries and is the differential reference for the readout engine.
 Applying the n-mode discrete Fourier transform to the n copies held by each
 party and counting photons on output modes 2..n yields an outcome
 distribution whose root-of-unity expectation is the n-th PT-moment.
 ``outcome_distribution`` first trims each copy's trailing Fock levels that
 are exactly empty, then evolves each party's product of copies through that
-DFT one photon-number sector at a time, with the sector blocks of the DFT
-built once per (n, cutoff) and kept in a cache bounded by bytes.  It holds
-amplitudes, Grams and probabilities only on the photon-number simplex (the
-cells whose total is below the output cutoff, the only ones that can carry
-amplitude), returns the distribution stored on its support
-(``OutcomeDistribution``), and refuses a readout whose counted entries and
-multiply-adds exceed a fixed budget with BudgetError.
+DFT one photon-number sector at a time, with the sector blocks Sym^N of the
+DFT built once per (n, cutoff) by an exact creation-operator recursion and
+kept in a cache bounded by bytes; this is the module's one passive-evolution
+engine.  It holds amplitudes, Grams and probabilities only on the
+photon-number simplex (the cells whose total is below the output cutoff, the
+only ones that can carry amplitude), returns the distribution stored on its
+support (``OutcomeDistribution``), and refuses a readout whose counted
+entries and multiply-adds exceed a fixed budget with BudgetError.  The
+pure-loss channel, ``lossy_channel``, applies closed-form Kraus operators.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -27,18 +25,16 @@ weights; only the same-DFT variant is implemented.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import groupby, product
 from math import comb, prod, sqrt
 
 import numpy as np
 
-from .errors import (BudgetError, CutoffError, DomainError, StateValidationError,
-                     ToleranceError)
+from .errors import BudgetError, DomainError, StateValidationError, ToleranceError
 from .fock import DEFAULT_TOL, BipartiteDensityOperator
 
 __all__ = [
@@ -49,12 +45,6 @@ __all__ = [
     "beam_splitter_matrix",
     "decompose_f3",
     "elements_to_matrix",
-    "elements_to_json",
-    "elements_from_json",
-    "apply_two_mode",
-    "apply_phase",
-    "apply_element",
-    "apply_passive",
     "loss_kraus",
     "lossy_channel",
     "outcome_distribution",
@@ -62,11 +52,8 @@ __all__ = [
     "outcome_weights",
 ]
 
-# Largest entry of U^dagger U - 1 accepted as unitary, and the relative norm
-# change a two-mode coupling, or the norm share the photon-number sectors
-# miss, may show before it is taken as cutoff overflow.
+# Largest entry of U^dagger U - 1 accepted as unitary.
 _UNITARITY_TOL = 1e-10
-_COUPLING_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,6 +66,8 @@ class PassiveUnitary:
         u = np.array(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise DomainError("unitary has a non-finite entry")
         residue = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
         if residue > _UNITARITY_TOL:
             raise ToleranceError(f"unitarity residue {residue:.3e} > {_UNITARITY_TOL:.1e}")
@@ -114,9 +103,6 @@ class CircuitElement:
         else:
             raise ValueError(f"unknown element kind {self.kind!r}")
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "modes": list(self.modes), "parameter": self.parameter}
 
 
 def dft(n: int) -> PassiveUnitary:
@@ -173,149 +159,24 @@ def elements_to_matrix(elements, n: int) -> np.ndarray:
     return u
 
 
-def elements_to_json(elements) -> str:
-    return json.dumps([e.to_dict() for e in elements], indent=2)
-
-
-def elements_from_json(text: str) -> list[CircuitElement]:
-    return [CircuitElement(d["kind"], tuple(d["modes"]), d["parameter"])
-            for d in json.loads(text)]
-
-
 # ---------------------------------------------------------------------------
-# Exact Fock-space evolution of pure amplitude tensors
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _coupling_tensor(key, d: int) -> np.ndarray:
-    """T[m', n', m, n] = <m', n'| V |m, n> for a two-mode unitary V given by
-    its flattened entries.  Input pairs with m + n > d - 1 are left zero; the
-    norm check in apply_two_mode catches any use of that region."""
-    v = np.array(key, dtype=complex).reshape(2, 2)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 2 * d)))))
-    t = np.zeros((d, d, d, d), dtype=complex)
-    for m in range(d):
-        for n in range(d - m):
-            # (V00 a1+ + V10 a2+)^m (V01 a1+ + V11 a2+)^n |0,0>
-            for p in range(m + 1):
-                for q in range(n + 1):
-                    mp = p + q
-                    npr = m + n - mp
-                    if mp >= d or npr >= d:
-                        continue
-                    amp = (comb(m, p) * comb(n, q)
-                           * v[0, 0] ** p * v[1, 0] ** (m - p)
-                           * v[0, 1] ** q * v[1, 1] ** (n - q))
-                    norm = np.exp(0.5 * (log_fact[mp] + log_fact[npr]
-                                         - log_fact[m] - log_fact[n]))
-                    t[mp, npr, m, n] += amp * norm
-    return t
-
-
-def apply_two_mode(psi: np.ndarray, mode_i: int, mode_j: int, v: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 mode unitary to axes ``mode_i`` and ``mode_j`` (0-based) of
-    a pure amplitude tensor; every other axis, a trailing batch axis included,
-    is carried along.  Raises CutoffError when photons would pile past the
-    axis dimension, detected as norm loss in any fiber over the two axes."""
-    d = psi.shape[mode_i]
-    if psi.shape[mode_j] != d:
-        raise ValueError("coupled modes must share their cutoff")
-    key = tuple(complex(x) for x in np.asarray(v, dtype=complex).reshape(-1))
-    t = _coupling_tensor(key, d)
-    moved = np.moveaxis(psi, (mode_i, mode_j), (0, 1))
-    out = np.tensordot(t, moved, axes=([2, 3], [0, 1]))
-    before = np.linalg.norm(moved, axis=(0, 1))
-    lost = before - np.linalg.norm(out, axis=(0, 1))
-    if np.any(np.abs(lost) > _COUPLING_NORM_TOL * np.maximum(before, 1e-300)):
-        raise CutoffError(f"two-mode coupling lost norm {np.max(lost):.3e}; "
-                          "raise the per-mode cutoff")
-    return np.moveaxis(out, (0, 1), (mode_i, mode_j))
-
-
-def apply_phase(psi: np.ndarray, mode: int, phi: float) -> np.ndarray:
-    """Apply exp(-i phi) per photon on one axis of a pure amplitude tensor."""
-    d = psi.shape[mode]
-    factors = np.exp(-1j * phi * np.arange(d))
-    shape = [1] * psi.ndim
-    shape[mode] = d
-    return psi * factors.reshape(shape)
-
-
-def apply_element(psi: np.ndarray, elem: CircuitElement, modes=None) -> np.ndarray:
-    """Apply one element; ``modes`` maps the element's 1-based circuit modes
-    onto tensor axes (defaults to axes 0..)."""
-    if modes is None:
-        modes = tuple(range(psi.ndim))
-    if elem.kind == "beam_splitter":
-        i, j = (modes[m - 1] for m in elem.modes)
-        return apply_two_mode(psi, i, j, beam_splitter_matrix(elem.parameter))
-    return apply_phase(psi, modes[elem.modes[0] - 1], elem.parameter)
-
-
-def _givens_sequence(u: np.ndarray):
-    """Decompose a unitary into two-mode rotations and a phase diagonal such
-    that applying the rotations (last recorded first) after the diagonal
-    reproduces u.  Returns (rotations, phases) with rotations as
-    (row_pair, 2x2 matrix)."""
-    n = u.shape[0]
-    work = np.array(u, dtype=complex)
-    recorded = []
-    for col in range(n - 1):
-        for row in range(n - 1, col, -1):
-            a, b = work[row - 1, col], work[row, col]
-            if abs(b) < 1e-14:
-                continue
-            r = np.hypot(abs(a), abs(b))
-            g = np.array([[np.conj(a), np.conj(b)], [-b, a]], dtype=complex) / r
-            work[[row - 1, row], :] = g @ work[[row - 1, row], :]
-            recorded.append(((row - 1, row), g))
-    phases = np.diag(work).copy()
-    if np.abs(np.abs(phases) - 1.0).max() > 1e-9 or \
-            np.abs(work - np.diag(phases)).max() > 1e-9:
-        raise ToleranceError("Givens reduction did not reach a phase diagonal; "
-                             "input is not unitary enough")
-    return recorded, phases
-
-
-def apply_passive(psi: np.ndarray, unitary, modes=None) -> np.ndarray:
-    """Evolve a pure amplitude tensor through an n-mode passive unitary acting
-    on the given tensor axes (0-based, defaults to all axes in order).
-
-    The unitary is executed as a Givens sequence of exact two-mode couplings,
-    so photon number is conserved exactly; overflowing the per-axis cutoff
-    raises CutoffError.
-    """
-    u = unitary.matrix if isinstance(unitary, PassiveUnitary) else np.asarray(unitary, dtype=complex)
-    n = u.shape[0]
-    if modes is None:
-        modes = tuple(range(n))
-    if len(modes) != n:
-        raise ValueError(f"unitary acts on {n} modes, got {len(modes)} axes")
-    rotations, phases = _givens_sequence(u)
-    out = psi
-    for axis, ph in zip(modes, phases):
-        out = apply_phase(out, axis, float(-np.angle(ph)))
-    # G_M .. G_1 u = D, hence u = G_1+ .. G_M+ D: undo rotations in reverse.
-    for (i, j), g in reversed(rotations):
-        out = apply_two_mode(out, modes[i], modes[j], g.conj().T)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pure-loss channel via its beam-splitter dilation
+# Pure-loss channel
 # ---------------------------------------------------------------------------
 
 def loss_kraus(d: int, tau: float) -> list[np.ndarray]:
-    """Kraus operators of the pure-loss channel on a d-level mode, read off
-    the vacuum-ancilla beam-splitter dilation: K_e = <e|_E B(tau) |0>_E."""
-    t = _coupling_tensor(tuple(complex(x) for x in beam_splitter_matrix(tau).reshape(-1)), d)
-    return [np.ascontiguousarray(t[:, e, :, 0]) for e in range(d)]
+    """Kraus operators of the pure-loss channel on a d-level mode, e = 0..d-1
+    photons lost: K_e = sum_m sqrt(C(m, e) tau^(m-e) (1-tau)^e) |m-e><m|."""
+    if not 0.0 <= tau <= 1.0:
+        raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
+    k = np.zeros((d, d, d), dtype=complex)
+    for m in range(d):
+        for e in range(m + 1):
+            k[e, m - e, m] = sqrt(comb(m, e) * tau ** (m - e) * (1.0 - tau) ** e)
+    return list(k)
 
 
 def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str) -> BipartiteDensityOperator:
     """Pure-loss channel of transmissivity tau on mode "a" or "b"."""
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     d = rho.d_a if mode == "a" else rho.d_b
@@ -420,9 +281,7 @@ def multicopy_expectation(dist: OutcomeDistribution) -> float:
     """Expectation of the root-of-unity readout value; equals the n-th
     PT-moment when the copies are identical.  The imaginary residue must stay
     below DEFAULT_TOL.imag and is discarded."""
-    _, probs = dist.as_arrays()
-    _, vals = outcome_weights(dist)
-    total = complex(sum(probs * vals))
+    total = complex(sum(dist._probs * _readout_values(dist._cells)))
     if abs(total.imag) > DEFAULT_TOL.imag:
         raise ToleranceError(f"imaginary residue {total.imag:.3e} exceeds {DEFAULT_TOL.imag:.1e}")
     return float(total.real)
@@ -475,8 +334,13 @@ def _cached_bytes() -> int:
 
 @_cached
 def _sector_unitaries(n: int, d_out: int) -> tuple:
-    """The n-mode DFT F one photon-number sector at a time: for each total
-    N = 0..d_out-1, the pair (occupation tuples with total N in
+    """The sector blocks of the n-mode DFT below d_out photons."""
+    return _sector_blocks(dft(n).matrix, d_out)
+
+
+def _sector_blocks(f: np.ndarray, d_out: int) -> tuple:
+    """The n-mode unitary F one photon-number sector at a time: for each
+    total N = 0..d_out-1, the pair (occupation tuples with total N in
     lexicographic order, block Sym^N(F) on those tuples), column t of the
     block holding F|t>.
 
@@ -485,7 +349,7 @@ def _sector_unitaries(n: int, d_out: int) -> tuple:
     mode of t: exact, with no grid and no permanents.  A tuple is found in
     its sector by its digits in base d_out, which increase in lexicographic
     order."""
-    f = dft(n).matrix
+    n = f.shape[0]
     strides = d_out ** np.arange(n - 1, -1, -1)
     cells = _simplex(n, d_out)
     totals = cells.sum(axis=1)
@@ -638,8 +502,8 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     chunks of at most _CHUNK_ENTRIES Gram and amplitude entries.  The
     amplitudes, the Gram over mode-1 counts and the accumulated
     probabilities live only on the cells with total below d_out, the only
-    ones that can carry amplitude.  The Givens engine, ``apply_passive``, is
-    not called here; the tests hold the sector blocks to it.
+    ones that can carry amplitude.  The tests hold the sector blocks to the
+    permanent formula <s|U|t> = perm(U[s,t]) / sqrt(prod s! prod t!).
 
     Before any evolution the cost is counted, with B = prod r_c the batch
     width of a choice of Schmidt ranks r_c and rest_a, rest_b the numbers of

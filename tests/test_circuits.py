@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,23 +12,17 @@ from ptmoments.circuits import (
     CircuitElement,
     OutcomeDistribution,
     PassiveUnitary,
-    apply_element,
-    apply_passive,
-    apply_phase,
-    apply_two_mode,
     beam_splitter_matrix,
     decompose_f3,
     dft,
-    elements_from_json,
-    elements_to_json,
     elements_to_matrix,
+    loss_kraus,
     lossy_channel,
     multicopy_expectation,
     outcome_distribution,
 )
 from ptmoments.errors import (
     BudgetError,
-    CutoffError,
     DomainError,
     StateValidationError,
     ToleranceError,
@@ -55,6 +50,31 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def permanent(m):
+    return sum(math.prod(m[i, p[i]] for i in range(len(m)))
+               for p in permutations(range(len(m))))
+
+
+def fock_amplitude(u, s, t):
+    """<s|U|t> = perm(U[s,t]) / sqrt(prod s! prod t!), U[s,t] holding row i
+    of U s_i times and column j t_j times: the reference for the passive
+    evolution of Fock states."""
+    if sum(s) != sum(t):
+        return 0.0
+    sub = u[np.ix_(np.repeat(np.arange(len(s)), s), np.repeat(np.arange(len(t)), t))]
+    norm = math.prod(map(math.factorial, s)) * math.prod(map(math.factorial, t))
+    return permanent(sub) / math.sqrt(norm)
+
+
+def block_amplitude(sectors, s, t):
+    """<s|U|t> read off the sector blocks of U."""
+    if sum(s) != sum(t):
+        return 0.0
+    occ, block = sectors[sum(t)]
+    index = {cell: i for i, cell in enumerate(map(tuple, occ.tolist()))}
+    return block[index[tuple(s)], index[tuple(t)]]
+
+
 class TestDft:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_unitarity(self, n):
@@ -68,6 +88,21 @@ class TestDft:
         w = np.exp(-2j * np.pi / 3)
         expect = np.array([[1, 1, 1], [1, w, w.conjugate()], [1, w.conjugate(), w]]) / np.sqrt(3)
         np.testing.assert_allclose(dft(3).matrix, expect, atol=1e-15)
+
+
+class TestPassiveUnitary:
+    def test_unitary_validation(self):
+        with pytest.raises(ToleranceError):
+            PassiveUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 1), np.inf),
+                                              ((0, 1), np.nan)],
+                             ids=["nan", "inf_diagonal", "nan_off_diagonal"])
+    def test_rejects_non_finite_entries(self, entry, value):
+        u = np.eye(2, dtype=complex)
+        u[entry] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            PassiveUnitary(u)
 
 
 class TestDecomposeF3:
@@ -89,117 +124,81 @@ class TestDecomposeF3:
         assert n_bs == 3 and n_ph == 3
         assert n_bs <= 3 * (3 - 1) // 2
 
-    def test_json_round_trip(self):
-        elements = decompose_f3()
-        again = elements_from_json(elements_to_json(elements))
-        assert again == elements
-
-    def test_matches_golden_circuit_file(self):
-        from pathlib import Path
-        golden = (Path(__file__).parent / "data" / "f3_circuit.json").read_text()
-        assert elements_from_json(golden) == decompose_f3()
-        assert np.abs(elements_to_matrix(elements_from_json(golden), 3)
-                      - dft(3).matrix).max() < 1e-12
+    def test_is_the_papers_element_list(self):
+        # beam splitters (1,2) at 1/2, (1,3) at 2/3 and (2,3) at 1/2; phases
+        # pi/2 on mode 3, then -pi/6 (as 11 pi/6) on mode 2 and pi/6 on mode 3
+        assert decompose_f3() == [
+            CircuitElement("beam_splitter", (1, 2), 0.5),
+            CircuitElement("beam_splitter", (1, 3), 0.6666666666666666),
+            CircuitElement("phase", (3,), 1.5707963267948966),
+            CircuitElement("beam_splitter", (2, 3), 0.5),
+            CircuitElement("phase", (2,), 5.759586531581287),
+            CircuitElement("phase", (3,), 0.5235987755982988),
+        ]
 
 
 class TestFockEvolution:
+    """Fock-state evolution through the sector blocks Sym^N(U)."""
+
     def test_single_photon_splits_evenly(self):
-        psi = np.zeros((2, 2), dtype=complex)
-        psi[1, 0] = 1.0
-        out = apply_two_mode(psi, 0, 1, beam_splitter_matrix(0.5))
-        assert abs(out[1, 0]) ** 2 == pytest.approx(0.5)
-        assert abs(out[0, 1]) ** 2 == pytest.approx(0.5)
+        sectors = circuits._sector_blocks(beam_splitter_matrix(0.5), 2)
+        assert abs(block_amplitude(sectors, (1, 0), (1, 0))) ** 2 == pytest.approx(0.5)
+        assert abs(block_amplitude(sectors, (0, 1), (1, 0))) ** 2 == pytest.approx(0.5)
 
     def test_hong_ou_mandel(self):
-        psi = np.zeros((3, 3), dtype=complex)
-        psi[1, 1] = 1.0
-        out = apply_two_mode(psi, 0, 1, beam_splitter_matrix(0.5))
-        assert abs(out[1, 1]) ** 2 == pytest.approx(0.0, abs=1e-14)
-        assert abs(out[2, 0]) ** 2 == pytest.approx(0.5)
-        assert abs(out[0, 2]) ** 2 == pytest.approx(0.5)
+        sectors = circuits._sector_unitaries(2, 3)
+        assert abs(block_amplitude(sectors, (1, 1), (1, 1))) < 1e-15
+        assert abs(block_amplitude(sectors, (2, 0), (1, 1))) ** 2 == pytest.approx(0.5)
+        assert abs(block_amplitude(sectors, (0, 2), (1, 1))) ** 2 == pytest.approx(0.5)
 
     def test_vacuum_fixed(self):
-        psi = np.zeros((3, 3, 3), dtype=complex)
-        psi[0, 0, 0] = 1.0
-        out = apply_passive(psi, dft(3))
-        assert abs(out[0, 0, 0]) == pytest.approx(1.0)
-
-    def test_overflow_raises(self):
-        psi = np.zeros((2, 2), dtype=complex)
-        psi[1, 1] = 1.0  # two photons cannot fit in two 2-level modes after mixing
-        with pytest.raises(CutoffError):
-            apply_two_mode(psi, 0, 1, beam_splitter_matrix(0.5))
-
-    def test_overflow_in_one_fiber_of_a_batch_raises(self):
-        # fiber 0 holds one photon and fits; fiber 1 holds two and overflows.
-        # Its norm is so small that the summed norm changes by only 5e-11.
-        psi = np.zeros((2, 2, 2), dtype=complex)
-        psi[1, 0, 0] = 1.0
-        psi[1, 1, 1] = 1e-5
-        with pytest.raises(CutoffError):
-            apply_two_mode(psi, 0, 1, beam_splitter_matrix(0.5))
+        occ, block = circuits._sector_unitaries(3, 3)[0]
+        np.testing.assert_array_equal(occ, [[0, 0, 0]])
+        np.testing.assert_array_equal(block, [[1.0]])
 
     def test_phase_counts_photons(self):
-        psi = np.zeros((4,), dtype=complex)
-        psi[3] = 1.0
-        out = apply_phase(psi, 0, 0.4)
-        assert out[3] == pytest.approx(np.exp(-1.2j))
+        sectors = circuits._sector_blocks(np.diag([np.exp(-0.4j), 1.0]), 4)
+        assert block_amplitude(sectors, (3, 0), (3, 0)) == pytest.approx(np.exp(-1.2j))
 
     def test_single_photon_amplitudes_follow_columns(self, rng):
+        # the one-photon block is U itself, rows and columns listed by mode:
+        # a photon in mode j scatters into column j
         u = random_unitary(rng, 4)
-        for j in range(4):
-            psi = np.zeros((2, 2, 2, 2), dtype=complex)
-            psi[tuple(1 if i == j else 0 for i in range(4))] = 1.0
-            out = apply_passive(psi, u)
-            amps = np.array([out[tuple(1 if i == k else 0 for i in range(4))]
-                             for k in range(4)])
-            np.testing.assert_allclose(amps, u[:, j], atol=1e-12)
+        occ, block = circuits._sector_blocks(u, 2)[1]
+        modes = np.argmax(occ, axis=1)
+        np.testing.assert_allclose(block, u[np.ix_(modes, modes)], atol=1e-15)
 
-    def test_passive_matches_element_sequence(self, rng):
-        psi = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
-        for idx in np.ndindex(psi.shape):  # keep photon headroom: total <= 3
-            if sum(idx) > 3:
-                psi[idx] = 0.0
-        psi /= np.linalg.norm(psi)
-        via_unitary = apply_passive(psi, dft(3))
-        via_elements = psi
-        for elem in decompose_f3():
-            via_elements = apply_element(via_elements, elem)
-        np.testing.assert_allclose(via_unitary, via_elements, atol=1e-11)
+    def test_passive_matches_element_sequence(self):
+        # Sym^N is a homomorphism: the blocks of the element sequence,
+        # multiplied in application order, are the blocks of the DFT
+        per_element = [circuits._sector_blocks(elements_to_matrix([elem], 3), 4)
+                       for elem in decompose_f3()]
+        for total, (occ, block) in enumerate(circuits._sector_unitaries(3, 4)):
+            product = np.eye(len(occ))
+            for sectors in per_element:
+                product = sectors[total][1] @ product
+            np.testing.assert_allclose(product, block, atol=1e-12)
 
     def test_photon_number_conserved(self, rng):
-        u = random_unitary(rng, 3)
-        psi = np.zeros((4, 4, 4), dtype=complex)
-        # support on total photon number <= 3
-        psi[1, 0, 0] = 0.3
-        psi[0, 2, 1] = 0.5j
-        psi[1, 1, 1] = -0.2
-        psi[0, 0, 0] = 0.4
-        psi /= np.linalg.norm(psi)
-        out = apply_passive(psi, u)
-        for total in range(7):
-            mass_in = sum(abs(psi[i, j, k]) ** 2 for i in range(4) for j in range(4)
-                          for k in range(4) if i + j + k == total)
-            mass_out = sum(abs(out[i, j, k]) ** 2 for i in range(4) for j in range(4)
-                           for k in range(4) if i + j + k == total)
-            assert mass_out == pytest.approx(mass_in, abs=1e-12)
-
-    def test_unitary_validation(self):
-        with pytest.raises(ToleranceError):
-            PassiveUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        for occ, block in circuits._sector_blocks(random_unitary(rng, 3), 4):
+            v = rng.standard_normal(len(occ)) + 1j * rng.standard_normal(len(occ))
+            assert np.linalg.norm(block @ v) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     def test_passive_on_axis_subset(self, rng):
+        # the 3-mode embedding of u on modes (0, 2) leaves mode 1 empty and
+        # acts on the other two as u
         u = random_unitary(rng, 2)
-        psi = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-        for idx in np.ndindex(psi.shape):
-            if sum(idx) > 2:
-                psi[idx] = 0.0
-        psi /= np.linalg.norm(psi)
-        # acting on axes (0, 2) must equal the 3-mode embedding of u
         embedded = np.eye(3, dtype=complex)
         embedded[np.ix_([0, 2], [0, 2])] = u
-        np.testing.assert_allclose(apply_passive(psi, u, modes=(0, 2)),
-                                   apply_passive(psi, embedded), atol=1e-12)
+        small = circuits._sector_blocks(u, 3)
+        large = circuits._sector_blocks(embedded, 3)
+        for occ, _ in small:
+            for s in occ.tolist():
+                for t in occ.tolist():
+                    assert block_amplitude(large, (s[0], 0, s[1]), (t[0], 0, t[1])) == \
+                        pytest.approx(block_amplitude(small, s, t), abs=1e-14)
+        for occ, block in large:
+            assert np.abs(block[np.ix_(occ[:, 1] > 0, occ[:, 1] == 0)]).max(initial=0.0) < 1e-15
 
 
 class TestLossyChannel:
@@ -223,8 +222,15 @@ class TestLossyChannel:
 
     def test_trace_preserved(self, rng):
         rho = BipartiteDensityOperator(ModeCutoff(4, 3), random_density(rng, 12))
-        out = lossy_channel(rho, 0.37, "b")
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+        for tau in (0.0, 0.3, 0.8, 1.0):
+            out = lossy_channel(rho, tau, "b")
+            assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.8, 1.0])
+    def test_kraus_operators_are_complete(self, tau):
+        for d in range(1, 11):
+            total = sum(k.conj().T @ k for k in loss_kraus(d, tau))
+            np.testing.assert_allclose(total, np.eye(d), atol=1e-14)
 
     def test_composition_law(self, rng):
         rho = BipartiteDensityOperator(ModeCutoff(4, 2), random_density(rng, 8))
@@ -246,43 +252,44 @@ class TestLossyChannel:
 
 
 class TestSectorUnitaries:
-    @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7)])
-    def test_blocks_equal_passive_evolution_of_every_sector_state(self, n, d):
-        sectors = circuits._sector_unitaries(n, d)
+    @pytest.mark.parametrize("unitary", ["dft", "random"])
+    @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (3, 5)])
+    def test_blocks_equal_passive_evolution_of_every_sector_state(self, n, d, unitary, rng):
+        # F_n is symmetric; only a non-symmetric U tells U from its transpose
+        if unitary == "dft":
+            u, sectors = dft(n).matrix, circuits._sector_unitaries(n, d)
+        else:
+            u = random_unitary(rng, n)
+            assert np.abs(u - u.T).max() > 0.1
+            sectors = circuits._sector_blocks(u, d)
         grid = np.indices((d,) * n).reshape(n, -1).T
         for total, (occ, block) in enumerate(sectors):
             # the tuples with this total, in C order of the grid
             np.testing.assert_array_equal(occ, grid[grid.sum(axis=1) == total])
             assert np.abs(block.conj().T @ block - np.eye(len(occ))).max() < 1e-13
-            idx = np.ravel_multi_index(occ.T, (d,) * n)
-            for col, cell in enumerate(idx):
-                psi = np.zeros(d ** n)
-                psi[cell] = 1.0
-                out = apply_passive(psi.reshape((d,) * n), dft(n)).reshape(-1)
-                expect = np.zeros(d ** n, dtype=complex)
-                expect[idx] = block[:, col]
-                assert np.abs(out - expect).max() < 1e-13
+            expect = [[fock_amplitude(u, s, t) for t in occ] for s in occ]
+            np.testing.assert_allclose(block, expect, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 1, 2), (2, 3, 2)])
     def test_box_evolution_equals_passive_evolution(self, dims, rng):
         # a batch of random products on the box of unequal cutoffs, evolved
-        # by the party plan, against the Givens engine on the full grid
+        # by the party plan, against the permanent formula
         n, d_out = len(dims), sum(dims) - len(dims) + 1
         psi = rng.standard_normal((math.prod(dims), 3)) + 1j * rng.standard_normal(
             (math.prod(dims), 3))
         plan = circuits._party_plan(dims)
         amps = circuits._evolve_sectors(psi, plan)
-        rest = plan[1]
-        for b in range(3):
-            grid = np.zeros((d_out,) * n, dtype=complex)
-            grid[tuple(slice(0, d) for d in dims)] = psi[:, b].reshape(dims)
-            out = apply_passive(grid, dft(n))
-            for r, cell in enumerate(rest):
-                m1 = np.arange(d_out - cell.sum())
-                np.testing.assert_allclose(amps[r, m1, b], out[(m1, *cell)], atol=1e-12)
-                # no amplitude past the simplex that the buffer leaves out
-                assert np.abs(out[(slice(d_out - cell.sum(), None), *cell)]).max(
-                    initial=0.0) < 1e-12
+        box = np.indices(dims).reshape(n, -1).T
+        f = dft(n).matrix
+        for r, cell in enumerate(plan[1]):
+            for m1 in range(d_out):
+                s = (m1, *cell)
+                if sum(s) >= d_out:
+                    # past the simplex the buffer holds zero
+                    assert np.all(amps[r, m1] == 0)
+                    continue
+                row = np.array([fock_amplitude(f, s, t) for t in box])
+                np.testing.assert_allclose(amps[r, m1], row @ psi, atol=1e-12)
 
     def test_cache_stays_under_its_byte_bound(self, monkeypatch):
         bound = 2 ** 20
@@ -367,7 +374,7 @@ class TestOutcomeDistribution:
         lossy = lossy_channel(lossy_channel(cat, 0.8, "a"), 0.8, "b")
         calls = []
         monkeypatch.setattr(circuits, "_evolve_sectors", lambda *args: calls.append(1))
-        with pytest.raises(BudgetError, match=r"needs 7\.65e\+08 .* and 7\.27e\+10 Gram "
+        with pytest.raises(BudgetError, match=r"needs 7\.74e\+08 .* and 7\.35e\+10 Gram "
                                               r"multiply-adds .* budget of 1e\+08"):
             outcome_distribution([lossy] * 3, 3)
         assert calls == []
