@@ -49,7 +49,6 @@ __all__ = [
     "lossy_channel",
     "outcome_distribution",
     "multicopy_expectation",
-    "outcome_weights",
 ]
 
 # Largest entry of U^dagger U - 1 accepted as unitary.
@@ -221,9 +220,9 @@ class OutcomeDistribution:
     marginalized out since the readout weights them with zero.  The rows
     must be distinct and in lexicographic order, which is C order of any
     grid that holds them.  Listed entries at or below 1e-14 of the largest
-    are rounding noise and dropped; the rest are the support, which
-    ``outcomes`` lists as tuples in the same order.  An outcome off the
-    support has probability zero.
+    are rounding noise and dropped; the rest are the support, which the
+    read-only ``cells`` and ``probs`` hold and ``outcomes`` lists as tuples
+    in the same order.  An outcome off the support has probability zero.
     """
 
     def __init__(self, cells, probs):
@@ -262,26 +261,29 @@ class OutcomeDistribution:
     def as_arrays(self):
         return self.outcomes(), self._probs
 
+    @property
+    def cells(self) -> np.ndarray:
+        return self._cells
 
-def _readout_values(cells) -> np.ndarray:
-    """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B)) of
-    every outcome row of ``cells``."""
-    m = cells.shape[1] // 2
-    weights = np.arange(1, m + 1)
-    return np.exp(-2j * np.pi / (m + 1)) ** (cells[:, :m] @ weights - cells[:, m:] @ weights)
+    @property
+    def probs(self) -> np.ndarray:
+        return self._probs
 
-
-def outcome_weights(dist: OutcomeDistribution) -> tuple[list, np.ndarray]:
-    """Root-of-unity readout value per outcome:
-    omega_n^(sum_j (j-1) (N_j^A - N_j^B))."""
-    return dist.outcomes(), _readout_values(dist._cells)
+    @property
+    def values(self) -> np.ndarray:
+        """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B))
+        of each row of ``cells``."""
+        m = self.n_copies - 1
+        weights = np.arange(1, m + 1)
+        return np.exp(-2j * np.pi / self.n_copies) ** (self._cells[:, :m] @ weights
+                                                       - self._cells[:, m:] @ weights)
 
 
 def multicopy_expectation(dist: OutcomeDistribution) -> float:
     """Expectation of the root-of-unity readout value; equals the n-th
     PT-moment when the copies are identical.  The imaginary residue must stay
     below DEFAULT_TOL.imag and is discarded."""
-    total = complex(sum(dist._probs * _readout_values(dist._cells)))
+    total = complex(sum(dist.probs * dist.values))
     if abs(total.imag) > DEFAULT_TOL.imag:
         raise ToleranceError(f"imaginary residue {total.imag:.3e} exceeds {DEFAULT_TOL.imag:.1e}")
     return float(total.real)
@@ -490,7 +492,7 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     only ``check_psd=False`` lets through) raises StateValidationError.
 
     Each copy first loses its trailing Fock levels whose rows and columns
-    are exactly zero, per mode (the guard level of the NOON constructors,
+    are exactly zero, per mode (the guard level of the NOON constructor,
     say); this is exact.  A party's output cutoff d_out is one plus the sum
     of its copies' trimmed cutoffs minus one each, which bounds the photons
     it carries.  Each copy then splits into pure components, and each

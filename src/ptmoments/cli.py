@@ -148,12 +148,12 @@ def cmd_criteria(args) -> int:
 
 def cmd_sample(args) -> int:
     p = _family_params(args)
-    cutoff = None if args.cutoff is None else ModeCutoff(args.cutoff, args.cutoff)
     if args.family == "noon":
-        rho = states.lossy_noon_density(p, cutoff)
+        rho = states.lossy_noon_density(p)
     elif args.family == "qutrit":
         rho = p.density_operator()
     else:
+        cutoff = None if args.cutoff is None else ModeCutoff(args.cutoff, args.cutoff)
         rho = states.cat_density(p, cutoff)
         if args.tau is not None and args.tau != 1.0:
             rho = circuits.lossy_channel(rho, args.tau, "a")
@@ -312,7 +312,7 @@ def _fig4(args):
                          pt.analytic_witness, pt.band_low, pt.band_high, pt.clamped_draws))
     _emit(args, "fig4", ["tau", "k", "mean", "std", "std_error", "analytic",
                          "band_low", "band_high", "clamped_draws"], rows,
-          repetitions=plan_reps, noise={"alpha_rel_std": 0.05, "tau_std": 0.05})
+          repetitions=plan_reps, noise=asdict(estimation.NoiseSpec()))
 
 
 def _fig5_row(n_bar: float, r: float) -> tuple:
@@ -426,7 +426,7 @@ _READS = {
     "criteria": {"--family noon": "N alpha beta tau", "--family cat": "alpha beta z parity",
                  "--family hhg": "N alpha delta_alpha", "--family qutrit": "",
                  "--family tmsv": "n_bar r", "--moments": "moments", "--p2/--p3": "p2 p3"},
-    "sample": {"--family noon": "N alpha beta tau cutoff",
+    "sample": {"--family noon": "N alpha beta tau",
                "--family cat": "alpha beta z parity tau cutoff", "--family qutrit": ""},
     "reproduce": {**dict.fromkeys(REPRODUCE_TARGETS, ""), "fig4": "repetitions",
                   "fig7": "repetitions", "table1": "alpha tau", "table2": "alpha tau"},

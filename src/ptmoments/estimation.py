@@ -24,13 +24,11 @@ from .fock import BipartiteDensityOperator, ModeCutoff
 from .states import LossyNOONParams, lossy_noon_pt_moments
 
 __all__ = [
-    "NoiseEntry",
     "NoiseSpec",
     "SamplingPlan",
     "EstimatorResult",
     "SimulationPoint",
     "rng_stream",
-    "sample_pn",
     "estimate_pn",
     "witness_estimators",
     "witness_variances",
@@ -44,37 +42,17 @@ DEFAULT_K_GRID = (10, 32, 100, 316, 1000, 3162)
 
 
 @dataclass(frozen=True)
-class NoiseEntry:
-    """Gaussian fluctuation of one parameter, clamped to its validity range."""
+class NoiseSpec:
+    """Gaussian fluctuation of each noisy copy around the simulated state:
+    relative on the amplitude |alpha|, absolute on the transmissivity tau."""
 
-    name: str
-    mean: float
-    std: float
-    lo: float
-    hi: float
+    alpha_rel_std: float = 0.05
+    tau_std: float = 0.05
 
     def __post_init__(self):
-        if self.std < 0:
-            raise DomainError(f"std must be >= 0, got {self.std}")
-        if self.mean != 0 and self.std > abs(self.mean) / 10.0:
-            warnings.warn(f"noise on {self.name!r} exceeds a tenth of its mean; "
-                          "the narrow-fluctuation model may not apply", stacklevel=3)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-parameter fluctuation model for noisy state copies."""
-
-    alpha: NoiseEntry
-    tau: NoiseEntry
-
-    @classmethod
-    def for_noon(cls, alpha: float, tau: float, alpha_rel_std: float = 0.05,
-                 tau_std: float = 0.05) -> "NoiseSpec":
-        """Default model of the simulated experiment: relative noise on the
-        phase alpha, absolute noise on the transmissivity tau."""
-        return cls(NoiseEntry("alpha", alpha, alpha_rel_std * alpha, 0.0, 1.0),
-                   NoiseEntry("tau", tau, tau_std, 0.0, 1.0))
+        for name, std in (("alpha_rel_std", self.alpha_rel_std), ("tau_std", self.tau_std)):
+            if not 0.0 <= std < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {std}")
 
 
 @dataclass(frozen=True)
@@ -134,25 +112,17 @@ def _sampled_estimates(dist: circuits.OutcomeDistribution, n: int, k: int,
     if k < 1 or repetitions < 1:
         raise DomainError(f"need k >= 1 and repetitions >= 1, got k={k}, "
                           f"repetitions={repetitions}")
-    _, probs = dist.as_arrays()
-    _, vals = circuits.outcome_weights(dist)
+    probs = dist.probs
     idx = rng.choice(probs.size, size=(repetitions, k), p=probs / probs.sum())
-    return vals[idx].mean(axis=1)
-
-
-def sample_pn(dist: circuits.OutcomeDistribution, n: int, k: int,
-              rng: np.random.Generator) -> complex:
-    """Average of k i.i.d. root-of-unity readout values drawn from ``dist``.
-
-    The expectation of the returned (complex) estimate is p_n.
-    """
-    return complex(_sampled_estimates(dist, n, k, 1, rng)[0])
+    return dist.values[idx].mean(axis=1)
 
 
 def estimate_pn(dist: circuits.OutcomeDistribution, n: int, k: int, repetitions: int,
                 rng: np.random.Generator) -> EstimatorResult:
-    """Repeat sample_pn and summarize; variance is the complex sample variance
-    of the repetition estimates."""
+    """Mean and spread over repetitions of the average of k i.i.d.
+    root-of-unity readout values drawn from ``dist``, whose expectation is
+    p_n; variance is the complex sample variance of the repetition
+    estimates."""
     return _summarize(_sampled_estimates(dist, n, k, repetitions, rng), k)
 
 
@@ -229,10 +199,12 @@ def min_samples(p2: float, p3: float, criterion: str = "quadratic") -> float:
 # Noisy copies
 # ---------------------------------------------------------------------------
 
-def _draw_clamped(rng: np.random.Generator, entry: NoiseEntry, shape) -> tuple[np.ndarray, int]:
-    raw = rng.normal(entry.mean, entry.std, size=shape) if entry.std > 0 \
-        else np.full(shape, entry.mean)
-    clipped = np.clip(raw, entry.lo, entry.hi)
+def _draw_clamped(rng: np.random.Generator, mean: float, std: float,
+                  shape) -> tuple[np.ndarray, int]:
+    """Gaussian draws around mean clamped to [0, 1], and how many were
+    clamped; a zero std draws nothing from rng."""
+    raw = rng.normal(mean, std, size=shape) if std > 0 else np.full(shape, mean)
+    clipped = np.clip(raw, 0.0, 1.0)
     return clipped, int(np.count_nonzero(clipped != raw))
 
 
@@ -247,36 +219,33 @@ def _draw_clamped(rng: np.random.Generator, entry: NoiseEntry, shape) -> tuple[n
 # combination of the engine's distributions for the 4^n products of these
 # four basis states, with the Kronecker product of the per-copy coefficients
 # as weights.  The table of those 4^n distributions is built once with
-# circuits.outcome_distribution, whose outcomes all fit the grid of n + 1
-# levels per count, and keeps only the outcomes some basis product reaches,
-# in C order of that grid: every other outcome has probability zero in every
-# run (6 of 9 are kept at n=2, 31 of 256 at n=3).
+# circuits.outcome_distribution, on the union of their supports: the outcome
+# rows some basis product reaches, in lexicographic order (6 rows at n=2, 31
+# at n=3).  Every other outcome has probability zero in every run.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
 def _noon1_tables(n: int):
-    """(4^n, reachable outcomes) table of basis-product distributions, its
-    cumulative sums along the outcomes, and the readout value of every
-    reachable outcome."""
+    """The reachable outcome rows, the (4^n, reachable outcomes) table of
+    basis-product distributions, its cumulative sums along the outcomes, and
+    the readout value of every reachable outcome."""
     cutoff = ModeCutoff(2, 2)
     h = 1.0 / math.sqrt(2.0)
     # |00>, |10>, |01>, |+> at basis index i * d_b + j of |i>_A |j>_B
     basis = [BipartiteDensityOperator.from_state_vector(v, cutoff)
              for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, h, h, 0])]
-    grid = (n + 1,) * (2 * (n - 1))
-    rows = []
-    for copies in product(basis, repeat=n):
-        outcomes, probs = circuits.outcome_distribution(copies, n).as_arrays()
-        rows.append((np.ravel_multi_index(np.array(outcomes).T, grid), probs))
-    reachable = np.unique(np.concatenate([cells for cells, _ in rows]))
-    table = np.zeros((len(rows), reachable.size))
-    for row, (cells, probs) in zip(table, rows):
-        row[np.searchsorted(reachable, cells)] = probs
+    dists = [circuits.outcome_distribution(copies, n) for copies in product(basis, repeat=n)]
+    reachable, first, where = np.unique(np.concatenate([d.cells for d in dists]), axis=0,
+                                        return_index=True, return_inverse=True)
+    table = np.zeros((len(dists), reachable.shape[0]))
+    # numpy 2.0.0 returns the inverse as a column
+    table[np.repeat(np.arange(len(dists)), [d.probs.size for d in dists]),
+          where.reshape(-1)] = np.concatenate([d.probs for d in dists])
     cumtable = np.cumsum(table, axis=1)
-    values = circuits._readout_values(np.array(np.unravel_index(reachable, grid)).T)
-    for arr in (table, cumtable, values):
+    values = np.concatenate([d.values for d in dists])[first]
+    for arr in (reachable, table, cumtable, values):
         arr.setflags(write=False)
-    return table, cumtable, values
+    return reachable, table, cumtable, values
 
 
 def _noon1_coefficients(alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -294,22 +263,20 @@ def _noon1_coefficients(alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return coefs
 
 
-def _noon1_distributions(n: int, alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Exact outcome probabilities, one row per run. alphas/taus: (runs, n)."""
-    return _noon1_coefficients(alphas, taus) @ _noon1_tables(n)[0]
-
-
 def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     """Exact p_n of the readout for runs of n possibly different lossy N=1
-    copies; alphas/taus have shape (runs, n).  Complex array of length runs."""
-    return _noon1_distributions(n, alphas, taus) @ _noon1_tables(n)[2]
+    copies; alphas/taus have shape (runs, n).  Complex array of length runs:
+    each run's outcome probabilities, its coefficients times the table,
+    against the readout values."""
+    _, table, _, values = _noon1_tables(n)
+    return _noon1_coefficients(alphas, taus) @ table @ values
 
 
 def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
                    uniforms: np.ndarray) -> np.ndarray:
     """One readout value per run, drawn from each run's own distribution: the
     run's cumulative row is its coefficients times the cumulative table."""
-    _, cumtable, values = _noon1_tables(n)
+    _, _, cumtable, values = _noon1_tables(n)
     cum = _noon1_coefficients(alphas, taus) @ cumtable
     targets = uniforms * cum[:, -1]
     idx = (cum < targets[:, None]).sum(axis=1)
@@ -329,7 +296,10 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
     """Simulated experiment on noisy lossy N=1 copies.
 
     For every sample of both circuits, each copy's alpha and tau are drawn
-    afresh from the noise model; per sample-budget k, the optimal witness is
+    afresh around the state's own |alpha| and tau, with the noise model's
+    spreads (NoiseSpec() by default), and clamped to [0, 1]; a spread above
+    a tenth of its mean warns that the narrow-fluctuation model may not
+    apply.  Per sample-budget k, the optimal witness is
     formed from the two circuit estimates and summarized over the plan's
     repetitions.  Repetition r of budget k draws, on its own stream
     rng_stream(master_seed, k, r), the alphas, taus and uniforms of the n=2
@@ -342,7 +312,13 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
     if params.tau_a != params.tau_b:
         raise DomainError("the noise model draws one tau per copy; use tau_a == tau_b")
     if noise is None:
-        noise = NoiseSpec.for_noon(abs(params.noon.alpha), params.tau_a)
+        noise = NoiseSpec()
+    alpha = abs(params.noon.alpha)
+    spread = {"alpha": (alpha, noise.alpha_rel_std * alpha), "tau": (params.tau_a, noise.tau_std)}
+    for name, (mean, std) in spread.items():
+        if mean != 0 and std > mean / 10.0:
+            warnings.warn(f"noise on {name!r} exceeds a tenth of its mean; "
+                          "the narrow-fluctuation model may not apply", stacklevel=2)
     if k_values is None:
         k_values = DEFAULT_K_GRID
 
@@ -359,8 +335,8 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
         for r in range(plan.repetitions):
             rng = rng_stream(plan.master_seed, k, r)
             for n in (2, 3):
-                a, ca = _draw_clamped(rng, noise.alpha, (k, n))
-                t, ct = _draw_clamped(rng, noise.tau, (k, n))
+                a, ca = _draw_clamped(rng, *spread["alpha"], (k, n))
+                t, ct = _draw_clamped(rng, *spread["tau"], (k, n))
                 clamped += ca + ct
                 estimates[n][r] = _sample_values(n, a, t, rng.random(k)).mean()
         witnesses = _optimal_witness_from_estimates(estimates[2], estimates[3])

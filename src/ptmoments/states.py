@@ -34,8 +34,6 @@ __all__ = [
     "hhg_reduced_density",
     "hhg_pt_moments",
     "NOONParams",
-    "noon_state",
-    "noon_density",
     "noon_pt_moment",
     "LossyNOONParams",
     "lossy_noon_density",
@@ -72,6 +70,8 @@ class CatParams:
     parity: str = "even"
 
     def __post_init__(self):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if not 0.0 <= self.z <= 1.0:
             raise DomainError(f"z must lie in [0, 1], got {self.z}")
         if self.parity not in ("even", "odd"):
@@ -154,8 +154,10 @@ class HHGParams:
     def __post_init__(self):
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
-        if self.delta_alpha < 0:
-            raise DomainError(f"delta_alpha must be >= 0, got {self.delta_alpha}")
+        if not np.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
+        if not 0.0 <= self.delta_alpha < np.inf:
+            raise DomainError(f"delta_alpha must be finite and >= 0, got {self.delta_alpha}")
 
 
 def _hhg_scalars(p: HHGParams) -> tuple[float, float, float, float]:
@@ -227,31 +229,13 @@ class NOONParams:
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude fails this too
             raise DomainError(f"|alpha|^2 + |beta|^2 = {norm} must be 1")
 
     @classmethod
     def balanced(cls, N: int) -> "NOONParams":
         a = 1.0 / np.sqrt(2.0)
         return cls(N, a, a)
-
-
-def noon_state(p: NOONParams, cutoff: ModeCutoff | None = None) -> np.ndarray:
-    """Pure NOON amplitude array of shape (d_a, d_b)."""
-    if cutoff is None:
-        cutoff = ModeCutoff(p.N + 2, p.N + 2)  # one guard level for ladder ops
-    if cutoff.d_a <= p.N or cutoff.d_b <= p.N:
-        raise DomainError(f"cutoff must exceed N={p.N}")
-    vec = np.zeros((cutoff.d_a, cutoff.d_b), dtype=complex)
-    vec[p.N, 0] = p.alpha
-    vec[0, p.N] = p.beta
-    return vec
-
-
-def noon_density(p: NOONParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
-    if cutoff is None:
-        cutoff = ModeCutoff(p.N + 2, p.N + 2)
-    return BipartiteDensityOperator.from_state_vector(noon_state(p, cutoff), cutoff)
 
 
 def noon_pt_moment(p: NOONParams, n: int) -> float:
@@ -286,7 +270,7 @@ def lossy_noon_density(p: LossyNOONParams,
     """Binomial photon-loss mixture plus the damped |N,0><0,N| coherence."""
     N = p.noon.N
     if cutoff is None:
-        cutoff = ModeCutoff(N + 2, N + 2)
+        cutoff = ModeCutoff(N + 2, N + 2)  # one guard level for ladder ops
     if cutoff.d_a <= N or cutoff.d_b <= N:
         raise DomainError(f"cutoff must exceed N={N}")
     d_a, d_b = cutoff.d_a, cutoff.d_b

@@ -38,7 +38,6 @@ from ptmoments.states import (
     cat_separability_radius,
     lossy_noon_density,
     lossy_noon_pt_moments,
-    noon_density,
     noon_pt_moment,
     tmsv_density,
 )
@@ -62,7 +61,8 @@ def test_criterion_01_noon_exactness():
             p = NOONParams(n, alpha, math.sqrt(1.0 - alpha ** 2))
             closed = noon_pt_moment(p, 3)
             assert closed == pytest.approx(abs(alpha) ** 6 + (1 - alpha ** 2) ** 3, abs=1e-14)
-            dense = pt_moment(noon_density(p, ModeCutoff(n + 1, n + 1)), 3)
+            rho = lossy_noon_density(LossyNOONParams(p, 1.0, 1.0), ModeCutoff(n + 1, n + 1))
+            dense = pt_moment(rho, 3)
             assert abs(dense - closed) < 1e-10
     # the linear witness attains its minimum -3/4 at the balanced point
     balanced = p3_linear(1.0, noon_pt_moment(NOONParams.balanced(4), 3)).witness
@@ -194,10 +194,8 @@ def test_criterion_07_estimator_statistics():
     d3 = circuits.outcome_distribution([rho] * 3, 3)
 
     rng = estimation.rng_stream(7701, 0)
-    _, q2 = d2.as_arrays()
-    _, v2 = circuits.outcome_weights(d2)
-    _, q3 = d3.as_arrays()
-    _, v3 = circuits.outcome_weights(d3)
+    q2, v2 = d2.probs, d2.values
+    q3, v3 = d3.probs, d3.values
     e2 = v2[rng.choice(q2.size, size=(reps, k), p=q2 / q2.sum())].mean(axis=1)
     e3 = v3[rng.choice(q3.size, size=(reps, k), p=q3 / q3.sum())].mean(axis=1)
     w_l, w_q = estimation.witness_estimators(e2, e3, k)

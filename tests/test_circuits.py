@@ -35,7 +35,6 @@ from ptmoments.states import (
     NOONParams,
     cat_density,
     lossy_noon_density,
-    noon_density,
     qutrit_state,
 )
 
@@ -215,7 +214,8 @@ class TestLossyChannel:
         np.testing.assert_allclose(out.matrix, expect, atol=1e-12)
 
     def test_single_photon_mixture(self):
-        rho = noon_density(NOONParams(1, 1.0, 0.0), ModeCutoff(2, 2))
+        rho = lossy_noon_density(LossyNOONParams(NOONParams(1, 1.0, 0.0), 1.0, 1.0),
+                                 ModeCutoff(2, 2))
         out = lossy_channel(rho, 0.7, "a")
         expect = np.diag([0.3, 0.0, 0.7, 0.0]).astype(complex)
         np.testing.assert_allclose(out.matrix, expect, atol=1e-12)
@@ -240,7 +240,7 @@ class TestLossyChannel:
 
     def test_reproduces_lossy_noon_family(self):
         p = LossyNOONParams(NOONParams(2, 0.6, 0.8), 0.75, 0.45)
-        rho = noon_density(p.noon)
+        rho = lossy_noon_density(LossyNOONParams(p.noon, 1.0, 1.0))
         lossy = lossy_channel(lossy_channel(rho, p.tau_a, "a"), p.tau_b, "b")
         np.testing.assert_allclose(lossy.matrix, lossy_noon_density(p, rho.cutoff).matrix,
                                    atol=1e-12)
@@ -380,7 +380,7 @@ class TestOutcomeDistribution:
         assert calls == []
 
     def test_lossless_two_copy_has_even_totals_only(self):
-        rho = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
         dist = outcome_distribution([rho] * 2, 2)
         for (n2a, n2b), p in zip(*dist.as_arrays()):
             if p > 1e-12:
@@ -394,7 +394,7 @@ class TestOutcomeDistribution:
                 assert sum(outcome) <= 3
 
     def test_rejects_copy_count_mismatch(self):
-        rho = noon_density(NOONParams.balanced(1))
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 1.0))
         with pytest.raises(ValueError):
             outcome_distribution([rho] * 2, 3)
 
@@ -402,7 +402,7 @@ class TestOutcomeDistribution:
     def test_rejects_copy_with_negative_eigenvalue(self, negative):
         # below -tol.psd the copy is unphysical, and dropping that component
         # would only surface later as a misleading normalization error
-        good = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
+        good = lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
         bad = BipartiteDensityOperator(ModeCutoff(2, 2),
                                        np.diag([0.6, 0.4 - negative, 0.0, negative]),
                                        check_psd=False)
@@ -429,7 +429,7 @@ def low_rank_copy(rng, kept, cutoff, rank):
 def readout_value(copies):
     """Expectation of the root-of-unity readout value, complex."""
     dist = outcome_distribution(copies, len(copies))
-    return dist.as_arrays()[1] @ circuits.outcome_weights(dist)[1]
+    return dist.probs @ dist.values
 
 
 def common_cutoff_trace(copies):
@@ -549,19 +549,20 @@ class TestReadoutMemory:
 
 class TestMulticopyExpectation:
     def test_ideal_bell_purity(self):
-        rho = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
         dist = outcome_distribution([rho] * 2, 2)
         assert multicopy_expectation(dist) == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_bell_third_moment(self):
-        rho = noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
         dist = outcome_distribution([rho] * 3, 3)
         assert multicopy_expectation(dist) == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("n_pop", [1, 2, 3])
     @pytest.mark.parametrize("n_copies", [2, 3])
     def test_matches_pt_moment_on_noon(self, n_pop, n_copies):
-        rho = noon_density(NOONParams(n_pop, 0.6, 0.8), ModeCutoff(n_pop + 1, n_pop + 1))
+        rho = lossy_noon_density(LossyNOONParams(NOONParams(n_pop, 0.6, 0.8), 1.0, 1.0),
+                                 ModeCutoff(n_pop + 1, n_pop + 1))
         dist = outcome_distribution([rho] * n_copies, n_copies)
         assert multicopy_expectation(dist) == pytest.approx(
             pt_moment(rho, n_copies), abs=1e-8)
@@ -600,9 +601,8 @@ class TestMulticopyExpectation:
         for copies in (noon_copies, mixed_rank2_copies(rng, 3)):
             dist = outcome_distribution(copies, 3)
             # the product trace of unequal complex copies is itself complex
-            _, probs = dist.as_arrays()
-            _, vals = circuits.outcome_weights(dist)
-            assert probs @ vals == pytest.approx(pt_product_trace(copies), abs=1e-10)
+            assert dist.probs @ dist.values == pytest.approx(pt_product_trace(copies),
+                                                             abs=1e-10)
 
     def test_lossy_closed_forms(self):
         from ptmoments.states import lossy_noon_pt_moments
@@ -668,6 +668,18 @@ class TestDistributionValidation:
         assert dist.probability((2, 0, 1, 1)) == 0.5
         assert dist.probability((0, 1, 0, 0)) == 0.0
 
+    def test_cells_and_probs_are_the_read_only_support(self):
+        dist = OutcomeDistribution([[0, 0, 0, 0], [0, 1, 0, 0], [2, 0, 1, 1]],
+                                   [0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(dist.cells, [[0, 0, 0, 0], [2, 0, 1, 1]])
+        np.testing.assert_array_equal(dist.probs, [0.5, 0.5])
+        assert list(map(tuple, dist.cells.tolist())) == dist.outcomes()
+        for arr in (dist.cells, dist.probs):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(AttributeError):
+            dist.cells = np.zeros((1, 4), dtype=int)
+
     @pytest.mark.parametrize("cells", [[[0, 1], [0, 0]], [[0, 1], [0, 1]],
                                        [[1, 0], [0, 2]]])
     def test_rejects_cells_out_of_order_or_repeated(self, cells):
@@ -683,7 +695,7 @@ class TestDistributionValidation:
     def test_readout_values_per_outcome(self):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))
         dist = outcome_distribution([rho] * 3, 3)
-        keys, vals = circuits.outcome_weights(dist)
         w = np.exp(-2j * np.pi / 3)
-        for (n2a, n3a, n2b, n3b), v in zip(keys, vals):
+        assert dist.values.shape == (len(dist.outcomes()),)
+        for (n2a, n3a, n2b, n3b), v in zip(dist.outcomes(), dist.values):
             assert v == w ** (n2a + 2 * n3a - n2b - 2 * n3b)

@@ -83,6 +83,7 @@ class TestPackageErrors:
         ["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
         ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
         ["sample", "--family", "cat", "--tau", "0.8", "--copies", "3"],
+        ["sample", "--family", "noon", "--cutoff", "5"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -110,6 +111,7 @@ class TestPackageErrors:
         (["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
          "--cutoff"),
         (["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"], "--format"),
+        (["sample", "--family", "noon", "--cutoff", "5"], "--cutoff"),
     ])
     def test_error_names_the_option(self, argv, option, capsys):
         with pytest.raises(SystemExit):
@@ -130,7 +132,7 @@ FAMILY_READS = {
                  "hhg": {"--N", "--alpha", "--delta-alpha"},
                  "qutrit": set(),
                  "tmsv": {"--n-bar", "--r"}},
-    "sample": {"noon": {"--N", "--alpha", "--beta", "--tau", "--cutoff"},
+    "sample": {"noon": {"--N", "--alpha", "--beta", "--tau"},
                "cat": {"--alpha", "--beta", "--z", "--parity", "--tau", "--cutoff"},
                "qutrit": set()},
 }

@@ -1,6 +1,6 @@
 import math
-from functools import lru_cache
-from itertools import product
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,13 +13,13 @@ from ptmoments.estimation import (
     SamplingPlan,
     SimulationPoint,
     _draw_clamped,
-    _noon1_distributions,
+    _noon1_coefficients,
     _noon1_tables,
+    _sampled_estimates,
     full_simulation,
     min_samples,
     noon1_moments,
     rng_stream,
-    sample_pn,
     witness_estimators,
     witness_variances,
 )
@@ -39,41 +39,21 @@ def dist_for(tau, n):
     return circuits.outcome_distribution([rho] * n, n)
 
 
-def flat_cells(dist, n):
-    """Outcomes of ``dist`` as flat indices on the grid of n + 1 levels per
-    count, and their probabilities."""
-    outcomes, probs = dist.as_arrays()
-    return np.ravel_multi_index(np.array(outcomes).T, (n + 1,) * (2 * (n - 1))), probs
-
-
-@lru_cache(maxsize=None)
-def reachable_cells(n):
-    """Flat outcome cells in the support of some product of the four lossy
-    N=1 copies that span the family: vacuum, |10>, |01> and the Bell state."""
-    basis = [lossy_noon_density(LossyNOONParams(NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t),
-                                ModeCutoff(2, 2))
-             for a, t in ((BAL, 0.0), (1.0, 1.0), (0.0, 1.0), (BAL, 1.0))]
-    return np.unique(np.concatenate([flat_cells(circuits.outcome_distribution(copies, n), n)[0]
-                                     for copies in product(basis, repeat=n)]))
-
-
 class TestSamplePn:
     def test_concentrated_distribution(self, rng):
         dist = circuits.OutcomeDistribution([[0, 0]], [1.0])
         for k in (1, 5, 50):
-            assert sample_pn(dist, 2, k, rng) == pytest.approx(1.0)
+            np.testing.assert_allclose(_sampled_estimates(dist, 2, k, 3, rng), 1.0)
 
     def test_sampled_values_are_roots_of_unity(self):
         dist = dist_for(0.75, 3)
-        _, vals = circuits.outcome_weights(dist)
-        assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
+        assert np.abs(np.abs(dist.values) - 1.0).max() < 1e-12
 
     def test_unbiased_and_variance(self):
         tau, k, reps = 0.75, 40, 4000
         dist = dist_for(tau, 2)
         p2, _ = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
-        rng = rng_stream(11, 0)
-        est = np.array([sample_pn(dist, 2, k, rng) for _ in range(reps)])
+        est = _sampled_estimates(dist, 2, k, reps, rng_stream(11, 0))
         se = math.sqrt((1 - p2 ** 2) / k / reps)
         assert abs(est.mean().real - p2) < 3 * se
         var = np.sum(np.abs(est - est.mean()) ** 2) / (reps - 1)
@@ -81,7 +61,7 @@ class TestSamplePn:
 
     def test_copy_count_checked(self, rng):
         with pytest.raises(ValueError):
-            sample_pn(dist_for(0.9, 2), 3, 10, rng)
+            _sampled_estimates(dist_for(0.9, 2), 3, 10, 1, rng)
 
     def test_estimate_checks_copy_count(self, rng):
         from ptmoments.estimation import estimate_pn
@@ -113,8 +93,8 @@ class TestWitnessEstimators:
         rng = rng_stream(5, 1)
         w_q = np.empty(reps, dtype=complex)
         for i in range(reps):
-            e2 = sample_pn(d2, 2, k, rng)
-            e3 = sample_pn(d3, 3, k, rng)
+            e2 = _sampled_estimates(d2, 2, k, 1, rng)[0]
+            e3 = _sampled_estimates(d3, 3, k, 1, rng)[0]
             w_q[i] = witness_estimators(e2, e3, k)[1]
         expect = p3 - p2 ** 2
         se = math.sqrt(witness_variances(p2, p3, k)[1] / reps)
@@ -134,12 +114,8 @@ class TestWitnessEstimators:
         p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
         d2, d3 = dist_for(tau, 2), dist_for(tau, 3)
         rng = rng_stream(17, int(tau * 100))
-        _, q2 = d2.as_arrays()
-        _, v2 = circuits.outcome_weights(d2)
-        _, q3 = d3.as_arrays()
-        _, v3 = circuits.outcome_weights(d3)
-        e2 = v2[rng.choice(q2.size, size=(reps, k), p=q2 / q2.sum())].mean(axis=1)
-        e3 = v3[rng.choice(q3.size, size=(reps, k), p=q3 / q3.sum())].mean(axis=1)
+        e2 = _sampled_estimates(d2, 2, k, reps, rng)
+        e3 = _sampled_estimates(d3, 3, k, reps, rng)
         w_l, w_q = witness_estimators(e2, e3, k)
         var_l, var_q = witness_variances(p2, p3, k)
         assert abs(w_l.mean().real - (p3 - (3 * p2 - 1) / 2)) < 3 * math.sqrt(var_l / reps)
@@ -152,8 +128,8 @@ class TestWitnessEstimators:
         rng = rng_stream(6, 2)
         w_l = np.empty(reps, dtype=complex)
         for i in range(reps):
-            e2 = sample_pn(d2, 2, k, rng)
-            e3 = sample_pn(d3, 3, k, rng)
+            e2 = _sampled_estimates(d2, 2, k, 1, rng)[0]
+            e3 = _sampled_estimates(d3, 3, k, 1, rng)[0]
             w_l[i] = witness_estimators(e2, e3, k)[0]
         var = np.sum(np.abs(w_l - w_l.mean()) ** 2) / (reps - 1)
         assert var == pytest.approx(witness_variances(p2, p3, k)[0], rel=0.12)
@@ -183,22 +159,44 @@ class TestMinSamples:
             assert w + math.sqrt(var(k_star - 1)) >= 0
 
 
+class TestNoiseSpec:
+    def test_defaults_are_the_papers_noise_levels(self):
+        assert asdict(NoiseSpec()) == {"alpha_rel_std": 0.05, "tau_std": 0.05}
+
+    @pytest.mark.parametrize("field", ["alpha_rel_std", "tau_std"])
+    @pytest.mark.parametrize("std", [-0.01, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_std(self, field, std):
+        with pytest.raises(DomainError, match=field):
+            NoiseSpec(**{field: std})
+
+    def test_narrow_fluctuation_warning(self):
+        # tau_std = 0.05 exceeds a tenth of tau at 0.45, not at 0.75
+        plan = SamplingPlan(k=2, repetitions=2, master_seed=0)
+        with pytest.warns(UserWarning, match="noise on 'tau' exceeds a tenth of its mean"):
+            full_simulation(LossyNOONParams.balanced(1, 0.45), plan, k_values=(10,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full_simulation(LossyNOONParams.balanced(1, 0.75), plan, k_values=(10,))
+
+
 class TestNoisyDraws:
-    def test_zero_std_returns_base(self, rng):
-        spec = NoiseSpec.for_noon(BAL, 0.75, alpha_rel_std=0.0, tau_std=0.0)
-        for entry in (spec.alpha, spec.tau):
-            draws, clamped = _draw_clamped(rng, entry, (50, 3))
+    def test_zero_std_returns_base(self):
+        spec = NoiseSpec(0.0, 0.0)
+        for mean, std in ((BAL, spec.alpha_rel_std * BAL), (0.75, spec.tau_std)):
+            rng = rng_stream(5, 1)
+            draws, clamped = _draw_clamped(rng, mean, std, (50, 3))
             assert draws.shape == (50, 3)
-            assert (draws == entry.mean).all()
+            assert (draws == mean).all()
             assert clamped == 0
+            assert rng.random() == rng_stream(5, 1).random()  # nothing was drawn
 
     def test_draws_respect_clamps(self):
-        spec = NoiseSpec.for_noon(BAL, 0.98, tau_std=0.05)
-        for entry in (spec.alpha, spec.tau):
-            draws, clamped = _draw_clamped(rng_stream(5, 1), entry, (200, 3))
-            raw = rng_stream(5, 1).normal(entry.mean, entry.std, size=(200, 3))
-            assert ((entry.lo <= draws) & (draws <= entry.hi)).all()
-            assert clamped == np.count_nonzero((raw < entry.lo) | (raw > entry.hi))
+        spec = NoiseSpec()
+        for mean, std in ((BAL, spec.alpha_rel_std * BAL), (0.98, spec.tau_std)):
+            draws, clamped = _draw_clamped(rng_stream(5, 1), mean, std, (200, 3))
+            raw = rng_stream(5, 1).normal(mean, std, size=(200, 3))
+            np.testing.assert_array_equal(draws, np.clip(raw, 0.0, 1.0))
+            assert clamped == np.count_nonzero((raw < 0.0) | (raw > 1.0))
         assert clamped > 0  # tau at 0.98 +- 0.05 clips some draws at 1
 
 
@@ -264,23 +262,24 @@ class TestFastNoon1Path:
         copies = [lossy_noon_density(
             LossyNOONParams(NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t), ModeCutoff(2, 2))
             for a, t in params]
-        engine = np.zeros((n + 1) ** (2 * (n - 1)))
-        cells, probs = flat_cells(circuits.outcome_distribution(copies, n), n)
-        engine[cells] = probs
-        rows = _noon1_distributions(n, np.array([[a for a, _ in params]]),
-                                    np.array([[t for _, t in params]]))
-        cells = reachable_cells(n)
-        np.testing.assert_allclose(rows[0], engine[cells], rtol=0, atol=1e-12)
-        assert np.abs(np.delete(engine, cells)).max() <= 1e-12
+        engine = circuits.outcome_distribution(copies, n)
+        cells, table, _, _ = _noon1_tables(n)
+        coefs = _noon1_coefficients([[a for a, _ in params]], [[t for _, t in params]])
+        fast = circuits.OutcomeDistribution(cells, (coefs @ table)[0])
+        for outcome in set(engine.outcomes()) | set(fast.outcomes()):
+            assert fast.probability(outcome) == pytest.approx(engine.probability(outcome),
+                                                              abs=1e-12)
 
     def test_tables_keep_only_reachable_outcomes(self):
         for n, kept in ((2, 6), (3, 31)):
-            table, cumtable, values = _noon1_tables(n)
+            cells, table, cumtable, values = _noon1_tables(n)
+            assert cells.shape == (kept, 2 * (n - 1))
             assert table.shape == (4 ** n, kept) and values.shape == (kept,)
+            assert (table > 0).any(axis=0).all()  # every kept outcome is reached
             np.testing.assert_array_equal(cumtable, np.cumsum(table, axis=1))
-            grid = (n + 1,) * (2 * (n - 1))
-            full = circuits._readout_values(np.indices(grid).reshape(len(grid), -1).T)
-            np.testing.assert_array_equal(values, full[reachable_cells(n)])
+            # distinct rows in lexicographic order, and their readout values
+            uniform = circuits.OutcomeDistribution(cells, np.full(kept, 1.0 / kept))
+            np.testing.assert_array_equal(values, uniform.values)
 
 
 class TestFullSimulation:
@@ -306,9 +305,8 @@ class TestFullSimulation:
 
     def test_noiseless_lossless_bell_converges(self):
         params = LossyNOONParams.balanced(1, 1.0)
-        noise = NoiseSpec.for_noon(BAL, 1.0, alpha_rel_std=0.0, tau_std=0.0)
         plan = SamplingPlan(k=2, repetitions=40, master_seed=7)
-        (point,) = full_simulation(params, plan, noise=noise, k_values=(4000,))
+        (point,) = full_simulation(params, plan, noise=NoiseSpec(0.0, 0.0), k_values=(4000,))
         assert point.estimate.mean == pytest.approx(-0.75, abs=0.01)
         assert point.analytic_witness == pytest.approx(-0.75, abs=1e-12)
         assert point.clamped_draws == 0

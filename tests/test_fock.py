@@ -26,9 +26,10 @@ from ptmoments.fock import (
 )
 from ptmoments.states import (
     CatParams,
+    LossyNOONParams,
     NOONParams,
     cat_density,
-    noon_density,
+    lossy_noon_density,
     tmsv_density,
     tmsv_vector,
 )
@@ -37,7 +38,7 @@ from conftest import random_density, random_pure_bipartite
 
 
 def bell_density():
-    return noon_density(NOONParams.balanced(1), ModeCutoff(2, 2))
+    return lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
 
 
 def embed(rho, cutoff):
@@ -641,7 +642,7 @@ class TestModeMoment:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_noon_diagonal_moment(self, n):
         alpha, beta = 0.6, 0.8
-        rho = noon_density(NOONParams(n, alpha, beta))
+        rho = lossy_noon_density(LossyNOONParams(NOONParams(n, alpha, beta), 1.0, 1.0))
         val = mode_moment(rho, n, n, 0, 0)
         assert val.real == pytest.approx(alpha ** 2 * math.factorial(n), abs=1e-10)
         assert abs(val.imag) < 1e-12
@@ -649,7 +650,7 @@ class TestModeMoment:
     def test_noon_cross_moment_conjugate_pair(self):
         n = 2
         alpha, beta = 0.6 * np.exp(0.7j), np.sqrt(1 - 0.36) * np.exp(-0.2j)
-        rho = noon_density(NOONParams(n, alpha, beta))
+        rho = lossy_noon_density(LossyNOONParams(NOONParams(n, alpha, beta), 1.0, 1.0))
         lhs = mode_moment(rho, n, 0, 0, n)   # a+^n b^n
         rhs = mode_moment(rho, 0, n, n, 0)   # a^n b+^n
         assert lhs == pytest.approx(np.conj(rhs), abs=1e-11)
@@ -657,12 +658,12 @@ class TestModeMoment:
 
     def test_occupied_top_level_raises(self):
         # NOON at minimal cutoff has its top level occupied: net raising unsafe
-        rho = noon_density(NOONParams.balanced(2), ModeCutoff(3, 3))
+        rho = lossy_noon_density(LossyNOONParams.balanced(2, 1.0), ModeCutoff(3, 3))
         with pytest.raises(CutoffError):
             mode_moment(rho, 2, 0, 0, 2)
 
     def test_number_operator(self):
-        rho = noon_density(NOONParams.balanced(3))
+        rho = lossy_noon_density(LossyNOONParams.balanced(3, 1.0))
         total = mode_moment(rho, 1, 1, 0, 0) + mode_moment(rho, 0, 0, 1, 1)
         assert total.real == pytest.approx(3.0, abs=1e-11)
 

@@ -19,12 +19,28 @@ from ptmoments.states import (
     hhg_reduced_density,
     lossy_noon_density,
     lossy_noon_pt_moments,
-    noon_density,
     noon_pt_moment,
     qutrit_state,
 )
 
 BAL = 1 / math.sqrt(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NOONParams(1, math.nan, math.nan),
+    lambda: NOONParams(1, math.inf, 0.0),
+    lambda: CatParams(math.nan, 1.0, 0.5, "odd"),
+    lambda: CatParams(1.0, complex(math.inf, 0.0), 0.5, "odd"),
+    lambda: CatParams(1.0, 1.0, math.nan, "odd"),
+    lambda: HHGParams(3.0, math.nan, 2),
+    lambda: HHGParams(math.inf, 0.5, 2),
+    lambda: HHGParams(3.0, math.inf, 2),
+    lambda: LossyNOONParams(NOONParams.balanced(1), math.nan, 0.5),
+], ids=["noon-nan", "noon-inf", "cat-alpha-nan", "cat-beta-inf", "cat-z-nan",
+        "hhg-delta-nan", "hhg-alpha-inf", "hhg-delta-inf", "lossy-noon-tau-nan"])
+def test_non_finite_family_parameters_are_rejected(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestCat:
@@ -162,7 +178,7 @@ class TestNOON:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_closed_form_matches_oracle(self, n):
         p = NOONParams(n, 0.6, 0.8)
-        rho = noon_density(p)
+        rho = lossy_noon_density(LossyNOONParams(p, 1.0, 1.0))
         assert pt_moment(rho, 2) == pytest.approx(noon_pt_moment(p, 2), abs=1e-12)
         assert pt_moment(rho, 3) == pytest.approx(noon_pt_moment(p, 3), abs=1e-12)
 
