@@ -190,20 +190,20 @@ def _fig2a(args):
             p3 = gaussian.gaussian_pt_moment(pair, 3)
             lin, quad = gaussian.symplectic_p3_criteria(pair)
             rows.append((float(nu1), float(nu2), p2, p3,
-                         gaussian.simon_test(pair).witness, lin.witness, quad.witness,
-                         criteria.p3_optimal(p2, p3).witness))
+                         gaussian.simon_test(pair).witness, lin.witness, quad.witness))
     _emit(args, "fig2a", ["nu1", "nu2", "p2", "p3", "w_simon", "w_linear",
-                          "w_quadratic", "w_optimal"], rows,
+                          "w_quadratic", "w_optimal"], _with_optimal_witness(rows),
           grid={"lo": 0.2, "hi": 3.0, "step": 0.04})
 
 
 def _fig2b(args):
+    grid = np.round(np.arange(0.02, 1.0 + 1e-12, 0.0025), 10)
     rows = []
-    for p2 in np.round(np.arange(0.02, 1.0 + 1e-12, 0.0025), 10):
+    for p2, optimal in zip(grid, criteria.optimal_threshold(grid).tolist()):
         rows.append((float(p2),
                      (3.0 * p2 - 1.0) / 2.0,
                      p2 ** 2,
-                     criteria.optimal_threshold(p2),
+                     optimal,
                      4.0 * p2 ** 2 / (3.0 + p2 ** 2),
                      criteria.gaussian_physicality_bound(p2)))
     _emit(args, "fig2b", ["p2", "linear_threshold", "quadratic_threshold",
@@ -252,21 +252,26 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _lossy_noon_optimal_witness(n: int, tau: float) -> tuple[float, float, float]:
+def _with_optimal_witness(rows):
+    """Rows with p2, p3 in columns 2, 3, extended by p3 - optimal_threshold(p2)."""
+    thresholds = criteria.optimal_threshold(np.array([row[2] for row in rows]))
+    return [row + (row[3] - thr,) for row, thr in zip(rows, thresholds.tolist())]
+
+
+def _lossy_noon_optimal_witness(n: int, tau: float) -> float:
     p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
-    return p2, p3, p3 - criteria.optimal_threshold(p2)
+    return p3 - criteria.optimal_threshold(p2)
 
 
 def _fig3a(args):
-    rows = []
+    rows = [(n, float(tau)) + states.lossy_noon_pt_moments(
+                states.LossyNOONParams.balanced(n, float(tau)))
+            for n in range(1, 11) for tau in np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10)]
     for n in range(1, 11):
-        for tau in np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10):
-            p2, p3, w = _lossy_noon_optimal_witness(n, float(tau))
-            rows.append((n, float(tau), p2, p3, w))
-        f = lambda t: _lossy_noon_optimal_witness(n, t)[2]
+        f = lambda t: _lossy_noon_optimal_witness(n, t)
         crossing = _bisect(f, 0.501, 0.9999, xtol=1e-9) if f(0.501) > 0 else 0.5
         print(f"N={n}: optimal witness crosses zero at tau = {crossing:.6f}")
-    _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], rows)
+    _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], _with_optimal_witness(rows))
 
 
 def _fig3b(args):

@@ -160,23 +160,18 @@ def optimal_threshold(p2):
     Minimizes the third power sum over non-negative spectra with unit trace
     and fixed second power sum: with a = floor(1/p2) the minimizer has a
     equal weights u and one remainder 1 - a*u.  Reduces to the linear bound
-    (3 p2 - 1)/2 on 1/2 < p2 <= 1.  Takes a float, giving a float, or an
-    array, giving an array; both forms agree bit for bit.
+    (3 p2 - 1)/2 on 1/2 < p2 <= 1.  One elementwise formula: an array gives
+    an array of its shape, a float (or any zero-dimensional input) a float.
     """
-    if np.ndim(p2) == 0:
-        if not 0.0 < p2 <= 1.0:
-            raise DomainError(f"p2 must lie in (0, 1], got {p2}")
-        a = max(int(math.floor(1.0 / p2 + _FLOOR_NUDGE)), 1)
-        u = (a + math.sqrt(max(a * (p2 * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
-        return a * u ** 3 + (1.0 - a * u) ** 3
     p2 = np.asarray(p2, dtype=float)
     if not ((p2 > 0.0) & (p2 <= 1.0)).all():
-        raise DomainError("every p2 must lie in (0, 1]")
+        raise DomainError(f"p2 must lie in (0, 1], got {p2}")
     a = np.maximum(np.floor(1.0 / p2 + _FLOOR_NUDGE), 1.0)
     u = (a + np.sqrt(np.maximum(a * (p2 * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
     # float_power calls the C library's pow, as float ** does; np.power's
     # SIMD loop can differ from it in the last bit
-    return a * np.float_power(u, 3) + np.float_power(1.0 - a * u, 3)
+    thr = a * np.float_power(u, 3) + np.float_power(1.0 - a * u, 3)
+    return float(thr) if thr.ndim == 0 else thr
 
 
 def p3_optimal(p2: float, p3: float) -> CriterionReport:

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import circuits
-from .criteria import optimal_threshold
+from .criteria import _require_finite, optimal_threshold
 from .errors import DomainError
 from .fock import BipartiteDensityOperator, ModeCutoff
 from .states import LossyNOONParams, lossy_noon_pt_moments
@@ -157,6 +157,7 @@ def witness_estimators(p2_k: complex, p3_k: complex, k: int) -> tuple[complex, c
 
 def witness_variances(p2: float, p3: float, k: int) -> tuple[float, float]:
     """Analytic variances of the two witness estimators at sample size k."""
+    _require_finite(p2=p2, p3=p3)
     if k < 2:
         raise DomainError("variances are defined for k >= 2")
     var_l = (1.0 - p3 ** 2) / k + 2.25 * (1.0 - p2 ** 2) / k
@@ -168,6 +169,7 @@ def witness_variances(p2: float, p3: float, k: int) -> tuple[float, float]:
 def min_samples(p2: float, p3: float, criterion: str = "quadratic") -> float:
     """Smallest k at which the witness mean plus one standard deviation is
     negative; math.inf when the witness itself is non-negative."""
+    _require_finite(p2=p2, p3=p3)
     if criterion == "quadratic":
         mean = p3 - p2 ** 2
         var = lambda k: witness_variances(p2, p3, k)[1]

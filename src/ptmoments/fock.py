@@ -18,8 +18,9 @@ split this way: the two-mode squeezed vacuum conserves N_A + N_B after the
 partial transpose, cat states conserve parity.  The components are labelled
 in numpy: each node is hooked onto the smallest node of its row, then the
 entries that still join two trees hook root onto root until none does.
-Positivity on construction is a Cholesky certificate of 0.5 * (rho + rho^H)
-+ psd * I per block; ``eigvalsh`` runs only to name a rejection.
+Positivity on construction is one pass: a Cholesky certificate of
+0.5 * (rho + rho^H) + psd * I per block, and ``eigvalsh`` of a failing block
+alone, without the shift, to name the rejection by its minimum.
 
 Memory: an operator stores one copy of its matrix.  The constructor copies a
 caller's array once; the package's own builders hand over the matrix they
@@ -138,19 +139,9 @@ class BipartiteDensityOperator:
         tr = np.trace(mat)
         if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
-        if check_psd and not _psd_certified(mat):
-            # name the rejection: symmetrising each principal block gives the
-            # entries of 0.5 * (mat + mat^H) bit for bit
-            def hermitian_blocks(idx):
-                blocks = _principal(mat, idx)
-                blocks += blocks.conj().swapaxes(1, 2)
-                blocks *= 0.5
-                return blocks
-
-            lam_min = _block_eigvalsh(mat != 0, hermitian_blocks)[0]
-            if lam_min < -DEFAULT_TOL.psd:
-                raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} "
-                                           f"< -{DEFAULT_TOL.psd:.1e}")
+        if check_psd and (lam_min := _uncertified_minimum(mat)) < -DEFAULT_TOL.psd:
+            raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} "
+                                       f"< -{DEFAULT_TOL.psd:.1e}")
         mat.setflags(write=False)
         self.cutoff = cutoff
         self.matrix = mat
@@ -209,22 +200,27 @@ def _hermiticity_residue(mat: np.ndarray) -> float:
     return res.max()
 
 
-def _psd_certified(mat: np.ndarray) -> bool:
-    """Whether every block of 0.5 * (mat + mat^H) + psd * I has a Cholesky factor,
-    which proves lambda_min >= -psd up to ~n * eps * |mat| (Higham 1990)."""
+def _uncertified_minimum(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of the blocks of 0.5 * (mat + mat^H) that fail their
+    certificate, inf if none does.  A Cholesky factor of block + psd * I proves
+    lambda_min >= -psd up to ~n * eps * |mat| (Higham 1990)."""
+    lam_min = math.inf
     for idx in _block_groups(mat != 0):
         blocks = _principal(mat, idx)
         count, size = idx.shape
         for r in _row_chunks(size, count * size):
-            lower = blocks[:, r, :r.stop]  # holds the lower triangle, which cholesky reads
+            lower = blocks[:, r, :r.stop]  # holds the lower triangle, which both solvers read
             lower += blocks[:, :r.stop, r].conj().swapaxes(1, 2)
             lower *= 0.5
-        blocks.reshape(count, -1)[:, ::size + 1] += DEFAULT_TOL.psd
+        diagonal = blocks.reshape(count, -1)[:, ::size + 1]
+        unshifted = diagonal.copy()
+        diagonal += DEFAULT_TOL.psd
         try:
             np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
-            return False
-    return True
+            diagonal[...] = unshifted  # exactly: subtracting the shift could round
+            lam_min = min(lam_min, np.linalg.eigvalsh(blocks).min())
+    return lam_min
 
 
 def _principal(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:

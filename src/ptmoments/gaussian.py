@@ -10,6 +10,7 @@ two eigenvalues in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class CovarianceMatrix:
         g = np.array(self.gamma, dtype=float)
         if g.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise DomainError(f"covariance matrix must be finite, got {g.tolist()}")
         residue = np.abs(g - g.T).max()
         if residue > _COV_TOL:
             raise SymmetryError(f"symmetry residue {residue:.3e} > {_COV_TOL:.1e}")
@@ -81,7 +84,10 @@ class SymplecticPair:
     nu2: float
 
     def __post_init__(self):
-        lo, hi = sorted((float(self.nu1), float(self.nu2)))
+        nus = (float(self.nu1), float(self.nu2))
+        if not np.isfinite(nus).all():
+            raise DomainError(f"symplectic eigenvalues must be finite, got {nus}")
+        lo, hi = sorted(nus)
         if lo < 0:
             raise DomainError(f"symplectic eigenvalues must be >= 0, got {lo}")
         object.__setattr__(self, "nu1", lo)
@@ -145,8 +151,9 @@ def symplectic_p3_criteria(pair: SymplecticPair) -> tuple[CriterionReport, Crite
 def tmsv_thermal(n_bar: float, r: float) -> CovarianceMatrix:
     """Two-mode squeezed state built from two thermal modes of mean occupation
     n_bar, squeezed with parameter r."""
-    if n_bar < 0:
-        raise DomainError(f"n_bar must be >= 0, got {n_bar}")
+    # checked before the block, where an infinite entry times zero warns
+    if not (0.0 <= n_bar < math.inf and math.isfinite(r)):
+        raise DomainError(f"need finite n_bar >= 0 and finite r, got {n_bar}, {r}")
     scale = 2.0 * n_bar + 1.0
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     z = np.diag([1.0, -1.0])

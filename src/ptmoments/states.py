@@ -10,6 +10,7 @@ unit trace after the cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import comb
 
@@ -49,6 +50,8 @@ __all__ = [
 
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
     """Truncated coherent-state amplitudes (not renormalized)."""
+    if not np.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     n = np.arange(d)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, d)))))
     amps = np.exp(-abs(alpha) ** 2 / 2 - log_fact / 2) * np.power(complex(alpha), n)
@@ -361,11 +364,18 @@ def qutrit_state() -> FockSuperposition:
 # ---------------------------------------------------------------------------
 
 def tmsv_cutoff(r: float, tol: float = DEFAULT_TOL.trunc) -> int:
-    """Smallest dimension with geometric tail tanh(r)^(2d) below tol."""
+    """Smallest dimension d >= 2 with geometric tail tanh(r)^(2d) below tol.
+
+    d starts from the closed form ceil(ln tol / (2 ln tanh r)); the float
+    comparison of the tail with tol then settles the boundary."""
     t = np.tanh(abs(r))
+    if not (t < 1.0 and 0.0 < tol < math.inf):  # t is NaN, or tanh(r) rounded to 1
+        raise DomainError(f"need tanh(|r|) < 1 and 0 < tol < inf, got r={r}, tol={tol}")
     if t == 0.0:
         return 2
-    d = 2
+    d = max(math.ceil(math.log(tol) / (2.0 * math.log(t))), 2)
+    while d > 2 and t ** (2 * (d - 1)) < tol:
+        d -= 1
     while t ** (2 * d) >= tol:
         d += 1
     return d

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptmoments
@@ -280,6 +281,22 @@ class TestReproduce:
         run(["reproduce", "table1"])
         assert (tmp_path / "envdir" / "table1.csv").exists()
 
+    @pytest.mark.parametrize("target, most", [("fig2a", 0), ("fig2b", 0), ("fig3a", 400)])
+    def test_grid_targets_take_the_threshold_once_per_grid(self, target, most, tmp_path,
+                                                            monkeypatch):
+        # fig3a's bisections make the only per-point threshold calls
+        scalar_calls = []
+        threshold = cli.criteria.optimal_threshold
+
+        def counted(p2):
+            if np.ndim(p2) == 0:
+                scalar_calls.append(p2)
+            return threshold(p2)
+
+        monkeypatch.setattr(cli.criteria, "optimal_threshold", counted)
+        assert run(["reproduce", target, "--out", str(tmp_path)]) == 0
+        assert len(scalar_calls) <= most
+
 
 class TestRoundTrip:
     def test_csv_round_trip_is_idempotent(self, tmp_path):
@@ -299,7 +316,6 @@ class TestRoundTrip:
         assert path.read_bytes() == first
 
     def test_numpy_scalars_are_normalized(self, tmp_path):
-        import numpy as np
         table = Table({"target": "unit"}, ["a", "b", "c"],
                       [(np.int64(2), np.float64(0.5), np.bool_(True))])
         path = tmp_path / "np.csv"

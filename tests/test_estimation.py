@@ -15,6 +15,7 @@ from ptmoments.estimation import (
     _draw_clamped,
     _noon1_coefficients,
     _noon1_tables,
+    _sample_values,
     _sampled_estimates,
     full_simulation,
     min_samples,
@@ -269,6 +270,30 @@ class TestFastNoon1Path:
         for outcome in set(engine.outcomes()) | set(fast.outcomes()):
             assert fast.probability(outcome) == pytest.approx(engine.probability(outcome),
                                                               abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sampled_values_match_fixed_row(self, n):
+        # one fixed run repeated: the draws average to that run's p_n
+        draws = 20000
+        rng = rng_stream(5, n)
+        alphas = np.tile(rng.uniform(0.2, 0.9, n), (draws, 1))
+        taus = np.tile(rng.uniform(0.5, 1.0, n), (draws, 1))
+        values = _sample_values(n, alphas, taus, rng.random(draws))
+        exact = noon1_moments(n, alphas[:1], taus[:1])[0]
+        std_error = math.sqrt((1.0 - abs(exact) ** 2) / draws)
+        assert abs(values.mean() - exact) < 4 * std_error
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sampled_values_match_varying_rows(self, n):
+        # every run has its own copies: the draws average to the mean p_n
+        draws = 20000
+        rng = rng_stream(6, n)
+        alphas = rng.uniform(0.0, 1.0, (draws, n))
+        taus = rng.uniform(0.5, 1.0, (draws, n))
+        values = _sample_values(n, alphas, taus, rng.random(draws))
+        exact = noon1_moments(n, alphas, taus)
+        std_error = math.sqrt(np.sum(1.0 - np.abs(exact) ** 2)) / draws
+        assert abs(values.mean() - exact.mean()) < 4 * std_error
 
     def test_tables_keep_only_reachable_outcomes(self):
         for n, kept in ((2, 6), (3, 31)):

@@ -442,7 +442,7 @@ class TestPsdCertificate:
         dense_min = np.linalg.eigvalsh(mat).min()
         assert (dense_min >= -DEFAULT_TOL.psd) == (side < 0)
         assert psd_accepted(ModeCutoff(dim, 1), mat) == (side < 0)
-        assert fock._psd_certified(mat) == (side < 0)
+        assert (fock._uncertified_minimum(mat) == math.inf) == (side < 0)
 
     @pytest.mark.parametrize("chunk_bytes", [None, 16 * 60 * 8])
     @pytest.mark.parametrize("lam_min, side", [(-0.5e-8, -1), (-1.5e-8, 1)])
@@ -467,7 +467,7 @@ class TestPsdCertificate:
         mat += side * (lower - lower.conj().T)
         assert np.abs(mat - mat.conj().T).max() <= DEFAULT_TOL.herm
         accepted = lam_min >= -DEFAULT_TOL.psd
-        assert fock._psd_certified(mat) == accepted
+        assert (fock._uncertified_minimum(mat) == math.inf) == accepted
         assert psd_accepted(ModeCutoff(dim, 1), mat) == accepted
 
     @pytest.mark.parametrize("case", ["rank1_d30", "tmsv_d30", "odd_cat", "rank_deficient_blocks"])
@@ -488,7 +488,7 @@ class TestPsdCertificate:
                 start += size
             perm = rng.permutation(28)
             mat = mat[np.ix_(perm, perm)] / len(sizes)
-        assert fock._psd_certified(mat)
+        assert fock._uncertified_minimum(mat) == math.inf
         dim = len(mat)
         BipartiteDensityOperator(ModeCutoff(dim, 1), mat)
 
@@ -501,12 +501,28 @@ class TestPsdCertificate:
         perm = rng.permutation(8)
         mat = mat[np.ix_(perm, perm)]
         mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
-        assert not fock._psd_certified(mat)
+        assert fock._uncertified_minimum(mat) < math.inf
         lam_min = fock._block_eigvalsh(mat != 0, symmetrised_blocks(mat))[0]
         assert lam_min == pytest.approx(np.linalg.eigvalsh(mat).min(), abs=1e-15)
         message = f"minimum eigenvalue {lam_min:.3e} < -{DEFAULT_TOL.psd:.1e}"
         with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
             BipartiteDensityOperator(ModeCutoff(4, 2), mat)
+
+    def test_rejection_labels_the_pattern_once(self, rng, monkeypatch):
+        # the certificate's pass also names the rejection: one labelling, and
+        # the minimum of the failing blocks is the dense minimum eigenvalue
+        calls = []
+        labels = fock._component_labels
+        monkeypatch.setattr(fock, "_component_labels",
+                            lambda pattern: calls.append(1) or labels(pattern))
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[:2, :2] = with_spectrum(rng, [-1e-3, 0.3])
+        mat[2:, 2:] = with_spectrum(rng, [0.1, 0.2, 0.2, 0.201])
+        lam_min = np.linalg.eigvalsh(mat).min()
+        with pytest.raises(StateValidationError, match="^minimum eigenvalue -1.000e-03 <"):
+            BipartiteDensityOperator(ModeCutoff(3, 2), mat)
+        assert len(calls) == 1
+        assert fock._uncertified_minimum(mat) == pytest.approx(lam_min, abs=1e-15)
 
 
 def scipy_labels(pattern):

@@ -1,10 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ptmoments.criteria import p3_linear, optimal_threshold
 from ptmoments.errors import CutoffTooSmallError, DomainError
+from ptmoments.estimation import min_samples, witness_variances
+from ptmoments.gaussian import SymplecticPair, simon_test, tmsv_thermal, tmsv_thermal_pt_pair
 from ptmoments.fock import ModeCutoff, pt_moment, purity, spectrum, partial_transpose
 from ptmoments.states import (
     CatParams,
@@ -15,12 +18,14 @@ from ptmoments.states import (
     cat_density,
     cat_pt_moments,
     cat_separability_radius,
+    coherent_vector,
     hhg_pt_moments,
     hhg_reduced_density,
     lossy_noon_density,
     lossy_noon_pt_moments,
     noon_pt_moment,
     qutrit_state,
+    tmsv_cutoff,
 )
 
 BAL = 1 / math.sqrt(2)
@@ -41,6 +46,55 @@ BAL = 1 / math.sqrt(2)
 def test_non_finite_family_parameters_are_rejected(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda x: min_samples(x, 0.1),
+    lambda x: min_samples(0.5, x),
+    lambda x: witness_variances(x, 0.1, 10),
+    lambda x: simon_test(SymplecticPair(x, 2.0)),
+    lambda x: SymplecticPair(x, 1.0),
+    lambda x: tmsv_thermal_pt_pair(0.0, x),
+    lambda x: tmsv_thermal(x, 0.3),
+    lambda x: tmsv_thermal(0.0, x),
+    lambda x: tmsv_cutoff(x),
+    lambda x: coherent_vector(x, 4),
+], ids=["min_samples-p2", "min_samples-p3", "witness_variances", "simon_test",
+        "symplectic_pair", "tmsv_thermal_pt_pair", "tmsv_thermal-n_bar", "tmsv_thermal-r",
+        "tmsv_cutoff", "coherent_vector"])
+def test_non_finite_input_is_rejected(entry, bad):
+    # NaN fails every comparison and inf overflows the formulas, so either
+    # would otherwise come out as a number or a verdict
+    with pytest.raises(DomainError):
+        entry(bad)
+
+
+class TestTmsvCutoff:
+    @staticmethod
+    def cutoff_by_loop(r, tol):
+        """Reference: the smallest d >= 2 with tanh(r)^(2d) < tol, d by d."""
+        t = np.tanh(abs(r))
+        if t == 0.0:
+            return 2
+        d = 2
+        while t ** (2 * d) >= tol:
+            d += 1
+        return d
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_closed_form_equals_the_loop(self, tol):
+        for r in np.linspace(0.05, 5.0, 100):
+            assert tmsv_cutoff(r, tol) == self.cutoff_by_loop(r, tol)
+        assert tmsv_cutoff(0.0, tol) == 2
+
+    def test_saturated_squeezing_raises_at_once(self):
+        # tanh(20) rounds to 1.0, where the tail never falls below tol
+        started = time.perf_counter()
+        with pytest.raises(DomainError):
+            tmsv_cutoff(20.0)
+        assert time.perf_counter() - started < 1.0
+        assert tmsv_cutoff(10.0) == 1675701205  # about 1.7e9 loop steps
 
 
 class TestCat:
