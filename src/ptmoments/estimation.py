@@ -224,7 +224,20 @@ def _draw_clamped(rng: np.random.Generator, mean: float, std: float,
 # circuits.outcome_distribution, on the union of their supports: the outcome
 # rows some basis product reaches, in lexicographic order (6 rows at n=2, 31
 # at n=3).  Every other outcome has probability zero in every run.
+#
+# The coefficients are laid out run-major, (4^n, runs) with the runs
+# contiguous, and the table product table.T @ coefs is taken in column blocks
+# of at most _SHOT_BLOCK runs, each of which BLAS runs on the calling thread.
 # ---------------------------------------------------------------------------
+
+# Runs per block of the table product.  An n=3 block is 31 x 64 x 128 =
+# 253,952 multiply-adds, at or below OpenBLAS's single-thread cutoff of
+# 65,536 x 4 = 262,144, so no second thread is woken (and left spinning) for
+# a fraction of a millisecond of work, and a block's operands fit in L2.  The
+# runs are split into equal blocks: a block one run wide, unless the call
+# is, would go to gemv, whose sums round differently from gemm's.
+_SHOT_BLOCK = 128
+
 
 @lru_cache(maxsize=4)
 def _noon1_tables(n: int):
@@ -250,38 +263,50 @@ def _noon1_tables(n: int):
     return reachable, table, cumtable, values
 
 
-def _noon1_coefficients(alphas: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Kronecker product of the per-copy basis coefficients, one row per run.
-    alphas/taus: (runs, n)."""
-    alphas = np.asarray(alphas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
+def _noon1_coefficients(alphas, taus) -> np.ndarray:
+    """Kronecker product of the per-copy basis coefficients, one column per
+    run: shape (4^n, runs), runs contiguous.  alphas/taus: (runs, n)."""
+    alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
+    taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
     betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
     ab = alphas * betas
     per_copy = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
-                         2.0 * taus * ab], axis=-1)
-    coefs = per_copy[:, 0]
-    for c in range(1, per_copy.shape[1]):
-        coefs = (coefs[:, :, None] * per_copy[:, c, None, :]).reshape(coefs.shape[0], -1)
+                         2.0 * taus * ab], axis=1)
+    coefs = per_copy[0]
+    for c in per_copy[1:]:
+        coefs = (coefs[:, None, :] * c[None, :, :]).reshape(-1, coefs.shape[1])
     return coefs
+
+
+def _table_product(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """table.T @ coefs, shape (outcomes, runs), over equal column blocks of
+    at most _SHOT_BLOCK runs."""
+    runs = coefs.shape[1]
+    out = np.empty((table.shape[1], runs))
+    blocks = -(-runs // _SHOT_BLOCK)
+    edges = [runs * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        np.matmul(table.T, coefs[:, start:stop], out=out[:, start:stop])
+    return out
 
 
 def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     """Exact p_n of the readout for runs of n possibly different lossy N=1
     copies; alphas/taus have shape (runs, n).  Complex array of length runs:
-    each run's outcome probabilities, its coefficients times the table,
+    each run's outcome probabilities, the table times its coefficients,
     against the readout values."""
     _, table, _, values = _noon1_tables(n)
-    return _noon1_coefficients(alphas, taus) @ table @ values
+    probs = _table_product(table, _noon1_coefficients(alphas, taus))
+    return np.ascontiguousarray(probs.T) @ values
 
 
 def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
                    uniforms: np.ndarray) -> np.ndarray:
     """One readout value per run, drawn from each run's own distribution: the
-    run's cumulative row is its coefficients times the cumulative table."""
+    run's cumulative column is the cumulative table times its coefficients."""
     _, _, cumtable, values = _noon1_tables(n)
-    cum = _noon1_coefficients(alphas, taus) @ cumtable
-    targets = uniforms * cum[:, -1]
-    idx = (cum < targets[:, None]).sum(axis=1)
+    cum = _table_product(cumtable, _noon1_coefficients(alphas, taus))
+    idx = np.count_nonzero(cum < uniforms * cum[-1], axis=0)
     return values[np.minimum(idx, values.size - 1)]
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, DomainError, HermiticityError, StateValidationError
+from .errors import BudgetError, CutoffError, DomainError, HermiticityError, StateValidationError
 
 __all__ = [
     "ToleranceProfile",
@@ -88,10 +88,17 @@ DEFAULT_TOL = ToleranceProfile()
 # chunks at a time whatever the matrix size.
 _CHUNK_BYTES = 1 << 20
 
+# Largest dense complex matrix a cutoff may ask for.  Every dense builder
+# makes its cutoff before it allocates, so an oversized request fails before
+# any memory is taken.
+_DENSE_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class ModeCutoff:
-    """Number of Fock levels kept per mode (levels 0 .. d-1)."""
+    """Number of Fock levels kept per mode (levels 0 .. d-1).  A cutoff whose
+    dense (dim x dim) complex matrix would exceed _DENSE_BYTES raises
+    BudgetError."""
 
     d_a: int
     d_b: int
@@ -99,6 +106,11 @@ class ModeCutoff:
     def __post_init__(self):
         if self.d_a < 1 or self.d_b < 1:
             raise ValueError(f"cutoffs must be >= 1, got {self.d_a}, {self.d_b}")
+        nbytes = (int(self.d_a) * int(self.d_b)) ** 2 * np.dtype(complex).itemsize
+        if nbytes > _DENSE_BYTES:
+            raise BudgetError(f"cutoff ({self.d_a}, {self.d_b}) needs a dense "
+                              f"{nbytes / 2 ** 30:.3g} GiB matrix, above the "
+                              f"{_DENSE_BYTES / 2 ** 30:.3g} GiB bound")
 
     @property
     def dim(self) -> int:
@@ -396,16 +408,25 @@ def pure_state_pt_moment(schmidt_probs, n: int) -> float:
 
 
 def _poisson_tail(k: int, mean: float) -> float:
-    """P(X > k) for X ~ Poisson(mean), summed from the term j = k + 1 up."""
-    tail, j = 0.0, k + 1
+    """P(X > k) for X ~ Poisson(mean), summed from the term j = k + 1 up.
+    Below the mode it is 1 - P(X <= k), with the head summed from j = k
+    down: there the first term of the upward sum underflows to 0 once the
+    mean is large, and that sum would stop at once."""
+    upward = k + 1 >= mean
+    j = k + 1 if upward else k
+    total = 0.0
     term = math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) if mean else 0.0
-    # the terms rise up to the mode and fall past it: stop at the first one
-    # that no longer changes the sum
-    while tail + term != tail:
-        tail += term
-        j += 1
-        term *= mean / j
-    return tail
+    # the terms fall away from the mode: stop at the first one that no longer
+    # changes the sum (the term below j = 0 is 0)
+    while total + term != total:
+        total += term
+        if upward:
+            j += 1
+            term *= mean / j
+        else:
+            term *= j / mean
+            j -= 1
+    return total if upward else 1.0 - total
 
 
 def coherent_cutoff(alphas, tol: float = DEFAULT_TOL.trunc, guard: int = 1) -> int:

@@ -392,4 +392,5 @@ def tmsv_vector(r: float, d: int) -> np.ndarray:
 
 
 def tmsv_density(r: float, d: int) -> BipartiteDensityOperator:
-    return BipartiteDensityOperator.from_state_vector(tmsv_vector(r, d), ModeCutoff(d, d))
+    cutoff = ModeCutoff(d, d)  # refuses an oversized matrix before the vector is made
+    return BipartiteDensityOperator.from_state_vector(tmsv_vector(r, d), cutoff)

@@ -85,6 +85,7 @@ class TestPackageErrors:
         ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
         ["sample", "--family", "cat", "--tau", "0.8", "--copies", "3"],
         ["sample", "--family", "noon", "--cutoff", "5"],
+        ["sample", "--family", "cat", "--alpha", "8", "--beta", "8"],  # a 1.95 GiB matrix
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ptmoments import circuits
+from ptmoments import circuits, estimation
 from ptmoments.errors import DomainError
 from ptmoments.estimation import (
     EstimatorResult,
@@ -266,7 +266,7 @@ class TestFastNoon1Path:
         engine = circuits.outcome_distribution(copies, n)
         cells, table, _, _ = _noon1_tables(n)
         coefs = _noon1_coefficients([[a for a, _ in params]], [[t for _, t in params]])
-        fast = circuits.OutcomeDistribution(cells, (coefs @ table)[0])
+        fast = circuits.OutcomeDistribution(cells, (table.T @ coefs)[:, 0])
         for outcome in set(engine.outcomes()) | set(fast.outcomes()):
             assert fast.probability(outcome) == pytest.approx(engine.probability(outcome),
                                                               abs=1e-12)
@@ -305,6 +305,76 @@ class TestFastNoon1Path:
             # distinct rows in lexicographic order, and their readout values
             uniform = circuits.OutcomeDistribution(cells, np.full(kept, 1.0 / kept))
             np.testing.assert_array_equal(values, uniform.values)
+
+
+def reference_coefficients(alphas, taus):
+    """The Kronecker coefficients one row per run, (runs, 4^n): the layout
+    the sampler is checked against."""
+    alphas = np.asarray(alphas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
+    ab = alphas * betas
+    per_copy = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
+                         2.0 * taus * ab], axis=-1)
+    coefs = per_copy[:, 0]
+    for c in range(1, per_copy.shape[1]):
+        coefs = (coefs[:, :, None] * per_copy[:, c, None, :]).reshape(coefs.shape[0], -1)
+    return coefs
+
+
+def reference_sample_values(n, alphas, taus, uniforms):
+    """The sampler as one product of the row-per-run coefficients with the
+    cumulative table."""
+    _, _, cumtable, values = _noon1_tables(n)
+    cum = reference_coefficients(alphas, taus) @ cumtable
+    targets = uniforms * cum[:, -1]
+    idx = (cum < targets[:, None]).sum(axis=1)
+    return values[np.minimum(idx, values.size - 1)]
+
+
+def reference_moments(n, alphas, taus):
+    _, table, _, values = _noon1_tables(n)
+    return reference_coefficients(alphas, taus) @ table @ values
+
+
+class TestSamplerBitwise:
+    """The run-major, blocked table product gives the same bits as one
+    product of the row-per-run coefficients, on either side of the block
+    width.  Equality of the two products depends on the BLAS kernel and its
+    thread count, so CI runs this class at one and at two BLAS threads."""
+
+    RUNS = [1, 2, 127, 128, 129, 1000, 3162]
+
+    @staticmethod
+    def draws(n, runs):
+        rng = rng_stream(17, n, runs)
+        return rng.uniform(0.0, 1.0, (runs, n)), rng.uniform(0.0, 1.0, (runs, n)), rng.random(runs)
+
+    @pytest.mark.parametrize("runs", RUNS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sampled_values(self, n, runs):
+        alphas, taus, uniforms = self.draws(n, runs)
+        assert np.array_equal(_sample_values(n, alphas, taus, uniforms),
+                              reference_sample_values(n, alphas, taus, uniforms))
+
+    @pytest.mark.parametrize("runs", RUNS + [3721])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moments(self, n, runs):
+        alphas, taus, _ = self.draws(3, runs)
+        # fig3b passes column slices of (runs, 3) arrays
+        alphas, taus = alphas[:, :n], taus[:, :n]
+        assert np.array_equal(noon1_moments(n, alphas, taus), reference_moments(n, alphas, taus))
+
+    @pytest.mark.filterwarnings("ignore:noise on 'tau' exceeds")  # default noise at tau=0.3
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.0, 0.0), NoiseSpec(0.07, 0.03)])
+    @pytest.mark.parametrize("tau", [0.9, 0.6, 0.3])
+    def test_full_simulation(self, tau, noise, monkeypatch):
+        params = LossyNOONParams.balanced(1, tau)
+        plan = SamplingPlan(k=2, repetitions=3, master_seed=29)
+        k_values = (2, 10, 129, 1000)
+        points = full_simulation(params, plan, noise, k_values)
+        monkeypatch.setattr(estimation, "_sample_values", reference_sample_values)
+        assert full_simulation(params, plan, noise, k_values) == points
 
 
 class TestFullSimulation:

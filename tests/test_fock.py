@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmoments import fock
-from ptmoments.errors import CutoffError, DomainError, HermiticityError, StateValidationError
+from ptmoments.errors import (BudgetError, CutoffError, DomainError, HermiticityError,
+                              StateValidationError)
 from ptmoments.fock import (
     DEFAULT_TOL,
     BipartiteDensityOperator,
@@ -642,6 +643,25 @@ class TestMemory:
         rho = tmsv_density(0.5, 30)
         assert self.peak_ratio(lambda: pt_moments(rho, 7), rho.matrix.nbytes) <= 0.25
 
+    @pytest.mark.parametrize("build", [
+        lambda: cat_density(CatParams(8.0, 8.0, 0.5)),  # coherent_cutoff([8]) = 107
+        lambda: tmsv_density(0.5, 10_000),
+    ])
+    def test_oversized_dense_matrix_refused_before_allocation(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_dense_bound(self):
+        ModeCutoff(8192, 1)  # 2^30 bytes of complex128 hold an 8192 x 8192 matrix
+        with pytest.raises(BudgetError):
+            ModeCutoff(8193, 1)
+
     def test_component_labels_on_unstructured_pattern(self, rng):
         # a random d=30 state is one component with every entry nonzero; the
         # scan holds row chunks, not index arrays over the whole pattern
@@ -735,3 +755,37 @@ class TestCoherentCutoff:
                     assert tail == 0.0
                 elif ref > 1e-300:
                     assert abs(tail - ref) <= 1e-12 * ref, (k, mean)
+
+    def test_tail_against_pdtrc_at_large_means(self):
+        # past a mean of about 750 the first term of an upward sum from far
+        # below the mode underflows to 0
+        from scipy.special import pdtrc
+        for mean in (729.0, 756.25, 1600.0):
+            for k in range(0, 2000, 3):
+                tail, ref = fock._poisson_tail(k, mean), pdtrc(k, mean)
+                if ref > 1e-300:
+                    assert abs(tail - ref) <= 1e-11 * ref, (k, mean)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_matches_upward_sum_below_its_underflow(self, tol):
+        # the tail summed from j = k + 1 up only, which is exact while its
+        # first term does not underflow (|alpha| <= 27)
+        def upward_tail(k, mean):
+            tail, j = 0.0, k + 1
+            term = math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) if mean else 0.0
+            while tail + term != tail:
+                tail += term
+                j += 1
+                term *= mean / j
+            return tail
+
+        for a in np.linspace(6.0, 27.0, 15):
+            d = 1
+            while upward_tail(d - 1, a ** 2) >= tol:
+                d += 1
+            assert coherent_cutoff([a], tol=tol) == d + 1
+
+    def test_monotone_past_the_underflow(self):
+        cutoffs = [coherent_cutoff([a]) for a in np.arange(26.0, 40.0 + 1e-9, 1.0)]
+        assert np.all(np.diff(cutoffs) >= 0)
+        assert coherent_cutoff([27.0]) == 863
