@@ -5,15 +5,16 @@ party and counting photons on output modes 2..n yields an outcome
 distribution whose root-of-unity expectation is the n-th PT-moment.
 ``outcome_distribution`` first trims each copy's trailing Fock levels that
 are exactly empty, then evolves each party's product of copies through that
-DFT one photon-number sector at a time, with the sector blocks Sym^N of the
-DFT built once per (n, cutoff) by an exact creation-operator recursion and
-kept in a cache bounded by bytes; this is the module's one passive-evolution
-engine.  It holds amplitudes, Grams and probabilities only on the
-photon-number simplex (the cells whose total is below the output cutoff, the
-only ones that can carry amplitude), returns the distribution stored on its
-support (``OutcomeDistribution``), and refuses a readout whose counted
-entries and multiply-adds exceed a fixed budget with BudgetError.  The
-pure-loss channel, ``lossy_channel``, applies closed-form Kraus operators.
+DFT one photon-number sector at a time, through the sector blocks Sym^N of
+the DFT on the columns of the copies' product box only, built once per
+tuple of copy cutoffs by an exact creation-operator recursion and kept in a
+cache bounded by bytes; this is the module's one passive-evolution engine.
+It holds amplitudes, Grams and probabilities only on the photon-number
+simplex (the cells whose total is below the output cutoff, the only ones
+that can carry amplitude), returns the distribution stored on its support
+(``OutcomeDistribution``), and refuses a readout whose counted entries and
+multiply-adds exceed a fixed budget with BudgetError.  The pure-loss
+channel, ``lossy_channel``, applies closed-form Kraus operators.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -207,7 +208,7 @@ _READOUT_BUDGET = 1e8
 # Array entries the Grams and amplitudes of one chunk of component choices may
 # hold; a larger single choice runs alone.
 _CHUNK_ENTRIES = 2 ** 18
-# Bytes the cached sector blocks and party plans may keep resident.
+# Bytes the cached party plans may keep resident.
 _CACHE_BYTES = 32 * 2 ** 20
 
 
@@ -307,7 +308,7 @@ def _nbytes(value) -> int:
     return sum(map(_nbytes, value)) if isinstance(value, (tuple, list)) else 0
 
 
-# One least-recently-used store for the tables below: key -> (value, bytes).
+# One least-recently-used store for the party plans: key -> (value, bytes).
 _cache: OrderedDict = OrderedDict()
 
 
@@ -334,47 +335,45 @@ def _cached_bytes() -> int:
     return sum(size for _, size in _cache.values())
 
 
-@_cached
-def _sector_unitaries(n: int, d_out: int) -> tuple:
-    """The sector blocks of the n-mode DFT below d_out photons."""
-    return _sector_blocks(dft(n).matrix, d_out)
+def _sector_blocks(f: np.ndarray, d_out: int, cols: np.ndarray) -> tuple:
+    """The n-mode unitary F one photon-number sector at a time, on the
+    columns ``cols``: occupation tuples, one per row in lexicographic order,
+    with totals below d_out, that hold t - e_i whenever they hold t.  For
+    each total N = 0..d_out-1 the pair (all occupation tuples with total N
+    in lexicographic order, the block of Sym^N(F) with those rows and one
+    column F|t> per tuple t of ``cols`` with total N, in their order).
 
-
-def _sector_blocks(f: np.ndarray, d_out: int) -> tuple:
-    """The n-mode unitary F one photon-number sector at a time: for each
-    total N = 0..d_out-1, the pair (occupation tuples with total N in
-    lexicographic order, block Sym^N(F) on those tuples), column t of the
-    block holding F|t>.
-
-    Block N follows from block N-1 by the creation-operator recursion
-    F|t> = (sum_j F_ji a_j^+) F|t - e_i> / sqrt(t_i), i the first occupied
-    mode of t: exact, with no grid and no permanents.  A tuple is found in
-    its sector by its digits in base d_out, which increase in lexicographic
-    order."""
+    Column t follows from column t - e_i of sector N-1 by the
+    creation-operator recursion F|t> = (sum_j F_ji a_j^+) F|t - e_i> /
+    sqrt(t_i), i the mode with the most photons in t, the first of them on
+    a tie: exact, with no grid and no permanents, and unitary to 1e-10
+    below 120 photons at n=2.  A tuple is found in its sector by its digits
+    in base d_out, which increase in lexicographic order."""
     n = f.shape[0]
     strides = d_out ** np.arange(n - 1, -1, -1)
     cells = _simplex(n, d_out)
     totals = cells.sum(axis=1)
+    col_totals, col_keys = cols.sum(axis=1), cols @ strides
     sectors = []
     for total in range(d_out):
         occ = cells[totals == total]
         keys = occ @ strides
+        t = cols[col_totals == total]
         if total == 0:
-            block = np.ones((1, 1), dtype=complex)
+            block = np.ones((1, t.shape[0]), dtype=complex)
         else:
             prev_occ, prev_block = sectors[-1]
             prev_keys = prev_occ @ strides
-            first = np.argmax(occ > 0, axis=1)
-            # column t - e_i of block N-1, divided by sqrt(t_i)
-            lowered = (prev_block[:, np.searchsorted(prev_keys, keys - strides[first])]
-                       / np.sqrt(occ[np.arange(occ.shape[0]), first]))
-            block = np.zeros((occ.shape[0], occ.shape[0]), dtype=complex)
+            pivot = np.argmax(t, axis=1)
+            # column t - e_i of sector N-1, divided by sqrt(t_i)
+            found = np.searchsorted(col_keys[col_totals == total - 1],
+                                    col_keys[col_totals == total] - strides[pivot])
+            lowered = prev_block[:, found] / np.sqrt(t[np.arange(t.shape[0]), pivot])
+            block = np.zeros((occ.shape[0], t.shape[0]), dtype=complex)
             for j in range(n):
-                # a_j^+ takes row s of block N-1 to row s + e_j, times sqrt(s_j + 1)
+                # a_j^+ takes row s of sector N-1 to row s + e_j, times sqrt(s_j + 1)
                 block[np.searchsorted(keys, prev_keys + strides[j])] += (
-                    np.sqrt(prev_occ[:, j] + 1.0)[:, None] * lowered * f[j, first])
-        occ.setflags(write=False)
-        block.setflags(write=False)
+                    np.sqrt(prev_occ[:, j] + 1.0)[:, None] * lowered * f[j, pivot])
         sectors.append((occ, block))
     return tuple(sectors)
 
@@ -397,23 +396,21 @@ def _party_plan(dims) -> tuple:
     the photons the copies carry.  The rest cells are the counts of modes
     2..n with total below d_out, in lexicographic order.  Per photon-number
     sector there is a triple: the rows of the copies' product box (C order
-    over dims) in that sector, the sector block restricted to the columns
-    those rows reach, and the row of the (rest cell, mode-1 count) buffer
-    that each block row fills."""
+    over dims) in that sector, the sector block whose columns are those box
+    cells, and the row of the (rest cell, mode-1 count) buffer that each
+    block row fills.  This is the engine's one block builder, and no block
+    it builds is wider than its sector's box cells."""
     n = len(dims)
     d_out = sum(dims) - n + 1
-    strides = d_out ** np.arange(n - 1, -1, -1)
     box = np.indices(dims).reshape(n, -1).T
     box_totals = box.sum(axis=1)
     rest = _simplex(n - 1, d_out)
-    rest_keys = rest @ strides[1:]
+    rest_strides = d_out ** np.arange(n - 2, -1, -1)
+    rest_keys = rest @ rest_strides
     sectors = []
-    for total, (occ, block) in enumerate(_sector_unitaries(n, d_out)):
-        rows = np.flatnonzero(box_totals == total)
-        keys = occ @ strides
-        cols = np.searchsorted(keys, box[rows] @ strides)
-        found = np.searchsorted(rest_keys, keys - occ[:, 0] * strides[0])
-        sectors.append((rows, block[:, cols], found * d_out + occ[:, 0]))
+    for total, (occ, block) in enumerate(_sector_blocks(dft(n).matrix, d_out, box)):
+        found = np.searchsorted(rest_keys, occ[:, 1:] @ rest_strides)
+        sectors.append((np.flatnonzero(box_totals == total), block, found * d_out + occ[:, 0]))
     return d_out, rest, sectors
 
 
@@ -443,8 +440,9 @@ def _readout_cost(n: int, d_out_a: int, d_out_b: int, widths) -> tuple[int, int]
     """Array entries and multiply-adds of a readout whose kept component
     choices have batch widths ``widths``: the entries are the Grams of all
     choices, sum B^2 (rest_a + rest_b), the rest_a rest_b output cells and
-    the sector blocks; the multiply-adds are those of the Gram products,
-    sum B^2 rest_a rest_b."""
+    an upper bound on the sector blocks, sum C(N+n-1, n-1)^2 over the full
+    sectors, of which the plans build only the box columns; the
+    multiply-adds are those of the Gram products, sum B^2 rest_a rest_b."""
     rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
     squares = sum(width ** 2 for width in widths)
     blocks = sum(comb(total + n - 1, n - 1) ** 2
@@ -499,7 +497,7 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     component into Schmidt branches.  For one choice of component per copy,
     all branch combinations form one batched product on the box of trimmed
     input cells, which the DFT evolves photon-number sector by sector
-    through cached blocks, using only the block columns the box reaches;
+    through cached blocks built only on the box's columns;
     the choices of one batch width are stacked and evolved together, in
     chunks of at most _CHUNK_ENTRIES Gram and amplitude entries.  The
     amplitudes, the Gram over mode-1 counts and the accumulated
@@ -511,7 +509,8 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     width of a choice of Schmidt ranks r_c and rest_a, rest_b the numbers of
     cells of modes 2..n with total below d_out: the Gram entries sum
     B^2 (rest_a + rest_b) over kept choices, the rest_a rest_b output cells,
-    the entries of the sector blocks, and the Gram products' multiply-adds
+    the entries of the full sector blocks (an upper bound on those the box
+    columns need), and the Gram products' multiply-adds
     sum B^2 rest_a rest_b.  A readout whose entries and multiply-adds sum to
     more than _READOUT_BUDGET raises BudgetError.
     """

@@ -288,7 +288,7 @@ def _fig3b(args):
             alphas, taus = (varied, fixed) if panel == "alpha" else (fixed, varied)
             p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2]).real
             p3 = estimation.noon1_moments(3, alphas, taus).real
-            w = p3 - criteria.optimal_threshold(np.clip(p2, 1e-9, 1.0))
+            w = estimation._optimal_witness_from_estimates(p2, p3)
             for i in range(x2.size):
                 rows.append((panel, tau1, float(x2[i]), float(x3[i]),
                              float(p2[i]), float(p3[i]), float(w[i]), bool(w[i] < 0)))

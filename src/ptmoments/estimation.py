@@ -57,7 +57,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Samples per estimate, outer repetitions, and the master seed."""
+    """Samples per estimate, outer repetitions, and the master seed.
+
+    ``full_simulation`` reads only ``repetitions`` and ``master_seed``; its
+    sample budgets come from its ``k_values``."""
 
     k: int
     repetitions: int

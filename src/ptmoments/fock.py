@@ -382,14 +382,12 @@ def mode_moment(rho: BipartiteDensityOperator, i: int, j: int, k: int, l: int) -
     return complex(np.einsum("ijkl,ki,lj->", rho.as_tensor(), op_a, op_b))
 
 
-def schmidt_probabilities(vec, cutoff: ModeCutoff) -> np.ndarray:
-    """Schmidt probabilities of a pure bipartite state, descending, without
-    those at or below 1e-15 (float noise of the SVD).
-
-    ``vec`` may be flat of length d_a*d_b or already shaped (d_a, d_b).
-    """
-    m = np.asarray(vec, dtype=complex).reshape(cutoff.d_a, cutoff.d_b)
-    s = np.linalg.svd(m, compute_uv=False)
+def schmidt_probabilities(coefficients) -> np.ndarray:
+    """Schmidt probabilities of the pure bipartite state with the (d_a, d_b)
+    coefficient matrix ``coefficients``, descending, without those at or
+    below 1e-15 (float noise of the SVD).  Only that matrix is decomposed,
+    so no cutoff and no dense bound apply."""
+    s = np.linalg.svd(np.asarray(coefficients, dtype=complex), compute_uv=False)
     lam = s ** 2
     lam = lam / lam.sum()
     return lam[lam > 1e-15]

@@ -344,7 +344,7 @@ class FockSuperposition:
         return BipartiteDensityOperator.from_state_vector(self.state_vector(), self.cutoff)
 
     def schmidt_probabilities(self) -> np.ndarray:
-        return schmidt_probabilities(self.coefficients, self.cutoff)
+        return schmidt_probabilities(self.coefficients)
 
     def pt_moment(self, n: int) -> float:
         return pure_state_pt_moment(self.schmidt_probabilities(), n)

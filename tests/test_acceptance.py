@@ -266,7 +266,7 @@ def test_criterion_10_property_suites():
         vec = random_pure_bipartite(rng, d_a, d_b)
         cutoff = ModeCutoff(d_a, d_b)
         rho = BipartiteDensityOperator.from_state_vector(vec, cutoff)
-        lam = schmidt_probabilities(vec, cutoff)
+        lam = schmidt_probabilities(vec)
         ms = pt_moments(rho, 7)
         for n in range(2, 8):
             assert abs(ms[n - 1] - pure_state_pt_moment(lam, n)) < 1e-10

@@ -65,6 +65,11 @@ def fock_amplitude(u, s, t):
     return permanent(sub) / math.sqrt(norm)
 
 
+def sector_blocks(u, d):
+    """The sector blocks of u below d photons on every column of the simplex."""
+    return circuits._sector_blocks(u, d, circuits._simplex(len(u), d))
+
+
 def block_amplitude(sectors, s, t):
     """<s|U|t> read off the sector blocks of U."""
     if sum(s) != sum(t):
@@ -140,46 +145,46 @@ class TestFockEvolution:
     """Fock-state evolution through the sector blocks Sym^N(U)."""
 
     def test_single_photon_splits_evenly(self):
-        sectors = circuits._sector_blocks(beam_splitter_matrix(0.5), 2)
+        sectors = sector_blocks(beam_splitter_matrix(0.5), 2)
         assert abs(block_amplitude(sectors, (1, 0), (1, 0))) ** 2 == pytest.approx(0.5)
         assert abs(block_amplitude(sectors, (0, 1), (1, 0))) ** 2 == pytest.approx(0.5)
 
     def test_hong_ou_mandel(self):
-        sectors = circuits._sector_unitaries(2, 3)
+        sectors = sector_blocks(dft(2).matrix, 3)
         assert abs(block_amplitude(sectors, (1, 1), (1, 1))) < 1e-15
         assert abs(block_amplitude(sectors, (2, 0), (1, 1))) ** 2 == pytest.approx(0.5)
         assert abs(block_amplitude(sectors, (0, 2), (1, 1))) ** 2 == pytest.approx(0.5)
 
     def test_vacuum_fixed(self):
-        occ, block = circuits._sector_unitaries(3, 3)[0]
+        occ, block = sector_blocks(dft(3).matrix, 3)[0]
         np.testing.assert_array_equal(occ, [[0, 0, 0]])
         np.testing.assert_array_equal(block, [[1.0]])
 
     def test_phase_counts_photons(self):
-        sectors = circuits._sector_blocks(np.diag([np.exp(-0.4j), 1.0]), 4)
+        sectors = sector_blocks(np.diag([np.exp(-0.4j), 1.0]), 4)
         assert block_amplitude(sectors, (3, 0), (3, 0)) == pytest.approx(np.exp(-1.2j))
 
     def test_single_photon_amplitudes_follow_columns(self, rng):
         # the one-photon block is U itself, rows and columns listed by mode:
         # a photon in mode j scatters into column j
         u = random_unitary(rng, 4)
-        occ, block = circuits._sector_blocks(u, 2)[1]
+        occ, block = sector_blocks(u, 2)[1]
         modes = np.argmax(occ, axis=1)
         np.testing.assert_allclose(block, u[np.ix_(modes, modes)], atol=1e-15)
 
     def test_passive_matches_element_sequence(self):
         # Sym^N is a homomorphism: the blocks of the element sequence,
         # multiplied in application order, are the blocks of the DFT
-        per_element = [circuits._sector_blocks(elements_to_matrix([elem], 3), 4)
+        per_element = [sector_blocks(elements_to_matrix([elem], 3), 4)
                        for elem in decompose_f3()]
-        for total, (occ, block) in enumerate(circuits._sector_unitaries(3, 4)):
+        for total, (occ, block) in enumerate(sector_blocks(dft(3).matrix, 4)):
             product = np.eye(len(occ))
             for sectors in per_element:
                 product = sectors[total][1] @ product
             np.testing.assert_allclose(product, block, atol=1e-12)
 
     def test_photon_number_conserved(self, rng):
-        for occ, block in circuits._sector_blocks(random_unitary(rng, 3), 4):
+        for occ, block in sector_blocks(random_unitary(rng, 3), 4):
             v = rng.standard_normal(len(occ)) + 1j * rng.standard_normal(len(occ))
             assert np.linalg.norm(block @ v) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
@@ -189,8 +194,8 @@ class TestFockEvolution:
         u = random_unitary(rng, 2)
         embedded = np.eye(3, dtype=complex)
         embedded[np.ix_([0, 2], [0, 2])] = u
-        small = circuits._sector_blocks(u, 3)
-        large = circuits._sector_blocks(embedded, 3)
+        small = sector_blocks(u, 3)
+        large = sector_blocks(embedded, 3)
         for occ, _ in small:
             for s in occ.tolist():
                 for t in occ.tolist():
@@ -257,11 +262,11 @@ class TestSectorUnitaries:
     def test_blocks_equal_passive_evolution_of_every_sector_state(self, n, d, unitary, rng):
         # F_n is symmetric; only a non-symmetric U tells U from its transpose
         if unitary == "dft":
-            u, sectors = dft(n).matrix, circuits._sector_unitaries(n, d)
+            u = dft(n).matrix
         else:
             u = random_unitary(rng, n)
             assert np.abs(u - u.T).max() > 0.1
-            sectors = circuits._sector_blocks(u, d)
+        sectors = sector_blocks(u, d)
         grid = np.indices((d,) * n).reshape(n, -1).T
         for total, (occ, block) in enumerate(sectors):
             # the tuples with this total, in C order of the grid
@@ -294,18 +299,62 @@ class TestSectorUnitaries:
     def test_cache_stays_under_its_byte_bound(self, monkeypatch):
         bound = 2 ** 20
         monkeypatch.setattr(circuits, "_CACHE_BYTES", bound)
-        circuits._sector_unitaries.cache_clear()
+        circuits._party_plan.cache_clear()
         try:
-            for d in range(4, 24):
-                sectors = circuits._sector_unitaries(3, d)
-                size = sum(occ.nbytes + block.nbytes for occ, block in sectors)
+            for d in range(2, 11):
+                size = circuits._nbytes(circuits._party_plan((d, d, d)))
                 assert circuits._cached_bytes() <= bound
                 # kept if it fits, and then it is the most recent entry
-                assert (("_sector_unitaries", 3, d) in circuits._cache) == (size <= bound)
-            # the blocks at (3, 23) alone exceed the bound, so they were not kept
+                assert (("_party_plan", (d, d, d)) in circuits._cache) == (size <= bound)
+            # the plan of (10, 10, 10) alone exceeds the bound, so it was not kept
             assert size > bound
         finally:
-            circuits._sector_unitaries.cache_clear()
+            circuits._party_plan.cache_clear()
+
+    @pytest.mark.parametrize("unitary", ["dft", "random"])
+    @pytest.mark.parametrize("dims", [(61, 60), (40, 16, 6), (7, 7, 7, 6)],
+                             ids=["n2_d120", "n3_d60", "n4_d24"])
+    def test_blocks_stay_unitary_at_large_photon_numbers(self, dims, unitary, rng):
+        # the columns of a box that reaches d_out = 120, 60 and 24 photons;
+        # dividing by the first occupied mode's count lost 1e-5 at n=2 below
+        # 80 photons and all normalisation below 120
+        n, d_out = len(dims), sum(dims) - len(dims) + 1
+        u = dft(n).matrix if unitary == "dft" else random_unitary(rng, n)
+        box = np.indices(dims).reshape(n, -1).T
+        for occ, block in circuits._sector_blocks(u, d_out, box):
+            assert np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() < 1e-12
+
+    @pytest.mark.parametrize("unitary", ["dft", "random"])
+    def test_full_simplex_blocks_stay_normalised_below_120_photons(self, unitary, rng):
+        # every column, the lopsided ones too; the first-occupied pivot gave 83
+        u = dft(2).matrix if unitary == "dft" else random_unitary(rng, 2)
+        for occ, block in sector_blocks(u, 120):
+            assert np.abs(block.conj().T @ block - np.eye(len(occ))).max() < 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 1, 2), (2, 3, 2), (9, 9, 9)])
+    def test_plan_blocks_are_the_box_columns_of_the_full_blocks(self, dims):
+        n, d_out = len(dims), sum(dims) - len(dims) + 1
+        circuits._party_plan.cache_clear()
+        plan = circuits._party_plan(dims)
+        full = sector_blocks(dft(n).matrix, d_out)
+        box = np.indices(dims).reshape(n, -1).T
+        for (rows, block, _), (occ, full_block) in zip(plan[2], full, strict=True):
+            index = {cell: i for i, cell in enumerate(map(tuple, occ.tolist()))}
+            cols = [index[cell] for cell in map(tuple, box[rows].tolist())]
+            assert block.shape == (len(occ), len(rows))
+            assert np.array_equal(block, full_block[:, cols])
+
+    @pytest.mark.parametrize("dims, limit", [((9, 9, 9), 3 * 2 ** 20), ((2,) * 6, 2 ** 20)])
+    def test_plan_peak(self, dims, limit):
+        circuits._party_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            circuits._party_plan(dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            circuits._party_plan.cache_clear()
+        assert peak <= limit
 
 
 def mixed_rank2_copies(rng, n):
@@ -358,16 +407,23 @@ class TestOutcomeDistribution:
         evolve = circuits._evolve_sectors
         monkeypatch.setattr(circuits, "_evolve_sectors",
                             lambda psi, plan: calls.append(psi.shape[1]) or evolve(psi, plan))
-        circuits._sector_unitaries.cache_clear()
+        circuits._party_plan.cache_clear()
         outcome_distribution([rho] * 3, 3)
         # each copy is the vacuum (Schmidt rank 1) mixed with the Bell state
         # (rank 2), so the 8 choices have widths 1, 2 (3 choices), 4 (3) and
         # 8; all choices of one width are evolved together, once per party
         assert sorted(calls) == [1, 1, 2 * 3, 2 * 3, 8, 8, 4 * 3, 4 * 3]
-        # both parties read out on d_out = 4 after the empty level is trimmed:
-        # one block build for (3, 4)
-        assert [key for key in circuits._cache if key[0] == "_sector_unitaries"] == [
-            ("_sector_unitaries", 3, 4)]
+        # both parties keep cutoffs (2, 2, 2) after the empty level is
+        # trimmed: one plan
+        assert [key for key in circuits._cache if key[0] == "_party_plan"] == [
+            ("_party_plan", (2, 2, 2))]
+
+    def test_large_amplitude_cat_keeps_its_normalisation(self):
+        # cutoff 70 x 11; dividing by the first occupied mode's count summed
+        # the outcome probabilities to 1.000028
+        rho = cat_density(CatParams(6.0, 1.0, 0.5, "odd"))
+        p2 = multicopy_expectation(outcome_distribution([rho] * 2, 2))
+        assert p2 == pytest.approx(pt_moment(rho, 2), abs=1e-12)
 
     def test_budget_error_before_any_evolution(self, monkeypatch):
         cat = cat_density(CatParams(0.5, 0.5, 0.5, "odd"))
@@ -536,7 +592,7 @@ class TestReadoutMemory:
         cost = circuits._readout_cost
         monkeypatch.setattr(circuits, "_readout_cost",
                             lambda *args: counted.append(cost(*args)) or counted[-1])
-        circuits._sector_unitaries.cache_clear()
+        circuits._party_plan.cache_clear()
         tracemalloc.start()
         try:
             outcome_distribution(copies, len(copies))

@@ -288,7 +288,7 @@ class TestMoments:
         vec = random_pure_bipartite(rng, d_a, d_b)
         cutoff = ModeCutoff(d_a, d_b)
         rho = BipartiteDensityOperator.from_state_vector(vec, cutoff)
-        lam = schmidt_probabilities(vec, cutoff)
+        lam = schmidt_probabilities(vec)
         assert pt_moment(rho, n) == pytest.approx(pure_state_pt_moment(lam, n), abs=1e-10)
 
     @settings(max_examples=30, deadline=None)

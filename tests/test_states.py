@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptmoments.criteria import p3_linear, optimal_threshold
-from ptmoments.errors import CutoffTooSmallError, DomainError
+from ptmoments.errors import BudgetError, CutoffTooSmallError, DomainError
 from ptmoments.estimation import min_samples, witness_variances
 from ptmoments.gaussian import SymplecticPair, simon_test, tmsv_thermal, tmsv_thermal_pt_pair
 from ptmoments.fock import ModeCutoff, pt_moment, purity, spectrum, partial_transpose
@@ -298,3 +298,11 @@ class TestFockSuperposition:
         c /= np.linalg.norm(c)
         s = FockSuperposition(c)
         assert s.pt_moment(3) == pytest.approx(1.0, abs=1e-12)
+
+    def test_schmidt_path_needs_no_dense_matrix(self):
+        # 10^4 basis states: the dense matrix would take 1.49 GiB, the Schmidt
+        # probabilities only the SVD of the 100 x 100 coefficients
+        s = FockSuperposition(np.eye(100) / 10)
+        assert s.pt_moment(3) == pytest.approx(1e-4, rel=1e-12)
+        with pytest.raises(BudgetError):
+            s.density_operator()
