@@ -30,7 +30,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import wraps
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 from math import comb, prod, sqrt
 
 import numpy as np
@@ -436,17 +436,31 @@ def _grams(amps: np.ndarray, width: int, conjugate: bool) -> np.ndarray:
     return (left @ right.swapaxes(-1, -2)).reshape(amps.shape[0], -1)
 
 
-def _readout_cost(n: int, d_out_a: int, d_out_b: int, widths) -> tuple[int, int]:
-    """Array entries and multiply-adds of a readout whose kept component
-    choices have batch widths ``widths``: the entries are the Grams of all
-    choices, sum B^2 (rest_a + rest_b), the rest_a rest_b output cells and
-    an upper bound on the sector blocks, sum C(N+n-1, n-1)^2 over the full
-    sectors, of which the plans build only the box columns; the
-    multiply-adds are those of the Gram products, sum B^2 rest_a rest_b."""
-    rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
+def _box_counts(dims) -> list:
+    """Cells of the product box over the cutoffs ``dims`` with each photon
+    total, from total 0 up, as Python ints."""
+    counts = [1]
+    for d in dims:
+        prefix = list(accumulate(counts, initial=0))
+        counts = [prefix[min(total + 1, len(counts))] - prefix[max(total - d + 1, 0)]
+                  for total in range(len(counts) + d - 1)]
+    return counts
+
+
+def _readout_cost(dims, widths) -> tuple[int, int]:
+    """Array entries and multiply-adds of a readout of copies with trimmed
+    cutoffs ``dims`` (one tuple per party) whose kept component choices have
+    batch widths ``widths``: the entries are the Grams of all choices,
+    sum B^2 (rest_a + rest_b), the rest_a rest_b output cells and the sector
+    blocks the party plans build, sum over totals N of C(N+n-1, n-1) rows
+    times the box cells of total N, once per distinct plan; the multiply-adds
+    are those of the Gram products, sum B^2 rest_a rest_b."""
+    n = len(dims[0])
+    d_outs = [sum(side) - n + 1 for side in dims]
+    rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in d_outs)
     squares = sum(width ** 2 for width in widths)
-    blocks = sum(comb(total + n - 1, n - 1) ** 2
-                 for d_out in {d_out_a, d_out_b} for total in range(d_out))
+    blocks = sum(comb(total + n - 1, n - 1) * cells
+                 for side in set(dims) for total, cells in enumerate(_box_counts(side)))
     return squares * (rest_a + rest_b) + rest_a * rest_b + blocks, squares * rest_a * rest_b
 
 
@@ -509,8 +523,8 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     width of a choice of Schmidt ranks r_c and rest_a, rest_b the numbers of
     cells of modes 2..n with total below d_out: the Gram entries sum
     B^2 (rest_a + rest_b) over kept choices, the rest_a rest_b output cells,
-    the entries of the full sector blocks (an upper bound on those the box
-    columns need), and the Gram products' multiply-adds
+    the sector-block entries the party plans build (each sector's rows
+    times its box columns), and the Gram products' multiply-adds
     sum B^2 rest_a rest_b.  A readout whose entries and multiply-adds sum to
     more than _READOUT_BUDGET raises BudgetError.
     """
@@ -535,7 +549,7 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
             kept.append((weight, facs, prod(a.shape[1] for a, _ in facs)))
     d_out_a, d_out_b = (sum(side) - n + 1 for side in dims)
     rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
-    entries, madds = _readout_cost(n, d_out_a, d_out_b, [width for _, _, width in kept])
+    entries, madds = _readout_cost(dims, [width for _, _, width in kept])
     if entries + madds > _READOUT_BUDGET:
         raise BudgetError(f"the {n}-copy readout needs {entries:.3g} Gram, output and "
                           f"sector-block entries and {madds:.3g} Gram multiply-adds over "

@@ -243,13 +243,22 @@ def _fig2e(args):
     _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], rows)
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of ``f`` on [lo, hi], where it changes sign, to within xtol."""
+def _bisect(f, lo, hi, xtol: float):
+    """Root of ``f`` on [lo, hi], where it changes sign, to within xtol.
+
+    Elementwise: lo and hi may be arrays, f maps an array of points to
+    values of its shape, and each element halves its own bracket until it
+    is at most xtol wide.  Scalars give a float."""
+    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
     positive = f(lo) > 0
-    while hi - lo > xtol:
+    wide = hi - lo > xtol
+    while wide.any():
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if (f(mid) > 0) == positive else (lo, mid)
-    return 0.5 * (lo + hi)
+        up = (f(mid) > 0) == positive
+        lo, hi = np.where(wide & up, mid, lo), np.where(wide & ~up, mid, hi)
+        wide = hi - lo > xtol
+    root = 0.5 * (lo + hi)
+    return float(root) if root.ndim == 0 else root
 
 
 def _with_optimal_witness(rows):
@@ -258,18 +267,25 @@ def _with_optimal_witness(rows):
     return [row + (row[3] - thr,) for row, thr in zip(rows, thresholds.tolist())]
 
 
-def _lossy_noon_optimal_witness(n: int, tau: float) -> float:
+def _lossy_noon_optimal_witness(n, tau):
     p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
     return p3 - criteria.optimal_threshold(p2)
 
 
+def _lossy_noon_grid(tau_step: float) -> tuple:
+    """The (N, tau) grid of fig3a/fig3c, N = 1..10 by tau from 0.5 to 1, as
+    flat arrays, and the balanced lossy NOON (p2, p3) on it."""
+    n, tau = (x.ravel() for x in np.meshgrid(
+        np.arange(1, 11), np.round(np.arange(0.5, 1.0 + 1e-12, tau_step), 10), indexing="ij"))
+    return n, tau, *states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
+
+
 def _fig3a(args):
-    rows = [(n, float(tau)) + states.lossy_noon_pt_moments(
-                states.LossyNOONParams.balanced(n, float(tau)))
-            for n in range(1, 11) for tau in np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10)]
-    for n in range(1, 11):
-        f = lambda t: _lossy_noon_optimal_witness(n, t)
-        crossing = _bisect(f, 0.501, 0.9999, xtol=1e-9) if f(0.501) > 0 else 0.5
+    rows = list(zip(*(x.tolist() for x in _lossy_noon_grid(1e-3))))
+    ns, lo = np.arange(1, 11), np.full(10, 0.501)
+    f = lambda t: _lossy_noon_optimal_witness(ns, t)
+    crossings = np.where(f(lo) > 0, _bisect(f, lo, 0.9999, xtol=1e-9), 0.5)
+    for n, crossing in zip(ns.tolist(), crossings.tolist()):
         print(f"N={n}: optimal witness crosses zero at tau = {crossing:.6f}")
     _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], _with_optimal_witness(rows))
 
@@ -289,19 +305,16 @@ def _fig3b(args):
             p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2]).real
             p3 = estimation.noon1_moments(3, alphas, taus).real
             w = estimation._optimal_witness_from_estimates(p2, p3)
-            for i in range(x2.size):
-                rows.append((panel, tau1, float(x2[i]), float(x3[i]),
-                             float(p2[i]), float(p3[i]), float(w[i]), bool(w[i] < 0)))
+            rows += [(panel, tau1, *row) for row in zip(
+                x2.tolist(), x3.tolist(), p2.tolist(), p3.tolist(), w.tolist(), (w < 0).tolist())]
     _emit(args, "fig3b", ["panel", "tau1", "x2", "x3", "p2", "p3", "w_optimal",
                           "detected"], rows, note="x2/x3 vary the second and third copy")
 
 
 def _fig3c(args):
-    rows = []
-    for n in range(1, 11):
-        for tau in np.round(np.arange(0.5, 1.0 + 1e-12, 2.5e-3), 10):
-            p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, float(tau)))
-            rows.append((n, float(tau), estimation.min_samples(p2, p3, "quadratic")))
+    n, tau, p2, p3 = _lossy_noon_grid(2.5e-3)
+    k_star = estimation.min_samples(p2, p3, "quadratic")
+    rows = list(zip(n.tolist(), tau.tolist(), k_star.tolist()))
     _emit(args, "fig3c", ["N", "tau", "k_star_quadratic"], rows)
 
 
@@ -334,7 +347,7 @@ def _fig5(args):
     n_bar = (math.sqrt(2.0) - 1.0) / 2.0
     rows = [_fig5_row(n_bar, float(r)) for r in np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)]
     for col, name in enumerate(("hankel3", "hankel5", "hankel7", "simon"), start=3):
-        f = lambda r: _fig5_row(n_bar, r)[col]
+        f = lambda r: _fig5_row(n_bar, float(r))[col]
         crossing = _bisect(f, 1e-4, 0.6, xtol=1e-10)
         print(f"{name}: first detection at r = {crossing:.6f}")
     _emit(args, "fig5", ["r", "nu1", "nu2", "w_hankel3", "w_hankel5", "w_hankel7",

@@ -9,7 +9,6 @@ entanglement in every report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +92,11 @@ class CriterionReport:
                    detected=bool(witness < 0), gaussian_only=gaussian_only)
 
 
-def _require_finite(**values: float) -> None:
-    # NaN fails every comparison, so an unchecked NaN witness reads as a verdict
+def _require_finite(**values) -> None:
+    # NaN fails every comparison, so an unchecked NaN witness reads as a verdict;
+    # a value may be an array, every element of which must be finite
     for name, v in values.items():
-        if not math.isfinite(v):
+        if not np.isfinite(v).all():
             raise DomainError(f"{name} must be finite, got {v}")
 
 

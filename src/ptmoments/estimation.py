@@ -2,6 +2,10 @@
 estimators with their analytic variances, minimum sample sizes, and the full
 simulated experiment with noisy copies.
 
+The analytic variances and the minimum sample sizes are elementwise: arrays
+of (p2, p3) go through in one call, each element with the bits (and, for the
+sample sizes, the Python int or math.inf) of its scalar evaluation.
+
 Reproducibility: all randomness flows through counter-based Philox generators
 derived from a master seed and integer stream keys.  The simulated experiment
 runs one repetition at a time on its own stream, keyed by (k, repetition).
@@ -158,46 +162,74 @@ def witness_estimators(p2_k: complex, p3_k: complex, k: int) -> tuple[complex, c
     return w_l, w_q
 
 
-def witness_variances(p2: float, p3: float, k: int) -> tuple[float, float]:
-    """Analytic variances of the two witness estimators at sample size k."""
+def witness_variances(p2, p3, k):
+    """Analytic variances of the two witness estimators at sample size k.
+
+    One elementwise formula: p2, p3 and k broadcast, and scalars give
+    floats.  k(k - 1) is formed in floats, so k may pass the int64 range of
+    its square."""
     _require_finite(p2=p2, p3=p3)
-    if k < 2:
-        raise DomainError("variances are defined for k >= 2")
-    var_l = (1.0 - p3 ** 2) / k + 2.25 * (1.0 - p2 ** 2) / k
-    var_q = ((1.0 - p3 ** 2) / k
-             + 2.0 * (1.0 - p2 ** 2) * (1.0 + (2 * k - 3) * p2 ** 2) / (k * (k - 1)))
+    k = np.asarray(k, dtype=float)
+    if not ((k >= 2) & (k < math.inf)).all():  # NaN fails too
+        raise DomainError(f"variances are defined for finite k >= 2, got {k}")
+    p2_sq, p3_sq = np.float_power(p2, 2), np.float_power(p3, 2)
+    var_l = (1.0 - p3_sq) / k + 2.25 * (1.0 - p2_sq) / k
+    var_q = ((1.0 - p3_sq) / k
+             + 2.0 * (1.0 - p2_sq) * (1.0 + (2.0 * k - 3.0) * p2_sq) / (k * (k - 1.0)))
+    if var_l.ndim == 0:
+        return float(var_l), float(var_q)
     return var_l, var_q
 
 
-def min_samples(p2: float, p3: float, criterion: str = "quadratic") -> float:
+def min_samples(p2, p3, criterion: str = "quadratic"):
     """Smallest k at which the witness mean plus one standard deviation is
-    negative; math.inf when the witness itself is non-negative."""
+    negative; math.inf when the witness itself is non-negative, or when no k
+    up to 1e12 suffices.
+
+    k doubles from 2 until it suffices, then a bisection between k/2 and k
+    finds the smallest.  One elementwise search: every element of the
+    broadcast p2, p3 walks its own k in step with the others.  Scalars give
+    an int (or math.inf); arrays give an object array of ints and math.inf.
+    """
     _require_finite(p2=p2, p3=p3)
+    p2, p3 = np.broadcast_arrays(np.asarray(p2, dtype=float), np.asarray(p3, dtype=float))
+    shape = p2.shape
+    p2, p3 = p2.ravel(), p3.ravel()
     if criterion == "quadratic":
-        mean = p3 - p2 ** 2
-        var = lambda k: witness_variances(p2, p3, k)[1]
+        mean, which = p3 - np.float_power(p2, 2), 1
     elif criterion == "linear":
-        mean = p3 - (3.0 * p2 - 1.0) / 2.0
-        var = lambda k: witness_variances(p2, p3, k)[0]
+        mean, which = p3 - (3.0 * p2 - 1.0) / 2.0, 0
     else:
         raise ValueError(f"criterion must be 'linear' or 'quadratic', got {criterion!r}")
-    if mean >= 0:
-        return math.inf
-    k = 2
-    while mean + math.sqrt(var(k)) >= 0:
-        k *= 2
-        if k > 10 ** 12:
-            return math.inf
-    lo, hi = max(k // 2, 2), k
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mean + math.sqrt(var(mid)) < 0:
-            hi = mid
-        else:
-            lo = mid
-    if mean + math.sqrt(var(lo)) < 0:
-        return lo
-    return hi
+
+    def detected(k, i):
+        var = witness_variances(p2[i], p3[i], k)[which]
+        if (var < 0).any():
+            raise DomainError(f"negative witness variance at p2={p2[i]}, p3={p3[i]}")
+        return mean[i] + np.sqrt(var) < 0
+
+    hi = np.full(mean.shape, 2, dtype=np.int64)
+    found = mean < 0
+    i = np.flatnonzero(found)
+    while i.size:
+        i = i[~detected(hi[i], i)]
+        hi[i] *= 2
+        over = hi[i] > 10 ** 12
+        found[i[over]] = False
+        i = i[~over]
+    lo = np.maximum(hi // 2, 2)
+    i = np.flatnonzero(found & (lo + 1 < hi))
+    while i.size:
+        mid = (lo[i] + hi[i]) // 2
+        below = detected(mid, i)
+        hi[i[below]] = mid[below]
+        lo[i[~below]] = mid[~below]
+        i = i[lo[i] + 1 < hi[i]]
+    # lo is 2 = hi, or a k found too small, so the smallest sufficient k is hi
+    k_star = hi.astype(object)
+    k_star[~found] = math.inf
+    k_star = k_star.reshape(shape)
+    return k_star.item() if k_star.ndim == 0 else k_star
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +263,10 @@ def _draw_clamped(rng: np.random.Generator, mean: float, std: float,
 # The coefficients are laid out run-major, (4^n, runs) with the runs
 # contiguous, and the table product table.T @ coefs is taken in column blocks
 # of at most _SHOT_BLOCK runs, each of which BLAS runs on the calling thread.
+# Each block is used up before the next is made (sampled, or multiplied into
+# the readout values), so no (outcomes, runs) array is built: with it, one
+# n=3 call at k=1000 freed about 1 MB, which glibc's malloc could hand back
+# to the system at its trim threshold and fault in again on the next call.
 # ---------------------------------------------------------------------------
 
 # Runs per block of the table product.  An n=3 block is 31 x 64 x 128 =
@@ -281,35 +317,40 @@ def _noon1_coefficients(alphas, taus) -> np.ndarray:
     return coefs
 
 
-def _table_product(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """table.T @ coefs, shape (outcomes, runs), over equal column blocks of
-    at most _SHOT_BLOCK runs."""
+def _table_blocks(table: np.ndarray, coefs: np.ndarray):
+    """The table product table.T @ coefs one block of runs at a time: yields
+    (block slice, its (outcomes, block runs) product) over equal blocks of at
+    most _SHOT_BLOCK runs."""
     runs = coefs.shape[1]
-    out = np.empty((table.shape[1], runs))
     blocks = -(-runs // _SHOT_BLOCK)
     edges = [runs * i // blocks for i in range(blocks + 1)]
     for start, stop in zip(edges[:-1], edges[1:]):
-        np.matmul(table.T, coefs[:, start:stop], out=out[:, start:stop])
-    return out
+        yield slice(start, stop), table.T @ coefs[:, start:stop]
 
 
 def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     """Exact p_n of the readout for runs of n possibly different lossy N=1
     copies; alphas/taus have shape (runs, n).  Complex array of length runs:
     each run's outcome probabilities, the table times its coefficients,
-    against the readout values."""
+    against the readout values, block by block."""
     _, table, _, values = _noon1_tables(n)
-    probs = _table_product(table, _noon1_coefficients(alphas, taus))
-    return np.ascontiguousarray(probs.T) @ values
+    coefs = _noon1_coefficients(alphas, taus)
+    out = np.empty(coefs.shape[1], dtype=complex)
+    for block, probs in _table_blocks(table, coefs):
+        out[block] = np.ascontiguousarray(probs.T) @ values
+    return out
 
 
 def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
                    uniforms: np.ndarray) -> np.ndarray:
     """One readout value per run, drawn from each run's own distribution: the
-    run's cumulative column is the cumulative table times its coefficients."""
+    run's cumulative column is the cumulative table times its coefficients,
+    read block by block."""
     _, _, cumtable, values = _noon1_tables(n)
-    cum = _table_product(cumtable, _noon1_coefficients(alphas, taus))
-    idx = np.count_nonzero(cum < uniforms * cum[-1], axis=0)
+    coefs = _noon1_coefficients(alphas, taus)
+    idx = np.empty(coefs.shape[1], dtype=np.intp)
+    for block, cum in _table_blocks(cumtable, coefs):
+        idx[block] = (cum < uniforms[block] * cum[-1]).sum(axis=0)
     return values[np.minimum(idx, values.size - 1)]
 
 

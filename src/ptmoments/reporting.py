@@ -33,6 +33,12 @@ def format_value(v) -> str:
     return str(v)
 
 
+# The CSV cell of a plain float, int, str or bool, looked up by exact type:
+# the text format_value gives, without its isinstance chain per cell.
+_CELL = {float: float.__repr__, int: int.__repr__, str: str,
+         bool: {True: "true", False: "false"}.__getitem__}
+
+
 @dataclass
 class Table:
     """Columnar dataset plus its provenance mapping."""
@@ -55,7 +61,7 @@ def write_table(table: Table, path, fmt: str = "csv") -> Path:
                  for key, val in table.provenance.items()]
         lines.append(",".join(table.columns))
         for row in table.rows:
-            lines.append(",".join(format_value(v) for v in row))
+            lines.append(",".join([_CELL.get(type(v), format_value)(v) for v in row]))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         doc = {"provenance": table.provenance, "columns": table.columns,

@@ -5,12 +5,15 @@ vacua.
 Each family provides a truncated-Fock density operator (for the dense oracle)
 and, where available, closed-form values of the low-order PT-moments.  The
 closed forms act as ground truth; the truncated operators are renormalized to
-unit trace after the cutoff.
+unit trace after the cutoff.  The lossy NOON closed form is elementwise: N and
+the two transmissivities may be arrays, and each element gets the bits of its
+scalar evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -48,10 +51,20 @@ __all__ = [
 ]
 
 
+# Natural log of the largest finite float: |alpha|^(d-1) overflows beyond it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
-    """Truncated coherent-state amplitudes (not renormalized)."""
+    """Truncated coherent-state amplitudes (not renormalized).
+
+    The amplitudes are computed as alpha^n times a factor, so a cutoff at
+    which |alpha|^(d-1) passes the float range raises DomainError."""
     if not np.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
+    if abs(alpha) > 1.0 and (d - 1) * math.log(abs(alpha)) > _LOG_FLOAT_MAX:
+        raise DomainError(f"coherent amplitudes overflow: |alpha|^(d-1) passes the float "
+                          f"range at alpha={alpha}, d={d}")
     n = np.arange(d)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, d)))))
     amps = np.exp(-abs(alpha) ** 2 / 2 - log_fact / 2) * np.power(complex(alpha), n)
@@ -222,14 +235,16 @@ def hhg_pt_moments(p: HHGParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NOONParams:
-    """alpha |N, 0> + beta |0, N> with |alpha|^2 + |beta|^2 = 1."""
+    """alpha |N, 0> + beta |0, N> with |alpha|^2 + |beta|^2 = 1.
+
+    N may be an integer array for ``lossy_noon_pt_moments``."""
 
     N: int
     alpha: complex
     beta: complex
 
     def __post_init__(self):
-        if self.N < 1:
+        if (np.asarray(self.N) < 1).any():
             raise DomainError(f"N must be >= 1, got {self.N}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude fails this too
@@ -252,7 +267,8 @@ def noon_pt_moment(p: NOONParams, n: int) -> float:
 @dataclass(frozen=True)
 class LossyNOONParams:
     """NOON state sent through pure-loss channels of transmissivity tau_a and
-    tau_b on the two modes."""
+    tau_b on the two modes.  The transmissivities may be arrays for
+    ``lossy_noon_pt_moments``; every element must lie in [0, 1]."""
 
     noon: NOONParams
     tau_a: float
@@ -260,7 +276,8 @@ class LossyNOONParams:
 
     def __post_init__(self):
         for tau in (self.tau_a, self.tau_b):
-            if not 0.0 <= tau <= 1.0:
+            tau_arr = np.asarray(tau)
+            if not ((tau_arr >= 0.0) & (tau_arr <= 1.0)).all():  # NaN fails too
                 raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
 
     @classmethod
@@ -292,25 +309,46 @@ def lossy_noon_density(p: LossyNOONParams,
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-def lossy_noon_pt_moments(p: LossyNOONParams) -> tuple[float, float]:
-    """Closed-form (p2, p3) of the lossy NOON state (identical copies)."""
-    N = p.noon.N
+def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
+    """(S_2, S_3) with S_p = sum_k C(N, k)^p tau^(p (N - k)) (1 - tau)^(p k),
+    the k terms added one at a time in increasing k; a term with k > N is
+    zero.  Each C(N, k)^p is rounded to a float once, from the exact integer."""
+    n_max = int(N.max(initial=0))
+    s2 = s3 = 0.0
+    for k in range(n_max + 1):
+        c = [comb(n, k) for n in range(n_max + 1)]
+        kept = np.maximum(N - k, 0)
+        s2 = s2 + (np.array([float(x ** 2) for x in c])[N] * np.float_power(tau, 2 * kept)
+                   * np.float_power(1 - tau, 2 * k))
+        s3 = s3 + (np.array([float(x ** 3) for x in c])[N] * np.float_power(tau, 3 * kept)
+                   * np.float_power(1 - tau, 3 * k))
+    return s2, s3
+
+
+def lossy_noon_pt_moments(p: LossyNOONParams):
+    """Closed-form (p2, p3) of the lossy NOON state (identical copies).
+
+    One elementwise formula: N, tau_a and tau_b may be arrays, which
+    broadcast, and give arrays of their shape; scalars give floats.  Powers
+    go through np.float_power, which calls the C library's pow as float **
+    does, so every element has the bits of the scalar evaluation.
+    """
+    N, ta, tb = np.broadcast_arrays(np.asarray(p.noon.N), np.asarray(p.tau_a, dtype=float),
+                                    np.asarray(p.tau_b, dtype=float))
     a2, b2 = abs(p.noon.alpha) ** 2, abs(p.noon.beta) ** 2
-    ta, tb = p.tau_a, p.tau_b
-    s2a = sum(comb(N, k) ** 2 * ta ** (2 * (N - k)) * (1 - ta) ** (2 * k) for k in range(N + 1))
-    s2b = sum(comb(N, k) ** 2 * tb ** (2 * (N - k)) * (1 - tb) ** (2 * k) for k in range(N + 1))
-    p2 = (a2 ** 2 * s2a
-          + 2.0 * a2 * b2 * (ta ** N * tb ** N + (1 - ta) ** N * (1 - tb) ** N)
-          + b2 ** 2 * s2b)
-    s3a = sum(comb(N, k) ** 3 * ta ** (3 * (N - k)) * (1 - ta) ** (3 * k) for k in range(N + 1))
-    s3b = sum(comb(N, k) ** 3 * tb ** (3 * (N - k)) * (1 - tb) ** (3 * k) for k in range(N + 1))
+    (s2a, s2b), (s3a, s3b) = _loss_sums(N, np.stack([ta, tb]))
+    ta_n, tb_n = np.float_power(ta, N), np.float_power(tb, N)
+    la_n, lb_n = np.float_power(1 - ta, N), np.float_power(1 - tb, N)
+    p2 = a2 ** 2 * s2a + 2.0 * a2 * b2 * (ta_n * tb_n + la_n * lb_n) + b2 ** 2 * s2b
     p3 = (a2 ** 3 * s3a
-          + 3.0 * a2 * b2 * (a2 * ta ** N * tb ** N * (1 - ta) ** N
-                             + b2 * ta ** N * tb ** N * (1 - tb) ** N
-                             + a2 * (1 - ta) ** (2 * N) * (1 - tb) ** N
-                             + b2 * (1 - ta) ** N * (1 - tb) ** (2 * N))
+          + 3.0 * a2 * b2 * (a2 * ta_n * tb_n * la_n
+                             + b2 * ta_n * tb_n * lb_n
+                             + a2 * np.float_power(1 - ta, 2 * N) * lb_n
+                             + b2 * la_n * np.float_power(1 - tb, 2 * N))
           + b2 ** 3 * s3b)
-    return float(p2), float(p3)
+    if p2.ndim == 0:
+        return float(p2), float(p3)
+    return p2, p3
 
 
 # ---------------------------------------------------------------------------

@@ -428,12 +428,18 @@ class TestOutcomeDistribution:
     def test_budget_error_before_any_evolution(self, monkeypatch):
         cat = cat_density(CatParams(0.5, 0.5, 0.5, "odd"))
         lossy = lossy_channel(lossy_channel(cat, 0.8, "a"), 0.8, "b")
-        calls = []
+        calls, counted = [], []
+        cost = circuits._readout_cost
+        monkeypatch.setattr(circuits, "_readout_cost",
+                            lambda *args: counted.append(cost(*args)) or counted[-1])
         monkeypatch.setattr(circuits, "_evolve_sectors", lambda *args: calls.append(1))
         with pytest.raises(BudgetError, match=r"needs 7\.74e\+08 .* and 7\.35e\+10 Gram "
                                               r"multiply-adds .* budget of 1e\+08"):
             outcome_distribution([lossy] * 3, 3)
         assert calls == []
+        # the sector blocks count the box columns the plans build (the full
+        # sectors, squared, would add 138,411 entries)
+        assert counted == [(774_069_523, 73_531_187_500)]
 
     def test_lossless_two_copy_has_even_totals_only(self):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
@@ -560,9 +566,9 @@ class TestMoreCopies:
         seen = []
         cost = circuits._readout_cost
         monkeypatch.setattr(circuits, "_readout_cost",
-                            lambda *args: seen.append(args[:3]) or cost(*args))
+                            lambda *args: seen.append(args[0]) or cost(*args))
         dist = outcome_distribution([rho] * 5, 5)
-        assert seen == [(5, 6, 6)]
+        assert seen == [[(2,) * 5] * 2]  # trimmed cutoffs: d_out = 6 per party
         assert multicopy_expectation(dist) == pytest.approx(pt_moments(rho, 5)[4], abs=1e-12)
 
 

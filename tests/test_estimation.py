@@ -160,6 +160,62 @@ class TestMinSamples:
             assert w + math.sqrt(var(k_star - 1)) >= 0
 
 
+    @staticmethod
+    def scalar_min_samples(p2, p3, criterion):
+        """Reference: one point at a time, with Python ints for k."""
+        if criterion == "quadratic":
+            mean = p3 - p2 ** 2
+            var = lambda k: ((1.0 - p3 ** 2) / k + 2.0 * (1.0 - p2 ** 2)
+                             * (1.0 + (2 * k - 3) * p2 ** 2) / (k * (k - 1)))
+        else:
+            mean = p3 - (3.0 * p2 - 1.0) / 2.0
+            var = lambda k: (1.0 - p3 ** 2) / k + 2.25 * (1.0 - p2 ** 2) / k
+        if mean >= 0:
+            return math.inf
+        k = 2
+        while mean + math.sqrt(var(k)) >= 0:
+            k *= 2
+            if k > 10 ** 12:
+                return math.inf
+        lo, hi = max(k // 2, 2), k
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if mean + math.sqrt(var(mid)) < 0:
+                hi = mid
+            else:
+                lo = mid
+        return lo if mean + math.sqrt(var(lo)) < 0 else hi
+
+    @pytest.mark.parametrize("criterion", ["quadratic", "linear"])
+    def test_fig3c_grid_gives_the_scalar_ints_and_infs(self, criterion):
+        n, tau = (x.ravel() for x in np.meshgrid(
+            np.arange(1, 11), np.round(np.arange(0.5, 1.0 + 1e-12, 2.5e-3), 10), indexing="ij"))
+        p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(n, tau))
+        k_star = min_samples(p2, p3, criterion)
+        assert k_star.shape == (2010,)
+        got = [(type(k), k) for k in k_star.tolist()]
+        ref = [self.scalar_min_samples(a, b, criterion) for a, b in zip(p2.tolist(), p3.tolist())]
+        assert got == [(type(k), k) for k in ref]
+        assert {int, float} == {t for t, _ in got}
+        if criterion == "quadratic":  # fig3c's: its k*(k-1) passes the int64 range
+            assert max(k for t, k in got if t is int) ** 2 > 2 ** 63
+        assert min_samples(p2[5], p3[5], criterion) == ref[5]
+        assert type(min_samples(float(p2[5]), float(p3[5]), criterion)) is type(ref[5])
+
+    def test_array_shape_is_kept(self):
+        p2 = np.array([[0.9, 0.8], [0.5, 0.7]])
+        k_star = min_samples(p2, 0.3)
+        assert k_star.shape == (2, 2)
+        assert k_star.tolist() == [[min_samples(a, 0.3) for a in row] for row in p2.tolist()]
+
+    def test_variances_broadcast_over_k(self):
+        ks = np.array([2, 3, 1000, 2 ** 40])
+        var_l, var_q = witness_variances(0.6, 0.3, ks)
+        assert [(a, b) for a, b in zip(var_l.tolist(), var_q.tolist())] == [
+            witness_variances(0.6, 0.3, int(k)) for k in ks]
+        assert [type(v) for v in witness_variances(0.6, 0.3, 10)] == [float, float]
+
+
 class TestNoiseSpec:
     def test_defaults_are_the_papers_noise_levels(self):
         assert asdict(NoiseSpec()) == {"alpha_rel_std": 0.05, "tau_std": 0.05}
@@ -338,10 +394,11 @@ def reference_moments(n, alphas, taus):
 
 
 class TestSamplerBitwise:
-    """The run-major, blocked table product gives the same bits as one
-    product of the row-per-run coefficients, on either side of the block
-    width.  Equality of the two products depends on the BLAS kernel and its
-    thread count, so CI runs this class at one and at two BLAS threads."""
+    """The run-major, blocked table product, and the moments' blocked product
+    with the readout values, give the same bits as one product of the
+    row-per-run coefficients, on either side of the block width.  Equality
+    of the two products depends on the BLAS kernel and its thread count, so
+    CI runs this class at one and at two BLAS threads."""
 
     RUNS = [1, 2, 127, 128, 129, 1000, 3162]
 
@@ -357,7 +414,7 @@ class TestSamplerBitwise:
         assert np.array_equal(_sample_values(n, alphas, taus, uniforms),
                               reference_sample_values(n, alphas, taus, uniforms))
 
-    @pytest.mark.parametrize("runs", RUNS + [3721])
+    @pytest.mark.parametrize("runs", RUNS + [3721])  # 3721 = 61^2, a fig3b panel
     @pytest.mark.parametrize("n", [2, 3])
     def test_moments(self, n, runs):
         alphas, taus, _ = self.draws(3, runs)

@@ -70,6 +70,23 @@ def test_non_finite_input_is_rejected(entry, bad):
         entry(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda x: min_samples(np.array([0.5, x, 0.3]), 0.1),
+    lambda x: min_samples(0.5, np.array([[0.1, 0.2], [x, 0.1]])),
+    lambda x: witness_variances(np.array([0.5, x]), 0.1, 10),
+    lambda x: witness_variances(0.5, np.array([0.1, x]), 10),
+    lambda x: witness_variances(0.5, 0.1, np.array([10.0, x])),
+    lambda x: lossy_noon_pt_moments(LossyNOONParams.balanced(2, np.array([0.7, x, 0.9]))),
+    lambda x: LossyNOONParams(NOONParams.balanced(1), 0.5, np.array([0.5, x])),
+], ids=["min_samples-p2", "min_samples-p3", "witness_variances-p2", "witness_variances-p3",
+        "witness_variances-k", "lossy_noon_pt_moments-tau", "lossy_noon-tau_b"])
+def test_non_finite_array_element_is_rejected(entry, bad):
+    # one bad element anywhere in an array input refuses the whole call
+    with pytest.raises(DomainError):
+        entry(bad)
+
+
 class TestTmsvCutoff:
     @staticmethod
     def cutoff_by_loop(r, tol):
@@ -209,6 +226,22 @@ class TestHHG:
             p2, p3 = hhg_pt_moments(HHGParams(3.0, float(da), 4))
             assert p3_linear(p2, p3).witness < 0
 
+    def test_largest_amplitude_below_the_float_range(self):
+        # |alpha - delta_alpha|^(d-1) = 13.5^267 stays below 1.8e308; any
+        # overflow warning would fail the test under the RuntimeWarning filter
+        rho = hhg_reduced_density(HHGParams(14.0, 0.5, 2))
+        assert rho.cutoff == ModeCutoff(268, 7)
+        assert np.isfinite(rho.matrix).all()
+
+    def test_amplitude_beyond_the_float_range_is_refused(self):
+        # the cutoff 302 puts 14.5^301 past the float range: refused by name,
+        # before any power is taken
+        with pytest.raises(DomainError, match=r"alpha=14\.5, d=302"):
+            hhg_reduced_density(HHGParams(15.0, 0.5, 2))
+        with pytest.raises(DomainError, match=r"alpha=-20, d=300"):
+            coherent_vector(-20, 300)
+        assert np.isfinite(coherent_vector(-20, 200)).all()
+
 
 class TestNOON:
     def test_normalization_enforced(self):
@@ -266,6 +299,61 @@ class TestLossyNOON:
         for tau in (0.2, 0.4, 0.5):
             p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
             assert p3 - optimal_threshold(p2) >= -1e-12
+
+    @staticmethod
+    def scalar_moments(p):
+        """Reference: the (p2, p3) closed form term by term in Python floats,
+        each k-sum added in increasing k."""
+        N = p.noon.N
+        a2, b2 = abs(p.noon.alpha) ** 2, abs(p.noon.beta) ** 2
+        ta, tb = p.tau_a, p.tau_b
+        s2a = sum(math.comb(N, k) ** 2 * ta ** (2 * (N - k)) * (1 - ta) ** (2 * k)
+                  for k in range(N + 1))
+        s2b = sum(math.comb(N, k) ** 2 * tb ** (2 * (N - k)) * (1 - tb) ** (2 * k)
+                  for k in range(N + 1))
+        p2 = (a2 ** 2 * s2a
+              + 2.0 * a2 * b2 * (ta ** N * tb ** N + (1 - ta) ** N * (1 - tb) ** N)
+              + b2 ** 2 * s2b)
+        s3a = sum(math.comb(N, k) ** 3 * ta ** (3 * (N - k)) * (1 - ta) ** (3 * k)
+                  for k in range(N + 1))
+        s3b = sum(math.comb(N, k) ** 3 * tb ** (3 * (N - k)) * (1 - tb) ** (3 * k)
+                  for k in range(N + 1))
+        p3 = (a2 ** 3 * s3a
+              + 3.0 * a2 * b2 * (a2 * ta ** N * tb ** N * (1 - ta) ** N
+                                 + b2 * ta ** N * tb ** N * (1 - tb) ** N
+                                 + a2 * (1 - ta) ** (2 * N) * (1 - tb) ** N
+                                 + b2 * (1 - ta) ** N * (1 - tb) ** (2 * N))
+              + b2 ** 3 * s3b)
+        return p2, p3
+
+    def test_fig3a_grid_equals_the_scalar_form_bit_for_bit(self):
+        n, tau = (x.ravel() for x in np.meshgrid(
+            np.arange(1, 11), np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10), indexing="ij"))
+        p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(n, tau))
+        ref = [self.scalar_moments(LossyNOONParams.balanced(int(a), float(t)))
+               for a, t in zip(n, tau)]
+        assert np.column_stack([p2, p3]).tobytes() == np.array(ref).tobytes()
+
+    def test_unequal_losses_equal_the_scalar_form_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        n = rng.integers(1, 25, 600)
+        ta, tb = rng.uniform(0.0, 1.0, (2, 600))
+        ta[::7], tb[::11] = 0.0, 1.0
+        for noon in (NOONParams(n, 0.6, 0.8), NOONParams(n, 0.6j, -0.8)):
+            p2, p3 = lossy_noon_pt_moments(LossyNOONParams(noon, ta, tb))
+            ref = [self.scalar_moments(LossyNOONParams(NOONParams(int(a), noon.alpha, noon.beta),
+                                                       float(x), float(y)))
+                   for a, x, y in zip(n, ta, tb)]
+            assert np.column_stack([p2, p3]).tobytes() == np.array(ref).tobytes()
+
+    def test_scalars_give_floats_and_arrays_keep_their_shape(self):
+        p = LossyNOONParams(NOONParams(3, 0.6, 0.8), 0.75, 0.45)
+        moments = lossy_noon_pt_moments(p)
+        assert [type(m) for m in moments] == [float, float]
+        assert moments == self.scalar_moments(p)
+        p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(np.array([[1], [2]]),
+                                                                np.array([0.6, 0.7, 0.8])))
+        assert p2.shape == p3.shape == (2, 3)
 
     def test_high_population_crossing_near_twenty_percent_loss(self):
         from scipy import optimize
