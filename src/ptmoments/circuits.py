@@ -26,7 +26,6 @@ weights; only the same-DFT variant is implemented.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import wraps
@@ -247,17 +246,16 @@ class OutcomeDistribution:
         self._probs = probs[keep]
         self._cells.setflags(write=False)
         self._probs.setflags(write=False)
-        self._outcomes = list(map(tuple, self._cells.tolist()))
 
     def probability(self, outcome) -> float:
-        outcome = tuple(outcome)
-        i = bisect_left(self._outcomes, outcome)
-        if i < len(self._outcomes) and self._outcomes[i] == outcome:
-            return float(self._probs[i])
-        return 0.0
+        outcome = np.asarray(outcome)
+        if outcome.shape != self._cells.shape[1:]:
+            return 0.0
+        # the rows are distinct, so at most one matches
+        return float(self._probs[(self._cells == outcome).all(axis=1)].sum())
 
     def outcomes(self) -> list:
-        return list(self._outcomes)
+        return list(map(tuple, self._cells.tolist()))
 
     def as_arrays(self):
         return self.outcomes(), self._probs

@@ -29,9 +29,6 @@ from .reporting import Table, format_value, write_table
 
 BALANCED = 1.0 / math.sqrt(2.0)
 
-REPRODUCE_TARGETS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3a", "fig3b",
-                     "fig3c", "fig4", "fig5", "fig6", "fig7", "table1", "table2")
-
 
 def _provenance(args, target: str, **extra) -> dict:
     prov = {"target": target, "seed": getattr(args, "seed", None),
@@ -41,17 +38,17 @@ def _provenance(args, target: str, **extra) -> dict:
 
 
 def _emit(args, target: str, columns, rows, **extra) -> None:
+    """Write a table: a reproduce target to <outdir>/<target>.<format>, with
+    its row count on stdout; the result of criteria or sample to the file
+    --out (CSV by default)."""
     table = Table(_provenance(args, target, **extra), list(columns), rows)
-    outdir = args.out or os.environ.get("PTMOMENTS_OUTDIR", "out")
-    path = os.path.join(outdir, f"{target}.{args.format}")
-    out = write_table(table, path, fmt=args.format)
-    print(f"wrote {out} ({len(rows)} rows)")
-
-
-def _write_out(args, target: str, columns, rows, **extra) -> None:
-    """Write the result of criteria or sample to the file --out (CSV by default)."""
-    table = Table(_provenance(args, target, **extra), columns, rows)
-    print(f"wrote {write_table(table, args.out, fmt=args.format or 'csv')}")
+    if args.command == "reproduce":
+        outdir = args.out or os.environ.get("PTMOMENTS_OUTDIR", "out")
+        path, fmt = os.path.join(outdir, f"{target}.{args.format}"), args.format
+        count = f" ({len(rows)} rows)"
+    else:
+        path, fmt, count = args.out, args.format or "csv", ""
+    print(f"wrote {write_table(table, path, fmt=fmt)}{count}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +134,8 @@ def cmd_criteria(args) -> int:
               f"{'ENTANGLED' if r.detected else 'not detected'}{flag}")
         rows.append((r.criterion_id, r.witness, r.threshold, r.detected, r.gaussian_only))
     if args.out:
-        _write_out(args, "criteria", ["criterion", "witness", "threshold", "detected",
-                                      "gaussian_only"], rows, p2=p2, p3=p3)
+        _emit(args, "criteria", ["criterion", "witness", "threshold", "detected",
+                                 "gaussian_only"], rows, p2=p2, p3=p3)
     return 0
 
 
@@ -168,9 +165,9 @@ def cmd_sample(args) -> int:
     print(f"variance over repetitions = {result.variance:.6g}"
           f"   std error = {result.std_error:.6g}")
     if args.out:
-        _write_out(args, "sample", ["mean", "variance", "std_error", "k", "repetitions"],
-                   [(result.mean, result.variance, result.std_error, result.k,
-                     result.repetitions)], family=args.family, n=args.copies, exact=exact)
+        _emit(args, "sample", ["mean", "variance", "std_error", "k", "repetitions"],
+              [(result.mean, result.variance, result.std_error, result.k,
+                result.repetitions)], family=args.family, n=args.copies, exact=exact)
     return 0
 
 
@@ -191,8 +188,10 @@ def _fig2a(args):
             lin, quad = gaussian.symplectic_p3_criteria(pair)
             rows.append((float(nu1), float(nu2), p2, p3,
                          gaussian.simon_test(pair).witness, lin.witness, quad.witness))
+    thresholds = criteria.optimal_threshold(np.array([row[2] for row in rows]))
+    rows = [row + (row[3] - thr,) for row, thr in zip(rows, thresholds.tolist())]
     _emit(args, "fig2a", ["nu1", "nu2", "p2", "p3", "w_simon", "w_linear",
-                          "w_quadratic", "w_optimal"], _with_optimal_witness(rows),
+                          "w_quadratic", "w_optimal"], rows,
           grid={"lo": 0.2, "hi": 3.0, "step": 0.04})
 
 
@@ -261,12 +260,6 @@ def _bisect(f, lo, hi, xtol: float):
     return float(root) if root.ndim == 0 else root
 
 
-def _with_optimal_witness(rows):
-    """Rows with p2, p3 in columns 2, 3, extended by p3 - optimal_threshold(p2)."""
-    thresholds = criteria.optimal_threshold(np.array([row[2] for row in rows]))
-    return [row + (row[3] - thr,) for row, thr in zip(rows, thresholds.tolist())]
-
-
 def _lossy_noon_optimal_witness(n, tau):
     p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
     return p3 - criteria.optimal_threshold(p2)
@@ -281,13 +274,15 @@ def _lossy_noon_grid(tau_step: float) -> tuple:
 
 
 def _fig3a(args):
-    rows = list(zip(*(x.tolist() for x in _lossy_noon_grid(1e-3))))
+    n, tau, p2, p3 = _lossy_noon_grid(1e-3)
+    w = p3 - criteria.optimal_threshold(p2)
+    rows = list(zip(*(x.tolist() for x in (n, tau, p2, p3, w))))
     ns, lo = np.arange(1, 11), np.full(10, 0.501)
     f = lambda t: _lossy_noon_optimal_witness(ns, t)
     crossings = np.where(f(lo) > 0, _bisect(f, lo, 0.9999, xtol=1e-9), 0.5)
     for n, crossing in zip(ns.tolist(), crossings.tolist()):
         print(f"N={n}: optimal witness crosses zero at tau = {crossing:.6f}")
-    _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], _with_optimal_witness(rows))
+    _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], rows)
 
 
 def _fig3b(args):
@@ -359,12 +354,10 @@ def _fig6(args):
     for tau in (1.0, 0.9, 0.75, 0.6):
         rho = states.lossy_noon_density(states.LossyNOONParams.balanced(1, tau))
         d2 = circuits.outcome_distribution([rho] * 2, 2)
-        for outcome in d2.outcomes():
-            rows.append(("f2", tau, outcome[0], 0, outcome[1], 0, d2.probability(outcome)))
+        rows += [("f2", tau, n2a, 0, n2b, 0, p)
+                 for (n2a, n2b), p in zip(d2.cells.tolist(), d2.probs.tolist())]
         d3 = circuits.outcome_distribution([rho] * 3, 3)
-        for outcome in d3.outcomes():
-            rows.append(("f3", tau, outcome[0], outcome[1], outcome[2], outcome[3],
-                         d3.probability(outcome)))
+        rows += [("f3", tau, *cell, p) for cell, p in zip(d3.cells.tolist(), d3.probs.tolist())]
     _emit(args, "fig6", ["circuit", "tau", "n2a", "n3a", "n2b", "n3b", "probability"],
           rows, note="f2 rows have no third mode; their n3 columns read 0")
 
@@ -425,6 +418,7 @@ _TARGET_FUNCS = {
     "table1": lambda args: _outcome_table(args, 2),
     "table2": lambda args: _outcome_table(args, 3),
 }
+REPRODUCE_TARGETS = tuple(_TARGET_FUNCS)
 
 
 def cmd_reproduce(args) -> int:

@@ -4,7 +4,9 @@ simulated experiment with noisy copies.
 
 The analytic variances and the minimum sample sizes are elementwise: arrays
 of (p2, p3) go through in one call, each element with the bits (and, for the
-sample sizes, the Python int or math.inf) of its scalar evaluation.
+sample sizes, the Python int or math.inf) of its scalar evaluation.  A
+minimum sample size starts from the closed-form root of its variance
+inequality and only settles the float boundary, one k at a time.
 
 Reproducibility: all randomness flows through counter-based Philox generators
 derived from a master seed and integer stream keys.  The simulated experiment
@@ -182,17 +184,21 @@ def witness_variances(p2, p3, k):
 
 
 def min_samples(p2, p3, criterion: str = "quadratic"):
-    """Smallest k at which the witness mean plus one standard deviation is
-    negative; math.inf when the witness itself is non-negative, or when no k
-    up to 1e12 suffices.
+    """Smallest k >= 2 at which the witness mean m plus one standard
+    deviation is negative; math.inf when m >= 0 or that k is above 1e12.
 
-    k doubles from 2 until it suffices, then a bisection between k/2 and k
-    finds the smallest.  One elementwise search: every element of the
-    broadcast p2, p3 walks its own k in step with the others.  Scalars give
-    an int (or math.inf); arrays give an object array of ints and math.inf.
+    Detection means var(k) < m^2: k > A/m^2 for the linear witness, with
+    A = (1 - p3^2) + 2.25 (1 - p2^2), and k past the larger root of
+    m^2 k^2 - (m^2 + B + 4Cq) k + (B - 2C + 6Cq), q = p2^2, B = 1 - p3^2,
+    C = 1 - q, for the quadratic one.  Each element starts at the floor of
+    its root, clipped to [2, 2e12], and steps by one with the float test
+    until it is the smallest k that passes.  Scalars give an int (or
+    math.inf), arrays an object array of them.  Needs 0 < p2 <= 1 and
+    |p3| <= 1, where no variance is negative.
     """
-    _require_finite(p2=p2, p3=p3)
     p2, p3 = np.broadcast_arrays(np.asarray(p2, dtype=float), np.asarray(p3, dtype=float))
+    if not ((p2 > 0) & (p2 <= 1) & (np.abs(p3) <= 1)).all():  # NaN fails too
+        raise DomainError(f"min_samples needs 0 < p2 <= 1 and |p3| <= 1, got p2={p2}, p3={p3}")
     shape = p2.shape
     p2, p3 = p2.ravel(), p3.ravel()
     if criterion == "quadratic":
@@ -202,32 +208,35 @@ def min_samples(p2, p3, criterion: str = "quadratic"):
     else:
         raise ValueError(f"criterion must be 'linear' or 'quadratic', got {criterion!r}")
 
-    def detected(k, i):
-        var = witness_variances(p2[i], p3[i], k)[which]
-        if (var < 0).any():
-            raise DomainError(f"negative witness variance at p2={p2[i]}, p3={p3[i]}")
-        return mean[i] + np.sqrt(var) < 0
+    def passes(k, i):
+        return mean[i] + np.sqrt(witness_variances(p2[i], p3[i], k)[which]) < 0
 
-    hi = np.full(mean.shape, 2, dtype=np.int64)
-    found = mean < 0
-    i = np.flatnonzero(found)
-    while i.size:
-        i = i[~detected(hi[i], i)]
-        hi[i] *= 2
-        over = hi[i] > 10 ** 12
-        found[i[over]] = False
-        i = i[~over]
-    lo = np.maximum(hi // 2, 2)
-    i = np.flatnonzero(found & (lo + 1 < hi))
-    while i.size:
-        mid = (lo[i] + hi[i]) // 2
-        below = detected(mid, i)
-        hi[i[below]] = mid[below]
-        lo[i[~below]] = mid[~below]
-        i = i[lo[i] + 1 < hi[i]]
-    # lo is 2 = hi, or a k found too small, so the smallest sufficient k is hi
-    k_star = hi.astype(object)
-    k_star[~found] = math.inf
+    i = np.flatnonzero(mean < 0)
+    m2, q, b = mean[i] ** 2, np.float_power(p2[i], 2), 1.0 - np.float_power(p3[i], 2)
+    c = 1.0 - q
+    with np.errstate(divide="ignore", over="ignore"):  # m^2 may underflow to 0
+        if which:
+            lin_coef = m2 + b + 4.0 * c * q
+            # never negative: it is (m^2 - Y)^2 + X^2 - Y^2 with X = B + 4Cq >= Y =
+            # B - 4C + 8Cq, and (m^2 - Y)^2 >= Y^2 if Y < 0; the clip takes off rounding
+            disc = np.maximum(lin_coef ** 2 - 4.0 * m2 * (b - 2.0 * c + 6.0 * c * q), 0.0)
+            bound = (lin_coef + np.sqrt(disc)) / (2.0 * m2)
+        else:
+            bound = (b + 2.25 * c) / m2
+    k = np.full(mean.shape, 2, dtype=np.int64)
+    k[i] = np.clip(np.floor(bound), 2, 2e12)
+    down = i[k[i] > 2]
+    while down.size:
+        down = down[passes(k[down] - 1, down)]
+        k[down] -= 1
+        down = down[k[down] > 2]
+    up = i
+    while up.size:
+        up = up[~passes(k[up], up)]
+        k[up] += 1
+        up = up[k[up] <= 10 ** 12]
+    k_star = k.astype(object)
+    k_star[(mean >= 0) | (k > 10 ** 12)] = math.inf
     k_star = k_star.reshape(shape)
     return k_star.item() if k_star.ndim == 0 else k_star
 

@@ -405,37 +405,28 @@ def pure_state_pt_moment(schmidt_probs, n: int) -> float:
     return float(np.sum(lam ** (n // 2)) ** 2)
 
 
-def _poisson_tail(k: int, mean: float) -> float:
-    """P(X > k) for X ~ Poisson(mean), summed from the term j = k + 1 up.
-    Below the mode it is 1 - P(X <= k), with the head summed from j = k
-    down: there the first term of the upward sum underflows to 0 once the
-    mean is large, and that sum would stop at once."""
-    upward = k + 1 >= mean
-    j = k + 1 if upward else k
-    total = 0.0
-    term = math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) if mean else 0.0
-    # the terms fall away from the mode: stop at the first one that no longer
-    # changes the sum (the term below j = 0 is 0)
-    while total + term != total:
-        total += term
-        if upward:
-            j += 1
-            term *= mean / j
-        else:
-            term *= j / mean
-            j -= 1
-    return total if upward else 1.0 - total
-
-
 def coherent_cutoff(alphas, tol: float = DEFAULT_TOL.trunc, guard: int = 1) -> int:
-    """Smallest Fock dimension d whose Poisson tail P(n >= d), summed term by
-    term, is below ``tol`` for every displacement in ``alphas``, plus
-    ``guard`` empty levels on top."""
+    """Smallest Fock dimension d whose Poisson tail P(n >= d), summed upward
+    from n = d, is below ``tol``, in (0, 1/2), for every displacement in
+    ``alphas``, plus ``guard`` empty levels on top.  The search starts at
+    d = max(floor(mean), 1): the Poisson median is at least mean - ln 2, so
+    the tail there is at least 1/2, and its first term cannot underflow."""
     alphas = np.atleast_1d(alphas)
     mean = max((abs(a) ** 2 for a in alphas), default=0.0)
     if not (np.isfinite(alphas).all() and math.isfinite(mean)):
         raise DomainError(f"displacements must be finite, got {alphas}")
-    d = 1
-    while _poisson_tail(d - 1, mean) >= tol:
+    if not 0.0 < tol < 0.5:  # NaN fails too
+        raise DomainError(f"tol must lie in (0, 1/2), got {tol}")
+    d = max(math.floor(mean), 1)
+    while True:
+        tail, j = 0.0, d
+        term = math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) if mean else 0.0
+        # the terms fall past the mode: stop at the first one that no longer
+        # changes the sum
+        while tail + term != tail:
+            tail += term
+            j += 1
+            term *= mean / j
+        if tail < tol:
+            return d + guard
         d += 1
-    return d + guard

@@ -162,7 +162,8 @@ class TestMinSamples:
 
     @staticmethod
     def scalar_min_samples(p2, p3, criterion):
-        """Reference: one point at a time, with Python ints for k."""
+        """Reference: one point at a time, with Python ints for k, by doubling
+        and bisection; a smallest k above 1e12 gives inf."""
         if criterion == "quadratic":
             mean = p3 - p2 ** 2
             var = lambda k: ((1.0 - p3 ** 2) / k + 2.0 * (1.0 - p2 ** 2)
@@ -175,8 +176,6 @@ class TestMinSamples:
         k = 2
         while mean + math.sqrt(var(k)) >= 0:
             k *= 2
-            if k > 10 ** 12:
-                return math.inf
         lo, hi = max(k // 2, 2), k
         while lo + 1 < hi:
             mid = (lo + hi) // 2
@@ -184,7 +183,8 @@ class TestMinSamples:
                 hi = mid
             else:
                 lo = mid
-        return lo if mean + math.sqrt(var(lo)) < 0 else hi
+        k = lo if mean + math.sqrt(var(lo)) < 0 else hi
+        return math.inf if k > 10 ** 12 else k
 
     @pytest.mark.parametrize("criterion", ["quadratic", "linear"])
     def test_fig3c_grid_gives_the_scalar_ints_and_infs(self, criterion):
@@ -201,6 +201,43 @@ class TestMinSamples:
             assert max(k for t, k in got if t is int) ** 2 > 2 ** 63
         assert min_samples(p2[5], p3[5], criterion) == ref[5]
         assert type(min_samples(float(p2[5]), float(p3[5]), criterion)) is type(ref[5])
+
+    @pytest.mark.parametrize("criterion", ["quadratic", "linear"])
+    def test_random_points_give_the_scalar_ints_and_infs(self, criterion):
+        rng = np.random.default_rng(20)
+        p2 = 1.0 - rng.random(2000)  # in (0, 1]
+        threshold = p2 ** 2 if criterion == "quadratic" else (3.0 * p2 - 1.0) / 2.0
+        # witness means from -1 to -1e-8, so k* runs from 2 past 1e12
+        p3 = np.clip(threshold - 10.0 ** rng.uniform(-8.0, 0.0, p2.size), -1.0, 1.0)
+        got = [(type(k), k) for k in min_samples(p2, p3, criterion).tolist()]
+        ref = [self.scalar_min_samples(a, b, criterion) for a, b in zip(p2.tolist(), p3.tolist())]
+        assert got == [(type(k), k) for k in ref]
+        assert {int, float} == {t for t, _ in got}
+
+    @pytest.mark.parametrize("criterion", ["quadratic", "linear"])
+    def test_k_star_between_2_to_the_39_and_1e12_is_an_int(self, criterion):
+        # at p2 = 1/2 both thresholds are 1/4, and k* is about A/m^2 with
+        # A = (1 - p3^2) + 2.25 (1 - p2^2) (linear) or (1 - p3^2) + 4 p2^2 (1 - p2^2)
+        a = 2.625 if criterion == "linear" else 1.6875
+        p2, p3 = 0.5, 0.25 - math.sqrt(a / 6e11)
+        k_star = min_samples(p2, p3, criterion)
+        assert type(k_star) is int and 2 ** 39 < k_star <= 10 ** 12
+        assert k_star == self.scalar_min_samples(p2, p3, criterion)
+
+    def test_no_k_up_to_1e12_is_inf(self):
+        p2, p3 = 0.5, 0.25 - math.sqrt(2.625 / 1.1e12)
+        assert self.scalar_min_samples(p2, p3, "linear") == math.inf
+        assert min_samples(p2, p3, "linear") == math.inf
+        # a witness mean whose square underflows
+        assert min_samples(0.5, 0.25 - 1e-170, "linear") == math.inf
+
+    @pytest.mark.parametrize("p2, p3", [(0.0, 0.1), (-0.2, 0.1), (1.0 + 1e-12, 0.1),
+                                        (0.5, 1.0 + 1e-12), (0.5, -1.5)])
+    def test_unphysical_moments_are_rejected(self, p2, p3):
+        with pytest.raises(DomainError):
+            min_samples(p2, p3)
+        with pytest.raises(DomainError):
+            min_samples(np.array([0.5, p2]), np.array([0.1, p3]), "linear")
 
     def test_array_shape_is_kept(self):
         p2 = np.array([[0.9, 0.8], [0.5, 0.7]])

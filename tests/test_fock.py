@@ -745,26 +745,23 @@ class TestCoherentCutoff:
         with pytest.raises(DomainError):
             coherent_cutoff([1.0, alpha])
 
-    def test_tail_against_pdtrc(self):
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_matches_pdtrc_reference_at_large_means(self, tol):
+        # past a mean of about 750 the first term of a tail summed upward
+        # from far below the mode underflows to 0
         from scipy.special import pdtrc
-        for a in self.ALPHAS:
-            mean = float(a ** 2)
-            for k in range(400):
-                tail, ref = fock._poisson_tail(k, mean), pdtrc(k, mean)
-                if mean == 0:
-                    assert tail == 0.0
-                elif ref > 1e-300:
-                    assert abs(tail - ref) <= 1e-12 * ref, (k, mean)
+        for alpha in (27.0, 27.5, 30.0, 35.0, 40.0):  # means 729 to 1600
+            d = 1
+            while pdtrc(d - 1, alpha ** 2) >= tol:
+                d += 1
+            assert coherent_cutoff([alpha], tol=tol) == d + 1
 
-    def test_tail_against_pdtrc_at_large_means(self):
-        # past a mean of about 750 the first term of an upward sum from far
-        # below the mode underflows to 0
-        from scipy.special import pdtrc
-        for mean in (729.0, 756.25, 1600.0):
-            for k in range(0, 2000, 3):
-                tail, ref = fock._poisson_tail(k, mean), pdtrc(k, mean)
-                if ref > 1e-300:
-                    assert abs(tail - ref) <= 1e-11 * ref, (k, mean)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 0.5])
+    def test_tolerance_outside_the_open_half_interval_is_rejected(self, tol):
+        # tol = 0 would search without end, and NaN would stop at d = 1
+        for alpha in (0.0, 1.0, 3.0):
+            with pytest.raises(DomainError):
+                coherent_cutoff([alpha], tol=tol)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_matches_upward_sum_below_its_underflow(self, tol):
