@@ -3,18 +3,14 @@
 Applying the n-mode discrete Fourier transform to the n copies held by each
 party and counting photons on output modes 2..n yields an outcome
 distribution whose root-of-unity expectation is the n-th PT-moment.
-``outcome_distribution`` first trims each copy's trailing Fock levels that
-are exactly empty, then evolves each party's product of copies through that
-DFT one photon-number sector at a time, through the sector blocks Sym^N of
-the DFT on the columns of the copies' product box only, built once per
-tuple of copy cutoffs by an exact creation-operator recursion and kept in a
-cache bounded by bytes; this is the module's one passive-evolution engine.
-It holds amplitudes, Grams and probabilities only on the photon-number
-simplex (the cells whose total is below the output cutoff, the only ones
-that can carry amplitude), returns the distribution stored on its support
-(``OutcomeDistribution``), and refuses a readout whose counted entries and
-multiply-adds exceed a fixed budget with BudgetError.  The pure-loss
-channel, ``lossy_channel``, applies closed-form Kraus operators.
+``outcome_distribution``, the module's one passive-evolution engine, evolves
+each party's product of copies through that DFT one photon-number sector at
+a time and returns the exact distribution on its support
+(``OutcomeDistribution``), or refuses a readout over a fixed cost budget
+with BudgetError.  ``value_law`` gives the law of the readout value alone,
+from cycle traces of the copies' partial transposes, with no evolution.
+The pure-loss channel, ``lossy_channel``, applies closed-form Kraus
+operators.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -28,14 +24,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from itertools import accumulate, groupby, product
-from math import comb, prod, sqrt
+from math import comb, gcd, prod, sqrt
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, StateValidationError, ToleranceError
-from .fock import DEFAULT_TOL, BipartiteDensityOperator
+from .fock import DEFAULT_TOL, BipartiteDensityOperator, partial_transpose, pt_moments
 
 __all__ = [
     "PassiveUnitary",
@@ -49,6 +45,8 @@ __all__ = [
     "lossy_channel",
     "outcome_distribution",
     "multicopy_expectation",
+    "value_law",
+    "moment_law",
 ]
 
 # Largest entry of U^dagger U - 1 accepted as unitary.
@@ -268,14 +266,21 @@ class OutcomeDistribution:
     def probs(self) -> np.ndarray:
         return self._probs
 
+    def _classes(self) -> np.ndarray:
+        """sum_j (j-1) (N_j^A - N_j^B) of each row of ``cells``."""
+        weights = np.arange(1, self.n_copies)
+        return self._cells @ np.concatenate([weights, -weights])
+
     @property
     def values(self) -> np.ndarray:
         """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B))
         of each row of ``cells``."""
-        m = self.n_copies - 1
-        weights = np.arange(1, m + 1)
-        return np.exp(-2j * np.pi / self.n_copies) ** (self._cells[:, :m] @ weights
-                                                       - self._cells[:, m:] @ weights)
+        return np.exp(-2j * np.pi / self.n_copies) ** self._classes()
+
+    def value_law(self) -> np.ndarray:
+        """The probabilities summed by value class, as ``value_law`` gives them."""
+        n = self.n_copies
+        return np.bincount(self._classes() % n, weights=self._probs, minlength=n)
 
 
 def multicopy_expectation(dist: OutcomeDistribution) -> float:
@@ -286,6 +291,59 @@ def multicopy_expectation(dist: OutcomeDistribution) -> float:
     if abs(total.imag) > DEFAULT_TOL.imag:
         raise ToleranceError(f"imaginary residue {total.imag:.3e} exceeds {DEFAULT_TOL.imag:.1e}")
     return float(total.real)
+
+
+def moment_law(moments) -> np.ndarray:
+    """``value_law`` of n = len(moments) identical copies from their
+    PT-moments p_1 .. p_n: c -> c+q has g = gcd(q, n) cycles of length n/g,
+    so t_q = p_(n/g)^g."""
+    n = len(moments)
+    return _law([moments[n // gcd(q, n) - 1] ** gcd(q, n) for q in range(n)])
+
+
+def value_law(copies) -> np.ndarray:
+    """Probabilities of the n-copy readout's value classes, with no
+    evolution: class m is the value omega_n^m, taken by the outcomes with
+    sum_j (j-1) (N_j^A - N_j^B) = m mod n.  The counts read out the
+    eigenvalue of the cyclic shift of the copies (Carteret, PRL 94, 040502
+    (2005); Gray et al., PRL 121, 150503 (2018)), so
+    P(m) = (1/n) sum_q exp(-2 pi i q m / n) t_q with the cycle traces t_q of
+    ``_cycle_traces``; one object n times takes one pt_moments call instead
+    (``moment_law``).  A class below -1e-10 (an unphysical copy) raises
+    ToleranceError."""
+    copies = list(copies)
+    if len(copies) < 2:
+        raise ValueError(f"need at least 2 copies, got {len(copies)}")
+    if all(c is copies[0] for c in copies):
+        return moment_law(pt_moments(copies[0], len(copies)))
+    return _law(_cycle_traces(copies))
+
+
+def _cycle_traces(copies) -> list:
+    """t_q for q = 0..n-1: the product, over the cycles of c -> c+q (mod n),
+    of Tr(G_c G_(c+q) G_(c+2q) ...) taken along the cycle (for unequal
+    copies the reverse order is wrong), with G_c the partial transpose of
+    copy c padded with empty levels to the copies' largest cutoffs."""
+    n = len(copies)
+    d_a, d_b = max(c.d_a for c in copies), max(c.d_b for c in copies)
+    mats = [np.pad(partial_transpose(c).as_tensor(), [(0, d_a - c.d_a), (0, d_b - c.d_b)] * 2)
+            .reshape(d_a * d_b, d_a * d_b) for c in copies]
+    traces = []
+    for q in range(n):
+        g = gcd(q, n)
+        cycles = [[mats[(start + i * q) % n] for i in range(n // g)] for start in range(g)]
+        traces.append(prod(np.trace(reduce(np.matmul, cycle)) for cycle in cycles))
+    return traces
+
+
+def _law(traces) -> np.ndarray:
+    """P(m) = (1/n) sum_q exp(-2 pi i q m / n) t_q, clipped at zero; a class
+    below -_NORM_TOL raises ToleranceError."""
+    n, q = len(traces), np.arange(len(traces))
+    law = (np.exp(-2j * np.pi / n * (np.outer(q, q) % n)) @ np.asarray(traces)).real / n
+    if law.min() < -_NORM_TOL:
+        raise ToleranceError(f"readout class probability {law.min():.3e} is negative")
+    return np.maximum(law, 0.0)
 
 
 def _simplex(n: int, d: int) -> np.ndarray:

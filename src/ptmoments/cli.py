@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import circuits, criteria, estimation, gaussian, noon_tables, states
+from . import circuits, criteria, estimation, fock, gaussian, noon_tables, states
 from .errors import DomainError, PtmomentsError
 from .fock import DEFAULT_TOL, ModeCutoff
 from .reporting import Table, format_value, write_table
@@ -155,10 +155,12 @@ def cmd_sample(args) -> int:
         if args.tau is not None and args.tau != 1.0:
             rho = circuits.lossy_channel(rho, args.tau, "a")
             rho = circuits.lossy_channel(rho, args.tau, "b")
-    dist = circuits.outcome_distribution([rho] * args.copies, args.copies)
-    exact = circuits.multicopy_expectation(dist)
+    # the value law of identical copies, from the oracle's moments
+    moments = fock.pt_moments(rho, args.copies)
+    exact = float(moments[-1])
     rng = estimation.rng_stream(args.seed, args.copies)
-    result = estimation.estimate_pn(dist, args.copies, args.k, args.repetitions, rng)
+    result = estimation.estimate_pn(circuits.moment_law(moments), args.copies, args.k,
+                                    args.repetitions, rng)
     print(f"p_{args.copies} exact      = {exact:.12g}")
     print(f"p_{args.copies} estimated  = {result.mean:.12g}"
           f"  (k={result.k}, repetitions={result.repetitions})")
@@ -367,14 +369,12 @@ def _fig7(args):
     k_grid = (10, 32, 100, 316, 1000)
     rows = []
     for tau_idx, tau in enumerate((1.0, 0.9, 0.75, 0.6)):
-        rho = states.lossy_noon_density(states.LossyNOONParams.balanced(1, tau))
         p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(1, tau))
-        d2 = circuits.outcome_distribution([rho] * 2, 2)
-        d3 = circuits.outcome_distribution([rho] * 3, 3)
+        law2, law3 = circuits.moment_law((1.0, p2)), circuits.moment_law((1.0, p2, p3))
         for k_idx, k in enumerate(k_grid):
             rng = estimation.rng_stream(args.seed, tau_idx, k_idx)
-            e2 = estimation._sampled_estimates(d2, 2, k, reps, rng)
-            e3 = estimation._sampled_estimates(d3, 3, k, reps, rng)
+            e2 = estimation._sampled_estimates(law2, 2, k, reps, rng)
+            e3 = estimation._sampled_estimates(law3, 3, k, reps, rng)
             var_l, var_q = estimation.witness_variances(p2, p3, k)
             w_l, w_q = estimation.witness_estimators(e2, e3, k)
             w_opt = estimation._optimal_witness_from_estimates(e2.real, e3)

@@ -1,6 +1,12 @@
-"""Finite-statistics layer: sampling the readout circuits, unbiased witness
+"""Finite-statistics layer: sampling the readout value, unbiased witness
 estimators with their analytic variances, minimum sample sizes, and the full
 simulated experiment with noisy copies.
+
+Every readout value is drawn from its exact n-class law
+(``circuits.value_law``), never from an outcome table.  A noisy N=1 shot's
+law comes from its mean value, contracted elementwise with no BLAS call, so
+``tests/test_estimation.py::TestSamplerBitwise`` holds each run to the same
+bits whatever the runs beside it.
 
 The analytic variances and the minimum sample sizes are elementwise: arrays
 of (p2, p3) go through in one call, each element with the bits (and, for the
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -109,30 +115,36 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Sampling a fixed outcome distribution
+# Sampling the readout value from its law
 # ---------------------------------------------------------------------------
 
-def _sampled_estimates(dist: circuits.OutcomeDistribution, n: int, k: int,
-                       repetitions: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-repetition means of k i.i.d. root-of-unity readout values drawn
-    from ``dist``; complex array of length ``repetitions``."""
-    if n != dist.n_copies:
-        raise ValueError(f"distribution is for n={dist.n_copies}, asked n={n}")
+def _mean_values(counts: np.ndarray, k: int) -> np.ndarray:
+    """Mean value of k shots from class counts (last axis); class m is omega_n^m."""
+    n = counts.shape[-1]
+    return (counts * np.exp(-2j * np.pi * np.arange(n) / n)).sum(axis=-1) / k
+
+
+def _sampled_estimates(law, n: int, k: int, repetitions: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Per-repetition means of k i.i.d. readout values drawn from the n class
+    probabilities ``law``, one multinomial draw of the class counts each."""
+    law = np.asarray(law, dtype=float)
+    if law.shape != (n,):
+        raise ValueError(f"law is for n={law.size}, asked n={n}")
     if k < 1 or repetitions < 1:
         raise DomainError(f"need k >= 1 and repetitions >= 1, got k={k}, "
                           f"repetitions={repetitions}")
-    probs = dist.probs
-    idx = rng.choice(probs.size, size=(repetitions, k), p=probs / probs.sum())
-    return dist.values[idx].mean(axis=1)
+    return _mean_values(rng.multinomial(k, law / law.sum(), size=repetitions), k)
 
 
-def estimate_pn(dist: circuits.OutcomeDistribution, n: int, k: int, repetitions: int,
+def estimate_pn(dist, n: int, k: int, repetitions: int,
                 rng: np.random.Generator) -> EstimatorResult:
-    """Mean and spread over repetitions of the average of k i.i.d.
-    root-of-unity readout values drawn from ``dist``, whose expectation is
-    p_n; variance is the complex sample variance of the repetition
-    estimates."""
-    return _summarize(_sampled_estimates(dist, n, k, repetitions, rng), k)
+    """Mean and spread over repetitions of the average of k i.i.d. readout
+    values drawn from the law of ``dist`` (an OutcomeDistribution, or n class
+    probabilities), p_n on average for identical copies; variance is the
+    complex sample variance of the repetition estimates."""
+    law = dist.value_law() if isinstance(dist, circuits.OutcomeDistribution) else dist
+    return _summarize(_sampled_estimates(law, n, k, repetitions, rng), k)
 
 
 def _summarize(estimates: np.ndarray, k: int) -> EstimatorResult:
@@ -167,6 +179,9 @@ def witness_estimators(p2_k: complex, p3_k: complex, k: int) -> tuple[complex, c
 def witness_variances(p2, p3, k):
     """Analytic variances of the two witness estimators at sample size k.
 
+    p3's estimate enters with the paper's bound (1 - p3^2)/k, the variance
+    of the complex estimate, and not with the variance
+    ((1 + p3)/2 - p3^2)/k of its real part, which the witnesses read.
     One elementwise formula: p2, p3 and k broadcast, and scalars give
     floats.  k(k - 1) is formed in floats, so k may pass the int64 range of
     its square."""
@@ -257,110 +272,59 @@ def _draw_clamped(rng: np.random.Generator, mean: float, std: float,
 # ---------------------------------------------------------------------------
 # Exact N=1 readout with per-run copy parameters
 #
-# The readout distribution is linear in each copy's density matrix.  A lossy
-# N=1 copy with real alpha, beta and shared transmissivity tau is
+# A lossy N=1 copy with real alpha, beta and shared transmissivity tau is
 #   (1 - tau)|00><00| + tau (alpha^2 - alpha beta)|10><10|
 #     + tau (beta^2 - alpha beta)|01><01| + 2 tau alpha beta |+><+|,
-# with |+> = (|10> + |01>)/sqrt(2).  So each run's distribution is a linear
-# combination of the engine's distributions for the 4^n products of these
-# four basis states, with the Kronecker product of the per-copy coefficients
-# as weights.  The table of those 4^n distributions is built once with
-# circuits.outcome_distribution, on the union of their supports: the outcome
-# rows some basis product reaches, in lexicographic order (6 rows at n=2, 31
-# at n=3).  Every other outcome has probability zero in every run.
-#
-# The coefficients are laid out run-major, (4^n, runs) with the runs
-# contiguous, and the table product table.T @ coefs is taken in column blocks
-# of at most _SHOT_BLOCK runs, each of which BLAS runs on the calling thread.
-# Each block is used up before the next is made (sampled, or multiplied into
-# the readout values), so no (outcomes, runs) array is built: with it, one
-# n=3 call at k=1000 freed about 1 MB, which glibc's malloc could hand back
-# to the system at its trim threshold and fault in again on the next call.
+# with |+> = (|10> + |01>)/sqrt(2).  A run's mean readout value t (the cycle
+# trace t_(n-1) of circuits.value_law) is linear in each copy: the (4,)*n
+# tensor of the basis products' t contracted with each copy's coefficients.
+# The partial transposes are real symmetric, so t is real and equals t_1,
+# its cycle reversed; at n = 2 and 3 these are all the t_q with q != 0, so t
+# fixes the run's value law: P(0) = (1 + (n-1) t)/n, P(m) = (1 - t)/n.
 # ---------------------------------------------------------------------------
 
-# Runs per block of the table product.  An n=3 block is 31 x 64 x 128 =
-# 253,952 multiply-adds, at or below OpenBLAS's single-thread cutoff of
-# 65,536 x 4 = 262,144, so no second thread is woken (and left spinning) for
-# a fraction of a millisecond of work, and a block's operands fit in L2.  The
-# runs are split into equal blocks: a block one run wide, unless the call
-# is, would go to gemv, whose sums round differently from gemm's.
-_SHOT_BLOCK = 128
-
-
 @lru_cache(maxsize=4)
-def _noon1_tables(n: int):
-    """The reachable outcome rows, the (4^n, reachable outcomes) table of
-    basis-product distributions, its cumulative sums along the outcomes, and
-    the readout value of every reachable outcome."""
-    cutoff = ModeCutoff(2, 2)
-    h = 1.0 / math.sqrt(2.0)
-    # |00>, |10>, |01>, |+> at basis index i * d_b + j of |i>_A |j>_B
-    basis = [BipartiteDensityOperator.from_state_vector(v, cutoff)
-             for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, h, h, 0])]
-    dists = [circuits.outcome_distribution(copies, n) for copies in product(basis, repeat=n)]
-    reachable, first, where = np.unique(np.concatenate([d.cells for d in dists]), axis=0,
-                                        return_index=True, return_inverse=True)
-    table = np.zeros((len(dists), reachable.shape[0]))
-    # numpy 2.0.0 returns the inverse as a column
-    table[np.repeat(np.arange(len(dists)), [d.probs.size for d in dists]),
-          where.reshape(-1)] = np.concatenate([d.probs for d in dists])
-    cumtable = np.cumsum(table, axis=1)
-    values = np.concatenate([d.values for d in dists])[first]
-    for arr in (reachable, table, cumtable, values):
+def _noon1_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (one row each) and values of the nonzero entries of the
+    (4,)*n tensor of mean values of the n-fold products of the basis states
+    |00>, |10>, |01>, |+>: cycle traces of entries 0, 1/2 and 1, so exact."""
+    # |v><v| / <v|v>, at basis index i * d_b + j of |i>_A |j>_B
+    basis = [BipartiteDensityOperator(ModeCutoff(2, 2), np.outer(v, v) / np.dot(v, v))
+             for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 0])]
+    tensor = np.array([circuits._cycle_traces(copies)[-1]
+                       for copies in product(basis, repeat=n)]).real.reshape((4,) * n)
+    index = np.argwhere(tensor)
+    weights = tensor[tuple(index.T)]
+    for arr in (index, weights):
         arr.setflags(write=False)
-    return reachable, table, cumtable, values
-
-
-def _noon1_coefficients(alphas, taus) -> np.ndarray:
-    """Kronecker product of the per-copy basis coefficients, one column per
-    run: shape (4^n, runs), runs contiguous.  alphas/taus: (runs, n)."""
-    alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
-    taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
-    betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
-    ab = alphas * betas
-    per_copy = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
-                         2.0 * taus * ab], axis=1)
-    coefs = per_copy[0]
-    for c in per_copy[1:]:
-        coefs = (coefs[:, None, :] * c[None, :, :]).reshape(-1, coefs.shape[1])
-    return coefs
-
-
-def _table_blocks(table: np.ndarray, coefs: np.ndarray):
-    """The table product table.T @ coefs one block of runs at a time: yields
-    (block slice, its (outcomes, block runs) product) over equal blocks of at
-    most _SHOT_BLOCK runs."""
-    runs = coefs.shape[1]
-    blocks = -(-runs // _SHOT_BLOCK)
-    edges = [runs * i // blocks for i in range(blocks + 1)]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        yield slice(start, stop), table.T @ coefs[:, start:stop]
+    return index, weights
 
 
 def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     """Exact p_n of the readout for runs of n possibly different lossy N=1
-    copies; alphas/taus have shape (runs, n).  Complex array of length runs:
-    each run's outcome probabilities, the table times its coefficients,
-    against the readout values, block by block."""
-    _, table, _, values = _noon1_tables(n)
-    coefs = _noon1_coefficients(alphas, taus)
-    out = np.empty(coefs.shape[1], dtype=complex)
-    for block, probs in _table_blocks(table, coefs):
-        out[block] = np.ascontiguousarray(probs.T) @ values
-    return out
+    copies; alphas/taus have shape (runs, n).  Real array of length runs:
+    each tensor entry times one coefficient per copy, the terms summed one
+    at a time, so a run's bits do not depend on the other runs."""
+    alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
+    taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
+    betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
+    ab = alphas * betas
+    coefs = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
+                      2.0 * taus * ab], axis=1)  # (n, 4, runs)
+    index, weights = _noon1_terms(n)
+    terms = weights[:, None] * coefs[0, index[:, 0]]
+    for c in range(1, n):
+        terms *= coefs[c, index[:, c]]
+    return reduce(np.add, terms)
 
 
-def _sample_values(n: int, alphas: np.ndarray, taus: np.ndarray,
-                   uniforms: np.ndarray) -> np.ndarray:
-    """One readout value per run, drawn from each run's own distribution: the
-    run's cumulative column is the cumulative table times its coefficients,
-    read block by block."""
-    _, _, cumtable, values = _noon1_tables(n)
-    coefs = _noon1_coefficients(alphas, taus)
-    idx = np.empty(coefs.shape[1], dtype=np.intp)
-    for block, cum in _table_blocks(cumtable, coefs):
-        idx[block] = (cum < uniforms[block] * cum[-1]).sum(axis=0)
-    return values[np.minimum(idx, values.size - 1)]
+def _sample_classes(n: int, alphas: np.ndarray, taus: np.ndarray,
+                    uniforms: np.ndarray) -> np.ndarray:
+    """One readout class per run from its own value law, n = 2 or 3: how many
+    of the law's first n-1 cumulative sums lie below the run's uniform."""
+    t = noon1_moments(n, alphas, taus)
+    p0, p1 = (1.0 + (n - 1.0) * t) / n, (1.0 - t) / n
+    return (p0 + p1 * np.arange(n - 1)[:, None] < uniforms).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +347,8 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
     formed from the two circuit estimates and summarized over the plan's
     repetitions.  Repetition r of budget k draws, on its own stream
     rng_stream(master_seed, k, r), the alphas, taus and uniforms of the n=2
-    circuit and then those of the n=3 circuit.  The analytic band is the
+    circuit and then those of the n=3 circuit; each shot's value class is
+    the inverse CDF of its own law at its uniform.  The analytic band is the
     perfect-copy witness plus/minus one standard deviation of the linear
     model.
     """
@@ -409,8 +374,7 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
     for k in k_values:
         if k < 2:
             raise DomainError("k must be >= 2")
-        estimates = {2: np.empty(plan.repetitions, dtype=complex),
-                     3: np.empty(plan.repetitions, dtype=complex)}
+        estimates = {n: np.empty(plan.repetitions, dtype=complex) for n in (2, 3)}
         clamped = 0
         for r in range(plan.repetitions):
             rng = rng_stream(plan.master_seed, k, r)
@@ -418,7 +382,8 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
                 a, ca = _draw_clamped(rng, *spread["alpha"], (k, n))
                 t, ct = _draw_clamped(rng, *spread["tau"], (k, n))
                 clamped += ca + ct
-                estimates[n][r] = _sample_values(n, a, t, rng.random(k)).mean()
+                classes = _sample_classes(n, a, t, rng.random(k))
+                estimates[n][r] = _mean_values(np.bincount(classes, minlength=n), k)
         witnesses = _optimal_witness_from_estimates(estimates[2], estimates[3])
         var_l = witness_variances(p2_exact, p3_exact, k)[0]
         result = _summarize(witnesses.astype(complex), k)

@@ -589,6 +589,87 @@ def readout_benchmark_cases():
     return cases
 
 
+def reference_law(copies, reverse=False):
+    """value_law by explicit loops: each cycle of c -> c+q followed one copy
+    at a time, or against its order if ``reverse``."""
+    n = len(copies)
+    pts = [partial_transpose(c).matrix for c in copies]
+    traces = []
+    for q in range(n):
+        t, seen = 1.0, set()
+        for start in range(n):
+            cycle = []
+            while start not in seen:
+                seen.add(start)
+                cycle.append(start)
+                start = (start + q) % n
+            if cycle:
+                order = cycle[:1] + cycle[:0:-1] if reverse else cycle
+                t *= np.trace(np.linalg.multi_dot([np.eye(len(pts[0]))] + [pts[c] for c in order]))
+        traces.append(t)
+    return np.array([sum(np.exp(-2j * np.pi * q * m / n) * traces[q] for q in range(n)).real / n
+                     for m in range(n)])
+
+
+class TestValueLaw:
+    @pytest.mark.parametrize("copies", readout_benchmark_cases())
+    def test_matches_engine_on_readout_cases(self, copies):
+        dist = outcome_distribution(copies, len(copies))
+        # the engine's classes can fall short by the mass it drops below its
+        # floors: 9.7e-13 on the cat at n=3, 2.9e-14 on the lossy cat
+        dropped = 1.0 - dist.probs.sum()
+        # one object n times takes pt_moments, distinct equal copies the cycle products
+        distinct = [BipartiteDensityOperator(c.cutoff, c.matrix) for c in copies]
+        for law in (circuits.value_law(copies), circuits.value_law(distinct)):
+            np.testing.assert_allclose(law, dist.value_law(), rtol=0, atol=1e-14 + dropped)
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (4, 2)])
+    def test_matches_engine_on_unequal_low_rank_copies(self, n, d, rng):
+        copies = [BipartiteDensityOperator(ModeCutoff(d, d), random_density(rng, d * d, rank=2))
+                  for _ in range(n)]
+        law = circuits.value_law(copies)
+        np.testing.assert_allclose(law, outcome_distribution(copies, n).value_law(),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(law, reference_law(copies), rtol=0, atol=1e-14)
+
+    def test_reversed_cycle_order_fails_on_unequal_copies(self, rng):
+        copies = mixed_rank2_copies(rng, 3)
+        engine = outcome_distribution(copies, 3).value_law()
+        assert np.abs(reference_law(copies, reverse=True) - engine).max() > 1e-3
+        np.testing.assert_allclose(reference_law(copies), engine, rtol=0, atol=1e-14)
+
+    def test_unequal_cutoffs_are_padded(self, rng):
+        copies = [low_rank_copy(rng, kept, ModeCutoff(*kept), 2)
+                  for kept in ((2, 2), (3, 2), (2, 3))]
+        np.testing.assert_allclose(circuits.value_law(copies),
+                                   outcome_distribution(copies, 3).value_law(),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_identical_copies_at_prime_n(self, n):
+        rho = lossy_noon_density(LossyNOONParams.balanced(2, 0.8))
+        p = pt_moment(rho, n)
+        np.testing.assert_allclose(circuits.value_law([rho] * n),
+                                   [(1 + (n - 1) * p) / n] + [(1 - p) / n] * (n - 1),
+                                   rtol=0, atol=1e-15)
+
+    def test_four_identical_copies_use_p2_squared(self):
+        # q = 2 splits the four copies into two 2-cycles
+        p = [1.0, 0.6, 0.3, 0.2]
+        want = [(1 + 2 * 0.2 + 0.36) / 4, (1 - 0.36) / 4, (1 - 2 * 0.2 + 0.36) / 4,
+                (1 - 0.36) / 4]
+        np.testing.assert_allclose(circuits.moment_law(p), want, rtol=0, atol=1e-15)
+
+    def test_unphysical_copy_is_refused(self):
+        # eigenvalues 1.5 and -0.5: p2 = 2.5, so P(1) = (1 - p2)/2 < 0
+        rho = BipartiteDensityOperator(ModeCutoff(2, 1), np.diag([1.5, -0.5]),
+                                       check_psd=False)
+        with pytest.raises(ToleranceError):
+            circuits.value_law([rho, rho])
+        with pytest.raises(ValueError):
+            circuits.value_law([rho])
+
+
 class TestReadoutMemory:
     @pytest.mark.parametrize("copies", readout_benchmark_cases())
     def test_peak_within_three_times_the_counted_entries(self, copies, monkeypatch):

@@ -83,7 +83,7 @@ class TestPackageErrors:
         ["criteria", "--family", "tmsv", "--N", "3"],
         ["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
         ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
-        ["sample", "--family", "cat", "--tau", "0.8", "--copies", "3"],
+        ["sample", "--family", "cat", "--tau", "1.5", "--copies", "3"],
         ["sample", "--family", "noon", "--cutoff", "5"],
         ["sample", "--family", "cat", "--alpha", "8", "--beta", "8"],  # a 1.95 GiB matrix
     ])
@@ -218,6 +218,20 @@ class TestSampleCommand:
         out = capsys.readouterr().out
         mean = float(out.splitlines()[1].split("=")[1].split("(")[0])
         assert mean == pytest.approx(0.25, abs=0.05)
+
+    @pytest.mark.parametrize("argv, n", [
+        (["--tau", "0.8", "--copies", "3"], 3),  # over the outcome engine's budget
+        (["--copies", "2"], 2),
+    ])
+    def test_lossy_and_default_cat_sample_through_the_oracle(self, argv, n, capsys):
+        from ptmoments import circuits, fock, states
+        assert run(["sample", "--family", "cat", *argv]) == 0
+        out = capsys.readouterr().out
+        exact = float(out.splitlines()[0].split("=")[1])
+        rho = states.cat_density(states.CatParams(1.0, 1.0, 0.5, "odd"))
+        if n == 3:
+            rho = circuits.lossy_channel(circuits.lossy_channel(rho, 0.8, "a"), 0.8, "b")
+        assert exact == pytest.approx(fock.pt_moment(rho, n), abs=1e-12)
 
     def test_lossy_bell_matches_closed_form(self, capsys):
         from ptmoments.states import LossyNOONParams, lossy_noon_pt_moments

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from ptmoments.estimation import (
     SamplingPlan,
     SimulationPoint,
     _draw_clamped,
-    _noon1_coefficients,
-    _noon1_tables,
-    _sample_values,
+    _mean_values,
+    _noon1_terms,
+    _sample_classes,
     _sampled_estimates,
     full_simulation,
     min_samples,
@@ -24,7 +25,7 @@ from ptmoments.estimation import (
     witness_estimators,
     witness_variances,
 )
-from ptmoments.fock import ModeCutoff
+from ptmoments.fock import BipartiteDensityOperator, ModeCutoff
 from ptmoments.states import (
     LossyNOONParams,
     NOONParams,
@@ -40,11 +41,16 @@ def dist_for(tau, n):
     return circuits.outcome_distribution([rho] * n, n)
 
 
+def law_for(tau, n):
+    return circuits.value_law([lossy_noon_density(LossyNOONParams.balanced(1, tau))] * n)
+
+
 class TestSamplePn:
     def test_concentrated_distribution(self, rng):
         dist = circuits.OutcomeDistribution([[0, 0]], [1.0])
         for k in (1, 5, 50):
-            np.testing.assert_allclose(_sampled_estimates(dist, 2, k, 3, rng), 1.0)
+            np.testing.assert_allclose(_sampled_estimates(dist.value_law(), 2, k, 3, rng), 1.0)
+        assert estimation.estimate_pn(dist, 2, 5, 2, rng).mean == 1.0
 
     def test_sampled_values_are_roots_of_unity(self):
         dist = dist_for(0.75, 3)
@@ -52,9 +58,8 @@ class TestSamplePn:
 
     def test_unbiased_and_variance(self):
         tau, k, reps = 0.75, 40, 4000
-        dist = dist_for(tau, 2)
         p2, _ = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
-        est = _sampled_estimates(dist, 2, k, reps, rng_stream(11, 0))
+        est = _sampled_estimates(law_for(tau, 2), 2, k, reps, rng_stream(11, 0))
         se = math.sqrt((1 - p2 ** 2) / k / reps)
         assert abs(est.mean().real - p2) < 3 * se
         var = np.sum(np.abs(est - est.mean()) ** 2) / (reps - 1)
@@ -62,7 +67,18 @@ class TestSamplePn:
 
     def test_copy_count_checked(self, rng):
         with pytest.raises(ValueError):
-            _sampled_estimates(dist_for(0.9, 2), 3, 10, 1, rng)
+            _sampled_estimates(law_for(0.9, 2), 3, 10, 1, rng)
+
+    def test_real_part_of_p3_has_the_exact_variance(self):
+        # the law gives Re p_3,k the variance ((1 + p3)/2 - p3^2)/k; the
+        # complex estimate, whose spread estimate_pn reports, has (1 - p3^2)/k
+        tau, k, reps = 0.75, 50, 20000
+        _, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
+        est = _sampled_estimates(law_for(tau, 3), 3, k, reps, rng_stream(12, 0))
+        assert np.var(est.real, ddof=1) == pytest.approx(((1 + p3) / 2 - p3 ** 2) / k, rel=0.05)
+        result = estimation.estimate_pn(law_for(tau, 3), 3, k, reps, rng_stream(12, 0))
+        assert result.variance == pytest.approx((1 - p3 ** 2) / k, rel=0.05)
+        assert result.mean == pytest.approx(est.real.mean(), abs=1e-15)
 
     def test_estimate_checks_copy_count(self, rng):
         from ptmoments.estimation import estimate_pn
@@ -90,7 +106,7 @@ class TestWitnessEstimators:
     def test_quadratic_unbiased(self):
         tau, k, reps = 0.75, 25, 6000
         p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
-        d2, d3 = dist_for(tau, 2), dist_for(tau, 3)
+        d2, d3 = law_for(tau, 2), law_for(tau, 3)
         rng = rng_stream(5, 1)
         w_q = np.empty(reps, dtype=complex)
         for i in range(reps):
@@ -113,7 +129,7 @@ class TestWitnessEstimators:
         # moment estimates sampled in bulk; ten thousand repetitions each
         reps, k = 10 ** 4, 100
         p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
-        d2, d3 = dist_for(tau, 2), dist_for(tau, 3)
+        d2, d3 = law_for(tau, 2), law_for(tau, 3)
         rng = rng_stream(17, int(tau * 100))
         e2 = _sampled_estimates(d2, 2, k, reps, rng)
         e3 = _sampled_estimates(d3, 3, k, reps, rng)
@@ -125,7 +141,7 @@ class TestWitnessEstimators:
     def test_linear_variance_empirical(self):
         tau, k, reps = 0.9, 30, 4000
         p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(1, tau))
-        d2, d3 = dist_for(tau, 2), dist_for(tau, 3)
+        d2, d3 = law_for(tau, 2), law_for(tau, 3)
         rng = rng_stream(6, 2)
         w_l = np.empty(reps, dtype=complex)
         for i in range(reps):
@@ -351,18 +367,48 @@ class TestFastNoon1Path:
         [(1.0, 1.0), (0.0, 0.0), (0.4, 1.0)],
     ])
     def test_distributions_match_engine_array(self, params):
-        # alpha and tau at their clamped edges 0 and 1 included
+        # a run's value law from its moment t, alpha and tau at their clamped
+        # edges 0 and 1 included, against the engine's outcomes summed by class
         n = len(params)
         copies = [lossy_noon_density(
             LossyNOONParams(NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t), ModeCutoff(2, 2))
             for a, t in params]
-        engine = circuits.outcome_distribution(copies, n)
-        cells, table, _, _ = _noon1_tables(n)
-        coefs = _noon1_coefficients([[a for a, _ in params]], [[t for _, t in params]])
-        fast = circuits.OutcomeDistribution(cells, (table.T @ coefs)[:, 0])
-        for outcome in set(engine.outcomes()) | set(fast.outcomes()):
-            assert fast.probability(outcome) == pytest.approx(engine.probability(outcome),
-                                                              abs=1e-12)
+        engine = circuits.outcome_distribution(copies, n).value_law()
+        mean = noon1_moments(n, [[a for a, _ in params]], [[t for _, t in params]])[0]
+        law = np.array([1 + (n - 1) * mean] + [1 - mean] * (n - 1)) / n
+        np.testing.assert_allclose(law, engine, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moments_are_real_cycle_traces(self, n):
+        # each run's t is the cycle trace of its copies' partial transposes,
+        # which are real symmetric
+        rng = rng_stream(8, n)
+        alphas, taus = rng.uniform(0.0, 1.0, (20, n)), rng.uniform(0.0, 1.0, (20, n))
+        fast = noon1_moments(n, alphas, taus)
+        assert fast.dtype == float
+        for i in range(20):
+            copies = [lossy_noon_density(LossyNOONParams(
+                NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t)) for a, t in zip(alphas[i], taus[i])]
+            trace = circuits._cycle_traces(copies)[-1]
+            assert abs(trace.imag) < 1e-15
+            assert abs(fast[i] - trace.real) < 1e-15
+
+    def test_terms_are_the_basis_products_moments(self):
+        h = 1 / math.sqrt(2)
+        basis = [BipartiteDensityOperator.from_state_vector(v, ModeCutoff(2, 2))
+                 for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, h, h, 0])]
+        # the terms are exact, so the moments of basis states built with
+        # rounding match them to the rounding
+        for n, kept in ((2, 8), (3, 19)):
+            index, weights = _noon1_terms(n)
+            assert index.shape == (kept, n)
+            assert set(weights.tolist()) <= {0.25, 0.5, 1.0}
+            tensor = np.zeros((4,) * n)
+            tensor[tuple(index.T)] = weights
+            values = np.exp(-2j * np.pi * np.arange(n) / n)
+            for copies in product(range(4), repeat=n):
+                law = circuits.value_law([basis[b] for b in copies])
+                assert tensor[copies] == pytest.approx((law @ values).real, abs=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sampled_values_match_fixed_row(self, n):
@@ -371,10 +417,11 @@ class TestFastNoon1Path:
         rng = rng_stream(5, n)
         alphas = np.tile(rng.uniform(0.2, 0.9, n), (draws, 1))
         taus = np.tile(rng.uniform(0.5, 1.0, n), (draws, 1))
-        values = _sample_values(n, alphas, taus, rng.random(draws))
+        classes = _sample_classes(n, alphas, taus, rng.random(draws))
+        mean = _mean_values(np.bincount(classes, minlength=n), draws)
         exact = noon1_moments(n, alphas[:1], taus[:1])[0]
         std_error = math.sqrt((1.0 - abs(exact) ** 2) / draws)
-        assert abs(values.mean() - exact) < 4 * std_error
+        assert abs(mean - exact) < 4 * std_error
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sampled_values_match_varying_rows(self, n):
@@ -383,59 +430,28 @@ class TestFastNoon1Path:
         rng = rng_stream(6, n)
         alphas = rng.uniform(0.0, 1.0, (draws, n))
         taus = rng.uniform(0.5, 1.0, (draws, n))
-        values = _sample_values(n, alphas, taus, rng.random(draws))
+        classes = _sample_classes(n, alphas, taus, rng.random(draws))
+        mean = _mean_values(np.bincount(classes, minlength=n), draws)
         exact = noon1_moments(n, alphas, taus)
         std_error = math.sqrt(np.sum(1.0 - np.abs(exact) ** 2)) / draws
-        assert abs(values.mean() - exact.mean()) < 4 * std_error
-
-    def test_tables_keep_only_reachable_outcomes(self):
-        for n, kept in ((2, 6), (3, 31)):
-            cells, table, cumtable, values = _noon1_tables(n)
-            assert cells.shape == (kept, 2 * (n - 1))
-            assert table.shape == (4 ** n, kept) and values.shape == (kept,)
-            assert (table > 0).any(axis=0).all()  # every kept outcome is reached
-            np.testing.assert_array_equal(cumtable, np.cumsum(table, axis=1))
-            # distinct rows in lexicographic order, and their readout values
-            uniform = circuits.OutcomeDistribution(cells, np.full(kept, 1.0 / kept))
-            np.testing.assert_array_equal(values, uniform.values)
+        assert abs(mean - exact.mean()) < 4 * std_error
 
 
-def reference_coefficients(alphas, taus):
-    """The Kronecker coefficients one row per run, (runs, 4^n): the layout
-    the sampler is checked against."""
-    alphas = np.asarray(alphas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
-    ab = alphas * betas
-    per_copy = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
-                         2.0 * taus * ab], axis=-1)
-    coefs = per_copy[:, 0]
-    for c in range(1, per_copy.shape[1]):
-        coefs = (coefs[:, :, None] * per_copy[:, c, None, :]).reshape(coefs.shape[0], -1)
-    return coefs
-
-
-def reference_sample_values(n, alphas, taus, uniforms):
-    """The sampler as one product of the row-per-run coefficients with the
-    cumulative table."""
-    _, _, cumtable, values = _noon1_tables(n)
-    cum = reference_coefficients(alphas, taus) @ cumtable
-    targets = uniforms * cum[:, -1]
-    idx = (cum < targets[:, None]).sum(axis=1)
-    return values[np.minimum(idx, values.size - 1)]
-
-
-def reference_moments(n, alphas, taus):
-    _, table, _, values = _noon1_tables(n)
-    return reference_coefficients(alphas, taus) @ table @ values
+def one_run_at_a_time(f):
+    """``f`` over (n, alphas, taus, *per-run arrays) called once per run."""
+    def per_run(n, *arrays):
+        return np.concatenate([f(n, *(a[i:i + 1] for a in arrays))
+                               for i in range(len(arrays[0]))])
+    return per_run
 
 
 class TestSamplerBitwise:
-    """The run-major, blocked table product, and the moments' blocked product
-    with the readout values, give the same bits as one product of the
-    row-per-run coefficients, on either side of the block width.  Equality
-    of the two products depends on the BLAS kernel and its thread count, so
-    CI runs this class at one and at two BLAS threads."""
+    """The noisy-copy sampler's moments and classes for a batch of runs
+    have the bits of the same runs one call each, at run counts on either
+    side of 128 and at fig3b's panel size, and full_simulation does not
+    change when its shots are sampled one at a time.  The path sums its
+    terms one at a time, elementwise, and calls no BLAS routine; CI runs
+    this class at one and at two BLAS threads to keep it so."""
 
     RUNS = [1, 2, 127, 128, 129, 1000, 3162]
 
@@ -448,8 +464,8 @@ class TestSamplerBitwise:
     @pytest.mark.parametrize("n", [2, 3])
     def test_sampled_values(self, n, runs):
         alphas, taus, uniforms = self.draws(n, runs)
-        assert np.array_equal(_sample_values(n, alphas, taus, uniforms),
-                              reference_sample_values(n, alphas, taus, uniforms))
+        assert np.array_equal(_sample_classes(n, alphas, taus, uniforms),
+                              one_run_at_a_time(_sample_classes)(n, alphas, taus, uniforms))
 
     @pytest.mark.parametrize("runs", RUNS + [3721])  # 3721 = 61^2, a fig3b panel
     @pytest.mark.parametrize("n", [2, 3])
@@ -457,7 +473,8 @@ class TestSamplerBitwise:
         alphas, taus, _ = self.draws(3, runs)
         # fig3b passes column slices of (runs, 3) arrays
         alphas, taus = alphas[:, :n], taus[:, :n]
-        assert np.array_equal(noon1_moments(n, alphas, taus), reference_moments(n, alphas, taus))
+        assert np.array_equal(noon1_moments(n, alphas, taus),
+                              one_run_at_a_time(noon1_moments)(n, alphas, taus))
 
     @pytest.mark.filterwarnings("ignore:noise on 'tau' exceeds")  # default noise at tau=0.3
     @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.0, 0.0), NoiseSpec(0.07, 0.03)])
@@ -465,9 +482,9 @@ class TestSamplerBitwise:
     def test_full_simulation(self, tau, noise, monkeypatch):
         params = LossyNOONParams.balanced(1, tau)
         plan = SamplingPlan(k=2, repetitions=3, master_seed=29)
-        k_values = (2, 10, 129, 1000)
+        k_values = (2, 10, 129)
         points = full_simulation(params, plan, noise, k_values)
-        monkeypatch.setattr(estimation, "_sample_values", reference_sample_values)
+        monkeypatch.setattr(estimation, "_sample_classes", one_run_at_a_time(_sample_classes))
         assert full_simulation(params, plan, noise, k_values) == points
 
 
@@ -483,11 +500,12 @@ class TestFullSimulation:
         a = full_simulation(params, plan, k_values=(50,))
         b = full_simulation(params, plan, k_values=(50,))
         assert a == b
-        # the point the earlier, batched implementation gave for this plan
+        # the point this plan gives with each shot's class drawn from its
+        # own value law
         assert a == [SimulationPoint(
-            k=50, estimate=EstimatorResult(mean=-0.09747447604755129,
-                                           variance=0.015651746274299275,
-                                           std_error=0.05107469411606769, k=50,
+            k=50, estimate=EstimatorResult(mean=-0.16747447604755142,
+                                           variance=0.034250521124581754,
+                                           std_error=0.07555408782739881, k=50,
                                            repetitions=6),
             analytic_witness=-0.21093749999999983, band_low=-0.4263330980791505,
             band_high=0.0044580980791508185, clamped_draws=0)]
