@@ -31,7 +31,7 @@ from math import comb, gcd, prod, sqrt
 import numpy as np
 
 from .errors import BudgetError, DomainError, StateValidationError, ToleranceError
-from .fock import DEFAULT_TOL, BipartiteDensityOperator, partial_transpose, pt_moments
+from .fock import DEFAULT_TOL, BipartiteDensityOperator, partial_transpose
 
 __all__ = [
     "PassiveUnitary",
@@ -47,6 +47,8 @@ __all__ = [
     "multicopy_expectation",
     "value_law",
     "moment_law",
+    "cycle_traces",
+    "class_values",
 ]
 
 # Largest entry of U^dagger U - 1 accepted as unitary.
@@ -107,9 +109,8 @@ def dft(n: int) -> PassiveUnitary:
     omega = exp(-2 pi i / n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    w = np.exp(-2j * np.pi / n)
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return PassiveUnitary(w ** (j * k) / np.sqrt(n))
+    q = np.arange(n)
+    return PassiveUnitary(class_values(np.outer(q, q), n) / np.sqrt(n))
 
 
 def beam_splitter_matrix(tau: float) -> np.ndarray:
@@ -275,12 +276,17 @@ class OutcomeDistribution:
     def values(self) -> np.ndarray:
         """Root-of-unity readout value omega_n^(sum_j (j-1) (N_j^A - N_j^B))
         of each row of ``cells``."""
-        return np.exp(-2j * np.pi / self.n_copies) ** self._classes()
+        return class_values(self._classes(), self.n_copies)
 
     def value_law(self) -> np.ndarray:
         """The probabilities summed by value class, as ``value_law`` gives them."""
         n = self.n_copies
         return np.bincount(self._classes() % n, weights=self._probs, minlength=n)
+
+
+def class_values(classes, n: int) -> np.ndarray:
+    """Readout value omega_n^m of each integer value class m."""
+    return np.exp(-2j * np.pi / n) ** np.asarray(classes)
 
 
 def multicopy_expectation(dist: OutcomeDistribution) -> float:
@@ -308,18 +314,15 @@ def value_law(copies) -> np.ndarray:
     eigenvalue of the cyclic shift of the copies (Carteret, PRL 94, 040502
     (2005); Gray et al., PRL 121, 150503 (2018)), so
     P(m) = (1/n) sum_q exp(-2 pi i q m / n) t_q with the cycle traces t_q of
-    ``_cycle_traces``; one object n times takes one pt_moments call instead
-    (``moment_law``).  A class below -1e-10 (an unphysical copy) raises
+    ``cycle_traces``.  A class below -1e-10 (an unphysical copy) raises
     ToleranceError."""
     copies = list(copies)
     if len(copies) < 2:
         raise ValueError(f"need at least 2 copies, got {len(copies)}")
-    if all(c is copies[0] for c in copies):
-        return moment_law(pt_moments(copies[0], len(copies)))
-    return _law(_cycle_traces(copies))
+    return _law(cycle_traces(copies))
 
 
-def _cycle_traces(copies) -> list:
+def cycle_traces(copies) -> list:
     """t_q for q = 0..n-1: the product, over the cycles of c -> c+q (mod n),
     of Tr(G_c G_(c+q) G_(c+2q) ...) taken along the cycle (for unequal
     copies the reverse order is wrong), with G_c the partial transpose of

@@ -299,8 +299,8 @@ def _fig3b(args):
             varied = np.column_stack([np.full_like(x2, first), x2, x3])
             fixed = np.full((x2.size, 3), other)
             alphas, taus = (varied, fixed) if panel == "alpha" else (fixed, varied)
-            p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2]).real
-            p3 = estimation.noon1_moments(3, alphas, taus).real
+            p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2])
+            p3 = estimation.noon1_moments(3, alphas, taus)
             w = estimation._optimal_witness_from_estimates(p2, p3)
             rows += [(panel, tau1, *row) for row in zip(
                 x2.tolist(), x3.tolist(), p2.tolist(), p3.tolist(), w.tolist(), (w < 0).tolist())]

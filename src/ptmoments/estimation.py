@@ -121,7 +121,7 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
 def _mean_values(counts: np.ndarray, k: int) -> np.ndarray:
     """Mean value of k shots from class counts (last axis); class m is omega_n^m."""
     n = counts.shape[-1]
-    return (counts * np.exp(-2j * np.pi * np.arange(n) / n)).sum(axis=-1) / k
+    return (counts * circuits.class_values(np.arange(n), n)).sum(axis=-1) / k
 
 
 def _sampled_estimates(law, n: int, k: int, repetitions: int,
@@ -291,7 +291,7 @@ def _noon1_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     # |v><v| / <v|v>, at basis index i * d_b + j of |i>_A |j>_B
     basis = [BipartiteDensityOperator(ModeCutoff(2, 2), np.outer(v, v) / np.dot(v, v))
              for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 0])]
-    tensor = np.array([circuits._cycle_traces(copies)[-1]
+    tensor = np.array([circuits.cycle_traces(copies)[-1]
                        for copies in product(basis, repeat=n)]).real.reshape((4,) * n)
     index = np.argwhere(tensor)
     weights = tensor[tuple(index.T)]

@@ -618,9 +618,9 @@ class TestValueLaw:
         # the engine's classes can fall short by the mass it drops below its
         # floors: 9.7e-13 on the cat at n=3, 2.9e-14 on the lossy cat
         dropped = 1.0 - dist.probs.sum()
-        # one object n times takes pt_moments, distinct equal copies the cycle products
-        distinct = [BipartiteDensityOperator(c.cutoff, c.matrix) for c in copies]
-        for law in (circuits.value_law(copies), circuits.value_law(distinct)):
+        # the cycle products, and the identical copies' law from their pt_moments
+        moments = circuits.moment_law(pt_moments(copies[0], len(copies)))
+        for law in (circuits.value_law(copies), moments):
             np.testing.assert_allclose(law, dist.value_law(), rtol=0, atol=1e-14 + dropped)
 
     @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (4, 2)])
@@ -649,9 +649,10 @@ class TestValueLaw:
     def test_identical_copies_at_prime_n(self, n):
         rho = lossy_noon_density(LossyNOONParams.balanced(2, 0.8))
         p = pt_moment(rho, n)
-        np.testing.assert_allclose(circuits.value_law([rho] * n),
-                                   [(1 + (n - 1) * p) / n] + [(1 - p) / n] * (n - 1),
+        want = [(1 + (n - 1) * p) / n] + [(1 - p) / n] * (n - 1)
+        np.testing.assert_allclose(circuits.moment_law(pt_moments(rho, n)), want,
                                    rtol=0, atol=1e-15)
+        np.testing.assert_allclose(circuits.value_law([rho] * n), want, rtol=0, atol=1e-15)
 
     def test_four_identical_copies_use_p2_squared(self):
         # q = 2 splits the four copies into two 2-cycles

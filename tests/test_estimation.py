@@ -389,7 +389,7 @@ class TestFastNoon1Path:
         for i in range(20):
             copies = [lossy_noon_density(LossyNOONParams(
                 NOONParams(1, a, math.sqrt(1 - a ** 2)), t, t)) for a, t in zip(alphas[i], taus[i])]
-            trace = circuits._cycle_traces(copies)[-1]
+            trace = circuits.cycle_traces(copies)[-1]
             assert abs(trace.imag) < 1e-15
             assert abs(fast[i] - trace.real) < 1e-15
 
@@ -405,7 +405,7 @@ class TestFastNoon1Path:
             assert set(weights.tolist()) <= {0.25, 0.5, 1.0}
             tensor = np.zeros((4,) * n)
             tensor[tuple(index.T)] = weights
-            values = np.exp(-2j * np.pi * np.arange(n) / n)
+            values = circuits.class_values(np.arange(n), n)
             for copies in product(range(4), repeat=n):
                 law = circuits.value_law([basis[b] for b in copies])
                 assert tensor[copies] == pytest.approx((law @ values).real, abs=1e-15)
@@ -482,10 +482,18 @@ class TestSamplerBitwise:
     def test_full_simulation(self, tau, noise, monkeypatch):
         params = LossyNOONParams.balanced(1, tau)
         plan = SamplingPlan(k=2, repetitions=3, master_seed=29)
-        k_values = (2, 10, 129)
+        k_values = (2, 10, 129, 1000)
         points = full_simulation(params, plan, noise, k_values)
         monkeypatch.setattr(estimation, "_sample_classes", one_run_at_a_time(_sample_classes))
         assert full_simulation(params, plan, noise, k_values) == points
+
+    def test_full_simulation_at_fig3b_panel_size(self, monkeypatch):
+        # k = 3721 = 61^2 shots per circuit, on the default noise only: 1.5 s
+        params = LossyNOONParams.balanced(1, 0.75)
+        plan = SamplingPlan(k=2, repetitions=3, master_seed=29)
+        points = full_simulation(params, plan, k_values=(3721,))
+        monkeypatch.setattr(estimation, "_sample_classes", one_run_at_a_time(_sample_classes))
+        assert full_simulation(params, plan, k_values=(3721,)) == points
 
 
 class TestFullSimulation:
@@ -503,9 +511,9 @@ class TestFullSimulation:
         # the point this plan gives with each shot's class drawn from its
         # own value law
         assert a == [SimulationPoint(
-            k=50, estimate=EstimatorResult(mean=-0.16747447604755142,
-                                           variance=0.034250521124581754,
-                                           std_error=0.07555408782739881, k=50,
+            k=50, estimate=EstimatorResult(mean=-0.16747447604755133,
+                                           variance=0.03425052112458175,
+                                           std_error=0.0755540878273988, k=50,
                                            repetitions=6),
             analytic_witness=-0.21093749999999983, band_low=-0.4263330980791505,
             band_high=0.0044580980791508185, clamped_draws=0)]
