@@ -143,8 +143,14 @@ def cmd_criteria(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def cmd_sample(args) -> int:
-    p = _family_params(args)
+def _sample_moments(args) -> list:
+    """p_1 .. p_n, n = --copies, of the family's state: closed forms for tmsv
+    and hhg, the dense oracle on the density operator otherwise."""
+    p, n = _family_params(args), args.copies
+    if args.family == "tmsv":
+        return [gaussian.gaussian_pt_moment(p, j) for j in range(1, n + 1)]
+    if args.family == "hhg":
+        return [1.0, *states.hhg_pt_moments(p)][:n]
     if args.family == "noon":
         rho = states.lossy_noon_density(p)
     elif args.family == "qutrit":
@@ -155,8 +161,12 @@ def cmd_sample(args) -> int:
         if args.tau is not None and args.tau != 1.0:
             rho = circuits.lossy_channel(rho, args.tau, "a")
             rho = circuits.lossy_channel(rho, args.tau, "b")
-    # the value law of identical copies, from the oracle's moments
-    moments = fock.pt_moments(rho, args.copies)
+    return fock.pt_moments(rho, n)
+
+
+def cmd_sample(args) -> int:
+    # the value law of identical copies, from their moments
+    moments = _sample_moments(args)
     exact = float(moments[-1])
     rng = estimation.rng_stream(args.seed, args.copies)
     result = estimation.estimate_pn(circuits.moment_law(moments), args.copies, args.k,
@@ -439,7 +449,8 @@ _READS = {
                  "--family hhg": "N alpha delta_alpha", "--family qutrit": "",
                  "--family tmsv": "n_bar r", "--moments": "moments", "--p2/--p3": "p2 p3"},
     "sample": {"--family noon": "N alpha beta tau",
-               "--family cat": "alpha beta z parity tau cutoff", "--family qutrit": ""},
+               "--family cat": "alpha beta z parity tau cutoff", "--family qutrit": "",
+               "--family hhg": "N alpha delta_alpha", "--family tmsv": "n_bar r"},
     "reproduce": {**dict.fromkeys(REPRODUCE_TARGETS, ""), "fig4": "repetitions",
                   "fig7": "repetitions", "table1": "alpha tau", "table2": "alpha tau"},
 }
@@ -459,8 +470,6 @@ def _refuse_unread(args) -> None:
         raise DomainError("sample needs --family")
     else:
         key = "--moments" if args.moments is not None else "--p2/--p3"
-    if key not in _READS[cmd]:
-        raise DomainError(f"family {args.family!r} not supported for sampling")
     reads = set(_ALWAYS_READ[cmd].split() + _READS[cmd][key].split())
     if cmd != "reproduce" and args.out is None:
         reads.discard("format")

@@ -3,10 +3,10 @@ estimators with their analytic variances, minimum sample sizes, and the full
 simulated experiment with noisy copies.
 
 Every readout value is drawn from its exact n-class law
-(``circuits.value_law``), never from an outcome table.  A noisy N=1 shot's
-law comes from its mean value, contracted elementwise with no BLAS call, so
-``tests/test_estimation.py::TestSamplerBitwise`` holds each run to the same
-bits whatever the runs beside it.
+(``circuits.value_law``), never from an outcome table: a repetition of k
+shots is one multinomial draw of the class counts.  The noisy-copy
+experiment draws its counts from the law of identical copies of the
+noise-averaged state, which is the law of every shot.
 
 The analytic variances and the minimum sample sizes are elementwise: arrays
 of (p2, p3) go through in one call, each element with the bits (and, for the
@@ -22,6 +22,7 @@ runs one repetition at a time on its own stream, keyed by (k, repetition).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -79,10 +80,9 @@ class SamplingPlan:
     master_seed: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError("k must be >= 2 (the quadratic estimator divides by k-1)")
-        if self.repetitions < 2:
-            raise DomainError("repetitions must be >= 2 (the spread needs two)")
+        # the quadratic estimator divides by k - 1, and a spread needs two
+        for name, least in (("k", 2), ("repetitions", 2), ("master_seed", 0)):
+            _count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,19 @@ class SimulationPoint:
     analytic_witness: float
     band_low: float
     band_high: float
-    clamped_draws: int
+    clamped_draws: float
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int; DomainError unless it is an integer (by
+    operator.index, so not a float) of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -131,9 +143,7 @@ def _sampled_estimates(law, n: int, k: int, repetitions: int,
     law = np.asarray(law, dtype=float)
     if law.shape != (n,):
         raise ValueError(f"law is for n={law.size}, asked n={n}")
-    if k < 1 or repetitions < 1:
-        raise DomainError(f"need k >= 1 and repetitions >= 1, got k={k}, "
-                          f"repetitions={repetitions}")
+    k, repetitions = _count("k", k, 1), _count("repetitions", repetitions, 1)
     return _mean_values(rng.multinomial(k, law / law.sum(), size=repetitions), k)
 
 
@@ -260,13 +270,42 @@ def min_samples(p2, p3, criterion: str = "quadratic"):
 # Noisy copies
 # ---------------------------------------------------------------------------
 
-def _draw_clamped(rng: np.random.Generator, mean: float, std: float,
-                  shape) -> tuple[np.ndarray, int]:
-    """Gaussian draws around mean clamped to [0, 1], and how many were
-    clamped; a zero std draws nothing from rng."""
-    raw = rng.normal(mean, std, size=shape) if std > 0 else np.full(shape, mean)
-    clipped = np.clip(raw, 0.0, 1.0)
-    return clipped, int(np.count_nonzero(clipped != raw))
+@lru_cache(maxsize=1)
+def _gauss_legendre(m: int = 16, panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of ``panels`` equal m-point Gauss-Legendre
+    panels, from the eigenpairs of the Jacobi matrix (Golub-Welsch)."""
+    off = np.arange(1, m) / np.sqrt(4.0 * np.arange(1, m) ** 2 - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
+    return nodes.ravel(), np.tile(vectors[0] ** 2 / panels, panels)
+
+
+def _clamped_moments(mean: float, std: float) -> tuple[float, float, float, float]:
+    """P(clamped), E[x], E[x^2] and E[x sqrt(1 - x^2)] of a normal draw x
+    around ``mean`` clamped to [0, 1] (a zero std draws ``mean``): closed
+    forms in erf, the clamp masses exact, and for the last, zero on both
+    clamps, the composite Gauss-Legendre rule in theta = arcsin x (free of
+    the root's endpoint singularity) within 10 std of the mean."""
+    if std == 0:
+        x = min(max(mean, 0.0), 1.0)
+        return 0.0, x, x * x, x * math.sqrt(1.0 - x * x)
+    lo, hi = -mean / std, (1.0 - mean) / std  # the clamps, standardized
+    root2, gauss = math.sqrt(2.0), math.sqrt(2.0 * math.pi)
+    below, above = 0.5 * math.erfc(-lo / root2), 0.5 * math.erfc(hi / root2)
+    inside = 1.0 - below - above
+    pdf_lo, pdf_hi = math.exp(-0.5 * lo * lo) / gauss, math.exp(-0.5 * hi * hi) / gauss
+    first = above + mean * inside - std * (pdf_hi - pdf_lo)
+    second = (above + (mean ** 2 + std ** 2) * inside - 2.0 * mean * std * (pdf_hi - pdf_lo)
+              - std ** 2 * (hi * pdf_hi - lo * pdf_lo))
+    # theta = centre + d: sin(theta) - mean is formed from d, exact at a small std
+    centre = math.asin(min(max(mean, 0.0), 1.0))
+    start, stop = (math.asin(min(max(mean + s * 10.0 * std, 0.0), 1.0)) for s in (-1, 1))
+    nodes, weights = _gauss_legendre()
+    d = (start - centre) + (stop - start) * nodes
+    z = 2.0 * np.cos(centre + 0.5 * d) * np.sin(0.5 * d) / std
+    integrand = np.sin(centre + d) * np.cos(centre + d) ** 2 * np.exp(-0.5 * z * z) / (std * gauss)
+    third = (stop - start) * float(np.sum(weights * integrand))
+    return below + above, first, second, third
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +314,10 @@ def _draw_clamped(rng: np.random.Generator, mean: float, std: float,
 # A lossy N=1 copy with real alpha, beta and shared transmissivity tau is
 #   (1 - tau)|00><00| + tau (alpha^2 - alpha beta)|10><10|
 #     + tau (beta^2 - alpha beta)|01><01| + 2 tau alpha beta |+><+|,
-# with |+> = (|10> + |01>)/sqrt(2).  A run's mean readout value t (the cycle
-# trace t_(n-1) of circuits.value_law) is linear in each copy: the (4,)*n
-# tensor of the basis products' t contracted with each copy's coefficients.
-# The partial transposes are real symmetric, so t is real and equals t_1,
-# its cycle reversed; at n = 2 and 3 these are all the t_q with q != 0, so t
-# fixes the run's value law: P(0) = (1 + (n-1) t)/n, P(m) = (1 - t)/n.
+# with |+> = (|10> + |01>)/sqrt(2).  The mean readout value t of n copies
+# (the cycle trace t_(n-1) of circuits.value_law) is linear in each copy:
+# the (4,)*n tensor of the basis products' t contracted with each copy's
+# coefficients.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
@@ -300,17 +337,9 @@ def _noon1_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, weights
 
 
-def noon1_moments(n: int, alphas, taus) -> np.ndarray:
-    """Exact p_n of the readout for runs of n possibly different lossy N=1
-    copies; alphas/taus have shape (runs, n).  Real array of length runs:
-    each tensor entry times one coefficient per copy, the terms summed one
-    at a time, so a run's bits do not depend on the other runs."""
-    alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
-    taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
-    betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
-    ab = alphas * betas
-    coefs = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
-                      2.0 * taus * ab], axis=1)  # (n, 4, runs)
+def _noon1_contract(n: int, coefs: np.ndarray) -> np.ndarray:
+    """t of each run from its first n copies' coefficients (copies, 4, runs),
+    summed term by term, so a run's bits do not depend on the other runs."""
     index, weights = _noon1_terms(n)
     terms = weights[:, None] * coefs[0, index[:, 0]]
     for c in range(1, n):
@@ -318,13 +347,27 @@ def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     return reduce(np.add, terms)
 
 
-def _sample_classes(n: int, alphas: np.ndarray, taus: np.ndarray,
-                    uniforms: np.ndarray) -> np.ndarray:
-    """One readout class per run from its own value law, n = 2 or 3: how many
-    of the law's first n-1 cumulative sums lie below the run's uniform."""
-    t = noon1_moments(n, alphas, taus)
-    p0, p1 = (1.0 + (n - 1.0) * t) / n, (1.0 - t) / n
-    return (p0 + p1 * np.arange(n - 1)[:, None] < uniforms).sum(axis=0)
+def noon1_moments(n: int, alphas, taus) -> np.ndarray:
+    """Exact p_n of the readout for runs of n possibly different lossy N=1
+    copies; alphas/taus have shape (runs, n).  Real array of length runs."""
+    alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
+    taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
+    betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
+    ab = alphas * betas
+    coefs = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),
+                      2.0 * taus * ab], axis=1)  # (n, 4, runs)
+    return _noon1_contract(n, coefs)
+
+
+def _averaged_copy(alpha, alpha_std, tau, tau_std) -> tuple[float, float, float]:
+    """p_2 and p_3 of the noise-averaged copy, the contraction of the expected
+    coefficients (alpha and tau are independent), and P(alpha or tau clamped)."""
+    clamped_a, _, a2, ab = _clamped_moments(alpha, alpha_std)
+    clamped_t, t1, _, _ = _clamped_moments(tau, tau_std)
+    coefs = np.array([1.0 - t1, t1 * (a2 - ab), t1 * (1.0 - a2 - ab), 2.0 * t1 * ab])
+    t2, t3 = (float(_noon1_contract(n, np.broadcast_to(coefs[:, None], (n, 4, 1)))[0])
+              for n in (2, 3))
+    return t2, t3, clamped_a + clamped_t
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +382,18 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
                     noise: NoiseSpec | None = None, k_values=None) -> list[SimulationPoint]:
     """Simulated experiment on noisy lossy N=1 copies.
 
-    For every sample of both circuits, each copy's alpha and tau are drawn
-    afresh around the state's own |alpha| and tau, with the noise model's
-    spreads (NoiseSpec() by default), and clamped to [0, 1]; a spread above
-    a tenth of its mean warns that the narrow-fluctuation model may not
-    apply.  Per sample-budget k, the optimal witness is
-    formed from the two circuit estimates and summarized over the plan's
-    repetitions.  Repetition r of budget k draws, on its own stream
-    rng_stream(master_seed, k, r), the alphas, taus and uniforms of the n=2
-    circuit and then those of the n=3 circuit; each shot's value class is
-    the inverse CDF of its own law at its uniform.  The analytic band is the
-    perfect-copy witness plus/minus one standard deviation of the linear
-    model.
+    Each copy of each shot has its alpha and tau drawn around the state's
+    own |alpha| and tau with the noise model's spreads (NoiseSpec() by
+    default) and clamped to [0, 1]; a spread above a tenth of its mean warns
+    that the narrow-fluctuation model may not apply.  The draws are
+    independent and a shot's law is linear in each copy, so every shot has
+    the law of identical copies of the noise-averaged state: its p_n is the
+    contraction of the expected coefficients.  Repetition r of budget k
+    draws, on the stream rng_stream(master_seed, k, r), the class counts of
+    the n=2 and then the n=3 circuit, one multinomial each, and forms the
+    optimal witness.  ``clamped_draws`` is the mean number of clamped draws
+    of the per-shot model; the analytic band is the perfect-copy witness
+    plus/minus one standard deviation of the linear model.
     """
     if params.noon.N != 1:
         raise DomainError("the simulated experiment is defined for N=1 copies")
@@ -369,26 +412,20 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
 
     p2_exact, p3_exact = lossy_noon_pt_moments(params)
     analytic = p3_exact - optimal_threshold(p2_exact)
+    t2, t3, clamped = _averaged_copy(*spread["alpha"], *spread["tau"])
+    laws = {2: circuits.moment_law((1.0, t2)), 3: circuits.moment_law((1.0, t2, t3))}
 
     points = []
     for k in k_values:
-        if k < 2:
-            raise DomainError("k must be >= 2")
-        estimates = {n: np.empty(plan.repetitions, dtype=complex) for n in (2, 3)}
-        clamped = 0
-        for r in range(plan.repetitions):
-            rng = rng_stream(plan.master_seed, k, r)
-            for n in (2, 3):
-                a, ca = _draw_clamped(rng, *spread["alpha"], (k, n))
-                t, ct = _draw_clamped(rng, *spread["tau"], (k, n))
-                clamped += ca + ct
-                classes = _sample_classes(n, a, t, rng.random(k))
-                estimates[n][r] = _mean_values(np.bincount(classes, minlength=n), k)
-        witnesses = _optimal_witness_from_estimates(estimates[2], estimates[3])
+        k = _count("k", k, 2)
+        streams = (rng_stream(plan.master_seed, k, r) for r in range(plan.repetitions))
+        estimates = np.array([[_sampled_estimates(laws[n], n, k, 1, rng)[0] for n in (2, 3)]
+                              for rng in streams])
+        witnesses = _optimal_witness_from_estimates(estimates[:, 0], estimates[:, 1])
         var_l = witness_variances(p2_exact, p3_exact, k)[0]
         result = _summarize(witnesses.astype(complex), k)
         points.append(SimulationPoint(
             k=k, estimate=result, analytic_witness=analytic,
             band_low=analytic - math.sqrt(var_l), band_high=analytic + math.sqrt(var_l),
-            clamped_draws=clamped))
+            clamped_draws=plan.repetitions * k * (2 + 3) * clamped))
     return points

@@ -136,7 +136,9 @@ FAMILY_READS = {
                  "tmsv": {"--n-bar", "--r"}},
     "sample": {"noon": {"--N", "--alpha", "--beta", "--tau"},
                "cat": {"--alpha", "--beta", "--z", "--parity", "--tau", "--cutoff"},
-               "qutrit": set()},
+               "hhg": {"--N", "--alpha", "--delta-alpha"},
+               "qutrit": set(),
+               "tmsv": {"--n-bar", "--r"}},
 }
 OPTION_VALUES = {"--N": "2", "--alpha": "0.6", "--beta": str(1 / math.sqrt(2)), "--z": "0.9",
                  "--parity": "even", "--tau": "0.9", "--n-bar": "0.1", "--r": "0.2",
@@ -185,13 +187,6 @@ class TestOptionRule:
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["provenance"]["seed"] is (None if argv[0] == "criteria" else 0)
 
-    @pytest.mark.parametrize("family", ["hhg", "tmsv"])
-    def test_sample_refuses_families_without_a_density(self, family, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["sample", "--family", family])
-        assert exc.value.code == 2
-        assert "not supported for sampling" in capsys.readouterr().err
-
     def test_criteria_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["criteria", "--p2", "1", "--p3", "0.25", "--seed", "3"])
@@ -232,6 +227,27 @@ class TestSampleCommand:
         if n == 3:
             rho = circuits.lossy_channel(circuits.lossy_channel(rho, 0.8, "a"), 0.8, "b")
         assert exact == pytest.approx(fock.pt_moment(rho, n), abs=1e-12)
+
+    @pytest.mark.parametrize("family, options", [
+        ("tmsv", ["--n-bar", "0.1", "--r", "0.5"]),
+        ("hhg", ["--N", "3", "--alpha", "2.5", "--delta-alpha", "0.4"]),
+    ], ids=["tmsv", "hhg"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tmsv_and_hhg_sample_their_closed_forms(self, family, options, n, tmp_path, capsys):
+        from ptmoments import gaussian, states
+        if family == "tmsv":
+            closed = gaussian.gaussian_pt_moment(gaussian.tmsv_thermal_pt_pair(0.1, 0.5), n)
+        else:
+            closed = states.hhg_pt_moments(states.HHGParams(2.5, 0.4, 3))[n - 2]
+        argv = ["sample", "--family", family, *options, "--copies", str(n), "--k", "2000",
+                "--seed", "5"]
+        assert run(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert float(lines[0].split("=")[1]) == pytest.approx(closed, abs=1e-12)
+        estimate = float(lines[1].split("=")[1].split("(")[0])
+        assert abs(estimate - closed) < 5 * float(lines[2].split("std error =")[1])
+        assert run(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_lossy_bell_matches_closed_form(self, capsys):
         from ptmoments.states import LossyNOONParams, lossy_noon_pt_moments

@@ -13,10 +13,10 @@ from ptmoments.estimation import (
     NoiseSpec,
     SamplingPlan,
     SimulationPoint,
-    _draw_clamped,
+    _averaged_copy,
+    _clamped_moments,
     _mean_values,
     _noon1_terms,
-    _sample_classes,
     _sampled_estimates,
     full_simulation,
     min_samples,
@@ -43,6 +43,44 @@ def dist_for(tau, n):
 
 def law_for(tau, n):
     return circuits.value_law([lossy_noon_density(LossyNOONParams.balanced(1, tau))] * n)
+
+
+# ---------------------------------------------------------------------------
+# The per-shot model of the noisy-copy experiment, the reference for
+# full_simulation: every copy of every shot draws its own alpha and tau, and
+# each shot's class comes from that shot's own value law.
+# ---------------------------------------------------------------------------
+
+def _draw_clamped(rng, mean, std, shape):
+    """Gaussian draws around mean clamped to [0, 1], and how many were
+    clamped; a zero std draws nothing from rng."""
+    raw = rng.normal(mean, std, size=shape) if std > 0 else np.full(shape, mean)
+    clipped = np.clip(raw, 0.0, 1.0)
+    return clipped, int(np.count_nonzero(clipped != raw))
+
+
+def _sample_classes(n, alphas, taus, uniforms):
+    """One readout class per run from its own value law, n = 2 or 3: how many
+    of the law's first n-1 cumulative sums lie below the run's uniform."""
+    t = noon1_moments(n, alphas, taus)
+    p0, p1 = (1.0 + (n - 1.0) * t) / n, (1.0 - t) / n
+    return (p0 + p1 * np.arange(n - 1)[:, None] < uniforms).sum(axis=0)
+
+
+def per_shot_simulation(params, repetitions, seed, noise, k):
+    """Optimal-witness estimates of ``repetitions`` runs of k shots per circuit
+    with per-shot noise draws, and the number of clamped draws."""
+    alpha = abs(params.noon.alpha)
+    spread = [(alpha, noise.alpha_rel_std * alpha), (params.tau_a, noise.tau_std)]
+    estimates, clamped = np.empty((repetitions, 2), dtype=complex), 0
+    for r in range(repetitions):
+        rng = rng_stream(seed, k, r)
+        for i, n in enumerate((2, 3)):
+            (a, ca), (t, ct) = (_draw_clamped(rng, *ms, (k, n)) for ms in spread)
+            clamped += ca + ct
+            classes = _sample_classes(n, a, t, rng.random(k))
+            estimates[r, i] = _mean_values(np.bincount(classes, minlength=n), k)
+    return estimation._optimal_witness_from_estimates(estimates[:, 0], estimates[:, 1]), clamped
 
 
 class TestSamplePn:
@@ -446,12 +484,13 @@ def one_run_at_a_time(f):
 
 
 class TestSamplerBitwise:
-    """The noisy-copy sampler's moments and classes for a batch of runs
-    have the bits of the same runs one call each, at run counts on either
-    side of 128 and at fig3b's panel size, and full_simulation does not
-    change when its shots are sampled one at a time.  The path sums its
-    terms one at a time, elementwise, and calls no BLAS routine; CI runs
-    this class at one and at two BLAS threads to keep it so."""
+    """The noisy-copy moments for a batch of runs have the bits of the same
+    runs one call each, at run counts on either side of 128 and at fig3b's
+    panel size; a batch of repetitions' class counts has the bits of the
+    same repetitions drawn one call each; and full_simulation's points do
+    not depend on the other budgets asked for.  The moments sum their terms
+    one at a time, elementwise, and call no BLAS routine; CI runs this class
+    at one and at two BLAS threads to keep it so."""
 
     RUNS = [1, 2, 127, 128, 129, 1000, 3162]
 
@@ -463,9 +502,12 @@ class TestSamplerBitwise:
     @pytest.mark.parametrize("runs", RUNS)
     @pytest.mark.parametrize("n", [2, 3])
     def test_sampled_values(self, n, runs):
-        alphas, taus, uniforms = self.draws(n, runs)
-        assert np.array_equal(_sample_classes(n, alphas, taus, uniforms),
-                              one_run_at_a_time(_sample_classes)(n, alphas, taus, uniforms))
+        # fig7 draws its repetitions in one batch, full_simulation one at a time
+        law = law_for(0.75, n)
+        batch = _sampled_estimates(law, n, 1000, runs, rng_stream(17, n, runs))
+        rng = rng_stream(17, n, runs)
+        one_at_a_time = [_sampled_estimates(law, n, 1000, 1, rng) for _ in range(runs)]
+        assert np.array_equal(batch, np.concatenate(one_at_a_time))
 
     @pytest.mark.parametrize("runs", RUNS + [3721])  # 3721 = 61^2, a fig3b panel
     @pytest.mark.parametrize("n", [2, 3])
@@ -479,21 +521,14 @@ class TestSamplerBitwise:
     @pytest.mark.filterwarnings("ignore:noise on 'tau' exceeds")  # default noise at tau=0.3
     @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.0, 0.0), NoiseSpec(0.07, 0.03)])
     @pytest.mark.parametrize("tau", [0.9, 0.6, 0.3])
-    def test_full_simulation(self, tau, noise, monkeypatch):
+    def test_full_simulation(self, tau, noise):
         params = LossyNOONParams.balanced(1, tau)
         plan = SamplingPlan(k=2, repetitions=3, master_seed=29)
         k_values = (2, 10, 129, 1000)
         points = full_simulation(params, plan, noise, k_values)
-        monkeypatch.setattr(estimation, "_sample_classes", one_run_at_a_time(_sample_classes))
-        assert full_simulation(params, plan, noise, k_values) == points
-
-    def test_full_simulation_at_fig3b_panel_size(self, monkeypatch):
-        # k = 3721 = 61^2 shots per circuit, on the default noise only: 1.5 s
-        params = LossyNOONParams.balanced(1, 0.75)
-        plan = SamplingPlan(k=2, repetitions=3, master_seed=29)
-        points = full_simulation(params, plan, k_values=(3721,))
-        monkeypatch.setattr(estimation, "_sample_classes", one_run_at_a_time(_sample_classes))
-        assert full_simulation(params, plan, k_values=(3721,)) == points
+        assert [p.k for p in points] == list(k_values)
+        assert points == [p for k in k_values for p in full_simulation(params, plan, noise, (k,))]
+        assert points[::-1] == full_simulation(params, plan, noise, k_values[::-1])
 
 
 class TestFullSimulation:
@@ -508,15 +543,15 @@ class TestFullSimulation:
         a = full_simulation(params, plan, k_values=(50,))
         b = full_simulation(params, plan, k_values=(50,))
         assert a == b
-        # the point this plan gives with each shot's class drawn from its
-        # own value law
+        # the point this plan gives with each repetition's class counts drawn
+        # from the law of identical copies of the noise-averaged state
         assert a == [SimulationPoint(
-            k=50, estimate=EstimatorResult(mean=-0.16747447604755133,
-                                           variance=0.03425052112458175,
-                                           std_error=0.0755540878273988, k=50,
+            k=50, estimate=EstimatorResult(mean=-0.07566683932484196,
+                                           variance=0.018859779538960002,
+                                           std_error=0.05606511027213509, k=50,
                                            repetitions=6),
             analytic_witness=-0.21093749999999983, band_low=-0.4263330980791505,
-            band_high=0.0044580980791508185, clamped_draws=0)]
+            band_high=0.0044580980791508185, clamped_draws=0.0004299773579079178)]
 
     def test_noiseless_lossless_bell_converges(self):
         params = LossyNOONParams.balanced(1, 1.0)
@@ -533,6 +568,122 @@ class TestFullSimulation:
         p2, p3 = lossy_noon_pt_moments(params)
         width = math.sqrt(witness_variances(p2, p3, 100)[0])
         assert point.band_high - point.band_low == pytest.approx(2 * width, abs=1e-12)
+
+
+def clamped_reference(mean, std):
+    """_clamped_moments by scipy: the clamp masses from ndtr and the
+    interior by adaptive quadrature over the standard normal variable."""
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+    if std == 0:
+        x = min(max(mean, 0.0), 1.0)
+        return 0.0, x, x * x, x * math.sqrt(1.0 - x * x)
+    lo, hi = -mean / std, (1.0 - mean) / std
+    above = float(ndtr(-hi))
+
+    def interior(g):
+        a, b = max(lo, -14.0), min(hi, 14.0)
+        return quad(lambda z: g(mean + std * z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
+                    a, b, points=[0.0] if a < 0.0 < b else None, limit=200,
+                    epsabs=1e-15, epsrel=1e-13)[0]
+
+    return (float(ndtr(lo)) + above, above + interior(lambda x: x),
+            above + interior(lambda x: x * x), interior(lambda x: x * math.sqrt(1.0 - x * x)))
+
+
+def noisy_moments(params, noise):
+    alpha = abs(params.noon.alpha)
+    return _averaged_copy(alpha, noise.alpha_rel_std * alpha, params.tau_a, noise.tau_std)
+
+
+class TestNoiseAveragedLaw:
+    """full_simulation draws from the law of identical copies of the
+    noise-averaged state; these hold that law to references and the
+    experiment to the per-shot model it replaces."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("mean, std", [
+        (BAL, 0.0), (1.0, 0.0), (0.0, 0.0),  # no spread: the point itself
+        (0.03, 0.05), (0.0, 0.05),  # the clamp at 0 within one std
+        (0.97, 0.05), (1.0, 0.05), (0.98, 0.05),  # the clamp at 1 within one std
+        (BAL, 0.05 * BAL), (0.9, 0.05), (0.75, 0.05), (0.6, 0.05), (0.45, 0.2), (0.5, 1.0),
+        (0.3, 1e-6), (BAL, 1e-6), (1.0 - 5e-7, 1e-6), (4e-7, 1e-6),  # a narrow spread
+    ])
+    def test_clamped_moments_match_quadrature(self, mean, std):
+        got, want = _clamped_moments(mean, std), clamped_reference(mean, std)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.9, 0.75, 0.6, 0.3, 0.0])
+    def test_zero_noise_is_the_closed_form(self, tau):
+        params = LossyNOONParams.balanced(1, tau)
+        p2, p3, clamped = noisy_moments(params, NoiseSpec(0.0, 0.0))
+        np.testing.assert_allclose((p2, p3), lossy_noon_pt_moments(params), rtol=0, atol=1e-15)
+        assert clamped == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_averaged_copy_is_the_mean_of_per_run_moments(self, n):
+        # at tau = 0.6 under the default noise, over 400,000 noisy runs
+        params, runs = LossyNOONParams.balanced(1, 0.6), 400_000
+        rng = rng_stream(31, n)
+        alphas, _ = _draw_clamped(rng, BAL, 0.05 * BAL, (runs, n))
+        taus, _ = _draw_clamped(rng, 0.6, 0.05, (runs, n))
+        per_run = noon1_moments(n, alphas, taus)
+        exact = noisy_moments(params, NoiseSpec())[n - 2]
+        assert abs(per_run.mean() - exact) < 4 * per_run.std(ddof=1) / math.sqrt(runs)
+
+    @pytest.mark.filterwarnings("ignore:noise on 'tau' exceeds")
+    @pytest.mark.parametrize("tau", [0.9, 0.75, 0.6])
+    def test_experiment_matches_the_per_shot_model(self, tau):
+        # fig4's taus, k = 1000, 400 repetitions of each; the witness mean
+        # and spread within 4 standard errors, and clamped_draws, the
+        # expected count, within 4 standard deviations of the drawn count
+        params, reps, k = LossyNOONParams.balanced(1, tau), 400, 1000
+        (point,) = full_simulation(params, SamplingPlan(k, reps, 41), k_values=(k,))
+        ref, clamped = per_shot_simulation(params, reps, 43, NoiseSpec(), k)
+        var, ref_var = point.estimate.variance, np.var(ref, ddof=1)
+        assert abs(point.estimate.mean - ref.mean()) < 4 * math.sqrt((var + ref_var) / reps)
+        std_error = math.sqrt((var + ref_var) / (2 * (reps - 1)))
+        assert abs(math.sqrt(var) - math.sqrt(ref_var)) < 4 * std_error
+        draws = reps * k * (2 + 3) * 2
+        p = point.clamped_draws / draws
+        assert abs(clamped - point.clamped_draws) < 4 * math.sqrt(draws * p * (1 - p)) + 1e-9
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("call", [
+        lambda: SamplingPlan(k=math.nan, repetitions=2, master_seed=0),
+        lambda: SamplingPlan(k=10.5, repetitions=2, master_seed=0),
+        lambda: SamplingPlan(k=10.0, repetitions=2, master_seed=0),
+        lambda: SamplingPlan(k=1, repetitions=2, master_seed=0),
+        lambda: SamplingPlan(k=10, repetitions=math.nan, master_seed=0),
+        lambda: SamplingPlan(k=10, repetitions=2.5, master_seed=0),
+        lambda: SamplingPlan(k=10, repetitions=2, master_seed=-1),
+        lambda: SamplingPlan(k=10, repetitions=2, master_seed=1.5),
+        lambda: full_simulation(LossyNOONParams.balanced(1, 0.9),
+                                SamplingPlan(2, 2, 0), k_values=(math.nan,)),
+        lambda: full_simulation(LossyNOONParams.balanced(1, 0.9),
+                                SamplingPlan(2, 2, 0), k_values=(10.5,)),
+        lambda: full_simulation(LossyNOONParams.balanced(1, 0.9),
+                                SamplingPlan(2, 2, 0), k_values=(10, 1)),
+        lambda: estimation.estimate_pn(law_for(0.9, 2), 2, math.nan, 2, rng_stream(0)),
+        lambda: estimation.estimate_pn(law_for(0.9, 2), 2, 10.5, 2, rng_stream(0)),
+        lambda: estimation.estimate_pn(law_for(0.9, 2), 2, 10, 2.0, rng_stream(0)),
+        lambda: _sampled_estimates(law_for(0.9, 2), 2, 10.5, 1, rng_stream(0)),
+        lambda: _sampled_estimates(law_for(0.9, 2), 2, 0, 1, rng_stream(0)),
+    ], ids=["plan-k-nan", "plan-k-half", "plan-k-float", "plan-k-1", "plan-reps-nan",
+            "plan-reps-half", "plan-seed-negative", "plan-seed-float", "fullsim-k-nan",
+            "fullsim-k-half", "fullsim-k-1", "estimate-k-nan", "estimate-k-half",
+            "estimate-reps-float", "sampled-k-half", "sampled-k-0"])
+    def test_non_integer_or_small_sizes_raise_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_numpy_integers_are_sizes(self):
+        plan = SamplingPlan(k=np.int64(10), repetitions=np.int32(2), master_seed=np.uint8(3))
+        (point,) = full_simulation(LossyNOONParams.balanced(1, 0.9), plan,
+                                   k_values=(np.int64(10),))
+        assert point == full_simulation(LossyNOONParams.balanced(1, 0.9),
+                                        SamplingPlan(10, 2, 3), k_values=(10,))[0]
 
 
 class TestRngStreams:
