@@ -85,7 +85,7 @@ class SamplingPlan:
             _count(name, getattr(self, name), least)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimatorResult:
     """Mean and spread of a witness or moment estimate over repetitions."""
 
@@ -96,7 +96,7 @@ class EstimatorResult:
     repetitions: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationPoint:
     """One sample-budget point of the simulated experiment."""
 
