@@ -273,11 +273,17 @@ def min_samples(p2, p3, criterion: str = "quadratic"):
 @lru_cache(maxsize=1)
 def _gauss_legendre(m: int = 16, panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] of ``panels`` equal m-point Gauss-Legendre
-    panels, from the eigenpairs of the Jacobi matrix (Golub-Welsch)."""
-    off = np.arange(1, m) / np.sqrt(4.0 * np.arange(1, m) ** 2 - 1.0)
-    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    panels, by Newton's method on the Legendre recurrence: elementwise, so
+    the experiment's path starts no LAPACK routine (and its buffers)."""
+    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(m), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
     nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
-    return nodes.ravel(), np.tile(vectors[0] ** 2 / panels, panels)
+    return nodes.ravel(), np.tile(1.0 / ((1.0 - x * x) * slope ** 2 * panels), panels)
 
 
 def _clamped_moments(mean: float, std: float) -> tuple[float, float, float, float]:
@@ -378,6 +384,16 @@ def _optimal_witness_from_estimates(p2_k: np.ndarray, p3_k: np.ndarray) -> np.nd
     return p3_k.real - optimal_threshold(np.clip(p2_k.real, 1e-9, 1.0))
 
 
+@lru_cache(maxsize=64)
+def _analytic_band(params: LossyNOONParams, k: int) -> tuple[float, float, float]:
+    """The perfect-copy optimal witness, and it minus and plus one standard
+    deviation of the linear model at k; cached, so the points of repeated
+    runs share these floats."""
+    p2, p3 = lossy_noon_pt_moments(params)
+    witness, std = p3 - optimal_threshold(p2), math.sqrt(witness_variances(p2, p3, k)[0])
+    return witness, witness - std, witness + std
+
+
 def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
                     noise: NoiseSpec | None = None, k_values=None) -> list[SimulationPoint]:
     """Simulated experiment on noisy lossy N=1 copies.
@@ -410,8 +426,6 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
     if k_values is None:
         k_values = DEFAULT_K_GRID
 
-    p2_exact, p3_exact = lossy_noon_pt_moments(params)
-    analytic = p3_exact - optimal_threshold(p2_exact)
     t2, t3, clamped = _averaged_copy(*spread["alpha"], *spread["tau"])
     laws = {2: circuits.moment_law((1.0, t2)), 3: circuits.moment_law((1.0, t2, t3))}
 
@@ -422,10 +436,7 @@ def full_simulation(params: LossyNOONParams, plan: SamplingPlan,
         estimates = np.array([[_sampled_estimates(laws[n], n, k, 1, rng)[0] for n in (2, 3)]
                               for rng in streams])
         witnesses = _optimal_witness_from_estimates(estimates[:, 0], estimates[:, 1])
-        var_l = witness_variances(p2_exact, p3_exact, k)[0]
-        result = _summarize(witnesses.astype(complex), k)
-        points.append(SimulationPoint(
-            k=k, estimate=result, analytic_witness=analytic,
-            band_low=analytic - math.sqrt(var_l), band_high=analytic + math.sqrt(var_l),
-            clamped_draws=plan.repetitions * k * (2 + 3) * clamped))
+        points.append(SimulationPoint(k, _summarize(witnesses.astype(complex), k),
+                                      *_analytic_band(params, k),
+                                      plan.repetitions * k * (2 + 3) * clamped))
     return points
