@@ -273,8 +273,8 @@ def min_samples(p2, p3, criterion: str = "quadratic"):
 @lru_cache(maxsize=1)
 def _gauss_legendre(m: int = 16, panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] of ``panels`` equal m-point Gauss-Legendre
-    panels, by Newton's method on the Legendre recurrence: elementwise, so
-    the experiment's path starts no LAPACK routine (and its buffers)."""
+    panels, by Newton's method on the Legendre recurrence: elementwise, with
+    no LAPACK call (an eigh here added 0.75 MB to the experiment's peak RSS)."""
     x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(8):
         p0, p1 = np.ones(m), x
