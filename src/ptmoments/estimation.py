@@ -331,8 +331,10 @@ def _noon1_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices (one row each) and values of the nonzero entries of the
     (4,)*n tensor of mean values of the n-fold products of the basis states
     |00>, |10>, |01>, |+>: cycle traces of entries 0, 1/2 and 1, so exact."""
-    # |v><v| / <v|v>, at basis index i * d_b + j of |i>_A |j>_B
-    basis = [BipartiteDensityOperator(ModeCutoff(2, 2), np.outer(v, v) / np.dot(v, v))
+    # |v><v| / <v|v>, at basis index i * d_b + j of |i>_A |j>_B; a projector is
+    # positive by construction, so no eigenvalue check (the path runs no LAPACK)
+    basis = [BipartiteDensityOperator(ModeCutoff(2, 2), np.outer(v, v) / np.dot(v, v),
+                                      check_psd=False)
              for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 0])]
     tensor = np.array([circuits.cycle_traces(copies)[-1]
                        for copies in product(basis, repeat=n)]).real.reshape((4,) * n)
