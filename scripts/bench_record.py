@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Record one point of the performance trajectory as BENCH_<PR>.json.
 
-Usage: python scripts/bench_record.py PR [--runs N]
+Usage: python scripts/bench_record.py PR
 
 From the root of the checkout that holds this script, runs every workload of
-BENCHMARK.json N times (default and least 5), untraced, for its declared
-``run_seconds``, alternating between the workloads (one run of each in turn),
-then the tier-1 suite once, and writes BENCH_<PR>.json there with:
+BENCHMARK.json five times (``RUNS``), untraced, for its declared
+``run_seconds``, alternating between the workloads (one run of each in
+turn), then the tier-1 suite once, and writes BENCH_<PR>.json there with:
   - per workload:
     - ``runs``: each run's exit code, its metrics (name -> value, from the
       last JSON line perfbench prints) and ``minor_faults``, the minor page
@@ -15,8 +15,9 @@ then the tier-1 suite once, and writes BENCH_<PR>.json there with:
     - ``stats``: per metric and for ``minor_faults``, the median and the
       first and third quartiles (``q1``, ``q3``) over the runs;
     - ``result`` and ``provenance``: those of the run whose wall_s is the
-      median (the lower of the two middle runs for an even N);
-    - ``exit_code``: the largest exit code of the runs;
+      median;
+    - ``exit_code``: the first nonzero exit code of the runs (a run killed by
+      a signal has a negative one), or 0;
   - the tier-1 command, wall time, exit code and summary line;
   - the commit (``git rev-parse HEAD``) and whether the tree had changes.
 """
@@ -33,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
-MIN_RUNS = 5
+RUNS = 5
 
 
 def run(argv, env=None) -> subprocess.CompletedProcess:
@@ -74,7 +75,8 @@ def summarize(runs: list) -> dict:
         stats[name] = {"median": median, "q1": q1, "q3": q3}
     timed = sorted((v["wall_s"], i) for i, v in enumerate(per_run) if "wall_s" in v)
     middle = runs[timed[(len(timed) - 1) // 2][1]] if timed else runs[-1]
-    return {"exit_code": max(one["exit_code"] for one in runs), "result": middle["result"],
+    codes = [one["exit_code"] for one in runs]
+    return {"exit_code": next((c for c in codes if c != 0), 0), "result": middle["result"],
             "provenance": middle["provenance"], "stats": stats,
             "runs": [{"exit_code": one["exit_code"], "metrics": values}
                      for one, values in zip(runs, per_run)]}
@@ -94,16 +96,12 @@ def tier1() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", help="PR number, the suffix of BENCH_<PR>.json")
-    parser.add_argument("--runs", type=int, default=MIN_RUNS,
-                        help=f"runs per workload, at least {MIN_RUNS}")
     args = parser.parse_args()
-    if args.runs < MIN_RUNS:
-        parser.error(f"--runs must be at least {MIN_RUNS}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     runs = {name: [] for name in names}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name in names:
             runs[name].append(workload(spec["command"], name, spec["run_seconds"]))
     record = {
@@ -112,7 +110,7 @@ def main() -> int:
         "tree_changed": bool(run(["git", "status", "--porcelain", "--untracked-files=no"])
                              .stdout.strip()),
         "run_seconds": spec["run_seconds"],
-        "runs_per_workload": args.runs,
+        "runs_per_workload": RUNS,
         "workloads": {name: summarize(runs[name]) for name in names},
         "tier1": tier1(),
     }

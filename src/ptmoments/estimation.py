@@ -274,7 +274,8 @@ def min_samples(p2, p3, criterion: str = "quadratic"):
 def _gauss_legendre(m: int = 16, panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] of ``panels`` equal m-point Gauss-Legendre
     panels, by Newton's method on the Legendre recurrence: elementwise, with
-    no LAPACK call (an eigh here added 0.75 MB to the experiment's peak RSS)."""
+    no LAPACK call (numpy's leggauss, an eigenvalue solve, adds about 0.9 MB
+    to a process's peak RSS the first time it runs)."""
     x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(8):
         p0, p1 = np.ones(m), x
@@ -390,7 +391,7 @@ def _optimal_witness_from_estimates(p2_k: np.ndarray, p3_k: np.ndarray) -> np.nd
 def _analytic_band(params: LossyNOONParams, k: int) -> tuple[float, float, float]:
     """The perfect-copy optimal witness, and it minus and plus one standard
     deviation of the linear model at k; cached, so the points of repeated
-    runs share these floats."""
+    runs share these floats (perfbench's experiment keeps every point)."""
     p2, p3 = lossy_noon_pt_moments(params)
     witness, std = p3 - optimal_threshold(p2), math.sqrt(witness_variances(p2, p3, k)[0])
     return witness, witness - std, witness + std
