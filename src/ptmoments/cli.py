@@ -55,10 +55,10 @@ def _emit(args, target: str, columns, rows, **extra) -> None:
 # state families
 # ---------------------------------------------------------------------------
 
-def _noon_params(n: int, alpha: float | None, beta: float | None = None) -> states.NOONParams:
+def _noon_params(n, alpha, beta=None) -> states.NOONParams:
     """NOON parameters; alpha defaults to balanced and beta to sqrt(1 - alpha^2)."""
     alpha = BALANCED if alpha is None else alpha
-    beta = math.sqrt(max(1.0 - alpha ** 2, 0.0)) if beta is None else beta
+    beta = np.sqrt(np.maximum(1.0 - np.float_power(alpha, 2), 0.0)) if beta is None else beta
     return states.NOONParams(n, alpha, beta)
 
 
@@ -187,71 +187,61 @@ def cmd_sample(args) -> int:
 # reproduce targets
 # ---------------------------------------------------------------------------
 
+def _columns(*columns) -> list:
+    """Rows of a table from its columns, each an array or a list."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
 def _fig2a(args):
     grid = np.round(np.arange(0.2, 3.0 + 1e-12, 0.04), 10)
-    rows = []
-    for nu1 in grid:
-        for nu2 in grid:
-            if nu1 * nu2 < 1.0 - 1e-12:
-                continue
-            pair = gaussian.SymplecticPair(nu1, nu2)
-            p2 = gaussian.gaussian_pt_moment(pair, 2)
-            p3 = gaussian.gaussian_pt_moment(pair, 3)
-            lin, quad = gaussian.symplectic_p3_criteria(pair)
-            rows.append((float(nu1), float(nu2), p2, p3,
-                         gaussian.simon_test(pair).witness, lin.witness, quad.witness))
-    thresholds = criteria.optimal_threshold(np.array([row[2] for row in rows]))
-    rows = [row + (row[3] - thr,) for row, thr in zip(rows, thresholds.tolist())]
+    nu1, nu2 = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+    keep = nu1 * nu2 >= 1.0 - 1e-12
+    pair = gaussian.SymplecticPair(nu1[keep], nu2[keep])
+    p2, p3 = gaussian.gaussian_pt_moment(pair, 2), gaussian.gaussian_pt_moment(pair, 3)
+    lin, quad = gaussian.symplectic_p3_criteria(pair)
+    rows = _columns(nu1[keep], nu2[keep], p2, p3, gaussian.simon_test(pair).witness,
+                    lin.witness, quad.witness, p3 - criteria.optimal_threshold(p2))
     _emit(args, "fig2a", ["nu1", "nu2", "p2", "p3", "w_simon", "w_linear",
                           "w_quadratic", "w_optimal"], rows,
           grid={"lo": 0.2, "hi": 3.0, "step": 0.04})
 
 
 def _fig2b(args):
-    grid = np.round(np.arange(0.02, 1.0 + 1e-12, 0.0025), 10)
-    rows = []
-    for p2, optimal in zip(grid, criteria.optimal_threshold(grid).tolist()):
-        rows.append((float(p2),
-                     (3.0 * p2 - 1.0) / 2.0,
-                     p2 ** 2,
-                     optimal,
-                     4.0 * p2 ** 2 / (3.0 + p2 ** 2),
-                     criteria.gaussian_physicality_bound(p2)))
+    p2 = np.round(np.arange(0.02, 1.0 + 1e-12, 0.0025), 10)
+    rows = _columns(p2, criteria.p3_linear(p2, 0.0).threshold,
+                    criteria.p3_quadratic(p2, 0.0).threshold, criteria.optimal_threshold(p2),
+                    criteria.simon_gaussian3(p2, 0.0).threshold,
+                    criteria.gaussian_physicality_bound(p2))
     _emit(args, "fig2b", ["p2", "linear_threshold", "quadratic_threshold",
                           "optimal_threshold", "gaussian_simon_threshold",
                           "gaussian_physicality_bound"], rows)
 
 
 def _fig2c(args):
-    rows = []
-    for z in (0.0, 0.5, 0.9, 0.99):
-        radius = states.cat_separability_radius(z)
-        boundary_alpha = radius / math.sqrt(2.0)
-        for a in np.round(np.arange(0.01, 2.5 + 1e-12, 0.01), 10):
-            p2, p3 = states.cat_pt_moments(states.CatParams(a, a, z, "odd"))
-            rows.append((z, float(a), p2, p3, criteria.p3_linear(p2, p3).witness,
-                         boundary_alpha))
+    zs = (0.0, 0.5, 0.9, 0.99)
+    z, a = (x.ravel() for x in np.meshgrid(
+        zs, np.round(np.arange(0.01, 2.5 + 1e-12, 0.01), 10), indexing="ij"))
+    boundary_alpha = [states.cat_separability_radius(v) / math.sqrt(2.0) for v in zs]
+    p2, p3 = states.cat_pt_moments(states.CatParams(a, a, z, "odd"))
+    rows = _columns(z, a, p2, p3, criteria.p3_linear(p2, p3).witness,
+                    np.repeat(boundary_alpha, z.size // len(zs)))
     _emit(args, "fig2c", ["z", "alpha", "p2", "p3", "w_linear", "boundary_alpha"], rows)
 
 
 def _fig2d(args):
-    rows = []
-    for n_modes in (2, 3, 4, 5, 6):
-        for da in np.round(np.arange(0.05, 3.0 + 1e-12, 0.025), 10):
-            p2, p3 = states.hhg_pt_moments(states.HHGParams(3.0, float(da), n_modes))
-            rows.append((n_modes, n_modes - 1, float(da), p2, p3,
-                         criteria.p3_linear(p2, p3).witness))
+    n_modes, da = (x.ravel() for x in np.meshgrid(
+        np.arange(2, 7), np.round(np.arange(0.05, 3.0 + 1e-12, 0.025), 10), indexing="ij"))
+    p2, p3 = states.hhg_pt_moments(states.HHGParams(3.0, da, n_modes))
+    rows = _columns(n_modes, n_modes - 1, da, p2, p3, criteria.p3_linear(p2, p3).witness)
     _emit(args, "fig2d", ["n_modes", "n_harmonics", "delta_alpha", "p2", "p3",
                           "w_linear"], rows)
 
 
 def _fig2e(args):
-    rows = []
-    for n in range(1, 6):
-        for a in np.round(np.arange(0.0, 1.0 + 1e-12, 0.005), 10):
-            p3 = states.noon_pt_moment(_noon_params(n, float(a)), 3)
-            rows.append((n, float(a), p3, p3 - 1.0))
-    _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], rows)
+    n, a = (x.ravel() for x in np.meshgrid(
+        np.arange(1, 6), np.round(np.arange(0.0, 1.0 + 1e-12, 0.005), 10), indexing="ij"))
+    p3 = states.noon_pt_moment(_noon_params(n, a), 3)
+    _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], _columns(n, a, p3, p3 - 1.0))
 
 
 def _bisect(f, lo, hi, xtol: float):
@@ -288,7 +278,7 @@ def _lossy_noon_grid(tau_step: float) -> tuple:
 def _fig3a(args):
     n, tau, p2, p3 = _lossy_noon_grid(1e-3)
     w = p3 - criteria.optimal_threshold(p2)
-    rows = list(zip(*(x.tolist() for x in (n, tau, p2, p3, w))))
+    rows = _columns(n, tau, p2, p3, w)
     ns, lo = np.arange(1, 11), np.full(10, 0.501)
     f = lambda t: _lossy_noon_optimal_witness(ns, t)
     crossings = np.where(f(lo) > 0, _bisect(f, lo, 0.9999, xtol=1e-9), 0.5)
@@ -321,7 +311,7 @@ def _fig3b(args):
 def _fig3c(args):
     n, tau, p2, p3 = _lossy_noon_grid(2.5e-3)
     k_star = estimation.min_samples(p2, p3, "quadratic")
-    rows = list(zip(n.tolist(), tau.tolist(), k_star.tolist()))
+    rows = _columns(n, tau, k_star)
     _emit(args, "fig3c", ["N", "tau", "k_star_quadratic"], rows)
 
 
@@ -340,22 +330,22 @@ def _fig4(args):
           repetitions=plan_reps, noise=asdict(estimation.NoiseSpec()))
 
 
-def _fig5_row(n_bar: float, r: float) -> tuple:
+def _fig5_columns(n_bar: float, r) -> tuple:
+    """nu1, nu2 and the hankel3, hankel5, hankel7 and Simon witnesses at r."""
     pair = gaussian.tmsv_thermal_pt_pair(n_bar, r)
     moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(pair, 7)))
-    return (r, pair.nu1, pair.nu2,
-            criteria.hankel_test(moments, 3).witness,
-            criteria.hankel_test(moments, 5).witness,
-            criteria.hankel_test(moments, 7).witness,
+    return (pair.nu1, pair.nu2, *(criteria.hankel_test(moments, n).witness for n in (3, 5, 7)),
             gaussian.simon_test(pair).witness)
 
 
 def _fig5(args):
     n_bar = (math.sqrt(2.0) - 1.0) / 2.0
-    rows = [_fig5_row(n_bar, float(r)) for r in np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)]
-    for col, name in enumerate(("hankel3", "hankel5", "hankel7", "simon"), start=3):
-        f = lambda r: _fig5_row(n_bar, float(r))[col]
-        crossing = _bisect(f, 1e-4, 0.6, xtol=1e-10)
+    r = np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)
+    rows = _columns(r, *_fig5_columns(n_bar, r))
+    # one bracket per witness: witness j is read at the j-th point
+    f = lambda rs: np.diagonal(np.array(_fig5_columns(n_bar, rs)[2:]))
+    crossings = _bisect(f, np.full(4, 1e-4), 0.6, xtol=1e-10)
+    for name, crossing in zip(("hankel3", "hankel5", "hankel7", "simon"), crossings.tolist()):
         print(f"{name}: first detection at r = {crossing:.6f}")
     _emit(args, "fig5", ["r", "nu1", "nu2", "w_hankel3", "w_hankel5", "w_hankel7",
                          "w_simon"], rows, n_bar=n_bar)

@@ -5,6 +5,10 @@ elementary symmetric polynomials obtained through Newton's identities) plus
 the three third-order tests that only need the purity p2 and the third moment
 p3: linear, quadratic, and the optimal bound.  A negative witness flags
 entanglement in every report.
+
+Every test is elementwise: array moments (a ``PtMomentVector`` of one array
+per order, checked element by element) give reports of arrays, and scalars
+give floats and bools.
 """
 
 from __future__ import annotations
@@ -38,23 +42,22 @@ _FLOOR_NUDGE = 1e-12
 
 @dataclass(frozen=True)
 class PtMomentVector:
-    """Ordered PT-moments p_1 .. p_n of a single state."""
+    """Ordered PT-moments p_1 .. p_n of a single state, or of a batch of
+    states when each p_k is an array (all of one shape)."""
 
     moments: tuple
 
     def __post_init__(self):
-        ms = self.values
-        if ms.size < 1:
+        if len(self.moments) < 1:
             raise OrderError("need at least p_1")
+        ms = self.values
         if not np.isfinite(ms).all():
             raise DomainError(f"moments must be finite, got {self.moments}")
-        if abs(ms[0] - 1.0) > 1e-9:
+        if (np.abs(ms[0] - 1.0) > 1e-9).any():
             raise ValueError(f"p_1 = {ms[0]} must be 1")
-        if ms.size >= 2:
-            p2 = ms[1]
-            for k in range(2, ms.size + 1):
-                if abs(ms[k - 1]) > p2 ** (k / 2) + 1e-9:
-                    raise ValueError(f"|p_{k}| exceeds p_2^({k}/2)")
+        for k in range(2, len(ms) + 1):
+            if (np.abs(ms[k - 1]) > np.float_power(ms[1], k / 2) + 1e-9).any():
+                raise ValueError(f"|p_{k}| exceeds p_2^({k}/2)")
 
     @classmethod
     def of(cls, *moments: float) -> "PtMomentVector":
@@ -62,6 +65,7 @@ class PtMomentVector:
 
     @property
     def values(self) -> np.ndarray:
+        """The moments as one array, order first: shape (n, *batch)."""
         return np.asarray(self.moments, dtype=float)
 
     @property
@@ -77,7 +81,10 @@ class PtMomentVector:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of one separability test; witness < 0 flags entanglement."""
+    """Outcome of one separability test; witness < 0 flags entanglement.
+
+    A test run on arrays reports arrays: witness is a float array, detected
+    a bool array of its shape, and threshold a float or an array."""
 
     criterion_id: str
     witness: float
@@ -86,10 +93,13 @@ class CriterionReport:
     gaussian_only: bool = False
 
     @classmethod
-    def from_witness(cls, criterion_id: str, witness: float, threshold: float = 0.0,
+    def from_witness(cls, criterion_id: str, witness, threshold=0.0,
                      gaussian_only: bool = False) -> "CriterionReport":
-        return cls(criterion_id, float(witness), float(threshold),
-                   detected=bool(witness < 0), gaussian_only=gaussian_only)
+        witness = np.asarray(witness, dtype=float)
+        if witness.ndim == 0:
+            witness, threshold = float(witness), float(threshold)
+        return cls(criterion_id, witness, threshold, detected=witness < 0,
+                   gaussian_only=gaussian_only)
 
 
 def _require_finite(**values) -> None:
@@ -100,34 +110,31 @@ def _require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {v}")
 
 
-def _require_odd_order(p: PtMomentVector, n: int) -> None:
+def hankel_matrix(p: PtMomentVector, n: int) -> np.ndarray:
+    """Symmetric Hankel matrix of order m = (n+1)/2 with entry (r, c) =
+    p_{r+c+1}; a batch of moments gives a stack of shape (*batch, m, m)."""
     if n < 1 or n % 2 == 0:
         raise OrderError(f"Hankel test needs odd n, got {n}")
     if p.order < n:
         raise OrderError(f"need moments up to p_{n}, have {p.order}")
-
-
-def hankel_matrix(p: PtMomentVector, n: int) -> np.ndarray:
-    """Symmetric Hankel matrix of order (n+1)/2 with entry (r, c) = p_{r+c+1}."""
-    _require_odd_order(p, n)
     m = (n + 1) // 2
-    return np.array([[p.p(r + c + 1) for c in range(m)] for r in range(m)])
+    return np.moveaxis(p.values[np.add.outer(np.arange(m), np.arange(m))], (0, 1), (-2, -1))
 
 
 def hankel_test(p: PtMomentVector, n: int) -> CriterionReport:
     """Separable states have a positive semidefinite Hankel matrix; the witness
-    is its minimum eigenvalue."""
-    w = float(np.linalg.eigvalsh(hankel_matrix(p, n))[0])
-    return CriterionReport.from_witness(f"hankel{n}", w)
+    is its minimum eigenvalue, one eigvalsh over a batch's stacked matrices."""
+    return CriterionReport.from_witness(f"hankel{n}",
+                                        np.linalg.eigvalsh(hankel_matrix(p, n))[..., 0])
 
 
 def newton_elementary(p: PtMomentVector) -> np.ndarray:
     """Elementary symmetric polynomials e_0 .. e_n of the PT spectrum,
     recovered from the moments through n*e_n = sum_j (-1)^(j-1) e_(n-j) p_j."""
     ms = p.values
-    e = np.empty(ms.size + 1)
+    e = np.empty((len(ms) + 1, *ms.shape[1:]))
     e[0] = 1.0
-    for n in range(1, ms.size + 1):
+    for n in range(1, len(ms) + 1):
         acc = 0.0
         for j in range(1, n + 1):
             acc += (-1) ** (j - 1) * e[n - j] * ms[j - 1]
@@ -140,7 +147,7 @@ def descartes_test(p: PtMomentVector, n: int) -> CriterionReport:
     if n < 1 or p.order < n:
         raise OrderError(f"need moments up to p_{n}, have {p.order}")
     e = newton_elementary(PtMomentVector(p.moments[:n]))
-    return CriterionReport.from_witness(f"newton{n}", float(e[1:].min()))
+    return CriterionReport.from_witness(f"newton{n}", e[1:].min(axis=0))
 
 
 def p3_linear(p2: float, p3: float) -> CriterionReport:
@@ -151,7 +158,16 @@ def p3_linear(p2: float, p3: float) -> CriterionReport:
 
 def p3_quadratic(p2: float, p3: float) -> CriterionReport:
     _require_finite(p2=p2, p3=p3)
-    return CriterionReport.from_witness("quadratic3", p3 - p2 ** 2, threshold=p2 ** 2)
+    thr = np.float_power(p2, 2)
+    return CriterionReport.from_witness("quadratic3", p3 - thr, threshold=thr)
+
+
+def _purity(p2) -> np.ndarray:
+    """p2 as an array, every element checked to lie in (0, 1]."""
+    p2 = np.asarray(p2, dtype=float)
+    if not ((p2 > 0.0) & (p2 <= 1.0)).all():
+        raise DomainError(f"p2 must lie in (0, 1], got {p2}")
+    return p2
 
 
 def optimal_threshold(p2):
@@ -163,9 +179,7 @@ def optimal_threshold(p2):
     (3 p2 - 1)/2 on 1/2 < p2 <= 1.  One elementwise formula: an array gives
     an array of its shape, a float (or any zero-dimensional input) a float.
     """
-    p2 = np.asarray(p2, dtype=float)
-    if not ((p2 > 0.0) & (p2 <= 1.0)).all():
-        raise DomainError(f"p2 must lie in (0, 1], got {p2}")
+    p2 = _purity(p2)
     a = np.maximum(np.floor(1.0 / p2 + _FLOOR_NUDGE), 1.0)
     u = (a + np.sqrt(np.maximum(a * (p2 * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
     # float_power calls the C library's pow, as float ** does; np.power's
@@ -187,18 +201,17 @@ def simon_gaussian3(p2: float, p3: float) -> CriterionReport:
     gaussian_only accordingly.
     """
     _require_finite(p3=p3)
-    if not 0.0 < p2 <= 1.0:
-        raise DomainError(f"p2 must lie in (0, 1], got {p2}")
-    thr = 4.0 * p2 ** 2 / (3.0 + p2 ** 2)
+    sq = np.float_power(_purity(p2), 2)
+    thr = 4.0 * sq / (3.0 + sq)
     return CriterionReport.from_witness("simon_gaussian3", p3 - thr, threshold=thr,
                                         gaussian_only=True)
 
 
-def gaussian_physicality_bound(p2: float) -> float:
+def gaussian_physicality_bound(p2):
     """Largest p3 any Gaussian state of purity p2 can attain: (4 p2 / (3 + p2))^2."""
-    if not 0.0 < p2 <= 1.0:
-        raise DomainError(f"p2 must lie in (0, 1], got {p2}")
-    return (4.0 * p2 / (3.0 + p2)) ** 2
+    p2 = _purity(p2)
+    bound = np.float_power(4.0 * p2 / (3.0 + p2), 2)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def third_order_reports(p2: float, p3: float) -> list[CriterionReport]:

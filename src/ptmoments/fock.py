@@ -393,16 +393,19 @@ def schmidt_probabilities(coefficients) -> np.ndarray:
     return lam[lam > 1e-15]
 
 
-def pure_state_pt_moment(schmidt_probs, n: int) -> float:
+def pure_state_pt_moment(schmidt_probs, n: int):
     """PT-moment of a pure state from its Schmidt probabilities.
 
     Sum of lambda^n for odd n, the square of the sum of lambda^(n/2) for
-    even n.
+    even n.  The sum runs over axis 0: a stack of shape (k, *batch) gives an
+    array of the batch's shape, one vector a float.
     """
     lam = np.asarray(schmidt_probs, dtype=float)
     if n % 2 == 1:
-        return float(np.sum(lam ** n))
-    return float(np.sum(lam ** (n // 2)) ** 2)
+        m = np.sum(lam ** n, axis=0)
+    else:
+        m = np.float_power(np.sum(lam ** (n // 2), axis=0), 2)
+    return float(m) if m.ndim == 0 else m
 
 
 def coherent_cutoff(alphas, tol: float = DEFAULT_TOL.trunc, guard: int = 1) -> int:

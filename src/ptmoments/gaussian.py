@@ -6,6 +6,12 @@ transpose acts as a sign flip of the second momentum, separability of a
 Gaussian state is equivalent to both symplectic eigenvalues of the partially
 transposed covariance matrix being >= 1, and all PT-moments follow from those
 two eigenvalues in closed form.
+
+The closed forms are elementwise: a ``SymplecticPair`` may hold arrays of
+eigenvalues, and ``gaussian_pt_moment(s)``, ``simon_test``,
+``symplectic_p3_criteria`` and ``tmsv_thermal_pt_pair`` then give arrays (or
+reports of arrays) of their shape, each element with the bits of its scalar
+evaluation; scalars still give floats.
 """
 
 from __future__ import annotations
@@ -74,7 +80,8 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class SymplecticPair:
-    """The two symplectic eigenvalues, stored ascending.
+    """The two symplectic eigenvalues, stored ascending: floats, or two arrays
+    (broadcast together) sorted element by element.
 
     Their product equals sqrt(det gamma) and is >= 1 for any (partially
     transposed or not) covariance matrix descending from a physical state.
@@ -84,12 +91,15 @@ class SymplecticPair:
     nu2: float
 
     def __post_init__(self):
-        nus = (float(self.nu1), float(self.nu2))
+        nus = np.broadcast_arrays(np.asarray(self.nu1, dtype=float),
+                                  np.asarray(self.nu2, dtype=float))
         if not np.isfinite(nus).all():
             raise DomainError(f"symplectic eigenvalues must be finite, got {nus}")
-        lo, hi = sorted(nus)
-        if lo < 0:
+        lo, hi = np.minimum(*nus), np.maximum(*nus)
+        if (lo < 0).any():
             raise DomainError(f"symplectic eigenvalues must be >= 0, got {lo}")
+        if lo.ndim == 0:
+            lo, hi = float(lo), float(hi)
         object.__setattr__(self, "nu1", lo)
         object.__setattr__(self, "nu2", hi)
 
@@ -115,25 +125,25 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> SymplecticPair:
 
 def simon_test(pair: SymplecticPair) -> CriterionReport:
     """Gaussian separability condition: both PT symplectic eigenvalues >= 1."""
-    return CriterionReport.from_witness("simon", min(pair.nu1, pair.nu2) - 1.0,
-                                        threshold=1.0, gaussian_only=True)
+    return CriterionReport.from_witness("simon", pair.nu1 - 1.0, threshold=1.0,
+                                        gaussian_only=True)
 
 
-def gaussian_pt_moment(pair: SymplecticPair, n: int) -> float:
+def gaussian_pt_moment(pair: SymplecticPair, n: int):
     """n-th PT-moment of a Gaussian state from its PT symplectic eigenvalues:
     product over j of 2^n / ((nu_j + 1)^n - (nu_j - 1)^n).  n = 1 returns 1."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
     if n == 1:
-        return 1.0
-    out = 1.0
-    for nu in (pair.nu1, pair.nu2):
-        out *= 2.0 ** n / ((nu + 1.0) ** n - (nu - 1.0) ** n)
-    return out
+        return np.ones_like(pair.nu1) if np.ndim(pair.nu1) else 1.0
+    # float_power calls the C library's pow, as float ** does
+    t1, t2 = (2.0 ** n / (np.float_power(nu + 1.0, n) - np.float_power(nu - 1.0, n))
+              for nu in (pair.nu1, pair.nu2))
+    return float(t1 * t2) if np.ndim(t1) == 0 else t1 * t2
 
 
 def gaussian_pt_moments(pair: SymplecticPair, n_max: int) -> np.ndarray:
-    """PT-moments p_1 .. p_n_max."""
+    """PT-moments p_1 .. p_n_max, order first: shape (n_max, *pair's shape)."""
     return np.array([gaussian_pt_moment(pair, n) for n in range(1, n_max + 1)])
 
 
@@ -142,8 +152,9 @@ def symplectic_p3_criteria(pair: SymplecticPair) -> tuple[CriterionReport, Crite
     symplectic eigenvalues; sign-equivalent to the generic tests evaluated on
     the closed-form moments."""
     v1, v2 = pair.nu1, pair.nu2
-    quad = 7.0 * v1 ** 2 * v2 ** 2 - 3.0 * (v1 ** 2 + v2 ** 2) - 1.0
-    lin = (v1 ** 2 + 3.0 * v1 ** 2 * v2 ** 2 + v2 ** 2) * (v1 * v2 - 3.0) + 11.0 * v1 * v2 - 1.0
+    s1, s2 = np.float_power(v1, 2), np.float_power(v2, 2)
+    quad = 7.0 * s1 * s2 - 3.0 * (s1 + s2) - 1.0
+    lin = (s1 + 3.0 * s1 * s2 + s2) * (v1 * v2 - 3.0) + 11.0 * v1 * v2 - 1.0
     return (CriterionReport.from_witness("linear3_symplectic", lin),
             CriterionReport.from_witness("quadratic3_symplectic", quad))
 
@@ -164,7 +175,7 @@ def tmsv_thermal(n_bar: float, r: float) -> CovarianceMatrix:
 def tmsv_thermal_pt_pair(n_bar: float, r: float) -> SymplecticPair:
     """PT symplectic eigenvalues of the squeezed thermal family:
     (2 n_bar + 1) e^(-2r) and (2 n_bar + 1) e^(2r)."""
-    if n_bar < 0:
+    if (np.asarray(n_bar) < 0).any():
         raise DomainError(f"n_bar must be >= 0, got {n_bar}")
     scale = 2.0 * n_bar + 1.0
     return SymplecticPair(scale * np.exp(-2.0 * r), scale * np.exp(2.0 * r))

@@ -39,6 +39,17 @@ _CELL = {float: float.__repr__, int: int.__repr__, str: str,
          bool: {True: "true", False: "false"}.__getitem__}
 
 
+def _column_cells(column) -> list:
+    """CSV cells of one column.  A column of plain floats is formatted once
+    per distinct value, told apart by bits: -0.0 == 0.0 and NaN != NaN, so
+    equality would merge two texts or split one."""
+    if set(map(type, column)) != {float}:
+        return [_CELL.get(type(v), format_value)(v) for v in column]
+    bits, inverse = np.unique(np.array(column).view(np.int64), return_inverse=True)
+    texts = np.array([float.__repr__(v) for v in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 @dataclass
 class Table:
     """Columnar dataset plus its provenance mapping."""
@@ -60,8 +71,8 @@ def write_table(table: Table, path, fmt: str = "csv") -> Path:
         lines = [f"# {key}: {json.dumps(val, sort_keys=True)}"
                  for key, val in table.provenance.items()]
         lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join([_CELL.get(type(v), format_value)(v) for v in row]))
+        columns = zip(*table.rows, strict=True)  # unequal rows raise ValueError
+        lines += map(",".join, zip(*map(_column_cells, columns)))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         doc = {"provenance": table.provenance, "columns": table.columns,

@@ -5,9 +5,14 @@ vacua.
 Each family provides a truncated-Fock density operator (for the dense oracle)
 and, where available, closed-form values of the low-order PT-moments.  The
 closed forms act as ground truth; the truncated operators are renormalized to
-unit trace after the cutoff.  The lossy NOON closed form is elementwise: N and
-the two transmissivities may be arrays, and each element gets the bits of its
-scalar evaluation.
+unit trace after the cutoff.
+
+The closed forms are elementwise: ``cat_pt_moments`` (alpha, beta, z),
+``hhg_pt_moments`` (alpha, delta_alpha, N), ``noon_pt_moment`` (N, alpha,
+beta) and ``lossy_noon_pt_moments`` (N, tau_a, tau_b) take parameters that
+may be arrays, which broadcast, and give arrays of their shape; scalars give
+floats.  Powers go through np.float_power, which calls the C library's pow as
+float ** does, so every element has the bits of its scalar evaluation.
 """
 
 from __future__ import annotations
@@ -86,13 +91,14 @@ class CatParams:
     parity: str = "even"
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
             raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        if not 0.0 <= self.z <= 1.0:
+        z = np.asarray(self.z)
+        if not ((z >= 0.0) & (z <= 1.0)).all():  # NaN fails too
             raise DomainError(f"z must lie in [0, 1], got {self.z}")
         if self.parity not in ("even", "odd"):
             raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.alpha == 0 and self.beta == 0 and self.z <= 0.0:
+        if (np.equal(self.alpha, 0) & np.equal(self.beta, 0) & (z <= 0.0)).any():
             raise DomainError("centered cat needs z > 0 to be well defined")
 
     @property
@@ -117,25 +123,30 @@ def cat_density(p: CatParams, cutoff: ModeCutoff | None = None) -> BipartiteDens
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-def cat_pt_moments(p: CatParams) -> tuple[float, float]:
+def _elementwise(*values) -> tuple:
+    """The values as floats when they are zero-dimensional, else unchanged."""
+    return tuple(float(v) for v in values) if np.ndim(values[0]) == 0 else values
+
+
+def cat_pt_moments(p: CatParams) -> tuple:
     """Closed-form (p2, p3) of the dephased cat state."""
     s = p.sign
-    r2 = abs(p.alpha) ** 2 + abs(p.beta) ** 2
+    a2, b2 = np.float_power(np.abs(p.alpha), 2), np.float_power(np.abs(p.beta), 2)
+    r2 = a2 + b2
     e2 = np.exp(-2.0 * r2)
     e4 = np.exp(-4.0 * r2)
     e6 = np.exp(-6.0 * r2)
-    omz = 1.0 - p.z
+    omz = 1.0 - np.asarray(p.z, dtype=float)
     c = 2.0 * (1.0 + s * omz * e2)
-    p2 = 2.0 / c ** 2 * ((1.0 + omz ** 2) * (1.0 + e4) + s * 4.0 * omz * e2)
-    p3 = 2.0 / c ** 3 * (
+    p2 = 2.0 / np.float_power(c, 2) * ((1.0 + np.float_power(omz, 2)) * (1.0 + e4)
+                                       + s * 4.0 * omz * e2)
+    p3 = 2.0 / np.float_power(c, 3) * (
         1.0 + 3.0 * e4
-        + s * 3.0 * omz * e2 * (2.0 + np.exp(-4.0 * abs(p.alpha) ** 2)
-                                + np.exp(-4.0 * abs(p.beta) ** 2))
-        + 3.0 * omz ** 2 * e4 * (2.0 + np.exp(4.0 * abs(p.alpha) ** 2)
-                                 + np.exp(4.0 * abs(p.beta) ** 2))
-        + s * omz ** 3 * e6 * (1.0 + 3.0 * np.exp(4.0 * r2))
+        + s * 3.0 * omz * e2 * (2.0 + np.exp(-4.0 * a2) + np.exp(-4.0 * b2))
+        + 3.0 * np.float_power(omz, 2) * e4 * (2.0 + np.exp(4.0 * a2) + np.exp(4.0 * b2))
+        + s * np.float_power(omz, 3) * e6 * (1.0 + 3.0 * np.exp(4.0 * r2))
     )
-    return float(p2), float(p3)
+    return _elementwise(p2, p3)
 
 
 def cat_separability_radius(z: float) -> float:
@@ -168,37 +179,38 @@ class HHGParams:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
+        if (np.asarray(self.N) < 1).any():
             raise DomainError(f"N must be >= 1, got {self.N}")
-        if not np.isfinite(self.alpha):
+        if not np.isfinite(self.alpha).all():
             raise DomainError(f"alpha must be finite, got {self.alpha}")
-        if not 0.0 <= self.delta_alpha < np.inf:
+        da = np.asarray(self.delta_alpha)
+        if not ((da >= 0.0) & (da < np.inf)).all():  # NaN fails too
             raise DomainError(f"delta_alpha must be finite and >= 0, got {self.delta_alpha}")
 
 
-def _hhg_scalars(p: HHGParams) -> tuple[float, float, float, float]:
+def _hhg_coefficients(p: HHGParams) -> tuple:
     """(chi, t, s, C): harmonic displacement, cross and diagonal coefficients
-    of the reduced state, and the normalization constant.
+    of the reduced state, and the normalization constant; elementwise.
 
     With c = <alpha|alpha - da> <0|chi>^(N-1) the reduced two-mode state is
     (|v><v| - t (|v><w| + |w><v|) + s |w><w|) / C where v = |alpha - da, chi>,
     w = |alpha, 0>, t = c <0|chi>^(N-2), s = c^2 and C = 1 - c^2.
     """
-    n_tot = max(p.N, 2)
-    chi2 = 4.0 * p.delta_alpha ** 2 / (n_tot ** 2 + 2 * n_tot - 3)
-    da2 = p.delta_alpha ** 2
+    if (np.asarray(p.delta_alpha) == 0).any():
+        raise DomainError("delta_alpha = 0 leaves an undefined (zero-norm) state")
+    n_tot = np.maximum(p.N, 2)
+    da2 = np.float_power(p.delta_alpha, 2)
+    chi2 = 4.0 * da2 / (n_tot ** 2 + 2 * n_tot - 3)
     c = np.exp(-da2 / 2.0 - (n_tot - 1) * chi2 / 2.0)
     t = np.exp(-da2 / 2.0 - (2 * n_tot - 3) * chi2 / 2.0)
-    s = c ** 2
-    return float(np.sqrt(chi2)), float(t), float(s), float(1.0 - s)
+    s = np.float_power(c, 2)
+    return _elementwise(np.sqrt(chi2), t, s, 1.0 - s)
 
 
 def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
     """Reduced state of the driving mode and one harmonic mode, truncated and
     renormalized."""
-    if p.delta_alpha == 0:
-        raise DomainError("delta_alpha = 0 leaves an undefined (zero-norm) state")
-    chi, t, s, c_norm = _hhg_scalars(p)
+    chi, t, s, c_norm = _hhg_coefficients(p)
     if cutoff is None:
         cutoff = ModeCutoff(coherent_cutoff([p.alpha, p.alpha - p.delta_alpha]),
                             coherent_cutoff([chi]))
@@ -212,21 +224,21 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> Bipar
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-def hhg_pt_moments(p: HHGParams) -> tuple[float, float]:
+def hhg_pt_moments(p: HHGParams) -> tuple:
     """Closed-form (p2, p3) of the reduced driver/harmonic state."""
-    if p.delta_alpha == 0:
-        raise DomainError("delta_alpha = 0 leaves an undefined (zero-norm) state")
-    chi, _, s, c_norm = _hhg_scalars(p)
-    onemc = s  # 1 - C
-    da2 = p.delta_alpha ** 2
-    chi2 = chi ** 2
+    chi, _, onemc, c_norm = _hhg_coefficients(p)  # onemc = s = 1 - C
+    da2 = np.float_power(p.delta_alpha, 2)
+    chi2 = np.float_power(chi, 2)
     g2 = np.exp(-(da2 + chi2))
-    p2 = (1.0 - 2.0 * onemc * (2.0 - g2) + onemc ** 2 * (2.0 / g2 - 1.0)) / c_norm ** 2
+    sq = np.float_power(onemc, 2)
+    p2 = ((1.0 - 2.0 * onemc * (2.0 - g2) + sq * (2.0 / g2 - 1.0))
+          / np.float_power(c_norm, 2))
     p3 = (1.0 - 3.0 * onemc * (2.0 - g2)
-          + 3.0 * onemc ** 2 * (2.0 + g2 + np.exp(da2) - 2.0 * np.exp(-da2)
-                                + np.exp(chi2) - 2.0 * np.exp(-chi2))
-          - onemc ** 3 * (1.0 + 6.0 / g2 - 3.0 * np.exp(da2) - 3.0 * np.exp(chi2))) / c_norm ** 3
-    return float(p2), float(p3)
+          + 3.0 * sq * (2.0 + g2 + np.exp(da2) - 2.0 * np.exp(-da2)
+                        + np.exp(chi2) - 2.0 * np.exp(-chi2))
+          - np.float_power(onemc, 3) * (1.0 + 6.0 / g2 - 3.0 * np.exp(da2) - 3.0 * np.exp(chi2))
+          ) / np.float_power(c_norm, 3)
+    return _elementwise(p2, p3)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +249,8 @@ def hhg_pt_moments(p: HHGParams) -> tuple[float, float]:
 class NOONParams:
     """alpha |N, 0> + beta |0, N> with |alpha|^2 + |beta|^2 = 1.
 
-    N may be an integer array for ``lossy_noon_pt_moments``."""
+    N may be an integer array for ``lossy_noon_pt_moments``, and N, alpha
+    and beta arrays for ``noon_pt_moment``."""
 
     N: int
     alpha: complex
@@ -246,8 +259,8 @@ class NOONParams:
     def __post_init__(self):
         if (np.asarray(self.N) < 1).any():
             raise DomainError(f"N must be >= 1, got {self.N}")
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude fails this too
+        norm = np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2
+        if not (np.abs(norm - 1.0) <= 1e-12).all():  # a NaN amplitude fails this too
             raise DomainError(f"|alpha|^2 + |beta|^2 = {norm} must be 1")
 
     @classmethod
@@ -256,12 +269,14 @@ class NOONParams:
         return cls(N, a, a)
 
 
-def noon_pt_moment(p: NOONParams, n: int) -> float:
+def noon_pt_moment(p: NOONParams, n: int):
     """|alpha|^(2n) + |beta|^(2n) for odd n, (|alpha|^n + |beta|^n)^2 for even
-    n; independent of N."""
+    n; independent of N, whose shape it takes."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
-    return pure_state_pt_moment([abs(p.alpha) ** 2, abs(p.beta) ** 2], n)
+    lam = np.broadcast_arrays(np.float_power(np.abs(p.alpha), 2),
+                              np.float_power(np.abs(p.beta), 2), np.asarray(p.N))[:2]
+    return pure_state_pt_moment(np.stack(lam), n)
 
 
 @dataclass(frozen=True)
@@ -346,9 +361,7 @@ def lossy_noon_pt_moments(p: LossyNOONParams):
                              + a2 * np.float_power(1 - ta, 2 * N) * lb_n
                              + b2 * la_n * np.float_power(1 - tb, 2 * N))
           + b2 ** 3 * s3b)
-    if p2.ndim == 0:
-        return float(p2), float(p3)
-    return p2, p3
+    return _elementwise(p2, p3)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,83 @@ class TestReproduce:
         assert len(scalar_calls) <= most
 
 
+class TestGridTargetsEqualScalarCalls:
+    """Each elementwise grid target equals its rows rebuilt one grid point at
+    a time through the same public functions, called with scalars."""
+
+    @staticmethod
+    def rows(target, tmp_path):
+        assert run(["reproduce", target, "--out", str(tmp_path)]) == 0
+        return read_table(tmp_path / f"{target}.csv").rows
+
+    @staticmethod
+    def grid(lo, hi, step):
+        return np.round(np.arange(lo, hi + 1e-12, step), 10).tolist()
+
+    def test_fig2a(self, tmp_path):
+        from ptmoments import criteria, gaussian
+        expect = []
+        for nu1 in self.grid(0.2, 3.0, 0.04):
+            for nu2 in self.grid(0.2, 3.0, 0.04):
+                if nu1 * nu2 < 1.0 - 1e-12:
+                    continue
+                pair = gaussian.SymplecticPair(nu1, nu2)
+                p2 = gaussian.gaussian_pt_moment(pair, 2)
+                p3 = gaussian.gaussian_pt_moment(pair, 3)
+                lin, quad = gaussian.symplectic_p3_criteria(pair)
+                expect.append((nu1, nu2, p2, p3, gaussian.simon_test(pair).witness, lin.witness,
+                               quad.witness, p3 - criteria.optimal_threshold(p2)))
+        assert self.rows("fig2a", tmp_path) == expect
+
+    def test_fig2c(self, tmp_path):
+        from ptmoments import criteria, states
+        expect = []
+        for z in (0.0, 0.5, 0.9, 0.99):
+            boundary = states.cat_separability_radius(z) / math.sqrt(2.0)
+            for a in self.grid(0.01, 2.5, 0.01):
+                p2, p3 = states.cat_pt_moments(states.CatParams(a, a, z, "odd"))
+                expect.append((z, a, p2, p3, criteria.p3_linear(p2, p3).witness, boundary))
+        assert self.rows("fig2c", tmp_path) == expect
+
+    def test_fig2d(self, tmp_path):
+        from ptmoments import criteria, states
+        expect = []
+        for n_modes in range(2, 7):
+            for da in self.grid(0.05, 3.0, 0.025):
+                p2, p3 = states.hhg_pt_moments(states.HHGParams(3.0, da, n_modes))
+                expect.append((n_modes, n_modes - 1, da, p2, p3,
+                               criteria.p3_linear(p2, p3).witness))
+        assert self.rows("fig2d", tmp_path) == expect
+
+    def test_fig2e(self, tmp_path):
+        from ptmoments import states
+        expect = []
+        for n in range(1, 6):
+            for a in self.grid(0.0, 1.0, 0.005):
+                noon = states.NOONParams(n, a, math.sqrt(max(1.0 - a ** 2, 0.0)))
+                p3 = states.noon_pt_moment(noon, 3)
+                expect.append((n, a, p3, p3 - 1.0))
+        assert self.rows("fig2e", tmp_path) == expect
+
+    def test_fig5_and_its_crossings(self, tmp_path, capsys):
+        from ptmoments import criteria, gaussian
+        n_bar = (math.sqrt(2.0) - 1.0) / 2.0
+
+        def row(r):
+            pair = gaussian.tmsv_thermal_pt_pair(n_bar, r)
+            moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(pair, 7)))
+            return (r, pair.nu1, pair.nu2, *(criteria.hankel_test(moments, n).witness
+                                             for n in (3, 5, 7)),
+                    gaussian.simon_test(pair).witness)
+
+        assert self.rows("fig5", tmp_path) == [row(r) for r in self.grid(0.0, 0.6, 1e-3)]
+        printed = capsys.readouterr().out.splitlines()[:4]
+        for col, (name, line) in enumerate(zip(("hankel3", "hankel5", "hankel7", "simon"),
+                                               printed), start=3):
+            crossing = cli._bisect(lambda r: row(float(r))[col], 1e-4, 0.6, xtol=1e-10)
+            assert line == f"{name}: first detection at r = {crossing:.6f}"
+
+
 class TestRoundTrip:
     def test_csv_round_trip_is_idempotent(self, tmp_path):
         run(["reproduce", "fig2b", "--out", str(tmp_path)])
@@ -356,6 +433,25 @@ class TestRoundTrip:
         again = read_table(tmp_path / "np.json")
         assert again.rows == [(2, 0.5, True)]
 
+    def test_float_columns_keep_repr_text_per_bit_pattern(self, tmp_path):
+        # the writer formats a float column once per distinct value, keyed
+        # by bits: -0.0 and 0.0 compare equal, and NaN equals nothing
+        rng = np.random.default_rng(3)
+        column = ([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e300]
+                  + rng.standard_normal(200).tolist() + rng.choice([0.1, 1 / 3], 200).tolist())
+        mixed = [1, 1.0, True, "1.0", np.float64(-0.0)] * 4
+        table = Table({"target": "unit"}, ["x", "y"], [(x, mixed[i % len(mixed)])
+                                                       for i, x in enumerate(column)])
+        path = write_table(table, tmp_path / "t.csv")
+        cells = [line.split(",") for line in path.read_text().splitlines()[-len(column):]]
+        assert [c[0] for c in cells] == [repr(x) for x in column]
+        assert [c[1] for c in cells[:5]] == ["1", "1.0", "true", "1.0", "-0.0"]
+
+    def test_rows_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(Table({"target": "unit"}, ["a", "b"], [(1, 2.0), (3,)]),
+                        tmp_path / "t.csv")
+
     def test_inf_cells_survive(self, tmp_path):
         table = Table({"target": "unit"}, ["a", "b"], [(1, math.inf), (2, 0.5)])
         path = tmp_path / "t.csv"
@@ -381,7 +477,7 @@ estimation.full_simulation(states.LossyNOONParams.balanced(1, 0.8),
                            k_values=(10,))
 assert ptmoments.cli.main(["criteria", "--family", "noon", "--N", "2", "--alpha", "0.6"]) == 0
 with tempfile.TemporaryDirectory() as out:
-    for target in ("fig3a", "fig5"):
+    for target in ("fig2a", "fig2c", "fig2d", "fig2e", "fig3a", "fig5"):
         assert ptmoments.cli.main(["reproduce", target, "--out", out]) == 0
 print("LOADED", [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
 """

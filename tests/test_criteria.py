@@ -259,3 +259,51 @@ class TestSoundnessAndNesting:
             # demand propagation only for violations above float noise
             if hankel_test(ms, n).witness < -1e-12:
                 assert hankel_test(ms, n + 2).witness < 1e-15
+
+
+class TestElementwiseReports:
+    def test_batched_hankel_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(4)
+        lam = rng.uniform(-0.3, 1.0, (300, 6))
+        lam /= lam.sum(axis=1, keepdims=True)
+        lam = lam[np.sum(lam ** 2, axis=1) <= 1.0]
+        ms = np.sum(lam[:, None, :] ** np.arange(1, 8)[None, :, None], axis=2)
+        batch = PtMomentVector(tuple(ms.T))
+        for n in (3, 5, 7):
+            m = (n + 1) // 2
+            assert hankel_matrix(batch, n).shape == (len(ms), m, m)
+            report = hankel_test(batch, n)
+            one = [hankel_test(PtMomentVector(tuple(row)), n) for row in ms.tolist()]
+            assert report.witness.tolist() == [r.witness for r in one]
+            assert report.detected.tolist() == [r.detected for r in one]
+
+    @pytest.mark.parametrize("moments, error", [
+        ((1.0, [0.5, 0.4], [0.2, 0.9]), ValueError),
+        ((1.0, [0.5, 0.4], [0.2, math.nan]), DomainError),
+        (([1.0, 0.9], [0.5, 0.4]), ValueError),
+    ], ids=["growth", "nan", "p1"])
+    def test_moment_checks_apply_to_every_element(self, moments, error):
+        with pytest.raises(error):
+            PtMomentVector(tuple(np.broadcast_arrays(*map(np.asarray, moments))))
+
+    def test_reports_of_arrays_and_of_scalars(self):
+        p2, p3 = np.array([1.0, 0.5, 0.3]), np.array([0.25, 0.25, 0.2])
+        for test in (p3_linear, p3_quadratic, p3_optimal, simon_gaussian3):
+            report = test(p2, p3)
+            assert report.detected.dtype == bool
+            one = [test(a, b) for a, b in zip(p2.tolist(), p3.tolist())]
+            assert report.witness.tolist() == [r.witness for r in one]
+            assert np.broadcast_to(report.threshold, 3).tolist() == [r.threshold for r in one]
+            assert report.detected.tolist() == [r.detected for r in one]
+            assert type(one[0].witness) is float and type(one[0].detected) is bool
+        bounds = gaussian_physicality_bound(p2)
+        assert bounds.tolist() == [gaussian_physicality_bound(x) for x in p2.tolist()]
+        assert type(gaussian_physicality_bound(0.5)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, math.nan])
+    def test_one_bad_purity_refuses_the_gaussian_bounds(self, bad):
+        p2 = np.array([0.5, bad])
+        with pytest.raises(DomainError):
+            gaussian_physicality_bound(p2)
+        with pytest.raises(DomainError):
+            simon_gaussian3(p2, 0.2)

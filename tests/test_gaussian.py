@@ -193,3 +193,43 @@ class TestTmsvThermalFamily:
             assert p3_optimal(p2, p3).detected is expect
             assert p3_linear(p2, p3).detected is expect
             assert p3_quadratic(p2, p3).detected is expect
+
+
+class TestElementwise:
+    def test_pair_sorts_each_element_and_scalars_stay_floats(self):
+        pair = SymplecticPair(np.array([2.0, 0.5]), np.array([1.0, 3.0]))
+        assert pair.nu1.tolist() == [1.0, 0.5] and pair.nu2.tolist() == [2.0, 3.0]
+        scalar = SymplecticPair(np.float64(2.0), 1)
+        assert type(scalar.nu1) is float and type(scalar.nu2) is float
+        assert type(gaussian_pt_moment(scalar, 3)) is float
+        assert type(simon_test(scalar).witness) is float and simon_test(scalar).detected is False
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_one_bad_element_refuses_the_pair(self, bad):
+        with pytest.raises(DomainError):
+            SymplecticPair(np.array([1.0, bad]), 2.0)
+
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        nu1, nu2 = rng.uniform(0.05, 20.0, (2, 400))
+        pair = SymplecticPair(nu1, nu2)
+        moments = gaussian_pt_moments(pair, 7)
+        assert moments.shape == (7, 400)
+        lin, quad = symplectic_p3_criteria(pair)
+        simon = simon_test(pair)
+        for i, (a, b) in enumerate(zip(nu1.tolist(), nu2.tolist())):
+            one = SymplecticPair(a, b)
+            assert moments[:, i].tolist() == gaussian_pt_moments(one, 7).tolist()
+            l1, q1 = symplectic_p3_criteria(one)
+            assert (lin.witness[i], quad.witness[i], simon.witness[i]) == (
+                l1.witness, q1.witness, simon_test(one).witness)
+            assert (lin.detected[i], simon.detected[i]) == (l1.detected, simon_test(one).detected)
+
+    def test_thermal_pair_takes_arrays(self):
+        r = np.linspace(0.0, 2.0, 9)
+        pair = tmsv_thermal_pt_pair(0.3, r)
+        for i, x in enumerate(r.tolist()):
+            one = tmsv_thermal_pt_pair(0.3, x)
+            assert (pair.nu1[i], pair.nu2[i]) == (one.nu1, one.nu2)
+        with pytest.raises(DomainError):
+            tmsv_thermal_pt_pair(np.array([0.1, -0.2]), 0.3)

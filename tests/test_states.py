@@ -364,6 +364,55 @@ class TestLossyNOON:
         assert crossing == pytest.approx(0.805302, abs=1e-5)
 
 
+class TestElementwiseClosedForms:
+    """cat, hhg and noon closed forms on arrays equal their scalar calls."""
+
+    def test_cat(self):
+        rng = np.random.default_rng(8)
+        alpha = rng.uniform(-2.0, 2.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300)
+        beta, z = rng.uniform(0.0, 2.0, 300), rng.uniform(0.0, 1.0, 300)
+        for parity in ("even", "odd"):
+            p2, p3 = cat_pt_moments(CatParams(alpha, beta, z, parity))
+            ref = [cat_pt_moments(CatParams(a, b, c, parity))
+                   for a, b, c in zip(alpha.tolist(), beta.tolist(), z.tolist())]
+            assert list(zip(p2.tolist(), p3.tolist())) == ref
+            assert [type(m) for m in ref[0]] == [float, float]
+
+    def test_hhg(self):
+        rng = np.random.default_rng(9)
+        n = rng.integers(1, 9, 300)
+        alpha, da = rng.uniform(0.0, 4.0, 300), rng.uniform(0.01, 3.0, 300)
+        p2, p3 = hhg_pt_moments(HHGParams(alpha, da, n))
+        ref = [hhg_pt_moments(HHGParams(a, d, int(k)))
+               for a, d, k in zip(alpha.tolist(), da.tolist(), n)]
+        assert list(zip(p2.tolist(), p3.tolist())) == ref
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 7])
+    def test_noon(self, order):
+        rng = np.random.default_rng(order)
+        theta = rng.uniform(0.0, math.pi / 2, 300)
+        alpha, beta = np.cos(theta), np.sin(theta) * np.exp(1j * rng.uniform(0, 6, 300))
+        moments = noon_pt_moment(NOONParams(np.arange(1, 301), alpha, beta), order)
+        ref = [noon_pt_moment(NOONParams(1, a, b), order)
+               for a, b in zip(alpha.tolist(), beta.tolist())]
+        assert moments.tolist() == ref
+        assert noon_pt_moment(NOONParams(np.array([[1], [2]]), BAL, BAL), order).shape == (2, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: CatParams(np.array([1.0, math.nan]), 1.0, 0.5),
+        lambda: CatParams(1.0, 1.0, np.array([0.5, 1.5])),
+        lambda: CatParams(np.array([0.0, 1.0]), 0.0, np.array([0.0, 0.5])),
+        lambda: HHGParams(3.0, np.array([0.5, -0.1]), 2),
+        lambda: HHGParams(3.0, 0.5, np.array([2, 0])),
+        lambda: hhg_pt_moments(HHGParams(3.0, np.array([0.5, 0.0]), 2)),
+        lambda: NOONParams(np.array([1, 2]), np.array([0.6, 0.7]), 0.8),
+    ], ids=["cat-alpha", "cat-z", "cat-centered", "hhg-delta", "hhg-N", "hhg-zero-delta",
+            "noon-norm"])
+    def test_one_bad_element_refuses_the_call(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+
 class TestFockSuperposition:
     def test_normalization_required(self):
         with pytest.raises(DomainError):
