@@ -39,6 +39,10 @@ __all__ = [
 # an integer through rounding.
 _FLOOR_NUDGE = 1e-12
 
+# How far above 1 a purity may round on a pure state (the closed-form p2 of a
+# two-mode squeezed vacuum lands 1 ulp above); such a p2 is read as 1.
+_PURITY_SLACK = 4 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class PtMomentVector:
@@ -96,6 +100,7 @@ class CriterionReport:
     def from_witness(cls, criterion_id: str, witness, threshold=0.0,
                      gaussian_only: bool = False) -> "CriterionReport":
         witness = np.asarray(witness, dtype=float)
+        _require_finite(witness=witness)
         if witness.ndim == 0:
             witness, threshold = float(witness), float(threshold)
         return cls(criterion_id, witness, threshold, detected=witness < 0,
@@ -163,11 +168,12 @@ def p3_quadratic(p2: float, p3: float) -> CriterionReport:
 
 
 def _purity(p2) -> np.ndarray:
-    """p2 as an array, every element checked to lie in (0, 1]."""
+    """p2 as an array, every element checked to lie in (0, 1]; up to
+    _PURITY_SLACK above 1 is taken as rounding and read as 1."""
     p2 = np.asarray(p2, dtype=float)
-    if not ((p2 > 0.0) & (p2 <= 1.0)).all():
+    if not ((p2 > 0.0) & (p2 <= 1.0 + _PURITY_SLACK)).all():
         raise DomainError(f"p2 must lie in (0, 1], got {p2}")
-    return p2
+    return np.minimum(p2, 1.0)
 
 
 def optimal_threshold(p2):

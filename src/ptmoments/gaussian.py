@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -131,13 +132,17 @@ def simon_test(pair: SymplecticPair) -> CriterionReport:
 
 def gaussian_pt_moment(pair: SymplecticPair, n: int):
     """n-th PT-moment of a Gaussian state from its PT symplectic eigenvalues:
-    product over j of 2^n / ((nu_j + 1)^n - (nu_j - 1)^n).  n = 1 returns 1."""
+    product over j of 2^n / ((nu_j + 1)^n - (nu_j - 1)^n).
+
+    The difference is summed as its odd binomial terms,
+    2 sum_(k odd) C(n, k) nu^(n-k), which are all positive, so each factor
+    is 2^(n-1) / sum_(k odd) C(n, k) nu^(n-k): nothing cancels at small or
+    large nu.  n = 1 gives 1."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
-    if n == 1:
-        return np.ones_like(pair.nu1) if np.ndim(pair.nu1) else 1.0
     # float_power calls the C library's pow, as float ** does
-    t1, t2 = (2.0 ** n / (np.float_power(nu + 1.0, n) - np.float_power(nu - 1.0, n))
+    t1, t2 = (2.0 ** (n - 1) / sum(comb(n, k) * np.float_power(nu, n - k)
+                                   for k in range(1, n + 1, 2))
               for nu in (pair.nu1, pair.nu2))
     return float(t1 * t2) if np.ndim(t1) == 0 else t1 * t2
 

@@ -44,6 +44,13 @@ class TestCriteriaCommand:
     def test_detection_is_not_an_error(self, capsys):
         assert run(["criteria", "--p2", "1", "--p3", "0.1"]) == 0
 
+    @pytest.mark.parametrize("r", ["0.17", "1.25", "9", "20"])
+    def test_pure_tmsv_at_any_squeezing(self, r, capsys):
+        # p2 used to round above 1 (refused) or divide by zero (a traceback)
+        assert run(["criteria", "--family", "tmsv", "--r", r]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and out.count("ENTANGLED") == 9
+
 
 class TestPackageErrors:
     @pytest.mark.parametrize("argv", [

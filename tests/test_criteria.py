@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmoments.criteria import (
+    CriterionReport,
     PtMomentVector,
     descartes_test,
     gaussian_physicality_bound,
@@ -307,3 +308,25 @@ class TestElementwiseReports:
             gaussian_physicality_bound(p2)
         with pytest.raises(DomainError):
             simon_gaussian3(p2, 0.2)
+
+
+class TestPurityRounding:
+    def test_purity_a_few_ulps_above_one_reads_as_one(self):
+        eps = np.finfo(float).eps
+        for p2 in (1.0 + eps, 1.0 + 4 * eps):
+            assert optimal_threshold(p2) == optimal_threshold(1.0)
+            assert simon_gaussian3(p2, 0.5).witness == simon_gaussian3(1.0, 0.5).witness
+            assert gaussian_physicality_bound(p2) == 1.0
+            assert p3_optimal(np.array([0.5, p2]), 0.2).witness[1] == p3_optimal(1.0, 0.2).witness
+
+    @pytest.mark.parametrize("p2", [1.0 + 8 * np.finfo(float).eps, 1.0 + 1e-12])
+    def test_purity_further_above_one_is_refused(self, p2):
+        for test in (optimal_threshold, gaussian_physicality_bound,
+                     lambda x: simon_gaussian3(x, 0.5)):
+            with pytest.raises(DomainError):
+                test(p2)
+
+    @pytest.mark.parametrize("witness", [math.nan, -math.inf, np.array([0.1, math.nan])])
+    def test_non_finite_witness_is_refused_not_a_verdict(self, witness):
+        with pytest.raises(DomainError):
+            CriterionReport.from_witness("unit", witness)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ptmoments.criteria import p3_linear, p3_quadratic, p3_optimal
+from ptmoments.criteria import (gaussian_physicality_bound, optimal_threshold, p3_linear,
+                                p3_optimal, p3_quadratic, simon_gaussian3)
 from ptmoments.errors import DomainError, SymmetryError
 from ptmoments.fock import pt_moments
 from ptmoments.gaussian import (
@@ -233,3 +235,28 @@ class TestElementwise:
             assert (pair.nu1[i], pair.nu2[i]) == (one.nu1, one.nu2)
         with pytest.raises(DomainError):
             tmsv_thermal_pt_pair(np.array([0.1, -0.2]), 0.3)
+
+
+class TestCancellationFree:
+    def test_moments_within_four_ulps_of_exact(self):
+        # (nu + 1)^n - (nu - 1)^n cancels at small and at large nu; the sum of
+        # its positive odd binomial terms does not
+        nus = np.logspace(-8, 8, 97).tolist()
+        for n in range(2, 8):
+            for i, nu in enumerate(nus):
+                pair = (nu, nus[(7 * i + 3) % len(nus)])
+                exact = Fraction(1)
+                for x in map(Fraction, pair):
+                    exact *= Fraction(2) ** n / ((x + 1) ** n - (x - 1) ** n)
+                got = gaussian_pt_moment(SymplecticPair(*pair), n)
+                assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact))), (n, pair)
+
+    def test_pure_tmsv_is_pure_and_every_test_takes_it(self):
+        r = np.round(np.arange(0.0, 20.0 + 1e-9, 0.01), 10)
+        pair = tmsv_thermal_pt_pair(0.0, r)
+        p2, p3 = gaussian_pt_moment(pair, 2), gaussian_pt_moment(pair, 3)
+        assert np.abs(p2 - 1.0).max() <= 1e-15
+        assert np.abs(optimal_threshold(p2) - 1.0).max() <= 2e-15
+        assert np.abs(gaussian_physicality_bound(p2) - 1.0).max() <= 2e-15
+        assert simon_gaussian3(p2, p3).detected[1:].all()
+        assert p3_optimal(p2, p3).detected[1:].all() and not p3_optimal(p2, p3).detected[0]
