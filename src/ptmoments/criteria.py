@@ -8,7 +8,9 @@ entanglement in every report.
 
 Every test is elementwise: array moments (a ``PtMomentVector`` of one array
 per order, checked element by element) give reports of arrays, and scalars
-give floats and bools.
+give floats and bools.  Powers go through np.float_power, which calls the C
+library's pow as float ** does (np.power's SIMD loop can differ from it in
+the last bit), so each element has the bits of its scalar evaluation.
 """
 
 from __future__ import annotations
@@ -182,14 +184,11 @@ def optimal_threshold(p2):
     Minimizes the third power sum over non-negative spectra with unit trace
     and fixed second power sum: with a = floor(1/p2) the minimizer has a
     equal weights u and one remainder 1 - a*u.  Reduces to the linear bound
-    (3 p2 - 1)/2 on 1/2 < p2 <= 1.  One elementwise formula: an array gives
-    an array of its shape, a float (or any zero-dimensional input) a float.
+    (3 p2 - 1)/2 on 1/2 < p2 <= 1.
     """
     p2 = _purity(p2)
     a = np.maximum(np.floor(1.0 / p2 + _FLOOR_NUDGE), 1.0)
     u = (a + np.sqrt(np.maximum(a * (p2 * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
-    # float_power calls the C library's pow, as float ** does; np.power's
-    # SIMD loop can differ from it in the last bit
     thr = a * np.float_power(u, 3) + np.float_power(1.0 - a * u, 3)
     return float(thr) if thr.ndim == 0 else thr
 

@@ -10,8 +10,9 @@ two eigenvalues in closed form.
 The closed forms are elementwise: a ``SymplecticPair`` may hold arrays of
 eigenvalues, and ``gaussian_pt_moment(s)``, ``simon_test``,
 ``symplectic_p3_criteria`` and ``tmsv_thermal_pt_pair`` then give arrays (or
-reports of arrays) of their shape, each element with the bits of its scalar
-evaluation; scalars still give floats.
+reports of arrays) of their shape; scalars still give floats.  Powers go
+through np.float_power, as in ``criteria``, so each element has the bits of
+its scalar evaluation.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ def gaussian_pt_moment(pair: SymplecticPair, n: int):
     large nu.  n = 1 gives 1."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
-    # float_power calls the C library's pow, as float ** does
     t1, t2 = (2.0 ** (n - 1) / sum(comb(n, k) * np.float_power(nu, n - k)
                                    for k in range(1, n + 1, 2))
               for nu in (pair.nu1, pair.nu2))

@@ -249,8 +249,7 @@ def hhg_pt_moments(p: HHGParams) -> tuple:
 class NOONParams:
     """alpha |N, 0> + beta |0, N> with |alpha|^2 + |beta|^2 = 1.
 
-    N may be an integer array for ``lossy_noon_pt_moments``, and N, alpha
-    and beta arrays for ``noon_pt_moment``."""
+    N, alpha and beta may be arrays (alpha and beta for ``noon_pt_moment``)."""
 
     N: int
     alpha: complex
@@ -271,11 +270,10 @@ class NOONParams:
 
 def noon_pt_moment(p: NOONParams, n: int):
     """|alpha|^(2n) + |beta|^(2n) for odd n, (|alpha|^n + |beta|^n)^2 for even
-    n; independent of N, whose shape it takes."""
+    n; independent of N."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
-    lam = np.broadcast_arrays(np.float_power(np.abs(p.alpha), 2),
-                              np.float_power(np.abs(p.beta), 2), np.asarray(p.N))[:2]
+    lam = np.broadcast_arrays(*(np.float_power(np.abs(x), 2) for x in (p.alpha, p.beta)))
     return pure_state_pt_moment(np.stack(lam), n)
 
 
@@ -341,13 +339,7 @@ def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams):
-    """Closed-form (p2, p3) of the lossy NOON state (identical copies).
-
-    One elementwise formula: N, tau_a and tau_b may be arrays, which
-    broadcast, and give arrays of their shape; scalars give floats.  Powers
-    go through np.float_power, which calls the C library's pow as float **
-    does, so every element has the bits of the scalar evaluation.
-    """
+    """Closed-form (p2, p3) of the lossy NOON state (identical copies)."""
     N, ta, tb = np.broadcast_arrays(np.asarray(p.noon.N), np.asarray(p.tau_a, dtype=float),
                                     np.asarray(p.tau_b, dtype=float))
     a2, b2 = abs(p.noon.alpha) ** 2, abs(p.noon.beta) ** 2

@@ -396,7 +396,7 @@ class TestElementwiseClosedForms:
         ref = [noon_pt_moment(NOONParams(1, a, b), order)
                for a, b in zip(alpha.tolist(), beta.tolist())]
         assert moments.tolist() == ref
-        assert noon_pt_moment(NOONParams(np.array([[1], [2]]), BAL, BAL), order).shape == (2, 1)
+        assert noon_pt_moment(NOONParams(1, np.full((2, 1), BAL), BAL), order).shape == (2, 1)
 
     @pytest.mark.parametrize("build", [
         lambda: CatParams(np.array([1.0, math.nan]), 1.0, 0.5),
