@@ -364,6 +364,15 @@ class TestGridTargetsEqualScalarCalls:
                                quad.witness, p3 - criteria.optimal_threshold(p2)))
         assert self.rows("fig2a", tmp_path) == expect
 
+    def test_fig2b(self, tmp_path):
+        from ptmoments import criteria
+        expect = [(p2, criteria.p3_linear(p2, 0.0).threshold,
+                   criteria.p3_quadratic(p2, 0.0).threshold, criteria.optimal_threshold(p2),
+                   criteria.simon_gaussian3(p2, 0.0).threshold,
+                   criteria.gaussian_physicality_bound(p2))
+                  for p2 in self.grid(0.02, 1.0, 0.0025)]
+        assert self.rows("fig2b", tmp_path) == expect
+
     def test_fig2c(self, tmp_path):
         from ptmoments import criteria, states
         expect = []
