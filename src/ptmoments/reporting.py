@@ -52,7 +52,7 @@ def _column_cells(column) -> list:
 
 # The CSV is formatted a block of rows at a time, column by column: every
 # cell of a block is held until its rows are joined, so the block bounds
-# that memory (a 22,326-row table read 1.6 MB more peak RSS unblocked).
+# that memory (unblocked, a 22,326-row table read 6.7 MB more peak RSS).
 _BLOCK_ROWS = 1024
 
 
