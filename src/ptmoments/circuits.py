@@ -5,12 +5,13 @@ party and counting photons on output modes 2..n yields an outcome
 distribution whose root-of-unity expectation is the n-th PT-moment.
 ``outcome_distribution``, the module's one passive-evolution engine, evolves
 each party's product of copies through that DFT one photon-number sector at
-a time and returns the exact distribution on its support
-(``OutcomeDistribution``), or refuses a readout over a fixed cost budget
-with BudgetError.  ``value_law`` gives the law of the readout value alone,
-from cycle traces of the copies' partial transposes, with no evolution.
-The pure-loss channel, ``lossy_channel``, applies closed-form Kraus
-operators.
+a time, one choice of pure components per orbit of the cyclic shifts that
+map the copies onto the same objects, and returns the exact distribution on
+its support (``OutcomeDistribution``), or refuses a readout over a fixed cost
+budget with BudgetError.  ``value_law`` gives the law of the readout value
+alone, from cycle traces of the copies' partial transposes, with no
+evolution.  The pure-loss channel, ``lossy_channel``, applies its
+closed-form Kraus operators in one contraction.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -161,30 +162,26 @@ def elements_to_matrix(elements, n: int) -> np.ndarray:
 # Pure-loss channel
 # ---------------------------------------------------------------------------
 
-def loss_kraus(d: int, tau: float) -> list[np.ndarray]:
-    """Kraus operators of the pure-loss channel on a d-level mode, e = 0..d-1
-    photons lost: K_e = sum_m sqrt(C(m, e) tau^(m-e) (1-tau)^e) |m-e><m|."""
+def loss_kraus(d: int, tau: float) -> np.ndarray:
+    """Kraus operators of the pure-loss channel on a d-level mode, stacked
+    along the first axis over e = 0..d-1 photons lost:
+    K_e = sum_m sqrt(C(m, e) tau^(m-e) (1-tau)^e) |m-e><m|."""
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
     k = np.zeros((d, d, d), dtype=complex)
     for m in range(d):
         for e in range(m + 1):
             k[e, m - e, m] = sqrt(comb(m, e) * tau ** (m - e) * (1.0 - tau) ** e)
-    return list(k)
+    return k
 
 
 def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str) -> BipartiteDensityOperator:
     """Pure-loss channel of transmissivity tau on mode "a" or "b"."""
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    d = rho.d_a if mode == "a" else rho.d_b
-    tens = rho.as_tensor()
-    out = np.zeros_like(tens)
-    for k in loss_kraus(d, tau):
-        if mode == "a":
-            out += np.einsum("ai,ijkl,ck->ajcl", k, tens, k.conj())
-        else:
-            out += np.einsum("bj,ijkl,dl->ibkd", k, tens, k.conj())
+    k = loss_kraus(rho.d_a if mode == "a" else rho.d_b, tau)
+    spec = "eai,ijkl,eck->ajcl" if mode == "a" else "ebj,ijkl,edl->ibkd"
+    out = np.einsum(spec, k, rho.as_tensor(), k.conj(), optimize=True)
     return BipartiteDensityOperator._adopt(rho.cutoff, out.reshape(rho.cutoff.dim, rho.cutoff.dim))
 
 
@@ -200,7 +197,7 @@ _OUTCOME_FLOOR = 1e-14
 # Eigen-weight floor per pure component and per product of components.
 _WEIGHT_FLOOR = 1e-13
 # Largest readout outcome_distribution accepts, in counted units: the Gram
-# entries of all kept component choices, the output cells, the sector-block
+# entries of the evolved component choices, the output cells, the sector-block
 # entries and the multiply-adds of the Gram products.
 _READOUT_BUDGET = 1e8
 # Array entries the Grams and amplitudes of one chunk of component choices may
@@ -508,8 +505,8 @@ def _box_counts(dims) -> list:
 
 def _readout_cost(dims, widths) -> tuple[int, int]:
     """Array entries and multiply-adds of a readout of copies with trimmed
-    cutoffs ``dims`` (one tuple per party) whose kept component choices have
-    batch widths ``widths``: the entries are the Grams of all choices,
+    cutoffs ``dims`` (one tuple per party) whose evolved component choices
+    have batch widths ``widths``: the entries are the Grams of those choices,
     sum B^2 (rest_a + rest_b), the rest_a rest_b output cells and the sector
     blocks the party plans build, sum over totals N of C(N+n-1, n-1) rows
     times the box cells of total N, once per distinct plan; the multiply-adds
@@ -567,7 +564,11 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     say); this is exact.  A party's output cutoff d_out is one plus the sum
     of its copies' trimmed cutoffs minus one each, which bounds the photons
     it carries.  Each copy then splits into pure components, and each
-    component into Schmidt branches.  For one choice of component per copy,
+    component into Schmidt branches.  A cyclic shift c -> c+q of the copies
+    changes only the output phases, so if every copy c is the same object as
+    copy c+q, only the least rotation by such shifts of each choice of
+    component indices is evolved, its weight times its orbit size; distinct
+    objects are never merged.  For one choice of component per copy,
     all branch combinations form one batched product on the box of trimmed
     input cells, which the DFT evolves photon-number sector by sector
     through cached blocks built only on the box's columns;
@@ -581,7 +582,7 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     Before any evolution the cost is counted, with B = prod r_c the batch
     width of a choice of Schmidt ranks r_c and rest_a, rest_b the numbers of
     cells of modes 2..n with total below d_out: the Gram entries sum
-    B^2 (rest_a + rest_b) over kept choices, the rest_a rest_b output cells,
+    B^2 (rest_a + rest_b) over evolved choices, the rest_a rest_b output cells,
     the sector-block entries the party plans build (each sector's rows
     times its box columns), and the Gram products' multiply-adds
     sum B^2 rest_a rest_b.  A readout whose entries and multiply-adds sum to
@@ -600,12 +601,16 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
             decomposed[id(c)] = _components(c, index)
     comps, *dims = zip(*(decomposed[id(c)] for c in copies))
 
+    # one choice per orbit of the cyclic shifts that map each copy onto itself
+    shifts = [q for q in range(n) if all(c is copies[(i + q) % n] for i, c in enumerate(copies))]
     kept = []
-    for choice in product(*comps):
+    for index in product(*(range(len(comp)) for comp in comps)):
+        choice = [comp[k] for comp, k in zip(comps, index)]
         weight = prod(w for w, _ in choice)
-        if weight >= _WEIGHT_FLOOR:
+        orbit = {index[q:] + index[:q] for q in shifts}
+        if weight >= _WEIGHT_FLOOR and index == min(orbit):
             facs = [fac for _, fac in choice]
-            kept.append((weight, facs, prod(a.shape[1] for a, _ in facs)))
+            kept.append((weight * len(orbit), facs, prod(a.shape[1] for a, _ in facs)))
     d_out_a, d_out_b = (sum(side) - n + 1 for side in dims)
     rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
     entries, madds = _readout_cost(dims, [width for _, _, width in kept])

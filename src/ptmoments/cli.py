@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -379,8 +380,9 @@ def _fig7(args):
             w_l, w_q = estimation.witness_estimators(e2, e3, k)
             w_opt = estimation._optimal_witness_from_estimates(e2.real, e3)
             for name, sampled, mean_a, std_a in (
-                    ("linear", w_l.real, p3 - (3 * p2 - 1) / 2, math.sqrt(var_l)),
-                    ("quadratic", w_q.real, p3 - p2 ** 2, math.sqrt(var_q)),
+                    ("linear", w_l.real, criteria.p3_linear(p2, p3).witness, math.sqrt(var_l)),
+                    ("quadratic", w_q.real, criteria.p3_quadratic(p2, p3).witness,
+                     math.sqrt(var_q)),
                     ("optimal", w_opt, p3 - criteria.optimal_threshold(p2), math.sqrt(var_l))):
                 rows.append((tau, k, name, float(np.mean(sampled)),
                              float(np.std(sampled, ddof=1)), mean_a, std_a))
@@ -469,6 +471,7 @@ def _refuse_unread(args) -> None:
         raise DomainError(f"{cmd} {key} does not read {', '.join(unread)}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptmoments",

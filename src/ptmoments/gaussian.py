@@ -98,8 +98,8 @@ class SymplecticPair:
         if not np.isfinite(nus).all():
             raise DomainError(f"symplectic eigenvalues must be finite, got {nus}")
         lo, hi = np.minimum(*nus), np.maximum(*nus)
-        if (lo < 0).any():
-            raise DomainError(f"symplectic eigenvalues must be >= 0, got {lo}")
+        if (lo <= 0).any():
+            raise DomainError(f"symplectic eigenvalues must be > 0, got {lo}")
         if lo.ndim == 0:
             lo, hi = float(lo), float(hi)
         object.__setattr__(self, "nu1", lo)

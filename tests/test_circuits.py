@@ -410,9 +410,10 @@ class TestOutcomeDistribution:
         circuits._party_plan.cache_clear()
         outcome_distribution([rho] * 3, 3)
         # each copy is the vacuum (Schmidt rank 1) mixed with the Bell state
-        # (rank 2), so the 8 choices have widths 1, 2 (3 choices), 4 (3) and
-        # 8; all choices of one width are evolved together, once per party
-        assert sorted(calls) == [1, 1, 2 * 3, 2 * 3, 8, 8, 4 * 3, 4 * 3]
+        # (rank 2); of the 8 choices one per cyclic orbit is evolved, of
+        # widths 1, 2, 4 and 8, and all choices of one width are evolved
+        # together, once per party
+        assert sorted(calls) == [1, 1, 2, 2, 4, 4, 8, 8]
         # both parties keep cutoffs (2, 2, 2) after the empty level is
         # trimmed: one plan
         assert [key for key in circuits._cache if key[0] == "_party_plan"] == [
@@ -433,13 +434,16 @@ class TestOutcomeDistribution:
         monkeypatch.setattr(circuits, "_readout_cost",
                             lambda *args: counted.append(cost(*args)) or counted[-1])
         monkeypatch.setattr(circuits, "_evolve_sectors", lambda *args: calls.append(1))
-        with pytest.raises(BudgetError, match=r"needs 7\.74e\+08 .* and 7\.35e\+10 Gram "
-                                              r"multiply-adds .* budget of 1e\+08"):
+        with pytest.raises(BudgetError, match=r"needs 2\.56e\+08 .* and 2\.43e\+10 Gram "
+                                              r"multiply-adds over 92 component choices, "
+                                              r".* budget of 1e\+08"):
             outcome_distribution([lossy] * 3, 3)
         assert calls == []
-        # the sector blocks count the box columns the plans build (the full
-        # sectors, squared, would add 138,411 entries)
-        assert counted == [(774_069_523, 73_531_187_500)]
+        # the cost counts the 92 choices evolved, one per cyclic orbit of the
+        # 272 that clear the weight floor; the sector blocks count the box
+        # columns the plans build (the full sectors, squared, would add
+        # 138,411 entries)
+        assert counted == [(256_196_023, 24_333_205_000)]
 
     def test_lossless_two_copy_has_even_totals_only(self):
         rho = lossy_noon_density(LossyNOONParams.balanced(1, 1.0), ModeCutoff(2, 2))
@@ -587,6 +591,70 @@ def readout_benchmark_cases():
     lossy = lossy_channel(lossy_channel(cat, 0.8, "a"), 0.8, "b")
     cases.append(pytest.param([lossy] * 2, id="lossycat_n2"))
     return cases
+
+
+def distinct_objects(copies):
+    """The copies as distinct objects with equal matrices, which the readout
+    engine does not recognise as identical."""
+    return [BipartiteDensityOperator(c.cutoff, c.matrix) for c in copies]
+
+
+def evolved_choices(monkeypatch, copies) -> int:
+    """Component choices the readout of ``copies`` evolves, as its cost
+    counts them."""
+    counted = []
+    cost = circuits._readout_cost
+    monkeypatch.setattr(circuits, "_readout_cost",
+                        lambda dims, widths: counted.append(len(widths)) or cost(dims, widths))
+    outcome_distribution(copies)
+    return counted[-1]
+
+
+class TestCyclicOrbits:
+    """A cyclic shift of identical copies changes only the output phases, so
+    the engine evolves one component choice per orbit of the shifts that map
+    every copy onto the same object."""
+
+    @pytest.mark.parametrize("copies", readout_benchmark_cases())
+    def test_orbits_equal_all_choices(self, copies):
+        orbits = outcome_distribution(copies)
+        every = outcome_distribution(distinct_objects(copies))
+        np.testing.assert_array_equal(orbits.cells, every.cells)
+        np.testing.assert_allclose(orbits.probs, every.probs, rtol=0, atol=1e-15)
+
+    def test_period_two_pattern(self, monkeypatch):
+        a, b = (lossy_noon_density(LossyNOONParams.balanced(1, tau)) for tau in (0.9, 0.6))
+        orbits = outcome_distribution([a, b, a, b])
+        every = outcome_distribution(distinct_objects([a, b, a, b]))
+        np.testing.assert_array_equal(orbits.cells, every.cells)
+        np.testing.assert_allclose(orbits.probs, every.probs, rtol=0, atol=1e-15)
+        # only the shift by 2 maps the copies onto themselves: 4 of the 16
+        # choices are fixed by it and the other 12 pair up
+        assert evolved_choices(monkeypatch, [a, b, a, b]) == 4 + 12 // 2
+        assert evolved_choices(monkeypatch, distinct_objects([a, b, a, b])) == 16
+
+    @pytest.mark.parametrize("n, necklaces", [(2, 3), (3, 4), (4, 6), (5, 8)])
+    def test_one_choice_per_necklace(self, monkeypatch, n, necklaces):
+        # lossy N=1 NOON has two components, so the choices are the 2^n binary
+        # words and their orbits the binary necklaces of length n
+        rho = lossy_noon_density(LossyNOONParams.balanced(1, 0.75))
+        assert evolved_choices(monkeypatch, [rho] * n) == necklaces
+        assert evolved_choices(monkeypatch, distinct_objects([rho] * n)) == 2 ** n
+
+    def test_unequal_copies_evolve_every_choice_bit_for_bit(self):
+        # the probabilities of the engine that evolves every choice with its
+        # own weight, as float.hex, in the order of ``cells``
+        copies = [lossy_noon_density(LossyNOONParams.balanced(1, tau)) for tau in (0.9, 0.75, 0.6)]
+        pinned = [
+            "0x1.f5c28f5c28f58p-3", "0x1.851eb851eb84ep-5", "0x1.9999999999996p-6",
+            "0x1.70a3d70a3d706p-7", "0x1.851eb851eb84ep-5", "0x1.7ae147ae147acp-5",
+            "0x1.9999999999996p-6", "0x1.70a3d70a3d707p-7", "0x1.851eb851eb84dp-5",
+            "0x1.9999999999994p-5", "0x1.147ae147ae146p-5", "0x1.7ae147ae147abp-5",
+            "0x1.9999999999996p-6", "0x1.147ae147ae145p-5", "0x1.70a3d70a3d705p-7",
+            "0x1.851eb851eb84ep-5", "0x1.7ae147ae147acp-5", "0x1.9999999999996p-5",
+            "0x1.147ae147ae147p-5", "0x1.7ae147ae147abp-5", "0x1.9999999999996p-6",
+            "0x1.147ae147ae146p-5", "0x1.70a3d70a3d707p-7"]
+        assert [p.hex() for p in outcome_distribution(copies).probs.tolist()] == pinned
 
 
 def reference_law(copies, reverse=False):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,15 @@ class TestGaussianMoments:
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             gaussian_pt_moment(SymplecticPair(1.0, 1.0), 0)
+
+    @pytest.mark.parametrize("nus", [(0.0, 2.0), (2.0, -0.0), (np.array([1.0, 0.0]), 2.0)])
+    def test_zero_eigenvalue_refused_before_any_moment(self, nus):
+        # p_n of even order divides by nu1 nu2: a zero must raise DomainError
+        # at construction, never reach gaussian_pt_moment as a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="must be > 0"):
+                gaussian_pt_moment(SymplecticPair(*nus), 2)
 
 
 class TestSymplecticThirdOrder:
