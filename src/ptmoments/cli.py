@@ -379,13 +379,12 @@ def _fig7(args):
             var_l, var_q = estimation.witness_variances(p2, p3, k)
             w_l, w_q = estimation.witness_estimators(e2, e3, k)
             w_opt = estimation._optimal_witness_from_estimates(e2.real, e3)
-            for name, sampled, mean_a, std_a in (
-                    ("linear", w_l.real, criteria.p3_linear(p2, p3).witness, math.sqrt(var_l)),
-                    ("quadratic", w_q.real, criteria.p3_quadratic(p2, p3).witness,
-                     math.sqrt(var_q)),
-                    ("optimal", w_opt, p3 - criteria.optimal_threshold(p2), math.sqrt(var_l))):
-                rows.append((tau, k, name, float(np.mean(sampled)),
-                             float(np.std(sampled, ddof=1)), mean_a, std_a))
+            for name, sampled, test, var_a in (
+                    ("linear", w_l.real, criteria.p3_linear, var_l),
+                    ("quadratic", w_q.real, criteria.p3_quadratic, var_q),
+                    ("optimal", w_opt, criteria.p3_optimal, var_l)):
+                rows.append((tau, k, name, float(np.mean(sampled)), float(np.std(sampled, ddof=1)),
+                             test(p2, p3).witness, math.sqrt(var_a)))
     _emit(args, "fig7", ["tau", "k", "criterion", "mean", "std", "analytic_mean",
                          "analytic_std"], rows, repetitions=reps,
           note="analytic_std of the optimal criterion uses the linear model bound")
