@@ -38,15 +38,16 @@ def _provenance(args, target: str, **extra) -> dict:
     return prov
 
 
-def _emit(args, target: str, columns, rows, **extra) -> None:
-    """Write a table: a reproduce target to <outdir>/<target>.<format>, with
-    its row count on stdout; the result of criteria or sample to the file
-    --out (CSV by default)."""
-    table = Table(_provenance(args, target, **extra), list(columns), rows)
+def _emit(args, target: str, columns, data, **extra) -> None:
+    """Write a table of named columns, one array or sequence each in ``data``:
+    a reproduce target to <outdir>/<target>.<format>, with its row count on
+    stdout; the result of criteria or sample to the file --out (CSV by
+    default)."""
+    table = Table(_provenance(args, target, **extra), list(columns), data)
     if args.command == "reproduce":
         outdir = args.out or os.environ.get("PTMOMENTS_OUTDIR", "out")
         path, fmt = os.path.join(outdir, f"{target}.{args.format}"), args.format
-        count = f" ({len(rows)} rows)"
+        count = f" ({table.n_rows} rows)"
     else:
         path, fmt, count = args.out, args.format or "csv", ""
     print(f"wrote {write_table(table, path, fmt=fmt)}{count}")
@@ -136,7 +137,7 @@ def cmd_criteria(args) -> int:
         rows.append((r.criterion_id, r.witness, r.threshold, r.detected, r.gaussian_only))
     if args.out:
         _emit(args, "criteria", ["criterion", "witness", "threshold", "detected",
-                                 "gaussian_only"], rows, p2=p2, p3=p3)
+                                 "gaussian_only"], zip(*rows), p2=p2, p3=p3)
     return 0
 
 
@@ -179,19 +180,14 @@ def cmd_sample(args) -> int:
           f"   std error = {result.std_error:.6g}")
     if args.out:
         _emit(args, "sample", ["mean", "variance", "std_error", "k", "repetitions"],
-              [(result.mean, result.variance, result.std_error, result.k,
-                result.repetitions)], family=args.family, n=args.copies, exact=exact)
+              [[result.mean], [result.variance], [result.std_error], [result.k],
+               [result.repetitions]], family=args.family, n=args.copies, exact=exact)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # reproduce targets
 # ---------------------------------------------------------------------------
-
-def _columns(*columns) -> list:
-    """Rows of a table from its columns, each an array or a list."""
-    return list(zip(*(np.asarray(c).tolist() for c in columns)))
-
 
 def _fig2a(args):
     grid = np.round(np.arange(0.2, 3.0 + 1e-12, 0.04), 10)
@@ -200,22 +196,21 @@ def _fig2a(args):
     pair = gaussian.SymplecticPair(nu1[keep], nu2[keep])
     p2, p3 = gaussian.gaussian_pt_moment(pair, 2), gaussian.gaussian_pt_moment(pair, 3)
     lin, quad = gaussian.symplectic_p3_criteria(pair)
-    rows = _columns(nu1[keep], nu2[keep], p2, p3, gaussian.simon_test(pair).witness,
-                    lin.witness, quad.witness, p3 - criteria.optimal_threshold(p2))
     _emit(args, "fig2a", ["nu1", "nu2", "p2", "p3", "w_simon", "w_linear",
-                          "w_quadratic", "w_optimal"], rows,
+                          "w_quadratic", "w_optimal"],
+          [nu1[keep], nu2[keep], p2, p3, gaussian.simon_test(pair).witness, lin.witness,
+           quad.witness, p3 - criteria.optimal_threshold(p2)],
           grid={"lo": 0.2, "hi": 3.0, "step": 0.04})
 
 
 def _fig2b(args):
     p2 = np.round(np.arange(0.02, 1.0 + 1e-12, 0.0025), 10)
-    rows = _columns(p2, criteria.p3_linear(p2, 0.0).threshold,
-                    criteria.p3_quadratic(p2, 0.0).threshold, criteria.optimal_threshold(p2),
-                    criteria.simon_gaussian3(p2, 0.0).threshold,
-                    criteria.gaussian_physicality_bound(p2))
     _emit(args, "fig2b", ["p2", "linear_threshold", "quadratic_threshold",
                           "optimal_threshold", "gaussian_simon_threshold",
-                          "gaussian_physicality_bound"], rows)
+                          "gaussian_physicality_bound"],
+          [p2, criteria.p3_linear(p2, 0.0).threshold, criteria.p3_quadratic(p2, 0.0).threshold,
+           criteria.optimal_threshold(p2), criteria.simon_gaussian3(p2, 0.0).threshold,
+           criteria.gaussian_physicality_bound(p2)])
 
 
 def _fig2c(args):
@@ -224,25 +219,24 @@ def _fig2c(args):
         zs, np.round(np.arange(0.01, 2.5 + 1e-12, 0.01), 10), indexing="ij"))
     boundary_alpha = [states.cat_separability_radius(v) / math.sqrt(2.0) for v in zs]
     p2, p3 = states.cat_pt_moments(states.CatParams(a, a, z, "odd"))
-    rows = _columns(z, a, p2, p3, criteria.p3_linear(p2, p3).witness,
-                    np.repeat(boundary_alpha, z.size // len(zs)))
-    _emit(args, "fig2c", ["z", "alpha", "p2", "p3", "w_linear", "boundary_alpha"], rows)
+    _emit(args, "fig2c", ["z", "alpha", "p2", "p3", "w_linear", "boundary_alpha"],
+          [z, a, p2, p3, criteria.p3_linear(p2, p3).witness,
+           np.repeat(boundary_alpha, z.size // len(zs))])
 
 
 def _fig2d(args):
     n_modes, da = (x.ravel() for x in np.meshgrid(
         np.arange(2, 7), np.round(np.arange(0.05, 3.0 + 1e-12, 0.025), 10), indexing="ij"))
     p2, p3 = states.hhg_pt_moments(states.HHGParams(3.0, da, n_modes))
-    rows = _columns(n_modes, n_modes - 1, da, p2, p3, criteria.p3_linear(p2, p3).witness)
-    _emit(args, "fig2d", ["n_modes", "n_harmonics", "delta_alpha", "p2", "p3",
-                          "w_linear"], rows)
+    _emit(args, "fig2d", ["n_modes", "n_harmonics", "delta_alpha", "p2", "p3", "w_linear"],
+          [n_modes, n_modes - 1, da, p2, p3, criteria.p3_linear(p2, p3).witness])
 
 
 def _fig2e(args):
     n, a = (x.ravel() for x in np.meshgrid(
         np.arange(1, 6), np.round(np.arange(0.0, 1.0 + 1e-12, 0.005), 10), indexing="ij"))
     p3 = states.noon_pt_moment(_noon_params(n, a), 3)
-    _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], _columns(n, a, p3, p3 - 1.0))
+    _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], [n, a, p3, p3 - 1.0])
 
 
 def _bisect(f, lo, hi, xtol: float):
@@ -279,22 +273,21 @@ def _lossy_noon_grid(tau_step: float) -> tuple:
 def _fig3a(args):
     n, tau, p2, p3 = _lossy_noon_grid(1e-3)
     w = p3 - criteria.optimal_threshold(p2)
-    rows = _columns(n, tau, p2, p3, w)
     ns, lo = np.arange(1, 11), np.full(10, 0.501)
     f = lambda t: _lossy_noon_optimal_witness(ns, t)
     crossings = np.where(f(lo) > 0, _bisect(f, lo, 0.9999, xtol=1e-9), 0.5)
-    for n, crossing in zip(ns.tolist(), crossings.tolist()):
-        print(f"N={n}: optimal witness crosses zero at tau = {crossing:.6f}")
-    _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], rows)
+    for N, crossing in zip(ns.tolist(), crossings.tolist()):
+        print(f"N={N}: optimal witness crosses zero at tau = {crossing:.6f}")
+    _emit(args, "fig3a", ["N", "tau", "p2", "p3", "w_optimal"], [n, tau, p2, p3, w])
 
 
 def _fig3b(args):
     step = 1.0 / 60.0
     grid = np.round(np.arange(0.0, 1.0 + 1e-12, step), 10)
-    rows = []
+    x2, x3 = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+    panels = []
     for tau1 in (0.9, 0.75, 0.6):
         for panel in ("alpha", "tau"):
-            x2, x3 = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
             # copy 1 is balanced at tau1; the panel's parameter is x2, x3 on copies 2, 3
             first, other = (BALANCED, tau1) if panel == "alpha" else (tau1, BALANCED)
             varied = np.column_stack([np.full_like(x2, first), x2, x3])
@@ -303,17 +296,16 @@ def _fig3b(args):
             p2 = estimation.noon1_moments(2, alphas[:, :2], taus[:, :2])
             p3 = estimation.noon1_moments(3, alphas, taus)
             w = estimation._optimal_witness_from_estimates(p2, p3)
-            rows += [(panel, tau1, *row) for row in zip(
-                x2.tolist(), x3.tolist(), p2.tolist(), p3.tolist(), w.tolist(), (w < 0).tolist())]
-    _emit(args, "fig3b", ["panel", "tau1", "x2", "x3", "p2", "p3", "w_optimal",
-                          "detected"], rows, note="x2/x3 vary the second and third copy")
+            panels.append((np.full(x2.size, panel), np.full(x2.size, tau1), x2, x3, p2, p3, w,
+                           w < 0))
+    _emit(args, "fig3b", ["panel", "tau1", "x2", "x3", "p2", "p3", "w_optimal", "detected"],
+          map(np.concatenate, zip(*panels)), note="x2/x3 vary the second and third copy")
 
 
 def _fig3c(args):
     n, tau, p2, p3 = _lossy_noon_grid(2.5e-3)
     k_star = estimation.min_samples(p2, p3, "quadratic")
-    rows = _columns(n, tau, k_star)
-    _emit(args, "fig3c", ["N", "tau", "k_star_quadratic"], rows)
+    _emit(args, "fig3c", ["N", "tau", "k_star_quadratic"], [n, tau, k_star])
 
 
 def _fig4(args):
@@ -327,7 +319,7 @@ def _fig4(args):
             rows.append((tau, pt.k, est.mean, math.sqrt(est.variance), est.std_error,
                          pt.analytic_witness, pt.band_low, pt.band_high, pt.clamped_draws))
     _emit(args, "fig4", ["tau", "k", "mean", "std", "std_error", "analytic",
-                         "band_low", "band_high", "clamped_draws"], rows,
+                         "band_low", "band_high", "clamped_draws"], zip(*rows),
           repetitions=plan_reps, noise=asdict(estimation.NoiseSpec()))
 
 
@@ -342,14 +334,13 @@ def _fig5_columns(n_bar: float, r) -> tuple:
 def _fig5(args):
     n_bar = (math.sqrt(2.0) - 1.0) / 2.0
     r = np.round(np.arange(0.0, 0.6 + 1e-12, 1e-3), 10)
-    rows = _columns(r, *_fig5_columns(n_bar, r))
     # one bracket per witness: witness j is read at the j-th point
     f = lambda rs: np.diagonal(np.array(_fig5_columns(n_bar, rs)[2:]))
     crossings = _bisect(f, np.full(4, 1e-4), 0.6, xtol=1e-10)
     for name, crossing in zip(("hankel3", "hankel5", "hankel7", "simon"), crossings.tolist()):
         print(f"{name}: first detection at r = {crossing:.6f}")
     _emit(args, "fig5", ["r", "nu1", "nu2", "w_hankel3", "w_hankel5", "w_hankel7",
-                         "w_simon"], rows, n_bar=n_bar)
+                         "w_simon"], [r, *_fig5_columns(n_bar, r)], n_bar=n_bar)
 
 
 def _fig6(args):
@@ -362,7 +353,7 @@ def _fig6(args):
         d3 = circuits.outcome_distribution([rho] * 3, 3)
         rows += [("f3", tau, *cell, p) for cell, p in zip(d3.cells.tolist(), d3.probs.tolist())]
     _emit(args, "fig6", ["circuit", "tau", "n2a", "n3a", "n2b", "n3b", "probability"],
-          rows, note="f2 rows have no third mode; their n3 columns read 0")
+          zip(*rows), note="f2 rows have no third mode; their n3 columns read 0")
 
 
 def _fig7(args):
@@ -386,7 +377,7 @@ def _fig7(args):
                 rows.append((tau, k, name, float(np.mean(sampled)), float(np.std(sampled, ddof=1)),
                              test(p2, p3).witness, math.sqrt(var_a)))
     _emit(args, "fig7", ["tau", "k", "criterion", "mean", "std", "analytic_mean",
-                         "analytic_std"], rows, repetitions=reps,
+                         "analytic_std"], zip(*rows), repetitions=reps,
           note="analytic_std of the optimal criterion uses the linear model bound")
 
 
@@ -409,7 +400,7 @@ def _outcome_table(args, n: int):
         rows.append(counts + (exact, simulated, abs(exact - simulated)))
     columns = [f"n{j}{side}" for j in range(2, n + 1) for side in "ab"]
     _emit(args, f"table{m}", columns + ["probability_formula", "probability_circuit",
-                                        "abs_diff"], rows, tau=tau, alpha=noon.alpha)
+                                        "abs_diff"], zip(*rows), tau=tau, alpha=noon.alpha)
 
 
 _TARGET_FUNCS = {

@@ -2,6 +2,8 @@
 
 Every emitted file starts with a provenance block (target id, parameters,
 seed, tool version, tolerance defaults) so a dataset is self-describing.
+A Table is columnar: one sequence per column, a numpy array or a list, and
+the writer formats each column straight from it, a block of rows at a time.
 Writers are deterministic: no timestamps, fixed float formatting, fixed key
 order, so identical runs produce identical bytes and re-emitting a parsed
 file is the identity.
@@ -37,17 +39,29 @@ def format_value(v) -> str:
 # the text format_value gives, without its isinstance chain per cell.
 _CELL = {float: float.__repr__, int: int.__repr__, str: str,
          bool: {True: "true", False: "false"}.__getitem__}
+# The same, by the dtype kind of a float64, integer or bool array.
+_KIND_CELL = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__, "b": _CELL[bool]}
+
+
+def _values(column):
+    """The cells of a column as plain Python values where it is an array."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _column_cells(column) -> list:
-    """CSV cells of one column.  A column of plain floats is formatted once
-    per distinct value, told apart by bits: -0.0 == 0.0 and NaN != NaN, so
-    equality would merge two texts or split one."""
-    if set(map(type, column)) != {float}:
-        return [_CELL.get(type(v), format_value)(v) for v in column]
-    bits, inverse = np.unique(np.array(column).view(np.int64), return_inverse=True)
-    texts = np.array([float.__repr__(v) for v in bits.view(float).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    """CSV cells of one column.  A float64, integer or bool array is
+    formatted once per distinct value; floats are told apart by bits, since
+    -0.0 == 0.0 and NaN != NaN, so equality would merge two texts or split
+    one.  Other arrays and lists are formatted value by value."""
+    if isinstance(column, np.ndarray) and (column.dtype == np.float64
+                                           or column.dtype.kind in "biu"):
+        floats = column.dtype == np.float64
+        keys, inverse = np.unique(column.view(np.int64) if floats else column,
+                                  return_inverse=True)
+        values = (keys.view(np.float64) if floats else keys).tolist()
+        texts = np.array(list(map(_KIND_CELL[column.dtype.kind], values)), dtype=object)
+        return texts[inverse].tolist()
+    return [_CELL.get(type(v), format_value)(v) for v in _values(column)]
 
 
 # The CSV is formatted a block of rows at a time, column by column: every
@@ -58,16 +72,31 @@ _BLOCK_ROWS = 1024
 
 @dataclass
 class Table:
-    """Columnar dataset plus its provenance mapping."""
+    """Named columns plus their provenance mapping.
+
+    ``data`` holds one sequence per column, a numpy array or a list, all of
+    one length; ``rows`` zips their values into tuples."""
 
     provenance: dict
     columns: list
-    rows: list
+    data: list
 
     def __post_init__(self):
         base = {"tool": "ptmoments", "version": __version__}
         base.update(self.provenance)
         self.provenance = base
+        self.data = list(self.data)
+        lengths = [len(c) for c in self.data]
+        if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
+            raise ValueError(f"{len(self.columns)} names for columns of lengths {lengths}")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.data[0]) if self.data else 0
+
+    @property
+    def rows(self) -> list:
+        return list(zip(*map(_values, self.data)))
 
 
 def write_table(table: Table, path, fmt: str = "csv") -> Path:
@@ -77,13 +106,14 @@ def write_table(table: Table, path, fmt: str = "csv") -> Path:
         lines = [f"# {key}: {json.dumps(val, sort_keys=True)}"
                  for key, val in table.provenance.items()]
         lines.append(",".join(table.columns))
-        for start in range(0, len(table.rows), _BLOCK_ROWS):
-            columns = zip(*table.rows[start:start + _BLOCK_ROWS], strict=True)
-            lines += map(",".join, zip(*map(_column_cells, columns)))
+        for start in range(0, table.n_rows, _BLOCK_ROWS):
+            block = (_column_cells(c[start:start + _BLOCK_ROWS]) for c in table.data)
+            lines += map(",".join, zip(*block))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
+        columns = ([_jsonable(v) for v in _values(c)] for c in table.data)
         doc = {"provenance": table.provenance, "columns": table.columns,
-               "rows": [[_jsonable(v) for v in row] for row in table.rows]}
+               "rows": list(map(list, zip(*columns)))}
         path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -103,35 +133,33 @@ def _jsonable(v):
 
 
 def read_table(path) -> Table:
-    """Parse a file written by write_table; round-trips byte-identically."""
+    """Parse a file written by write_table; round-trips byte-identically.
+    Rows of unequal length raise ValueError."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json":
         doc = json.loads(text)
-        return Table(doc["provenance"], doc["columns"], [tuple(r) for r in doc["rows"]])
-    provenance = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines) and lines[i].startswith("# "):
-        key, _, raw = lines[i][2:].partition(": ")
-        provenance[key] = json.loads(raw)
-        i += 1
-    columns = lines[i].split(",")
-    rows = [tuple(_parse_cell(c) for c in line.split(","))
-            for line in lines[i + 1:] if line]
-    return Table(provenance, columns, rows)
+        provenance, columns, rows = doc["provenance"], doc["columns"], doc["rows"]
+    else:
+        provenance = {}
+        lines = text.splitlines()
+        i = 0
+        while i < len(lines) and lines[i].startswith("# "):
+            key, _, raw = lines[i][2:].partition(": ")
+            provenance[key] = json.loads(raw)
+            i += 1
+        columns = lines[i].split(",")
+        rows = [map(_parse_cell, line.split(",")) for line in lines[i + 1:] if line]
+    data = [list(c) for c in zip(*rows, strict=True)]
+    return Table(provenance, columns, data or [[] for _ in columns])
 
 
 def _parse_cell(cell: str):
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
+    if cell in ("true", "false"):
+        return cell == "true"
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except ValueError:
+            pass
+    return cell

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -322,20 +323,28 @@ def lossy_noon_density(p: LossyNOONParams,
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
+@cache
+def _binomial_powers(n_max: int) -> tuple:
+    """float(C(n, k)^p), rounded once from the exact integer, for p = 2 and 3:
+    two read-only tables indexed [k, n], k and n from 0 to n_max."""
+    tables = tuple(np.array([[float(comb(n, k) ** p) for n in range(n_max + 1)]
+                             for k in range(n_max + 1)]) for p in (2, 3))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
-    """(S_2, S_3) with S_p = sum_k C(N, k)^p tau^(p (N - k)) (1 - tau)^(p k),
-    the k terms added one at a time in increasing k; a term with k > N is
-    zero.  Each C(N, k)^p is rounded to a float once, from the exact integer."""
+    """(S_2, S_3) with S_p = sum_k C(N, k)^p tau^(p (N - k)) (1 - tau)^(p k);
+    a term with k > N is zero.  tau carries one more leading axis than N.
+    The terms stack along a leading k axis, which np.add.reduce sums in
+    sequence, in increasing k."""
     n_max = int(N.max(initial=0))
-    s2 = s3 = 0.0
-    for k in range(n_max + 1):
-        c = [comb(n, k) for n in range(n_max + 1)]
-        kept = np.maximum(N - k, 0)
-        s2 = s2 + (np.array([float(x ** 2) for x in c])[N] * np.float_power(tau, 2 * kept)
-                   * np.float_power(1 - tau, 2 * k))
-        s3 = s3 + (np.array([float(x ** 3) for x in c])[N] * np.float_power(tau, 3 * kept)
-                   * np.float_power(1 - tau, 3 * k))
-    return s2, s3
+    k = np.arange(n_max + 1).reshape((-1,) + (1,) * tau.ndim)
+    kept = np.maximum(N - k, 0)
+    return tuple(np.add.reduce(c[:, N][:, None] * np.float_power(tau, p * kept)
+                               * np.float_power(1 - tau, p * k), axis=0)
+                 for p, c in zip((2, 3), _binomial_powers(n_max)))
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams):

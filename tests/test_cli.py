@@ -51,6 +51,30 @@ class TestCriteriaCommand:
         out = capsys.readouterr().out
         assert "nan" not in out and out.count("ENTANGLED") == 9
 
+    @pytest.mark.parametrize("r", ["59", "60", "100", "177"])
+    def test_pure_tmsv_past_the_overflow_of_nu_powers(self, r, capsys):
+        # nu2^6 overflows from r of about 59, so p_7 reads 0, as the true
+        # moment underflows; the suite makes any RuntimeWarning an error
+        assert run(["criteria", "--family", "tmsv", "--r", r]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and out.count("ENTANGLED") == 9
+
+    def test_pure_tmsv_at_r_60_exits_0_with_runtime_warnings_as_errors(self):
+        src = str(Path(ptmoments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "ptmoments.cli", "criteria", "--family", "tmsv", "--r", "60"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == ""
+
+    def test_pure_tmsv_past_r_177_is_refused_as_non_finite(self, capsys):
+        # the symplectic witnesses square nu2 to inf and multiply it by 0
+        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as exc:
+            run(["criteria", "--family", "tmsv", "--r", "200"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "ptmoments: error: witness must be finite, got nan\n"
+
 
 class TestPackageErrors:
     @pytest.mark.parametrize("argv", [
@@ -441,7 +465,7 @@ class TestRoundTrip:
 
     def test_numpy_scalars_are_normalized(self, tmp_path):
         table = Table({"target": "unit"}, ["a", "b", "c"],
-                      [(np.int64(2), np.float64(0.5), np.bool_(True))])
+                      [[np.int64(2)], [np.float64(0.5)], [np.bool_(True)]])
         path = tmp_path / "np.csv"
         write_table(table, path)
         assert path.read_text().splitlines()[-1] == "2,0.5,true"
@@ -456,20 +480,21 @@ class TestRoundTrip:
         column = ([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e300]
                   + rng.standard_normal(200).tolist() + rng.choice([0.1, 1 / 3], 200).tolist())
         mixed = [1, 1.0, True, "1.0", np.float64(-0.0)] * 4
-        table = Table({"target": "unit"}, ["x", "y"], [(x, mixed[i % len(mixed)])
-                                                       for i, x in enumerate(column)])
+        table = Table({"target": "unit"}, ["x", "y"],
+                      [column, [mixed[i % len(mixed)] for i in range(len(column))]])
         path = write_table(table, tmp_path / "t.csv")
         cells = [line.split(",") for line in path.read_text().splitlines()[-len(column):]]
         assert [c[0] for c in cells] == [repr(x) for x in column]
         assert [c[1] for c in cells[:5]] == ["1", "1.0", "true", "1.0", "-0.0"]
 
     def test_rows_of_unequal_length_are_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# target: \"unit\"\na,b\n1,2.0\n3\n")
         with pytest.raises(ValueError):
-            write_table(Table({"target": "unit"}, ["a", "b"], [(1, 2.0), (3,)]),
-                        tmp_path / "t.csv")
+            read_table(path)
 
     def test_inf_cells_survive(self, tmp_path):
-        table = Table({"target": "unit"}, ["a", "b"], [(1, math.inf), (2, 0.5)])
+        table = Table({"target": "unit"}, ["a", "b"], [[1, 2], np.array([math.inf, 0.5])])
         path = tmp_path / "t.csv"
         write_table(table, path)
         again = read_table(path)

@@ -346,6 +346,18 @@ class TestLossyNOON:
                    for a, x, y in zip(n, ta, tb)]
             assert np.column_stack([p2, p3]).tobytes() == np.array(ref).tobytes()
 
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 1)])
+    def test_many_k_terms_add_in_increasing_k(self, shape):
+        # from N = 8 on, a pairwise sum over k would round differently
+        for n in (1, 7, 8, 9, 16, 30):
+            for ta, tb in ((0.75, 0.75), (0.3, 0.95), (0.999, 0.5)):
+                p = LossyNOONParams(NOONParams(n, 0.6, 0.8), ta, tb)
+                ref = self.scalar_moments(p)
+                if shape:
+                    p = LossyNOONParams(NOONParams(np.full(shape, n), 0.6, 0.8), ta, tb)
+                got = np.array(lossy_noon_pt_moments(p), dtype=float).reshape(2, -1)
+                assert got.tobytes() == np.repeat(np.array(ref)[:, None], got.shape[1], 1).tobytes()
+
     def test_scalars_give_floats_and_arrays_keep_their_shape(self):
         p = LossyNOONParams(NOONParams(3, 0.6, 0.8), 0.75, 0.45)
         moments = lossy_noon_pt_moments(p)
