@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from functools import cache
 
 import numpy as np
@@ -39,10 +39,9 @@ def _provenance(args, target: str, **extra) -> dict:
 
 
 def _emit(args, target: str, columns, data, **extra) -> None:
-    """Write a table of named columns, one array or sequence each in ``data``:
-    a reproduce target to <outdir>/<target>.<format>, with its row count on
-    stdout; the result of criteria or sample to the file --out (CSV by
-    default)."""
+    """Write the named columns ``data``, one array or sequence each: a reproduce
+    target to <outdir>/<target>.<format>, with its row count on stdout; the
+    result of criteria or sample to the file --out (CSV by default)."""
     table = Table(_provenance(args, target, **extra), list(columns), data)
     if args.command == "reproduce":
         outdir = args.out or os.environ.get("PTMOMENTS_OUTDIR", "out")
@@ -129,15 +128,13 @@ def cmd_criteria(args) -> int:
         for n in range(3, vec.order + 1, 2):
             reports += [criteria.hankel_test(vec, n), criteria.descartes_test(vec, n)]
     print(f"p2 = {format_value(p2)}   p3 = {format_value(p3)}")
-    rows = []
     for r in reports:
         flag = " (gaussian-only)" if r.gaussian_only else ""
         print(f"  {r.criterion_id:24s} witness = {r.witness: .12g}  "
               f"{'ENTANGLED' if r.detected else 'not detected'}{flag}")
-        rows.append((r.criterion_id, r.witness, r.threshold, r.detected, r.gaussian_only))
     if args.out:
         _emit(args, "criteria", ["criterion", "witness", "threshold", "detected",
-                                 "gaussian_only"], zip(*rows), p2=p2, p3=p3)
+                                 "gaussian_only"], zip(*map(astuple, reports)), p2=p2, p3=p3)
     return 0
 
 
@@ -180,8 +177,7 @@ def cmd_sample(args) -> int:
           f"   std error = {result.std_error:.6g}")
     if args.out:
         _emit(args, "sample", ["mean", "variance", "std_error", "k", "repetitions"],
-              [[result.mean], [result.variance], [result.std_error], [result.k],
-               [result.repetitions]], family=args.family, n=args.copies, exact=exact)
+              [[v] for v in astuple(result)], family=args.family, n=args.copies, exact=exact)
     return 0
 
 
@@ -257,9 +253,8 @@ def _bisect(f, lo, hi, xtol: float):
     return float(root) if root.ndim == 0 else root
 
 
-def _lossy_noon_optimal_witness(n, tau):
-    p2, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
-    return p3 - criteria.optimal_threshold(p2)
+def _lossy_noon_moments(n, tau) -> tuple:
+    return states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
 
 
 def _lossy_noon_grid(tau_step: float) -> tuple:
@@ -267,14 +262,14 @@ def _lossy_noon_grid(tau_step: float) -> tuple:
     flat arrays, and the balanced lossy NOON (p2, p3) on it."""
     n, tau = (x.ravel() for x in np.meshgrid(
         np.arange(1, 11), np.round(np.arange(0.5, 1.0 + 1e-12, tau_step), 10), indexing="ij"))
-    return n, tau, *states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
+    return n, tau, *_lossy_noon_moments(n, tau)
 
 
 def _fig3a(args):
     n, tau, p2, p3 = _lossy_noon_grid(1e-3)
     w = p3 - criteria.optimal_threshold(p2)
     ns, lo = np.arange(1, 11), np.full(10, 0.501)
-    f = lambda t: _lossy_noon_optimal_witness(ns, t)
+    f = lambda t: criteria.p3_optimal(*_lossy_noon_moments(ns, t)).witness
     crossings = np.where(f(lo) > 0, _bisect(f, lo, 0.9999, xtol=1e-9), 0.5)
     for N, crossing in zip(ns.tolist(), crossings.tolist()):
         print(f"N={N}: optimal witness crosses zero at tau = {crossing:.6f}")
@@ -312,9 +307,8 @@ def _fig4(args):
     plan_reps = 200 if args.repetitions is None else args.repetitions
     rows = []
     for tau in (0.9, 0.75, 0.6):
-        params = states.LossyNOONParams.balanced(1, tau)
         plan = estimation.SamplingPlan(k=2, repetitions=plan_reps, master_seed=args.seed)
-        for pt in estimation.full_simulation(params, plan):
+        for pt in estimation.full_simulation(states.LossyNOONParams.balanced(1, tau), plan):
             est = pt.estimate
             rows.append((tau, pt.k, est.mean, math.sqrt(est.variance), est.std_error,
                          pt.analytic_witness, pt.band_low, pt.band_high, pt.clamped_draws))
@@ -391,16 +385,13 @@ def _outcome_table(args, n: int):
     outcomes, formula = ((noon_tables.f2_outcomes(), noon_tables.f2_formula) if n == 2
                          else (noon_tables.f3_outcomes(), noon_tables.f3_formula))
     m = n - 1
-    rows = []
-    for outcome in outcomes:
-        exact = formula(outcome, noon.alpha, tau)
-        simulated = dist.probability(outcome)
-        # columns pair the two parties' counts mode by mode: n2a, n2b, n3a, n3b
-        counts = tuple(outcome[j + side] for j in range(m) for side in (0, m))
-        rows.append(counts + (exact, simulated, abs(exact - simulated)))
+    exact = np.array([formula(outcome, noon.alpha, tau) for outcome in outcomes])
+    simulated = np.array([dist.probability(outcome) for outcome in outcomes])
+    # columns pair the two parties' counts mode by mode: n2a, n2b, n3a, n3b
+    counts = [np.array(outcomes)[:, j + side] for j in range(m) for side in (0, m)]
     columns = [f"n{j}{side}" for j in range(2, n + 1) for side in "ab"]
-    _emit(args, f"table{m}", columns + ["probability_formula", "probability_circuit",
-                                        "abs_diff"], zip(*rows), tau=tau, alpha=noon.alpha)
+    _emit(args, f"table{m}", columns + ["probability_formula", "probability_circuit", "abs_diff"],
+          [*counts, exact, simulated, np.abs(exact - simulated)], tau=tau, alpha=noon.alpha)
 
 
 _TARGET_FUNCS = {

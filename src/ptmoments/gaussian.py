@@ -138,9 +138,8 @@ def gaussian_pt_moment(pair: SymplecticPair, n: int):
     The difference is summed as its odd binomial terms,
     2 sum_(k odd) C(n, k) nu^(n-k), which are all positive, so each factor
     is 2^(n-1) / sum_(k odd) C(n, k) nu^(n-k): nothing cancels at small or
-    large nu.  Where nu^(n-1) overflows (nu2 = e^(2r) past r of about 59 at
-    n = 7), the sum is inf and the factor 0, as the true moment underflows.
-    n = 1 gives 1."""
+    large nu; where nu^(n-1) overflows, the factor is 0, as the true moment
+    underflows (nu2 = e^(2r) past r of about 59 at n = 7).  n = 1 gives 1."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
     with np.errstate(over="ignore"):

@@ -23,24 +23,18 @@ from . import __version__
 __all__ = ["Table", "write_table", "read_table", "format_value"]
 
 
-def format_value(v) -> str:
-    """CSV cell of one value: true/false, repr of a float (nan, inf and -inf
-    included), or str."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
-
-
-# The CSV cell of a plain float, int, str or bool, looked up by exact type:
-# the text format_value gives, without its isinstance chain per cell.
+# The CSV cell of a plain float, int, str or bool, looked up by exact type,
+# and of the values of a bool or integer array, by dtype kind.
 _CELL = {float: float.__repr__, int: int.__repr__, str: str,
          bool: {True: "true", False: "false"}.__getitem__}
-# The same, by the dtype kind of a float64, integer or bool array.
-_KIND_CELL = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__, "b": _CELL[bool]}
+_KIND_CELL = {"b": _CELL[bool], "i": int.__repr__, "u": int.__repr__}
+
+
+def format_value(v) -> str:
+    """CSV cell of one value: true/false, repr of a float (nan, inf and -inf
+    included), or str; a numpy scalar is formatted as its Python value."""
+    v = v.item() if isinstance(v, np.generic) else v
+    return _CELL.get(type(v), str)(v)
 
 
 def _values(column):
@@ -49,18 +43,16 @@ def _values(column):
 
 
 def _column_cells(column) -> list:
-    """CSV cells of one column.  A float64, integer or bool array is
-    formatted once per distinct value; floats are told apart by bits, since
-    -0.0 == 0.0 and NaN != NaN, so equality would merge two texts or split
-    one.  Other arrays and lists are formatted value by value."""
-    if isinstance(column, np.ndarray) and (column.dtype == np.float64
-                                           or column.dtype.kind in "biu"):
-        floats = column.dtype == np.float64
-        keys, inverse = np.unique(column.view(np.int64) if floats else column,
-                                  return_inverse=True)
-        values = (keys.view(np.float64) if floats else keys).tolist()
-        texts = np.array(list(map(_KIND_CELL[column.dtype.kind], values)), dtype=object)
+    """CSV cells of one column.  A float64 array is formatted once per
+    distinct value, told apart by bits: -0.0 == 0.0 and NaN != NaN, so
+    equality would merge two texts or split one.  Bool and integer arrays
+    are formatted by dtype, other arrays and lists value by value."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         return texts[inverse].tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind in _KIND_CELL:
+        return list(map(_KIND_CELL[column.dtype.kind], column.tolist()))
     return [_CELL.get(type(v), format_value)(v) for v in _values(column)]
 
 
@@ -72,10 +64,8 @@ _BLOCK_ROWS = 1024
 
 @dataclass
 class Table:
-    """Named columns plus their provenance mapping.
-
-    ``data`` holds one sequence per column, a numpy array or a list, all of
-    one length; ``rows`` zips their values into tuples."""
+    """Named columns, one array or list each in ``data``, all of one length,
+    plus their provenance mapping; ``rows`` zips their values into tuples."""
 
     provenance: dict
     columns: list
@@ -86,9 +76,9 @@ class Table:
         base.update(self.provenance)
         self.provenance = base
         self.data = list(self.data)
-        lengths = [len(c) for c in self.data]
-        if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
-            raise ValueError(f"{len(self.columns)} names for columns of lengths {lengths}")
+        if len(self.data) != len(self.columns) or len(set(map(len, self.data))) > 1:
+            raise ValueError(f"{len(self.columns)} names for columns of lengths "
+                             f"{[len(c) for c in self.data]}")
 
     @property
     def n_rows(self) -> int:
@@ -122,32 +112,22 @@ def write_table(table: Table, path, fmt: str = "csv") -> Path:
 
 def _jsonable(v):
     """Plain Python value of a cell; non-finite floats become their CSV text."""
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        return v if math.isfinite(v) else format_value(v)
-    return v
+    v = v.item() if isinstance(v, np.generic) else v
+    return format_value(v) if type(v) is float and not math.isfinite(v) else v
 
 
 def read_table(path) -> Table:
-    """Parse a file written by write_table; round-trips byte-identically.
-    Rows of unequal length raise ValueError."""
+    """Parse a file written by write_table; round-trips byte-identically."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json":
         doc = json.loads(text)
         provenance, columns, rows = doc["provenance"], doc["columns"], doc["rows"]
     else:
-        provenance = {}
         lines = text.splitlines()
-        i = 0
-        while i < len(lines) and lines[i].startswith("# "):
-            key, _, raw = lines[i][2:].partition(": ")
-            provenance[key] = json.loads(raw)
-            i += 1
+        i = next((i for i, line in enumerate(lines) if not line.startswith("# ")), len(lines))
+        provenance = {key: json.loads(raw) for key, _, raw in
+                      (line[2:].partition(": ") for line in lines[:i])}
         columns = lines[i].split(",")
         rows = [map(_parse_cell, line.split(",")) for line in lines[i + 1:] if line]
     data = [list(c) for c in zip(*rows, strict=True)]

@@ -324,27 +324,22 @@ def lossy_noon_density(p: LossyNOONParams,
 
 
 @cache
-def _binomial_powers(n_max: int) -> tuple:
-    """float(C(n, k)^p), rounded once from the exact integer, for p = 2 and 3:
-    two read-only tables indexed [k, n], k and n from 0 to n_max."""
-    tables = tuple(np.array([[float(comb(n, k) ** p) for n in range(n_max + 1)]
-                             for k in range(n_max + 1)]) for p in (2, 3))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+def _binomial_powers(n_max: int, p: int) -> np.ndarray:
+    """float(C(n, k)^p), rounded once from the exact integer, indexed [k, n]."""
+    return np.array([[float(comb(n, k) ** p) for n in range(n_max + 1)]
+                     for k in range(n_max + 1)])
 
 
 def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
-    """(S_2, S_3) with S_p = sum_k C(N, k)^p tau^(p (N - k)) (1 - tau)^(p k);
-    a term with k > N is zero.  tau carries one more leading axis than N.
-    The terms stack along a leading k axis, which np.add.reduce sums in
-    sequence, in increasing k."""
+    """(S_2, S_3) with S_p = sum_k C(N, k)^p tau^(p (N - k)) (1 - tau)^(p k),
+    tau with one more leading axis than N; a term with k > N is zero.  The
+    terms stack on a leading k axis, which np.add.reduce sums in increasing k."""
     n_max = int(N.max(initial=0))
     k = np.arange(n_max + 1).reshape((-1,) + (1,) * tau.ndim)
     kept = np.maximum(N - k, 0)
-    return tuple(np.add.reduce(c[:, N][:, None] * np.float_power(tau, p * kept)
-                               * np.float_power(1 - tau, p * k), axis=0)
-                 for p, c in zip((2, 3), _binomial_powers(n_max)))
+    return tuple(np.add.reduce(_binomial_powers(n_max, p)[:, N][:, None]
+                               * np.float_power(tau, p * kept) * np.float_power(1 - tau, p * k),
+                               axis=0) for p in (2, 3))
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams):
