@@ -306,8 +306,10 @@ def _fig3c(args):
 def _fig4(args):
     plan_reps = 200 if args.repetitions is None else args.repetitions
     rows = []
-    for tau in (0.9, 0.75, 0.6):
-        plan = estimation.SamplingPlan(k=2, repetitions=plan_reps, master_seed=args.seed)
+    for tau_idx, tau in enumerate((0.9, 0.75, 0.6)):
+        # each tau draws on its own streams: a master seed from (--seed, tau index)
+        seed = int(estimation.rng_stream(args.seed, tau_idx).integers(2 ** 63))
+        plan = estimation.SamplingPlan(k=2, repetitions=plan_reps, master_seed=seed)
         for pt in estimation.full_simulation(states.LossyNOONParams.balanced(1, tau), plan):
             est = pt.estimate
             rows.append((tau, pt.k, est.mean, math.sqrt(est.variance), est.std_error,

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -317,6 +318,26 @@ class TestReproduce:
         run(["reproduce", "fig6", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "fig6.csv").read_bytes() == \
             (tmp_path / "b" / "fig6.csv").read_bytes()
+
+    def test_fig4_taus_draw_different_class_counts(self, tmp_path, monkeypatch):
+        # every repetition's generator also draws counts from one fixed law:
+        # taus on a shared stream would draw the same counts at each (k, r)
+        drawn = []
+        sampled = cli.estimation._sampled_estimates
+
+        def recording(law, n, k, repetitions, rng):
+            twin = copy.deepcopy(rng)
+            drawn.append(twin.multinomial(k, np.full(n, 1.0 / n), size=repetitions).tolist())
+            return sampled(law, n, k, repetitions, rng)
+
+        monkeypatch.setattr(cli.estimation, "_sampled_estimates", recording)
+        assert run(["reproduce", "fig4", "--seed", "7", "--repetitions", "2",
+                    "--out", str(tmp_path)]) == 0
+        per_tau = 6 * 2 * 2  # budgets, repetitions, circuits
+        assert len(drawn) == 3 * per_tau
+        first, second, third = (drawn[i:i + per_tau] for i in range(0, len(drawn), per_tau))
+        for a, b in ((first, second), (first, third), (second, third)):
+            assert sum(x == y for x, y in zip(a, b)) <= per_tau // 4
 
     def test_seeded_simulation_repeats_bitwise(self, tmp_path):
         args = ["reproduce", "fig4", "--seed", "42", "--repetitions", "2"]
