@@ -138,10 +138,10 @@ def gaussian_pt_moment(pair: SymplecticPair, n: int):
     The difference is summed as its odd binomial terms,
     2 sum_(k odd) C(n, k) nu^(n-k), which are all positive, so each factor
     is 2^(n-1) / sum_(k odd) C(n, k) nu^(n-k): nothing cancels at small or
-    large nu; where nu^(n-1) overflows, the factor is 0, as the true moment
-    underflows (nu2 = e^(2r) past r of about 59 at n = 7).  n = 1 gives 1."""
+    large nu.  n = 1 gives 1."""
     if n < 1:
         raise DomainError(f"moment order must be >= 1, got {n}")
+    # past r of about 59, nu2^6 = inf gives p_7 a factor of 0, as the true moment underflows
     with np.errstate(over="ignore"):
         t1, t2 = (2.0 ** (n - 1) / sum(comb(n, k) * np.float_power(nu, n - k)
                                        for k in range(1, n + 1, 2))

@@ -325,9 +325,10 @@ def lossy_noon_density(p: LossyNOONParams,
 
 @cache
 def _binomial_powers(n_max: int, p: int) -> np.ndarray:
-    """float(C(n, k)^p), rounded once from the exact integer, indexed [k, n]."""
-    return np.array([[float(comb(n, k) ** p) for n in range(n_max + 1)]
-                     for k in range(n_max + 1)])
+    """float(C(n, k)^p) indexed [k, n], rounded once from the exact integer; read-only."""
+    table = np.array([[float(comb(n, k) ** p) for n in range(n_max + 1)] for k in range(n_max + 1)])
+    table.setflags(write=False)
+    return table
 
 
 def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
