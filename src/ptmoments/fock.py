@@ -17,21 +17,21 @@ dropped, so this is exact.  The partial transposes of the paper's families
 split this way: the two-mode squeezed vacuum conserves N_A + N_B after the
 partial transpose, cat states conserve parity.  The components are labelled
 in numpy: each node is hooked onto the smallest node of its row, then the
-entries that still join two trees hook root onto root until none does.
-Positivity on construction is one pass: a Cholesky certificate of
-0.5 * (rho + rho^H) + psd * I per block, and ``eigvalsh`` of a failing block
-alone, without the shift, to name the rejection by its minimum.
+entries that still join two trees hook root onto root until none does.  The
+constructor's checks run on the same blocks: one pass takes the hermiticity
+residue while it symmetrises each into 0.5 * (rho + rho^H), and positivity
+is a Cholesky certificate of that block + psd * I, with ``eigvalsh`` of a
+failing block alone, unshifted, to name the rejection by its minimum.
 
-Memory: an operator stores one copy of its matrix.  The constructor copies a
-caller's array once; the package's own builders hand over the matrix they
-have just made, without that copy.  The constructor reads the matrix once
-for finiteness and hermiticity, and the labelling its boolean pattern (1/16
-of its size), in row chunks of a fixed byte budget (``_CHUNK_BYTES``); the
-labelling keeps per-node pointers and the entries that join two trees.  The
-positivity check symmetrises and shifts each block in place.  ``pt_moments``
-permutes the boolean pattern and gathers each block of the partial transpose
-straight from ``rho``'s entries.  Beyond the stored copy and the pattern,
-only the blocks and their Cholesky factors can take more than a fraction of
+Memory: an operator stores one copy of its matrix and its nonzero pattern as
+bits (1/128 of its size); a caller's array is copied once, the package's own
+builders hand theirs over.  The constructor reads the matrix once for the
+boolean pattern (1/16), which it labels and packs, then each block in row
+chunks of ``_CHUNK_BYTES``; the positivity check gathers each block whole
+and symmetrises and shifts it in place.  ``spectrum`` and ``pt_moments``
+unpack the bits; ``pt_moments`` permutes them and gathers each block of the
+partial transpose straight from ``rho``.  Beyond the stored copy and the
+pattern, only the blocks and their Cholesky factors can exceed a fraction of
 the matrix's size: an unstructured matrix is one block.
 
 Basis convention: the two-mode basis state |i>_A |j>_B is stored at row/column
@@ -141,22 +141,19 @@ class BipartiteDensityOperator:
         return op
 
     def _init(self, cutoff: ModeCutoff, mat: np.ndarray, check_psd: bool):
-        dim = cutoff.dim
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {dim}")
-        herm_residue = _hermiticity_residue(mat)
-        if herm_residue > DEFAULT_TOL.herm:
-            raise HermiticityError(f"hermiticity residue {herm_residue:.3e} "
-                                   f"> {DEFAULT_TOL.herm:.1e}")
-        tr = np.trace(mat)
+        if mat.shape != (cutoff.dim, cutoff.dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {cutoff.dim}")
+        pattern = mat != 0
+        residue, tr, lam_min = _block_checks(mat, pattern, check_psd)
+        if residue > DEFAULT_TOL.herm:
+            raise HermiticityError(f"hermiticity residue {residue:.3e} > {DEFAULT_TOL.herm:.1e}")
         if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
-        if check_psd and (lam_min := _uncertified_minimum(mat)) < -DEFAULT_TOL.psd:
-            raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} "
-                                       f"< -{DEFAULT_TOL.psd:.1e}")
+        if not lam_min >= -DEFAULT_TOL.psd:  # NaN too: an overflowing symmetrised block
+            raise StateValidationError(f"minimum eigenvalue {lam_min:.3e} < -{DEFAULT_TOL.psd:.1e}")
         mat.setflags(write=False)
-        self.cutoff = cutoff
-        self.matrix = mat
+        self.cutoff, self.matrix = cutoff, mat
+        self._bits = np.packbits(pattern, axis=1)
 
     @classmethod
     def from_state_vector(cls, vec, cutoff: ModeCutoff) -> "BipartiteDensityOperator":
@@ -179,6 +176,9 @@ class BipartiteDensityOperator:
     def d_b(self) -> int:
         return self.cutoff.d_b
 
+    def _pattern(self) -> np.ndarray:  # matrix != 0, from the stored bits
+        return np.unpackbits(self._bits, axis=1, count=self.cutoff.dim).view(bool)
+
     def as_tensor(self) -> np.ndarray:
         """View of the matrix with separate bra/ket mode indices (i, j, k, l)."""
         return self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
@@ -199,40 +199,45 @@ def _row_chunks(dim: int, width: int | None = None) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, dim, rows)]
 
 
-def _hermiticity_residue(mat: np.ndarray) -> float:
-    """max |mat - mat^H| from one read, each row chunk against the column slab
-    below its first row; raises on NaN or inf, which pass every tolerance."""
-    chunks = _row_chunks(len(mat))
+def _block_checks(mat: np.ndarray, pattern: np.ndarray, check_psd: bool):
+    """(max|mat - mat^H|, trace, minimum eigenvalue of the blocks of
+    0.5 * (mat + mat^H) that fail a Cholesky certificate of block + psd * I,
+    which proves lambda_min >= -psd up to ~n * eps * |mat| (Higham 1990)),
+    read block by block over the components of ``pattern``, where every
+    nonzero entry, NaN and inf too, meets its transposed partner.  Skips the
+    certificate once the trace or residue fails; raises on NaN or inf."""
+    residue, lam_min = 0.0, math.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        # chunk maxima in an array: Python's max() would drop a NaN
-        res = np.array([np.abs(mat[r, r.start:] - mat[r.start:, r].conj().T).max() for r in chunks])
-    # a non-finite entry makes its residue non-finite; so does an overflow
-    if not (np.isfinite(res).all() or all(np.isfinite(mat[r]).all() for r in chunks)):
+        tr = np.trace(mat)
+        check_psd = check_psd and abs(tr - 1.0) <= DEFAULT_TOL.trace
+        for idx in _block_groups(pattern):
+            count, size = idx.shape
+            blocks = _principal(mat, idx) if check_psd else None
+            for r in _row_chunks(size, 2 * count * size):  # half chunks: ~4 are held
+                if blocks is None:  # row chunks from mat; their symmetrised copy is dropped
+                    lower = mat[idx[:, r, None], idx[:, None, :r.stop]]
+                    upper = mat[idx[:, :r.stop, None], idx[:, None, r]]
+                else:  # the lower triangle, which both solvers read
+                    lower, upper = blocks[:, r, :r.stop], blocks[:, :r.stop, r]
+                upper = upper.conj().swapaxes(1, 2)
+                residue = np.maximum(residue, np.abs(lower - upper).max())  # keeps a NaN
+                lower += upper
+                lower *= 0.5
+            del lower, upper  # the last chunk's copy, before the factorisation
+            if blocks is not None and residue <= DEFAULT_TOL.herm:
+                diagonal = blocks.reshape(count, -1)[:, ::size + 1]
+                unshifted = diagonal.copy()
+                diagonal += DEFAULT_TOL.psd
+                try:
+                    if not np.isfinite(np.linalg.cholesky(blocks).diagonal(0, 1, 2)).all():
+                        raise np.linalg.LinAlgError  # a NaN that the solver let through
+                except np.linalg.LinAlgError:
+                    diagonal[...] = unshifted  # exactly: subtracting the shift could round
+                    lam_min = np.minimum(lam_min, np.linalg.eigvalsh(blocks).min())
+    # a non-finite entry makes the residue non-finite; so does an overflow
+    if not (np.isfinite(residue) or np.isfinite(mat).all()):
         raise StateValidationError("matrix has non-finite entries")
-    return res.max()
-
-
-def _uncertified_minimum(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the blocks of 0.5 * (mat + mat^H) that fail their
-    certificate, inf if none does.  A Cholesky factor of block + psd * I proves
-    lambda_min >= -psd up to ~n * eps * |mat| (Higham 1990)."""
-    lam_min = math.inf
-    for idx in _block_groups(mat != 0):
-        blocks = _principal(mat, idx)
-        count, size = idx.shape
-        for r in _row_chunks(size, count * size):
-            lower = blocks[:, r, :r.stop]  # holds the lower triangle, which both solvers read
-            lower += blocks[:, :r.stop, r].conj().swapaxes(1, 2)
-            lower *= 0.5
-        diagonal = blocks.reshape(count, -1)[:, ::size + 1]
-        unshifted = diagonal.copy()
-        diagonal += DEFAULT_TOL.psd
-        try:
-            np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            diagonal[...] = unshifted  # exactly: subtracting the shift could round
-            lam_min = min(lam_min, np.linalg.eigvalsh(blocks).min())
-    return lam_min
+    return residue, tr, lam_min
 
 
 def _principal(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -293,16 +298,10 @@ def _block_groups(pattern: np.ndarray):
 
 
 def _block_eigvalsh(pattern: np.ndarray, gather) -> np.ndarray:
-    """Eigenvalues of a hermitian matrix, ascending, computed per block.
-
-    ``pattern`` is the matrix's exact nonzero pattern as a boolean array;
-    ``gather(idx)`` returns the matrix's principal submatrices over the rows
-    of the index array ``idx``, stacked.  The blocks are the connected
-    components of the pattern taken as an undirected graph, so every entry
-    the dense ``eigvalsh`` reads lies inside one block and the two spectra
-    agree in exact arithmetic.  Components of equal size are stacked and
-    share one batched ``eigvalsh`` call.
-    """
+    """Ascending eigenvalues of the hermitian matrix with boolean nonzero
+    ``pattern``, one batched ``eigvalsh`` per component size of its stacked
+    principal blocks ``gather(idx)`` over the rows of ``idx``: every entry the
+    dense ``eigvalsh`` reads lies in one block, so the two spectra agree."""
     vals = [np.linalg.eigvalsh(gather(idx)).ravel() for idx in _block_groups(pattern)]
     return np.sort(np.concatenate(vals))
 
@@ -317,7 +316,7 @@ def partial_transpose(rho: BipartiteDensityOperator) -> BipartiteDensityOperator
 def spectrum(op: BipartiteDensityOperator) -> np.ndarray:
     """Eigenvalues of a validated operator as a contiguous float array,
     sorted descending."""
-    vals = _block_eigvalsh(op.matrix != 0, lambda idx: _principal(op.matrix, idx))
+    vals = _block_eigvalsh(op._pattern(), lambda idx: _principal(op.matrix, idx))
     return np.ascontiguousarray(vals[::-1])
 
 
@@ -327,8 +326,8 @@ def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
     Power sums of the partially transposed matrix's spectrum, so every moment
     is exactly real.  That matrix permutes the entries of the validated
     ``rho``, keeping their finiteness, hermiticity residue and trace; it is
-    never built: its pattern is the permuted boolean tensor, and each block
-    is gathered straight from ``rho``'s entries."""
+    never built: its pattern is ``rho``'s bits permuted, and each block is
+    gathered straight from ``rho``'s entries."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t = rho.as_tensor()
@@ -338,7 +337,7 @@ def pt_moments(rho: BipartiteDensityOperator, n_max: int) -> np.ndarray:
         r, c = idx[:, :, None], idx[:, None, :]
         return t[r // d_b, c % d_b, c // d_b, r % d_b]
 
-    pattern = (t != 0).transpose(0, 3, 2, 1).reshape(rho.matrix.shape)
+    pattern = rho._pattern().reshape(t.shape).transpose(0, 3, 2, 1).reshape(rho.matrix.shape)
     w = np.ascontiguousarray(_block_eigvalsh(pattern, pt_blocks)[::-1])
     return np.array([np.sum(w ** n) for n in range(1, n_max + 1)])
 

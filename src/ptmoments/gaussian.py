@@ -159,9 +159,10 @@ def symplectic_p3_criteria(pair: SymplecticPair) -> tuple[CriterionReport, Crite
     symplectic eigenvalues; sign-equivalent to the generic tests evaluated on
     the closed-form moments."""
     v1, v2 = pair.nu1, pair.nu2
-    s1, s2 = np.float_power(v1, 2), np.float_power(v2, 2)
-    quad = 7.0 * s1 * s2 - 3.0 * (s1 + s2) - 1.0
-    lin = (s1 + 3.0 * s1 * s2 + s2) * (v1 * v2 - 3.0) + 11.0 * v1 * v2 - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # past r ~ 177 inf * 0: NaN, refused
+        s1, s2 = np.float_power(v1, 2), np.float_power(v2, 2)
+        quad = 7.0 * s1 * s2 - 3.0 * (s1 + s2) - 1.0
+        lin = (s1 + 3.0 * s1 * s2 + s2) * (v1 * v2 - 3.0) + 11.0 * v1 * v2 - 1.0
     return (CriterionReport.from_witness("linear3_symplectic", lin),
             CriterionReport.from_witness("quadratic3_symplectic", quad))
 

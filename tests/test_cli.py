@@ -60,18 +60,29 @@ class TestCriteriaCommand:
         out = capsys.readouterr().out
         assert "nan" not in out and out.count("ENTANGLED") == 9
 
-    def test_pure_tmsv_at_r_60_exits_0_with_runtime_warnings_as_errors(self):
+    @staticmethod
+    def run_warnings_as_errors(*argv):
         src = str(Path(ptmoments.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
-                               "ptmoments.cli", "criteria", "--family", "tmsv", "--r", "60"],
-                              env=env, capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "ptmoments.cli", *argv], env=env, capture_output=True, text=True)
+
+    def test_pure_tmsv_at_r_60_exits_0_with_runtime_warnings_as_errors(self):
+        done = self.run_warnings_as_errors("criteria", "--family", "tmsv", "--r", "60")
         assert done.returncode == 0 and done.stderr == ""
 
+    def test_pure_tmsv_at_r_200_exits_2_with_runtime_warnings_as_errors(self):
+        # the refusal comes with no numpy warning before it, which -W error
+        # would turn into a traceback
+        done = self.run_warnings_as_errors("criteria", "--family", "tmsv", "--r", "200")
+        assert done.returncode == 2
+        assert done.stderr == "ptmoments: error: witness must be finite, got nan\n"
+
     def test_pure_tmsv_past_r_177_is_refused_as_non_finite(self, capsys):
-        # the symplectic witnesses square nu2 to inf and multiply it by 0
-        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as exc:
+        # the symplectic witnesses square nu2 to inf and multiply it by 0,
+        # silently: the suite makes any RuntimeWarning an error
+        with pytest.raises(SystemExit) as exc:
             run(["criteria", "--family", "tmsv", "--r", "200"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "ptmoments: error: witness must be finite, got nan\n"

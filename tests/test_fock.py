@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptmoments import fock
+from ptmoments import circuits, fock
 from ptmoments.errors import (BudgetError, CutoffError, DomainError, HermiticityError,
                               StateValidationError)
 from ptmoments.fock import (
@@ -27,9 +27,11 @@ from ptmoments.fock import (
 )
 from ptmoments.states import (
     CatParams,
+    HHGParams,
     LossyNOONParams,
     NOONParams,
     cat_density,
+    hhg_reduced_density,
     lossy_noon_density,
     tmsv_density,
     tmsv_vector,
@@ -133,14 +135,81 @@ class TestValidation:
 
     @pytest.mark.parametrize("dim, chunk_bytes", [(7, None), (300, None), (300, 4096),
                                                   (61, 16 * 61 * 5)])
+    @pytest.mark.parametrize("blocky", [False, True])
     @pytest.mark.parametrize("seed", range(4))
-    def test_residue_is_the_full_matrix_formula(self, dim, chunk_bytes, seed, monkeypatch):
+    def test_residue_is_the_full_matrix_formula(self, dim, chunk_bytes, blocky, seed,
+                                                monkeypatch):
+        # the block-wise residue, on the chunk-gathered blocks and on the
+        # gathered blocks of the positivity check, against the dense formula;
+        # the blocky matrices keep non-hermitian noise inside their blocks
         if chunk_bytes is not None:
             monkeypatch.setattr(fock, "_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(seed)
         mat = random_density(rng, dim)
-        mat += 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        assert fock._hermiticity_residue(mat) == np.abs(mat - mat.conj().T).max()
+        noise = 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        np.fill_diagonal(noise, 0.0)  # keeps the trace, so check_psd gathers whole blocks
+        mat += noise
+        if blocky:
+            labels = rng.integers(0, max(1, dim // 5), dim)
+            mat *= labels[:, None] == labels
+            mat /= np.trace(mat).real
+        for check_psd in (False, True):
+            residue, tr, _ = fock._block_checks(mat, mat != 0, check_psd)
+            assert residue == np.abs(mat - mat.conj().T).max()
+            assert tr == np.trace(mat)
+
+    @staticmethod
+    def two_blocks():
+        """A 12 x 12 state of two blocks (4 and 5 nodes, three empty), permuted,
+        and a node of each block."""
+        rng = np.random.default_rng(5)
+        mat = np.zeros((12, 12), dtype=complex)
+        mat[:4, :4] = 0.4 * random_density(rng, 4)
+        mat[4:9, 4:9] = 0.6 * random_density(rng, 5)
+        mat = 0.5 * (mat + mat.conj().T)
+        perm = rng.permutation(12)
+        node = np.argsort(perm)  # where each original node went
+        return mat[np.ix_(perm, perm)], int(node[1]), int(node[6])
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("one_sided", HermiticityError, "hermiticity residue 1.414e-03 > 1.0e-09"),
+        ("one_sided_to_empty", HermiticityError, "hermiticity residue 1.414e-03 > 1.0e-09"),
+        ("nan", StateValidationError, "matrix has non-finite entries"),
+        ("inf", StateValidationError, "matrix has non-finite entries"),
+        ("-inf", StateValidationError, "matrix has non-finite entries"),
+        ("overflowing_pair", HermiticityError, "hermiticity residue inf > 1.0e-09"),
+    ])
+    @pytest.mark.parametrize("check_psd", [True, False])
+    def test_defect_between_two_blocks(self, case, error, message, check_psd):
+        # an entry outside every block of the rest of the matrix joins the
+        # two blocks it touches, so the block-wise check meets it with its
+        # zero partner and raises what the dense check raises
+        mat, i, j = self.two_blocks()
+        if case == "one_sided":
+            mat[i, j] = 1e-3 + 1e-3j
+        elif case == "one_sided_to_empty":
+            j = int(np.flatnonzero(~(mat != 0).any(axis=0))[0])
+            mat[j, i] = 1e-3 - 1e-3j
+        elif case == "overflowing_pair":
+            mat[i, j], mat[j, i] = 1e308, -1e308
+        else:
+            mat[i, j] = float(case)
+        if error is HermiticityError:
+            with np.errstate(over="ignore"):
+                residue = np.abs(mat - mat.conj().T).max()
+            assert message == f"hermiticity residue {residue:.3e} > 1.0e-09"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            BipartiteDensityOperator(ModeCutoff(4, 3), mat, check_psd=check_psd)
+
+    def test_overflowing_symmetrised_block_is_refused(self):
+        # hermitian and of unit trace, but 0.5 * (m + m^H) overflows to inf in
+        # one block: its minimum eigenvalue is NaN, never a certified block
+        dim = 12
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[3, 7] = mat[7, 3] = 1e308
+        BipartiteDensityOperator(ModeCutoff(4, 3), mat, check_psd=False)
+        with pytest.raises(StateValidationError, match="^minimum eigenvalue nan < -1.0e-08$"):
+            BipartiteDensityOperator(ModeCutoff(4, 3), mat)
 
 
 class TestPartialTranspose:
@@ -418,6 +487,12 @@ def symmetrised_blocks(mat):
     return gather
 
 
+def uncertified_minimum(mat):
+    """The constructor's positivity check alone: the smallest eigenvalue of the
+    blocks that fail their certificate, inf if none does."""
+    return fock._block_checks(mat, mat != 0, True)[2]
+
+
 def with_spectrum(rng, eigvals):
     """Hermitian matrix with the given eigenvalues in a random unitary basis."""
     dim = len(eigvals)
@@ -443,7 +518,7 @@ class TestPsdCertificate:
         dense_min = np.linalg.eigvalsh(mat).min()
         assert (dense_min >= -DEFAULT_TOL.psd) == (side < 0)
         assert psd_accepted(ModeCutoff(dim, 1), mat) == (side < 0)
-        assert (fock._uncertified_minimum(mat) == math.inf) == (side < 0)
+        assert (uncertified_minimum(mat) == math.inf) == (side < 0)
 
     @pytest.mark.parametrize("chunk_bytes", [None, 16 * 60 * 8])
     @pytest.mark.parametrize("lam_min, side", [(-0.5e-8, -1), (-1.5e-8, 1)])
@@ -468,7 +543,7 @@ class TestPsdCertificate:
         mat += side * (lower - lower.conj().T)
         assert np.abs(mat - mat.conj().T).max() <= DEFAULT_TOL.herm
         accepted = lam_min >= -DEFAULT_TOL.psd
-        assert (fock._uncertified_minimum(mat) == math.inf) == accepted
+        assert (uncertified_minimum(mat) == math.inf) == accepted
         assert psd_accepted(ModeCutoff(dim, 1), mat) == accepted
 
     @pytest.mark.parametrize("case", ["rank1_d30", "tmsv_d30", "odd_cat", "rank_deficient_blocks"])
@@ -489,7 +564,7 @@ class TestPsdCertificate:
                 start += size
             perm = rng.permutation(28)
             mat = mat[np.ix_(perm, perm)] / len(sizes)
-        assert fock._uncertified_minimum(mat) == math.inf
+        assert uncertified_minimum(mat) == math.inf
         dim = len(mat)
         BipartiteDensityOperator(ModeCutoff(dim, 1), mat)
 
@@ -502,12 +577,23 @@ class TestPsdCertificate:
         perm = rng.permutation(8)
         mat = mat[np.ix_(perm, perm)]
         mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
-        assert fock._uncertified_minimum(mat) < math.inf
+        assert uncertified_minimum(mat) < math.inf
         lam_min = fock._block_eigvalsh(mat != 0, symmetrised_blocks(mat))[0]
         assert lam_min == pytest.approx(np.linalg.eigvalsh(mat).min(), abs=1e-15)
         message = f"minimum eigenvalue {lam_min:.3e} < -{DEFAULT_TOL.psd:.1e}"
         with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
             BipartiteDensityOperator(ModeCutoff(4, 2), mat)
+
+    def test_trace_failure_is_never_factored(self, monkeypatch):
+        # the trace error outranks positivity, so its matrix skips the certificate
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        with pytest.raises(StateValidationError, match="^trace "):
+            embed(np.diag([1.5, -0.4, 0.0, 0.0]).astype(complex), ModeCutoff(2, 2))
+        assert calls == []
+        embed(np.eye(4) / 4.0, ModeCutoff(2, 2))
+        assert calls == [1]
 
     def test_rejection_labels_the_pattern_once(self, rng, monkeypatch):
         # the certificate's pass also names the rejection: one labelling, and
@@ -523,7 +609,88 @@ class TestPsdCertificate:
         with pytest.raises(StateValidationError, match="^minimum eigenvalue -1.000e-03 <"):
             BipartiteDensityOperator(ModeCutoff(3, 2), mat)
         assert len(calls) == 1
-        assert fock._uncertified_minimum(mat) == pytest.approx(lam_min, abs=1e-15)
+        assert uncertified_minimum(mat) == pytest.approx(lam_min, abs=1e-15)
+
+
+def dense_pattern_spectrum(mat):
+    """Block spectrum over the components of ``mat != 0``, descending: the
+    formula on the matrix's own pattern, not on an operator's stored bits."""
+    vals = fock._block_eigvalsh(mat != 0, lambda idx: fock._principal(mat, idx))
+    return np.ascontiguousarray(vals[::-1])
+
+
+class TestStoredPattern:
+    """An operator keeps its matrix's nonzero pattern as bits, however it is
+    built; spectrum and pt_moments read the bits, not the matrix, and stay
+    bitwise equal to the formula on the dense pattern."""
+
+    @staticmethod
+    def assert_bits(op):
+        pattern = op.matrix != 0
+        np.testing.assert_array_equal(op._bits, np.packbits(pattern, axis=1))
+        np.testing.assert_array_equal(op._pattern(), pattern)
+        assert op._bits.nbytes <= op.matrix.nbytes / 128 + len(op.matrix)
+
+    @pytest.mark.parametrize("build", [
+        "constructor", "constructor_without_psd_check", "cat_density", "hhg_reduced_density",
+        "lossy_noon_density", "lossy_channel", "from_state_vector", "tmsv_density",
+    ])
+    def test_bits_equal_the_nonzero_pattern(self, build, rng):
+        if build.startswith("constructor"):
+            mat = random_density(rng, 12, 3) * np.kron(np.eye(4), np.ones((3, 3)))
+            op = BipartiteDensityOperator(ModeCutoff(4, 3), mat / np.trace(mat).real,
+                                          check_psd=build == "constructor")
+        elif build == "cat_density":
+            op = cat_density(CatParams(2.0, 2.0, 0.5, "odd"))
+        elif build == "hhg_reduced_density":
+            op = hhg_reduced_density(HHGParams(1.0, 0.3, 3))
+        elif build == "lossy_noon_density":
+            op = lossy_noon_density(LossyNOONParams.balanced(3, 0.8))
+        elif build == "lossy_channel":
+            op = circuits.lossy_channel(bell_density(), 0.7, "a")
+        elif build == "from_state_vector":
+            op = BipartiteDensityOperator.from_state_vector(
+                random_pure_bipartite(rng, 3, 4), ModeCutoff(3, 4))
+        else:
+            op = tmsv_density(0.5, 30)
+        self.assert_bits(op)
+        self.assert_bits(partial_transpose(op))
+
+    @staticmethod
+    def assert_outputs_match_dense_pattern(rho):
+        assert spectrum(rho).tobytes() == dense_pattern_spectrum(rho.matrix).tobytes()
+        w = dense_pattern_spectrum(partial_transpose(rho).matrix)
+        sums = np.array([np.sum(w ** n) for n in range(1, 8)])
+        assert pt_moments(rho, 7).tobytes() == sums.tobytes()
+
+    @pytest.mark.parametrize("case", ["tmsv_d30", "odd_cat", "random_d30"])
+    def test_outputs_match_dense_pattern(self, case):
+        if case == "tmsv_d30":
+            rho = tmsv_density(0.5, 30)
+        elif case == "odd_cat":
+            rho = cat_density(CatParams(2.0, 2.0, 0.5, "odd"))
+        else:
+            rho = embed(random_density(np.random.default_rng(30), 900), ModeCutoff(30, 30))
+        self.assert_outputs_match_dense_pattern(rho)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([ModeCutoff(3, 5), ModeCutoff(5, 3), ModeCutoff(2, 7)]),
+           st.sampled_from([0.05, 0.2, 0.6]), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def test_random_asymmetric_patterns_match_dense_pattern(self, cutoff, density, one_sided,
+                                                            seed):
+        # a random sparse hermitian pattern with rectangular cutoffs, plus
+        # entries below the tolerance without their transposed partner
+        rng = np.random.default_rng(seed)
+        dim = cutoff.dim
+        mask = rng.random((dim, dim)) < density
+        mat = random_density(rng, dim) * (mask | mask.T | np.eye(dim, dtype=bool))
+        mat /= np.trace(mat).real
+        for i, j in rng.integers(dim, size=(one_sided, 2)):
+            if i != j and mat[i, j] == 0 and mat[j, i] == 0:
+                mat[i, j] = 1e-10 * (1 + 1j)
+        rho = BipartiteDensityOperator(cutoff, mat, check_psd=False)
+        self.assert_bits(rho)
+        self.assert_outputs_match_dense_pattern(rho)
 
 
 def scipy_labels(pattern):
@@ -631,6 +798,14 @@ class TestMemory:
         ratio = self.peak_ratio(lambda: BipartiteDensityOperator(ModeCutoff(30, 30), mat),
                                 mat.nbytes)
         assert ratio <= 3.1
+
+    def test_constructor_without_psd_check_on_unstructured_state(self, rng):
+        # no block is gathered whole: the residue reads the one block in row
+        # chunks, beside the stored copy and the pattern
+        mat = random_density(rng, 900)
+        ratio = self.peak_ratio(
+            lambda: BipartiteDensityOperator(ModeCutoff(30, 30), mat, check_psd=False), mat.nbytes)
+        assert ratio <= 1.25
 
     def test_from_state_vector(self):
         vec = tmsv_vector(0.5, 30)
