@@ -32,7 +32,7 @@ from math import comb, gcd, prod, sqrt
 import numpy as np
 
 from .errors import BudgetError, DomainError, StateValidationError, ToleranceError
-from .fock import DEFAULT_TOL, BipartiteDensityOperator
+from .fock import DEFAULT_TOL, BipartiteDensityOperator, partial_transpose
 
 __all__ = [
     "PassiveUnitary",
@@ -326,7 +326,7 @@ def cycle_traces(copies) -> list:
     copy c padded with empty levels to the copies' largest cutoffs."""
     n = len(copies)
     d_a, d_b = max(c.d_a for c in copies), max(c.d_b for c in copies)
-    mats = [np.pad(c.as_tensor().transpose(0, 3, 2, 1), [(0, d_a - c.d_a), (0, d_b - c.d_b)] * 2)
+    mats = [np.pad(partial_transpose(c).as_tensor(), [(0, d_a - c.d_a), (0, d_b - c.d_b)] * 2)
             .reshape(d_a * d_b, d_a * d_b) for c in copies]
     traces = []
     for q in range(n):

@@ -18,21 +18,21 @@ split this way: the two-mode squeezed vacuum conserves N_A + N_B after the
 partial transpose, cat states conserve parity.  The components are labelled
 in numpy: each node is hooked onto the smallest node of its row, then the
 entries that still join two trees hook root onto root until none does.  The
-constructor's checks run on the same blocks: one pass takes the hermiticity
-residue while it symmetrises each into 0.5 * (rho + rho^H), and positivity
-is a Cholesky certificate of that block + psd * I, with ``eigvalsh`` of a
-failing block alone, unshifted, to name the rejection by its minimum.
+constructor takes each block's hermiticity residue in one pass; a Cholesky
+certificate of 0.5 * (rho + rho^H) + psd * I per block proves positivity,
+and ``eigvalsh`` of a failing block alone, unshifted, names the rejection.
 
 Memory: an operator stores one copy of its matrix and its nonzero pattern as
 bits (1/128 of its size); a caller's array is copied once, the package's own
 builders hand theirs over.  The constructor reads the matrix once for the
-boolean pattern (1/16), which it labels and packs, then each block in row
-chunks of ``_CHUNK_BYTES``; the positivity check gathers each block whole
-and symmetrises and shifts it in place.  ``spectrum`` and ``pt_moments``
-unpack the bits; ``pt_moments`` permutes them and gathers each block of the
-partial transpose straight from ``rho``.  Beyond the stored copy and the
-pattern, only the blocks and their Cholesky factors can exceed a fraction of
-the matrix's size: an unstructured matrix is one block.
+boolean pattern (1/16), packs and labels it, then each block in row chunks of
+``_CHUNK_BYTES``, or, without the positivity check, a matrix within half a
+chunk as one block, unlabelled; the positivity check symmetrises and shifts
+each gathered block in place.  ``spectrum`` and ``pt_moments`` unpack the
+bits; ``pt_moments`` permutes them and gathers the partial transpose's blocks
+straight from ``rho``.  Beyond the stored copy and the pattern, only the
+blocks and their Cholesky factors (an unstructured matrix is one block) can
+exceed a fraction of the matrix's size.
 
 Basis convention: the two-mode basis state |i>_A |j>_B is stored at row/column
 index ``i * d_b + j`` for level cutoffs ``d_a`` and ``d_b``.
@@ -84,8 +84,7 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 
-# Byte budget of one row chunk of the constructor's checks, which hold a few
-# chunks at a time whatever the matrix size.
+# Byte budget of one row chunk of the constructor's checks, which hold a few at a time.
 _CHUNK_BYTES = 1 << 20
 
 # Largest dense complex matrix a cutoff may ask for.  Every dense builder
@@ -143,10 +142,12 @@ class BipartiteDensityOperator:
     def _init(self, cutoff: ModeCutoff, mat: np.ndarray, check_psd: bool):
         if mat.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {cutoff.dim}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            tr = np.trace(mat)  # a bad trace outranks positivity: its matrix is never factored
         pattern = mat != 0
-        residue, tr, lam_min = _block_checks(mat, pattern, check_psd)
-        if residue > DEFAULT_TOL.herm:
-            raise HermiticityError(f"hermiticity residue {residue:.3e} > {DEFAULT_TOL.herm:.1e}")
+        res, lam_min = _block_checks(mat, pattern, check_psd and abs(tr - 1) <= DEFAULT_TOL.trace)
+        if res > DEFAULT_TOL.herm:
+            raise HermiticityError(f"hermiticity residue {res:.3e} > {DEFAULT_TOL.herm:.1e}")
         if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise StateValidationError(f"trace {tr} deviates from 1 beyond {DEFAULT_TOL.trace:.1e}")
         if not lam_min >= -DEFAULT_TOL.psd:  # NaN too: an overflowing symmetrised block
@@ -200,29 +201,27 @@ def _row_chunks(dim: int, width: int | None = None) -> list[slice]:
 
 
 def _block_checks(mat: np.ndarray, pattern: np.ndarray, check_psd: bool):
-    """(max|mat - mat^H|, trace, minimum eigenvalue of the blocks of
-    0.5 * (mat + mat^H) that fail a Cholesky certificate of block + psd * I,
-    which proves lambda_min >= -psd up to ~n * eps * |mat| (Higham 1990)),
-    read block by block over the components of ``pattern``, where every
-    nonzero entry, NaN and inf too, meets its transposed partner.  Skips the
-    certificate once the trace or residue fails; raises on NaN or inf."""
-    residue, lam_min = 0.0, math.inf
+    """(max|mat - mat^H|, least eigenvalue of the blocks of 0.5 * (mat + mat^H)
+    failing a Cholesky certificate of block + psd * I, which proves lambda_min
+    >= -psd up to ~n * eps * |mat| (Higham 1990), inf if none does) over the
+    blocks of ``pattern``, where each nonzero, NaN and inf too, meets its transposed
+    partner; unchecked, a matrix within half a chunk is one block.  Raises on NaN or inf."""
+    residue, lam_min, one_block = 0.0, math.inf, not check_psd and 2 * mat.nbytes <= _CHUNK_BYTES
     with np.errstate(invalid="ignore", over="ignore"):
-        tr = np.trace(mat)
-        check_psd = check_psd and abs(tr - 1.0) <= DEFAULT_TOL.trace
-        for idx in _block_groups(pattern):
+        for idx in [np.arange(len(mat))[None]] if one_block else _block_groups(pattern):
             count, size = idx.shape
             blocks = _principal(mat, idx) if check_psd else None
             for r in _row_chunks(size, 2 * count * size):  # half chunks: ~4 are held
-                if blocks is None:  # row chunks from mat; their symmetrised copy is dropped
+                if blocks is None:  # row chunks from mat, for the residue alone
                     lower = mat[idx[:, r, None], idx[:, None, :r.stop]]
                     upper = mat[idx[:, :r.stop, None], idx[:, None, r]]
                 else:  # the lower triangle, which both solvers read
                     lower, upper = blocks[:, r, :r.stop], blocks[:, :r.stop, r]
                 upper = upper.conj().swapaxes(1, 2)
                 residue = np.maximum(residue, np.abs(lower - upper).max())  # keeps a NaN
-                lower += upper
-                lower *= 0.5
+                if blocks is not None:
+                    lower += upper
+                    lower *= 0.5
             del lower, upper  # the last chunk's copy, before the factorisation
             if blocks is not None and residue <= DEFAULT_TOL.herm:
                 diagonal = blocks.reshape(count, -1)[:, ::size + 1]
@@ -231,13 +230,14 @@ def _block_checks(mat: np.ndarray, pattern: np.ndarray, check_psd: bool):
                 try:
                     if not np.isfinite(np.linalg.cholesky(blocks).diagonal(0, 1, 2)).all():
                         raise np.linalg.LinAlgError  # a NaN that the solver let through
-                except np.linalg.LinAlgError:
+                except np.linalg.LinAlgError:  # NaN for an overflowing block: LAPACK may raise
                     diagonal[...] = unshifted  # exactly: subtracting the shift could round
-                    lam_min = np.minimum(lam_min, np.linalg.eigvalsh(blocks).min())
+                    lam_min = (np.minimum(lam_min, np.linalg.eigvalsh(blocks).min())
+                               if np.isfinite(blocks).all() else math.nan)
     # a non-finite entry makes the residue non-finite; so does an overflow
     if not (np.isfinite(residue) or np.isfinite(mat).all()):
         raise StateValidationError("matrix has non-finite entries")
-    return residue, tr, lam_min
+    return residue, lam_min
 
 
 def _principal(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -139,24 +139,42 @@ class TestValidation:
     @pytest.mark.parametrize("seed", range(4))
     def test_residue_is_the_full_matrix_formula(self, dim, chunk_bytes, blocky, seed,
                                                 monkeypatch):
-        # the block-wise residue, on the chunk-gathered blocks and on the
-        # gathered blocks of the positivity check, against the dense formula;
-        # the blocky matrices keep non-hermitian noise inside their blocks
+        # the block-wise residue, on the row chunks read from the matrix and
+        # on the gathered blocks of the positivity check, against the dense
+        # formula; the blocky matrices keep non-hermitian noise inside their
+        # blocks, and every matrix has a non-real diagonal
         if chunk_bytes is not None:
             monkeypatch.setattr(fock, "_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(seed)
         mat = random_density(rng, dim)
-        noise = 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        np.fill_diagonal(noise, 0.0)  # keeps the trace, so check_psd gathers whole blocks
-        mat += noise
+        mat += 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         if blocky:
             labels = rng.integers(0, max(1, dim // 5), dim)
             mat *= labels[:, None] == labels
-            mat /= np.trace(mat).real
-        for check_psd in (False, True):
-            residue, tr, _ = fock._block_checks(mat, mat != 0, check_psd)
-            assert residue == np.abs(mat - mat.conj().T).max()
-            assert tr == np.trace(mat)
+        residue = fock._block_checks(mat, mat != 0, False)[0]
+        assert residue == np.abs(mat - mat.conj().T).max()
+        # imaginary diagonal noise of zero sum keeps the trace within its
+        # tolerance, so the constructor also takes the gathered blocks
+        x = 1e-9 * rng.standard_normal(dim)
+        np.fill_diagonal(mat, mat.diagonal().real + 1j * (x - x.mean()))
+        mat /= np.trace(mat).real
+        assert abs(np.trace(mat) - 1.0) <= DEFAULT_TOL.trace
+        residue = fock._block_checks(mat, mat != 0, True)[0]
+        assert residue == np.abs(mat - mat.conj().T).max()
+        message = f"hermiticity residue {residue:.3e} > {DEFAULT_TOL.herm:.1e}"
+        with pytest.raises(HermiticityError, match=f"^{re.escape(message)}$"):
+            BipartiteDensityOperator(ModeCutoff(dim, 1), mat)
+
+    @pytest.mark.parametrize("check_psd", [True, False])
+    def test_non_real_diagonal_is_refused(self, check_psd):
+        # the only non-hermitian entries are on the diagonal, of zero sum, so
+        # the trace stays 1 and both ways of reading the blocks meet them
+        mat, i, j = self.two_blocks()
+        mat[i, i] += 1e-3j
+        mat[j, j] -= 1e-3j
+        assert np.trace(mat) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(HermiticityError, match="^hermiticity residue 2.000e-03 > 1.0e-09$"):
+            BipartiteDensityOperator(ModeCutoff(4, 3), mat, check_psd=check_psd)
 
     @staticmethod
     def two_blocks():
@@ -201,15 +219,41 @@ class TestValidation:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             BipartiteDensityOperator(ModeCutoff(4, 3), mat, check_psd=check_psd)
 
-    def test_overflowing_symmetrised_block_is_refused(self):
+    @pytest.mark.parametrize("eigvalsh_raises", [False, True])
+    def test_overflowing_symmetrised_block_is_refused(self, eigvalsh_raises, monkeypatch):
         # hermitian and of unit trace, but 0.5 * (m + m^H) overflows to inf in
-        # one block: its minimum eigenvalue is NaN, never a certified block
+        # one block: its minimum eigenvalue is NaN, never a certified block,
+        # also where LAPACK would raise on the inf instead of returning NaN
+        if eigvalsh_raises:
+            eigvalsh = np.linalg.eigvalsh
+
+            def strict(a):
+                if not np.isfinite(a).all():
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return eigvalsh(a)
+            monkeypatch.setattr(np.linalg, "eigvalsh", strict)
         dim = 12
         mat = np.eye(dim, dtype=complex) / dim
         mat[3, 7] = mat[7, 3] = 1e308
         BipartiteDensityOperator(ModeCutoff(4, 3), mat, check_psd=False)
         with pytest.raises(StateValidationError, match="^minimum eigenvalue nan < -1.0e-08$"):
             BipartiteDensityOperator(ModeCutoff(4, 3), mat)
+
+    @pytest.mark.parametrize("dim, labelled", [(180, False), (182, True)])
+    def test_unchecked_matrix_within_half_a_chunk_is_not_labelled(self, dim, labelled,
+                                                                   monkeypatch):
+        # without the positivity check, a matrix of at most half a row chunk
+        # is read as one block; with it, or past that size, it is labelled
+        calls = []
+        labels = fock._component_labels
+        monkeypatch.setattr(fock, "_component_labels",
+                            lambda pattern: calls.append(1) or labels(pattern))
+        vec = np.zeros(dim)
+        vec[[0, 2]] = 1.0
+        BipartiteDensityOperator.from_state_vector(vec, ModeCutoff(dim, 1))
+        assert len(calls) == labelled
+        BipartiteDensityOperator(ModeCutoff(dim, 1), np.eye(dim) / dim)
+        assert len(calls) == labelled + 1
 
 
 class TestPartialTranspose:
@@ -490,7 +534,7 @@ def symmetrised_blocks(mat):
 def uncertified_minimum(mat):
     """The constructor's positivity check alone: the smallest eigenvalue of the
     blocks that fail their certificate, inf if none does."""
-    return fock._block_checks(mat, mat != 0, True)[2]
+    return fock._block_checks(mat, mat != 0, True)[1]
 
 
 def with_spectrum(rng, eigvals):
