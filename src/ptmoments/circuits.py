@@ -32,7 +32,7 @@ from math import comb, gcd, prod, sqrt
 import numpy as np
 
 from .errors import BudgetError, DomainError, StateValidationError, ToleranceError
-from .fock import DEFAULT_TOL, BipartiteDensityOperator, partial_transpose
+from .fock import DEFAULT_TOL, BipartiteDensityOperator
 
 __all__ = [
     "PassiveUnitary",
@@ -320,20 +320,20 @@ def value_law(copies) -> np.ndarray:
 
 
 def cycle_traces(copies) -> list:
-    """t_q for q = 0..n-1: the product, over the cycles of c -> c+q (mod n),
-    of Tr(G_c G_(c+q) G_(c+2q) ...) taken along the cycle (for unequal
-    copies the reverse order is wrong), with G_c the partial transpose of
-    copy c padded with empty levels to the copies' largest cutoffs."""
-    n = len(copies)
+    """``_cycle_traces`` of the copies' partial transposes, zero-padded to their largest cutoffs."""
     d_a, d_b = max(c.d_a for c in copies), max(c.d_b for c in copies)
-    mats = [np.pad(partial_transpose(c).as_tensor(), [(0, d_a - c.d_a), (0, d_b - c.d_b)] * 2)
-            .reshape(d_a * d_b, d_a * d_b) for c in copies]
-    traces = []
-    for q in range(n):
-        g = gcd(q, n)
-        cycles = [[mats[(start + i * q) % n] for i in range(n // g)] for start in range(g)]
-        traces.append(prod(np.trace(reduce(np.matmul, cycle)) for cycle in cycles))
-    return traces
+    return _cycle_traces([np.pad(c.as_tensor().transpose(0, 3, 2, 1),
+                                 [(0, d_a - c.d_a), (0, d_b - c.d_b)] * 2).reshape(d_a * d_b, -1)
+                          for c in copies])
+
+
+def _cycle_traces(mats) -> list:
+    """t_q, q = 0..n-1: over the cycles of c -> c+q (mod n), the product of Tr(G_c G_(c+q) ...)
+    along the cycle (not reversed), for arrays G_c = mats[c] (..., D, D), leading axes broadcast."""
+    n = len(mats)
+    cycle = lambda start, q: [mats[(start + i * q) % n] for i in range(n // gcd(q, n))]
+    return [prod(np.trace(reduce(np.matmul, cycle(start, q)), axis1=-2, axis2=-1)
+                 for start in range(gcd(q, n))) for q in range(n)]
 
 
 def _law(traces) -> np.ndarray:

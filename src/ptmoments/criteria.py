@@ -41,6 +41,10 @@ __all__ = [
 # an integer through rounding.
 _FLOOR_NUDGE = 1e-12
 
+# Below this purity optimal_threshold reads p2^2, within 0.15 p2 of it: there 1 - a*u
+# cancels (to no correct bit near p2 = 2e-24) and a*(a+1) overflows below 7e-155.
+_SMALL_PURITY = 1e-15
+
 # How far above 1 a purity may round on a pure state (the closed-form p2 of a
 # two-mode squeezed vacuum lands 1 ulp above); such a p2 is read as 1.
 _PURITY_SLACK = 4 * np.finfo(float).eps
@@ -142,10 +146,7 @@ def newton_elementary(p: PtMomentVector) -> np.ndarray:
     e = np.empty((len(ms) + 1, *ms.shape[1:]))
     e[0] = 1.0
     for n in range(1, len(ms) + 1):
-        acc = 0.0
-        for j in range(1, n + 1):
-            acc += (-1) ** (j - 1) * e[n - j] * ms[j - 1]
-        e[n] = acc / n
+        e[n] = sum((-1) ** (j - 1) * e[n - j] * ms[j - 1] for j in range(1, n + 1)) / n
     return e
 
 
@@ -184,12 +185,13 @@ def optimal_threshold(p2):
     Minimizes the third power sum over non-negative spectra with unit trace
     and fixed second power sum: with a = floor(1/p2) the minimizer has a
     equal weights u and one remainder 1 - a*u.  Reduces to the linear bound
-    (3 p2 - 1)/2 on 1/2 < p2 <= 1.
+    (3 p2 - 1)/2 on 1/2 < p2 <= 1, and rounds to p2^2 below p2 = 1e-15.
     """
     p2 = _purity(p2)
-    a = np.maximum(np.floor(1.0 / p2 + _FLOOR_NUDGE), 1.0)
-    u = (a + np.sqrt(np.maximum(a * (p2 * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
-    thr = a * np.float_power(u, 3) + np.float_power(1.0 - a * u, 3)
+    thr, big = np.where(p2 < _SMALL_PURITY, p2 * p2, 0.0), p2 >= _SMALL_PURITY
+    a = np.maximum(np.floor(1.0 / p2[big] + _FLOOR_NUDGE), 1.0)
+    u = (a + np.sqrt(np.maximum(a * (p2[big] * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
+    thr[big] = a * np.float_power(u, 3) + np.float_power(1.0 - a * u, 3)
     return float(thr) if thr.ndim == 0 else thr
 
 

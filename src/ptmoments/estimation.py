@@ -26,14 +26,12 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 
 from . import circuits
 from .criteria import _require_finite, optimal_threshold
 from .errors import DomainError
-from .fock import BipartiteDensityOperator, ModeCutoff
 from .states import LossyNOONParams, lossy_noon_pt_moments
 
 __all__ = [
@@ -203,9 +201,7 @@ def witness_variances(p2, p3, k):
     var_l = (1.0 - p3_sq) / k + 2.25 * (1.0 - p2_sq) / k
     var_q = ((1.0 - p3_sq) / k
              + 2.0 * (1.0 - p2_sq) * (1.0 + (2.0 * k - 3.0) * p2_sq) / (k * (k - 1.0)))
-    if var_l.ndim == 0:
-        return float(var_l), float(var_q)
-    return var_l, var_q
+    return (float(var_l), float(var_q)) if var_l.ndim == 0 else (var_l, var_q)
 
 
 def min_samples(p2, p3, criterion: str = "quadratic"):
@@ -322,23 +318,22 @@ def _clamped_moments(mean: float, std: float) -> tuple[float, float, float, floa
 #   (1 - tau)|00><00| + tau (alpha^2 - alpha beta)|10><10|
 #     + tau (beta^2 - alpha beta)|01><01| + 2 tau alpha beta |+><+|,
 # with |+> = (|10> + |01>)/sqrt(2).  The mean readout value t of n copies
-# (the cycle trace t_(n-1) of circuits.value_law) is linear in each copy:
-# the (4,)*n tensor of the basis products' t contracted with each copy's
-# coefficients.
+# (the cycle trace t_(n-1) of circuits.value_law) is linear in each copy: the
+# (4,)*n tensor of the basis products' t, one batched cycle trace of the stacked
+# basis partial transposes, contracted with each copy's coefficients.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
 def _noon1_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices (one row each) and values of the nonzero entries of the
     (4,)*n tensor of mean values of the n-fold products of the basis states
-    |00>, |10>, |01>, |+>: cycle traces of entries 0, 1/2 and 1, so exact."""
-    # |v><v| / <v|v>, at basis index i * d_b + j of |i>_A |j>_B; a projector is
-    # positive by construction, so no eigenvalue check (the path runs no LAPACK)
-    basis = [BipartiteDensityOperator(ModeCutoff(2, 2), np.outer(v, v) / np.dot(v, v),
-                                      check_psd=False)
-             for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 0])]
-    tensor = np.array([circuits.cycle_traces(copies)[-1]
-                       for copies in product(basis, repeat=n)]).real.reshape((4,) * n)
+    |00>, |10>, |01>, |+>: sums of products of entries 0, 1/2 and 1, so exact."""
+    # |v><v| / <v|v> at basis index i * d_b + j of |i>_A |j>_B, partially transposed
+    v = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 0]])
+    pts = (v[:, :, None] * v[:, None, :] / (v * v).sum(1)[:, None, None]).reshape(
+        4, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(4, 4, 4)
+    tensor = circuits._cycle_traces([pts.reshape((1,) * c + (4,) + (1,) * (n - 1 - c) + (4, 4))
+                                     for c in range(n)])[-1]
     index = np.argwhere(tensor)
     weights = tensor[tuple(index.T)]
     for arr in (index, weights):

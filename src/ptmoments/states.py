@@ -336,6 +336,8 @@ def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
     tau with one more leading axis than N; a term with k > N is zero.  The
     terms stack on a leading k axis, which np.add.reduce sums in increasing k."""
     n_max = int(N.max(initial=0))
+    if n_max > 345:  # C(346, 173)^3 passes the float range
+        raise DomainError(f"lossy NOON moments need N <= 345, got N = {n_max}")
     k = np.arange(n_max + 1).reshape((-1,) + (1,) * tau.ndim)
     kept = np.maximum(N - k, 0)
     return tuple(np.add.reduce(_binomial_powers(n_max, p)[:, N][:, None]

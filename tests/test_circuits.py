@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from itertools import permutations
@@ -712,6 +713,30 @@ class TestValueLaw:
         np.testing.assert_allclose(circuits.value_law(copies),
                                    outcome_distribution(copies, 3).value_law(),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("cutoffs", [
+        pytest.param([(3, 3)] * 4, id="equal"),
+        pytest.param([(2, 3), (3, 2), (3, 3)], id="unequal"),
+        pytest.param([(1, 3), (2, 2), (3, 1), (2, 3)], id="unequal_with_one_level"),
+    ])
+    def test_cycle_traces_equal_padded_validated_partial_transposes(self, cutoffs, rng):
+        # reference: each copy's validated fock.partial_transpose, zero-padded
+        # with np.pad, and every cycle's product traced one at a time
+        copies = [BipartiteDensityOperator(ModeCutoff(*c), random_density(rng, c[0] * c[1]))
+                  for c in cutoffs]
+        n = len(copies)
+        d_a, d_b = max(c.d_a for c in copies), max(c.d_b for c in copies)
+        mats = [np.pad(partial_transpose(c).as_tensor(), [(0, d_a - c.d_a), (0, d_b - c.d_b)] * 2)
+                .reshape(d_a * d_b, d_a * d_b) for c in copies]
+        want = []
+        for q in range(n):
+            g, t = math.gcd(q, n), 1
+            for start in range(g):
+                t *= np.trace(functools.reduce(
+                    np.matmul, [mats[(start + i * q) % n] for i in range(n // g)]))
+            want.append(t)
+        got = circuits.cycle_traces(copies)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_identical_copies_at_prime_n(self, n):

@@ -79,6 +79,24 @@ class TestCriteriaCommand:
         assert done.returncode == 2
         assert done.stderr == "ptmoments: error: witness must be finite, got nan\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "tmsv", "--n-bar", "1e13", "--r", "0"],
+        ["--family", "tmsv", "--n-bar", "1e15", "--r", "0"],
+        ["--p2", "1e-300", "--p3", "1e-200"],
+    ])
+    def test_tiny_purity_is_not_detected_with_runtime_warnings_as_errors(self, argv):
+        # separable products of thermal modes, and a purity far below the
+        # closed form's cancellation and overflow
+        done = self.run_warnings_as_errors("criteria", *argv)
+        assert done.returncode == 0 and done.stderr == ""
+        assert "optimal3" in done.stdout and "ENTANGLED" not in done.stdout
+
+    def test_lossy_noon_past_n_345_exits_2_with_runtime_warnings_as_errors(self):
+        done = self.run_warnings_as_errors("criteria", "--family", "noon", "--N", "350",
+                                           "--tau", "0.5")
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert "N <= 345" in done.stderr
+
     def test_pure_tmsv_past_r_177_is_refused_as_non_finite(self, capsys):
         # the symplectic witnesses square nu2 to inf and multiply it by 0,
         # silently: the suite makes any RuntimeWarning an error

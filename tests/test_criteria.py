@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptmoments import criteria, gaussian
 from ptmoments.criteria import (
     CriterionReport,
     PtMomentVector,
@@ -217,6 +220,61 @@ class TestOptimalThresholdArrays:
     def test_array_outside_domain_rejected(self, bad):
         with pytest.raises(DomainError):
             optimal_threshold(np.array([0.5, bad, 0.25]))
+
+
+def exact_optimal_threshold(p2: float) -> Decimal:
+    """The closed form a u^3 + (1 - a u)^3 at 700 digits, with a = floor(1/p2)
+    taken exactly from the float p2: enough digits for the cancellation in
+    1 - a u down to p2 = 1e-300."""
+    a = math.floor(1 / Fraction(p2))
+    with localcontext() as ctx:
+        ctx.prec = 700
+        p, a = Decimal(p2), Decimal(a)
+        u = (a + (a * (p * (a + 1) - 1)).sqrt()) / (a * (a + 1))
+        return a * u ** 3 + (1 - a * u) ** 3
+
+
+class TestOptimalThresholdAtSmallPurity:
+    @staticmethod
+    def assert_accurate(p2, thr):
+        # a few ulps where the threshold is a normal float, and within one
+        # subnormal unit below that (thr is about p2^2)
+        for x, t in zip(p2.tolist(), thr.tolist()):
+            want = exact_optimal_threshold(x)
+            assert abs(Decimal(t) - want) <= Decimal(1e-15) * want + Decimal(2.0 ** -1074), x
+
+    def test_log_grid_against_high_precision(self):
+        p2 = np.logspace(-300, -4, 593)
+        thr = optimal_threshold(p2)
+        self.assert_accurate(p2, thr)
+        assert thr.tobytes() == np.array([optimal_threshold(x) for x in p2.tolist()]).tobytes()
+
+    def test_threshold_is_p2_squared_to_within_a_sixth_of_p2(self):
+        # the bound that lets p2^2 stand for the threshold below the floor
+        for x in np.concatenate([np.logspace(-15, -4, 221), 1 / np.arange(3.0, 60.0)]).tolist():
+            assert abs(exact_optimal_threshold(x) / Decimal(x) ** 2 - 1) <= Decimal(0.15 * x)
+
+    def test_both_sides_of_the_floor(self):
+        floor = criteria._SMALL_PURITY
+        p2 = np.array([np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)])
+        thr = optimal_threshold(p2)
+        assert thr[0] == p2[0] ** 2
+        self.assert_accurate(p2, thr)
+
+    def test_smallest_purities_give_no_warning(self):
+        # the suite makes a RuntimeWarning an error
+        tiny = np.array([1e-300, 2.0 ** -1022, 5e-324])
+        assert optimal_threshold(tiny).tolist() == [0.0, 0.0, 0.0]
+        assert p3_optimal(1e-300, 1e-200).witness == 1e-200
+
+    @pytest.mark.parametrize("n_bar", [1e13, 1e15])
+    def test_product_of_thermal_modes_is_not_detected(self, n_bar):
+        # a separable product: p3 - p2^2 = 1/(3 n^2 + 3n + 1)^2 - 1/(2n + 1)^4 > 0
+        pair = gaussian.tmsv_thermal_pt_pair(n_bar, 0.0)
+        p2, p3 = gaussian.gaussian_pt_moment(pair, 2), gaussian.gaussian_pt_moment(pair, 3)
+        report = p3_optimal(p2, p3)
+        assert not report.detected
+        assert report.witness == pytest.approx(p3 - p2 ** 2, rel=1e-12)
 
 
 class TestGaussianThirdOrder:

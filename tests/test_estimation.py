@@ -448,6 +448,37 @@ class TestFastNoon1Path:
                 law = circuits.value_law([basis[b] for b in copies])
                 assert tensor[copies] == pytest.approx((law @ values).real, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_terms_equal_the_validated_basis_operators_cycle_traces(self, n):
+        # reference: the tensor built one basis product at a time, from
+        # validated operators through the public cycle_traces
+        basis = [BipartiteDensityOperator(ModeCutoff(2, 2), np.outer(v, v) / np.dot(v, v),
+                                          check_psd=False)
+                 for v in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 0])]
+        tensor = np.array([circuits.cycle_traces(copies)[-1]
+                           for copies in product(basis, repeat=n)]).real.reshape((4,) * n)
+        index, weights = _noon1_terms(n)
+        assert np.array_equal(index, np.argwhere(tensor))
+        assert weights.tobytes() == tensor[tuple(index.T)].tobytes()
+        assert not index.flags.writeable and not weights.flags.writeable
+
+    def test_cold_simulation_builds_no_density_operator(self, monkeypatch):
+        calls = []
+        init = BipartiteDensityOperator._init
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return init(self, *args)
+
+        monkeypatch.setattr(BipartiteDensityOperator, "_init", counted)
+        BipartiteDensityOperator(ModeCutoff(1, 1), [[1.0]])
+        assert len(calls) == 1  # the count sees the constructor
+        for cached in (estimation._noon1_terms, estimation._analytic_band,
+                       estimation._gauss_legendre):
+            cached.cache_clear()
+        full_simulation(LossyNOONParams.balanced(1, 0.75), SamplingPlan(2, 2, 0), k_values=(10,))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_sampled_values_match_fixed_row(self, n):
         # one fixed run repeated: the draws average to that run's p_n

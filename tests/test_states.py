@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -374,6 +375,32 @@ class TestLossyNOON:
             return p3 - optimal_threshold(p2)
         crossing = optimize.brentq(witness, 0.52, 0.99, xtol=1e-10)
         assert crossing == pytest.approx(0.805302, abs=1e-5)
+
+
+class TestLossyNOONLimit:
+    @staticmethod
+    def exact_at_half(N):
+        """(p2, p3) of LossyNOONParams.balanced(N, 1/2) in exact arithmetic
+        from its float weight |alpha|^2 = |beta|^2, where every tau^N and
+        (1 - tau)^N is 2^-N."""
+        w = Fraction(abs(NOONParams.balanced(N).alpha) ** 2)
+        s2 = Fraction(sum(math.comb(N, k) ** 2 for k in range(N + 1)), 4 ** N)
+        s3 = Fraction(sum(math.comb(N, k) ** 3 for k in range(N + 1)), 8 ** N)
+        h = Fraction(1, 2 ** N)
+        return 2 * w ** 2 * (s2 + 2 * h ** 2), 2 * w ** 3 * (s3 + 6 * h ** 3)
+
+    @pytest.mark.parametrize("N", [300, 345])
+    def test_moments_up_to_the_limit_match_exact_sums(self, N):
+        got = lossy_noon_pt_moments(LossyNOONParams.balanced(N, 0.5))
+        for value, exact in zip(got, self.exact_at_half(N)):
+            assert math.isfinite(value)
+            assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 13) * exact
+
+    @pytest.mark.parametrize("N", [346, 1000, np.array([1, 346])])
+    def test_past_the_limit_is_refused(self, N):
+        # C(N, k)^3 passes the float range from N = 346 on
+        with pytest.raises(DomainError, match="N <= 345"):
+            lossy_noon_pt_moments(LossyNOONParams(NOONParams(N, BAL, BAL), 0.5, 0.5))
 
 
 class TestElementwiseClosedForms:
