@@ -188,7 +188,8 @@ def optimal_threshold(p2):
     (3 p2 - 1)/2 on 1/2 < p2 <= 1, and rounds to p2^2 below p2 = 1e-15.
     """
     p2 = _purity(p2)
-    thr, big = np.where(p2 < _SMALL_PURITY, p2 * p2, 0.0), p2 >= _SMALL_PURITY
+    big = p2 >= _SMALL_PURITY
+    thr = np.where(big, 0.0, p2 * p2)
     a = np.maximum(np.floor(1.0 / p2[big] + _FLOOR_NUDGE), 1.0)
     u = (a + np.sqrt(np.maximum(a * (p2[big] * (a + 1) - 1.0), 0.0))) / (a * (a + 1))
     thr[big] = a * np.float_power(u, 3) + np.float_power(1.0 - a * u, 3)
