@@ -31,11 +31,10 @@ from math import comb, gcd, prod, sqrt
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, StateValidationError, ToleranceError
+from .errors import BudgetError, DomainError, StateValidationError, ToleranceError, _require_finite
 from .fock import DEFAULT_TOL, BipartiteDensityOperator
 
 __all__ = [
-    "PassiveUnitary",
     "CircuitElement",
     "OutcomeDistribution",
     "dft",
@@ -51,32 +50,6 @@ __all__ = [
     "cycle_traces",
     "class_values",
 ]
-
-# Largest entry of U^dagger U - 1 accepted as unitary.
-_UNITARITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PassiveUnitary:
-    """n x n unitary acting on the mode annihilation operators."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.matrix, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {u.shape}")
-        if not np.isfinite(u).all():
-            raise DomainError("unitary has a non-finite entry")
-        residue = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-        if residue > _UNITARITY_TOL:
-            raise ToleranceError(f"unitarity residue {residue:.3e} > {_UNITARITY_TOL:.1e}")
-        u.setflags(write=False)
-        object.__setattr__(self, "matrix", u)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -105,13 +78,15 @@ class CircuitElement:
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
 
 
-def dft(n: int) -> PassiveUnitary:
-    """Discrete Fourier transform with entries omega^(jk)/sqrt(n),
-    omega = exp(-2 pi i / n)."""
+def dft(n: int) -> np.ndarray:
+    """Read-only n x n discrete Fourier transform on the mode annihilation
+    operators, with entries omega^(jk)/sqrt(n), omega = exp(-2 pi i / n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     q = np.arange(n)
-    return PassiveUnitary(class_values(np.outer(q, q), n) / np.sqrt(n))
+    u = class_values(np.outer(q, q), n) / np.sqrt(n)
+    u.setflags(write=False)
+    return u
 
 
 def beam_splitter_matrix(tau: float) -> np.ndarray:
@@ -232,16 +207,15 @@ class OutcomeDistribution:
         if np.any(step[np.arange(step.shape[0]), np.argmax(step != 0, axis=1)] <= 0):
             raise ValueError("outcome cells must be distinct and in lexicographic order")
         total = probs.sum()
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ToleranceError(f"outcome probabilities sum to {total}, not 1")
         if probs.min() < -_NORM_TOL:
             raise ToleranceError("negative outcome probability")
         keep = probs > _OUTCOME_FLOOR * probs.max()
         self.n_copies = cells.shape[1] // 2 + 1
-        self._cells = cells[keep]
-        self._probs = probs[keep]
-        self._cells.setflags(write=False)
-        self._probs.setflags(write=False)
+        self._cells, self._probs = cells[keep], probs[keep]
+        for arr in (self._cells, self._probs):
+            arr.setflags(write=False)
 
     def probability(self, outcome) -> float:
         outcome = np.asarray(outcome)
@@ -338,9 +312,10 @@ def _cycle_traces(mats) -> list:
 
 def _law(traces) -> np.ndarray:
     """P(m) = (1/n) sum_q exp(-2 pi i q m / n) t_q, clipped at zero; a class
-    below -_NORM_TOL raises ToleranceError."""
-    n, q = len(traces), np.arange(len(traces))
-    law = (np.exp(-2j * np.pi / n * (np.outer(q, q) % n)) @ np.asarray(traces)).real / n
+    below -_NORM_TOL raises ToleranceError, a non-finite trace DomainError."""
+    n, q, traces = len(traces), np.arange(len(traces)), np.asarray(traces)
+    _require_finite(traces=traces)
+    law = (np.exp(-2j * np.pi / n * (np.outer(q, q) % n)) @ traces).real / n
     if law.min() < -_NORM_TOL:
         raise ToleranceError(f"readout class probability {law.min():.3e} is negative")
     return np.maximum(law, 0.0)
@@ -464,7 +439,7 @@ def _party_plan(dims) -> tuple:
     rest_strides = d_out ** np.arange(n - 2, -1, -1)
     rest_keys = rest @ rest_strides
     sectors = []
-    for total, (occ, block) in enumerate(_sector_blocks(dft(n).matrix, d_out, box)):
+    for total, (occ, block) in enumerate(_sector_blocks(dft(n), d_out, box)):
         found = np.searchsorted(rest_keys, occ[:, 1:] @ rest_strides)
         sectors.append((np.flatnonzero(box_totals == total), block, found * d_out + occ[:, 0]))
     return d_out, rest, sectors

@@ -32,10 +32,8 @@ BALANCED = 1.0 / math.sqrt(2.0)
 
 
 def _provenance(args, target: str, **extra) -> dict:
-    prov = {"target": target, "seed": getattr(args, "seed", None),
-            "tolerances": asdict(DEFAULT_TOL)}
-    prov.update(extra)
-    return prov
+    return {"target": target, "seed": getattr(args, "seed", None),
+            "tolerances": asdict(DEFAULT_TOL), **extra}
 
 
 def _emit(args, target: str, columns, data, **extra) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OrderError
+from .errors import DomainError, OrderError, _require_finite
 
 __all__ = [
     "PtMomentVector",
@@ -61,8 +61,7 @@ class PtMomentVector:
         if len(self.moments) < 1:
             raise OrderError("need at least p_1")
         ms = self.values
-        if not np.isfinite(ms).all():
-            raise DomainError(f"moments must be finite, got {self.moments}")
+        _require_finite(moments=ms)
         if (np.abs(ms[0] - 1.0) > 1e-9).any():
             raise ValueError(f"p_1 = {ms[0]} must be 1")
         for k in range(2, len(ms) + 1):
@@ -111,14 +110,6 @@ class CriterionReport:
             witness, threshold = float(witness), float(threshold)
         return cls(criterion_id, witness, threshold, detected=witness < 0,
                    gaussian_only=gaussian_only)
-
-
-def _require_finite(**values) -> None:
-    # NaN fails every comparison, so an unchecked NaN witness reads as a verdict;
-    # a value may be an array, every element of which must be finite
-    for name, v in values.items():
-        if not np.isfinite(v).all():
-            raise DomainError(f"{name} must be finite, got {v}")
 
 
 def hankel_matrix(p: PtMomentVector, n: int) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that
+raises one."""
+
+import numpy as np
 
 
 class PtmomentsError(Exception):
@@ -40,3 +43,11 @@ class DomainError(PtmomentsError, ValueError):
 
 class BudgetError(PtmomentsError):
     """An exact computation would exceed its fixed cost budget."""
+
+
+def _require_finite(**values) -> None:
+    """DomainError unless every element of each value is finite: NaN fails every
+    comparison, so an unchecked NaN witness reads as a verdict."""
+    for name, v in values.items():
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name} must be finite, got {v}")

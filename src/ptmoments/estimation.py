@@ -30,8 +30,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import circuits
-from .criteria import _require_finite, optimal_threshold
-from .errors import DomainError
+from .criteria import optimal_threshold
+from .errors import DomainError, _require_finite
 from .states import LossyNOONParams, lossy_noon_pt_moments
 
 __all__ = [
@@ -152,6 +152,7 @@ def estimate_pn(dist, n: int, k: int, repetitions: int,
     probabilities), p_n on average for identical copies; variance is the
     complex sample variance of the repetition estimates."""
     law = dist.value_law() if isinstance(dist, circuits.OutcomeDistribution) else dist
+    _require_finite(law=law)
     return _summarize(_sampled_estimates(law, n, k, repetitions, rng), k)
 
 
@@ -179,6 +180,7 @@ def witness_estimators(p2_k: complex, p3_k: complex, k: int) -> tuple[complex, c
     """
     if k < 2:
         raise DomainError("quadratic estimator needs k >= 2")
+    _require_finite(p2_k=p2_k, p3_k=p3_k)
     w_l = p3_k - (3.0 * p2_k - 1.0) / 2.0
     w_q = p3_k - (k * p2_k ** 2 - 1.0) / (k - 1.0)
     return w_l, w_q
@@ -356,6 +358,7 @@ def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     copies; alphas/taus have shape (runs, n).  Real array of length runs."""
     alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
     taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
+    _require_finite(alphas=alphas, taus=taus)
     betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
     ab = alphas * betas
     coefs = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),

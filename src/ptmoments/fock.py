@@ -24,15 +24,15 @@ and ``eigvalsh`` of a failing block alone, unshifted, names the rejection.
 
 Memory: an operator stores one copy of its matrix and its nonzero pattern as
 bits (1/128 of its size); a caller's array is copied once, the package's own
-builders hand theirs over.  The constructor reads the matrix once for the
-boolean pattern (1/16), packs and labels it, then each block in row chunks of
-``_CHUNK_BYTES``, or, without the positivity check, a matrix within half a
-chunk as one block, unlabelled; the positivity check symmetrises and shifts
-each gathered block in place.  ``spectrum`` and ``pt_moments`` unpack the
-bits; ``pt_moments`` permutes them and gathers the partial transpose's blocks
-straight from ``rho``.  Beyond the stored copy and the pattern, only the
-blocks and their Cholesky factors (an unstructured matrix is one block) can
-exceed a fraction of the matrix's size.
+builders hand theirs over.  The constructor packs the matrix's boolean
+pattern (1/16), then reads blocks in row chunks of ``_CHUNK_BYTES``: with the
+positivity check the pattern's labelled blocks, each symmetrised and shifted
+in place once gathered; without it, unlabelled, one block on the support (the
+rows and columns that hold a nonzero).  ``spectrum`` and ``pt_moments``
+unpack the bits; ``pt_moments`` permutes them and gathers the partial
+transpose's blocks straight from ``rho``.  Beyond the stored copy and the
+pattern, only the blocks and their Cholesky factors (an unstructured matrix
+is one block) can exceed a fraction of the matrix's size.
 
 Basis convention: the two-mode basis state |i>_A |j>_B is stored at row/column
 index ``i * d_b + j`` for level cutoffs ``d_a`` and ``d_b``.
@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, CutoffError, DomainError, HermiticityError, StateValidationError
+from .errors import (BudgetError, CutoffError, DomainError, HermiticityError, StateValidationError,
+                     _require_finite)
 
 __all__ = [
     "ToleranceProfile",
@@ -163,8 +164,8 @@ class BipartiteDensityOperator:
         if v.size != cutoff.dim:
             raise ValueError(f"vector size {v.size} does not match cutoff dim {cutoff.dim}")
         norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("zero vector")
+        if not 0 < norm < np.inf:  # NaN fails too
+            raise DomainError(f"state vector norm must be positive and finite, got {norm}")
         v = v / norm
         # a projector is positive by construction; skip the eigenvalue check
         return cls._adopt(cutoff, np.outer(v, v.conj()), check_psd=False)
@@ -205,10 +206,12 @@ def _block_checks(mat: np.ndarray, pattern: np.ndarray, check_psd: bool):
     failing a Cholesky certificate of block + psd * I, which proves lambda_min
     >= -psd up to ~n * eps * |mat| (Higham 1990), inf if none does) over the
     blocks of ``pattern``, where each nonzero, NaN and inf too, meets its transposed
-    partner; unchecked, a matrix within half a chunk is one block.  Raises on NaN or inf."""
-    residue, lam_min, one_block = 0.0, math.inf, not check_psd and 2 * mat.nbytes <= _CHUNK_BYTES
+    partner; unchecked, the one block is the support, the rows and columns that hold
+    one (none in a zero matrix), and the pattern is not labelled.  Raises on NaN or inf."""
+    residue, lam_min = 0.0, math.inf
+    support = None if check_psd else np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
     with np.errstate(invalid="ignore", over="ignore"):
-        for idx in [np.arange(len(mat))[None]] if one_block else _block_groups(pattern):
+        for idx in _block_groups(pattern) if check_psd else [support[None]][:support.size]:
             count, size = idx.shape
             blocks = _principal(mat, idx) if check_psd else None
             for r in _row_chunks(size, 2 * count * size):  # half chunks: ~4 are held
@@ -386,6 +389,7 @@ def schmidt_probabilities(coefficients) -> np.ndarray:
     coefficient matrix ``coefficients``, descending, without those at or
     below 1e-15 (float noise of the SVD).  Only that matrix is decomposed,
     so no cutoff and no dense bound apply."""
+    _require_finite(coefficients=coefficients)
     s = np.linalg.svd(np.asarray(coefficients, dtype=complex), compute_uv=False)
     lam = s ** 2
     lam = lam / lam.sum()
@@ -400,6 +404,7 @@ def pure_state_pt_moment(schmidt_probs, n: int):
     array of the batch's shape, one vector a float.
     """
     lam = np.asarray(schmidt_probs, dtype=float)
+    _require_finite(schmidt_probs=lam)
     if n % 2 == 1:
         m = np.sum(lam ** n, axis=0)
     else:

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .criteria import CriterionReport
-from .errors import DomainError, SymmetryError
+from .errors import DomainError, SymmetryError, _require_finite
 
 __all__ = [
     "OMEGA",
@@ -66,8 +66,7 @@ class CovarianceMatrix:
         g = np.array(self.gamma, dtype=float)
         if g.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {g.shape}")
-        if not np.isfinite(g).all():
-            raise DomainError(f"covariance matrix must be finite, got {g.tolist()}")
+        _require_finite(gamma=g)
         residue = np.abs(g - g.T).max()
         if residue > _COV_TOL:
             raise SymmetryError(f"symmetry residue {residue:.3e} > {_COV_TOL:.1e}")
@@ -95,8 +94,7 @@ class SymplecticPair:
     def __post_init__(self):
         nus = np.broadcast_arrays(np.asarray(self.nu1, dtype=float),
                                   np.asarray(self.nu2, dtype=float))
-        if not np.isfinite(nus).all():
-            raise DomainError(f"symplectic eigenvalues must be finite, got {nus}")
+        _require_finite(nu1=nus[0], nu2=nus[1])
         lo, hi = np.minimum(*nus), np.maximum(*nus)
         if (lo <= 0).any():
             raise DomainError(f"symplectic eigenvalues must be > 0, got {lo}")

@@ -8,6 +8,8 @@ and (N2A, N3A, N2B, N3B) for the three-copy circuit.
 
 from __future__ import annotations
 
+from .errors import _require_finite
+
 __all__ = ["f2_formula", "f2_outcomes", "f3_formula", "f3_outcomes", "f3_zero_outcomes"]
 
 
@@ -17,6 +19,7 @@ def f2_outcomes() -> list:
 
 def f2_formula(outcome, alpha: complex, tau: float) -> float:
     """Probability of (N2A, N2B) after the two-copy readout."""
+    _require_finite(alpha=alpha, tau=tau)
     a2 = abs(alpha) ** 2
     b2 = 1.0 - a2
     table = {
@@ -42,10 +45,10 @@ def f3_zero_outcomes() -> list:
             _k(0, 1, 1, 1), _k(1, 0, 1, 1), _k(1, 1, 0, 1), _k(1, 1, 1, 0)]
 
 
-def _f3_table(alpha: complex, tau: float) -> dict:
+def _f3_table(alpha: complex, t: float) -> dict:
+    _require_finite(alpha=alpha, tau=t)
     a2 = abs(alpha) ** 2
     b2 = 1.0 - a2
-    t = tau
     single_a = a2 * (1 - t) * t * (3 - 2 * t) / 3.0
     single_b = b2 * (1 - t) * t * (3 - 2 * t) / 3.0
     table = {

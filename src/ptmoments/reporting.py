@@ -72,9 +72,7 @@ class Table:
     data: list
 
     def __post_init__(self):
-        base = {"tool": "ptmoments", "version": __version__}
-        base.update(self.provenance)
-        self.provenance = base
+        self.provenance = {"tool": "ptmoments", "version": __version__, **self.provenance}
         self.data = list(self.data)
         if len(self.data) != len(self.columns) or len(set(map(len, self.data))) > 1:
             raise ValueError(f"{len(self.columns)} names for columns of lengths "

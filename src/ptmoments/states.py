@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, DomainError
+from .errors import CutoffTooSmallError, DomainError, _require_finite
 from .fock import (
     DEFAULT_TOL,
     BipartiteDensityOperator,
@@ -59,6 +59,8 @@ __all__ = [
 
 # Natural log of the largest finite float: |alpha|^(d-1) overflows beyond it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Largest |alpha|^2 + |beta|^2 at which 3 e^(4 r^2), the cat p3's largest factor, is finite.
+_CAT_R2_MAX = (_LOG_FLOAT_MAX - math.log(3.0)) / 4.0
 
 
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
@@ -66,8 +68,7 @@ def coherent_vector(alpha: complex, d: int) -> np.ndarray:
 
     The amplitudes are computed as alpha^n times a factor, so a cutoff at
     which |alpha|^(d-1) passes the float range raises DomainError."""
-    if not np.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    _require_finite(alpha=alpha)
     if abs(alpha) > 1.0 and (d - 1) * math.log(abs(alpha)) > _LOG_FLOAT_MAX:
         raise DomainError(f"coherent amplitudes overflow: |alpha|^(d-1) passes the float "
                           f"range at alpha={alpha}, d={d}")
@@ -92,8 +93,7 @@ class CatParams:
     parity: str = "even"
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
-            raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+        _require_finite(alpha=self.alpha, beta=self.beta)
         z = np.asarray(self.z)
         if not ((z >= 0.0) & (z <= 1.0)).all():  # NaN fails too
             raise DomainError(f"z must lie in [0, 1], got {self.z}")
@@ -132,8 +132,12 @@ def _elementwise(*values) -> tuple:
 def cat_pt_moments(p: CatParams) -> tuple:
     """Closed-form (p2, p3) of the dephased cat state."""
     s = p.sign
-    a2, b2 = np.float_power(np.abs(p.alpha), 2), np.float_power(np.abs(p.beta), 2)
+    with np.errstate(over="ignore"):  # refused below
+        a2, b2 = np.float_power(np.abs(p.alpha), 2), np.float_power(np.abs(p.beta), 2)
     r2 = a2 + b2
+    if not (r2 <= _CAT_R2_MAX).all():
+        raise DomainError(f"cat closed forms need |alpha|^2 + |beta|^2 <= {_CAT_R2_MAX!r}, "
+                          f"got {r2}")
     e2 = np.exp(-2.0 * r2)
     e4 = np.exp(-4.0 * r2)
     e6 = np.exp(-6.0 * r2)
@@ -182,43 +186,39 @@ class HHGParams:
     def __post_init__(self):
         if (np.asarray(self.N) < 1).any():
             raise DomainError(f"N must be >= 1, got {self.N}")
-        if not np.isfinite(self.alpha).all():
-            raise DomainError(f"alpha must be finite, got {self.alpha}")
+        _require_finite(alpha=self.alpha)
         da = np.asarray(self.delta_alpha)
         if not ((da >= 0.0) & (da < np.inf)).all():  # NaN fails too
             raise DomainError(f"delta_alpha must be finite and >= 0, got {self.delta_alpha}")
 
 
-def _hhg_coefficients(p: HHGParams) -> tuple:
-    """(chi, t, s, C): harmonic displacement, cross and diagonal coefficients
-    of the reduced state, and the normalization constant; elementwise.
-
-    With c = <alpha|alpha - da> <0|chi>^(N-1) the reduced two-mode state is
-    (|v><v| - t (|v><w| + |w><v|) + s |w><w|) / C where v = |alpha - da, chi>,
-    w = |alpha, 0>, t = c <0|chi>^(N-2), s = c^2 and C = 1 - c^2.
-    """
-    if (np.asarray(p.delta_alpha) == 0).any():
-        raise DomainError("delta_alpha = 0 leaves an undefined (zero-norm) state")
+def _hhg_squares(p: HHGParams) -> tuple:
+    """(max(N, 2), delta_alpha^2, chi^2) elementwise, chi the harmonic displacement;
+    refuses squares outside the normal float range, delta_alpha = 0 included."""
     n_tot = np.maximum(p.N, 2)
-    da2 = np.float_power(p.delta_alpha, 2)
-    chi2 = 4.0 * da2 / (n_tot ** 2 + 2 * n_tot - 3)
-    c = np.exp(-da2 / 2.0 - (n_tot - 1) * chi2 / 2.0)
-    t = np.exp(-da2 / 2.0 - (2 * n_tot - 3) * chi2 / 2.0)
-    s = np.float_power(c, 2)
-    return _elementwise(np.sqrt(chi2), t, s, 1.0 - s)
+    with np.errstate(over="ignore"):  # refused below
+        da2 = np.float_power(p.delta_alpha, 2)
+        chi2 = 4.0 * da2 / (n_tot ** 2 + 2 * n_tot - 3)
+    if not all(((x >= sys.float_info.min) & (x <= sys.float_info.max)).all() for x in (da2, chi2)):
+        raise DomainError(f"delta_alpha = {p.delta_alpha} at N = {p.N} puts delta_alpha^2 or "
+                          f"chi^2 outside the normal float range (0 is a zero-norm state)")
+    return n_tot, da2, chi2
 
 
 def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
     """Reduced state of the driving mode and one harmonic mode, truncated and
-    renormalized."""
-    chi, t, s, c_norm = _hhg_coefficients(p)
+    renormalized: |v><v| - t (|v><w| + |w><v|) + c^2 |w><w| with
+    v = |alpha - da, chi>, w = |alpha, 0>, c = <alpha|alpha - da> <0|chi>^(N-1)
+    and t = c <0|chi>^(N-2)."""
+    n_tot, da2, chi2 = _hhg_squares(p)
+    chi, t = np.sqrt(chi2), np.exp(-da2 / 2.0 - (2 * n_tot - 3) * chi2 / 2.0)
+    s = np.float_power(np.exp(-da2 / 2.0 - (n_tot - 1) * chi2 / 2.0), 2)
     if cutoff is None:
         cutoff = ModeCutoff(coherent_cutoff([p.alpha, p.alpha - p.delta_alpha]),
                             coherent_cutoff([chi]))
     v = np.kron(coherent_vector(p.alpha - p.delta_alpha, cutoff.d_a),
                 coherent_vector(chi, cutoff.d_b))
-    w = np.kron(coherent_vector(p.alpha, cutoff.d_a),
-                coherent_vector(0.0, cutoff.d_b))
+    w = np.kron(coherent_vector(p.alpha, cutoff.d_a), coherent_vector(0.0, cutoff.d_b))
     mat = (np.outer(v, v.conj()) - t * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
            + s * np.outer(w, w.conj()))
     mat /= np.trace(mat).real
@@ -226,19 +226,30 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> Bipar
 
 
 def hhg_pt_moments(p: HHGParams) -> tuple:
-    """Closed-form (p2, p3) of the reduced driver/harmonic state."""
-    chi, _, onemc, c_norm = _hhg_coefficients(p)  # onemc = s = 1 - C
-    da2 = np.float_power(p.delta_alpha, 2)
-    chi2 = np.float_power(chi, 2)
-    g2 = np.exp(-(da2 + chi2))
-    sq = np.float_power(onemc, 2)
-    p2 = ((1.0 - 2.0 * onemc * (2.0 - g2) + sq * (2.0 / g2 - 1.0))
-          / np.float_power(c_norm, 2))
-    p3 = (1.0 - 3.0 * onemc * (2.0 - g2)
-          + 3.0 * sq * (2.0 + g2 + np.exp(da2) - 2.0 * np.exp(-da2)
-                        + np.exp(chi2) - 2.0 * np.exp(-chi2))
-          - np.float_power(onemc, 3) * (1.0 + 6.0 / g2 - 3.0 * np.exp(da2) - 3.0 * np.exp(chi2))
-          ) / np.float_power(c_norm, 3)
+    """Closed-form (p2, p3) of the reduced driver/harmonic state.
+
+    On the orthonormalised bases {|alpha>, |alpha - da>perp} of the driver and
+    {|0>, |chi>perp} of the harmonic the state is the rank-two
+    (u u^T + sigma e1 e1^T) / (|u|^2 + sigma), with a = e^(-da^2/2), b = e^(-chi^2/2),
+    A = sqrt(1 - a^2), B = sqrt(1 - b^2), g = 1 - e^(-(N-2) chi^2),
+    u = (a b g, a B, A b, A B) and sigma = a^2 b^(2N-2) g.  Each 1 - e^(-x) is
+    an expm1, and u and sigma are scaled by an exact power of two, so nothing
+    cancels or underflows at small delta_alpha; p2 is exactly 1 for N <= 2."""
+    n_tot, da2, chi2 = _hhg_squares(p)
+    a, b = np.exp(-da2 / 2.0), np.exp(-chi2 / 2.0)
+    big_a, big_b = np.sqrt(-np.expm1(-da2)), np.sqrt(-np.expm1(-chi2))
+    g = -np.expm1(-(n_tot - 2) * chi2)
+    u = (a * b * g, a * big_b, big_a * b, big_a * big_b)
+    e = np.frexp(sum(u))[1]  # scales the largest u near 1: no square of it underflows
+    u1, u2, u3, u4 = (np.ldexp(x, -e) for x in u)
+    sigma = np.ldexp(a * a * np.float_power(b, 2 * n_tot - 2) * g, -2 * e)
+    w1, total = u1 * u1, u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
+    d2 = np.float_power(u2 * u3 * np.float_power(b, 2 * n_tot - 4), 2)  # |det| of u as 2 x 2
+    tr = total + sigma
+    p2 = (total * total + 2.0 * sigma * w1 + sigma * sigma) / (tr * tr)
+    p3 = (np.float_power(total, 3) - 3.0 * total * d2 + 3.0 * sigma * (w1 + u2 * u2)
+          * (w1 + u3 * u3) + 3.0 * sigma * sigma * w1 + np.float_power(sigma, 3)
+          ) / np.float_power(tr, 3)
     return _elementwise(p2, p3)
 
 
@@ -378,7 +389,7 @@ class FockSuperposition:
         if c.ndim != 2:
             raise ValueError("coefficient matrix must be two-dimensional")
         norm = np.sum(np.abs(c) ** 2)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"coefficients must be normalized, got sum |c|^2 = {norm}")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
@@ -434,6 +445,7 @@ def tmsv_cutoff(r: float, tol: float = DEFAULT_TOL.trunc) -> int:
 def tmsv_vector(r: float, d: int) -> np.ndarray:
     """Truncated two-mode squeezed vacuum, sech(r) sum (-tanh r)^m |m, m>,
     renormalized; shape (d, d)."""
+    _require_finite(r=r)
     m = np.arange(d)
     diag = (-np.tanh(r)) ** m / np.cosh(r)
     vec = np.zeros((d, d), dtype=complex)

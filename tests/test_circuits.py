@@ -12,7 +12,6 @@ from ptmoments import circuits, noon_tables
 from ptmoments.circuits import (
     CircuitElement,
     OutcomeDistribution,
-    PassiveUnitary,
     beam_splitter_matrix,
     decompose_f3,
     dft,
@@ -83,41 +82,28 @@ def block_amplitude(sectors, s, t):
 class TestDft:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_unitarity(self, n):
-        u = dft(n).matrix
+        u = dft(n)
+        assert isinstance(u, np.ndarray) and u.shape == (n, n) and u.dtype == complex
+        assert not u.flags.writeable
         assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12
 
     def test_two_mode_is_balanced_beam_splitter(self):
-        np.testing.assert_allclose(dft(2).matrix, beam_splitter_matrix(0.5), atol=1e-15)
+        np.testing.assert_allclose(dft(2), beam_splitter_matrix(0.5), atol=1e-15)
 
     def test_three_mode_entries(self):
         w = np.exp(-2j * np.pi / 3)
         expect = np.array([[1, 1, 1], [1, w, w.conjugate()], [1, w.conjugate(), w]]) / np.sqrt(3)
-        np.testing.assert_allclose(dft(3).matrix, expect, atol=1e-15)
-
-
-class TestPassiveUnitary:
-    def test_unitary_validation(self):
-        with pytest.raises(ToleranceError):
-            PassiveUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((1, 1), np.inf),
-                                              ((0, 1), np.nan)],
-                             ids=["nan", "inf_diagonal", "nan_off_diagonal"])
-    def test_rejects_non_finite_entries(self, entry, value):
-        u = np.eye(2, dtype=complex)
-        u[entry] = value
-        with pytest.raises(DomainError, match="non-finite"):
-            PassiveUnitary(u)
+        np.testing.assert_allclose(dft(3), expect, atol=1e-15)
 
 
 class TestDecomposeF3:
     def test_reproduces_dft_exactly(self):
         u = elements_to_matrix(decompose_f3(), 3)
-        assert np.abs(u - dft(3).matrix).max() < 1e-12
+        assert np.abs(u - dft(3)).max() < 1e-12
 
     def test_truncated_variant_differs_by_output_phases(self):
         u = elements_to_matrix(decompose_f3(include_final_phases=False), 3)
-        ratio = u @ dft(3).matrix.conj().T
+        ratio = u @ dft(3).conj().T
         off_diag = ratio - np.diag(np.diag(ratio))
         assert np.abs(off_diag).max() < 1e-12
         assert np.abs(np.abs(np.diag(ratio)) - 1.0).max() < 1e-12
@@ -151,13 +137,13 @@ class TestFockEvolution:
         assert abs(block_amplitude(sectors, (0, 1), (1, 0))) ** 2 == pytest.approx(0.5)
 
     def test_hong_ou_mandel(self):
-        sectors = sector_blocks(dft(2).matrix, 3)
+        sectors = sector_blocks(dft(2), 3)
         assert abs(block_amplitude(sectors, (1, 1), (1, 1))) < 1e-15
         assert abs(block_amplitude(sectors, (2, 0), (1, 1))) ** 2 == pytest.approx(0.5)
         assert abs(block_amplitude(sectors, (0, 2), (1, 1))) ** 2 == pytest.approx(0.5)
 
     def test_vacuum_fixed(self):
-        occ, block = sector_blocks(dft(3).matrix, 3)[0]
+        occ, block = sector_blocks(dft(3), 3)[0]
         np.testing.assert_array_equal(occ, [[0, 0, 0]])
         np.testing.assert_array_equal(block, [[1.0]])
 
@@ -178,7 +164,7 @@ class TestFockEvolution:
         # multiplied in application order, are the blocks of the DFT
         per_element = [sector_blocks(elements_to_matrix([elem], 3), 4)
                        for elem in decompose_f3()]
-        for total, (occ, block) in enumerate(sector_blocks(dft(3).matrix, 4)):
+        for total, (occ, block) in enumerate(sector_blocks(dft(3), 4)):
             product = np.eye(len(occ))
             for sectors in per_element:
                 product = sectors[total][1] @ product
@@ -263,7 +249,7 @@ class TestSectorUnitaries:
     def test_blocks_equal_passive_evolution_of_every_sector_state(self, n, d, unitary, rng):
         # F_n is symmetric; only a non-symmetric U tells U from its transpose
         if unitary == "dft":
-            u = dft(n).matrix
+            u = dft(n)
         else:
             u = random_unitary(rng, n)
             assert np.abs(u - u.T).max() > 0.1
@@ -286,7 +272,7 @@ class TestSectorUnitaries:
         plan = circuits._party_plan(dims)
         amps = circuits._evolve_sectors(psi, plan)
         box = np.indices(dims).reshape(n, -1).T
-        f = dft(n).matrix
+        f = dft(n)
         for r, cell in enumerate(plan[1]):
             for m1 in range(d_out):
                 s = (m1, *cell)
@@ -320,7 +306,7 @@ class TestSectorUnitaries:
         # dividing by the first occupied mode's count lost 1e-5 at n=2 below
         # 80 photons and all normalisation below 120
         n, d_out = len(dims), sum(dims) - len(dims) + 1
-        u = dft(n).matrix if unitary == "dft" else random_unitary(rng, n)
+        u = dft(n) if unitary == "dft" else random_unitary(rng, n)
         box = np.indices(dims).reshape(n, -1).T
         for occ, block in circuits._sector_blocks(u, d_out, box):
             assert np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() < 1e-12
@@ -328,7 +314,7 @@ class TestSectorUnitaries:
     @pytest.mark.parametrize("unitary", ["dft", "random"])
     def test_full_simplex_blocks_stay_normalised_below_120_photons(self, unitary, rng):
         # every column, the lopsided ones too; the first-occupied pivot gave 83
-        u = dft(2).matrix if unitary == "dft" else random_unitary(rng, 2)
+        u = dft(2) if unitary == "dft" else random_unitary(rng, 2)
         for occ, block in sector_blocks(u, 120):
             assert np.abs(block.conj().T @ block - np.eye(len(occ))).max() < 1e-10
 
@@ -337,7 +323,7 @@ class TestSectorUnitaries:
         n, d_out = len(dims), sum(dims) - len(dims) + 1
         circuits._party_plan.cache_clear()
         plan = circuits._party_plan(dims)
-        full = sector_blocks(dft(n).matrix, d_out)
+        full = sector_blocks(dft(n), d_out)
         box = np.indices(dims).reshape(n, -1).T
         for (rows, block, _), (occ, full_block) in zip(plan[2], full, strict=True):
             index = {cell: i for i, cell in enumerate(map(tuple, occ.tolist()))}

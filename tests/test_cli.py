@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,23 @@ class TestCriteriaCommand:
                                            "--tau", "0.5")
         assert done.returncode == 2 and "Traceback" not in done.stderr
         assert "N <= 345" in done.stderr
+
+    @pytest.mark.parametrize("delta_alpha", ["1e-3", "0.3"])
+    def test_hhg_at_small_depletion_exits_0_with_runtime_warnings_as_errors(self, delta_alpha):
+        # the default N=1 state is pure: the closed form read p3 = -190 at
+        # 1e-3 and refused p2 = 1.0000000000000044 at 0.3
+        done = self.run_warnings_as_errors("criteria", "--family", "hhg", "--delta-alpha",
+                                           delta_alpha)
+        assert done.returncode == 0 and done.stderr == ""
+        p2, p3 = map(float, re.match(r"p2 = (\S+)   p3 = (\S+)\n", done.stdout).groups())
+        assert p2 == 1.0 and 0.0 <= p3 <= 1.0
+
+    @pytest.mark.parametrize("alpha", ["30", "1e200"])
+    def test_cat_past_the_closed_forms_bound_exits_2_with_runtime_warnings_as_errors(self,
+                                                                                    alpha):
+        done = self.run_warnings_as_errors("criteria", "--family", "cat", "--alpha", alpha)
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert "|alpha|^2 + |beta|^2 <= 177.17102515117895, got " in done.stderr
 
     def test_pure_tmsv_past_r_177_is_refused_as_non_finite(self, capsys):
         # the symplectic witnesses square nu2 to inf and multiply it by 0,

@@ -239,11 +239,10 @@ class TestValidation:
         with pytest.raises(StateValidationError, match="^minimum eigenvalue nan < -1.0e-08$"):
             BipartiteDensityOperator(ModeCutoff(4, 3), mat)
 
-    @pytest.mark.parametrize("dim, labelled", [(180, False), (182, True)])
-    def test_unchecked_matrix_within_half_a_chunk_is_not_labelled(self, dim, labelled,
-                                                                   monkeypatch):
-        # without the positivity check, a matrix of at most half a row chunk
-        # is read as one block; with it, or past that size, it is labelled
+    @pytest.mark.parametrize("dim", [180, 182])
+    def test_unchecked_matrix_is_never_labelled(self, dim, monkeypatch):
+        # without the positivity check the support is read as one block, at
+        # any size; with it, the pattern is labelled once
         calls = []
         labels = fock._component_labels
         monkeypatch.setattr(fock, "_component_labels",
@@ -251,9 +250,26 @@ class TestValidation:
         vec = np.zeros(dim)
         vec[[0, 2]] = 1.0
         BipartiteDensityOperator.from_state_vector(vec, ModeCutoff(dim, 1))
-        assert len(calls) == labelled
+        BipartiteDensityOperator(ModeCutoff(dim, 1), np.eye(dim) / dim, check_psd=False)
+        assert calls == []
         BipartiteDensityOperator(ModeCutoff(dim, 1), np.eye(dim) / dim)
-        assert len(calls) == labelled + 1
+        assert calls == [1]
+
+    @pytest.mark.parametrize("dim", [12, 400])
+    def test_unchecked_residue_on_the_support_is_the_dense_residue(self, dim, rng):
+        # rows and columns outside the support are zero on both sides of the
+        # transpose; an asymmetric pair inside it names the dense residue
+        mat = np.zeros((dim, dim), dtype=complex)
+        keep = rng.choice(dim, 5, replace=False)
+        mat[np.ix_(keep, keep)] = random_density(rng, 5)
+        mat[keep[1], keep[3]] += 2e-8
+        residue = np.abs(mat - mat.conj().T).max()
+        with pytest.raises(HermiticityError, match=f"^hermiticity residue {residue:.3e} "):
+            BipartiteDensityOperator(ModeCutoff(dim, 1), mat, check_psd=False)
+        mat[keep[1], keep[3]] -= 2e-8
+        mat[keep[4], keep[0]] = np.nan
+        with pytest.raises(StateValidationError, match="non-finite"):
+            BipartiteDensityOperator(ModeCutoff(dim, 1), mat, check_psd=False)
 
 
 class TestPartialTranspose:

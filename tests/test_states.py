@@ -1,5 +1,7 @@
 import math
+import re
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from ptmoments.errors import BudgetError, CutoffTooSmallError, DomainError
 from ptmoments.estimation import min_samples, witness_variances
 from ptmoments.gaussian import SymplecticPair, simon_test, tmsv_thermal, tmsv_thermal_pt_pair
 from ptmoments.fock import ModeCutoff, pt_moment, purity, spectrum, partial_transpose
+from ptmoments import states
 from ptmoments.states import (
     CatParams,
     FockSuperposition,
@@ -166,6 +169,38 @@ class TestCat:
         # diagonal |alpha| = |beta| point of that radius sits at 3/2
         assert cat_separability_radius(z) / math.sqrt(2) == pytest.approx(1.5)
 
+    @staticmethod
+    def largest_accepted_alpha():
+        # the largest alpha whose square, with beta = 0, is within the bound
+        bound = states._CAT_R2_MAX
+        a = math.sqrt(bound)
+        while np.float_power(a, 2) > bound:
+            a = math.nextafter(a, 0.0)
+        while np.float_power(math.nextafter(a, math.inf), 2) <= bound:
+            a = math.nextafter(a, math.inf)
+        return a
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("z", [0.0, 0.5, 1.0])
+    def test_largest_accepted_radius_gives_no_warning(self, parity, z):
+        # 3 e^(4 r^2) is finite there; the suite makes any RuntimeWarning an
+        # error, on the scalar and on the elementwise path
+        a = self.largest_accepted_alpha()
+        for alpha in (a, np.full(20, a)):
+            p2, p3 = cat_pt_moments(CatParams(alpha, 0.0, z, parity))
+            assert np.isfinite(p2).all() and np.isfinite(p3).all()
+
+    @pytest.mark.parametrize("alpha, beta", [
+        ("next", 0.0), (13.28, 1.0), (30.0, 1.0), (1e200, 1.0), (complex(1e308, 1e308), 0.0),
+        (np.array([0.5, 30.0]), 0.5)])
+    def test_radius_past_the_bound_is_refused_before_any_warning(self, alpha, beta):
+        # 13.28 and 1 is where the unbounded form first warned: r^2 = 177.36
+        if isinstance(alpha, str):
+            alpha = math.nextafter(self.largest_accepted_alpha(), math.inf)
+        with pytest.raises(DomainError, match=re.escape(
+                f"cat closed forms need |alpha|^2 + |beta|^2 <= {states._CAT_R2_MAX!r}, got ")):
+            cat_pt_moments(CatParams(alpha, beta, 0.5))
+
     def test_linear_witness_zero_on_boundary(self):
         z = 0.5
         alpha = math.sqrt(math.log(2.0)) / 2.0
@@ -184,6 +219,25 @@ class TestCat:
                     assert (w < 0) == (sign > 0)
 
 
+def hhg_reference(delta_alpha: float, n_modes: int) -> tuple:
+    """(p2, p3) of the reduced driver/harmonic state by the closed form over
+    C^2 and C^3, C = 1 - c^2, evaluated in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n = max(n_modes, 2)
+        da2 = Decimal(delta_alpha) ** 2
+        chi2 = 4 * da2 / (n * n + 2 * n - 3)
+        s = (-da2 / 2 - (n - 1) * chi2 / 2).exp() ** 2
+        c = 1 - s
+        g2 = (-(da2 + chi2)).exp()
+        p2 = (1 - 2 * s * (2 - g2) + s * s * (2 / g2 - 1)) / c ** 2
+        p3 = (1 - 3 * s * (2 - g2)
+              + 3 * s * s * (2 + g2 + da2.exp() - 2 * (-da2).exp() + chi2.exp()
+                             - 2 * (-chi2).exp())
+              - s ** 3 * (1 + 6 / g2 - 3 * da2.exp() - 3 * chi2.exp())) / c ** 3
+        return float(p2), float(p3)
+
+
 class TestHHG:
     def test_invalid_params(self):
         with pytest.raises(DomainError):
@@ -197,6 +251,30 @@ class TestHHG:
         for n in (1, 2):
             p2, _ = hhg_pt_moments(HHGParams(2.0, 0.7, n))
             assert p2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_modes", range(1, 9))
+    def test_closed_forms_match_a_50_digit_reference(self, n_modes):
+        # a log grid and fig2d's grid: the form over C^2 and C^3 cancelled as
+        # C ~ delta_alpha^2, to p2 above 1 at 0.05 and p3 = -190 at 1e-3
+        fig2d = np.round(np.arange(0.05, 3.0 + 1e-12, 0.025), 10)
+        grid = np.concatenate([np.geomspace(1e-3, 6.0, 61), fig2d])
+        p2, p3 = hhg_pt_moments(HHGParams(3.0, grid, n_modes))
+        ref = np.array([hhg_reference(da, n_modes) for da in grid.tolist()])
+        np.testing.assert_allclose(p2, ref[:, 0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(p3, ref[:, 1], rtol=1e-14, atol=0)
+        assert (p2 <= 1.0).all()
+
+    @pytest.mark.parametrize("delta_alpha", [1e-150, 1e-9, 1e-3, 0.05, 0.3, 6.0, 1e100])
+    def test_single_harmonic_is_exactly_pure_at_any_depletion(self, delta_alpha):
+        for n in (1, 2):
+            p2, p3 = hhg_pt_moments(HHGParams(3.0, delta_alpha, n))
+            assert p2 == 1.0 and 0.0 < p3 <= 1.0
+
+    @pytest.mark.parametrize("delta_alpha, n", [(1e-200, 1), (1e-153, 10 ** 6), (1.3e154, 3),
+                                                (1e160, 2)])
+    def test_squares_outside_the_normal_float_range_are_refused(self, delta_alpha, n):
+        with pytest.raises(DomainError, match="outside the normal float range"):
+            hhg_pt_moments(HHGParams(3.0, delta_alpha, n))
 
     def test_purity_floor_in_benchmark_regime(self):
         # moderate-to-strong depletion; purity tends to 1 as delta_alpha grows
