@@ -270,6 +270,9 @@ class TestValidation:
         mat[keep[4], keep[0]] = np.nan
         with pytest.raises(StateValidationError, match="non-finite"):
             BipartiteDensityOperator(ModeCutoff(dim, 1), mat, check_psd=False)
+        # a zero matrix has an empty support, and its trace names the refusal
+        with pytest.raises(StateValidationError, match="^trace 0j "):
+            BipartiteDensityOperator(ModeCutoff(dim, 1), np.zeros((dim, dim)), check_psd=False)
 
 
 class TestPartialTranspose:
