@@ -25,7 +25,6 @@ from .fock import (
     ModeCutoff,
     ToleranceProfile,
     coherent_cutoff,
-    mode_moment,
     partial_transpose,
     pt_moment,
     pt_moments,
@@ -37,9 +36,7 @@ from .gaussian import (
     SymplecticPair,
     gaussian_pt_moment,
     gaussian_pt_moments,
-    pt_covariance,
     simon_test,
-    symplectic_eigenvalues,
     symplectic_p3_criteria,
     tmsv_thermal,
     tmsv_thermal_pt_pair,

@@ -24,7 +24,6 @@ weights; only the same-DFT variant is implemented.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import accumulate, groupby, product
 from math import comb, gcd, prod, sqrt
@@ -35,12 +34,8 @@ from .errors import BudgetError, DomainError, StateValidationError, ToleranceErr
 from .fock import DEFAULT_TOL, BipartiteDensityOperator
 
 __all__ = [
-    "CircuitElement",
     "OutcomeDistribution",
     "dft",
-    "beam_splitter_matrix",
-    "decompose_f3",
-    "elements_to_matrix",
     "loss_kraus",
     "lossy_channel",
     "outcome_distribution",
@@ -52,32 +47,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CircuitElement:
-    """One passive element: a beam splitter of transmissivity tau on a mode
-    pair, or a phase shift exp(-i phi) on a single mode.  Modes are 1-based to
-    match circuit diagrams."""
-
-    kind: str
-    modes: tuple
-    parameter: float
-
-    def __post_init__(self):
-        if self.kind == "beam_splitter":
-            if len(self.modes) != 2:
-                raise ValueError("beam splitter needs two modes")
-            if not 0.0 <= self.parameter <= 1.0:
-                raise DomainError(f"transmissivity must lie in [0, 1], got {self.parameter}")
-        elif self.kind == "phase":
-            if len(self.modes) != 1:
-                raise ValueError("phase shift acts on one mode")
-            if not 0.0 <= self.parameter < 2.0 * np.pi:
-                raise DomainError(f"phase must lie in [0, 2 pi), got {self.parameter}")
-        else:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-
-
 def dft(n: int) -> np.ndarray:
     """Read-only n x n discrete Fourier transform on the mode annihilation
     operators, with entries omega^(jk)/sqrt(n), omega = exp(-2 pi i / n)."""
@@ -86,50 +55,6 @@ def dft(n: int) -> np.ndarray:
     q = np.arange(n)
     u = class_values(np.outer(q, q), n) / np.sqrt(n)
     u.setflags(write=False)
-    return u
-
-
-def beam_splitter_matrix(tau: float) -> np.ndarray:
-    """[[sqrt(tau), sqrt(1-tau)], [sqrt(1-tau), -sqrt(tau)]]"""
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
-    t, r = sqrt(tau), sqrt(1.0 - tau)
-    return np.array([[t, r], [r, -t]], dtype=complex)
-
-
-def decompose_f3(include_final_phases: bool = True) -> list[CircuitElement]:
-    """Three-mode DFT as three beam splitters and phase shifts, listed in
-    application order.  The two trailing phases only rotate output modes and
-    may be dropped when the readout is a photon count."""
-    elements = [
-        CircuitElement("beam_splitter", (1, 2), 0.5),
-        CircuitElement("beam_splitter", (1, 3), 2.0 / 3.0),
-        CircuitElement("phase", (3,), np.pi / 2.0),
-        CircuitElement("beam_splitter", (2, 3), 0.5),
-    ]
-    if include_final_phases:
-        elements += [
-            CircuitElement("phase", (2,), 2.0 * np.pi - np.pi / 6.0),
-            CircuitElement("phase", (3,), np.pi / 6.0),
-        ]
-    return elements
-
-
-def _element_matrix(elem: CircuitElement, n: int) -> np.ndarray:
-    u = np.eye(n, dtype=complex)
-    if elem.kind == "beam_splitter":
-        i, j = (m - 1 for m in elem.modes)
-        u[np.ix_([i, j], [i, j])] = beam_splitter_matrix(elem.parameter)
-    else:
-        u[elem.modes[0] - 1, elem.modes[0] - 1] = np.exp(-1j * elem.parameter)
-    return u
-
-
-def elements_to_matrix(elements, n: int) -> np.ndarray:
-    """Mode matrix of a sequence of elements applied first-to-last."""
-    u = np.eye(n, dtype=complex)
-    for elem in elements:
-        u = _element_matrix(elem, n) @ u
     return u
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetError, CutoffError, DomainError, HermiticityError, StateValidationError,
+from .errors import (BudgetError, DomainError, HermiticityError, StateValidationError,
                      _require_finite)
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "pt_moment",
     "pt_moments",
     "purity",
-    "mode_moment",
     "schmidt_probabilities",
     "pure_state_pt_moment",
     "coherent_cutoff",
@@ -353,35 +352,6 @@ def pt_moment(rho: BipartiteDensityOperator, n: int) -> float:
 def purity(rho: BipartiteDensityOperator) -> float:
     """Tr(rho^2); for hermitian rho this is the sum of |rho_ij|^2."""
     return float(np.sum(np.abs(rho.matrix) ** 2))
-
-
-def _ladder(d: int) -> np.ndarray:
-    a = np.zeros((d, d))
-    n = np.arange(1, d)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def mode_moment(rho: BipartiteDensityOperator, i: int, j: int, k: int, l: int) -> complex:
-    """Normally ordered moment Tr(rho a+^i a^j b+^k b^l).
-
-    Exact on the truncated basis provided the state has an empty guard level
-    at the top of each mode that gets net-raised (i > j on A, k > l on B);
-    otherwise amplitude raised past the cutoff would be silently dropped and
-    CutoffError is raised instead.
-    """
-    for idx in (i, j, k, l):
-        if idx < 0:
-            raise ValueError("ladder exponents must be non-negative")
-    if i > j and rho.level_populations("a")[-1] > DEFAULT_TOL.trunc:
-        raise CutoffError("net raising on mode A with occupied top level; increase d_a")
-    if k > l and rho.level_populations("b")[-1] > DEFAULT_TOL.trunc:
-        raise CutoffError("net raising on mode B with occupied top level; increase d_b")
-    a = _ladder(rho.d_a)
-    b = _ladder(rho.d_b)
-    op_a = np.linalg.matrix_power(a.T, i) @ np.linalg.matrix_power(a, j)
-    op_b = np.linalg.matrix_power(b.T, k) @ np.linalg.matrix_power(b, l)
-    return complex(np.einsum("ijkl,ki,lj->", rho.as_tensor(), op_a, op_b))
 
 
 def schmidt_probabilities(coefficients) -> np.ndarray:

@@ -18,6 +18,7 @@ its scalar evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -30,8 +31,6 @@ __all__ = [
     "OMEGA",
     "CovarianceMatrix",
     "SymplecticPair",
-    "pt_covariance",
-    "symplectic_eigenvalues",
     "simon_test",
     "gaussian_pt_moment",
     "gaussian_pt_moments",
@@ -43,11 +42,13 @@ __all__ = [
 # Symplectic metric for (X1, P1, X2, P2).
 OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-_PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+# Largest |r| at which e^(2|r|), the larger PT symplectic eigenvalue of the
+# squeezed vacuum, is a finite float; the TMSV constructors refuse beyond it
+# before any arithmetic, so no overflow warning precedes the refusal.
+_R_MAX = math.log(sys.float_info.max) / 2.0
 
-# Bound on the symmetry residue of a covariance matrix, the relative pairing
-# mismatch of the eigenvalues of i Omega gamma, and how negative an eigenvalue
-# of gamma + i Omega may be for a physical state.
+# Bound on the symmetry residue of a covariance matrix, and how negative an
+# eigenvalue of gamma + i Omega may be for a physical state.
 _COV_TOL = 1e-9
 
 
@@ -104,25 +105,6 @@ class SymplecticPair:
         object.__setattr__(self, "nu2", hi)
 
 
-def pt_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
-    """Partial transpose in phase space: P2 -> -P2."""
-    return CovarianceMatrix(_PT_FLIP @ cov.gamma @ _PT_FLIP)
-
-
-def symplectic_eigenvalues(cov: CovarianceMatrix) -> SymplecticPair:
-    """Williamson eigenvalues: moduli of the eigenvalues of i Omega gamma.
-
-    The four eigenvalues come in +/- pairs; the two distinct moduli are
-    returned ascending.  Mismatched pairing beyond ``_COV_TOL`` (relative)
-    indicates a non-symmetric input and raises.
-    """
-    vals = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ cov.gamma)))
-    scale = max(vals[-1], 1.0)
-    if abs(vals[0] - vals[1]) > _COV_TOL * scale or abs(vals[2] - vals[3]) > _COV_TOL * scale:
-        raise SymmetryError(f"eigenvalues of i*Omega*gamma do not pair up: {vals}")
-    return SymplecticPair(float(vals[0]), float(vals[2]))
-
-
 def simon_test(pair: SymplecticPair) -> CriterionReport:
     """Gaussian separability condition: both PT symplectic eigenvalues >= 1."""
     return CriterionReport.from_witness("simon", pair.nu1 - 1.0, threshold=1.0,
@@ -169,8 +151,8 @@ def tmsv_thermal(n_bar: float, r: float) -> CovarianceMatrix:
     """Two-mode squeezed state built from two thermal modes of mean occupation
     n_bar, squeezed with parameter r."""
     # checked before the block, where an infinite entry times zero warns
-    if not (0.0 <= n_bar < math.inf and math.isfinite(r)):
-        raise DomainError(f"need finite n_bar >= 0 and finite r, got {n_bar}, {r}")
+    if not (0.0 <= n_bar < math.inf and abs(r) <= _R_MAX):
+        raise DomainError(f"need finite n_bar >= 0 and |r| <= {_R_MAX!r}, got {n_bar}, {r}")
     scale = 2.0 * n_bar + 1.0
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     z = np.diag([1.0, -1.0])
@@ -183,5 +165,7 @@ def tmsv_thermal_pt_pair(n_bar: float, r: float) -> SymplecticPair:
     (2 n_bar + 1) e^(-2r) and (2 n_bar + 1) e^(2r)."""
     if (np.asarray(n_bar) < 0).any():
         raise DomainError(f"n_bar must be >= 0, got {n_bar}")
+    if (np.abs(r) > _R_MAX).any():  # NaN passes on to SymplecticPair's check
+        raise DomainError(f"|r| must be at most {_R_MAX!r}, got {r}")
     scale = 2.0 * n_bar + 1.0
     return SymplecticPair(scale * np.exp(-2.0 * r), scale * np.exp(2.0 * r))

@@ -2,17 +2,21 @@
 
 Every emitted file starts with a provenance block (target id, parameters,
 seed, tool version, tolerance defaults) so a dataset is self-describing.
-A Table is columnar: one sequence per column, a numpy array or a list, and
-the writer formats each column straight from it, a block of rows at a time.
-Writers are deterministic: no timestamps, fixed float formatting, fixed key
-order, so identical runs produce identical bytes and re-emitting a parsed
-file is the identity.
+A Table is columnar: one sequence per column, a numpy array or a list.  The
+writer streams 1,024 rows at a time, in CSV and JSON alike: it formats a
+block of rows from the columns, writes it and drops it, so no file's whole
+text is ever held.  It writes under a temporary name and replaces the target
+atomically once the file is complete.  Writers are deterministic: no
+timestamps, fixed float formatting, fixed key order, so identical runs
+produce identical bytes (the JSON is that of one ``json.dumps(doc,
+indent=2)``) and re-emitting a parsed file is the identity.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,9 +60,10 @@ def _column_cells(column) -> list:
     return [_CELL.get(type(v), format_value)(v) for v in _values(column)]
 
 
-# The CSV is formatted a block of rows at a time, column by column: every
-# cell of a block is held until its rows are joined, so the block bounds
-# that memory (unblocked, a 22,326-row table read 6.7 MB more peak RSS).
+# Rows per block: a block's cells and text are held until it is written, so
+# the block bounds the writer's memory (a whole 22,326-row table held 7.1 MB
+# of CSV text, 25 MB as a JSON document).  Float texts are memoized per block
+# only: a memo over a whole column holds every distinct text of the table.
 _BLOCK_ROWS = 1024
 
 
@@ -88,24 +93,57 @@ class Table:
 
 
 def write_table(table: Table, path, fmt: str = "csv") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``table`` to ``path`` as CSV or JSON (``fmt``) and return the
+    path.  The file is written a block of rows at a time under a temporary
+    name beside ``path``, which it replaces once complete: a write that fails
+    leaves an earlier file untouched and no partial file behind."""
     if fmt == "csv":
-        lines = [f"# {key}: {json.dumps(val, sort_keys=True)}"
-                 for key, val in table.provenance.items()]
-        lines.append(",".join(table.columns))
-        for start in range(0, table.n_rows, _BLOCK_ROWS):
-            block = (_column_cells(c[start:start + _BLOCK_ROWS]) for c in table.data)
-            lines += map(",".join, zip(*block))
-        path.write_text("\n".join(lines) + "\n")
+        head = "".join(f"# {key}: {json.dumps(val, sort_keys=True)}\n"
+                       for key, val in table.provenance.items()) + ",".join(table.columns)
+        # every row starts a line, and the file ends with a newline
+        lead, sep, row_texts, tail = "\n", "\n", _csv_rows, "\n"
     elif fmt == "json":
-        columns = ([_jsonable(v) for v in _values(c)] for c in table.data)
-        doc = {"provenance": table.provenance, "columns": table.columns,
-               "rows": list(map(list, zip(*columns)))}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+        # the text of json.dumps(doc, indent=2) for doc = {"provenance": ...,
+        # "columns": ..., "rows": [...]}, rows encoded one by one
+        head = json.dumps({"provenance": table.provenance, "columns": table.columns},
+                          indent=2)[:-2] + ',\n  "rows": ['
+        lead, sep, row_texts = "", ",", _json_rows
+        tail = "\n  ]\n}\n" if table.n_rows else "]\n}\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(part, "w") as out:
+            out.write(head)
+            for start in range(0, table.n_rows, _BLOCK_ROWS):
+                out.write(sep if start else lead)
+                out.write(sep.join(row_texts([c[start:start + _BLOCK_ROWS] for c in table.data])))
+            out.write(tail)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _csv_rows(block):
+    """The CSV lines of a block of columns."""
+    return map(",".join, zip(*map(_column_cells, block)))
+
+
+# json.dumps(row, indent=2) of a row of scalars, at the depth of the rows
+# list, is this encoding without its brackets between "[" and "]" lines; with
+# no indent json runs its C encoder
+_ROW_ENCODE = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_rows(block):
+    """The JSON texts of the rows of a block of columns, as json.dumps(doc,
+    indent=2) lays each row out in the rows list."""
+    cells = ([_jsonable(v) for v in _values(c)] for c in block)
+    return ("\n    [\n      " + _ROW_ENCODE(row)[1:-1] + "\n    ]" for row in zip(*cells))
 
 
 def _jsonable(v):

@@ -34,6 +34,7 @@ from .fock import (
     pure_state_pt_moment,
     schmidt_probabilities,
 )
+from .gaussian import _R_MAX
 
 __all__ = [
     "CatParams",
@@ -445,7 +446,8 @@ def tmsv_cutoff(r: float, tol: float = DEFAULT_TOL.trunc) -> int:
 def tmsv_vector(r: float, d: int) -> np.ndarray:
     """Truncated two-mode squeezed vacuum, sech(r) sum (-tanh r)^m |m, m>,
     renormalized; shape (d, d)."""
-    _require_finite(r=r)
+    if not abs(r) <= _R_MAX:  # NaN fails too
+        raise DomainError(f"|r| must be at most {_R_MAX!r}, got {r}")
     m = np.arange(d)
     diag = (-np.tanh(r)) ** m / np.cosh(r)
     vec = np.zeros((d, d), dtype=complex)

@@ -10,12 +10,8 @@ from hypothesis import strategies as st
 
 from ptmoments import circuits, noon_tables
 from ptmoments.circuits import (
-    CircuitElement,
     OutcomeDistribution,
-    beam_splitter_matrix,
-    decompose_f3,
     dft,
-    elements_to_matrix,
     loss_kraus,
     lossy_channel,
     multicopy_expectation,
@@ -41,6 +37,7 @@ from ptmoments.states import (
 from conftest import random_density
 
 BAL = 1 / math.sqrt(2)
+BS50 = np.array([[BAL, BAL], [BAL, -BAL]])  # the balanced beam splitter
 
 
 def random_unitary(rng, n):
@@ -88,7 +85,7 @@ class TestDft:
         assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12
 
     def test_two_mode_is_balanced_beam_splitter(self):
-        np.testing.assert_allclose(dft(2), beam_splitter_matrix(0.5), atol=1e-15)
+        np.testing.assert_allclose(dft(2), BS50, atol=1e-15)
 
     def test_three_mode_entries(self):
         w = np.exp(-2j * np.pi / 3)
@@ -96,43 +93,11 @@ class TestDft:
         np.testing.assert_allclose(dft(3), expect, atol=1e-15)
 
 
-class TestDecomposeF3:
-    def test_reproduces_dft_exactly(self):
-        u = elements_to_matrix(decompose_f3(), 3)
-        assert np.abs(u - dft(3)).max() < 1e-12
-
-    def test_truncated_variant_differs_by_output_phases(self):
-        u = elements_to_matrix(decompose_f3(include_final_phases=False), 3)
-        ratio = u @ dft(3).conj().T
-        off_diag = ratio - np.diag(np.diag(ratio))
-        assert np.abs(off_diag).max() < 1e-12
-        assert np.abs(np.abs(np.diag(ratio)) - 1.0).max() < 1e-12
-
-    def test_element_budget(self):
-        elements = decompose_f3()
-        n_bs = sum(1 for e in elements if e.kind == "beam_splitter")
-        n_ph = sum(1 for e in elements if e.kind == "phase")
-        assert n_bs == 3 and n_ph == 3
-        assert n_bs <= 3 * (3 - 1) // 2
-
-    def test_is_the_papers_element_list(self):
-        # beam splitters (1,2) at 1/2, (1,3) at 2/3 and (2,3) at 1/2; phases
-        # pi/2 on mode 3, then -pi/6 (as 11 pi/6) on mode 2 and pi/6 on mode 3
-        assert decompose_f3() == [
-            CircuitElement("beam_splitter", (1, 2), 0.5),
-            CircuitElement("beam_splitter", (1, 3), 0.6666666666666666),
-            CircuitElement("phase", (3,), 1.5707963267948966),
-            CircuitElement("beam_splitter", (2, 3), 0.5),
-            CircuitElement("phase", (2,), 5.759586531581287),
-            CircuitElement("phase", (3,), 0.5235987755982988),
-        ]
-
-
 class TestFockEvolution:
     """Fock-state evolution through the sector blocks Sym^N(U)."""
 
     def test_single_photon_splits_evenly(self):
-        sectors = sector_blocks(beam_splitter_matrix(0.5), 2)
+        sectors = sector_blocks(BS50, 2)
         assert abs(block_amplitude(sectors, (1, 0), (1, 0))) ** 2 == pytest.approx(0.5)
         assert abs(block_amplitude(sectors, (0, 1), (1, 0))) ** 2 == pytest.approx(0.5)
 
@@ -159,12 +124,13 @@ class TestFockEvolution:
         modes = np.argmax(occ, axis=1)
         np.testing.assert_allclose(block, u[np.ix_(modes, modes)], atol=1e-15)
 
-    def test_passive_matches_element_sequence(self):
-        # Sym^N is a homomorphism: the blocks of the element sequence,
-        # multiplied in application order, are the blocks of the DFT
-        per_element = [sector_blocks(elements_to_matrix([elem], 3), 4)
-                       for elem in decompose_f3()]
-        for total, (occ, block) in enumerate(sector_blocks(dft(3), 4)):
+    def test_passive_matches_element_sequence(self, rng):
+        # Sym^N is a homomorphism: the blocks of a sequence of elements,
+        # multiplied in application order, are the blocks of their product
+        elements = [random_unitary(rng, 3) for _ in range(3)] + [dft(3)]
+        per_element = [sector_blocks(u, 4) for u in elements]
+        total_u = elements[3] @ elements[2] @ elements[1] @ elements[0]
+        for total, (occ, block) in enumerate(sector_blocks(total_u, 4)):
             product = np.eye(len(occ))
             for sectors in per_element:
                 product = sectors[total][1] @ product

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmoments import circuits, fock
-from ptmoments.errors import (BudgetError, CutoffError, DomainError, HermiticityError,
+from ptmoments.errors import (BudgetError, DomainError, HermiticityError,
                               StateValidationError)
 from ptmoments.fock import (
     DEFAULT_TOL,
     BipartiteDensityOperator,
     ModeCutoff,
     coherent_cutoff,
-    mode_moment,
     partial_transpose,
     pt_moment,
     pt_moments,
@@ -906,40 +905,6 @@ class TestMemory:
         mat = random_density(rng, 900)
         pattern = mat != 0
         assert self.peak_ratio(lambda: fock._component_labels(pattern), mat.nbytes) <= 0.5
-
-
-class TestModeMoment:
-    def test_identity_operator(self, rng):
-        rho = embed(random_density(rng, 9), ModeCutoff(3, 3))
-        assert mode_moment(rho, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_noon_diagonal_moment(self, n):
-        alpha, beta = 0.6, 0.8
-        rho = lossy_noon_density(LossyNOONParams(NOONParams(n, alpha, beta), 1.0, 1.0))
-        val = mode_moment(rho, n, n, 0, 0)
-        assert val.real == pytest.approx(alpha ** 2 * math.factorial(n), abs=1e-10)
-        assert abs(val.imag) < 1e-12
-
-    def test_noon_cross_moment_conjugate_pair(self):
-        n = 2
-        alpha, beta = 0.6 * np.exp(0.7j), np.sqrt(1 - 0.36) * np.exp(-0.2j)
-        rho = lossy_noon_density(LossyNOONParams(NOONParams(n, alpha, beta), 1.0, 1.0))
-        lhs = mode_moment(rho, n, 0, 0, n)   # a+^n b^n
-        rhs = mode_moment(rho, 0, n, n, 0)   # a^n b+^n
-        assert lhs == pytest.approx(np.conj(rhs), abs=1e-11)
-        assert rhs == pytest.approx(alpha * np.conj(beta) * math.factorial(n), abs=1e-10)
-
-    def test_occupied_top_level_raises(self):
-        # NOON at minimal cutoff has its top level occupied: net raising unsafe
-        rho = lossy_noon_density(LossyNOONParams.balanced(2, 1.0), ModeCutoff(3, 3))
-        with pytest.raises(CutoffError):
-            mode_moment(rho, 2, 0, 0, 2)
-
-    def test_number_operator(self):
-        rho = lossy_noon_density(LossyNOONParams.balanced(3, 1.0))
-        total = mode_moment(rho, 1, 1, 0, 0) + mode_moment(rho, 0, 0, 1, 1)
-        assert total.real == pytest.approx(3.0, abs=1e-11)
 
 
 class TestThermalPurity:

@@ -15,9 +15,7 @@ from ptmoments.gaussian import (
     SymplecticPair,
     gaussian_pt_moment,
     gaussian_pt_moments,
-    pt_covariance,
     simon_test,
-    symplectic_eigenvalues,
     symplectic_p3_criteria,
     tmsv_thermal,
     tmsv_thermal_pt_pair,
@@ -39,28 +37,17 @@ class TestCovariance:
     def test_vacuum_is_physical(self):
         assert CovarianceMatrix(np.eye(4)).is_physical()
 
-    def test_pt_is_involution_and_preserves_determinant(self):
-        gamma = tmsv_thermal(0.2, 0.4)
-        pt = pt_covariance(gamma)
-        np.testing.assert_allclose(pt_covariance(pt).gamma, gamma.gamma)
-        assert np.linalg.det(pt.gamma) == pytest.approx(np.linalg.det(gamma.gamma))
-
-    def test_identity_fixed_point(self):
-        np.testing.assert_allclose(pt_covariance(CovarianceMatrix(np.eye(4))).gamma, np.eye(4))
-
 
 class TestSymplecticEigenvalues:
-    def test_vacuum(self):
-        pair = symplectic_eigenvalues(CovarianceMatrix(np.eye(4)))
-        assert (pair.nu1, pair.nu2) == pytest.approx((1.0, 1.0))
-
-    def test_williamson_diagonal(self):
-        pair = symplectic_eigenvalues(CovarianceMatrix(np.diag([3.0, 3.0, 1.5, 1.5])))
-        assert (pair.nu1, pair.nu2) == pytest.approx((1.5, 3.0))
-
     @pytest.mark.parametrize("n_bar,r", [(0.0, 0.3), (0.2, 0.5), (1.0, 0.1)])
     def test_tmsv_thermal_pair(self, n_bar, r):
-        pair = symplectic_eigenvalues(pt_covariance(tmsv_thermal(n_bar, r)))
+        # Williamson eigenvalues of the partially transposed covariance matrix
+        # (P2 -> -P2): the moduli of the eigenvalues of i Omega gamma, paired
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        gamma = flip @ tmsv_thermal(n_bar, r).gamma @ flip
+        vals = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ gamma)))
+        np.testing.assert_allclose(vals[[1, 3]], vals[[0, 2]], rtol=1e-10)
+        pair = SymplecticPair(vals[0], vals[2])
         expect = tmsv_thermal_pt_pair(n_bar, r)
         assert pair.nu1 == pytest.approx(expect.nu1, rel=1e-10)
         assert pair.nu2 == pytest.approx(expect.nu2, rel=1e-10)

@@ -1,8 +1,10 @@
 """NaN, +inf and -inf fed to every public function that takes a float, in
-every module's ``__all__``: each must raise a package error before any
-RuntimeWarning, never return a number or a verdict."""
+every module's ``__all__``, and large finite squeezing to the TMSV
+constructors: each must raise a package error before any RuntimeWarning,
+never return a number or a verdict."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from ptmoments import (circuits, criteria, estimation, fock, gaussian, noon_tables, reporting,
                        states)
-from ptmoments.errors import PtmomentsError
+from ptmoments.errors import DomainError, PtmomentsError
 from ptmoments.fock import ModeCutoff
 
 MODULES = (fock, states, circuits, criteria, gaussian, estimation, noon_tables, reporting)
@@ -61,12 +63,8 @@ CASES = {
     ("states.tmsv_density", "r"): lambda x: states.tmsv_density(x, 5),
     ("states.tmsv_cutoff", "r"): lambda x: states.tmsv_cutoff(x),
     ("states.tmsv_cutoff", "tol"): lambda x: states.tmsv_cutoff(0.5, x),
-    ("circuits.CircuitElement", "transmissivity"):
-        lambda x: circuits.CircuitElement("beam_splitter", (1, 2), x),
-    ("circuits.CircuitElement", "phase"): lambda x: circuits.CircuitElement("phase", (1,), x),
     ("circuits.OutcomeDistribution", "probs"):
         lambda x: circuits.OutcomeDistribution([[0, 0], [0, 1]], [1.0, x]),
-    ("circuits.beam_splitter_matrix", "tau"): lambda x: circuits.beam_splitter_matrix(x),
     ("circuits.loss_kraus", "tau"): lambda x: circuits.loss_kraus(3, x),
     ("circuits.lossy_channel", "tau"):
         lambda x: circuits.lossy_channel(states.tmsv_density(0.5, 3), x, "a"),
@@ -128,7 +126,7 @@ EXEMPT = {
     "fock.DEFAULT_TOL": "an instance",
     "fock.ModeCutoff": "integers",
     **dict.fromkeys([f"fock.{name}" for name in (
-        "partial_transpose", "spectrum", "pt_moment", "pt_moments", "purity", "mode_moment")],
+        "partial_transpose", "spectrum", "pt_moment", "pt_moments", "purity")],
         "a validated operator and integers"),
     **dict.fromkeys(["states.cat_density", "states.cat_pt_moments"], "validated CatParams"),
     **dict.fromkeys(["states.hhg_reduced_density", "states.hhg_pt_moments"],
@@ -138,8 +136,6 @@ EXEMPT = {
                     "validated LossyNOONParams"),
     "states.qutrit_state": "no argument",
     "circuits.dft": "an integer",
-    "circuits.decompose_f3": "a flag",
-    "circuits.elements_to_matrix": "validated CircuitElements",
     **dict.fromkeys(["circuits.outcome_distribution", "circuits.value_law",
                      "circuits.cycle_traces"], "validated operators"),
     "circuits.multicopy_expectation": "a validated OutcomeDistribution",
@@ -148,8 +144,6 @@ EXEMPT = {
         "hankel_matrix", "hankel_test", "newton_elementary", "descartes_test")],
         "a validated PtMomentVector"),
     "gaussian.OMEGA": "a constant",
-    **dict.fromkeys(["gaussian.pt_covariance", "gaussian.symplectic_eigenvalues"],
-                    "a validated CovarianceMatrix"),
     **dict.fromkeys([f"gaussian.{name}" for name in (
         "simon_test", "gaussian_pt_moment", "gaussian_pt_moments", "symplectic_p3_criteria")],
         "a validated SymplecticPair"),
@@ -181,3 +175,34 @@ def test_non_finite_float_raises_a_package_error_before_any_warning(case, bad):
         warnings.simplefilter("error")
         with pytest.raises(PtmomentsError):
             CASES[case](bad)
+
+
+# The squeezing slots of the TMSV constructors, which refuse |r| past the
+# largest r at which e^(2r) is a finite float: SQUEEZING calls each at
+# n_bar = 0, where that bound is the last r that overflows nothing
+SQUEEZING = {
+    ("gaussian.tmsv_thermal", "r"): lambda r: gaussian.tmsv_thermal(0.0, r),
+    ("gaussian.tmsv_thermal_pt_pair", "r"): lambda r: gaussian.tmsv_thermal_pt_pair(0.0, r),
+    ("states.tmsv_vector", "r"): lambda r: states.tmsv_vector(r, 5),
+    ("states.tmsv_density", "r"): lambda r: states.tmsv_density(r, 5),
+}
+R_MAX = math.log(sys.float_info.max) / 2
+
+
+@pytest.mark.parametrize("big", [1e300, -1e300, 800.0, -800.0, 360.0])
+@pytest.mark.parametrize("case", list(SQUEEZING), ids=[name for name, _ in SQUEEZING])
+def test_large_squeezing_raises_a_package_error_before_any_warning(case, big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PtmomentsError):
+            CASES[case](big)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("case", list(SQUEEZING), ids=[name for name, _ in SQUEEZING])
+def test_largest_squeezing_is_accepted_without_warning_and_the_next_float_refused(case, sign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SQUEEZING[case](sign * R_MAX)
+        with pytest.raises(DomainError, match=f"{R_MAX!r}"):
+            SQUEEZING[case](sign * math.nextafter(R_MAX, math.inf))

@@ -1,9 +1,13 @@
 """The columnar Table and its CSV/JSON writer."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptmoments import cli
 from ptmoments.reporting import Table, format_value, read_table, write_table
@@ -102,6 +106,81 @@ class TestTable:
                       [np.array([1, 2]), np.array([math.nan, -math.inf]), [np.bool_(True), False]])
         again = read_table(write_table(table, tmp_path / "t.json", fmt="json"))
         assert again.rows == [(1, "nan", True), (2, "-inf", False)]
+
+
+def dumped(table):
+    """The whole JSON document through one json.dumps(doc, indent=2): the
+    reference for the streamed writer."""
+    def cell(v):
+        v = v.item() if isinstance(v, np.generic) else v
+        return format_value(v) if type(v) is float and not math.isfinite(v) else v
+
+    doc = {"provenance": table.provenance, "columns": table.columns,
+           "rows": [[cell(v) for v in row] for row in table.rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+OBJECTS = [math.inf, -math.inf, math.nan, 1, 0.5, "x", None, np.float64(-0.0), np.int64(3),
+           np.bool_(True), np.float64(math.inf)]
+COLUMNS = st.one_of(
+    st.lists(st.floats(), min_size=1, max_size=6).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=6)
+    .map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(), min_size=1, max_size=6),
+    st.lists(st.booleans(), min_size=1, max_size=6).map(np.array),
+    st.lists(st.text(), min_size=1, max_size=6),
+    st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=6)
+    .map(lambda v: np.array(v, dtype=object)),
+)
+
+
+class TestJsonBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(pools=st.lists(COLUMNS, max_size=4), n=st.sampled_from([0, 1, 3, BLOCK, BLOCK + 1]),
+           name=st.text(), note=st.text())
+    def test_streamed_json_is_the_one_shot_dump(self, pools, n, name, note, tmp_path_factory):
+        # each column cycles its drawn values over n rows, so a row crosses a
+        # block edge at n = BLOCK + 1; no column at all is an empty table
+        n = n if pools else 0
+        data = [np.resize(p, n) if isinstance(p, np.ndarray) else (p * n)[:n] for p in pools]
+        table = Table({"target": "unit", "note": note}, [f"{name}{i}" for i in range(len(pools))],
+                      data)
+        path = write_table(table, tmp_path_factory.mktemp("json") / "t.json", fmt="json")
+        assert path.read_bytes() == dumped(table).encode()
+
+    def test_failed_write_leaves_the_earlier_file(self, tmp_path):
+        path = write_table(Table({"target": "unit"}, ["a"], [[1, 2]]), tmp_path / "t.json",
+                           fmt="json")
+        before = path.read_bytes()
+        # a set has no JSON text; it sits in the second block, after the first is written
+        cells = [0.5] * (BLOCK + 10)
+        cells[BLOCK + 5] = {1}
+        with pytest.raises(TypeError):
+            write_table(Table({"target": "unit"}, ["x"], [cells]), path, fmt="json")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_is_bounded_by_a_block(fmt, tmp_path):
+    # fig3b's shape: 22,326 rows of a string, six float and a bool column;
+    # one-shot writers held the whole text (7.1 MB for CSV, 25 MB for JSON)
+    rng = np.random.default_rng(0)
+    n = 6 * 61 ** 2
+    grid = np.round(np.arange(0.0, 1.0 + 1e-12, 1.0 / 60.0), 10)
+    x2, x3 = (np.tile(x.ravel(), 6) for x in np.meshgrid(grid, grid, indexing="ij"))
+    p2, p3, w = rng.random((3, n))
+    table = Table({"target": "fig3b"}, ["panel", "tau1", "x2", "x3", "p2", "p3", "w", "detected"],
+                  [np.repeat(["alpha", "tau"] * 3, n // 6), np.repeat([0.9, 0.75, 0.6], n // 3),
+                   x2, x3, p2, p3, w, w < 0.5])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_table(table, tmp_path / f"t.{fmt}", fmt=fmt)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 @pytest.fixture(scope="module")
