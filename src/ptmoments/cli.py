@@ -57,7 +57,9 @@ def _emit(args, target: str, columns, data, **extra) -> None:
 def _noon_params(n, alpha, beta=None) -> states.NOONParams:
     """NOON parameters; alpha defaults to balanced and beta to sqrt(1 - alpha^2)."""
     alpha = BALANCED if alpha is None else alpha
-    beta = np.sqrt(np.maximum(1.0 - np.float_power(alpha, 2), 0.0)) if beta is None else beta
+    if beta is None:
+        with np.errstate(over="ignore"):  # |alpha| > 1 is refused by NOONParams
+            beta = np.sqrt(np.maximum(1.0 - np.float_power(alpha, 2), 0.0))
     return states.NOONParams(n, alpha, beta)
 
 
@@ -83,48 +85,53 @@ def _family_params(args):
     return gaussian.tmsv_thermal_pt_pair(_or(args.n_bar, 0.0), _or(args.r, 0.3))
 
 
+# The closed-form PT spectrum of each family that has one.
+_SPECTRA = {"noon": states.lossy_noon_pt_spectrum, "cat": states.cat_pt_spectrum,
+            "hhg": states.hhg_pt_spectrum}
+
+
+def _lossy_cat(args) -> bool:
+    """Whether ``sample`` sends the cat through loss, the one family state read by the dense oracle."""
+    return args.command == "sample" and args.family == "cat" and args.tau not in (None, 1.0)
+
+
+def _family_moments(args, n: int) -> list:
+    """p_1 .. p_n of the family's state: power sums of its closed-form
+    spectrum, the Gaussian or pure-state closed forms for tmsv and qutrit,
+    and the dense oracle for the lossy cat."""
+    p = _family_params(args)
+    if args.family == "tmsv":
+        return list(gaussian.gaussian_pt_moments(p, n))
+    if args.family == "qutrit":
+        return [p.pt_moment(j) for j in range(1, n + 1)]
+    if _lossy_cat(args):
+        cutoff = None if args.cutoff is None else ModeCutoff(args.cutoff, args.cutoff)
+        rho = circuits.lossy_channel(states.cat_density(p, cutoff), args.tau, "a")
+        return list(fock.pt_moments(circuits.lossy_channel(rho, args.tau, "b"), n))
+    return list(states._power_sums(_SPECTRA[args.family](p), n))
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def _family_moments(args) -> tuple[float, float, list]:
-    """(p2, p3, extra_reports) of the requested family."""
-    fam, p = args.family, _family_params(args)
-    if fam == "noon":
-        if p.tau_a != 1.0:
-            p2, p3 = states.lossy_noon_pt_moments(p)
-        else:
-            p2, p3 = states.noon_pt_moment(p.noon, 2), states.noon_pt_moment(p.noon, 3)
-    elif fam == "cat":
-        p2, p3 = states.cat_pt_moments(p)
-    elif fam == "hhg":
-        p2, p3 = states.hhg_pt_moments(p)
-    elif fam == "qutrit":
-        p2, p3 = p.pt_moment(2), p.pt_moment(3)
-    else:
-        p2, p3 = gaussian.gaussian_pt_moment(p, 2), gaussian.gaussian_pt_moment(p, 3)
-        moments = criteria.PtMomentVector(tuple(gaussian.gaussian_pt_moments(p, 7)))
-        return p2, p3, [gaussian.simon_test(p), *gaussian.symplectic_p3_criteria(p),
-                        criteria.simon_gaussian3(p2, p3), criteria.hankel_test(moments, 5),
-                        criteria.hankel_test(moments, 7)]
-    return p2, p3, []
-
-
 def cmd_criteria(args) -> int:
     if args.family:
-        p2, p3, extra = _family_moments(args)
-        reports = criteria.third_order_reports(p2, p3) + extra
+        vec = criteria.PtMomentVector.of(*_family_moments(args, 7))
+    elif args.moments:
+        vec = criteria.PtMomentVector(tuple(float(x) for x in args.moments.split(",")))
+    elif args.p2 is None or args.p3 is None:
+        raise DomainError("provide --p2 and --p3, or --moments, or --family")
     else:
-        if args.moments:
-            vec = criteria.PtMomentVector(tuple(float(x) for x in args.moments.split(",")))
-        elif args.p2 is None or args.p3 is None:
-            raise DomainError("provide --p2 and --p3, or --moments, or --family")
-        else:
-            vec = criteria.PtMomentVector.of(1.0, args.p2, args.p3)
-        p2, p3 = vec.p(2), vec.p(3)
-        reports = criteria.third_order_reports(p2, p3)
-        for n in range(3, vec.order + 1, 2):
-            reports += [criteria.hankel_test(vec, n), criteria.descartes_test(vec, n)]
+        vec = criteria.PtMomentVector.of(1.0, args.p2, args.p3)
+    p2, p3 = vec.p(2), vec.p(3)
+    reports = criteria.third_order_reports(p2, p3)
+    for n in range(3, vec.order + 1, 2):
+        reports += [criteria.hankel_test(vec, n), criteria.descartes_test(vec, n)]
+    if args.family == "tmsv":
+        pair = _family_params(args)
+        reports += [gaussian.simon_test(pair), *gaussian.symplectic_p3_criteria(pair),
+                    criteria.simon_gaussian3(p2, p3)]
     print(f"p2 = {format_value(p2)}   p3 = {format_value(p3)}")
     for r in reports:
         flag = " (gaussian-only)" if r.gaussian_only else ""
@@ -140,30 +147,9 @@ def cmd_criteria(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _sample_moments(args) -> list:
-    """p_1 .. p_n, n = --copies, of the family's state: closed forms for tmsv
-    and hhg, the dense oracle on the density operator otherwise."""
-    p, n = _family_params(args), args.copies
-    if args.family == "tmsv":
-        return [gaussian.gaussian_pt_moment(p, j) for j in range(1, n + 1)]
-    if args.family == "hhg":
-        return [1.0, *states.hhg_pt_moments(p)][:n]
-    if args.family == "noon":
-        rho = states.lossy_noon_density(p)
-    elif args.family == "qutrit":
-        rho = p.density_operator()
-    else:
-        cutoff = None if args.cutoff is None else ModeCutoff(args.cutoff, args.cutoff)
-        rho = states.cat_density(p, cutoff)
-        if args.tau is not None and args.tau != 1.0:
-            rho = circuits.lossy_channel(rho, args.tau, "a")
-            rho = circuits.lossy_channel(rho, args.tau, "b")
-    return fock.pt_moments(rho, n)
-
-
 def cmd_sample(args) -> int:
     # the value law of identical copies, from their moments
-    moments = _sample_moments(args)
+    moments = _family_moments(args, args.copies)
     exact = float(moments[-1])
     rng = estimation.rng_stream(args.seed, args.copies)
     result = estimation.estimate_pn(circuits.moment_law(moments), args.copies, args.k,
@@ -415,8 +401,9 @@ def cmd_reproduce(args) -> int:
 
 # The options each command reads, per family (criteria, sample), per moment
 # source (criteria without --family) and per target (reproduce), on top of the
-# command's _ALWAYS_READ; --format is read only together with --out.  An
-# option given outside its set is refused, never dropped.
+# command's _ALWAYS_READ; --format is read only together with --out, and
+# --cutoff only by the lossy cat.  An option given outside its set is
+# refused, never dropped.
 _READS = {
     "criteria": {"--family noon": "N alpha beta tau", "--family cat": "alpha beta z parity",
                  "--family hhg": "N alpha delta_alpha", "--family qutrit": "",
@@ -446,6 +433,8 @@ def _refuse_unread(args) -> None:
     reads = set(_ALWAYS_READ[cmd].split() + _READS[cmd][key].split())
     if cmd != "reproduce" and args.out is None:
         reads.discard("format")
+    if not _lossy_cat(args):
+        reads.discard("cutoff")
     unread = ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
               if value is not None and dest not in reads and dest not in ("command", "func")]
     if unread:

@@ -126,6 +126,8 @@ def gaussian_pt_moment(pair: SymplecticPair, n: int):
         t1, t2 = (2.0 ** (n - 1) / sum(comb(n, k) * np.float_power(nu, n - k)
                                        for k in range(1, n + 1, 2))
                   for nu in (pair.nu1, pair.nu2))
+    if not (np.isfinite(t1) & np.isfinite(t2)).all():  # a factor past the float range times 0
+        raise DomainError(f"a factor of p_{n} passes the float range at nu1 = {pair.nu1}")
     return float(t1 * t2) if np.ndim(t1) == 0 else t1 * t2
 
 
@@ -153,8 +155,12 @@ def tmsv_thermal(n_bar: float, r: float) -> CovarianceMatrix:
     # checked before the block, where an infinite entry times zero warns
     if not (0.0 <= n_bar < math.inf and abs(r) <= _R_MAX):
         raise DomainError(f"need finite n_bar >= 0 and |r| <= {_R_MAX!r}, got {n_bar}, {r}")
-    scale = 2.0 * n_bar + 1.0
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    with np.errstate(over="ignore"):  # (2 n_bar + 1) cosh(2r) past the float range is refused
+        scale = 2.0 * n_bar + 1.0
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+        if not math.isfinite(scale * ch):
+            raise DomainError(f"(2 n_bar + 1) cosh(2r) passes the float range at n_bar = "
+                              f"{n_bar}, r = {r}")
     z = np.diag([1.0, -1.0])
     gamma = scale * np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
     return CovarianceMatrix(gamma)
@@ -167,5 +173,6 @@ def tmsv_thermal_pt_pair(n_bar: float, r: float) -> SymplecticPair:
         raise DomainError(f"n_bar must be >= 0, got {n_bar}")
     if (np.abs(r) > _R_MAX).any():  # NaN passes on to SymplecticPair's check
         raise DomainError(f"|r| must be at most {_R_MAX!r}, got {r}")
-    scale = 2.0 * n_bar + 1.0
-    return SymplecticPair(scale * np.exp(-2.0 * r), scale * np.exp(2.0 * r))
+    with np.errstate(over="ignore"):  # an infinite nu is refused by SymplecticPair
+        scale = 2.0 * n_bar + 1.0
+        return SymplecticPair(scale * np.exp(-2.0 * r), scale * np.exp(2.0 * r))

@@ -3,24 +3,24 @@ with and without loss, finite Fock superpositions, and two-mode squeezed
 vacua.
 
 Each family provides a truncated-Fock density operator (for the dense oracle)
-and, where available, closed-form values of the low-order PT-moments.  The
-closed forms act as ground truth; the truncated operators are renormalized to
-unit trace after the cutoff.
+and, where available, the spectrum of its partial transpose in closed form,
+divided by its own sum: ``cat_pt_spectrum``, ``hhg_pt_spectrum`` and
+``lossy_noon_pt_spectrum``.  Every PT-moment p_n is a power sum of it, which
+``cat_pt_moments``, ``hhg_pt_moments`` and ``lossy_noon_pt_moments`` read.
 
-The closed forms are elementwise: ``cat_pt_moments`` (alpha, beta, z),
-``hhg_pt_moments`` (alpha, delta_alpha, N), ``noon_pt_moment`` (N, alpha,
-beta) and ``lossy_noon_pt_moments`` (N, tau_a, tau_b) take parameters that
-may be arrays, which broadcast, and give arrays of their shape; scalars give
-floats.  Powers go through np.float_power, which calls the C library's pow as
-float ** does, so every element has the bits of its scalar evaluation.
+The closed forms are elementwise: parameters may be arrays, which broadcast,
+and give arrays of their shape (a spectrum on one more, last axis); scalars
+give floats.  Powers go through np.float_power, which calls the C library's
+pow as float ** does, or repeated products, and sums add in index order, so
+every element has the bits of its scalar evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 
 import numpy as np
@@ -39,15 +39,18 @@ from .gaussian import _R_MAX
 __all__ = [
     "CatParams",
     "cat_density",
+    "cat_pt_spectrum",
     "cat_pt_moments",
     "cat_separability_radius",
     "HHGParams",
     "hhg_reduced_density",
+    "hhg_pt_spectrum",
     "hhg_pt_moments",
     "NOONParams",
     "noon_pt_moment",
     "LossyNOONParams",
     "lossy_noon_density",
+    "lossy_noon_pt_spectrum",
     "lossy_noon_pt_moments",
     "FockSuperposition",
     "qutrit_state",
@@ -60,8 +63,9 @@ __all__ = [
 
 # Natural log of the largest finite float: |alpha|^(d-1) overflows beyond it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# Largest |alpha|^2 + |beta|^2 at which 3 e^(4 r^2), the cat p3's largest factor, is finite.
-_CAT_R2_MAX = (_LOG_FLOAT_MAX - math.log(3.0)) / 4.0
+# Largest NOON N at which 2^-N, the leading loss weight's tau^k (1 - tau)^(N - k)
+# at tau = 1/2, is a normal float (C(N, k) overflows from N = 1030).
+_NOON_N_MAX = 1022
 
 
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
@@ -130,29 +134,56 @@ def _elementwise(*values) -> tuple:
     return tuple(float(v) for v in values) if np.ndim(values[0]) == 0 else values
 
 
+def _power_sums(spectrum, n_max: int) -> np.ndarray:
+    """p_1 .. p_n_max of the spectra on the last axis, order first.  Each adds
+    its terms in index order, w^n as w^(n-1) w, so an element's bits do not
+    depend on the batch around it, and zero padding keeps them."""
+    terms = np.moveaxis(np.asarray(spectrum, dtype=float), -1, 0)
+    power, sums = terms, []
+    for _ in range(n_max):
+        sums.append(functools.reduce(np.add, power))
+        power = power * terms
+    return np.array(sums)
+
+
+def _unit_trace(spectrum: np.ndarray) -> np.ndarray:
+    """The spectra on the last axis divided by their own sums, as the dense builders renormalise."""
+    return spectrum / _power_sums(spectrum, 1)[0][..., None]
+
+
+def _symmetric_2x2_eigenvalues(p, r, q, det) -> tuple:
+    """Eigenvalues of [[p, q], [q, r]], p, r >= 0, of determinant det: the larger
+    (p + r)/2 + hypot((p - r)/2, q), and det over it, which does not cancel."""
+    top = (p + r) / 2.0 + np.hypot((p - r) / 2.0, q)
+    return top, np.divide(det, top, out=np.zeros(np.shape(top)), where=top > 0.0)
+
+
+def cat_pt_spectrum(p: CatParams) -> np.ndarray:
+    """Spectrum of the dephased cat's partial transpose, shape (..., 4).
+
+    In each mode's even/odd basis, |alpha> = c_e |e> + c_o |o>, c_o^2 =
+    -expm1(-2|alpha|^2)/2, and the state is (1 + x)|P><P| + (1 - x)|M><M|,
+    x = s(1 - z), P = A|ee> + B|oo>, M = C|eo> + D|oe> (A = c_e^a c_e^b,
+    B = c_o^a c_o^b, C = c_e^a c_o^b, D = c_o^a c_e^b, so CD = AB).  Its
+    partial transpose is [[(1+x) A^2, (1-x) AB], [., (1+x) B^2]] (determinant
+    4x (AB)^2) plus [[(1-x) C^2, (1+x) AB], [., (1-x) D^2]] (-4x (AB)^2)."""
+    x = p.sign * (1.0 - np.asarray(p.z, dtype=float))
+    with np.errstate(over="ignore"):  # |alpha|^2 = inf reads as the limit c_e^2 = c_o^2 = 1/2
+        r2_a, r2_b = (np.float_power(np.abs(amp), 2) for amp in (p.alpha, p.beta))
+    (e_a, o_a), (e_b, o_b) = ((0.5 + 0.5 * np.exp(-2.0 * r2), -0.5 * np.expm1(-2.0 * r2))
+                              for r2 in (r2_a, r2_b))
+    ab = np.sqrt(e_a * o_b) * np.sqrt(o_a * e_b)
+    det = 4.0 * x * ab * ab
+    eigenvalues = (*_symmetric_2x2_eigenvalues((1 + x) * e_a * e_b, (1 + x) * o_a * o_b,
+                                               (1 - x) * ab, det),
+                   *_symmetric_2x2_eigenvalues((1 - x) * e_a * o_b, (1 - x) * o_a * e_b,
+                                               (1 + x) * ab, -det))
+    return _unit_trace(np.stack(np.broadcast_arrays(*eigenvalues), axis=-1))
+
+
 def cat_pt_moments(p: CatParams) -> tuple:
-    """Closed-form (p2, p3) of the dephased cat state."""
-    s = p.sign
-    with np.errstate(over="ignore"):  # refused below
-        a2, b2 = np.float_power(np.abs(p.alpha), 2), np.float_power(np.abs(p.beta), 2)
-    r2 = a2 + b2
-    if not (r2 <= _CAT_R2_MAX).all():
-        raise DomainError(f"cat closed forms need |alpha|^2 + |beta|^2 <= {_CAT_R2_MAX!r}, "
-                          f"got {r2}")
-    e2 = np.exp(-2.0 * r2)
-    e4 = np.exp(-4.0 * r2)
-    e6 = np.exp(-6.0 * r2)
-    omz = 1.0 - np.asarray(p.z, dtype=float)
-    c = 2.0 * (1.0 + s * omz * e2)
-    p2 = 2.0 / np.float_power(c, 2) * ((1.0 + np.float_power(omz, 2)) * (1.0 + e4)
-                                       + s * 4.0 * omz * e2)
-    p3 = 2.0 / np.float_power(c, 3) * (
-        1.0 + 3.0 * e4
-        + s * 3.0 * omz * e2 * (2.0 + np.exp(-4.0 * a2) + np.exp(-4.0 * b2))
-        + 3.0 * np.float_power(omz, 2) * e4 * (2.0 + np.exp(4.0 * a2) + np.exp(4.0 * b2))
-        + s * np.float_power(omz, 3) * e6 * (1.0 + 3.0 * np.exp(4.0 * r2))
-    )
-    return _elementwise(p2, p3)
+    """(p2, p3) of the dephased cat state: power sums of ``cat_pt_spectrum``."""
+    return _elementwise(*_power_sums(cat_pt_spectrum(p), 3)[1:])
 
 
 def cat_separability_radius(z: float) -> float:
@@ -226,8 +257,8 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> Bipar
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-def hhg_pt_moments(p: HHGParams) -> tuple:
-    """Closed-form (p2, p3) of the reduced driver/harmonic state.
+def hhg_pt_spectrum(p: HHGParams) -> np.ndarray:
+    """Spectrum of the reduced driver/harmonic state's partial transpose, shape (..., 4).
 
     On the orthonormalised bases {|alpha>, |alpha - da>perp} of the driver and
     {|0>, |chi>perp} of the harmonic the state is the rank-two
@@ -235,23 +266,34 @@ def hhg_pt_moments(p: HHGParams) -> tuple:
     A = sqrt(1 - a^2), B = sqrt(1 - b^2), g = 1 - e^(-(N-2) chi^2),
     u = (a b g, a B, A b, A B) and sigma = a^2 b^(2N-2) g.  Each 1 - e^(-x) is
     an expm1, and u and sigma are scaled by an exact power of two, so nothing
-    cancels or underflows at small delta_alpha; p2 is exactly 1 for N <= 2."""
+    cancels or underflows at small delta_alpha.  (u u^T)^Gamma has the spectrum
+    s1^2, s2^2, +-s1 s2 of u's singular values as a 2 x 2 matrix (determinant
+    -u2 u3 b^(2N-4)); one eigvalsh of diag(that) + sigma z z^T, z the e1
+    components of its eigenvectors, keeps a pure state's (N <= 2) exactly."""
     n_tot, da2, chi2 = _hhg_squares(p)
     a, b = np.exp(-da2 / 2.0), np.exp(-chi2 / 2.0)
     big_a, big_b = np.sqrt(-np.expm1(-da2)), np.sqrt(-np.expm1(-chi2))
     g = -np.expm1(-(n_tot - 2) * chi2)
-    u = (a * b * g, a * big_b, big_a * b, big_a * big_b)
-    e = np.frexp(sum(u))[1]  # scales the largest u near 1: no square of it underflows
-    u1, u2, u3, u4 = (np.ldexp(x, -e) for x in u)
+    u = np.stack(np.broadcast_arrays(a * b * g, a * big_b, big_a * b, big_a * big_b), axis=-1)
+    e = np.frexp(u.sum(axis=-1))[1]  # scales the largest u near 1: no square of it underflows
+    u = np.ldexp(u, -e[..., None])
     sigma = np.ldexp(a * a * np.float_power(b, 2 * n_tot - 2) * g, -2 * e)
-    w1, total = u1 * u1, u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
-    d2 = np.float_power(u2 * u3 * np.float_power(b, 2 * n_tot - 4), 2)  # |det| of u as 2 x 2
-    tr = total + sigma
-    p2 = (total * total + 2.0 * sigma * w1 + sigma * sigma) / (tr * tr)
-    p3 = (np.float_power(total, 3) - 3.0 * total * d2 + 3.0 * sigma * (w1 + u2 * u2)
-          * (w1 + u3 * u3) + 3.0 * sigma * sigma * w1 + np.float_power(sigma, 3)
-          ) / np.float_power(tr, 3)
-    return _elementwise(p2, p3)
+    u1, u2, u3, u4 = np.moveaxis(u, -1, 0)
+    det = u2 * u3 * np.float_power(b, 2 * n_tot - 4)
+    squares = _symmetric_2x2_eigenvalues(u1 * u1 + u2 * u2, u3 * u3 + u4 * u4,
+                                         u1 * u3 + u2 * u4, det * det)
+    pure = u[..., :, None] * u[..., None, :]
+    # entry ((i, j), (k, l)) of the partial transpose is entry ((i, l), (k, j))
+    pure = pure.reshape(pure.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(pure.shape)
+    z = np.linalg.eigh(pure)[1][..., 0, :]  # eigenvectors in ascending order, as the sort
+    m = sigma[..., None, None] * z[..., :, None] * z[..., None, :]
+    m[..., range(4), range(4)] += np.sort(np.stack([*squares, det, -det], axis=-1), axis=-1)
+    return _unit_trace(np.linalg.eigvalsh(m))
+
+
+def hhg_pt_moments(p: HHGParams) -> tuple:
+    """(p2, p3) of the reduced driver/harmonic state: power sums of ``hhg_pt_spectrum``."""
+    return _elementwise(*_power_sums(hhg_pt_spectrum(p), 3)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +313,8 @@ class NOONParams:
     def __post_init__(self):
         if (np.asarray(self.N) < 1).any():
             raise DomainError(f"N must be >= 1, got {self.N}")
-        norm = np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2
+        with np.errstate(over="ignore"):  # an infinite norm is refused below
+            norm = np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2
         if not (np.abs(norm - 1.0) <= 1e-12).all():  # a NaN amplitude fails this too
             raise DomainError(f"|alpha|^2 + |beta|^2 = {norm} must be 1")
 
@@ -335,44 +378,40 @@ def lossy_noon_density(p: LossyNOONParams,
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-@cache
-def _binomial_powers(n_max: int, p: int) -> np.ndarray:
-    """float(C(n, k)^p) indexed [k, n], rounded once from the exact integer; read-only."""
-    table = np.array([[float(comb(n, k) ** p) for n in range(n_max + 1)] for k in range(n_max + 1)])
-    table.setflags(write=False)
-    return table
+def lossy_noon_pt_spectrum(p: LossyNOONParams) -> np.ndarray:
+    """Spectrum of the lossy NOON state's partial transpose, shape (..., 2n + 2),
+    n the batch's largest N; N above 1022 is refused (2^-N, the leading loss
+    weight's power product, leaves the normal float range).
 
-
-def _loss_sums(N: np.ndarray, tau: np.ndarray) -> tuple:
-    """(S_2, S_3) with S_p = sum_k C(N, k)^p tau^(p (N - k)) (1 - tau)^(p k),
-    tau with one more leading axis than N; a term with k > N is zero.  The
-    terms stack on a leading k axis, which np.add.reduce sums in increasing k."""
-    n_max = int(N.max(initial=0))
-    if n_max > 345:  # C(346, 173)^3 passes the float range
-        raise DomainError(f"lossy NOON moments need N <= 345, got N = {n_max}")
-    k = np.arange(n_max + 1).reshape((-1,) + (1,) * tau.ndim)
-    kept = np.maximum(N - k, 0)
-    return tuple(np.add.reduce(_binomial_powers(n_max, p)[:, N][:, None]
-                               * np.float_power(tau, p * kept) * np.float_power(1 - tau, p * k),
-                               axis=0) for p in (2, 3))
+    First the eigenvalues of the coherence [[d, c], [c, 0]] between |0, 0> and
+    |N, N>, d = |alpha|^2 (1 - tau_a)^N + |beta|^2 (1 - tau_b)^N and
+    c = |alpha beta| (tau_a tau_b)^(N/2), so that the pair cancels first in
+    the trace; then the loss branches |k, 0> and |0, k>, k = 1 .. n, of weights
+    |alpha|^2 C(N, k) tau_a^k (1 - tau_a)^(N-k) and the like on B, zero past N,
+    with C(N, k) the exact integer rounded once."""
+    noon = p.noon
+    N, ta, tb, a2, b2 = np.broadcast_arrays(
+        np.asarray(noon.N), np.asarray(p.tau_a, dtype=float), np.asarray(p.tau_b, dtype=float),
+        *(np.float_power(np.abs(amp), 2) for amp in (noon.alpha, noon.beta)))
+    n = int(N.max(initial=0))
+    if n > _NOON_N_MAX:
+        raise DomainError(f"lossy NOON spectra need N <= {_NOON_N_MAX}, got N = {n}")
+    k = np.arange(1, n + 1)
+    values, where = np.unique(N, return_inverse=True)
+    binomials = np.array([[float(comb(m, j)) for j in k.tolist()] for m in values.tolist()])
+    binomials = binomials.reshape(len(values), n)[where.reshape(N.shape)]
+    lost = np.maximum(N[..., None] - k, 0)
+    branches = [w[..., None] * binomials * np.float_power(t[..., None], k)
+                * np.float_power(1.0 - t[..., None], lost) for w, t in ((a2, ta), (b2, tb))]
+    d = a2 * np.float_power(1.0 - ta, N) + b2 * np.float_power(1.0 - tb, N)
+    c = np.abs(noon.alpha) * np.abs(noon.beta) * np.float_power(ta * tb, N / 2.0)
+    coherence = _symmetric_2x2_eigenvalues(d, np.zeros(d.shape), c, -c * c)
+    return _unit_trace(np.concatenate([np.stack(coherence, axis=-1), *branches], axis=-1))
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams):
-    """Closed-form (p2, p3) of the lossy NOON state (identical copies)."""
-    N, ta, tb = np.broadcast_arrays(np.asarray(p.noon.N), np.asarray(p.tau_a, dtype=float),
-                                    np.asarray(p.tau_b, dtype=float))
-    a2, b2 = abs(p.noon.alpha) ** 2, abs(p.noon.beta) ** 2
-    (s2a, s2b), (s3a, s3b) = _loss_sums(N, np.stack([ta, tb]))
-    ta_n, tb_n = np.float_power(ta, N), np.float_power(tb, N)
-    la_n, lb_n = np.float_power(1 - ta, N), np.float_power(1 - tb, N)
-    p2 = a2 ** 2 * s2a + 2.0 * a2 * b2 * (ta_n * tb_n + la_n * lb_n) + b2 ** 2 * s2b
-    p3 = (a2 ** 3 * s3a
-          + 3.0 * a2 * b2 * (a2 * ta_n * tb_n * la_n
-                             + b2 * ta_n * tb_n * lb_n
-                             + a2 * np.float_power(1 - ta, 2 * N) * lb_n
-                             + b2 * la_n * np.float_power(1 - tb, 2 * N))
-          + b2 ** 3 * s3b)
-    return _elementwise(p2, p3)
+    """(p2, p3) of the lossy NOON state: power sums of ``lossy_noon_pt_spectrum``."""
+    return _elementwise(*_power_sums(lossy_noon_pt_spectrum(p), 3)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +428,8 @@ class FockSuperposition:
         c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 2:
             raise ValueError("coefficient matrix must be two-dimensional")
-        norm = np.sum(np.abs(c) ** 2)
+        with np.errstate(over="ignore"):  # an infinite norm is refused below
+            norm = np.sum(np.abs(c) ** 2)
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"coefficients must be normalized, got sum |c|^2 = {norm}")
         c.setflags(write=False)

@@ -9,12 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ptmoments
 from ptmoments import cli
 from ptmoments.errors import (CutoffError, DomainError, OrderError, PtmomentsError,
                               ToleranceError)
 from ptmoments.reporting import Table, read_table, write_table
+
+
+EPS = np.finfo(float).eps
 
 
 def run(argv):
@@ -51,7 +55,7 @@ class TestCriteriaCommand:
         # p2 used to round above 1 (refused) or divide by zero (a traceback)
         assert run(["criteria", "--family", "tmsv", "--r", r]) == 0
         out = capsys.readouterr().out
-        assert "nan" not in out and out.count("ENTANGLED") == 9
+        assert "nan" not in out and out.count("ENTANGLED") == 13
 
     @pytest.mark.parametrize("r", ["59", "60", "100", "177"])
     def test_pure_tmsv_past_the_overflow_of_nu_powers(self, r, capsys):
@@ -59,7 +63,7 @@ class TestCriteriaCommand:
         # moment underflows; the suite makes any RuntimeWarning an error
         assert run(["criteria", "--family", "tmsv", "--r", r]) == 0
         out = capsys.readouterr().out
-        assert "nan" not in out and out.count("ENTANGLED") == 9
+        assert "nan" not in out and out.count("ENTANGLED") == 13
 
     @staticmethod
     def run_warnings_as_errors(*argv):
@@ -92,11 +96,24 @@ class TestCriteriaCommand:
         assert done.returncode == 0 and done.stderr == ""
         assert "optimal3" in done.stdout and "ENTANGLED" not in done.stdout
 
-    def test_lossy_noon_past_n_345_exits_2_with_runtime_warnings_as_errors(self):
-        done = self.run_warnings_as_errors("criteria", "--family", "noon", "--N", "350",
+    @staticmethod
+    def moments_line(stdout) -> tuple:
+        return tuple(map(float, re.match(r"p2 = (\S+)   p3 = (\S+)\n", stdout).groups()))
+
+    @pytest.mark.parametrize("n", ["350", "1000"])
+    def test_lossy_noon_past_n_345_exits_0_with_runtime_warnings_as_errors(self, n):
+        # the p2/p3 sums took C(N, k)^3 and refused N > 345; the spectrum does not
+        done = self.run_warnings_as_errors("criteria", "--family", "noon", "--N", n,
                                            "--tau", "0.5")
-        assert done.returncode == 2 and "Traceback" not in done.stderr
-        assert "N <= 345" in done.stderr
+        assert done.returncode == 0 and done.stderr == ""
+        p2, p3 = self.moments_line(done.stdout)
+        assert 0.0 < p3 < p2 < 1.0
+
+    def test_lossy_noon_past_n_1022_exits_2_with_runtime_warnings_as_errors(self):
+        done = self.run_warnings_as_errors("criteria", "--family", "noon", "--N", "1023",
+                                           "--tau", "0.5")
+        assert done.returncode == 2
+        assert done.stderr == "ptmoments: error: lossy NOON spectra need N <= 1022, got N = 1023\n"
 
     @pytest.mark.parametrize("delta_alpha", ["1e-3", "0.3"])
     def test_hhg_at_small_depletion_exits_0_with_runtime_warnings_as_errors(self, delta_alpha):
@@ -105,15 +122,53 @@ class TestCriteriaCommand:
         done = self.run_warnings_as_errors("criteria", "--family", "hhg", "--delta-alpha",
                                            delta_alpha)
         assert done.returncode == 0 and done.stderr == ""
-        p2, p3 = map(float, re.match(r"p2 = (\S+)   p3 = (\S+)\n", done.stdout).groups())
-        assert p2 == 1.0 and 0.0 <= p3 <= 1.0
+        p2, p3 = self.moments_line(done.stdout)
+        assert abs(p2 - 1.0) <= 4 * EPS and 0.0 <= p3 <= 1.0
 
     @pytest.mark.parametrize("alpha", ["30", "1e200"])
-    def test_cat_past_the_closed_forms_bound_exits_2_with_runtime_warnings_as_errors(self,
-                                                                                    alpha):
+    def test_cat_past_the_old_bound_exits_0_with_runtime_warnings_as_errors(self, alpha):
+        # the p3 form took 3 e^(4 r^2) and refused r^2 > 177.17; at |alpha| >> 1
+        # mode A's even and odd weights are both 1/2
         done = self.run_warnings_as_errors("criteria", "--family", "cat", "--alpha", alpha)
+        assert done.returncode == 0 and done.stderr == ""
+        expect = cli.states.cat_pt_moments(cli.states.CatParams(1e3, 1.0, 0.5, "odd"))
+        assert self.moments_line(done.stdout) == pytest.approx(expect, rel=1e-15)
+
+    @pytest.mark.parametrize("argv", [["--family", "noon", "--tau", "0"],
+                                      ["--family", "noon", "--N", "4", "--tau", "0"],
+                                      ["--family", "cat", "--alpha", "0", "--beta", "0",
+                                       "--parity", "even"]])
+    def test_vacuum_reads_every_third_order_test_not_detected(self, argv, capsys):
+        # the normalised spectrum of the vacuum is (1, 0, ..., 0): p_n = 1 exactly
+        assert run(["criteria", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("p2 = 1.0   p3 = 1.0\n")
+        for name in ("linear3", "quadratic3", "optimal3", "hankel3", "newton3"):
+            assert re.search(rf"{name} +witness =  0  not detected", out)
+
+    def test_lossy_bell_pair_reads_hankel7_entangled(self, capsys):
+        # the third-order tests miss this NPT state; the higher orders see it
+        assert run(["criteria", "--family", "noon", "--N", "1", "--tau", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"optimal3 +witness =  0\.027  not detected", out)
+        assert re.search(r"hankel7 +witness = -0\.000520\d+  ENTANGLED", out)
+
+    @pytest.mark.parametrize("family", ["noon", "cat", "hhg", "qutrit", "tmsv"])
+    def test_every_family_gets_the_higher_orders(self, family, capsys):
+        assert run(["criteria", "--family", family]) == 0
+        out = capsys.readouterr().out
+        for n in (3, 5, 7):
+            assert f"hankel{n} " in out and f"newton{n} " in out
+
+    @pytest.mark.parametrize("argv", [["--family", "tmsv", "--r", "354.891356446692"],
+                                      ["--family", "tmsv", "--n-bar", "0.5", "--r",
+                                       "354.891356446692"],
+                                      ["--family", "tmsv", "--n-bar", "1e3", "--r", "354"]])
+    def test_tmsv_at_the_float_range_exits_2_with_runtime_warnings_as_errors(self, argv):
+        # (2 n_bar + 1) e^(2r), or a factor of a moment, passes the float range
+        done = self.run_warnings_as_errors("criteria", *argv)
         assert done.returncode == 2 and "Traceback" not in done.stderr
-        assert "|alpha|^2 + |beta|^2 <= 177.17102515117895, got " in done.stderr
+        assert done.stderr.startswith("ptmoments: error: ") and done.stderr.count("\n") == 1
 
     def test_pure_tmsv_past_r_177_is_refused_as_non_finite(self, capsys):
         # the symplectic witnesses square nu2 to inf and multiply it by 0,
@@ -124,11 +179,55 @@ class TestCriteriaCommand:
         assert capsys.readouterr().err == "ptmoments: error: witness must be finite, got nan\n"
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFuzzedFamilies:
+    """criteria on any finite family parameters exits 0, or exits 2 with one
+    error line; never a traceback, and no RuntimeWarning (an error in the suite).
+    Values go as --option=value: argparse reads "-1e+16" as an option name."""
+
+    @staticmethod
+    def exit_code(argv, capsys) -> int:
+        try:
+            code = run(["criteria", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "nan" not in captured.out and captured.err == ""
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("ptmoments: error: ") and captured.err.count("\n") == 1
+        return code
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(-3, 1100), alpha=FINITE, tau=FINITE)
+    def test_noon(self, n, alpha, tau, capsys):
+        self.exit_code(["--family", "noon", f"--N={n}", f"--alpha={alpha!r}", f"--tau={tau!r}"],
+                       capsys)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(alpha=FINITE, beta=FINITE, z=FINITE, parity=st.sampled_from(["even", "odd"]))
+    def test_cat(self, alpha, beta, z, parity, capsys):
+        self.exit_code(["--family", "cat", f"--alpha={alpha!r}", f"--beta={beta!r}",
+                        f"--z={z!r}", "--parity", parity], capsys)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(-3, 10 ** 6), alpha=FINITE, delta_alpha=FINITE)
+    def test_hhg(self, n, alpha, delta_alpha, capsys):
+        self.exit_code(["--family", "hhg", f"--N={n}", f"--alpha={alpha!r}",
+                        f"--delta-alpha={delta_alpha!r}"], capsys)
+
+
 class TestPackageErrors:
     @pytest.mark.parametrize("argv", [
         ["criteria", "--moments", "1,0.5,nan"],
         ["criteria", "--p2", "0.5", "--p3", "inf"],
-        ["sample", "--family", "cat", "--alpha", "3", "--cutoff", "4"],
+        ["sample", "--family", "cat", "--alpha", "3", "--tau", "0.8", "--cutoff", "4"],
         ["sample", "--family", "cat", "--alpha", "nan"],
         ["sample", "--family", "cat", "--beta", "inf"],
         ["criteria", "--family", "noon", "--N", "1", "--tau", "nan"],
@@ -164,7 +263,9 @@ class TestPackageErrors:
         ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
         ["sample", "--family", "cat", "--tau", "1.5", "--copies", "3"],
         ["sample", "--family", "noon", "--cutoff", "5"],
-        ["sample", "--family", "cat", "--alpha", "8", "--beta", "8"],  # a 1.95 GiB matrix
+        ["sample", "--family", "cat", "--alpha", "8", "--beta", "8", "--tau", "0.8"],  # 1.95 GiB
+        ["sample", "--family", "cat", "--cutoff", "12"],
+        ["sample", "--family", "cat", "--tau", "1", "--cutoff", "12"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -193,6 +294,7 @@ class TestPackageErrors:
          "--cutoff"),
         (["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"], "--format"),
         (["sample", "--family", "noon", "--cutoff", "5"], "--cutoff"),
+        (["sample", "--family", "cat", "--cutoff", "12"], "--cutoff"),
     ])
     def test_error_names_the_option(self, argv, option, capsys):
         with pytest.raises(SystemExit):
@@ -214,7 +316,7 @@ FAMILY_READS = {
                  "qutrit": set(),
                  "tmsv": {"--n-bar", "--r"}},
     "sample": {"noon": {"--N", "--alpha", "--beta", "--tau"},
-               "cat": {"--alpha", "--beta", "--z", "--parity", "--tau", "--cutoff"},
+               "cat": {"--alpha", "--beta", "--z", "--parity", "--tau"},
                "hhg": {"--N", "--alpha", "--delta-alpha"},
                "qutrit": set(),
                "tmsv": {"--n-bar", "--r"}},
@@ -254,6 +356,10 @@ class TestOptionRule:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.endswith(f"does not read {option}\n")
+
+    def test_cutoff_is_read_only_by_the_lossy_cat(self, capsys):
+        # the lossy cat is the one family state sample reads through the dense oracle
+        assert run(BASE_ARGV["sample"] + ["--family", "cat", "--tau", "0.9", "--cutoff", "12"]) == 0
 
     @pytest.mark.parametrize("argv", [["criteria", "--p2", "1", "--p3", "0.25"],
                                       ["criteria", "--family", "noon", "--tau", "0.9"],
@@ -295,29 +401,36 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("argv, n", [
         (["--tau", "0.8", "--copies", "3"], 3),  # over the outcome engine's budget
-        (["--copies", "2"], 2),
+        (["--tau", "0.8", "--cutoff", "12", "--copies", "2"], 2),
     ])
     def test_lossy_and_default_cat_sample_through_the_oracle(self, argv, n, capsys):
         from ptmoments import circuits, fock, states
         assert run(["sample", "--family", "cat", *argv]) == 0
         out = capsys.readouterr().out
         exact = float(out.splitlines()[0].split("=")[1])
-        rho = states.cat_density(states.CatParams(1.0, 1.0, 0.5, "odd"))
-        if n == 3:
-            rho = circuits.lossy_channel(circuits.lossy_channel(rho, 0.8, "a"), 0.8, "b")
+        cutoff = fock.ModeCutoff(12, 12) if "--cutoff" in argv else None
+        rho = states.cat_density(states.CatParams(1.0, 1.0, 0.5, "odd"), cutoff)
+        rho = circuits.lossy_channel(circuits.lossy_channel(rho, 0.8, "a"), 0.8, "b")
         assert exact == pytest.approx(fock.pt_moment(rho, n), abs=1e-12)
 
     @pytest.mark.parametrize("family, options", [
         ("tmsv", ["--n-bar", "0.1", "--r", "0.5"]),
         ("hhg", ["--N", "3", "--alpha", "2.5", "--delta-alpha", "0.4"]),
-    ], ids=["tmsv", "hhg"])
+        ("cat", ["--alpha", "0.7", "--beta", "0.3", "--z", "0.1", "--parity", "even"]),
+        ("noon", ["--N", "3", "--alpha", "0.6", "--tau", "0.7"]),
+    ], ids=["tmsv", "hhg", "cat", "noon"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_tmsv_and_hhg_sample_their_closed_forms(self, family, options, n, tmp_path, capsys):
         from ptmoments import gaussian, states
         if family == "tmsv":
             closed = gaussian.gaussian_pt_moment(gaussian.tmsv_thermal_pt_pair(0.1, 0.5), n)
-        else:
+        elif family == "hhg":
             closed = states.hhg_pt_moments(states.HHGParams(2.5, 0.4, 3))[n - 2]
+        elif family == "cat":
+            closed = states.cat_pt_moments(states.CatParams(0.7, 0.3, 0.1, "even"))[n - 2]
+        else:
+            closed = states.lossy_noon_pt_moments(states.LossyNOONParams(
+                states.NOONParams(3, 0.6, 0.8), 0.7, 0.7))[n - 2]
         argv = ["sample", "--family", family, *options, "--copies", str(n), "--k", "2000",
                 "--seed", "5"]
         assert run(argv + ["--out", str(tmp_path / "a.csv")]) == 0

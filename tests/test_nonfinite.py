@@ -1,7 +1,8 @@
 """NaN, +inf and -inf fed to every public function that takes a float, in
 every module's ``__all__``, and large finite squeezing to the TMSV
 constructors: each must raise a package error before any RuntimeWarning,
-never return a number or a verdict."""
+never return a number or a verdict.  +-1e300 in every float slot of
+``states`` gives finite values or a package error, with no warning."""
 
 import math
 import sys
@@ -50,6 +51,22 @@ CASES = {
     ("states.cat_separability_radius", "z"): lambda x: states.cat_separability_radius(x),
     ("states.HHGParams", "alpha"): lambda x: states.HHGParams(x, 0.5, 2),
     ("states.HHGParams", "delta_alpha"): lambda x: states.HHGParams(3.0, x, 2),
+    ("states.cat_pt_spectrum", "alpha"):
+        lambda x: states.cat_pt_spectrum(states.CatParams(x, 1.0, 0.5)),
+    ("states.cat_pt_spectrum", "beta"):
+        lambda x: states.cat_pt_spectrum(states.CatParams(1.0, x, 0.5, "odd")),
+    ("states.cat_pt_spectrum", "z"):
+        lambda x: states.cat_pt_spectrum(states.CatParams(1.0, 1.0, x)),
+    ("states.hhg_pt_spectrum", "alpha"):
+        lambda x: states.hhg_pt_spectrum(states.HHGParams(x, 0.5, 3)),
+    ("states.hhg_pt_spectrum", "delta_alpha"):
+        lambda x: states.hhg_pt_spectrum(states.HHGParams(3.0, x, 3)),
+    ("states.lossy_noon_pt_spectrum", "tau_a"):
+        lambda x: states.lossy_noon_pt_spectrum(states.LossyNOONParams(
+            states.NOONParams(2, 0.6, 0.8), x, 0.5)),
+    ("states.lossy_noon_pt_spectrum", "tau_b"):
+        lambda x: states.lossy_noon_pt_spectrum(states.LossyNOONParams(
+            states.NOONParams(2, 0.6, 0.8), 0.5, x)),
     ("states.NOONParams", "alpha"): lambda x: states.NOONParams(1, x, BAL),
     ("states.NOONParams", "beta"): lambda x: states.NOONParams(1, BAL, x),
     ("states.LossyNOONParams", "tau_a"):
@@ -177,6 +194,21 @@ def test_non_finite_float_raises_a_package_error_before_any_warning(case, bad):
             CASES[case](bad)
 
 
+@pytest.mark.parametrize("big", [1e300, -1e300], ids=["1e300", "-1e300"])
+@pytest.mark.parametrize("case", [c for c in CASES if c[0].startswith("states.")],
+                         ids=[f"{name}-{slot}" for name, slot in CASES
+                              if name.startswith("states.")])
+def test_large_finite_float_in_states_gives_finite_values_or_a_package_error(case, big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = CASES[case](big)
+        except PtmomentsError:
+            return
+    if isinstance(result, np.ndarray) or np.isscalar(result):
+        assert np.isfinite(result).all()
+
+
 # The squeezing slots of the TMSV constructors, which refuse |r| past the
 # largest r at which e^(2r) is a finite float: SQUEEZING calls each at
 # n_bar = 0, where that bound is the last r that overflows nothing
@@ -206,3 +238,29 @@ def test_largest_squeezing_is_accepted_without_warning_and_the_next_float_refuse
         SQUEEZING[case](sign * R_MAX)
         with pytest.raises(DomainError, match=f"{R_MAX!r}"):
             SQUEEZING[case](sign * math.nextafter(R_MAX, math.inf))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gaussian.tmsv_thermal_pt_pair(0.5, R_MAX),
+    lambda: gaussian.tmsv_thermal(1e3, R_MAX),
+    lambda: gaussian.tmsv_thermal_pt_pair(1e3, -354.0),
+    lambda: gaussian.tmsv_thermal(1e308, 0.5),
+    lambda: gaussian.gaussian_pt_moment(gaussian.tmsv_thermal_pt_pair(0.0, R_MAX), 4),
+], ids=["pt_pair-n_bar-0.5", "thermal-n_bar-1e3", "pt_pair-n_bar-1e3-negative-r",
+        "thermal-n_bar-1e308", "moment-factor"])
+def test_thermal_squeezing_past_the_float_range_raises_a_package_error_before_any_warning(call):
+    # (2 n_bar + 1) e^(2|r|), or a factor of a moment, passes the float range
+    # below the n_bar = 0 bound on |r|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_thermal_squeezing_below_the_float_range_keeps_its_bits():
+    # fig5's n_bar and a squeezing just below where (2 n_bar + 1) e^(2r) overflows
+    n_bar = (math.sqrt(2.0) - 1.0) / 2.0
+    r = np.array([0.0, 0.3, 0.6, 354.0])
+    pair = gaussian.tmsv_thermal_pt_pair(n_bar, r)
+    scale = 2.0 * n_bar + 1.0
+    assert pair.nu2.tolist() == [scale * math.exp(2.0 * x) for x in r.tolist()]

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import re
 import time
 from decimal import Decimal, localcontext
@@ -7,12 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ptmoments import criteria
 from ptmoments.criteria import p3_linear, optimal_threshold
 from ptmoments.errors import BudgetError, CutoffTooSmallError, DomainError
 from ptmoments.estimation import min_samples, witness_variances
 from ptmoments.gaussian import SymplecticPair, simon_test, tmsv_thermal, tmsv_thermal_pt_pair
 from ptmoments.fock import ModeCutoff, pt_moment, purity, spectrum, partial_transpose
-from ptmoments import states
+from ptmoments import fock, states
 from ptmoments.states import (
     CatParams,
     FockSuperposition,
@@ -27,12 +30,14 @@ from ptmoments.states import (
     hhg_reduced_density,
     lossy_noon_density,
     lossy_noon_pt_moments,
+    lossy_noon_pt_spectrum,
     noon_pt_moment,
     qutrit_state,
     tmsv_cutoff,
 )
 
 BAL = 1 / math.sqrt(2)
+EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize("build", [
@@ -169,37 +174,40 @@ class TestCat:
         # diagonal |alpha| = |beta| point of that radius sits at 3/2
         assert cat_separability_radius(z) / math.sqrt(2) == pytest.approx(1.5)
 
-    @staticmethod
-    def largest_accepted_alpha():
-        # the largest alpha whose square, with beta = 0, is within the bound
-        bound = states._CAT_R2_MAX
-        a = math.sqrt(bound)
-        while np.float_power(a, 2) > bound:
-            a = math.nextafter(a, 0.0)
-        while np.float_power(math.nextafter(a, math.inf), 2) <= bound:
-            a = math.nextafter(a, math.inf)
-        return a
-
     @pytest.mark.parametrize("parity", ["even", "odd"])
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.0])
-    def test_largest_accepted_radius_gives_no_warning(self, parity, z):
-        # 3 e^(4 r^2) is finite there; the suite makes any RuntimeWarning an
-        # error, on the scalar and on the elementwise path
-        a = self.largest_accepted_alpha()
-        for alpha in (a, np.full(20, a)):
-            p2, p3 = cat_pt_moments(CatParams(alpha, 0.0, z, parity))
-            assert np.isfinite(p2).all() and np.isfinite(p3).all()
+    def test_large_radius_reads_the_limit_without_warning(self, parity, z):
+        # 13.31 is past the old bound r^2 <= 177.17; at |alpha| >> 1 each mode's
+        # even and odd weights are 1/2, so the spectrum is (1, 1, x, -x)/2,
+        # x = s(1 - z), on the scalar and on the elementwise path
+        x = (1.0 if parity == "even" else -1.0) * (1.0 - z)
+        for alpha in (13.31, np.full(20, 13.31)):
+            p2, p3 = cat_pt_moments(CatParams(alpha, 13.31, z, parity))
+            np.testing.assert_allclose(p2, (1.0 + x * x) / 2.0, rtol=1e-15)
+            np.testing.assert_allclose(p3, 0.25, rtol=1e-15)
 
     @pytest.mark.parametrize("alpha, beta", [
-        ("next", 0.0), (13.28, 1.0), (30.0, 1.0), (1e200, 1.0), (complex(1e308, 1e308), 0.0),
+        (13.28, 1.0), (30.0, 1.0), (1e200, 1.0), (complex(1e308, 1e308), 0.0),
         (np.array([0.5, 30.0]), 0.5)])
-    def test_radius_past_the_bound_is_refused_before_any_warning(self, alpha, beta):
-        # 13.28 and 1 is where the unbounded form first warned: r^2 = 177.36
-        if isinstance(alpha, str):
-            alpha = math.nextafter(self.largest_accepted_alpha(), math.inf)
-        with pytest.raises(DomainError, match=re.escape(
-                f"cat closed forms need |alpha|^2 + |beta|^2 <= {states._CAT_R2_MAX!r}, got ")):
-            cat_pt_moments(CatParams(alpha, beta, 0.5))
+    def test_radius_past_the_old_bound_gives_finite_moments(self, alpha, beta):
+        # 13.28 and 1 is where the p3 form first warned, r^2 = 177.36; any
+        # RuntimeWarning fails the suite
+        p = CatParams(alpha, beta, 0.5)
+        p2, p3 = cat_pt_moments(p)
+        assert np.isfinite(p2).all() and np.isfinite(p3).all()
+        far = CatParams(1e3, beta, 0.5)
+        if np.ndim(alpha) == 0 and abs(alpha) > 20:  # e^(-2|alpha|^2) is 0 in floats
+            assert (p2, p3) == cat_pt_moments(far)
+
+    @pytest.mark.parametrize("z", [0.0, 0.5])
+    def test_small_amplitudes_match_a_50_digit_reference(self, z):
+        # the p2/p3 form cancelled there: p3 off by 1.75e-6 at alpha = beta = 0.01, z = 0
+        grid = np.round(np.arange(0.01, 0.2 + 1e-12, 0.01), 10)
+        for parity in ("even", "odd"):
+            p2, p3 = cat_pt_moments(CatParams(grid, grid, z, parity))
+            ref = np.array([cat_reference(a, a, z, parity) for a in grid.tolist()])
+            np.testing.assert_allclose(p2, ref[:, 0], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(p3, ref[:, 1], rtol=1e-14, atol=0)
 
     def test_linear_witness_zero_on_boundary(self):
         z = 0.5
@@ -217,6 +225,26 @@ class TestCat:
                     p = CatParams(r * math.cos(theta), r * math.sin(theta), z, "odd")
                     w = p3_linear(*cat_pt_moments(p)).witness
                     assert (w < 0) == (sign > 0)
+
+
+def cat_reference(alpha: float, beta: float, z: float, parity: str) -> tuple:
+    """(p2, p3) of the dephased cat by its two 2 x 2 partial-transpose blocks,
+    in 50-digit decimal arithmetic: p_n = sum over both blocks of
+    ((t + h)^n + (t - h)^n) / trace^n, t the half trace and h the half gap."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = (1 if parity == "even" else -1) * (1 - Decimal(z))
+        e_a, e_b = ((1 + (-2 * Decimal(a) ** 2).exp()) / 2 for a in (alpha, beta))
+        o_a, o_b = ((1 - (-2 * Decimal(a) ** 2).exp()) / 2 for a in (alpha, beta))
+        ab = (e_a * o_a * e_b * o_b).sqrt()
+        blocks = [((1 + x) * e_a * e_b, (1 + x) * o_a * o_b, (1 - x) * ab),
+                  ((1 - x) * e_a * o_b, (1 - x) * o_a * e_b, (1 + x) * ab)]
+        trace = sum(p + r for p, r, _ in blocks)
+        eig = []
+        for p, r, q in blocks:
+            h = (((p - r) / 2) ** 2 + q * q).sqrt()
+            eig += [(p + r) / 2 + h, (p + r) / 2 - h]
+        return tuple(float(sum((w / trace) ** n for w in eig)) for n in (2, 3))
 
 
 def hhg_reference(delta_alpha: float, n_modes: int) -> tuple:
@@ -255,20 +283,30 @@ class TestHHG:
     @pytest.mark.parametrize("n_modes", range(1, 9))
     def test_closed_forms_match_a_50_digit_reference(self, n_modes):
         # a log grid and fig2d's grid: the form over C^2 and C^3 cancelled as
-        # C ~ delta_alpha^2, to p2 above 1 at 0.05 and p3 = -190 at 1e-3
+        # C ~ delta_alpha^2, to p2 above 1 at 0.05 and p3 = -190 at 1e-3; the
+        # spectrum's p2 rounds within the purity slack the criteria read as 1
         fig2d = np.round(np.arange(0.05, 3.0 + 1e-12, 0.025), 10)
         grid = np.concatenate([np.geomspace(1e-3, 6.0, 61), fig2d])
         p2, p3 = hhg_pt_moments(HHGParams(3.0, grid, n_modes))
         ref = np.array([hhg_reference(da, n_modes) for da in grid.tolist()])
         np.testing.assert_allclose(p2, ref[:, 0], rtol=1e-14, atol=0)
         np.testing.assert_allclose(p3, ref[:, 1], rtol=1e-14, atol=0)
-        assert (p2 <= 1.0).all()
+        assert (p2 <= 1.0 + criteria._PURITY_SLACK).all()
 
     @pytest.mark.parametrize("delta_alpha", [1e-150, 1e-9, 1e-3, 0.05, 0.3, 6.0, 1e100])
-    def test_single_harmonic_is_exactly_pure_at_any_depletion(self, delta_alpha):
+    def test_single_harmonic_is_pure_within_rounding_at_any_depletion(self, delta_alpha):
+        # the pure state's spectrum is the closed form s1^2, s2^2, +-s1 s2 exactly
         for n in (1, 2):
             p2, p3 = hhg_pt_moments(HHGParams(3.0, delta_alpha, n))
-            assert p2 == 1.0 and 0.0 < p3 <= 1.0
+            assert abs(p2 - 1.0) <= 2 * EPS and 0.0 < p3 <= 1.0
+
+    def test_purity_stays_within_the_slack_the_criteria_read_as_1(self):
+        # eigvalsh on the whole 4 x 4 partial transpose put p2 up to 6 ulps above 1
+        rng = np.random.default_rng(1)
+        for n in range(1, 9):
+            da = np.exp(rng.uniform(math.log(1e-150), math.log(1e100), 20000))
+            p2, _ = hhg_pt_moments(HHGParams(3.0, da, n))
+            assert (p2 <= 1.0 + criteria._PURITY_SLACK).all()
 
     @pytest.mark.parametrize("delta_alpha, n", [(1e-200, 1), (1e-153, 10 ** 6), (1.3e154, 3),
                                                 (1e160, 2)])
@@ -381,35 +419,17 @@ class TestLossyNOON:
 
     @staticmethod
     def scalar_moments(p):
-        """Reference: the (p2, p3) closed form term by term in Python floats,
-        each k-sum added in increasing k."""
-        N = p.noon.N
-        a2, b2 = abs(p.noon.alpha) ** 2, abs(p.noon.beta) ** 2
-        ta, tb = p.tau_a, p.tau_b
-        s2a = sum(math.comb(N, k) ** 2 * ta ** (2 * (N - k)) * (1 - ta) ** (2 * k)
-                  for k in range(N + 1))
-        s2b = sum(math.comb(N, k) ** 2 * tb ** (2 * (N - k)) * (1 - tb) ** (2 * k)
-                  for k in range(N + 1))
-        p2 = (a2 ** 2 * s2a
-              + 2.0 * a2 * b2 * (ta ** N * tb ** N + (1 - ta) ** N * (1 - tb) ** N)
-              + b2 ** 2 * s2b)
-        s3a = sum(math.comb(N, k) ** 3 * ta ** (3 * (N - k)) * (1 - ta) ** (3 * k)
-                  for k in range(N + 1))
-        s3b = sum(math.comb(N, k) ** 3 * tb ** (3 * (N - k)) * (1 - tb) ** (3 * k)
-                  for k in range(N + 1))
-        p3 = (a2 ** 3 * s3a
-              + 3.0 * a2 * b2 * (a2 * ta ** N * tb ** N * (1 - ta) ** N
-                                 + b2 * ta ** N * tb ** N * (1 - tb) ** N
-                                 + a2 * (1 - ta) ** (2 * N) * (1 - tb) ** N
-                                 + b2 * (1 - ta) ** N * (1 - tb) ** (2 * N))
-              + b2 ** 3 * s3b)
-        return p2, p3
+        """Reference: p2 and p3 of one state's spectrum, each power (a product)
+        added in index order in Python floats."""
+        w = states.lossy_noon_pt_spectrum(p).tolist()
+        return tuple(functools.reduce(operator.add, terms)
+                     for terms in ([x * x for x in w], [x * x * x for x in w]))
 
     def test_fig3a_grid_equals_the_scalar_form_bit_for_bit(self):
         n, tau = (x.ravel() for x in np.meshgrid(
             np.arange(1, 11), np.round(np.arange(0.5, 1.0 + 1e-12, 1e-3), 10), indexing="ij"))
         p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(n, tau))
-        ref = [self.scalar_moments(LossyNOONParams.balanced(int(a), float(t)))
+        ref = [lossy_noon_pt_moments(LossyNOONParams.balanced(int(a), float(t)))
                for a, t in zip(n, tau)]
         assert np.column_stack([p2, p3]).tobytes() == np.array(ref).tobytes()
 
@@ -420,14 +440,15 @@ class TestLossyNOON:
         ta[::7], tb[::11] = 0.0, 1.0
         for noon in (NOONParams(n, 0.6, 0.8), NOONParams(n, 0.6j, -0.8)):
             p2, p3 = lossy_noon_pt_moments(LossyNOONParams(noon, ta, tb))
-            ref = [self.scalar_moments(LossyNOONParams(NOONParams(int(a), noon.alpha, noon.beta),
-                                                       float(x), float(y)))
+            ref = [lossy_noon_pt_moments(LossyNOONParams(
+                NOONParams(int(a), noon.alpha, noon.beta), float(x), float(y)))
                    for a, x, y in zip(n, ta, tb)]
             assert np.column_stack([p2, p3]).tobytes() == np.array(ref).tobytes()
 
     @pytest.mark.parametrize("shape", [(), (1,), (2, 1)])
     def test_many_k_terms_add_in_increasing_k(self, shape):
-        # from N = 8 on, a pairwise sum over k would round differently
+        # from 8 terms on, a pairwise sum would round differently, and a batch
+        # pads the smaller N with zeros, which leave an in-order sum unchanged
         for n in (1, 7, 8, 9, 16, 30):
             for ta, tb in ((0.75, 0.75), (0.3, 0.95), (0.999, 0.5)):
                 p = LossyNOONParams(NOONParams(n, 0.6, 0.8), ta, tb)
@@ -474,11 +495,18 @@ class TestLossyNOONLimit:
             assert math.isfinite(value)
             assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 13) * exact
 
-    @pytest.mark.parametrize("N", [346, 1000, np.array([1, 346])])
-    def test_past_the_limit_is_refused(self, N):
-        # C(N, k)^3 passes the float range from N = 346 on
-        with pytest.raises(DomainError, match="N <= 345"):
-            lossy_noon_pt_moments(LossyNOONParams(NOONParams(N, BAL, BAL), 0.5, 0.5))
+    @pytest.mark.parametrize("N", [346, 1000, 1022])
+    def test_past_the_old_limit_match_exact_sums(self, N):
+        # C(N, k)^3 passed the float range from N = 346 on; the spectrum takes C(N, k) once
+        self.test_moments_up_to_the_limit_match_exact_sums(N)
+        p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(np.array([1, N]), 0.5))
+        assert (p2[1], p3[1]) == lossy_noon_pt_moments(LossyNOONParams.balanced(N, 0.5))
+
+    @pytest.mark.parametrize("N", [1023, np.array([1, 2000])])
+    def test_past_the_normal_float_range_is_refused(self, N):
+        # 2^-N, the leading weight's power product at tau = 1/2, is subnormal past 1022
+        with pytest.raises(DomainError, match="N <= 1022, got N = "):
+            lossy_noon_pt_spectrum(LossyNOONParams(NOONParams(N, BAL, BAL), 0.5, 0.5))
 
 
 class TestElementwiseClosedForms:
@@ -528,6 +556,96 @@ class TestElementwiseClosedForms:
     def test_one_bad_element_refuses_the_call(self, build):
         with pytest.raises(DomainError):
             build()
+
+
+def noon_reference(N: int, alpha: float, beta: float, tau_a: float, tau_b: float) -> tuple:
+    """(p2, p3) of the lossy NOON state's partial-transpose spectrum in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a2, b2 = Decimal(abs(alpha)) ** 2, Decimal(abs(beta)) ** 2
+        ta, tb = Decimal(tau_a), Decimal(tau_b)
+        d = a2 * (1 - ta) ** N + b2 * (1 - tb) ** N
+        c = (a2 * b2).sqrt() * (ta * tb).sqrt() ** N
+        h = (d * d / 4 + c * c).sqrt()
+        eig = [d / 2 + h, d / 2 - h]
+        for w, t in ((a2, ta), (b2, tb)):
+            eig += [w * math.comb(N, k) * t ** k * ((1 - t) ** (N - k) if k < N else 1)
+                    for k in range(1, N + 1)]  # Decimal refuses 0 ** 0
+        trace = sum(eig)
+        return tuple(float(sum((w / trace) ** n for w in eig)) for n in (2, 3))
+
+
+class TestSpectraAgainstTheOracle:
+    """p_1 .. p_7 of each closed-form spectrum equal the dense oracle's power
+    sums to 1e-14, at cutoffs whose coherent tails are below 1e-15."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lossy_noon(self, n):
+        for alpha, beta in ((0.6, 0.8j), (0.28, -0.96)):
+            for ta, tb in ((1.0, 1.0), (0.9, 0.6), (0.3, 0.45), (0.0, 0.7), (1.0, 0.2)):
+                p = LossyNOONParams(NOONParams(n, alpha, beta), ta, tb)
+                got = states._power_sums(lossy_noon_pt_spectrum(p), 7)
+                np.testing.assert_allclose(got, fock.pt_moments(lossy_noon_density(p), 7),
+                                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("alpha, beta, z", [(0.4, 0.7, 0.3), (1.0, 0.2, 0.8), (0.7, 0.3, 0.1),
+                                                (0.05, 1.5, 0.0), (2.0, 1.0, 0.5), (1.2, 1.2, 1.0)])
+    def test_cat(self, parity, alpha, beta, z):
+        p = CatParams(alpha, beta, z, parity)
+        cutoff = ModeCutoff(*(fock.coherent_cutoff([x], 1e-16, guard=2) for x in (alpha, beta)))
+        got = states._power_sums(states.cat_pt_spectrum(p), 7)
+        np.testing.assert_allclose(got, fock.pt_moments(cat_density(p, cutoff), 7),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hhg(self, n):
+        # smaller depletions cancel in the dense operator: about eps / delta_alpha^2,
+        # 9e-14 at 0.05
+        for alpha, da in ((1.2, 0.3), (1.2, 0.8), (2.0, 1.5), (0.5, 0.45)):
+            p = HHGParams(alpha, da, n)
+            cutoff = ModeCutoff(fock.coherent_cutoff([alpha, alpha - da], 1e-16, guard=2), 20)
+            got = states._power_sums(states.hhg_pt_spectrum(p), 7)
+            np.testing.assert_allclose(got, fock.pt_moments(hhg_reduced_density(p, cutoff), 7),
+                                       rtol=0, atol=1e-14)
+
+
+class TestGridsAgainst50Digits:
+    """p2 and p3 on the reproduce grids agree with a 50-digit evaluation to
+    1e-14 (relative); fig2d's grid is in TestHHG, and fig3b reads estimation."""
+
+    @staticmethod
+    def grid(lo, hi, step):
+        return np.round(np.arange(lo, hi + 1e-12, step), 10)
+
+    def test_fig2c(self):
+        z, a = (x.ravel() for x in np.meshgrid((0.0, 0.5, 0.9, 0.99), self.grid(0.01, 2.5, 0.01),
+                                               indexing="ij"))
+        p2, p3 = cat_pt_moments(CatParams(a, a, z, "odd"))
+        ref = np.array([cat_reference(x, x, y, "odd") for x, y in zip(a.tolist(), z.tolist())])
+        np.testing.assert_allclose(np.stack([p2, p3], 1), ref, rtol=1e-14, atol=0)
+
+    def test_fig2e(self):
+        n, a = (x.ravel() for x in np.meshgrid(np.arange(1, 6), self.grid(0.0, 1.0, 0.005),
+                                               indexing="ij"))
+        b = np.sqrt(np.maximum(1.0 - a * a, 0.0))
+        for order in (2, 3):
+            got = noon_pt_moment(NOONParams(n, a, b), order)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                ref = [float((Decimal(x) ** 2) ** order + (Decimal(y) ** 2) ** order
+                             + (2 * (Decimal(x) * Decimal(y)) ** order if order % 2 == 0 else 0))
+                       for x, y in zip(a.tolist(), b.tolist())]
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("step", [1e-3, 2.5e-3], ids=["fig3a", "fig3c"])
+    def test_fig3a_and_fig3c(self, step):
+        n, tau = (x.ravel() for x in np.meshgrid(np.arange(1, 11), self.grid(0.5, 1.0, step),
+                                                 indexing="ij"))
+        p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(n, tau))
+        ref = np.array([noon_reference(int(k), BAL, BAL, t, t)
+                        for k, t in zip(n.tolist(), tau.tolist())])
+        np.testing.assert_allclose(np.stack([p2, p3], 1), ref, rtol=1e-14, atol=0)
 
 
 class TestFockSuperposition:
