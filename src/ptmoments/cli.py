@@ -23,9 +23,9 @@ from functools import cache
 
 import numpy as np
 
-from . import circuits, criteria, estimation, fock, gaussian, noon_tables, states
+from . import circuits, criteria, estimation, gaussian, noon_tables, states
 from .errors import DomainError, PtmomentsError
-from .fock import DEFAULT_TOL, ModeCutoff
+from .fock import DEFAULT_TOL
 from .reporting import Table, format_value, write_table
 
 BALANCED = 1.0 / math.sqrt(2.0)
@@ -75,9 +75,10 @@ def _family_params(args):
         tau = _or(args.tau, 1.0)
         noon = _noon_params(_or(args.N, 1), args.alpha, args.beta)
         return states.LossyNOONParams(noon, tau, tau)
-    if fam == "cat":
-        return states.CatParams(_or(args.alpha, 1.0), _or(args.beta, 1.0), _or(args.z, 0.5),
-                                _or(args.parity, "odd"))
+    if fam == "cat":  # sample may send it through loss, which keeps it a cat
+        cat = states.CatParams(_or(args.alpha, 1.0), _or(args.beta, 1.0), _or(args.z, 0.5),
+                               _or(args.parity, "odd"))
+        return cat if args.tau is None else cat.after_loss(args.tau)
     if fam == "hhg":
         return states.HHGParams(_or(args.alpha, 3.0), _or(args.delta_alpha, 0.5), _or(args.N, 1))
     if fam == "qutrit":
@@ -85,30 +86,26 @@ def _family_params(args):
     return gaussian.tmsv_thermal_pt_pair(_or(args.n_bar, 0.0), _or(args.r, 0.3))
 
 
-# The closed-form PT spectrum of each family that has one.
-_SPECTRA = {"noon": states.lossy_noon_pt_spectrum, "cat": states.cat_pt_spectrum,
-            "hhg": states.hhg_pt_spectrum}
-
-
-def _lossy_cat(args) -> bool:
-    """Whether ``sample`` sends the cat through loss, the one family state read by the dense oracle."""
-    return args.command == "sample" and args.family == "cat" and args.tau not in (None, 1.0)
+# The closed-form PT spectrum and (p2, p3) of each family that has them.
+_CLOSED_FORMS = {"noon": (states.lossy_noon_pt_spectrum, states.lossy_noon_pt_moments),
+                 "cat": (states.cat_pt_spectrum, states.cat_pt_moments),
+                 "hhg": (states.hhg_pt_spectrum, states.hhg_pt_moments)}
 
 
 def _family_moments(args, n: int) -> list:
     """p_1 .. p_n of the family's state: power sums of its closed-form
-    spectrum, the Gaussian or pure-state closed forms for tmsv and qutrit,
-    and the dense oracle for the lossy cat."""
+    spectrum, with p2 and p3 the family's own (p2, p3), which the datasets
+    read (HHG's p2 is exactly 1 for a pure state); the Gaussian or pure-state
+    closed forms for tmsv and qutrit."""
     p = _family_params(args)
     if args.family == "tmsv":
         return list(gaussian.gaussian_pt_moments(p, n))
     if args.family == "qutrit":
         return [p.pt_moment(j) for j in range(1, n + 1)]
-    if _lossy_cat(args):
-        cutoff = None if args.cutoff is None else ModeCutoff(args.cutoff, args.cutoff)
-        rho = circuits.lossy_channel(states.cat_density(p, cutoff), args.tau, "a")
-        return list(fock.pt_moments(circuits.lossy_channel(rho, args.tau, "b"), n))
-    return list(states._power_sums(_SPECTRA[args.family](p), n))
+    spectrum, low_orders = _CLOSED_FORMS[args.family]
+    moments = list(states._power_sums(spectrum(p), n))
+    moments[1:3] = low_orders(p)[:n - 1]
+    return moments
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +398,14 @@ def cmd_reproduce(args) -> int:
 
 # The options each command reads, per family (criteria, sample), per moment
 # source (criteria without --family) and per target (reproduce), on top of the
-# command's _ALWAYS_READ; --format is read only together with --out, and
-# --cutoff only by the lossy cat.  An option given outside its set is
-# refused, never dropped.
+# command's _ALWAYS_READ; --format is read only together with --out.  An
+# option given outside its set is refused, never dropped.
 _READS = {
     "criteria": {"--family noon": "N alpha beta tau", "--family cat": "alpha beta z parity",
                  "--family hhg": "N alpha delta_alpha", "--family qutrit": "",
                  "--family tmsv": "n_bar r", "--moments": "moments", "--p2/--p3": "p2 p3"},
     "sample": {"--family noon": "N alpha beta tau",
-               "--family cat": "alpha beta z parity tau cutoff", "--family qutrit": "",
+               "--family cat": "alpha beta z parity tau", "--family qutrit": "",
                "--family hhg": "N alpha delta_alpha", "--family tmsv": "n_bar r"},
     "reproduce": {**dict.fromkeys(REPRODUCE_TARGETS, ""), "fig4": "repetitions",
                   "fig7": "repetitions", "table1": "alpha tau", "table2": "alpha tau"},
@@ -433,8 +429,6 @@ def _refuse_unread(args) -> None:
     reads = set(_ALWAYS_READ[cmd].split() + _READS[cmd][key].split())
     if cmd != "reproduce" and args.out is None:
         reads.discard("format")
-    if not _lossy_cat(args):
-        reads.discard("cutoff")
     unread = ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
               if value is not None and dest not in reads and dest not in ("command", "func")]
     if unread:
@@ -477,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, default=1000)
     ps.add_argument("--repetitions", type=int, default=16)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--cutoff", type=int, default=None)
     ps.add_argument("--out", type=str, default=None)
     ps.add_argument("--format", choices=("csv", "json"), default=None)
     ps.set_defaults(func=cmd_sample)

@@ -46,6 +46,8 @@ OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 # squeezed vacuum, is a finite float; the TMSV constructors refuse beyond it
 # before any arithmetic, so no overflow warning precedes the refusal.
 _R_MAX = math.log(sys.float_info.max) / 2.0
+# An ulp of 1 times the largest float.
+_EPS_MAX = sys.float_info.epsilon * sys.float_info.max
 
 # Bound on the symmetry residue of a covariance matrix, and how negative an
 # eigenvalue of gamma + i Omega may be for a physical state.
@@ -123,10 +125,13 @@ def gaussian_pt_moment(pair: SymplecticPair, n: int):
         raise DomainError(f"moment order must be >= 1, got {n}")
     # past r of about 59, nu2^6 = inf gives p_7 a factor of 0, as the true moment underflows
     with np.errstate(over="ignore"):
-        t1, t2 = (2.0 ** (n - 1) / sum(comb(n, k) * np.float_power(nu, n - k)
-                                       for k in range(1, n + 1, 2))
+        s1, s2 = (sum(comb(n, k) * np.float_power(nu, n - k) for k in range(1, n + 1, 2))
                   for nu in (pair.nu1, pair.nu2))
-    if not (np.isfinite(t1) & np.isfinite(t2)).all():  # a factor past the float range times 0
+        t1, t2 = 2.0 ** (n - 1) / s1, 2.0 ** (n - 1) / s2
+    # an infinite sum reads a factor below 2^(n-1) / FLOAT_MAX as 0: refused where that
+    # times the other factor could reach an ulp of 1, as where a factor is infinite
+    hidden = np.where(np.isinf(s1), t2, 0.0) + np.where(np.isinf(s2), t1, 0.0)
+    if not (np.isfinite(t1) & np.isfinite(t2) & (hidden <= _EPS_MAX / 2.0 ** (n - 1))).all():
         raise DomainError(f"a factor of p_{n} passes the float range at nu1 = {pair.nu1}")
     return float(t1 * t2) if np.ndim(t1) == 0 else t1 * t2
 

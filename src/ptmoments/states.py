@@ -6,7 +6,9 @@ Each family provides a truncated-Fock density operator (for the dense oracle)
 and, where available, the spectrum of its partial transpose in closed form,
 divided by its own sum: ``cat_pt_spectrum``, ``hhg_pt_spectrum`` and
 ``lossy_noon_pt_spectrum``.  Every PT-moment p_n is a power sum of it, which
-``cat_pt_moments``, ``hhg_pt_moments`` and ``lossy_noon_pt_moments`` read.
+``cat_pt_moments`` and ``lossy_noon_pt_moments`` read; ``hhg_pt_moments``
+reads (p2, p3) from the state's rank-two form, so a pure state's p2 is
+exactly 1.  A lossy cat is again a cat (``CatParams.after_loss``).
 
 The closed forms are elementwise: parameters may be arrays, which broadcast,
 and give arrays of their shape (a spectrum on one more, last axis); scalars
@@ -110,6 +112,20 @@ class CatParams:
     @property
     def sign(self) -> float:
         return 1.0 if self.parity == "even" else -1.0
+
+    def after_loss(self, tau: float) -> "CatParams":
+        """The cat after pure loss of transmissivity tau on both modes, again a
+        cat: loss maps |a><b| to <b|a>^(1 - tau) |sqrt(tau) a><sqrt(tau) b|, so
+        the amplitudes scale by sqrt(tau) and 1 - z by
+        e^(-2 (1 - tau)(|alpha|^2 + |beta|^2))."""
+        if not 0.0 <= tau <= 1.0:  # NaN fails too
+            raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
+        with np.errstate(over="ignore"):  # an infinite exponent damps the coherence to 0
+            a2, b2 = (np.float_power(np.abs(x) * math.sqrt(2.0 * (1.0 - tau)), 2)
+                      for x in (self.alpha, self.beta))
+        keep = (1.0 - np.asarray(self.z, dtype=float)) * np.exp(-a2 - b2)
+        root = math.sqrt(tau)
+        return CatParams(root * self.alpha, root * self.beta, 1.0 - keep, self.parity)
 
 
 def cat_density(p: CatParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:
@@ -257,43 +273,51 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> Bipar
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-def hhg_pt_spectrum(p: HHGParams) -> np.ndarray:
-    """Spectrum of the reduced driver/harmonic state's partial transpose, shape (..., 4).
+def _hhg_rank_two(p: HHGParams) -> tuple:
+    """((u1, u2, u3, u4), sigma, det) of the reduced driver/harmonic state.
 
     On the orthonormalised bases {|alpha>, |alpha - da>perp} of the driver and
     {|0>, |chi>perp} of the harmonic the state is the rank-two
     (u u^T + sigma e1 e1^T) / (|u|^2 + sigma), with a = e^(-da^2/2), b = e^(-chi^2/2),
     A = sqrt(1 - a^2), B = sqrt(1 - b^2), g = 1 - e^(-(N-2) chi^2),
-    u = (a b g, a B, A b, A B) and sigma = a^2 b^(2N-2) g.  Each 1 - e^(-x) is
-    an expm1, and u and sigma are scaled by an exact power of two, so nothing
-    cancels or underflows at small delta_alpha.  (u u^T)^Gamma has the spectrum
-    s1^2, s2^2, +-s1 s2 of u's singular values as a 2 x 2 matrix (determinant
-    -u2 u3 b^(2N-4)); one eigvalsh of diag(that) + sigma z z^T, z the e1
-    components of its eigenvectors, keeps a pure state's (N <= 2) exactly."""
+    u = (a b g, a B, A b, A B) and sigma = a^2 b^(2N-2) g; det = u2 u3 b^(2N-4)
+    is |det| of u as a 2 x 2.  Each 1 - e^(-x) is an expm1, and u and sigma are
+    scaled by an exact power of two, so nothing cancels or underflows at small
+    delta_alpha."""
     n_tot, da2, chi2 = _hhg_squares(p)
     a, b = np.exp(-da2 / 2.0), np.exp(-chi2 / 2.0)
     big_a, big_b = np.sqrt(-np.expm1(-da2)), np.sqrt(-np.expm1(-chi2))
     g = -np.expm1(-(n_tot - 2) * chi2)
-    u = np.stack(np.broadcast_arrays(a * b * g, a * big_b, big_a * b, big_a * big_b), axis=-1)
-    e = np.frexp(u.sum(axis=-1))[1]  # scales the largest u near 1: no square of it underflows
-    u = np.ldexp(u, -e[..., None])
+    u = (a * b * g, a * big_b, big_a * b, big_a * big_b)
+    e = np.frexp(sum(u))[1]  # scales the largest u near 1: no square of it underflows
+    u = tuple(np.ldexp(x, -e) for x in u)
     sigma = np.ldexp(a * a * np.float_power(b, 2 * n_tot - 2) * g, -2 * e)
-    u1, u2, u3, u4 = np.moveaxis(u, -1, 0)
-    det = u2 * u3 * np.float_power(b, 2 * n_tot - 4)
-    squares = _symmetric_2x2_eigenvalues(u1 * u1 + u2 * u2, u3 * u3 + u4 * u4,
-                                         u1 * u3 + u2 * u4, det * det)
-    pure = u[..., :, None] * u[..., None, :]
-    # entry ((i, j), (k, l)) of the partial transpose is entry ((i, l), (k, j))
-    pure = pure.reshape(pure.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(pure.shape)
-    z = np.linalg.eigh(pure)[1][..., 0, :]  # eigenvectors in ascending order, as the sort
-    m = sigma[..., None, None] * z[..., :, None] * z[..., None, :]
-    m[..., range(4), range(4)] += np.sort(np.stack([*squares, det, -det], axis=-1), axis=-1)
-    return _unit_trace(np.linalg.eigvalsh(m))
+    return u, sigma, u[1] * u[2] * np.float_power(b, 2 * n_tot - 4)
 
 
 def hhg_pt_moments(p: HHGParams) -> tuple:
-    """(p2, p3) of the reduced driver/harmonic state: power sums of ``hhg_pt_spectrum``."""
-    return _elementwise(*_power_sums(hhg_pt_spectrum(p), 3)[1:])
+    """Closed-form (p2, p3) of the reduced driver/harmonic state from its
+    rank-two form (``_hhg_rank_two``); p2 is exactly 1 for N <= 2."""
+    (u1, u2, u3, u4), sigma, det = _hhg_rank_two(p)
+    w1, total = u1 * u1, u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
+    tr = total + sigma
+    p2 = (total * total + 2.0 * sigma * w1 + sigma * sigma) / (tr * tr)
+    p3 = (np.float_power(total, 3) - 3.0 * total * np.float_power(det, 2)
+          + 3.0 * sigma * (w1 + u2 * u2) * (w1 + u3 * u3) + 3.0 * sigma * sigma * w1
+          + np.float_power(sigma, 3)) / np.float_power(tr, 3)
+    return _elementwise(p2, p3)
+
+
+def hhg_pt_spectrum(p: HHGParams) -> np.ndarray:
+    """Spectrum of the reduced driver/harmonic state's partial transpose, shape
+    (..., 4): one eigvalsh of the partial transpose of its rank-two form."""
+    u, sigma, _ = _hhg_rank_two(p)
+    u = np.stack(np.broadcast_arrays(*u), axis=-1)
+    m = u[..., :, None] * u[..., None, :]
+    m[..., 0, 0] += sigma
+    # entry ((i, j), (k, l)) of the partial transpose is entry ((i, l), (k, j))
+    m = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(m.shape)
+    return _unit_trace(np.linalg.eigvalsh(m))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +404,10 @@ def lossy_noon_density(p: LossyNOONParams,
 
 def lossy_noon_pt_spectrum(p: LossyNOONParams) -> np.ndarray:
     """Spectrum of the lossy NOON state's partial transpose, shape (..., 2n + 2),
-    n the batch's largest N; N above 1022 is refused (2^-N, the leading loss
-    weight's power product, leaves the normal float range).
+    n the batch's largest N.  Where neither tau lies strictly between 0 and 1
+    the spectrum does not depend on N, and N reads as 1; elsewhere N above
+    1022 is refused (2^-N, the leading loss weight's power product, leaves
+    the normal float range).
 
     First the eigenvalues of the coherence [[d, c], [c, 0]] between |0, 0> and
     |N, N>, d = |alpha|^2 (1 - tau_a)^N + |beta|^2 (1 - tau_b)^N and
@@ -393,9 +419,12 @@ def lossy_noon_pt_spectrum(p: LossyNOONParams) -> np.ndarray:
     N, ta, tb, a2, b2 = np.broadcast_arrays(
         np.asarray(noon.N), np.asarray(p.tau_a, dtype=float), np.asarray(p.tau_b, dtype=float),
         *(np.float_power(np.abs(amp), 2) for amp in (noon.alpha, noon.beta)))
+    lossy = ((ta > 0.0) & (ta < 1.0)) | ((tb > 0.0) & (tb < 1.0))
+    if (lossy & (N > _NOON_N_MAX)).any():
+        raise DomainError(f"lossy NOON spectra with tau strictly between 0 and 1 need "
+                          f"N <= {_NOON_N_MAX}, got N = {N[lossy].max()}")
+    N = np.where(lossy, N, 1)
     n = int(N.max(initial=0))
-    if n > _NOON_N_MAX:
-        raise DomainError(f"lossy NOON spectra need N <= {_NOON_N_MAX}, got N = {n}")
     k = np.arange(1, n + 1)
     values, where = np.unique(N, return_inverse=True)
     binomials = np.array([[float(comb(m, j)) for j in k.tolist()] for m in values.tolist()])

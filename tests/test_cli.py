@@ -18,9 +18,6 @@ from ptmoments.errors import (CutoffError, DomainError, OrderError, PtmomentsErr
 from ptmoments.reporting import Table, read_table, write_table
 
 
-EPS = np.finfo(float).eps
-
-
 def run(argv):
     return cli.main(argv)
 
@@ -113,7 +110,15 @@ class TestCriteriaCommand:
         done = self.run_warnings_as_errors("criteria", "--family", "noon", "--N", "1023",
                                            "--tau", "0.5")
         assert done.returncode == 2
-        assert done.stderr == "ptmoments: error: lossy NOON spectra need N <= 1022, got N = 1023\n"
+        assert done.stderr == ("ptmoments: error: lossy NOON spectra with tau strictly between "
+                               "0 and 1 need N <= 1022, got N = 1023\n")
+
+    @pytest.mark.parametrize("tau", [[], ["--tau", "0"], ["--tau", "1"]])
+    def test_noon_without_partial_loss_exits_0_at_any_n(self, tau):
+        # where each tau is 0 or 1 the spectrum does not depend on N
+        done = self.run_warnings_as_errors("criteria", "--family", "noon", "--N", "2000", *tau)
+        assert done.returncode == 0 and done.stderr == ""
+        assert self.moments_line(done.stdout)[0] == 1.0
 
     @pytest.mark.parametrize("delta_alpha", ["1e-3", "0.3"])
     def test_hhg_at_small_depletion_exits_0_with_runtime_warnings_as_errors(self, delta_alpha):
@@ -123,7 +128,7 @@ class TestCriteriaCommand:
                                            delta_alpha)
         assert done.returncode == 0 and done.stderr == ""
         p2, p3 = self.moments_line(done.stdout)
-        assert abs(p2 - 1.0) <= 4 * EPS and 0.0 <= p3 <= 1.0
+        assert p2 == 1.0 and 0.0 <= p3 <= 1.0
 
     @pytest.mark.parametrize("alpha", ["30", "1e200"])
     def test_cat_past_the_old_bound_exits_0_with_runtime_warnings_as_errors(self, alpha):
@@ -227,7 +232,7 @@ class TestPackageErrors:
     @pytest.mark.parametrize("argv", [
         ["criteria", "--moments", "1,0.5,nan"],
         ["criteria", "--p2", "0.5", "--p3", "inf"],
-        ["sample", "--family", "cat", "--alpha", "3", "--tau", "0.8", "--cutoff", "4"],
+        ["sample", "--family", "cat", "--tau", "-0.1"],
         ["sample", "--family", "cat", "--alpha", "nan"],
         ["sample", "--family", "cat", "--beta", "inf"],
         ["criteria", "--family", "noon", "--N", "1", "--tau", "nan"],
@@ -259,13 +264,13 @@ class TestPackageErrors:
          "--repetitions", "2"],
         ["criteria", "--family", "qutrit", "--alpha", "0.3", "--N", "4"],
         ["criteria", "--family", "tmsv", "--N", "3"],
-        ["sample", "--family", "qutrit", "--cutoff", "7", "--k", "10", "--repetitions", "2"],
+        ["sample", "--family", "cat", "--tau", "nan"],
         ["criteria", "--p2", "1", "--p3", "0.25", "--format", "json"],
         ["sample", "--family", "cat", "--tau", "1.5", "--copies", "3"],
-        ["sample", "--family", "noon", "--cutoff", "5"],
-        ["sample", "--family", "cat", "--alpha", "8", "--beta", "8", "--tau", "0.8"],  # 1.95 GiB
-        ["sample", "--family", "cat", "--cutoff", "12"],
-        ["sample", "--family", "cat", "--tau", "1", "--cutoff", "12"],
+        ["criteria", "--family", "noon", "--N", "1023", "--tau", "0.5"],
+        ["sample", "--family", "noon", "--N", "1023", "--tau", "0.5"],
+        ["sample", "--family", "cat", "--alpha", "0", "--beta", "0", "--z", "0", "--tau", "0.5"],
+        ["sample", "--family", "cat", "--tau", "1.0000000000000002"],
     ])
     def test_exit_two_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -323,7 +328,7 @@ FAMILY_READS = {
 }
 OPTION_VALUES = {"--N": "2", "--alpha": "0.6", "--beta": str(1 / math.sqrt(2)), "--z": "0.9",
                  "--parity": "even", "--tau": "0.9", "--n-bar": "0.1", "--r": "0.2",
-                 "--delta-alpha": "0.4", "--cutoff": "12", "--p2": "0.5", "--p3": "0.2",
+                 "--delta-alpha": "0.4", "--p2": "0.5", "--p3": "0.2",
                  "--moments": "1,0.5,0.2"}
 FAMILY_OPTIONS = ["--N", "--alpha", "--beta", "--z", "--parity", "--tau", "--n-bar", "--r",
                   "--delta-alpha"]
@@ -332,7 +337,7 @@ BASE_ARGV = {"criteria": ["criteria"], "sample": ["sample", "--k", "10", "--repe
 
 def _option_cases():
     for command, families in FAMILY_READS.items():
-        extra = ["--p2", "--p3", "--moments"] if command == "criteria" else ["--cutoff"]
+        extra = ["--p2", "--p3", "--moments"] if command == "criteria" else []
         for family, reads in families.items():
             for option in FAMILY_OPTIONS + extra:
                 yield pytest.param(BASE_ARGV[command] + ["--family", family], option,
@@ -357,9 +362,12 @@ class TestOptionRule:
         assert err.count("\n") == 1
         assert err.endswith(f"does not read {option}\n")
 
-    def test_cutoff_is_read_only_by_the_lossy_cat(self, capsys):
-        # the lossy cat is the one family state sample reads through the dense oracle
-        assert run(BASE_ARGV["sample"] + ["--family", "cat", "--tau", "0.9", "--cutoff", "12"]) == 0
+    def test_sample_takes_no_cutoff(self, capsys):
+        # every family state is read from a closed form, the lossy cat included
+        with pytest.raises(SystemExit) as exc:
+            run(BASE_ARGV["sample"] + ["--family", "cat", "--tau", "0.9", "--cutoff", "12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff 12" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["criteria", "--p2", "1", "--p3", "0.25"],
                                       ["criteria", "--family", "noon", "--tau", "0.9"],
@@ -399,19 +407,25 @@ class TestSampleCommand:
         mean = float(out.splitlines()[1].split("=")[1].split("(")[0])
         assert mean == pytest.approx(0.25, abs=0.05)
 
-    @pytest.mark.parametrize("argv, n", [
-        (["--tau", "0.8", "--copies", "3"], 3),  # over the outcome engine's budget
-        (["--tau", "0.8", "--cutoff", "12", "--copies", "2"], 2),
-    ])
-    def test_lossy_and_default_cat_sample_through_the_oracle(self, argv, n, capsys):
+    @pytest.mark.parametrize("n", [2, 3])  # n = 3 is over the outcome engine's budget
+    def test_lossy_cat_samples_what_the_oracle_reads(self, n, capsys):
         from ptmoments import circuits, fock, states
-        assert run(["sample", "--family", "cat", *argv]) == 0
+        assert run(["sample", "--family", "cat", "--tau", "0.8", "--copies", str(n)]) == 0
         out = capsys.readouterr().out
         exact = float(out.splitlines()[0].split("=")[1])
-        cutoff = fock.ModeCutoff(12, 12) if "--cutoff" in argv else None
-        rho = states.cat_density(states.CatParams(1.0, 1.0, 0.5, "odd"), cutoff)
+        d = fock.coherent_cutoff([1.0], 1e-16, guard=2)
+        rho = states.cat_density(states.CatParams(1.0, 1.0, 0.5, "odd"), fock.ModeCutoff(d, d))
         rho = circuits.lossy_channel(circuits.lossy_channel(rho, 0.8, "a"), 0.8, "b")
-        assert exact == pytest.approx(fock.pt_moment(rho, n), abs=1e-12)
+        assert exact == pytest.approx(fock.pt_moment(rho, n), abs=1e-12)  # printed to 12 digits
+
+    def test_lossy_cat_past_the_dense_budget(self, capsys):
+        # a dense lossy cat at alpha = beta = 8 took 1.95 GiB and was refused
+        from ptmoments import states
+        assert run(["sample", "--family", "cat", "--alpha", "8", "--beta", "8", "--tau", "0.8",
+                    "--copies", "3"]) == 0
+        exact = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        cat = states.CatParams(8.0, 8.0, 0.5, "odd").after_loss(0.8)
+        assert exact == pytest.approx(states.cat_pt_moments(cat)[1], abs=1e-12)
 
     @pytest.mark.parametrize("family, options", [
         ("tmsv", ["--n-bar", "0.1", "--r", "0.5"]),

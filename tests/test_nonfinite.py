@@ -246,8 +246,9 @@ def test_largest_squeezing_is_accepted_without_warning_and_the_next_float_refuse
     lambda: gaussian.tmsv_thermal_pt_pair(1e3, -354.0),
     lambda: gaussian.tmsv_thermal(1e308, 0.5),
     lambda: gaussian.gaussian_pt_moment(gaussian.tmsv_thermal_pt_pair(0.0, R_MAX), 4),
+    lambda: gaussian.gaussian_pt_moment(gaussian.tmsv_thermal_pt_pair(0.0, 354.6), 2),
 ], ids=["pt_pair-n_bar-0.5", "thermal-n_bar-1e3", "pt_pair-n_bar-1e3-negative-r",
-        "thermal-n_bar-1e308", "moment-factor"])
+        "thermal-n_bar-1e308", "moment-factor", "moment-sum"])
 def test_thermal_squeezing_past_the_float_range_raises_a_package_error_before_any_warning(call):
     # (2 n_bar + 1) e^(2|r|), or a factor of a moment, passes the float range
     # below the n_bar = 0 bound on |r|
@@ -255,6 +256,17 @@ def test_thermal_squeezing_past_the_float_range_raises_a_package_error_before_an
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             call()
+
+
+def test_a_factor_read_as_0_is_kept_only_where_the_moment_is_below_an_ulp():
+    # 2 nu2 overflows from r of about 354.54, and p2 of the pure TMSV read 0 there,
+    # where it is 1; p_7's factor 2^6 / (7 nu2^6 + ...) reads 0 from r of about 59,
+    # where the moment is below 1e-305
+    pure = gaussian.tmsv_thermal_pt_pair(0.0, np.array([354.5, 60.0, 177.0]))
+    assert gaussian.gaussian_pt_moment(pure, 2).tolist() == [1.0, 1.0, 1.0]
+    assert gaussian.gaussian_pt_moment(pure, 7)[1:].tolist() == [0.0, 0.0]
+    with pytest.raises(DomainError, match="p_2"):
+        gaussian.gaussian_pt_moment(gaussian.tmsv_thermal_pt_pair(0.0, 354.6), 2)
 
 
 def test_thermal_squeezing_below_the_float_range_keeps_its_bits():

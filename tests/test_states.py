@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptmoments import criteria
 from ptmoments.criteria import p3_linear, optimal_threshold
 from ptmoments.errors import BudgetError, CutoffTooSmallError, DomainError
 from ptmoments.estimation import min_samples, witness_variances
@@ -37,7 +36,6 @@ from ptmoments.states import (
 )
 
 BAL = 1 / math.sqrt(2)
-EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize("build", [
@@ -283,30 +281,28 @@ class TestHHG:
     @pytest.mark.parametrize("n_modes", range(1, 9))
     def test_closed_forms_match_a_50_digit_reference(self, n_modes):
         # a log grid and fig2d's grid: the form over C^2 and C^3 cancelled as
-        # C ~ delta_alpha^2, to p2 above 1 at 0.05 and p3 = -190 at 1e-3; the
-        # spectrum's p2 rounds within the purity slack the criteria read as 1
+        # C ~ delta_alpha^2, to p2 above 1 at 0.05 and p3 = -190 at 1e-3
         fig2d = np.round(np.arange(0.05, 3.0 + 1e-12, 0.025), 10)
         grid = np.concatenate([np.geomspace(1e-3, 6.0, 61), fig2d])
         p2, p3 = hhg_pt_moments(HHGParams(3.0, grid, n_modes))
         ref = np.array([hhg_reference(da, n_modes) for da in grid.tolist()])
         np.testing.assert_allclose(p2, ref[:, 0], rtol=1e-14, atol=0)
         np.testing.assert_allclose(p3, ref[:, 1], rtol=1e-14, atol=0)
-        assert (p2 <= 1.0 + criteria._PURITY_SLACK).all()
+        assert (p2 <= 1.0).all()
 
     @pytest.mark.parametrize("delta_alpha", [1e-150, 1e-9, 1e-3, 0.05, 0.3, 6.0, 1e100])
-    def test_single_harmonic_is_pure_within_rounding_at_any_depletion(self, delta_alpha):
-        # the pure state's spectrum is the closed form s1^2, s2^2, +-s1 s2 exactly
+    def test_single_harmonic_is_exactly_pure_at_any_depletion(self, delta_alpha):
         for n in (1, 2):
             p2, p3 = hhg_pt_moments(HHGParams(3.0, delta_alpha, n))
-            assert abs(p2 - 1.0) <= 2 * EPS and 0.0 < p3 <= 1.0
+            assert p2 == 1.0 and 0.0 < p3 <= 1.0
 
-    def test_purity_stays_within_the_slack_the_criteria_read_as_1(self):
-        # eigvalsh on the whole 4 x 4 partial transpose put p2 up to 6 ulps above 1
+    def test_purity_never_rounds_above_1(self):
+        # the spectrum's power sums put a pure state's p2 up to 6 ulps above 1
         rng = np.random.default_rng(1)
         for n in range(1, 9):
             da = np.exp(rng.uniform(math.log(1e-150), math.log(1e100), 20000))
             p2, _ = hhg_pt_moments(HHGParams(3.0, da, n))
-            assert (p2 <= 1.0 + criteria._PURITY_SLACK).all()
+            assert (p2 <= 1.0).all()
 
     @pytest.mark.parametrize("delta_alpha, n", [(1e-200, 1), (1e-153, 10 ** 6), (1.3e154, 3),
                                                 (1e160, 2)])
@@ -502,6 +498,17 @@ class TestLossyNOONLimit:
         p2, p3 = lossy_noon_pt_moments(LossyNOONParams.balanced(np.array([1, N]), 0.5))
         assert (p2[1], p3[1]) == lossy_noon_pt_moments(LossyNOONParams.balanced(N, 0.5))
 
+    @pytest.mark.parametrize("ta, tb", [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_without_partial_loss_the_spectrum_does_not_depend_on_n(self, ta, tb):
+        # lossless NOON read p_n independent of N before the spectra; no N is refused here
+        N = np.array([1, 5, 2000, 10 ** 9])
+        p = LossyNOONParams(NOONParams(N, 0.6, 0.8), ta, tb)
+        moments = states._power_sums(lossy_noon_pt_spectrum(p), 7)
+        assert (moments == moments[:, :1]).all()
+        if ta == tb == 1.0:
+            ideal = [noon_pt_moment(p.noon, n) for n in (2, 3)]
+            assert moments[1:3, 0].tolist() == pytest.approx(ideal, abs=1e-15)
+
     @pytest.mark.parametrize("N", [1023, np.array([1, 2000])])
     def test_past_the_normal_float_range_is_refused(self, N):
         # 2^-N, the leading weight's power product at tau = 1/2, is subnormal past 1022
@@ -597,6 +604,19 @@ class TestSpectraAgainstTheOracle:
         got = states._power_sums(states.cat_pt_spectrum(p), 7)
         np.testing.assert_allclose(got, fock.pt_moments(cat_density(p, cutoff), 7),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("alpha, beta, z, tau", [(1.0, 1.0, 0.5, 0.8), (0.5, 0.7, 0.0, 0.3),
+                                                     (1.3, 0.2, 0.9, 0.05), (0.8, 0.8, 0.2, 0.0),
+                                                     (1.1, 0.6, 0.0, 1.0)])
+    def test_lossy_cat(self, parity, alpha, beta, z, tau):
+        # pure loss keeps the cat a cat (CatParams.after_loss)
+        from ptmoments.circuits import lossy_channel
+        p = CatParams(alpha, beta, z, parity)
+        cutoff = ModeCutoff(*(fock.coherent_cutoff([x], 1e-16, guard=2) for x in (alpha, beta)))
+        rho = lossy_channel(lossy_channel(cat_density(p, cutoff), tau, "a"), tau, "b")
+        got = states._power_sums(states.cat_pt_spectrum(p.after_loss(tau)), 7)
+        np.testing.assert_allclose(got, fock.pt_moments(rho, 7), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_hhg(self, n):
