@@ -419,7 +419,7 @@ class TestSampleCommand:
         assert exact == pytest.approx(fock.pt_moment(rho, n), abs=1e-12)  # printed to 12 digits
 
     def test_lossy_cat_past_the_dense_budget(self, capsys):
-        # a dense lossy cat at alpha = beta = 8 took 1.95 GiB and was refused
+        # a dense lossy cat at alpha = beta = 8 would take 1.95 GiB
         from ptmoments import states
         assert run(["sample", "--family", "cat", "--alpha", "8", "--beta", "8", "--tau", "0.8",
                     "--copies", "3"]) == 0
