@@ -4,12 +4,16 @@ with an earlier commit.
 
 Usage: python scripts/bench_record.py PR [--against REV]
 
-From the root of the checkout that holds this script, exports REV with
-``git archive`` into a temporary directory and replaces its perfbench/ with
-this checkout's, so that both sides run the same benchmark code, each on its
-own src/. REV defaults to the commit of the newest BENCH_<n>.json with n
-below PR. Then it runs every workload of BENCHMARK.json ``RUNS`` times on
-each side, untraced, for its declared ``run_seconds``. Round i runs each
+From the root of the checkout that holds this script, exports two trees
+with ``git archive`` beside each other in one temporary directory: REV, with
+its perfbench/ replaced by this checkout's, so that both sides run the same
+benchmark code, each on its own src/; and the checkout itself, its tracked
+files with their uncommitted edits (the tree of ``git stash create``, or
+HEAD's when nothing is edited). Both sides run from their exported trees,
+so neither reads files, compiled caches or paths that the other lacks. REV
+defaults to the commit of the newest BENCH_<n>.json with n below PR. Then it
+runs every workload of BENCHMARK.json ``RUNS`` times on each side, untraced,
+for its declared ``run_seconds``. Round i runs each
 workload once on each side, REV first in even rounds and this checkout first
 in odd ones, and the two runs of a round are a pair. Then it runs the tier-1
 suite once and writes BENCH_<PR>.json there with:
@@ -51,11 +55,11 @@ TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 RUNS = 5
 
 
-def run(argv, env=None, cwd=ROOT) -> subprocess.CompletedProcess:
-    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+def run(argv, env=None, cwd=None) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=cwd or ROOT, env=env, capture_output=True, text=True)
 
 
-def workload(command, name: str, seconds: float, cwd=ROOT) -> dict:
+def workload(command, name: str, seconds: float, cwd) -> dict:
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = run(command + ["--workload", name, "--seconds", str(seconds), "--trace", "0"],
               cwd=cwd)
@@ -133,14 +137,19 @@ def previous_commit(pr: str) -> str:
     return json.loads(numbered[str(max(earlier))].read_text())["commit"]
 
 
-def export(rev: str, into: Path) -> str:
-    """Extract the tree of ``rev`` into ``into`` with this checkout's
-    perfbench/ in place of its own; returns the commit id of ``rev``."""
+def export(rev, into: Path) -> str:
+    """Extract the tree of ``rev`` into the new directory ``into`` with this
+    checkout's perfbench/ in place of its own, or, if ``rev`` is None, the
+    checkout's tracked files with their uncommitted edits; returns the commit
+    id of ``rev`` (of the edits' stash commit, or HEAD, for None)."""
+    if rev is None:
+        rev = run(["git", "stash", "create"]).stdout.strip() or "HEAD"
     commit = run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"])
     if commit.returncode != 0:
         raise SystemExit(f"unknown revision {rev!r}: {commit.stderr.strip()}")
     archive = subprocess.run(["git", "archive", "--format=tar", commit.stdout.strip()],
                              cwd=ROOT, capture_output=True, check=True).stdout
+    into.mkdir()
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     shutil.rmtree(into / "perfbench", ignore_errors=True)
     shutil.copytree(ROOT / "perfbench", into / "perfbench",
@@ -170,9 +179,10 @@ def main() -> int:
     names = [w["name"] for w in spec["workloads"]]
     rev = args.against or previous_commit(args.pr)
     runs = {side: {name: [] for name in names} for side in ("base", "head")}
-    with tempfile.TemporaryDirectory(prefix="bench_base_") as base:
-        commit = export(rev, Path(base))
-        where = {"base": base, "head": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
+        where = {side: Path(tmp) / side for side in ("base", "head")}
+        commit = export(rev, where["base"])
+        export(None, where["head"])
         for name, side in schedule(names, RUNS):
             runs[side][name].append(workload(spec["command"], name, spec["run_seconds"],
                                              where[side]))

@@ -3,15 +3,16 @@
 Applying the n-mode discrete Fourier transform to the n copies held by each
 party and counting photons on output modes 2..n yields an outcome
 distribution whose root-of-unity expectation is the n-th PT-moment.
-``outcome_distribution``, the module's one passive-evolution engine, evolves
-each party's product of copies through that DFT one photon-number sector at
-a time, one choice of pure components per orbit of the cyclic shifts that
-map the copies onto the same objects, and returns the exact distribution on
-its support (``OutcomeDistribution``), or refuses a readout over a fixed cost
-budget with BudgetError.  ``value_law`` gives the law of the readout value
-alone, from cycle traces of the copies' partial transposes, with no
-evolution.  The pure-loss channel, ``lossy_channel``, applies its
-closed-form Kraus operators in one contraction.
+``outcome_distribution``, the module's one passive-evolution engine, sums
+the readout over the copies' pure components, evolved through that DFT one
+photon-number sector at a time, or over each party's DFT Gram against the
+copies' density operators, whichever order counts cheaper; it returns the
+exact distribution on its support (``OutcomeDistribution``), or refuses a
+readout that both orders count over a fixed budget with BudgetError.
+``value_law`` gives the law of the readout value alone, from cycle traces
+of the copies' partial transposes, with no evolution.  The pure-loss
+channel, ``lossy_channel``, applies its closed-form Kraus operators in one
+contraction.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -403,21 +404,43 @@ def _box_counts(dims) -> list:
     return counts
 
 
+def _block_entries(side) -> int:
+    """Sector-block entries of the party plan for the cutoffs ``side``."""
+    return sum(comb(total + len(side) - 1, len(side) - 1) * cells
+               for total, cells in enumerate(_box_counts(side)))
+
+
 def _readout_cost(dims, widths) -> tuple[int, int]:
     """Array entries and multiply-adds of a readout of copies with trimmed
     cutoffs ``dims`` (one tuple per party) whose evolved component choices
     have batch widths ``widths``: the entries are the Grams of those choices,
     sum B^2 (rest_a + rest_b), the rest_a rest_b output cells and the sector
-    blocks the party plans build, sum over totals N of C(N+n-1, n-1) rows
-    times the box cells of total N, once per distinct plan; the multiply-adds
-    are those of the Gram products, sum B^2 rest_a rest_b."""
+    blocks, sum over totals N of C(N+n-1, n-1) rows times the box cells of
+    total N, once per distinct plan; the multiply-adds are those of the Gram
+    products, sum B^2 rest_a rest_b."""
     n = len(dims[0])
     d_outs = [sum(side) - n + 1 for side in dims]
     rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in d_outs)
     squares = sum(width ** 2 for width in widths)
-    blocks = sum(comb(total + n - 1, n - 1) * cells
-                 for side in set(dims) for total, cells in enumerate(_box_counts(side)))
+    blocks = sum(map(_block_entries, set(dims)))
     return squares * (rest_a + rest_b) + rest_a * rest_b + blocks, squares * rest_a * rest_b
+
+
+def _operator_cost(dims) -> tuple[int, int]:
+    """Array entries and multiply-adds of ``_operator_order`` on copies with
+    trimmed cutoffs ``dims``: per party the DFT and its box Gram, rest box
+    (d_out + box) entries and rest d_out box^2 multiply-adds; per copy c the
+    array it leaves, times d_(a,c)^2; the output cells, times box_b^2."""
+    parties = [(comb(sum(side) - 1, len(side) - 1), sum(side) - len(side) + 1, prod(side))
+               for side in dims]
+    (rest_a, _, box_a), (rest_b, _, box_b) = parties
+    entries = rest_a * rest_b + sum(rest * box * (d_out + box) for rest, d_out, box in parties)
+    madds = rest_a * rest_b * box_b ** 2 + sum(rest * d * box ** 2 for rest, d, box in parties)
+    size = rest_a * box_a ** 2
+    for d_a, d_b in zip(*dims):
+        size, madds = size // d_a ** 2 * d_b ** 2, madds + size * d_b ** 2
+        entries += size
+    return entries, madds
 
 
 def _batched_product(factors) -> np.ndarray:
@@ -432,10 +455,10 @@ def _batched_product(factors) -> np.ndarray:
     return psi
 
 
-def _components(rho: BipartiteDensityOperator, index: int) -> tuple[list, int, int]:
+def _components(rho: BipartiteDensityOperator, index: int) -> tuple[list, np.ndarray, int, int]:
     """Pure components of copy ``index`` after trimming, as (eigen-weight,
     (A factor, B factor)) with the Schmidt decomposition of the component
-    split into the factors, and the trimmed cutoffs."""
+    split into the factors, the trimmed tensor and the trimmed cutoffs."""
     mat, d_a, d_b = _trimmed(rho)
     w, vecs = np.linalg.eigh(mat)
     if w[0] < -DEFAULT_TOL.psd:
@@ -447,7 +470,54 @@ def _components(rho: BipartiteDensityOperator, index: int) -> tuple[list, int, i
         uu, ss, vh = np.linalg.svd(vecs[:, i].reshape(d_a, d_b), full_matrices=False)
         keep = ss > 1e-12
         comp.append((float(w[i]), (uu[:, keep] * ss[keep], vh[keep].T)))
-    return comp, d_a, d_b
+    return comp, mat.reshape(d_a, d_b, d_a, d_b), d_a, d_b
+
+
+def _component_order(kept, plans) -> np.ndarray:
+    """Probabilities (rest_a, rest_b) of the kept (weight, factors, batch
+    width) component choices: those of one width are evolved together, in
+    chunks of at most _CHUNK_ENTRIES Gram and amplitude entries."""
+    rest_a, rest_b = (plan[1].shape[0] for plan in plans)
+    p_rest = np.zeros((rest_a, rest_b))
+    for width, group in groupby(sorted(kept, key=lambda c: c[2]), key=lambda c: c[2]):
+        group = list(group)
+        step = max(1, _CHUNK_ENTRIES // (width * (width * (rest_a + rest_b) + sum(
+            plan[0] * plan[1].shape[0] for plan in plans))))
+        for chunk in (group[i:i + step] for i in range(0, len(group), step)):
+            grams = []
+            for side, plan in enumerate(plans):
+                psi = np.concatenate([_batched_product([fac[side] for fac in facs])
+                                      for _, facs, _ in chunk], axis=1)
+                if side == 0:  # weight each choice through its A amplitudes
+                    psi *= np.repeat(np.sqrt([weight for weight, _, _ in chunk]), width)
+                # B's Gram conjugated: the real dot product of the (re, im)
+                # pairs of the two Grams is then Re sum_bc GA GB
+                grams.append(_grams(_evolve_sectors(psi, plan), width, side == 1))
+            p_rest += grams[0].view(float) @ grams[1].view(float).T
+    return p_rest
+
+
+def _box_gram(plan, dims) -> np.ndarray:
+    """M[r, I, I'] = sum_m F[r, m, I] conj F[r, m, I'] over the mode-1 counts m of the party's
+    DFT F on its box of cutoffs ``dims``, as (rest cells, *dims, *dims)."""
+    d_out, rest, sectors = plan
+    f = np.zeros((rest.shape[0], d_out, prod(dims)), dtype=complex)
+    for rows, block, targets in sectors:  # block row s fills (rest cell, count) targets[s]
+        f.reshape(-1, f.shape[2])[targets[:, None], rows] = block
+    return (f.swapaxes(1, 2) @ f.conj()).reshape(-1, *dims, *dims)
+
+
+def _operator_order(tensors, plans) -> np.ndarray:
+    """Probabilities (rest_a, rest_b) from the copies' trimmed density
+    tensors rho_c[i, j, i', j']: MA takes each copy's (i_c, i_c') to
+    (j_c, j_c') in turn, which join its axes last, and then meets MB."""
+    n = len(tensors)
+    t = _box_gram(plans[0], [rho.shape[0] for rho in tensors])
+    for c, rho in enumerate(tensors):
+        t = np.tensordot(t, rho, axes=([1, n - c + 1], [0, 2]))
+    mb = _box_gram(plans[1], [rho.shape[1] for rho in tensors])
+    return np.tensordot(t, mb, axes=([*range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)],
+                                     [*range(1, 2 * n + 1)])).real
 
 
 def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
@@ -463,30 +533,28 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     are exactly zero, per mode (the guard level of the NOON constructor,
     say); this is exact.  A party's output cutoff d_out is one plus the sum
     of its copies' trimmed cutoffs minus one each, which bounds the photons
-    it carries.  Each copy then splits into pure components, and each
-    component into Schmidt branches.  A cyclic shift c -> c+q of the copies
-    changes only the output phases, so if every copy c is the same object as
-    copy c+q, only the least rotation by such shifts of each choice of
-    component indices is evolved, its weight times its orbit size; distinct
-    objects are never merged.  For one choice of component per copy,
-    all branch combinations form one batched product on the box of trimmed
-    input cells, which the DFT evolves photon-number sector by sector
-    through cached blocks built only on the box's columns;
-    the choices of one batch width are stacked and evolved together, in
-    chunks of at most _CHUNK_ENTRIES Gram and amplitude entries.  The
-    amplitudes, the Gram over mode-1 counts and the accumulated
-    probabilities live only on the cells with total below d_out, the only
-    ones that can carry amplitude.  The tests hold the sector blocks to the
-    permanent formula <s|U|t> = perm(U[s,t]) / sqrt(prod s! prod t!).
+    it carries; amplitudes, Grams and probabilities are held only on the
+    cells with total below d_out.  With MA[r] the Gram over the mode-1 count
+    of party A's DFT on its box of trimmed input cells (``_box_gram``) and MB
+    that of B, P(r_a, r_b) = sum MA[r_a]_(I, I') MB[r_b]_(J, J')
+    (prod_c rho_c)_(IJ, I'J'), summed in one of two orders.
+    ``_operator_order`` contracts the copies' trimmed density matrices into
+    MA one at a time, then meets MB.  ``_component_order`` sums over choices
+    of one pure component per copy, each split into Schmidt branches and
+    evolved sector by sector through the cached blocks of the party plans.
+    A cyclic shift c -> c+q of the copies changes only the output phases,
+    so if every copy c is the same object as copy c+q, only the least
+    rotation by such shifts of each choice of component indices is evolved,
+    its weight times its orbit size; distinct objects are never merged.
 
-    Before any evolution the cost is counted, with B = prod r_c the batch
-    width of a choice of Schmidt ranks r_c and rest_a, rest_b the numbers of
-    cells of modes 2..n with total below d_out: the Gram entries sum
-    B^2 (rest_a + rest_b) over evolved choices, the rest_a rest_b output cells,
-    the sector-block entries the party plans build (each sector's rows
-    times its box columns), and the Gram products' multiply-adds
-    sum B^2 rest_a rest_b.  A readout whose entries and multiply-adds sum to
-    more than _READOUT_BUDGET raises BudgetError.
+    Before anything is evolved both orders are counted in array entries plus
+    multiply-adds: the component order by ``_readout_cost`` of its evolved
+    choices plus their evolutions, sum B times the sector-block entries of
+    both plans (B = prod r_c, the batch width of a choice of Schmidt ranks
+    r_c), the operator order by ``_operator_cost``.  The cheaper order runs,
+    the component one on a tie; the operator order drops no eigen-weight,
+    the component order none above its floors.  A readout that both orders
+    count above _READOUT_BUDGET raises BudgetError, which names both counts.
     """
     copies = list(copies)
     if n is None:
@@ -499,7 +567,7 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
     for index, c in enumerate(copies):
         if id(c) not in decomposed:
             decomposed[id(c)] = _components(c, index)
-    comps, *dims = zip(*(decomposed[id(c)] for c in copies))
+    comps, tensors, *dims = zip(*(decomposed[id(c)] for c in copies))
 
     # one choice per orbit of the cyclic shifts that map each copy onto itself
     shifts = [q for q in range(n) if all(c is copies[(i + q) % n] for i, c in enumerate(copies))]
@@ -511,34 +579,21 @@ def outcome_distribution(copies, n: int | None = None) -> OutcomeDistribution:
         if weight >= _WEIGHT_FLOOR and index == min(orbit):
             facs = [fac for _, fac in choice]
             kept.append((weight * len(orbit), facs, prod(a.shape[1] for a, _ in facs)))
-    d_out_a, d_out_b = (sum(side) - n + 1 for side in dims)
-    rest_a, rest_b = (comb(d_out + n - 2, n - 1) for d_out in (d_out_a, d_out_b))
-    entries, madds = _readout_cost(dims, [width for _, _, width in kept])
-    if entries + madds > _READOUT_BUDGET:
+    widths = [width for _, _, width in kept]
+    entries, madds = _readout_cost(dims, widths)
+    component = entries + madds + sum(widths) * sum(map(_block_entries, dims))
+    operator = sum(_operator_cost(dims))
+    if min(component, operator) > _READOUT_BUDGET:
         raise BudgetError(f"the {n}-copy readout needs {entries:.3g} Gram, output and "
                           f"sector-block entries and {madds:.3g} Gram multiply-adds over "
-                          f"{len(kept)} component choices, above the budget of "
-                          f"{_READOUT_BUDGET:.0e} for their sum")
+                          f"{len(kept)} component choices, {component:.3g} units with their "
+                          f"evolutions, or {operator:.3g} units as density operators, both "
+                          f"above the budget of {_READOUT_BUDGET:.0e}")
 
     plans = [_party_plan(side) for side in dims]
-    p_rest = np.zeros((rest_a, rest_b))
-    for width, group in groupby(sorted(kept, key=lambda c: c[2]), key=lambda c: c[2]):
-        group = list(group)
-        step = max(1, _CHUNK_ENTRIES // (width * (width * (rest_a + rest_b)
-                                                 + rest_a * d_out_a + rest_b * d_out_b)))
-        for chunk in (group[i:i + step] for i in range(0, len(group), step)):
-            grams = []
-            for side, plan in enumerate(plans):
-                psi = np.concatenate([_batched_product([fac[side] for fac in facs])
-                                      for _, facs, _ in chunk], axis=1)
-                if side == 0:  # weight each choice through its A amplitudes
-                    psi *= np.repeat(np.sqrt([weight for weight, _, _ in chunk]), width)
-                # B's Gram conjugated: the real dot product of the (re, im)
-                # pairs of the two Grams is then Re sum_bc GA GB
-                grams.append(_grams(_evolve_sectors(psi, plan), width, side == 1))
-            p_rest += grams[0].view(float) @ grams[1].view(float).T
-
+    p_rest = (_operator_order(tensors, plans) if operator < component
+              else _component_order(kept, plans))
     cells_a, cells_b = (plan[1] for plan in plans)
-    cells = np.concatenate((np.repeat(cells_a, rest_b, axis=0),
-                            np.tile(cells_b, (rest_a, 1))), axis=1)
+    cells = np.concatenate((np.repeat(cells_a, cells_b.shape[0], axis=0),
+                            np.tile(cells_b, (cells_a.shape[0], 1))), axis=1)
     return OutcomeDistribution(cells, p_rest.reshape(-1))

@@ -151,8 +151,11 @@ def estimate_pn(dist, n: int, k: int, repetitions: int,
     values drawn from the law of ``dist`` (an OutcomeDistribution, or n class
     probabilities), p_n on average for identical copies; variance is the
     complex sample variance of the repetition estimates."""
-    law = dist.value_law() if isinstance(dist, circuits.OutcomeDistribution) else dist
+    law = np.asarray(dist.value_law() if isinstance(dist, circuits.OutcomeDistribution)
+                     else dist, dtype=float)
     _require_finite(law=law)
+    if (law < 0.0).any() or not 0.0 < sum(law.tolist()) < math.inf:  # floats overflow silently
+        raise DomainError(f"a law needs entries >= 0 and a finite positive sum, got {law}")
     return _summarize(_sampled_estimates(law, n, k, repetitions, rng), k)
 
 

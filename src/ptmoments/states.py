@@ -120,12 +120,14 @@ class CatParams:
         e^(-2 (1 - tau)(|alpha|^2 + |beta|^2))."""
         if not 0.0 <= tau <= 1.0:  # NaN fails too
             raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
+        if tau == 1.0:  # no loss
+            return self
         with np.errstate(over="ignore"):  # an infinite exponent damps the coherence to 0
             a2, b2 = (np.float_power(np.abs(x) * math.sqrt(2.0 * (1.0 - tau)), 2)
                       for x in (self.alpha, self.beta))
-        keep = (1.0 - np.asarray(self.z, dtype=float)) * np.exp(-a2 - b2)
+        z = self.z - (1.0 - np.asarray(self.z, dtype=float)) * np.expm1(-a2 - b2)
         root = math.sqrt(tau)
-        return CatParams(root * self.alpha, root * self.beta, 1.0 - keep, self.parity)
+        return CatParams(root * self.alpha, root * self.beta, z, self.parity)
 
 
 def cat_density(p: CatParams, cutoff: ModeCutoff | None = None) -> BipartiteDensityOperator:

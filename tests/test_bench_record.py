@@ -3,6 +3,7 @@ run results: no perfbench process runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,25 @@ def test_default_revision_is_the_previous_bench_files_commit(tmp_path, monkeypat
     assert bench_record.previous_commit("28") == "c27"
     with pytest.raises(SystemExit):
         bench_record.previous_commit("9")
+
+
+def test_both_sides_are_exported_and_the_checkout_keeps_its_edits(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("bench\n")
+    (repo / "src.py").write_text("committed\n")
+    for name, value in [("NAME", "bench"), ("EMAIL", "bench@localhost")]:
+        for role in ("AUTHOR", "COMMITTER"):
+            monkeypatch.setenv(f"GIT_{role}_{name}", value)
+    for argv in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "one"]):
+        subprocess.run(["git", *argv], cwd=repo, check=True, capture_output=True)
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    head = bench_record.export(None, tmp_path / "clean")
+    (repo / "src.py").write_text("edited\n")
+    (repo / "perfbench" / "run.py").write_text("edited bench\n")
+    assert bench_record.export("HEAD", tmp_path / "base") == head
+    assert bench_record.export(None, tmp_path / "head") != head
+    assert (tmp_path / "base" / "src.py").read_text() == "committed\n"
+    assert (tmp_path / "head" / "src.py").read_text() == "edited\n"
+    for side in ("base", "head"):  # both run the checkout's benchmark code
+        assert (tmp_path / side / "perfbench" / "run.py").read_text() == "edited bench\n"

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -610,6 +611,117 @@ class TestCyclicOrbits:
         assert [p.hex() for p in outcome_distribution(copies).probs.tolist()] == pinned
 
 
+def recorded_orders(monkeypatch) -> list:
+    """The names of the contraction orders that outcome_distribution runs
+    from now on, in call order."""
+    ran = []
+    for name in ("_component_order", "_operator_order"):
+        order = getattr(circuits, name)
+        monkeypatch.setattr(circuits, name,
+                            lambda *args, name=name, order=order: ran.append(name) or order(*args))
+    return ran
+
+
+def in_order(monkeypatch, copies, operator: bool) -> OutcomeDistribution:
+    """outcome_distribution of ``copies`` in the operator order if
+    ``operator``, else in the component order, chosen by counting the
+    operator order as free or as endless."""
+    with monkeypatch.context() as m:
+        m.setattr(circuits, "_operator_cost", lambda dims: (0, 0) if operator else (math.inf, 0))
+        return outcome_distribution(copies)
+
+
+def order_counts(monkeypatch, copies) -> tuple[str, str]:
+    """The component and operator counts of the readout of ``copies``, as the
+    BudgetError of a zero budget names them."""
+    with monkeypatch.context() as m:
+        m.setattr(circuits, "_READOUT_BUDGET", 0)
+        with pytest.raises(BudgetError) as refused:
+            outcome_distribution(copies)
+    return re.search(r"choices, (\S+) units with their evolutions, or (\S+) units as density "
+                     r"operators, both above", str(refused.value)).groups()
+
+
+def assert_same_outcomes(a, b, atol):
+    """Every outcome of either distribution has the same probability in both
+    within ``atol`` (zero off a support)."""
+    pa, pb = (dict(zip(d.outcomes(), d.probs.tolist())) for d in (a, b))
+    for cell in pa.keys() | pb.keys():
+        assert pa.get(cell, 0.0) == pytest.approx(pb.get(cell, 0.0), abs=atol), cell
+
+
+# Per readout benchmark case: the component and operator counts, and the
+# order that runs, the cheaper one.
+BENCHMARK_ORDERS = {
+    **{f"noon1_tau{tau}_n2": ("444", "1.09e+03", "_component_order") for tau in (0.9, 0.75, 0.6)},
+    **{f"noon1_tau{tau}_n3": ("1.15e+04", "2.31e+04", "_component_order")
+       for tau in (0.9, 0.75, 0.6)},
+    "noon1_tau1.0_n2": ("321", "1.09e+03", "_component_order"),
+    "noon1_tau1.0_n3": ("8.43e+03", "2.31e+04", "_component_order"),
+    "noon3_n3": ("1.22e+06", "2.89e+07", "_component_order"),
+    "cat_n3": ("1.07e+07", "8.5e+09", "_component_order"),
+    "lossycat_n2": ("6.05e+06", "4.42e+06", "_operator_order"),
+}
+
+
+class TestContractionOrders:
+    """The readout sums over the Grams of evolved component choices, or over
+    the box Grams of the DFT against the copies' density operators, whichever
+    its counts make cheaper."""
+
+    @pytest.mark.parametrize("copies", readout_benchmark_cases())
+    def test_benchmark_cases_run_the_order_their_counts_choose(self, copies, monkeypatch,
+                                                               request):
+        component, operator, order = BENCHMARK_ORDERS[request.node.callspec.id]
+        assert order_counts(monkeypatch, copies) == (component, operator)
+        ran = recorded_orders(monkeypatch)
+        outcome_distribution(copies)
+        assert ran == [order]
+
+    @pytest.mark.parametrize("copies", [
+        case for case in readout_benchmark_cases()
+        if max(map(float, BENCHMARK_ORDERS[case.id][:2])) <= circuits._READOUT_BUDGET])
+    def test_orders_agree_where_both_fit_the_budget(self, copies, monkeypatch):
+        assert_same_outcomes(in_order(monkeypatch, copies, False),
+                             in_order(monkeypatch, copies, True), 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orders_agree_on_unequal_copies(self, n, monkeypatch, rng):
+        # distinct objects with complex entries, ranks 1 to 4 and trimmed
+        # cutoffs that differ by copy and by mode
+        shapes = [((2, 3), ModeCutoff(3, 3), 4), ((3, 2), ModeCutoff(3, 4), 1),
+                  ((2, 2), ModeCutoff(2, 3), 2)][:n]
+        copies = [low_rank_copy(rng, kept, cutoff, rank) for kept, cutoff, rank in shapes]
+        assert np.iscomplexobj(copies[0].matrix)
+        component, operator = (in_order(monkeypatch, copies, op) for op in (False, True))
+        assert_same_outcomes(component, operator, 1e-12)
+        # unequal complex copies read a complex product trace
+        assert operator.probs @ operator.values == pytest.approx(common_cutoff_trace(copies),
+                                                                 abs=1e-10)
+
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lossy_noon_density(LossyNOONParams.balanced(1, 0.75)), id="noon1"),
+        pytest.param(lossy_noon_density(LossyNOONParams.balanced(2, 0.6)), id="noon2"),
+        pytest.param(qutrit_state().density_operator(), id="qutrit"),
+        pytest.param(cat_density(CatParams(0.3, 0.3, 0.4, "odd"), ModeCutoff(5, 5)), id="cat"),
+    ])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_operator_order_reads_the_pt_moment(self, rho, n, monkeypatch):
+        dist = in_order(monkeypatch, [rho] * n, True)
+        assert multicopy_expectation(dist) == pytest.approx(pt_moment(rho, n), abs=1e-10)
+
+    def test_a_readout_over_the_budget_in_one_order_runs_in_the_other(self, monkeypatch):
+        # a full-rank copy with cutoffs (6, 6) counts 1.34e8 in its 666
+        # component choices, 1.56e6 as a density operator
+        rho = BipartiteDensityOperator(ModeCutoff(6, 6),
+                                       random_density(np.random.default_rng(5), 36))
+        assert order_counts(monkeypatch, [rho] * 2) == ("1.34e+08", "1.56e+06")
+        ran = recorded_orders(monkeypatch)
+        dist = outcome_distribution([rho] * 2)
+        assert ran == ["_operator_order"]
+        assert multicopy_expectation(dist) == pytest.approx(pt_moment(rho, 2), abs=1e-10)
+
+
 def reference_law(copies, reverse=False):
     """value_law by explicit loops: each cycle of c -> c+q followed one copy
     at a time, or against its order if ``reverse``."""
@@ -719,12 +831,15 @@ class TestValueLaw:
 class TestReadoutMemory:
     @pytest.mark.parametrize("copies", readout_benchmark_cases())
     def test_peak_within_three_times_the_counted_entries(self, copies, monkeypatch):
-        # the counted entries are complex (16 bytes); 64 KiB covers the fixed
-        # cost of a call, which dominates the smallest cases
-        counted = []
-        cost = circuits._readout_cost
-        monkeypatch.setattr(circuits, "_readout_cost",
-                            lambda *args: counted.append(cost(*args)) or counted[-1])
+        # the counted entries of the order that runs are complex (16 bytes);
+        # 64 KiB covers the fixed cost of a call, which dominates the
+        # smallest cases
+        counted = {}
+        for name in ("_readout_cost", "_operator_cost"):
+            cost = getattr(circuits, name)
+            monkeypatch.setattr(circuits, name, lambda *args, name=name, cost=cost:
+                                counted.setdefault(name, cost(*args)))
+        ran = recorded_orders(monkeypatch)
         circuits._party_plan.cache_clear()
         tracemalloc.start()
         try:
@@ -732,7 +847,7 @@ class TestReadoutMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        (entries, _), = counted
+        entries, _ = counted["_operator_cost" if ran == ["_operator_order"] else "_readout_cost"]
         assert peak <= 3 * 16 * entries + 64 * 1024
 
 

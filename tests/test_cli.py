@@ -393,6 +393,18 @@ class TestOptionRule:
 
 
 class TestSampleCommand:
+    @pytest.mark.parametrize("z", ["0.3", "0.1", "0.7"])
+    def test_cat_without_loss_is_the_cat(self, z, tmp_path, capsys):
+        argv = ["sample", "--family", "cat", "--z", z, "--copies", "3"]
+        outputs = []
+        for extra in ([], ["--tau", "1"]):
+            args = cli.build_parser().parse_args(argv + extra)
+            outputs.append(cli._family_params(args))
+            assert run(argv + extra + ["--out", str(tmp_path / "s.json")]) == 0
+            outputs.append(capsys.readouterr().out)
+            outputs.append((tmp_path / "s.json").read_text())
+        assert outputs[:3] == outputs[3:]
+
     def test_ideal_bell_two_copies(self, capsys):
         assert run(["sample", "--family", "noon", "--N", "1", "--copies", "2",
                     "--k", "4000", "--seed", "1"]) == 0

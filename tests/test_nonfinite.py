@@ -2,7 +2,8 @@
 every module's ``__all__``, and large finite squeezing to the TMSV
 constructors: each must raise a package error before any RuntimeWarning,
 never return a number or a verdict.  +-1e300 in every float slot of
-``states`` gives finite values or a package error, with no warning."""
+``states`` and in ``estimate_pn``'s law gives finite values or a package
+error, with no warning."""
 
 import math
 import sys
@@ -194,10 +195,11 @@ def test_non_finite_float_raises_a_package_error_before_any_warning(case, bad):
             CASES[case](bad)
 
 
+LARGE = [c for c in CASES if c[0].startswith("states.")] + [("estimation.estimate_pn", "law")]
+
+
 @pytest.mark.parametrize("big", [1e300, -1e300], ids=["1e300", "-1e300"])
-@pytest.mark.parametrize("case", [c for c in CASES if c[0].startswith("states.")],
-                         ids=[f"{name}-{slot}" for name, slot in CASES
-                              if name.startswith("states.")])
+@pytest.mark.parametrize("case", LARGE, ids=[f"{name}-{slot}" for name, slot in LARGE])
 def test_large_finite_float_in_states_gives_finite_values_or_a_package_error(case, big):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -205,8 +207,28 @@ def test_large_finite_float_in_states_gives_finite_values_or_a_package_error(cas
             result = CASES[case](big)
         except PtmomentsError:
             return
+    if isinstance(result, estimation.EstimatorResult):
+        result = np.array([result.mean, result.variance, result.std_error])
     if isinstance(result, np.ndarray) or np.isscalar(result):
         assert np.isfinite(result).all()
+
+
+@pytest.mark.parametrize("law", [[0.5, -1e300], [-1e300, -1e300], [1e308, 1e308], [0.0, 0.0],
+                                 [1.1, -0.1], [0.0, -0.0, 0.0]])
+def test_a_law_with_a_negative_entry_or_no_finite_positive_sum_is_refused(law):
+    # numpy's multinomial raised ValueError on a negative entry, and the sum
+    # of 1e308 + 1e308 warned on overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite positive sum"):
+            estimation.estimate_pn(law, len(law), 10, 2, np.random.default_rng(0))
+
+
+def test_a_law_of_large_finite_entries_is_read_as_its_normalised_law():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = estimation.estimate_pn([1e300, 1e300], 2, 10, 2, np.random.default_rng(0))
+    assert big == estimation.estimate_pn([0.5, 0.5], 2, 10, 2, np.random.default_rng(0))
 
 
 # The squeezing slots of the TMSV constructors, which refuse |r| past the

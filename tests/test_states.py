@@ -224,6 +224,30 @@ class TestCat:
                     w = p3_linear(*cat_pt_moments(p)).witness
                     assert (w < 0) == (sign > 0)
 
+    @pytest.mark.parametrize("p", [CatParams(1.0, 1.0, 0.3, "odd"), CatParams(0.7, 0.2j, 0.1),
+                                   CatParams(2, 1, 0.55, "odd")], ids=["float", "complex", "int"])
+    def test_no_loss_returns_the_cat_itself(self, p):
+        # 1 - (1 - z) e^0 read z = 0.3 as 0.30000000000000004
+        lossless = p.after_loss(1.0)
+        assert lossless == p
+        assert [type(getattr(lossless, f)) for f in ("alpha", "beta", "z", "parity")] == [
+            type(getattr(p, f)) for f in ("alpha", "beta", "z", "parity")]
+
+    @pytest.mark.parametrize("z, tau", [(1e-10, 1.0 - 1e-9), (0.3, 1.0 - 1e-12), (0.0, 0.999),
+                                        (0.9, 0.5)])
+    def test_loss_keeps_the_relative_precision_of_z(self, z, tau):
+        # 1 - z' = (1 - z) e^(-2 (1 - tau) (|alpha|^2 + |beta|^2)), in 50 digits
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = 2 * (1 - Decimal(tau)) * (Decimal(0.8) ** 2 + Decimal(0.6) ** 2)
+            reference = float(1 - (1 - Decimal(z)) * (-x).exp())
+        got = CatParams(0.8, 0.6, z).after_loss(tau).z
+        assert got == pytest.approx(reference, rel=4e-16, abs=0)
+
+    def test_a_fully_damped_coherence_reads_z_1_exactly(self):
+        z = np.concatenate([np.linspace(0.0, 1.0, 1001), np.random.default_rng(3).random(10000)])
+        assert (CatParams(1e200, 1.0, z).after_loss(0.5).z == 1.0).all()
+
 
 def cat_reference(alpha: float, beta: float, z: float, parity: str) -> tuple:
     """(p2, p3) of the dephased cat by its two 2 x 2 partial-transpose blocks,
