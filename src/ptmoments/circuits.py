@@ -508,14 +508,14 @@ def _box_gram(plan, dims) -> np.ndarray:
 
 
 def _operator_order(tensors, plans) -> np.ndarray:
-    """Probabilities (rest_a, rest_b) from the copies' trimmed density
-    tensors rho_c[i, j, i', j']: MA takes each copy's (i_c, i_c') to
-    (j_c, j_c') in turn, which join its axes last, and then meets MB."""
+    """Probabilities (rest_a, rest_b) from the copies' trimmed tensors
+    rho_c[i, j, i', j']: MA takes each (i_c, i_c') to (j_c, j_c'), which join
+    its axes last, then meets MB, which is MA when the parties share a plan."""
     n = len(tensors)
-    t = _box_gram(plans[0], [rho.shape[0] for rho in tensors])
+    t = ma = _box_gram(plans[0], [rho.shape[0] for rho in tensors])
     for c, rho in enumerate(tensors):
         t = np.tensordot(t, rho, axes=([1, n - c + 1], [0, 2]))
-    mb = _box_gram(plans[1], [rho.shape[1] for rho in tensors])
+    mb = ma if plans[1] is plans[0] else _box_gram(plans[1], [rho.shape[1] for rho in tensors])
     return np.tensordot(t, mb, axes=([*range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)],
                                      [*range(1, 2 * n + 1)])).real
 
