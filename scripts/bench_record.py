@@ -32,7 +32,10 @@ suite once and writes BENCH_<PR>.json there with:
     of REV's runs;
   - ``ratios``: per workload and metric, this checkout's value over REV's in
     each pair (``pairs``, in round order), with their median and quartiles;
-  - the tier-1 command, wall time, exit code and summary line;
+  - the tier-1 command, wall time, exit code and summary line, and
+    ``slowest``: the tests among the ten slowest phases that pytest's
+    ``--durations=10`` reports, each as [node id, seconds of its call],
+    slowest first (a slow set-up or teardown is left out);
   - the commit (``git rev-parse HEAD``) and whether the tree had changes.
 Raw medians compare only within one record; the trajectory across records
 is read as the chain of their paired ratios.
@@ -41,6 +44,7 @@ is read as the chain of their paired ratios.
 import argparse
 import json
 import os
+import re
 import resource
 import shutil
 import statistics
@@ -51,7 +55,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+# A test's line in pytest's durations report: "4.26s call     tests/test_x.py::test_y[1-2]"
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s call +(\S.*?)\s*$")
 RUNS = 5
 
 
@@ -157,6 +163,12 @@ def export(rev, into: Path) -> str:
     return commit.stdout.strip()
 
 
+def slowest(output: str) -> list:
+    """[node id, seconds] per call line of pytest's durations report in ``output``."""
+    return [[m.group(2), float(m.group(1))]
+            for m in map(DURATION.match, output.splitlines()) if m]
+
+
 def tier1() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
@@ -165,7 +177,7 @@ def tier1() -> dict:
     wall = time.perf_counter() - started
     summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
     return {"command": "PYTHONPATH=src " + " ".join(TIER1), "wall_s": wall,
-            "exit_code": out.returncode, "summary": summary}
+            "exit_code": out.returncode, "summary": summary, "slowest": slowest(out.stdout)}
 
 
 def main() -> int:

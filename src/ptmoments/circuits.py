@@ -11,8 +11,8 @@ exact distribution on its support (``OutcomeDistribution``), or refuses a
 readout that both orders count over a fixed budget with BudgetError.
 ``value_law`` gives the law of the readout value alone, from cycle traces
 of the copies' partial transposes, with no evolution.  The pure-loss
-channel, ``lossy_channel``, applies its closed-form Kraus operators in one
-contraction.
+channel, ``lossy_channel``, sums its closed-form Kraus operators into the mode's
+superoperator and applies that in one product.
 
 Mode-operator convention: a unitary U acts as a_j -> sum_k U_jk a_k, so a
 single photon in mode j scatters into column j of U.
@@ -32,7 +32,7 @@ from math import comb, gcd, prod, sqrt
 import numpy as np
 
 from .errors import BudgetError, DomainError, StateValidationError, ToleranceError, _require_finite
-from .fock import DEFAULT_TOL, BipartiteDensityOperator
+from .fock import DEFAULT_TOL, BipartiteDensityOperator, _nonzero
 
 __all__ = [
     "OutcomeDistribution",
@@ -81,8 +81,10 @@ def lossy_channel(rho: BipartiteDensityOperator, tau: float, mode: str) -> Bipar
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     k = loss_kraus(rho.d_a if mode == "a" else rho.d_b, tau)
-    spec = "eai,ijkl,eck->ajcl" if mode == "a" else "ebj,ijkl,edl->ibkd"
-    out = np.einsum(spec, k, rho.as_tensor(), k.conj(), optimize=True)
+    # the mode's superoperator S[a, i, c, k] = sum_e K_e[a, i] conj(K_e[c, k]), then rho's (i, k)
+    s = np.tensordot(k, k.conj(), (0, 0))
+    axes, order = ((0, 2), (0, 2, 1, 3)) if mode == "a" else ((1, 3), (2, 0, 3, 1))
+    out = np.tensordot(s, rho.as_tensor(), ((1, 3), axes)).transpose(order)
     return BipartiteDensityOperator._adopt(rho.cutoff, out.reshape(rho.cutoff.dim, rho.cutoff.dim))
 
 
@@ -338,7 +340,7 @@ def _sector_blocks(f: np.ndarray, d_out: int, cols: np.ndarray) -> tuple:
 def _trimmed(rho: BipartiteDensityOperator) -> tuple[np.ndarray, int, int]:
     """The density matrix of rho without its trailing Fock levels whose rows
     and columns are exactly zero, on either mode, and the kept cutoffs."""
-    nonzero = rho.as_tensor() != 0
+    nonzero = _nonzero(rho.matrix).reshape(rho.as_tensor().shape)
     d_a = 1 + np.flatnonzero(nonzero.any(axis=(1, 2, 3)) | nonzero.any(axis=(0, 1, 3)))[-1]
     d_b = 1 + np.flatnonzero(nonzero.any(axis=(0, 2, 3)) | nonzero.any(axis=(0, 1, 2)))[-1]
     kept = rho.as_tensor()[:d_a, :d_b, :d_a, :d_b].reshape(d_a * d_b, d_a * d_b)

@@ -23,12 +23,13 @@ certificate of 0.5 * (rho + rho^H) + psd * I per block proves positivity,
 and ``eigvalsh`` of a failing block alone, unshifted, names the rejection.
 
 Memory: an operator stores one copy of its matrix and its nonzero pattern as
-bits (1/128 of its size); a caller's array is copied once, the package's own
-builders hand theirs over.  The constructor packs the matrix's boolean
-pattern (1/16), then reads blocks in row chunks of ``_CHUNK_BYTES``: with the
-positivity check the pattern's labelled blocks, each symmetrised and shifted
-in place once gathered; without it, unlabelled, one block on the support (the
-rows and columns that hold a nonzero).  ``spectrum`` and ``pt_moments``
+bits (1/128 of its size); the package's own builders hand theirs over, and a
+caller's array is kept if frozen (see ``BipartiteDensityOperator``), else
+copied once.  The constructor packs the boolean pattern (1/16), read through
+the matrix's float view, then reads blocks in row chunks of ``_CHUNK_BYTES``:
+with the positivity check the pattern's labelled blocks, each symmetrised and
+shifted in place once gathered; without it, unlabelled, one block on the
+support (the rows and columns that hold a nonzero).  ``spectrum`` and ``pt_moments``
 unpack the bits; ``pt_moments`` permutes them and gathers the partial
 transpose's blocks straight from ``rho``.  Beyond the stored copy and the
 pattern, only the blocks and their Cholesky factors (an unstructured matrix
@@ -121,14 +122,18 @@ class BipartiteDensityOperator:
 
     Validates finiteness, hermiticity, unit trace and (optionally) positivity
     on construction, the module's only check of a matrix; the stored matrix is
-    read-only so instances can be shared freely.  The constructor stores a
-    copy, so the caller's array stays writeable and unchanged.  Partial
-    transposes carry ``check_psd=False`` since their spectrum is allowed to be
-    negative.
+    read-only so instances can be shared freely.  A frozen array (complex128,
+    C-contiguous, read-only, owning its memory: the ``matrix`` of most built
+    operators) is kept and checked as a copy would be; if its owner makes it
+    writeable again, writes to it change the operator, as writes to ``matrix``
+    would.  Any other array is copied, so it stays writeable and unchanged.
+    Partial transposes carry ``check_psd=False``: their spectrum may be negative.
     """
 
     def __init__(self, cutoff: ModeCutoff, matrix, check_psd: bool = True):
-        self._init(cutoff, np.array(matrix, dtype=complex), check_psd)
+        frozen = (type(matrix) is np.ndarray and matrix.dtype == complex and matrix.base is None
+                  and matrix.flags.c_contiguous and not matrix.flags.writeable)
+        self._init(cutoff, matrix if frozen else np.array(matrix, complex, order="C"), check_psd)
 
     @classmethod
     def _adopt(cls, cutoff: ModeCutoff, mat: np.ndarray,
@@ -136,7 +141,7 @@ class BipartiteDensityOperator:
         """Validate and keep a matrix that an in-package builder has just
         made and holds no other reference to, without the constructor's copy."""
         op = cls.__new__(cls)
-        op._init(cutoff, np.asarray(mat, dtype=complex), check_psd)
+        op._init(cutoff, np.ascontiguousarray(mat, dtype=complex), check_psd)
         return op
 
     def _init(self, cutoff: ModeCutoff, mat: np.ndarray, check_psd: bool):
@@ -144,7 +149,7 @@ class BipartiteDensityOperator:
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff dim {cutoff.dim}")
         with np.errstate(invalid="ignore", over="ignore"):
             tr = np.trace(mat)  # a bad trace outranks positivity: its matrix is never factored
-        pattern = mat != 0
+        pattern = _nonzero(mat)
         res, lam_min = _block_checks(mat, pattern, check_psd and abs(tr - 1) <= DEFAULT_TOL.trace)
         if res > DEFAULT_TOL.herm:
             raise HermiticityError(f"hermiticity residue {res:.3e} > {DEFAULT_TOL.herm:.1e}")
@@ -162,7 +167,11 @@ class BipartiteDensityOperator:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.size != cutoff.dim:
             raise ValueError(f"vector size {v.size} does not match cutoff dim {cutoff.dim}")
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(v)
+        if norm == np.inf and np.isfinite(v).all():  # the squares overflow: scale v first
+            v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+            norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:  # NaN fails too
             raise DomainError(f"state vector norm must be positive and finite, got {norm}")
         v = v / norm
@@ -184,20 +193,20 @@ class BipartiteDensityOperator:
         """View of the matrix with separate bra/ket mode indices (i, j, k, l)."""
         return self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
 
-    def level_populations(self, side: str) -> np.ndarray:
-        """Marginal Fock-level populations of one mode ("a" or "b")."""
-        t = self.as_tensor()
-        if side == "a":
-            return np.einsum("ijij->i", t).real
-        if side == "b":
-            return np.einsum("ijij->j", t).real
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-
 
 def _row_chunks(dim: int, width: int | None = None) -> list[slice]:
     """Row slices of dim rows of ``width`` (default dim) complex entries, within _CHUNK_BYTES."""
     rows = max(1, _CHUNK_BYTES // (16 * (width or dim)))
     return [slice(start, start + rows) for start in range(0, dim, rows)]
+
+
+def _nonzero(mat: np.ndarray) -> np.ndarray:
+    """``mat != 0``, bitwise, for a C-contiguous complex matrix, read in row
+    chunks through its float view: an entry is nonzero when either part is."""
+    out = np.empty(mat.shape, dtype=bool)
+    for r in _row_chunks(len(mat)):
+        np.not_equal(np.not_equal(mat[r].view(np.float64), 0).view(np.uint16), 0, out=out[r])
+    return out
 
 
 def _block_checks(mat: np.ndarray, pattern: np.ndarray, check_psd: bool):
@@ -357,11 +366,13 @@ def purity(rho: BipartiteDensityOperator) -> float:
 def schmidt_probabilities(coefficients) -> np.ndarray:
     """Schmidt probabilities of the pure bipartite state with the (d_a, d_b)
     coefficient matrix ``coefficients``, descending, without those at or
-    below 1e-15 (float noise of the SVD).  Only that matrix is decomposed,
-    so no cutoff and no dense bound apply."""
+    below 1e-15 (float noise of the SVD), squared after an exact power-of-two
+    scaling.  Only that matrix is decomposed, so no cutoff and no dense bound apply."""
     _require_finite(coefficients=coefficients)
     s = np.linalg.svd(np.asarray(coefficients, dtype=complex), compute_uv=False)
-    lam = s ** 2
+    lam = np.ldexp(s, -np.frexp(s.max(initial=0.0))[1]) ** 2
+    if not lam.sum() > 0:
+        raise DomainError("Schmidt coefficients must not all be zero")
     lam = lam / lam.sum()
     return lam[lam > 1e-15]
 
@@ -375,6 +386,8 @@ def pure_state_pt_moment(schmidt_probs, n: int):
     """
     lam = np.asarray(schmidt_probs, dtype=float)
     _require_finite(schmidt_probs=lam)
+    if not ((lam >= -DEFAULT_TOL.trace) & (lam <= 1 + DEFAULT_TOL.trace)).all():
+        raise DomainError(f"Schmidt probabilities must lie in [0, 1], got {lam}")
     if n % 2 == 1:
         m = np.sum(lam ** n, axis=0)
     else:
@@ -389,9 +402,10 @@ def coherent_cutoff(alphas, tol: float = DEFAULT_TOL.trunc, guard: int = 1) -> i
     d = max(floor(mean), 1): the Poisson median is at least mean - ln 2, so
     the tail there is at least 1/2, and its first term cannot underflow."""
     alphas = np.atleast_1d(alphas)
-    mean = max((abs(a) ** 2 for a in alphas), default=0.0)
+    with np.errstate(over="ignore"):  # an infinite mean is refused below
+        mean = max((abs(a) ** 2 for a in alphas), default=0.0)
     if not (np.isfinite(alphas).all() and math.isfinite(mean)):
-        raise DomainError(f"displacements must be finite, got {alphas}")
+        raise DomainError(f"displacements and their |alpha|^2 must be finite, got {alphas}")
     if not 0.0 < tol < 0.5:  # NaN fails too
         raise DomainError(f"tol must lie in (0, 1/2), got {tol}")
     d = max(math.floor(mean), 1)

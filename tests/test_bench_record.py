@@ -89,3 +89,36 @@ def test_both_sides_are_exported_and_the_checkout_keeps_its_edits(tmp_path, monk
     assert (tmp_path / "head" / "src.py").read_text() == "edited\n"
     for side in ("base", "head"):  # both run the checkout's benchmark code
         assert (tmp_path / side / "perfbench" / "run.py").read_text() == "edited bench\n"
+
+
+def test_slowest_tests_are_parsed_from_the_durations_report():
+    output = """\
+........................................................................ [ 97%]
+....                                                                     [100%]
+============================= slowest 10 durations =============================
+4.26s call     tests/test_states.py::TestSpectra::test_lossy_cat[1.1-0.6-0.0-1.0-even]
+1.46s call     tests/test_acceptance.py::test_criterion_05_cat_state_boundary
+0.90s setup    tests/test_cli.py::test_fixture_heavy
+0.87s call     tests/test_circuits.py::test_blocks[n2 d120-dft]
+12s call     tests/test_x.py::test_whole_seconds
+
+(5 durations < 0.005s hidden.  Use -vv to show these durations.)
+1548 passed in 58.79s
+"""
+    assert bench_record.slowest(output) == [
+        ["tests/test_states.py::TestSpectra::test_lossy_cat[1.1-0.6-0.0-1.0-even]", 4.26],
+        ["tests/test_acceptance.py::test_criterion_05_cat_state_boundary", 1.46],
+        ["tests/test_circuits.py::test_blocks[n2 d120-dft]", 0.87],
+        ["tests/test_x.py::test_whole_seconds", 12.0]]
+    assert bench_record.slowest("1548 passed in 58.79s\n") == []
+    assert "--durations=10" in bench_record.TIER1
+
+
+def test_tier1_record_holds_the_slowest_tests(monkeypatch):
+    stdout = "....\n0.50s call     tests/test_a.py::test_b\n4 passed in 1.00s\n"
+    monkeypatch.setattr(bench_record, "run", lambda argv, env=None, cwd=None:
+                        subprocess.CompletedProcess(argv, 0, stdout, ""))
+    record = bench_record.tier1()
+    assert record["summary"] == "4 passed in 1.00s"
+    assert record["slowest"] == [["tests/test_a.py::test_b", 0.5]]
+    assert record["exit_code"] == 0 and "--durations=10" in record["command"]

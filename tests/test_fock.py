@@ -274,6 +274,123 @@ class TestValidation:
             BipartiteDensityOperator(ModeCutoff(dim, 1), np.zeros((dim, dim)), check_psd=False)
 
 
+def frozen(mat):
+    """A read-only complex C-ordered copy of ``mat`` that owns its memory."""
+    mat = np.array(mat, dtype=complex)
+    mat.setflags(write=False)
+    return mat
+
+
+class TestKeptMatrix:
+    """The constructor keeps a frozen caller array, checks it as it checks a
+    copy, and copies every other array; the nonzero scan reads the float view."""
+
+    def test_frozen_array_that_owns_its_memory_is_kept(self, rng):
+        mat = frozen(random_density(rng, 9))
+        before = mat.copy()
+        rho = embed(mat, ModeCutoff(3, 3))
+        assert rho.matrix is mat
+        np.testing.assert_array_equal(mat, before)
+        assert embed(rho.matrix, rho.cutoff).matrix is mat
+
+    @pytest.mark.parametrize("kind", ["writeable", "read_only_view", "fortran", "float"])
+    def test_other_arrays_are_copied(self, kind, rng):
+        base = random_density(rng, 9)
+        if kind == "writeable":
+            mat = base
+        elif kind == "read_only_view":
+            mat = base.view()
+            mat.setflags(write=False)
+        elif kind == "fortran":
+            mat = np.asfortranarray(base)
+            mat.setflags(write=False)
+        else:
+            mat = np.ascontiguousarray(base.real + base.real.T) / np.trace(base.real) / 2
+            mat.setflags(write=False)
+        assert mat.base is None or kind == "read_only_view"
+        before, writeable = mat.copy(), mat.flags.writeable
+        rho = embed(mat, ModeCutoff(3, 3))
+        assert not np.shares_memory(rho.matrix, mat)
+        assert rho.matrix.flags.c_contiguous and rho.matrix.dtype == complex
+        assert mat.flags.writeable == writeable
+        np.testing.assert_array_equal(mat, before)
+        np.testing.assert_array_equal(rho.matrix, before)
+
+    @staticmethod
+    def special_values():
+        return [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
+                5e-324j, -5e-324, 2.5e-3j, -2.5e-3, complex(1e-3, -0.0)]
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 4, 50])
+    def test_scan_is_the_nonzero_pattern_bitwise(self, rows_per_chunk, monkeypatch):
+        # every value sits on both sides of a row-chunk boundary
+        monkeypatch.setattr(fock, "_CHUNK_BYTES", 16 * 12 * rows_per_chunk)
+        values = self.special_values() + [
+            np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), complex(-0.0, np.nan),
+            np.inf, -np.inf, complex(0.0, np.inf), complex(-0.0, -np.inf),
+            complex(np.inf, np.nan)]
+        mat = np.zeros((12, 12), dtype=complex)
+        for i, x in enumerate(values):
+            row = (2 + 4 * i) % 12
+            mat[row, i % 12], mat[(row + 1) % 12, (5 * i) % 12] = x, x
+        got = fock._nonzero(mat)
+        assert got.dtype == bool and got.shape == mat.shape
+        np.testing.assert_array_equal(got, mat != 0)
+
+    @pytest.mark.parametrize("check_psd", [True, False])
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_stored_bits_across_a_chunk_boundary(self, check_psd, keep, monkeypatch):
+        # hermitian pairs of signed zeros, subnormals and pure-imaginary entries
+        # straddle every boundary of two-row chunks
+        monkeypatch.setattr(fock, "_CHUNK_BYTES", 16 * 12 * 2)
+        mat = np.eye(12, dtype=complex) / 12
+        for i, x in enumerate(self.special_values()):
+            r, c = 1 + i, (4 + 3 * i) % 12
+            if r != c:
+                mat[r, c], mat[c, r] = x, np.conj(x)
+        rho = BipartiteDensityOperator(ModeCutoff(4, 3), frozen(mat) if keep else mat, check_psd)
+        assert (rho.matrix is not mat) and (rho.matrix.base is None)
+        np.testing.assert_array_equal(rho._pattern(), mat != 0)
+        np.testing.assert_array_equal(rho._bits, np.packbits(mat != 0, axis=1))
+
+    @pytest.mark.parametrize("case, check_psd", [
+        *itertools.product(["non_hermitian", "trace", "nan", "inf"], [True, False]),
+        ("not_psd", True)])
+    def test_frozen_matrix_is_refused_as_its_writeable_copy(self, case, check_psd):
+        mat = np.eye(6, dtype=complex) / 6
+        if case == "non_hermitian":
+            mat[0, 4] = 0.1j
+        elif case == "not_psd":
+            mat[0, 0], mat[1, 1] = -0.5, 0.5 + 2 / 6
+        elif case == "trace":
+            mat *= 1.5
+        else:
+            mat[2, 5] = np.nan if case == "nan" else complex(0.0, np.inf)
+        with pytest.raises((HermiticityError, StateValidationError)) as copied:
+            BipartiteDensityOperator(ModeCutoff(3, 2), mat.copy(), check_psd)
+        kept = frozen(mat)
+        with pytest.raises(type(copied.value), match=f"^{re.escape(str(copied.value))}$"):
+            BipartiteDensityOperator(ModeCutoff(3, 2), kept, check_psd)
+        assert not kept.flags.writeable
+        np.testing.assert_array_equal(kept, mat)
+
+    @pytest.mark.parametrize("case", ["tmsv_d30", "tmsv_d40", "tmsv_d50", "cat", "random_d30"])
+    def test_kept_and_copied_operators_give_the_same_bits(self, case):
+        # perfbench's oracle cases: d=50 unchecked, as there
+        if case.startswith("tmsv"):
+            rho = tmsv_density(0.5, int(case[-2:]))
+        elif case == "cat":
+            rho = cat_density(CatParams(2.0, 2.0, 0.5, "odd"))
+        else:
+            rho = embed(random_density(np.random.default_rng(30), 900), ModeCutoff(30, 30))
+        mat, cutoff = rho.matrix, rho.cutoff
+        kept = BipartiteDensityOperator(cutoff, mat, check_psd=case != "tmsv_d50")
+        copied = BipartiteDensityOperator(cutoff, mat.copy(), check_psd=case != "tmsv_d50")
+        assert kept.matrix is mat and copied.matrix is not mat
+        assert spectrum(kept).tobytes() == spectrum(copied).tobytes()
+        assert pt_moments(kept, 7).tobytes() == pt_moments(copied, 7).tobytes()
+
+
 class TestPartialTranspose:
     def test_elementwise_definition(self, rng):
         cutoff = ModeCutoff(3, 4)
@@ -905,6 +1022,51 @@ class TestMemory:
         mat = random_density(rng, 900)
         pattern = mat != 0
         assert self.peak_ratio(lambda: fock._component_labels(pattern), mat.nbytes) <= 0.5
+
+
+class TestLargeInputs:
+    """A finite input whose squares overflow is scaled where it is a valid
+    state and refused where it is not; ordinary inputs keep their bits."""
+
+    @pytest.mark.parametrize("big", [1e300, -1e300, 1.7e308])
+    def test_state_vector_whose_squares_overflow_is_scaled(self, big):
+        rho = BipartiteDensityOperator.from_state_vector([1.0, big, 0, 0], ModeCutoff(2, 2))
+        assert np.isfinite(rho.matrix).all()
+        assert rho.matrix[1, 1] == 1.0 and abs(rho.matrix[0, 1]) == pytest.approx(1 / abs(big))
+
+    def test_ordinary_state_vector_keeps_its_bits(self, rng):
+        v = random_pure_bipartite(rng, 3, 4).reshape(-1) * 3.0
+        rho = BipartiteDensityOperator.from_state_vector(v, ModeCutoff(3, 4))
+        u = v / np.linalg.norm(v)
+        assert rho.matrix.tobytes() == np.outer(u, u.conj()).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e-170, 1e300])
+    def test_schmidt_probabilities_are_scale_free(self, scale, rng):
+        coeffs = random_pure_bipartite(rng, 3, 4)
+        s = np.linalg.svd(coeffs, compute_uv=False)
+        lam = s ** 2 / np.sum(s ** 2)
+        got = schmidt_probabilities(coeffs * scale)
+        if scale == 1.0:  # the parent formula, bit for bit
+            assert got.tobytes() == lam[lam > 1e-15].tobytes()
+        np.testing.assert_allclose(got, lam, rtol=1e-13)
+
+    def test_zero_coefficients_are_refused(self):
+        with pytest.raises(DomainError, match="zero"):
+            schmidt_probabilities(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("lam", [[0.5, 1.5], [1.0, -0.1], [2.0, -1.0]])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_probability_outside_the_unit_interval_is_refused(self, lam, n):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            pure_state_pt_moment(lam, n)
+
+    def test_probability_within_the_trace_tolerance_of_one_is_read(self):
+        assert pure_state_pt_moment([1.0 + 1e-12, 0.0], 3) == (1.0 + 1e-12) ** 3
+
+    @pytest.mark.parametrize("alpha", [1e300, -1e300, 1e155j])
+    def test_displacement_whose_square_overflows_is_refused(self, alpha):
+        with pytest.raises(DomainError, match="must be finite"):
+            coherent_cutoff([1.0, alpha])
 
 
 class TestThermalPurity:

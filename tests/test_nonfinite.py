@@ -2,8 +2,8 @@
 every module's ``__all__``, and large finite squeezing to the TMSV
 constructors: each must raise a package error before any RuntimeWarning,
 never return a number or a verdict.  +-1e300 in every float slot of
-``states`` and in ``estimate_pn``'s law gives finite values or a package
-error, with no warning."""
+``fock`` and ``states`` and in ``estimate_pn``'s law gives finite values or a
+package error, with no warning."""
 
 import math
 import sys
@@ -195,7 +195,8 @@ def test_non_finite_float_raises_a_package_error_before_any_warning(case, bad):
             CASES[case](bad)
 
 
-LARGE = [c for c in CASES if c[0].startswith("states.")] + [("estimation.estimate_pn", "law")]
+LARGE = ([c for c in CASES if c[0].startswith(("fock.", "states."))]
+         + [("estimation.estimate_pn", "law")])
 
 
 @pytest.mark.parametrize("big", [1e300, -1e300], ids=["1e300", "-1e300"])
