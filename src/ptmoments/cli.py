@@ -86,26 +86,15 @@ def _family_params(args):
     return gaussian.tmsv_thermal_pt_pair(_or(args.n_bar, 0.0), _or(args.r, 0.3))
 
 
-# The closed-form PT spectrum and (p2, p3) of each family that has them.
-_CLOSED_FORMS = {"noon": (states.lossy_noon_pt_spectrum, states.lossy_noon_pt_moments),
-                 "cat": (states.cat_pt_spectrum, states.cat_pt_moments),
-                 "hhg": (states.hhg_pt_spectrum, states.hhg_pt_moments)}
-
-
 def _family_moments(args, n: int) -> list:
-    """p_1 .. p_n of the family's state: power sums of its closed-form
-    spectrum, with p2 and p3 the family's own (p2, p3), which the datasets
-    read (HHG's p2 is exactly 1 for a pure state); the Gaussian or pure-state
-    closed forms for tmsv and qutrit."""
+    """p_1 .. p_n of the family's state: ``states.family_pt_moments`` for noon,
+    cat and hhg, the Gaussian or pure-state closed forms for tmsv and qutrit."""
     p = _family_params(args)
     if args.family == "tmsv":
         return list(gaussian.gaussian_pt_moments(p, n))
     if args.family == "qutrit":
         return [p.pt_moment(j) for j in range(1, n + 1)]
-    spectrum, low_orders = _CLOSED_FORMS[args.family]
-    moments = list(states._power_sums(spectrum(p), n))
-    moments[1:3] = low_orders(p)[:n - 1]
-    return moments
+    return list(states.family_pt_moments(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +201,7 @@ def _fig2d(args):
 def _fig2e(args):
     n, a = (x.ravel() for x in np.meshgrid(
         np.arange(1, 6), np.round(np.arange(0.0, 1.0 + 1e-12, 0.005), 10), indexing="ij"))
-    p3 = states.noon_pt_moment(_noon_params(n, a), 3)
+    _, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams(_noon_params(n, a), 1.0, 1.0))
     _emit(args, "fig2e", ["N", "alpha", "p3", "w_linear"], [n, a, p3, p3 - 1.0])
 
 
@@ -234,23 +223,20 @@ def _bisect(f, lo, hi, xtol: float):
     return float(root) if root.ndim == 0 else root
 
 
-def _lossy_noon_moments(n, tau) -> tuple:
-    return states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
-
-
 def _lossy_noon_grid(tau_step: float) -> tuple:
     """The (N, tau) grid of fig3a/fig3c, N = 1..10 by tau from 0.5 to 1, as
     flat arrays, and the balanced lossy NOON (p2, p3) on it."""
     n, tau = (x.ravel() for x in np.meshgrid(
         np.arange(1, 11), np.round(np.arange(0.5, 1.0 + 1e-12, tau_step), 10), indexing="ij"))
-    return n, tau, *_lossy_noon_moments(n, tau)
+    return n, tau, *states.lossy_noon_pt_moments(states.LossyNOONParams.balanced(n, tau))
 
 
 def _fig3a(args):
     n, tau, p2, p3 = _lossy_noon_grid(1e-3)
     w = p3 - criteria.optimal_threshold(p2)
     ns, lo = np.arange(1, 11), np.full(10, 0.501)
-    f = lambda t: criteria.p3_optimal(*_lossy_noon_moments(ns, t)).witness
+    f = lambda t: criteria.p3_optimal(*states.lossy_noon_pt_moments(
+        states.LossyNOONParams.balanced(ns, t))).witness
     crossings = np.where(f(lo) > 0, _bisect(f, lo, 0.9999, xtol=1e-9), 0.5)
     for N, crossing in zip(ns.tolist(), crossings.tolist()):
         print(f"N={N}: optimal witness crosses zero at tau = {crossing:.6f}")

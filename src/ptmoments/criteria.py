@@ -64,9 +64,10 @@ class PtMomentVector:
         _require_finite(moments=ms)
         if (np.abs(ms[0] - 1.0) > 1e-9).any():
             raise ValueError(f"p_1 = {ms[0]} must be 1")
-        for k in range(2, len(ms) + 1):
-            if (np.abs(ms[k - 1]) > np.float_power(ms[1], k / 2) + 1e-9).any():
-                raise ValueError(f"|p_{k}| exceeds p_2^({k}/2)")
+        with np.errstate(over="ignore"):  # a bound past the float range holds
+            for k in range(2, len(ms) + 1):  # a negative p2 bounds every |p_k| by 0
+                if (np.abs(ms[k - 1]) > np.float_power(np.maximum(ms[1], 0.0), k / 2) + 1e-9).any():
+                    raise DomainError(f"|p_{k}| exceeds p_2^({k}/2)")
 
     @classmethod
     def of(cls, *moments: float) -> "PtMomentVector":
@@ -156,7 +157,8 @@ def p3_linear(p2: float, p3: float) -> CriterionReport:
 
 
 def p3_quadratic(p2: float, p3: float) -> CriterionReport:
-    _require_finite(p2=p2, p3=p3)
+    _purity(p2)  # refuses a p2 outside (0, 1], whose square could overflow
+    _require_finite(p3=p3)
     thr = np.float_power(p2, 2)
     return CriterionReport.from_witness("quadratic3", p3 - thr, threshold=thr)
 

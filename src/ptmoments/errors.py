@@ -51,3 +51,10 @@ def _require_finite(**values) -> None:
     for name, v in values.items():
         if not np.isfinite(v).all():
             raise DomainError(f"{name} must be finite, got {v}")
+
+
+def _require_unit_disk(**values) -> None:
+    """DomainError unless every element of each value has modulus at most 1 + 1e-9."""
+    for name, v in values.items():
+        if not (np.abs(v) <= 1.0 + 1e-9).all():  # NaN fails too
+            raise DomainError(f"{name} must have modulus at most 1, got {v}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import circuits
 from .criteria import optimal_threshold
-from .errors import DomainError, _require_finite
+from .errors import DomainError, _require_finite, _require_unit_disk
 from .states import LossyNOONParams, lossy_noon_pt_moments
 
 __all__ = [
@@ -183,7 +183,7 @@ def witness_estimators(p2_k: complex, p3_k: complex, k: int) -> tuple[complex, c
     """
     if k < 2:
         raise DomainError("quadratic estimator needs k >= 2")
-    _require_finite(p2_k=p2_k, p3_k=p3_k)
+    _require_unit_disk(p2_k=p2_k, p3_k=p3_k)  # means of unit-modulus readout values
     w_l = p3_k - (3.0 * p2_k - 1.0) / 2.0
     w_q = p3_k - (k * p2_k ** 2 - 1.0) / (k - 1.0)
     return w_l, w_q
@@ -197,11 +197,11 @@ def witness_variances(p2, p3, k):
     ((1 + p3)/2 - p3^2)/k of its real part, which the witnesses read.
     One elementwise formula: p2, p3 and k broadcast, and scalars give
     floats.  k(k - 1) is formed in floats, so k may pass the int64 range of
-    its square."""
-    _require_finite(p2=p2, p3=p3)
+    its square, up to k = 1e150, below the float range of k(k - 1)."""
+    _require_unit_disk(p2=p2, p3=p3)
     k = np.asarray(k, dtype=float)
-    if not ((k >= 2) & (k < math.inf)).all():  # NaN fails too
-        raise DomainError(f"variances are defined for finite k >= 2, got {k}")
+    if not ((k >= 2) & (k <= 1e150)).all():  # NaN fails too
+        raise DomainError(f"variances are defined for 2 <= k <= 1e150, got {k}")
     p2_sq, p3_sq = np.float_power(p2, 2), np.float_power(p3, 2)
     var_l = (1.0 - p3_sq) / k + 2.25 * (1.0 - p2_sq) / k
     var_q = ((1.0 - p3_sq) / k
@@ -361,7 +361,7 @@ def noon1_moments(n: int, alphas, taus) -> np.ndarray:
     copies; alphas/taus have shape (runs, n).  Real array of length runs."""
     alphas = np.ascontiguousarray(np.transpose(alphas), dtype=float)
     taus = np.ascontiguousarray(np.transpose(taus), dtype=float)
-    _require_finite(alphas=alphas, taus=taus)
+    _require_unit_disk(alphas=alphas, taus=taus)
     betas = np.sqrt(np.clip(1.0 - alphas ** 2, 0.0, 1.0))
     ab = alphas * betas
     coefs = np.stack([1.0 - taus, taus * (alphas ** 2 - ab), taus * (betas ** 2 - ab),

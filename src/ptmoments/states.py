@@ -3,12 +3,12 @@ with and without loss, finite Fock superpositions, and two-mode squeezed
 vacua.
 
 Each family provides a truncated-Fock density operator (for the dense oracle)
-and, where available, the spectrum of its partial transpose in closed form,
-divided by its own sum: ``cat_pt_spectrum``, ``hhg_pt_spectrum`` and
-``lossy_noon_pt_spectrum``.  Every PT-moment p_n is a power sum of it, which
-``cat_pt_moments`` and ``lossy_noon_pt_moments`` read; ``hhg_pt_moments``
-reads (p2, p3) from the state's rank-two form, so a pure state's p2 is
-exactly 1.  A lossy cat is again a cat (``CatParams.after_loss``).
+and, where available, its spectrum and its partial transpose's in closed
+form, each divided by its own sum (``cat_spectra``, ``hhg_spectra``,
+``lossy_noon_spectra``).  ``family_pt_moments`` reads p_n as power sums of
+the PT spectrum, except p2 = Tr[rho^2] from the state's own, so a pure
+state's p2 is exactly 1; the ``*_pt_moments`` give its (p2, p3).  A lossy
+cat is again a cat (``CatParams.after_loss``).
 
 The closed forms are elementwise: parameters may be arrays, which broadcast,
 and give arrays of their shape (a spectrum on one more, last axis); scalars
@@ -41,18 +41,18 @@ from .gaussian import _R_MAX
 __all__ = [
     "CatParams",
     "cat_density",
-    "cat_pt_spectrum",
+    "cat_spectra",
     "cat_pt_moments",
     "cat_separability_radius",
     "HHGParams",
     "hhg_reduced_density",
-    "hhg_pt_spectrum",
+    "hhg_spectra",
     "hhg_pt_moments",
     "NOONParams",
-    "noon_pt_moment",
     "LossyNOONParams",
     "lossy_noon_density",
-    "lossy_noon_pt_spectrum",
+    "lossy_noon_spectra",
+    "family_pt_moments",
     "lossy_noon_pt_moments",
     "FockSuperposition",
     "qutrit_state",
@@ -157,16 +157,16 @@ def _power_sums(spectrum, n_max: int) -> np.ndarray:
     its terms in index order, w^n as w^(n-1) w, so an element's bits do not
     depend on the batch around it, and zero padding keeps them."""
     terms = np.moveaxis(np.asarray(spectrum, dtype=float), -1, 0)
-    power, sums = terms, []
-    for _ in range(n_max):
-        sums.append(functools.reduce(np.add, power))
+    power, sums = terms, [functools.reduce(np.add, terms)]
+    for _ in range(n_max - 1):
         power = power * terms
+        sums.append(functools.reduce(np.add, power))
     return np.array(sums)
 
 
 def _unit_trace(spectrum: np.ndarray) -> np.ndarray:
-    """The spectra on the last axis divided by their own sums, as the dense builders renormalise."""
-    return spectrum / _power_sums(spectrum, 1)[0][..., None]
+    """The spectra on the last axis divided in place by their own sums."""
+    return np.divide(spectrum, _power_sums(spectrum, 1)[0][..., None], out=spectrum)
 
 
 def _symmetric_2x2_eigenvalues(p, r, q, det) -> tuple:
@@ -176,15 +176,16 @@ def _symmetric_2x2_eigenvalues(p, r, q, det) -> tuple:
     return top, np.divide(det, top, out=np.zeros(np.shape(top)), where=top > 0.0)
 
 
-def cat_pt_spectrum(p: CatParams) -> np.ndarray:
-    """Spectrum of the dephased cat's partial transpose, shape (..., 4).
+def cat_spectra(p: CatParams) -> tuple:
+    """Spectra of the dephased cat (..., 2) and of its partial transpose (..., 4).
 
     In each mode's even/odd basis, |alpha> = c_e |e> + c_o |o>, c_o^2 =
     -expm1(-2|alpha|^2)/2, and the state is (1 + x)|P><P| + (1 - x)|M><M|,
     x = s(1 - z), P = A|ee> + B|oo>, M = C|eo> + D|oe> (A = c_e^a c_e^b,
     B = c_o^a c_o^b, C = c_e^a c_o^b, D = c_o^a c_e^b, so CD = AB).  Its
     partial transpose is [[(1+x) A^2, (1-x) AB], [., (1+x) B^2]] (determinant
-    4x (AB)^2) plus [[(1-x) C^2, (1+x) AB], [., (1-x) D^2]] (-4x (AB)^2)."""
+    4x (AB)^2) plus [[(1-x) C^2, (1+x) AB], [., (1-x) D^2]] (-4x (AB)^2),
+    whose traces (1 + x)|P|^2 and (1 - x)|M|^2 are the state's weights."""
     x = p.sign * (1.0 - np.asarray(p.z, dtype=float))
     with np.errstate(over="ignore"):  # |alpha|^2 = inf reads as the limit c_e^2 = c_o^2 = 1/2
         r2_a, r2_b = (np.float_power(np.abs(amp), 2) for amp in (p.alpha, p.beta))
@@ -192,16 +193,16 @@ def cat_pt_spectrum(p: CatParams) -> np.ndarray:
                               for r2 in (r2_a, r2_b))
     ab = np.sqrt(e_a * o_b) * np.sqrt(o_a * e_b)
     det = 4.0 * x * ab * ab
-    eigenvalues = (*_symmetric_2x2_eigenvalues((1 + x) * e_a * e_b, (1 + x) * o_a * o_b,
-                                               (1 - x) * ab, det),
-                   *_symmetric_2x2_eigenvalues((1 - x) * e_a * o_b, (1 - x) * o_a * e_b,
-                                               (1 + x) * ab, -det))
-    return _unit_trace(np.stack(np.broadcast_arrays(*eigenvalues), axis=-1))
+    blocks = (((1 + x) * e_a * e_b, (1 + x) * o_a * o_b, (1 - x) * ab, det),
+              ((1 - x) * e_a * o_b, (1 - x) * o_a * e_b, (1 + x) * ab, -det))
+    state = [top + bottom for top, bottom, _, _ in blocks]
+    pt = [w for block in blocks for w in _symmetric_2x2_eigenvalues(*block)]
+    return tuple(_unit_trace(np.stack(np.broadcast_arrays(*w), axis=-1)) for w in (state, pt))
 
 
 def cat_pt_moments(p: CatParams) -> tuple:
-    """(p2, p3) of the dephased cat state: power sums of ``cat_pt_spectrum``."""
-    return _elementwise(*_power_sums(cat_pt_spectrum(p), 3)[1:])
+    """(p2, p3) of the dephased cat state (``family_pt_moments``)."""
+    return _elementwise(*family_pt_moments(p, 3)[1:])
 
 
 def cat_separability_radius(z: float) -> float:
@@ -276,16 +277,15 @@ def hhg_reduced_density(p: HHGParams, cutoff: ModeCutoff | None = None) -> Bipar
 
 
 def _hhg_rank_two(p: HHGParams) -> tuple:
-    """((u1, u2, u3, u4), sigma, det) of the reduced driver/harmonic state.
+    """((u1, u2, u3, u4), sigma) of the reduced driver/harmonic state.
 
     On the orthonormalised bases {|alpha>, |alpha - da>perp} of the driver and
     {|0>, |chi>perp} of the harmonic the state is the rank-two
     (u u^T + sigma e1 e1^T) / (|u|^2 + sigma), with a = e^(-da^2/2), b = e^(-chi^2/2),
     A = sqrt(1 - a^2), B = sqrt(1 - b^2), g = 1 - e^(-(N-2) chi^2),
-    u = (a b g, a B, A b, A B) and sigma = a^2 b^(2N-2) g; det = u2 u3 b^(2N-4)
-    is |det| of u as a 2 x 2.  Each 1 - e^(-x) is an expm1, and u and sigma are
-    scaled by an exact power of two, so nothing cancels or underflows at small
-    delta_alpha."""
+    u = (a b g, a B, A b, A B) and sigma = a^2 b^(2N-2) g.  Each 1 - e^(-x)
+    is an expm1, and u and sigma are scaled by an exact power of two, so
+    nothing cancels or underflows at small delta_alpha."""
     n_tot, da2, chi2 = _hhg_squares(p)
     a, b = np.exp(-da2 / 2.0), np.exp(-chi2 / 2.0)
     big_a, big_b = np.sqrt(-np.expm1(-da2)), np.sqrt(-np.expm1(-chi2))
@@ -294,32 +294,30 @@ def _hhg_rank_two(p: HHGParams) -> tuple:
     e = np.frexp(sum(u))[1]  # scales the largest u near 1: no square of it underflows
     u = tuple(np.ldexp(x, -e) for x in u)
     sigma = np.ldexp(a * a * np.float_power(b, 2 * n_tot - 2) * g, -2 * e)
-    return u, sigma, u[1] * u[2] * np.float_power(b, 2 * n_tot - 4)
+    return u, sigma
 
 
-def hhg_pt_moments(p: HHGParams) -> tuple:
-    """Closed-form (p2, p3) of the reduced driver/harmonic state from its
-    rank-two form (``_hhg_rank_two``); p2 is exactly 1 for N <= 2."""
-    (u1, u2, u3, u4), sigma, det = _hhg_rank_two(p)
-    w1, total = u1 * u1, u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
-    tr = total + sigma
-    p2 = (total * total + 2.0 * sigma * w1 + sigma * sigma) / (tr * tr)
-    p3 = (np.float_power(total, 3) - 3.0 * total * np.float_power(det, 2)
-          + 3.0 * sigma * (w1 + u2 * u2) * (w1 + u3 * u3) + 3.0 * sigma * sigma * w1
-          + np.float_power(sigma, 3)) / np.float_power(tr, 3)
-    return _elementwise(p2, p3)
-
-
-def hhg_pt_spectrum(p: HHGParams) -> np.ndarray:
-    """Spectrum of the reduced driver/harmonic state's partial transpose, shape
-    (..., 4): one eigvalsh of the partial transpose of its rank-two form."""
-    u, sigma, _ = _hhg_rank_two(p)
+def hhg_spectra(p: HHGParams) -> tuple:
+    """Spectra of the reduced driver/harmonic state (..., 2) and of its partial
+    transpose (..., 4), from its rank-two form: the Gram eigenvalues of u and
+    sqrt(sigma) e1, (1, 0) exactly where u1 = sigma = 0 (N <= 2), and one
+    eigvalsh of the partial transpose."""
+    u, sigma = _hhg_rank_two(p)
+    rest = u[1] * u[1] + u[2] * u[2] + u[3] * u[3]
+    state = _symmetric_2x2_eigenvalues(u[0] * u[0] + rest, sigma, np.sqrt(sigma) * u[0],
+                                       sigma * rest)
     u = np.stack(np.broadcast_arrays(*u), axis=-1)
     m = u[..., :, None] * u[..., None, :]
     m[..., 0, 0] += sigma
     # entry ((i, j), (k, l)) of the partial transpose is entry ((i, l), (k, j))
     m = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(m.shape)
-    return _unit_trace(np.linalg.eigvalsh(m))
+    return _unit_trace(np.stack(np.broadcast_arrays(*state), axis=-1)), _unit_trace(
+        np.linalg.eigvalsh(m))
+
+
+def hhg_pt_moments(p: HHGParams) -> tuple:
+    """(p2, p3) of the reduced driver/harmonic state (``family_pt_moments``)."""
+    return _elementwise(*family_pt_moments(p, 3)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def hhg_pt_spectrum(p: HHGParams) -> np.ndarray:
 class NOONParams:
     """alpha |N, 0> + beta |0, N> with |alpha|^2 + |beta|^2 = 1.
 
-    N, alpha and beta may be arrays (alpha and beta for ``noon_pt_moment``)."""
+    N, alpha and beta may be arrays (alpha and beta for ``lossy_noon_spectra``)."""
 
     N: int
     alpha: complex
@@ -348,15 +346,6 @@ class NOONParams:
     def balanced(cls, N: int) -> "NOONParams":
         a = 1.0 / np.sqrt(2.0)
         return cls(N, a, a)
-
-
-def noon_pt_moment(p: NOONParams, n: int):
-    """|alpha|^(2n) + |beta|^(2n) for odd n, (|alpha|^n + |beta|^n)^2 for even
-    n; independent of N."""
-    if n < 1:
-        raise DomainError(f"moment order must be >= 1, got {n}")
-    lam = np.broadcast_arrays(*(np.float_power(np.abs(x), 2) for x in (p.alpha, p.beta)))
-    return pure_state_pt_moment(np.stack(lam), n)
 
 
 @dataclass(frozen=True)
@@ -388,35 +377,32 @@ def lossy_noon_density(p: LossyNOONParams,
         cutoff = ModeCutoff(N + 2, N + 2)  # one guard level for ladder ops
     if cutoff.d_a <= N or cutoff.d_b <= N:
         raise DomainError(f"cutoff must exceed N={N}")
-    d_a, d_b = cutoff.d_a, cutoff.d_b
-    mat = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-
-    def idx(i, j):
-        return i * d_b + j
-
+    mat = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)  # |i, j> at index i d_b + j
     a2, b2 = abs(p.noon.alpha) ** 2, abs(p.noon.beta) ** 2
     for k in range(N + 1):
-        mat[idx(N - k, 0), idx(N - k, 0)] += a2 * comb(N, k) * p.tau_a ** (N - k) * (1 - p.tau_a) ** k
-        mat[idx(0, N - k), idx(0, N - k)] += b2 * comb(N, k) * p.tau_b ** (N - k) * (1 - p.tau_b) ** k
+        i, j = (N - k) * cutoff.d_b, N - k  # |N - k, 0> and |0, N - k>
+        mat[i, i] += a2 * comb(N, k) * p.tau_a ** (N - k) * (1 - p.tau_a) ** k
+        mat[j, j] += b2 * comb(N, k) * p.tau_b ** (N - k) * (1 - p.tau_b) ** k
     damp = np.sqrt(p.tau_a * p.tau_b) ** N
-    mat[idx(N, 0), idx(0, N)] += damp * p.noon.alpha * np.conj(p.noon.beta)
-    mat[idx(0, N), idx(N, 0)] += damp * np.conj(p.noon.alpha) * p.noon.beta
+    mat[N * cutoff.d_b, N] += damp * p.noon.alpha * np.conj(p.noon.beta)
+    mat[N, N * cutoff.d_b] += damp * np.conj(p.noon.alpha) * p.noon.beta
     return BipartiteDensityOperator._adopt(cutoff, mat)
 
 
-def lossy_noon_pt_spectrum(p: LossyNOONParams) -> np.ndarray:
-    """Spectrum of the lossy NOON state's partial transpose, shape (..., 2n + 2),
-    n the batch's largest N.  Where neither tau lies strictly between 0 and 1
-    the spectrum does not depend on N, and N reads as 1; elsewhere N above
-    1022 is refused (2^-N, the leading loss weight's power product, leaves
-    the normal float range).
+def lossy_noon_spectra(p: LossyNOONParams) -> tuple:
+    """Spectra of the lossy NOON state and of its partial transpose, shape
+    (..., 2n + 2), n the batch's largest N.  Where neither tau lies strictly
+    between 0 and 1 they do not depend on N, and N reads as 1; elsewhere N
+    above 1022 is refused (2^-N, the leading loss weight's power product,
+    leaves the normal float range).
 
-    First the eigenvalues of the coherence [[d, c], [c, 0]] between |0, 0> and
-    |N, N>, d = |alpha|^2 (1 - tau_a)^N + |beta|^2 (1 - tau_b)^N and
+    The PT spectrum: the eigenvalues of the coherence [[d, c], [c, 0]] between
+    |0, 0> and |N, N>, d = |alpha|^2 (1 - tau_a)^N + |beta|^2 (1 - tau_b)^N and
     c = |alpha beta| (tau_a tau_b)^(N/2), so that the pair cancels first in
     the trace; then the loss branches |k, 0> and |0, k>, k = 1 .. n, of weights
     |alpha|^2 C(N, k) tau_a^k (1 - tau_a)^(N-k) and the like on B, zero past N,
-    with C(N, k) the exact integer rounded once."""
+    with C(N, k) the exact integer rounded once.  The state's: d, the pure part
+    (the k = N branches, which the coherence joins) and the other branches."""
     noon = p.noon
     N, ta, tb, a2, b2 = np.broadcast_arrays(
         np.asarray(noon.N), np.asarray(p.tau_a, dtype=float), np.asarray(p.tau_b, dtype=float),
@@ -434,15 +420,33 @@ def lossy_noon_pt_spectrum(p: LossyNOONParams) -> np.ndarray:
     lost = np.maximum(N[..., None] - k, 0)
     branches = [w[..., None] * binomials * np.float_power(t[..., None], k)
                 * np.float_power(1.0 - t[..., None], lost) for w, t in ((a2, ta), (b2, tb))]
+    del binomials, lost  # before both spectra are alive
     d = a2 * np.float_power(1.0 - ta, N) + b2 * np.float_power(1.0 - tb, N)
     c = np.abs(noon.alpha) * np.abs(noon.beta) * np.float_power(ta * tb, N / 2.0)
     coherence = _symmetric_2x2_eigenvalues(d, np.zeros(d.shape), c, -c * c)
-    return _unit_trace(np.concatenate([np.stack(coherence, axis=-1), *branches], axis=-1))
+    pt = _unit_trace(np.concatenate([np.stack(coherence, axis=-1), *branches], axis=-1))
+    pure = a2 * np.float_power(ta, N) + b2 * np.float_power(tb, N)  # the k = N branches' sum
+    state = np.concatenate([d[..., None], pure[..., None], *branches], axis=-1)
+    np.put_along_axis(state, np.stack([N + 1, N + 1 + n], axis=-1), 0.0, axis=-1)
+    return _unit_trace(state), pt
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams):
-    """(p2, p3) of the lossy NOON state: power sums of ``lossy_noon_pt_spectrum``."""
-    return _elementwise(*_power_sums(lossy_noon_pt_spectrum(p), 3)[1:])
+    """(p2, p3) of the lossy NOON state (``family_pt_moments``)."""
+    return _elementwise(*family_pt_moments(p, 3)[1:])
+
+
+def family_pt_moments(params, n_max: int) -> np.ndarray:
+    """p_1 .. p_n_max (n_max >= 2), order first, of a CatParams, HHGParams or
+    LossyNOONParams state: power sums of its PT spectrum, except p2 = Tr[rho^2],
+    that of its own spectrum, exactly 1 for a pure state (one weight)."""
+    state, pt = {CatParams: cat_spectra, HHGParams: hhg_spectra,
+                 LossyNOONParams: lossy_noon_spectra}[type(params)](params)
+    purity = _power_sums(state, 2)[1]
+    del state  # before the PT power sums' temporaries
+    moments = _power_sums(pt, n_max)
+    moments[1] = purity
+    return moments
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from ptmoments.states import (
     cat_separability_radius,
     lossy_noon_density,
     lossy_noon_pt_moments,
-    noon_pt_moment,
     tmsv_density,
 )
 
@@ -59,13 +58,13 @@ def test_criterion_01_noon_exactness():
     for n in range(1, 6):
         for alpha in (0.3, BAL, 0.9):
             p = NOONParams(n, alpha, math.sqrt(1.0 - alpha ** 2))
-            closed = noon_pt_moment(p, 3)
+            _, closed = lossy_noon_pt_moments(LossyNOONParams(p, 1.0, 1.0))
             assert closed == pytest.approx(abs(alpha) ** 6 + (1 - alpha ** 2) ** 3, abs=1e-14)
             rho = lossy_noon_density(LossyNOONParams(p, 1.0, 1.0), ModeCutoff(n + 1, n + 1))
             dense = pt_moment(rho, 3)
             assert abs(dense - closed) < 1e-10
     # the linear witness attains its minimum -3/4 at the balanced point
-    balanced = p3_linear(1.0, noon_pt_moment(NOONParams.balanced(4), 3)).witness
+    balanced = p3_linear(1.0, lossy_noon_pt_moments(LossyNOONParams.balanced(4, 1.0))[1]).witness
     assert abs(balanced - (-0.75)) < 1e-10
     for alpha in np.linspace(0.0, 1.0, 2001):
         w = p3_linear(1.0, alpha ** 6 + (1 - alpha ** 2) ** 3).witness

@@ -130,6 +130,30 @@ class TestCriteriaCommand:
         p2, p3 = self.moments_line(done.stdout)
         assert p2 == 1.0 and 0.0 <= p3 <= 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "cat", "--z", "0", "--alpha", "1", "--beta", "0.7", "--parity", "even"],
+        ["--family", "noon", "--alpha", "0.25"],
+        ["--family", "hhg", "--N", "2", "--delta-alpha", "0.7"],
+        ["--family", "qutrit"],
+    ], ids=["cat", "noon", "hhg", "qutrit"])
+    def test_pure_states_print_p2_exactly_1(self, argv, capsys):
+        # the PT spectrum's power sums printed the cat's p2 as 0.9999999999999999
+        # and the NOON state's as 1.0000000000000002
+        assert run(["criteria", *argv]) == 0
+        assert self.moments_line(capsys.readouterr().out)[0] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--p2", "1e300", "--p3", "0.5"], ["--p2=-1e300", "--p3", "0.5"],
+        ["--moments", "1,1e300,0.5"], ["--moments=1,-1e300,0.5"],
+    ])
+    def test_huge_p2_is_refused_in_one_line_with_runtime_warnings_as_errors(self, argv):
+        # its square overflowed: two RuntimeWarnings, then "witness must be
+        # finite", and a traceback under -W error
+        done = self.run_warnings_as_errors("criteria", *argv)
+        assert done.returncode == 2 and done.stdout == ""
+        assert re.fullmatch(r"ptmoments: error: (p2 must lie in \(0, 1\], got 1e\+300|"
+                            r"\|p_2\| exceeds p_2\^\(2/2\))\n", done.stderr)
+
     @pytest.mark.parametrize("alpha", ["30", "1e200"])
     def test_cat_past_the_old_bound_exits_0_with_runtime_warnings_as_errors(self, alpha):
         # the p3 form took 3 e^(4 r^2) and refused r^2 > 177.17; at |alpha| >> 1
@@ -630,7 +654,7 @@ class TestGridTargetsEqualScalarCalls:
         for n in range(1, 6):
             for a in self.grid(0.0, 1.0, 0.005):
                 noon = states.NOONParams(n, a, math.sqrt(max(1.0 - a ** 2, 0.0)))
-                p3 = states.noon_pt_moment(noon, 3)
+                _, p3 = states.lossy_noon_pt_moments(states.LossyNOONParams(noon, 1.0, 1.0))
                 expect.append((n, a, p3, p3 - 1.0))
         assert self.rows("fig2e", tmp_path) == expect
 

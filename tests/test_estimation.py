@@ -581,8 +581,8 @@ class TestFullSimulation:
                                            variance=0.018859779538960002,
                                            std_error=0.05606511027213509, k=50,
                                            repetitions=6),
-            analytic_witness=-0.2109375000000001, band_low=-0.42633309807915076,
-            band_high=0.004458098079150513, clamped_draws=0.0004299773579079178)]
+            analytic_witness=-0.21093749999999978, band_low=-0.42633309807915043,
+            band_high=0.004458098079150874, clamped_draws=0.0004299773579079178)]
 
     def test_noiseless_lossless_bell_converges(self):
         params = LossyNOONParams.balanced(1, 1.0)

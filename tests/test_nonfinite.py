@@ -1,9 +1,8 @@
 """NaN, +inf and -inf fed to every public function that takes a float, in
 every module's ``__all__``, and large finite squeezing to the TMSV
 constructors: each must raise a package error before any RuntimeWarning,
-never return a number or a verdict.  +-1e300 in every float slot of
-``fock`` and ``states`` and in ``estimate_pn``'s law gives finite values or a
-package error, with no warning."""
+never return a number or a verdict.  +-1e300 in every float slot gives
+finite values or a package error, with no warning."""
 
 import math
 import sys
@@ -52,21 +51,21 @@ CASES = {
     ("states.cat_separability_radius", "z"): lambda x: states.cat_separability_radius(x),
     ("states.HHGParams", "alpha"): lambda x: states.HHGParams(x, 0.5, 2),
     ("states.HHGParams", "delta_alpha"): lambda x: states.HHGParams(3.0, x, 2),
-    ("states.cat_pt_spectrum", "alpha"):
-        lambda x: states.cat_pt_spectrum(states.CatParams(x, 1.0, 0.5)),
-    ("states.cat_pt_spectrum", "beta"):
-        lambda x: states.cat_pt_spectrum(states.CatParams(1.0, x, 0.5, "odd")),
-    ("states.cat_pt_spectrum", "z"):
-        lambda x: states.cat_pt_spectrum(states.CatParams(1.0, 1.0, x)),
-    ("states.hhg_pt_spectrum", "alpha"):
-        lambda x: states.hhg_pt_spectrum(states.HHGParams(x, 0.5, 3)),
-    ("states.hhg_pt_spectrum", "delta_alpha"):
-        lambda x: states.hhg_pt_spectrum(states.HHGParams(3.0, x, 3)),
-    ("states.lossy_noon_pt_spectrum", "tau_a"):
-        lambda x: states.lossy_noon_pt_spectrum(states.LossyNOONParams(
+    ("states.cat_spectra", "alpha"):
+        lambda x: states.cat_spectra(states.CatParams(x, 1.0, 0.5)),
+    ("states.cat_spectra", "beta"):
+        lambda x: states.cat_spectra(states.CatParams(1.0, x, 0.5, "odd")),
+    ("states.cat_spectra", "z"):
+        lambda x: states.cat_spectra(states.CatParams(1.0, 1.0, x)),
+    ("states.hhg_spectra", "alpha"):
+        lambda x: states.hhg_spectra(states.HHGParams(x, 0.5, 3)),
+    ("states.hhg_spectra", "delta_alpha"):
+        lambda x: states.hhg_spectra(states.HHGParams(3.0, x, 3)),
+    ("states.lossy_noon_spectra", "tau_a"):
+        lambda x: states.lossy_noon_spectra(states.LossyNOONParams(
             states.NOONParams(2, 0.6, 0.8), x, 0.5)),
-    ("states.lossy_noon_pt_spectrum", "tau_b"):
-        lambda x: states.lossy_noon_pt_spectrum(states.LossyNOONParams(
+    ("states.lossy_noon_spectra", "tau_b"):
+        lambda x: states.lossy_noon_spectra(states.LossyNOONParams(
             states.NOONParams(2, 0.6, 0.8), 0.5, x)),
     ("states.NOONParams", "alpha"): lambda x: states.NOONParams(1, x, BAL),
     ("states.NOONParams", "beta"): lambda x: states.NOONParams(1, BAL, x),
@@ -149,7 +148,7 @@ EXEMPT = {
     **dict.fromkeys(["states.cat_density", "states.cat_pt_moments"], "validated CatParams"),
     **dict.fromkeys(["states.hhg_reduced_density", "states.hhg_pt_moments"],
                     "validated HHGParams"),
-    "states.noon_pt_moment": "validated NOONParams",
+    "states.family_pt_moments": "validated CatParams, HHGParams or LossyNOONParams",
     **dict.fromkeys(["states.lossy_noon_density", "states.lossy_noon_pt_moments"],
                     "validated LossyNOONParams"),
     "states.qutrit_state": "no argument",
@@ -195,8 +194,7 @@ def test_non_finite_float_raises_a_package_error_before_any_warning(case, bad):
             CASES[case](bad)
 
 
-LARGE = ([c for c in CASES if c[0].startswith(("fock.", "states."))]
-         + [("estimation.estimate_pn", "law")])
+LARGE = list(CASES)
 
 
 @pytest.mark.parametrize("big", [1e300, -1e300], ids=["1e300", "-1e300"])
@@ -212,6 +210,28 @@ def test_large_finite_float_in_states_gives_finite_values_or_a_package_error(cas
         result = np.array([result.mean, result.variance, result.std_error])
     if isinstance(result, np.ndarray) or np.isscalar(result):
         assert np.isfinite(result).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimation.witness_variances(0.5, 0.25, 2e150),
+    lambda: estimation.witness_estimators(1.5 + 0j, 0.25, 10),
+    lambda: estimation.noon1_moments(3, [[BAL, 1.5, BAL]], [[0.5, 0.5, 0.5]]),
+    lambda: noon_tables.f3_formula((0, 0, 0, 0), BAL, -1.5),
+], ids=["k-past-1e150", "estimate-off-the-unit-disk",
+        "amplitude-above-1", "tau-below-minus-1"])
+def test_a_moment_amplitude_or_k_that_no_state_has_is_refused_before_any_warning(call):
+    # k (k - 1) overflowed past k of about 1.3e154, and the squares of the others
+    # past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_the_largest_accepted_k_gives_finite_variances_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(estimation.witness_variances(0.5, 0.25, 1e150)).all()
 
 
 @pytest.mark.parametrize("law", [[0.5, -1e300], [-1e300, -1e300], [1e308, 1e308], [0.0, 0.0],

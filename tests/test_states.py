@@ -28,14 +28,19 @@ from ptmoments.states import (
     hhg_pt_moments,
     hhg_reduced_density,
     lossy_noon_density,
+    family_pt_moments,
     lossy_noon_pt_moments,
-    lossy_noon_pt_spectrum,
-    noon_pt_moment,
+    lossy_noon_spectra,
     qutrit_state,
     tmsv_cutoff,
 )
 
 BAL = 1 / math.sqrt(2)
+
+
+def lossless_noon_moment(p: NOONParams, n: int):
+    """p_n of the NOON state ``p`` without loss, read from the lossy NOON spectra at tau = 1."""
+    return family_pt_moments(LossyNOONParams(p, 1.0, 1.0), max(n, 2))[n - 1]
 
 
 @pytest.mark.parametrize("build", [
@@ -389,22 +394,22 @@ class TestNOON:
         for n in range(1, 4):
             p = NOONParams(n, 1.0, 0.0)
             for order in range(1, 6):
-                assert noon_pt_moment(p, order) == pytest.approx(1.0)
+                assert lossless_noon_moment(p, order) == pytest.approx(1.0)
 
     def test_balanced_third_moment(self):
         p = NOONParams.balanced(3)
-        assert noon_pt_moment(p, 3) == pytest.approx(0.25, abs=1e-15)
+        assert lossless_noon_moment(p, 3) == pytest.approx(0.25, abs=1e-15)
 
     def test_moment_independent_of_population(self):
-        vals = [noon_pt_moment(NOONParams(n, 0.6, 0.8), 3) for n in range(1, 6)]
+        vals = [lossless_noon_moment(NOONParams(n, 0.6, 0.8), 3) for n in range(1, 6)]
         assert max(vals) - min(vals) < 1e-15
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_closed_form_matches_oracle(self, n):
         p = NOONParams(n, 0.6, 0.8)
         rho = lossy_noon_density(LossyNOONParams(p, 1.0, 1.0))
-        assert pt_moment(rho, 2) == pytest.approx(noon_pt_moment(p, 2), abs=1e-12)
-        assert pt_moment(rho, 3) == pytest.approx(noon_pt_moment(p, 3), abs=1e-12)
+        assert pt_moment(rho, 2) == pytest.approx(lossless_noon_moment(p, 2), abs=1e-12)
+        assert pt_moment(rho, 3) == pytest.approx(lossless_noon_moment(p, 3), abs=1e-12)
 
 
 class TestLossyNOON:
@@ -415,8 +420,8 @@ class TestLossyNOON:
     def test_lossless_reduces_to_ideal(self):
         p = LossyNOONParams(NOONParams(2, 0.6, 0.8), 1.0, 1.0)
         p2, p3 = lossy_noon_pt_moments(p)
-        assert p2 == pytest.approx(1.0, abs=1e-14)
-        assert p3 == pytest.approx(noon_pt_moment(p.noon, 3), abs=1e-14)
+        assert p2 == 1.0
+        assert p3 == pytest.approx(0.6 ** 6 + 0.8 ** 6, abs=1e-14)
 
     @pytest.mark.parametrize("n,ta,tb", [(1, 0.6, 0.6), (2, 0.7, 0.9), (3, 0.85, 0.85),
                                          (4, 0.3, 0.95)])
@@ -439,11 +444,11 @@ class TestLossyNOON:
 
     @staticmethod
     def scalar_moments(p):
-        """Reference: p2 and p3 of one state's spectrum, each power (a product)
-        added in index order in Python floats."""
-        w = states.lossy_noon_pt_spectrum(p).tolist()
+        """Reference: p2 of one state's spectrum and p3 of its PT spectrum, each
+        power (a product) added in index order in Python floats."""
+        state, pt = (w.tolist() for w in lossy_noon_spectra(p))
         return tuple(functools.reduce(operator.add, terms)
-                     for terms in ([x * x for x in w], [x * x * x for x in w]))
+                     for terms in ([x * x for x in state], [x * x * x for x in pt]))
 
     def test_fig3a_grid_equals_the_scalar_form_bit_for_bit(self):
         n, tau = (x.ravel() for x in np.meshgrid(
@@ -527,17 +532,17 @@ class TestLossyNOONLimit:
         # lossless NOON read p_n independent of N before the spectra; no N is refused here
         N = np.array([1, 5, 2000, 10 ** 9])
         p = LossyNOONParams(NOONParams(N, 0.6, 0.8), ta, tb)
-        moments = states._power_sums(lossy_noon_pt_spectrum(p), 7)
+        moments = family_pt_moments(p, 7)
         assert (moments == moments[:, :1]).all()
         if ta == tb == 1.0:
-            ideal = [noon_pt_moment(p.noon, n) for n in (2, 3)]
+            ideal = [1.0, 0.6 ** 6 + 0.8 ** 6]
             assert moments[1:3, 0].tolist() == pytest.approx(ideal, abs=1e-15)
 
     @pytest.mark.parametrize("N", [1023, np.array([1, 2000])])
     def test_past_the_normal_float_range_is_refused(self, N):
         # 2^-N, the leading weight's power product at tau = 1/2, is subnormal past 1022
         with pytest.raises(DomainError, match="N <= 1022, got N = "):
-            lossy_noon_pt_spectrum(LossyNOONParams(NOONParams(N, BAL, BAL), 0.5, 0.5))
+            lossy_noon_spectra(LossyNOONParams(NOONParams(N, BAL, BAL), 0.5, 0.5))
 
 
 class TestElementwiseClosedForms:
@@ -568,11 +573,11 @@ class TestElementwiseClosedForms:
         rng = np.random.default_rng(order)
         theta = rng.uniform(0.0, math.pi / 2, 300)
         alpha, beta = np.cos(theta), np.sin(theta) * np.exp(1j * rng.uniform(0, 6, 300))
-        moments = noon_pt_moment(NOONParams(np.arange(1, 301), alpha, beta), order)
-        ref = [noon_pt_moment(NOONParams(1, a, b), order)
+        moments = lossless_noon_moment(NOONParams(np.arange(1, 301), alpha, beta), order)
+        ref = [lossless_noon_moment(NOONParams(1, a, b), order)
                for a, b in zip(alpha.tolist(), beta.tolist())]
         assert moments.tolist() == ref
-        assert noon_pt_moment(NOONParams(1, np.full((2, 1), BAL), BAL), order).shape == (2, 1)
+        assert lossless_noon_moment(NOONParams(1, np.full((2, 1), BAL), BAL), order).shape == (2, 1)
 
     @pytest.mark.parametrize("build", [
         lambda: CatParams(np.array([1.0, math.nan]), 1.0, 0.5),
@@ -615,7 +620,7 @@ class TestSpectraAgainstTheOracle:
         for alpha, beta in ((0.6, 0.8j), (0.28, -0.96)):
             for ta, tb in ((1.0, 1.0), (0.9, 0.6), (0.3, 0.45), (0.0, 0.7), (1.0, 0.2)):
                 p = LossyNOONParams(NOONParams(n, alpha, beta), ta, tb)
-                got = states._power_sums(lossy_noon_pt_spectrum(p), 7)
+                got = family_pt_moments(p, 7)
                 np.testing.assert_allclose(got, fock.pt_moments(lossy_noon_density(p), 7),
                                            rtol=0, atol=1e-14)
 
@@ -625,7 +630,7 @@ class TestSpectraAgainstTheOracle:
     def test_cat(self, parity, alpha, beta, z):
         p = CatParams(alpha, beta, z, parity)
         cutoff = ModeCutoff(*(fock.coherent_cutoff([x], 1e-16, guard=2) for x in (alpha, beta)))
-        got = states._power_sums(states.cat_pt_spectrum(p), 7)
+        got = family_pt_moments(p, 7)
         np.testing.assert_allclose(got, fock.pt_moments(cat_density(p, cutoff), 7),
                                    rtol=0, atol=1e-14)
 
@@ -639,7 +644,7 @@ class TestSpectraAgainstTheOracle:
         p = CatParams(alpha, beta, z, parity)
         cutoff = ModeCutoff(*(fock.coherent_cutoff([x], 1e-16, guard=2) for x in (alpha, beta)))
         rho = lossy_channel(lossy_channel(cat_density(p, cutoff), tau, "a"), tau, "b")
-        got = states._power_sums(states.cat_pt_spectrum(p.after_loss(tau)), 7)
+        got = family_pt_moments(p.after_loss(tau), 7)
         np.testing.assert_allclose(got, fock.pt_moments(rho, 7), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -649,7 +654,7 @@ class TestSpectraAgainstTheOracle:
         for alpha, da in ((1.2, 0.3), (1.2, 0.8), (2.0, 1.5), (0.5, 0.45)):
             p = HHGParams(alpha, da, n)
             cutoff = ModeCutoff(fock.coherent_cutoff([alpha, alpha - da], 1e-16, guard=2), 20)
-            got = states._power_sums(states.hhg_pt_spectrum(p), 7)
+            got = family_pt_moments(p, 7)
             np.testing.assert_allclose(got, fock.pt_moments(hhg_reduced_density(p, cutoff), 7),
                                        rtol=0, atol=1e-14)
 
@@ -674,7 +679,7 @@ class TestGridsAgainst50Digits:
                                                indexing="ij"))
         b = np.sqrt(np.maximum(1.0 - a * a, 0.0))
         for order in (2, 3):
-            got = noon_pt_moment(NOONParams(n, a, b), order)
+            got = lossless_noon_moment(NOONParams(n, a, b), order)
             with localcontext() as ctx:
                 ctx.prec = 50
                 ref = [float((Decimal(x) ** 2) ** order + (Decimal(y) ** 2) ** order
@@ -690,6 +695,50 @@ class TestGridsAgainst50Digits:
         ref = np.array([noon_reference(int(k), BAL, BAL, t, t)
                         for k, t in zip(n.tolist(), tau.tolist())])
         np.testing.assert_allclose(np.stack([p2, p3], 1), ref, rtol=1e-14, atol=0)
+
+
+class TestExactPurity:
+    """p2 = Tr[rho^2] is the power sum of the state's own spectrum, so a pure
+    state (one nonzero weight) reads exactly 1; the power sums of the PT
+    spectrum read a pure cat or NOON state up to 3 ulps off."""
+
+    M = 10 ** 5
+
+    def test_pure_cats_on_random_amplitudes(self):
+        rng = np.random.default_rng(37)
+        alpha = rng.normal(0.0, 1.5, self.M) + 1j * rng.normal(0.0, 1.5, self.M)
+        beta = rng.normal(0.0, 1.5, self.M)
+        for parity in ("even", "odd"):
+            p2, _ = cat_pt_moments(CatParams(alpha, beta, 0.0, parity))
+            assert (p2 == 1.0).all()
+
+    def test_pure_noon_on_random_amplitudes(self):
+        rng = np.random.default_rng(38)
+        theta = rng.uniform(0.0, math.pi / 2, self.M)
+        alpha = np.cos(theta) * np.exp(1j * rng.uniform(0.0, 6.3, self.M))
+        noon = NOONParams(rng.integers(1, 50, self.M), alpha, np.sin(theta))
+        p2, _ = lossy_noon_pt_moments(LossyNOONParams(noon, 1.0, 1.0))
+        assert (p2 == 1.0).all()
+
+    def test_single_harmonic_hhg_and_the_qutrit(self):
+        da = np.exp(np.random.default_rng(39).uniform(math.log(1e-150), math.log(1e100), self.M))
+        for n in (1, 2):
+            p2, _ = hhg_pt_moments(HHGParams(3.0, da, n))
+            assert (p2 == 1.0).all()
+        assert qutrit_state().pt_moment(2) == 1.0
+
+    def test_mixed_states_never_round_above_1(self):
+        rng = np.random.default_rng(40)
+        alpha, beta = rng.normal(0.0, 1.5, (2, self.M))
+        z = 1.0 - rng.uniform(0.0, 1.0, self.M)  # in (0, 1]
+        for parity in ("even", "odd"):
+            assert (cat_pt_moments(CatParams(alpha, beta, z, parity))[0] <= 1.0).all()
+        theta = rng.uniform(0.0, math.pi / 2, self.M)
+        noon = NOONParams(rng.integers(1, 50, self.M), np.cos(theta), np.sin(theta))
+        ta, tb = rng.uniform(0.0, 1.0, (2, self.M))
+        assert (lossy_noon_pt_moments(LossyNOONParams(noon, ta, tb))[0] <= 1.0).all()
+        da = rng.uniform(0.05, 6.0, self.M)
+        assert (hhg_pt_moments(HHGParams(3.0, da, rng.integers(3, 9, self.M)))[0] <= 1.0).all()
 
 
 class TestFockSuperposition:
