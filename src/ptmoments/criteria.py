@@ -64,10 +64,9 @@ class PtMomentVector:
         _require_finite(moments=ms)
         if (np.abs(ms[0] - 1.0) > 1e-9).any():
             raise ValueError(f"p_1 = {ms[0]} must be 1")
-        with np.errstate(over="ignore"):  # a bound past the float range holds
-            for k in range(2, len(ms) + 1):  # a negative p2 bounds every |p_k| by 0
-                if (np.abs(ms[k - 1]) > np.float_power(np.maximum(ms[1], 0.0), k / 2) + 1e-9).any():
-                    raise DomainError(f"|p_{k}| exceeds p_2^({k}/2)")
+        for k in range(2, len(ms) + 1):  # _purity refuses a p2 whose powers could overflow
+            if (np.abs(ms[k - 1]) > np.float_power(_purity(ms[1]), k / 2) + 1e-9).any():
+                raise ValueError(f"|p_{k}| exceeds p_2^({k}/2)")
 
     @classmethod
     def of(cls, *moments: float) -> "PtMomentVector":

@@ -151,8 +151,8 @@ class TestCriteriaCommand:
         # finite", and a traceback under -W error
         done = self.run_warnings_as_errors("criteria", *argv)
         assert done.returncode == 2 and done.stdout == ""
-        assert re.fullmatch(r"ptmoments: error: (p2 must lie in \(0, 1\], got 1e\+300|"
-                            r"\|p_2\| exceeds p_2\^\(2/2\))\n", done.stderr)
+        assert re.fullmatch(r"ptmoments: error: p2 must lie in \(0, 1\], got -?1e\+300\n",
+                            done.stderr)
 
     @pytest.mark.parametrize("alpha", ["30", "1e200"])
     def test_cat_past_the_old_bound_exits_0_with_runtime_warnings_as_errors(self, alpha):
