@@ -418,17 +418,17 @@ def lossy_noon_spectra(p: LossyNOONParams) -> tuple:
     binomials = np.array([[float(comb(m, j)) for j in k.tolist()] for m in values.tolist()])
     binomials = binomials.reshape(len(values), n)[where.reshape(N.shape)]
     lost = np.maximum(N[..., None] - k, 0)
-    branches = [w[..., None] * binomials * np.float_power(t[..., None], k)
-                * np.float_power(1.0 - t[..., None], lost) for w, t in ((a2, ta), (b2, tb))]
-    del binomials, lost  # before both spectra are alive
     d = a2 * np.float_power(1.0 - ta, N) + b2 * np.float_power(1.0 - tb, N)
     c = np.abs(noon.alpha) * np.abs(noon.beta) * np.float_power(ta * tb, N / 2.0)
     coherence = _symmetric_2x2_eigenvalues(d, np.zeros(d.shape), c, -c * c)
-    pt = _unit_trace(np.concatenate([np.stack(coherence, axis=-1), *branches], axis=-1))
-    pure = a2 * np.float_power(ta, N) + b2 * np.float_power(tb, N)  # the k = N branches' sum
-    state = np.concatenate([d[..., None], pure[..., None], *branches], axis=-1)
+    pt = np.concatenate([np.stack(coherence, axis=-1), *(
+        w[..., None] * binomials * np.float_power(t[..., None], k)
+        * np.float_power(1.0 - t[..., None], lost) for w, t in ((a2, ta), (b2, tb)))], axis=-1)
+    del binomials, lost  # before the state's spectrum is alive
+    state = pt.copy()  # the branches; d and the pure part (the k = N branches' sum) first
+    state[..., 0], state[..., 1] = d, a2 * np.float_power(ta, N) + b2 * np.float_power(tb, N)
     np.put_along_axis(state, np.stack([N + 1, N + 1 + n], axis=-1), 0.0, axis=-1)
-    return _unit_trace(state), pt
+    return _unit_trace(state), _unit_trace(pt)
 
 
 def lossy_noon_pt_moments(p: LossyNOONParams):

@@ -213,15 +213,17 @@ def test_large_finite_float_in_states_gives_finite_values_or_a_package_error(cas
 
 
 @pytest.mark.parametrize("call", [
+    lambda: criteria.PtMomentVector((1.0, -1e-10, 0.0)),
     lambda: estimation.witness_variances(0.5, 0.25, 2e150),
     lambda: estimation.witness_estimators(1.5 + 0j, 0.25, 10),
     lambda: estimation.noon1_moments(3, [[BAL, 1.5, BAL]], [[0.5, 0.5, 0.5]]),
     lambda: noon_tables.f3_formula((0, 0, 0, 0), BAL, -1.5),
-], ids=["k-past-1e150", "estimate-off-the-unit-disk",
+], ids=["negative-purity", "k-past-1e150", "estimate-off-the-unit-disk",
         "amplitude-above-1", "tau-below-minus-1"])
 def test_a_moment_amplitude_or_k_that_no_state_has_is_refused_before_any_warning(call):
-    # k (k - 1) overflowed past k of about 1.3e154, and the squares of the others
-    # past the float range
+    # the negative purity made the growth bound p2^(3/2) NaN, with a warning;
+    # the rest were taken, though at +-1e300 their squares (and past k of about
+    # 1.3e154 k (k - 1)) overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

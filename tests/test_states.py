@@ -14,7 +14,7 @@ from ptmoments.errors import BudgetError, CutoffTooSmallError, DomainError
 from ptmoments.estimation import min_samples, witness_variances
 from ptmoments.gaussian import SymplecticPair, simon_test, tmsv_thermal, tmsv_thermal_pt_pair
 from ptmoments.fock import ModeCutoff, pt_moment, purity, spectrum, partial_transpose
-from ptmoments import fock, states
+from ptmoments import fock
 from ptmoments.states import (
     CatParams,
     FockSuperposition,
@@ -25,10 +25,10 @@ from ptmoments.states import (
     cat_pt_moments,
     cat_separability_radius,
     coherent_vector,
+    family_pt_moments,
     hhg_pt_moments,
     hhg_reduced_density,
     lossy_noon_density,
-    family_pt_moments,
     lossy_noon_pt_moments,
     lossy_noon_spectra,
     qutrit_state,
@@ -577,7 +577,8 @@ class TestElementwiseClosedForms:
         ref = [lossless_noon_moment(NOONParams(1, a, b), order)
                for a, b in zip(alpha.tolist(), beta.tolist())]
         assert moments.tolist() == ref
-        assert lossless_noon_moment(NOONParams(1, np.full((2, 1), BAL), BAL), order).shape == (2, 1)
+        wide = NOONParams(1, np.full((2, 1), BAL), BAL)
+        assert lossless_noon_moment(wide, order).shape == (2, 1)
 
     @pytest.mark.parametrize("build", [
         lambda: CatParams(np.array([1.0, math.nan]), 1.0, 0.5),
