@@ -701,7 +701,7 @@ class TestGridsAgainst50Digits:
 class TestExactPurity:
     """p2 = Tr[rho^2] is the power sum of the state's own spectrum, so a pure
     state (one nonzero weight) reads exactly 1; the power sums of the PT
-    spectrum read a pure cat or NOON state up to 3 ulps off."""
+    spectrum read a pure cat or NOON state a few ulps off."""
 
     M = 10 ** 5
 
@@ -722,7 +722,8 @@ class TestExactPurity:
         assert (p2 == 1.0).all()
 
     def test_single_harmonic_hhg_and_the_qutrit(self):
-        da = np.exp(np.random.default_rng(39).uniform(math.log(1e-150), math.log(1e100), self.M))
+        da = np.exp(np.random.default_rng(39).uniform(math.log(1e-150), math.log(1e100),
+                                                       self.M // 5))
         for n in (1, 2):
             p2, _ = hhg_pt_moments(HHGParams(3.0, da, n))
             assert (p2 == 1.0).all()
@@ -734,12 +735,13 @@ class TestExactPurity:
         z = 1.0 - rng.uniform(0.0, 1.0, self.M)  # in (0, 1]
         for parity in ("even", "odd"):
             assert (cat_pt_moments(CatParams(alpha, beta, z, parity))[0] <= 1.0).all()
-        theta = rng.uniform(0.0, math.pi / 2, self.M)
-        noon = NOONParams(rng.integers(1, 50, self.M), np.cos(theta), np.sin(theta))
-        ta, tb = rng.uniform(0.0, 1.0, (2, self.M))
+        m = self.M // 5  # each lossy spectrum is padded to the batch's largest N
+        theta = rng.uniform(0.0, math.pi / 2, m)
+        noon = NOONParams(rng.integers(1, 13, m), np.cos(theta), np.sin(theta))
+        ta, tb = rng.uniform(0.0, 1.0, (2, m))
         assert (lossy_noon_pt_moments(LossyNOONParams(noon, ta, tb))[0] <= 1.0).all()
-        da = rng.uniform(0.05, 6.0, self.M)
-        assert (hhg_pt_moments(HHGParams(3.0, da, rng.integers(3, 9, self.M)))[0] <= 1.0).all()
+        da = rng.uniform(0.05, 6.0, m)
+        assert (hhg_pt_moments(HHGParams(3.0, da, rng.integers(3, 9, m)))[0] <= 1.0).all()
 
 
 class TestFockSuperposition:
